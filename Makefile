@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race check bench bench-go clean
+.PHONY: all build test vet race check bench bench-go ladder clean
 
 all: build
 
@@ -30,6 +30,13 @@ bench:
 
 bench-go:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# ladder runs the traced per-layer pass on the workload where the TRAIN
+# pipeline, not the gradient, does the work: the before/after procedure for
+# changes to block decode, the shuffle operators, the clock or the executor.
+# It builds into .bench_build/ and writes spans under benchmark/out/.
+ladder:
+	sh benchmark/run.sh --workload train_narrow --trace 1
 
 clean:
 	$(GO) clean ./...

@@ -21,3 +21,42 @@ type Operator interface {
 	// Close releases operator resources.
 	Close() error
 }
+
+// blockOperator is an Operator that can also hand out its tuples a storage
+// block at a time. The access-path leaves (ScanOp, BlockShuffleOp) implement
+// it, and TupleShuffleOp fills its buffer through it: one interface call and
+// one append per block instead of one Next per tuple.
+type blockOperator interface {
+	Operator
+	// NextBlock returns the tuples of the current block that Next has not
+	// yet returned or, when there are none, reads the next block. The
+	// slice is only valid until the following call on the operator;
+	// ok=false ends the current scan.
+	NextBlock() (block []data.Tuple, ok bool, err error)
+}
+
+// asBlocks returns op itself when it is block-granular and otherwise an
+// adapter presenting each of its tuples as a block of one, so TupleShuffleOp
+// has a single fill loop whatever it is stacked on.
+func asBlocks(op Operator) blockOperator {
+	if b, ok := op.(blockOperator); ok {
+		return b
+	}
+	return &tupleBlocks{Operator: op}
+}
+
+// tupleBlocks presents a tuple-at-a-time operator as a blockOperator.
+type tupleBlocks struct {
+	Operator
+	one [1]data.Tuple
+}
+
+// NextBlock implements blockOperator.
+func (b *tupleBlocks) NextBlock() ([]data.Tuple, bool, error) {
+	t, ok, err := b.Next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	b.one[0] = *t
+	return b.one[:], true, nil
+}

@@ -85,7 +85,7 @@ func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 			n.ts = ts
 		}
 		prof.nodes = append(prof.nodes, n)
-		return &profiledOp{op: op, n: n, clock: prof.clock}, n
+		return profileShell(op, n, prof.clock), n
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var child Operator

@@ -174,17 +174,36 @@ type profiledOp struct {
 	clock *iosim.Clock
 }
 
-func (p *profiledOp) measure(f func() error) error {
-	var s0 time.Duration
+// profileShell wraps op in a profiling shell feeding n; a block-granular
+// operator keeps its block pull.
+func profileShell(op Operator, n *nodeProf, clock *iosim.Clock) Operator {
+	shell := profiledOp{op: op, n: n, clock: clock}
+	if b, ok := op.(blockOperator); ok {
+		return &profiledBlockOp{profiledOp: shell, blocks: b}
+	}
+	return &shell
+}
+
+// start opens a measured window; stop closes it, charging the simulated-
+// and wall-clock time in between to the node.
+func (p *profiledOp) start() (s0 time.Duration, w0 time.Time) {
 	if p.clock != nil {
 		s0 = p.clock.Now()
 	}
-	w0 := time.Now()
-	err := f()
+	return s0, time.Now()
+}
+
+func (p *profiledOp) stop(s0 time.Duration, w0 time.Time) {
 	p.n.incWall += time.Since(w0)
 	if p.clock != nil {
 		p.n.incSim += p.clock.Now() - s0
 	}
+}
+
+func (p *profiledOp) measure(f func() error) error {
+	s0, w0 := p.start()
+	err := f()
+	p.stop(s0, w0)
 	return err
 }
 
@@ -196,16 +215,9 @@ func (p *profiledOp) Init() error {
 
 // Next implements Operator.
 func (p *profiledOp) Next() (*data.Tuple, bool, error) {
-	var s0 time.Duration
-	if p.clock != nil {
-		s0 = p.clock.Now()
-	}
-	w0 := time.Now()
+	s0, w0 := p.start()
 	t, ok, err := p.op.Next()
-	p.n.incWall += time.Since(w0)
-	if p.clock != nil {
-		p.n.incSim += p.clock.Now() - s0
-	}
+	p.stop(s0, w0)
 	p.n.calls++
 	if ok {
 		p.n.rows++
@@ -230,4 +242,23 @@ func (p *profiledOp) ReScan() error {
 // telescope.
 func (p *profiledOp) Close() error {
 	return p.measure(p.op.Close)
+}
+
+// profiledBlockOp is the profiling shell of a block-granular operator: it
+// forwards the block pull too, so a profiled plan fills its shuffle buffer
+// through the same path as an unprofiled one. A block pull counts as one
+// call and as many rows as the block holds.
+type profiledBlockOp struct {
+	profiledOp
+	blocks blockOperator
+}
+
+// NextBlock implements blockOperator.
+func (p *profiledBlockOp) NextBlock() ([]data.Tuple, bool, error) {
+	s0, w0 := p.start()
+	block, ok, err := p.blocks.NextBlock()
+	p.stop(s0, w0)
+	p.n.calls++
+	p.n.rows += int64(len(block))
+	return block, ok, err
 }

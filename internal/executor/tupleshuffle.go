@@ -18,7 +18,7 @@ import (
 // overlap is accounted deterministically through an iosim.Pipeline on the
 // shared simulated clock.
 type TupleShuffleOp struct {
-	child Operator
+	child blockOperator
 	rng   *rand.Rand
 	// Capacity is the buffer size in tuples.
 	Capacity int
@@ -42,6 +42,9 @@ type TupleShuffleOp struct {
 	buf       []data.Tuple
 	pos       int
 	exhausted bool
+	// rest is the tail of a block that straddled the buffer capacity, held
+	// for the next fill. It aliases the child's current block.
+	rest []data.Tuple
 
 	pipe      *iosim.Pipeline
 	consStart time.Duration
@@ -63,7 +66,7 @@ func NewTupleShuffle(child Operator, capacity int, rng *rand.Rand) *TupleShuffle
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &TupleShuffleOp{child: child, Capacity: capacity, rng: rng}
+	return &TupleShuffleOp{child: asBlocks(child), Capacity: capacity, rng: rng}
 }
 
 // Init implements Operator.
@@ -84,33 +87,27 @@ func (op *TupleShuffleOp) startAsync() {
 	op.done = make(chan struct{})
 	go func(fills chan<- asyncFill, done <-chan struct{}) {
 		defer close(fills)
-		for {
-			buf := make([]data.Tuple, 0, op.Capacity)
-			for len(buf) < op.Capacity {
-				t, ok, err := op.child.Next()
-				if err != nil {
-					select {
-					case fills <- asyncFill{err: err}:
-					case <-done:
-					}
-					return
-				}
-				if !ok {
-					if len(buf) > 0 {
-						op.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-						select {
-						case fills <- asyncFill{buf: buf}:
-						case <-done:
-						}
-					}
-					return
-				}
-				buf = append(buf, *t)
-			}
-			op.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+		send := func(f asyncFill) bool {
 			select {
-			case fills <- asyncFill{buf: buf}:
+			case fills <- f:
+				return true
 			case <-done:
+				return false
+			}
+		}
+		for {
+			buf, exhausted, err := op.fill(make([]data.Tuple, 0, op.Capacity))
+			if err != nil {
+				send(asyncFill{err: err})
+				return
+			}
+			if len(buf) > 0 {
+				op.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+				if !send(asyncFill{buf: buf}) {
+					return
+				}
+			}
+			if exhausted {
 				return
 			}
 		}
@@ -174,6 +171,31 @@ func (op *TupleShuffleOp) Next() (*data.Tuple, bool, error) {
 	return t, true, nil
 }
 
+// fill appends the child's tuples to buf, a block at a time, until buf holds
+// Capacity tuples or the child is exhausted. A block that does not fit is
+// split: its tail waits in op.rest and opens the next fill, so the child is
+// asked for a block — and the device read — only when the buffer still has
+// room and nothing is held over. It is the one fill loop, shared by refill
+// and the async write thread.
+func (op *TupleShuffleOp) fill(buf []data.Tuple) (_ []data.Tuple, exhausted bool, err error) {
+	for len(buf) < op.Capacity {
+		if len(op.rest) == 0 {
+			block, ok, err := op.child.NextBlock()
+			if err != nil {
+				return buf, false, err
+			}
+			if !ok {
+				return buf, true, nil
+			}
+			op.rest = block
+		}
+		n := min(len(op.rest), op.Capacity-len(buf))
+		buf = append(buf, op.rest[:n]...)
+		op.rest = op.rest[n:]
+	}
+	return buf, false, nil
+}
+
 // refill pulls up to Capacity tuples from the child and shuffles them.
 func (op *TupleShuffleOp) refill() error {
 	var fillStart time.Duration
@@ -186,23 +208,16 @@ func (op *TupleShuffleOp) refill() error {
 	}
 	sp := op.Obs.Span(obs.SpanRefill)
 
-	op.buf = op.buf[:0]
 	op.pos = 0
-	for len(op.buf) < op.Capacity {
-		t, ok, err := op.child.Next()
-		if err != nil {
-			sp.End()
-			// A failing child aborts the epoch: settle the simulated
-			// clock to the pipeline's completion time instead of leaving
-			// it mid-pipeline (mirrors corgiIter.Next's error path).
-			op.settlePipeline()
-			return err
-		}
-		if !ok {
-			op.exhausted = true
-			break
-		}
-		op.buf = append(op.buf, *t)
+	var err error
+	op.buf, op.exhausted, err = op.fill(op.buf[:0])
+	if err != nil {
+		sp.End()
+		// A failing child aborts the epoch: settle the simulated
+		// clock to the pipeline's completion time instead of leaving
+		// it mid-pipeline (mirrors corgiIter.Next's error path).
+		op.settlePipeline()
+		return err
 	}
 	if op.Clock != nil && op.CopyCost > 0 {
 		op.Clock.Advance(time.Duration(len(op.buf)) * op.CopyCost)
@@ -266,7 +281,7 @@ func (op *TupleShuffleOp) settlePipeline() {
 func (op *TupleShuffleOp) resetEpoch() {
 	op.stopAsync()
 	op.settlePipeline()
-	op.buf, op.pos, op.exhausted = nil, 0, false
+	op.buf, op.pos, op.exhausted, op.rest = nil, 0, false, nil
 	op.consuming = false
 	if op.DoubleBuffer && op.Clock != nil {
 		op.pipe = iosim.NewPipeline(2, op.Clock.Now())

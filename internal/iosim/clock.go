@@ -10,7 +10,7 @@ package iosim
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,9 +19,13 @@ import (
 // Components that model work (device transfers, gradient computation, buffer
 // copies) advance the clock by the simulated duration of that work. The zero
 // value is a clock at time zero, ready to use.
+//
+// The clock is one atomic counter: every method is safe for concurrent use
+// and none blocks. Jobs sharing a device share its clock, so a concurrent
+// Set still moves time under every other reader — atomicity makes each
+// access well defined, it does not give a job its own view.
 type Clock struct {
-	mu  sync.Mutex
-	now time.Duration
+	now atomic.Int64 // nanoseconds since the start of the simulation
 }
 
 // NewClock returns a clock at time zero.
@@ -29,20 +33,14 @@ func NewClock() *Clock { return &Clock{} }
 
 // Now reports the current simulated time as a duration since the start of
 // the simulation.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Advance moves the clock forward by d. Negative durations are ignored.
 func (c *Clock) Advance(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.mu.Lock()
-	c.now += d
-	c.mu.Unlock()
+	c.now.Add(int64(d))
 }
 
 // Set moves the clock to t. It is used by pipelined components (such as the
@@ -55,9 +53,7 @@ func (c *Clock) Set(t time.Duration) {
 	if t < 0 {
 		t = 0
 	}
-	c.mu.Lock()
-	c.now = t
-	c.mu.Unlock()
+	c.now.Store(int64(t))
 }
 
 // Reset returns the clock to time zero.

@@ -83,3 +83,55 @@ func TestClockConcurrentAdvance(t *testing.T) {
 		t.Fatalf("concurrent Now() = %v, want %v", got, want)
 	}
 }
+
+// Advance, Now and Set from many goroutines at once (the serving plane: two
+// TRAIN jobs and a double-buffer rewind on one device clock). Run under
+// -race. Set may discard concurrent advances, by design, so the final value
+// is only bounded: at least the last Set, at most that plus every advance.
+func TestClockConcurrentAdvanceNowSet(t *testing.T) {
+	c := NewClock()
+	const advancers, per, base = 4, 2000, time.Hour
+	const total = advancers * per * time.Microsecond
+	var wg sync.WaitGroup
+	for i := 0; i < advancers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				c.Advance(time.Microsecond)
+			}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				if now := c.Now(); now < 0 || now > base+total {
+					t.Errorf("Now() = %v outside [0, %v]", now, base+total)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < per; j++ {
+			c.Set(base)
+		}
+	}()
+	wg.Wait()
+	if now := c.Now(); now < base || now > base+total {
+		t.Fatalf("final Now() = %v outside [%v, %v]", now, base, base+total)
+	}
+}
+
+// The clock is charged once per tuple by the training loops: it must not
+// allocate.
+func TestClockAdvanceDoesNotAllocate(t *testing.T) {
+	c := NewClock()
+	if n := testing.AllocsPerRun(1000, func() { c.Advance(time.Nanosecond) }); n != 0 {
+		t.Fatalf("Clock.Advance allocates %v times per call, want 0", n)
+	}
+}

@@ -28,8 +28,12 @@ type PlanStats struct {
 	Detail string `json:"detail,omitempty"`
 
 	// Rows is the number of tuples the node produced across the run; Calls
-	// the number of Next() calls; Loops the number of scans it served (one
-	// per epoch for training plans).
+	// the number of pulls its parent made; Loops the number of scans it
+	// served (one per epoch for training plans). A pull is a Next() call or,
+	// for the BlockShuffle node under TupleShuffle, a block pull: that
+	// node's Calls counts blocks handed up (plus the end-of-scan pull of
+	// each loop), not tuples. Calls is JSON-only; the text rendering omits
+	// it.
 	Rows  int64 `json:"rows,omitempty"`
 	Calls int64 `json:"calls,omitempty"`
 	Loops int64 `json:"loops,omitempty"`

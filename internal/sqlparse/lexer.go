@@ -24,7 +24,7 @@ type tokenKind int
 const (
 	tokEOF tokenKind = iota
 	tokWord
-	tokNumber  // 123, 1.5, -2
+	tokNumber  // 123, 1.5, -2, 1e-05
 	tokUnitNum // 10MB, 8KB — number with an immediately attached unit
 	tokString  // 'quoted' or "quoted"
 	tokPunct   // ( ) , = * ;
@@ -75,10 +75,28 @@ func lex(input string) ([]token, error) {
 				j++
 			}
 			kind := tokNumber
+			// An exponent ([eE][+-]?digits) is part of the number; without
+			// its digits the e is left to be read as a unit below.
+			exponent := false
+			if j < len(input) && (input[j] == 'e' || input[j] == 'E') {
+				k := j + 1
+				if k < len(input) && (input[k] == '+' || input[k] == '-') {
+					k++
+				}
+				if k < len(input) && isDigit(input[k]) {
+					for k < len(input) && isDigit(input[k]) {
+						k++
+					}
+					j, exponent = k, true
+				}
+			}
 			// A unit suffix attached with no space (10MB) merges in.
 			for j < len(input) && isLetter(input[j]) {
 				kind = tokUnitNum
 				j++
+			}
+			if exponent && kind == tokUnitNum {
+				return nil, fmt.Errorf("sqlparse: unit suffix on exponent literal %q at offset %d", input[i:j], i)
 			}
 			toks = append(toks, token{kind, input[i:j], i})
 			i = j

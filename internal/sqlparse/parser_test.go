@@ -133,6 +133,59 @@ func TestParseInsertErrors(t *testing.T) {
 	}
 }
 
+// Exponent literals are numbers wherever a number is; a unit suffix is still
+// a size literal, and the two do not combine.
+func TestParseExponentLiterals(t *testing.T) {
+	pass := []struct {
+		sql  string
+		want []float64 // the first row's label and features, or the WITH value
+	}{
+		{`INSERT INTO t VALUES (1e-05, 2E3)`, []float64{1e-05, 2000}},
+		{`INSERT INTO t VALUES (-1.5e+2, 1e0)`, []float64{-150, 1}},
+		{`INSERT INTO t VALUES (1, 6.02E23), (0, 1e-300)`, []float64{1, 6.02e23}},
+		{`INSERT INTO t VALUES (0, 1e05)`, []float64{0, 100000}},
+		{`SELECT * FROM t TRAIN BY svm WITH learning_rate=1e-3`, []float64{0.001}},
+		{`CREATE TABLE t FROM 'f' WITH block_size=10MB`, []float64{10 << 20}},
+		{`CREATE TABLE t FROM 'f' WITH block_size=8KB`, []float64{8 << 10}},
+	}
+	for _, tc := range pass {
+		st, err := Parse(tc.sql)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.sql, err)
+			continue
+		}
+		var got []float64
+		switch st := st.(type) {
+		case *Insert:
+			got = append([]float64{st.Rows[0].Label}, st.Rows[0].Features...)
+		case *Train:
+			got = []float64{st.Params["learning_rate"].Num}
+		case *CreateTable:
+			got = []float64{st.With["block_size"].Num}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Parse(%q) read %v, want %v", tc.sql, got, tc.want)
+		}
+	}
+	fail := []string{
+		`INSERT INTO t VALUES (1, 1e)`,      // no exponent digits
+		`INSERT INTO t VALUES (1, 1e+)`,     // sign but no digits
+		`INSERT INTO t VALUES (1, 1e-)`,     //
+		`INSERT INTO t VALUES (1, 1.2.3e4)`, // two points
+		`INSERT INTO t VALUES (1, 1e5MB)`,   // unit on an exponent literal
+		`INSERT INTO t VALUES (1, 1e5e5)`,   //
+		`INSERT INTO t VALUES (1, e5)`,      // a word, not a number
+		`INSERT INTO t VALUES (1, 1e 5)`,    // the exponent must be attached
+		`CREATE TABLE t FROM 'f' WITH block_size=1e5MB`,
+		`SELECT * FROM t PREDICT BY m LIMIT 1e2`, // LIMIT takes an integer
+	}
+	for _, sql := range fail {
+		if st, err := Parse(sql); err == nil {
+			t.Errorf("Parse(%q) = %#v, want an error", sql, st)
+		}
+	}
+}
+
 func TestParseLoadInto(t *testing.T) {
 	st := parseOne(t, `LOAD INTO t FROM '/data/extra.libsvm'`)
 	lt, ok := st.(*LoadTable)

@@ -27,6 +27,7 @@ func TestRenderRoundTrip(t *testing.T) {
 		`LOAD MODEL m FROM '/tmp/m.json'`,
 		`INSERT INTO t VALUES (1, 0.5, -2.25)`,
 		`INSERT INTO t VALUES (-1, 3), (1, 4.5), (0, 0)`,
+		`INSERT INTO t VALUES (1, 1e-05, -2.5E+20), (0, 0.00001, 1e21)`, // %g renders these with exponents
 		`LOAD INTO t FROM '/data/extra.libsvm'`,
 		`CHECKPOINT`,
 		`SELECT * FROM t TRAIN BY svm MODEL m2 WITH resume='m1', max_epoch_num=3`,

@@ -54,68 +54,140 @@ func AppendTuple(buf []byte, t *data.Tuple) []byte {
 	return buf
 }
 
-// DecodeTuple decodes one tuple from the front of buf, returning the tuple
-// and the number of bytes consumed.
-func DecodeTuple(buf []byte) (data.Tuple, int, error) {
+// tupleShape validates the tuple at the front of buf — header present, known
+// flags, payload within buf — and reports whether it is sparse, its stored
+// feature count and its encoded size. It is the only place tuple bytes are
+// checked; everything that reads a tuple afterwards trusts these bounds.
+func tupleShape(buf []byte) (sparse bool, count, size int, err error) {
 	if len(buf) < tupleHeaderSize {
-		return data.Tuple{}, 0, fmt.Errorf("%w: short tuple header (%d bytes)", ErrCorrupt, len(buf))
-	}
-	t := data.Tuple{
-		ID:    int64(binary.LittleEndian.Uint64(buf)),
-		Label: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
+		return false, 0, 0, fmt.Errorf("%w: short tuple header (%d bytes)", ErrCorrupt, len(buf))
 	}
 	flags := buf[16]
-	count := int(binary.LittleEndian.Uint32(buf[17:]))
-	n := tupleHeaderSize
+	count = int(binary.LittleEndian.Uint32(buf[17:]))
+	// Overflow-safe: compare count against the space left, never n+count*8.
+	room := len(buf) - tupleHeaderSize
 	switch flags {
 	case flagDense:
-		// Overflow-safe: compare count against the space left, never n+count*8.
-		if count > (len(buf)-n)/8 {
-			return data.Tuple{}, 0, fmt.Errorf("%w: short dense payload", ErrCorrupt)
+		if count > room/8 {
+			return false, 0, 0, fmt.Errorf("%w: short dense payload", ErrCorrupt)
 		}
-		need := n + count*8
-		t.Dense = make([]float64, count)
-		for i := 0; i < count; i++ {
-			t.Dense[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[n+i*8:]))
-		}
-		n = need
+		return false, count, tupleHeaderSize + count*8, nil
 	case flagSparse:
-		if count > (len(buf)-n)/12 {
-			return data.Tuple{}, 0, fmt.Errorf("%w: short sparse payload", ErrCorrupt)
+		if count > room/12 {
+			return false, 0, 0, fmt.Errorf("%w: short sparse payload", ErrCorrupt)
 		}
-		need := n + count*12
-		t.SparseIdx = make([]int32, count)
-		t.SparseVal = make([]float64, count)
-		for i := 0; i < count; i++ {
-			t.SparseIdx[i] = int32(binary.LittleEndian.Uint32(buf[n+i*12:]))
-			t.SparseVal[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[n+i*12+4:]))
-		}
-		n = need
+		return true, count, tupleHeaderSize + count*12, nil
 	default:
-		return data.Tuple{}, 0, fmt.Errorf("%w: unknown tuple flags %d", ErrCorrupt, flags)
+		return false, 0, 0, fmt.Errorf("%w: unknown tuple flags %d", ErrCorrupt, flags)
 	}
-	return t, n, nil
+}
+
+// fillTuple decodes the tuple at the front of buf, whose shape tupleShape
+// has validated, into t, and reports that shape again. Feature values go to
+// the front of vals and, for a sparse tuple, indices to the front of idx;
+// t's slices are those prefixes with their capacity clamped to count, so an
+// append by a holder reallocates instead of writing into whatever follows
+// in the caller's backing array.
+func fillTuple(t *data.Tuple, buf []byte, vals []float64, idx []int32) (sparse bool, count, size int) {
+	t.ID = int64(binary.LittleEndian.Uint64(buf))
+	t.Label = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
+	sparse = buf[16] == flagSparse
+	count = int(binary.LittleEndian.Uint32(buf[17:]))
+	vals = vals[:count:count]
+	body := buf[tupleHeaderSize:]
+	if !sparse {
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
+		}
+		t.Dense = vals
+		return false, count, tupleHeaderSize + count*8
+	}
+	idx = idx[:count:count]
+	for i := range vals {
+		idx[i] = int32(binary.LittleEndian.Uint32(body[i*12:]))
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*12+4:]))
+	}
+	t.SparseIdx, t.SparseVal = idx, vals
+	return true, count, tupleHeaderSize + count*12
+}
+
+// DecodeTuple decodes one tuple from the front of buf, returning the tuple
+// and the number of bytes consumed. The tuple owns its slices.
+func DecodeTuple(buf []byte) (data.Tuple, int, error) {
+	sparse, count, size, err := tupleShape(buf)
+	if err != nil {
+		return data.Tuple{}, 0, err
+	}
+	var t data.Tuple
+	var idx []int32
+	if sparse {
+		idx = make([]int32, count)
+	}
+	fillTuple(&t, buf, make([]float64, count), idx)
+	return t, size, nil
+}
+
+// ValidateRawTuples checks that raw is exactly count well-formed tuple
+// encodings (AppendTuple format) with no trailing bytes, allocating nothing.
+// It is the gate for blocks arriving from outside — INSERT, LOAD INTO and
+// WAL replay: hostile payloads yield ErrCorrupt, never a panic.
+func ValidateRawTuples(raw []byte, count int) error {
+	_, _, err := scanRawTuples(raw, count)
+	return err
+}
+
+// scanRawTuples is pass one of the block decoder: it validates every tuple
+// of a raw payload and totals the float64 and int32 slots the block's
+// features need.
+func scanRawTuples(raw []byte, count int) (floats, ints int, err error) {
+	if count < 0 || count > len(raw)/tupleHeaderSize {
+		return 0, 0, fmt.Errorf("%w: tuple count %d exceeds %d-byte payload", ErrCorrupt, count, len(raw))
+	}
+	off := 0
+	for i := 0; i < count; i++ {
+		sparse, c, size, err := tupleShape(raw[off:])
+		if err != nil {
+			return 0, 0, err
+		}
+		floats += c
+		if sparse {
+			ints += c
+		}
+		off += size
+	}
+	if off != len(raw) {
+		return 0, 0, fmt.Errorf("%w: %d trailing bytes after %d tuples", ErrCorrupt, len(raw)-off, count)
+	}
+	return floats, ints, nil
 }
 
 // DecodeRawTuples decodes exactly count tuples from a raw block payload
-// (concatenated AppendTuple encodings with no trailing bytes). It is the
-// validation gate for WAL-replayed blocks: hostile payloads yield
-// ErrCorrupt, never a panic.
+// (concatenated AppendTuple encodings with no trailing bytes), validating
+// all of it before allocating: hostile payloads yield ErrCorrupt, never a
+// panic or an allocation larger than the payload warrants.
+//
+// The block is decoded into three allocations however many tuples it holds:
+// the tuple slice, one float64 arena for every feature value and one int32
+// arena for every sparse index. Each tuple's slices are sub-slices of the
+// arenas with capacity clamped to their length. Tuples of one block
+// therefore share backing arrays — retaining one tuple keeps its whole
+// block's features reachable — but none can grow into a neighbour.
 func DecodeRawTuples(raw []byte, count int) ([]data.Tuple, error) {
-	if count < 0 || count > len(raw)/tupleHeaderSize {
-		return nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte payload", ErrCorrupt, count, len(raw))
+	floats, ints, err := scanRawTuples(raw, count)
+	if err != nil {
+		return nil, err
 	}
-	tuples := make([]data.Tuple, 0, count)
-	for len(tuples) < count {
-		t, n, err := DecodeTuple(raw)
-		if err != nil {
-			return nil, err
+	tuples := make([]data.Tuple, count)
+	vals := make([]float64, floats)
+	idx := make([]int32, ints)
+	off := 0
+	for i := range tuples {
+		sparse, c, size := fillTuple(&tuples[i], raw[off:], vals, idx)
+		vals = vals[c:]
+		if sparse {
+			idx = idx[c:]
 		}
-		tuples = append(tuples, t)
-		raw = raw[n:]
-	}
-	if len(raw) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d tuples", ErrCorrupt, len(raw), count)
+		off += size
 	}
 	return tuples, nil
 }

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -150,5 +153,143 @@ func TestEncodedSizeMatchesDataEstimate(t *testing.T) {
 	s := data.Tuple{ID: 1, Label: 1, SparseIdx: []int32{1, 2}, SparseVal: []float64{1, 2}}
 	if EncodedTupleSize(&s) != s.EncodedSize() {
 		t.Fatalf("sparse: codec %d vs estimate %d", EncodedTupleSize(&s), s.EncodedSize())
+	}
+}
+
+// decodeTupleLoop is the reference the arena decoder is held to: the
+// tuple-at-a-time DecodeTuple loop DecodeRawTuples used to be, with its
+// count and trailing-byte checks.
+func decodeTupleLoop(raw []byte, count int) ([]data.Tuple, error) {
+	if count < 0 || count > len(raw)/tupleHeaderSize {
+		return nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte payload", ErrCorrupt, count, len(raw))
+	}
+	tuples := make([]data.Tuple, 0, count)
+	for len(tuples) < count {
+		t, n, err := DecodeTuple(raw)
+		if err != nil {
+			return nil, err
+		}
+		tuples = append(tuples, t)
+		raw = raw[n:]
+	}
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d tuples", ErrCorrupt, len(raw), count)
+	}
+	return tuples, nil
+}
+
+// randomBlock draws a block of the given kind: dense, sparse, mixed, zero
+// (tuples without features, dense and sparse) or empty (no tuples).
+func randomBlock(rng *rand.Rand, kind string) (raw []byte, count int) {
+	if kind != "empty" {
+		count = 1 + rng.Intn(40)
+	}
+	for i := 0; i < count; i++ {
+		tp := data.Tuple{ID: rng.Int63(), Label: rng.NormFloat64()}
+		n := rng.Intn(9)
+		if kind == "zero" {
+			n = 0
+		}
+		if kind == "sparse" || (kind != "dense" && rng.Intn(2) == 0) {
+			tp.SparseIdx, tp.SparseVal = make([]int32, n), make([]float64, n)
+			for j := range tp.SparseIdx {
+				tp.SparseIdx[j], tp.SparseVal[j] = rng.Int31(), rng.NormFloat64()
+			}
+		} else {
+			tp.Dense = make([]float64, n)
+			for j := range tp.Dense {
+				tp.Dense[j] = rng.NormFloat64()
+			}
+		}
+		raw = AppendTuple(raw, &tp)
+	}
+	return raw, count
+}
+
+// Property: the one-pass arena decoder returns exactly what the per-tuple
+// loop returns — deep-equal tuples (nil-ness of every slice included) on
+// well-formed blocks, and the same error text on damaged ones — and the
+// allocation-free validator agrees with both.
+func TestDecodeRawTuplesMatchesTupleLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, kind := range []string{"dense", "sparse", "mixed", "zero", "empty"} {
+		decoded, rejected := 0, 0
+		for iter := 0; iter < 200; iter++ {
+			raw, count := randomBlock(rng, kind)
+			switch rng.Intn(4) { // three in four blocks are damaged
+			case 0:
+				if len(raw) > 0 {
+					raw[rng.Intn(len(raw))] ^= byte(1 + rng.Intn(255))
+				}
+			case 1:
+				raw = raw[:rng.Intn(len(raw)+1)]
+			case 2:
+				count += rng.Intn(5) - 2
+			}
+			want, wantErr := decodeTupleLoop(raw, count)
+			got, gotErr := DecodeRawTuples(raw, count)
+			valErr := ValidateRawTuples(raw, count)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(valErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s #%d: arena err %v, validator err %v, loop err %v", kind, iter, gotErr, valErr, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s #%d: arena decode differs from the tuple loop\n got: %+v\nwant: %+v", kind, iter, got, want)
+			}
+			if wantErr == nil {
+				decoded++
+			} else {
+				rejected++
+			}
+		}
+		if decoded == 0 || rejected == 0 {
+			t.Fatalf("%s: %d decoded, %d rejected: the generator no longer covers both", kind, decoded, rejected)
+		}
+	}
+}
+
+// Tuples of one block share backing arrays, but every slice is clamped to
+// its own length: an append by a holder must reallocate, never write into
+// the next tuple's features.
+func TestDecodedTuplesDoNotAliasOnAppend(t *testing.T) {
+	var raw []byte
+	src := []data.Tuple{
+		{ID: 0, Dense: []float64{1, 2}},
+		{ID: 1, Dense: []float64{3, 4}},
+		{ID: 2, SparseIdx: []int32{5}, SparseVal: []float64{6}},
+		{ID: 3, SparseIdx: []int32{7}, SparseVal: []float64{8}},
+	}
+	for i := range src {
+		raw = AppendTuple(raw, &src[i])
+	}
+	got, err := DecodeRawTuples(raw, len(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		for _, c := range []int{cap(got[i].Dense) - len(got[i].Dense), cap(got[i].SparseIdx) - len(got[i].SparseIdx), cap(got[i].SparseVal) - len(got[i].SparseVal)} {
+			if c != 0 {
+				t.Fatalf("tuple %d has %d spare capacity into the shared arena", i, c)
+			}
+		}
+	}
+	_ = append(got[0].Dense, -1)
+	_ = append(got[2].SparseIdx, -1)
+	_ = append(got[2].SparseVal, -1)
+	if !reflect.DeepEqual(got[1].Dense, src[1].Dense) ||
+		!reflect.DeepEqual(got[3].SparseIdx, src[3].SparseIdx) || !reflect.DeepEqual(got[3].SparseVal, src[3].SparseVal) {
+		t.Fatalf("append on one tuple wrote into its neighbour: %+v", got)
+	}
+}
+
+// INSERT, LOAD INTO, WAL replay and Build validate every block they append;
+// that must cost no allocation however many tuples the block holds.
+func TestValidateRawTuplesDoesNotAllocate(t *testing.T) {
+	raw, count := randomBlock(rand.New(rand.NewSource(1)), "mixed")
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ValidateRawTuples(raw, count); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ValidateRawTuples allocates %v times per block, want 0", n)
 	}
 }

@@ -81,7 +81,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte, compress bool) {
 		tab := fuzzTable(compress)
 		m := BlockMeta{Offset: 0, Len: int64(len(b))}
-		tuples, err := tab.decodeBlockBytes(m, b)
+		tuples, err := tab.decodeBlockBytes(m, b, true)
 		if err == nil && compress == false && len(b) >= 24 {
 			// A successful decode must account for every payload byte.
 			payLen := binary.LittleEndian.Uint64(b[12:])

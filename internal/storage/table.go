@@ -182,7 +182,7 @@ func (t *Table) appendTuples(ts []data.Tuple, keepRaw bool) ([]RawBlock, error) 
 // The payload is validated tuple by tuple before any table state changes,
 // so a corrupt record can never install an undecodable block.
 func (t *Table) AppendRawBlock(rb RawBlock) error {
-	if _, err := DecodeRawTuples(rb.Raw, rb.Tuples); err != nil {
+	if err := ValidateRawTuples(rb.Raw, rb.Tuples); err != nil {
 		return fmt.Errorf("storage: append block: %w", err)
 	}
 	payload := rb.Raw
@@ -338,13 +338,13 @@ func (t *Table) ReadBlock(i int) ([]data.Tuple, error) {
 		if len(buf) > 24 {
 			buf[24] ^= 0x01
 		}
-		tuples, err := t.decodeBlockBytes(m, buf)
+		tuples, err := t.decodeBlockBytes(m, buf, true)
 		if err != nil {
 			return nil, fmt.Errorf("storage: block %d: %w", i, err)
 		}
 		return tuples, nil
 	}
-	return t.decodeBlockBytes(m, blk)
+	return t.decodeBlockBytes(m, blk, true)
 }
 
 // RawBlockAt reconstructs block i's raw form without charging any simulated
@@ -361,7 +361,7 @@ func (t *Table) RawBlockAt(i int) (RawBlock, error) {
 		raw := append([]byte(nil), blk[24:24+m.RawLen]...)
 		return RawBlock{Raw: raw, Tuples: m.Tuples, FirstID: m.FirstID}, nil
 	}
-	tuples, err := t.decodeBlockUncharged(m, blk)
+	tuples, err := t.decodeBlockBytes(m, blk, false)
 	if err != nil {
 		return RawBlock{}, err
 	}
@@ -379,8 +379,12 @@ const maxFlateRatio = 1032
 // decodeBlockBytes decodes the tuples of block m from buf. Every header
 // field is validated against m.Len and the actual payload before it is
 // trusted: a hostile or bit-flipped header yields ErrCorrupt, never a panic
-// or an unbounded allocation.
-func (t *Table) decodeBlockBytes(m BlockMeta, buf []byte) ([]data.Tuple, error) {
+// or an unbounded allocation. charge selects whether a compressed block's
+// modelled decompression time is charged to the device clock: reads on the
+// training path pay it, out-of-band decodes (DecodeAll, RawBlockAt) never
+// touch the clock. The returned tuples follow DecodeRawTuples's ownership
+// contract: one block, shared backing arrays, capacity-clamped slices.
+func (t *Table) decodeBlockBytes(m BlockMeta, buf []byte, charge bool) ([]data.Tuple, error) {
 	if len(buf) < 24 {
 		return nil, fmt.Errorf("%w: short block header", ErrCorrupt)
 	}
@@ -414,25 +418,11 @@ func (t *Table) decodeBlockBytes(m BlockMeta, buf []byte) ([]data.Tuple, error) 
 			return nil, fmt.Errorf("%w: decompressed %d bytes, header claims %d", ErrCorrupt, len(raw), rawLen)
 		}
 		payload = raw
-		// Charge modelled decompression time.
-		t.dev.Clock().Advance(time.Duration(float64(rawLen) / t.opts.DecompressRate * float64(time.Second)))
-	}
-	if maxTuples := int64(len(payload)) / tupleHeaderSize; count > maxTuples {
-		return nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte payload", ErrCorrupt, count, len(payload))
-	}
-	tuples := make([]data.Tuple, 0, count)
-	for int64(len(tuples)) < count {
-		tp, n, err := DecodeTuple(payload)
-		if err != nil {
-			return nil, err
+		if charge {
+			t.dev.Clock().Advance(time.Duration(float64(rawLen) / t.opts.DecompressRate * float64(time.Second)))
 		}
-		tuples = append(tuples, tp)
-		payload = payload[n:]
 	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes after %d tuples", ErrCorrupt, len(payload), count)
-	}
-	return tuples, nil
+	return DecodeRawTuples(payload, int(count))
 }
 
 // ScanAll reads every block in storage order, returning all tuples and
@@ -458,27 +448,13 @@ func (t *Table) DecodeAll() ([]data.Tuple, error) {
 	meta, file := t.snapshot()
 	out := make([]data.Tuple, 0, t.NumTuples())
 	for _, m := range meta {
-		ts, err := t.decodeBlockUncharged(m, file[m.Offset:m.Offset+m.Len])
+		ts, err := t.decodeBlockBytes(m, file[m.Offset:m.Offset+m.Len], false)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, ts...)
 	}
 	return out, nil
-}
-
-// decodeBlockUncharged decodes a block without charging decompression time.
-func (t *Table) decodeBlockUncharged(m BlockMeta, blk []byte) ([]data.Tuple, error) {
-	if !t.opts.Compress {
-		return t.decodeBlockBytes(m, blk)
-	}
-	// Temporarily drop the decompress charge by decoding around the clock:
-	// decodeBlockBytes charges via the device clock, so save/restore it.
-	clk := t.dev.Clock()
-	before := clk.Now()
-	ts, err := t.decodeBlockBytes(m, blk)
-	clk.Set(before)
-	return ts, err
 }
 
 // ShuffleOnceCopy materializes a fully shuffled copy of the table — the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
@@ -288,5 +289,60 @@ func TestBlockChecksumCompressed(t *testing.T) {
 	tab.file[tab.meta[0].Offset+26] ^= 0x01
 	if _, err := tab.ReadBlock(0); err == nil {
 		t.Fatal("corrupted compressed block should fail")
+	}
+}
+
+// A block decodes into the tuple slice and the feature arenas: ReadBlock's
+// allocation count must not depend on how many tuples the block holds.
+func TestReadBlockAllocsIndependentOfTupleCount(t *testing.T) {
+	for _, perBlock := range []int{8, 800} {
+		ds := testDataset(perBlock, 6)
+		tab, _ := buildTable(t, ds, Options{BlockSize: 1 << 20})
+		if tab.NumBlocks() != 1 {
+			t.Fatalf("%d tuples landed in %d blocks, want 1", perBlock, tab.NumBlocks())
+		}
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := tab.ReadBlock(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 4 {
+			t.Fatalf("ReadBlock of a %d-tuple block allocates %v times, want <= 4", perBlock, n)
+		}
+	}
+}
+
+// Out-of-band decodes never touch the device clock: not to charge
+// decompression, and not to "un-charge" it either — a TRAIN running on the
+// same device must keep every nanosecond it charged meanwhile.
+func TestUnchargedDecodeLeavesClockAlone(t *testing.T) {
+	ds := testDataset(400, 8)
+	tab, clock := buildTable(t, ds, Options{BlockSize: 8 << 10, Compress: true})
+	stop := make(chan struct{})
+	done := make(chan time.Duration)
+	go func() { // the concurrent TRAIN: charges the shared clock flat out
+		var charged time.Duration
+		for {
+			select {
+			case <-stop:
+				done <- charged
+				return
+			default:
+				clock.Advance(time.Microsecond)
+				charged += time.Microsecond
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := tab.DecodeAll(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.RawBlockAt(i % tab.NumBlocks()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if charged := <-done; clock.Now() != charged {
+		t.Fatalf("clock at %v after a concurrent job charged %v: an uncharged decode moved it", clock.Now(), charged)
 	}
 }
