@@ -192,34 +192,36 @@ func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
 		sgd.Decay = s.decay
 	}
 
+	rc := core.RunConfig{
+		Model:        model,
+		Opt:          opt,
+		Features:     ds.Features,
+		Epochs:       s.epochs,
+		BatchSize:    s.batch,
+		Procs:        s.procs,
+		Clock:        clock,
+		TrainEval:    ds,
+		TestEval:     test,
+		ComputeScale: s.computeScale,
+		Obs:          s.reg,
+		Diag:         s.diag,
+		Feed:         s.feed,
+		RunName:      s.runName,
+	}
+	if mlp, ok := model.(ml.MLP); ok {
+		rc.InitWeights = core.MLPInit(mlp, ds.Features, s.seed)
+	}
 	var res *core.Result
 	var prep float64
 	if s.explain {
-		pc := executor.PlanConfig{
+		op, err := executor.BuildSGDPlan(src, executor.PlanConfig{
 			Shuffle:        s.kind,
 			BufferFraction: s.bufferFrac,
 			DoubleBuffer:   s.double,
 			Seed:           s.seed,
 			Profile:        true,
-			SGD: executor.SGDConfig{
-				Model:     model,
-				Opt:       opt,
-				Features:  ds.Features,
-				Epochs:    s.epochs,
-				BatchSize: s.batch,
-				Procs:     s.procs,
-				Clock:     clock,
-				Eval:      ds,
-				Obs:       s.reg,
-				Feed:      s.feed,
-				Diag:      s.diag,
-				RunName:   s.runName,
-			},
-		}
-		if mlp, ok := model.(ml.MLP); ok {
-			pc.SGD.InitWeights = core.MLPInit(mlp, ds.Features, s.seed)
-		}
-		op, err := executor.BuildSGDPlan(src, pc)
+			SGD:            rc,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +231,7 @@ func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
 			return nil, err
 		}
 	} else {
-		st, err := shuffle.New(s.kind, src, shuffle.Options{
+		rc.Strategy, err = shuffle.New(s.kind, src, shuffle.Options{
 			BufferFraction: s.bufferFrac,
 			Seed:           s.seed,
 			DoubleBuffer:   s.double,
@@ -239,28 +241,7 @@ func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
 			return nil, err
 		}
 		prep = clock.Now().Seconds() // Shuffle Once pays its sort here.
-
-		cfg := core.RunConfig{
-			Strategy:     st,
-			Model:        model,
-			Opt:          opt,
-			Features:     ds.Features,
-			Epochs:       s.epochs,
-			BatchSize:    s.batch,
-			Procs:        s.procs,
-			Clock:        clock,
-			TrainEval:    ds,
-			TestEval:     test,
-			ComputeScale: s.computeScale,
-			Obs:          s.reg,
-			Diag:         s.diag,
-			Feed:         s.feed,
-			RunName:      s.runName,
-		}
-		if mlp, ok := model.(ml.MLP); ok {
-			cfg.InitWeights = core.MLPInit(mlp, ds.Features, s.seed)
-		}
-		res, err = core.Run(cfg)
+		res, err = core.Run(rc)
 		if err != nil {
 			return nil, err
 		}

@@ -17,9 +17,12 @@ import (
 	"corgipile/internal/shuffle"
 )
 
-// RunConfig describes one training run.
+// RunConfig describes one training run: the learner and everything the
+// epoch driver attaches to it. Run and executor.SGDOp take the same struct
+// (executor.SGDConfig is an alias).
 type RunConfig struct {
-	// Strategy streams epochs of training tuples.
+	// Strategy streams epochs of training tuples. Run requires it; under
+	// the executor the child operator is the tuple source and it must be nil.
 	Strategy shuffle.Strategy
 	// Model and Optimizer define the learner.
 	Model ml.Model
@@ -44,7 +47,9 @@ type RunConfig struct {
 	// InitWeights, when non-nil, initializes the weight vector (needed for
 	// the MLP); otherwise weights start at zero.
 	InitWeights func(w []float64)
-	// Seed seeds any model weight initialization randomness.
+	// Seed is read by nothing: weight initialization takes its seed through
+	// InitWeights (MLPInit) and the tuple source is seeded where it is built.
+	// The field stays because benchmark/ladder.go sets it.
 	Seed int64
 	// ComputeScale multiplies the per-tuple gradient compute cost charged
 	// to the clock; it models systems with heavier per-tuple work (MADlib's
@@ -68,13 +73,15 @@ type RunConfig struct {
 	Feed *obs.RunFeed
 	// RunName labels feed updates (free-form, e.g. "corgitrain svm/higgs").
 	RunName string
-	// Faults, when non-nil, is the fault report the strategy's resilient
-	// source accumulates into (shuffle.Options.FaultReport); its summary is
-	// copied to Result.Faults when the run completes.
+	// Faults, when non-nil, is the fault report the tuple source's resilient
+	// wrapper accumulates into (shuffle.Options.FaultReport, or the one
+	// executor.BuildSGDPlan builds from PlanConfig.Resilience); its summary
+	// is copied to Result.Faults after every epoch.
 	Faults *shuffle.FaultReport
-	// Ctx, when non-nil, cancels the run: Run checks it between epochs and
-	// every few hundred tuples inside an epoch, then returns the context's
-	// error. A nil Ctx never cancels and adds no per-tuple work.
+	// Ctx, when non-nil, cancels the run: the driver checks it between
+	// epochs and every 256 tuples inside an epoch, then returns the
+	// context's error, wrapped. A nil Ctx never cancels and adds no
+	// per-tuple work.
 	Ctx context.Context
 	// Events, when non-nil, receives one wall-clock "epoch" span record per
 	// epoch, stamped with Trace — the introspection plane's timeline. A nil
@@ -110,9 +117,6 @@ type Result struct {
 	Points []EpochPoint
 	// W is the final weight vector.
 	W []float64
-	// PrepSeconds is the simulated time consumed before epoch 1 started
-	// (strategy preprocessing such as Shuffle Once).
-	PrepSeconds float64
 	// Breakdown holds one cross-layer metrics row per epoch when an
 	// obs.Registry was attached via RunConfig.Obs (nil otherwise).
 	Breakdown []obs.EpochMetrics
@@ -138,33 +142,44 @@ func (r *Result) Final() EpochPoint {
 	return r.Points[len(r.Points)-1]
 }
 
-// Run executes the configured training and returns its convergence trace.
-func Run(cfg RunConfig) (*Result, error) {
-	if cfg.Strategy == nil || cfg.Model == nil || cfg.Opt == nil {
-		return nil, fmt.Errorf("core: Strategy, Model and Opt are required")
-	}
-	dim := cfg.Model.Dim(cfg.Features)
-	w := make([]float64, dim)
-	if cfg.InitWeights != nil {
-		cfg.InitWeights(w)
-	}
-	cfg.Opt.Reset(dim)
+// Loop is the epoch driver: the one training loop behind both Run (tuples
+// from a shuffle.Strategy) and executor.SGDOp (tuples from a child operator).
+// It owns the weights, the trainer and its per-tuple clock charge, the
+// per-epoch bookkeeping (cancellation, spans, breakdown, evaluation,
+// diagnostics, the live status feed) and the accumulated Result. The caller
+// owns the tuple source: it opens or re-scans it, then hands Step the
+// epoch's stream.
+type Loop struct {
+	cfg     RunConfig
+	trainer *ml.Trainer
+	res     Result
 
-	trainer := ml.NewTrainer(cfg.Model, cfg.Opt, cfg.BatchSize)
-	trainer.Procs = cfg.Procs
-	trainer.Obs = cfg.Obs
-	trainer.TrackGradNorm = cfg.Diag != nil
-	defer trainer.Close()
-	var start time.Duration
-	if cfg.Clock != nil {
-		start = cfg.Clock.Now()
+	start     time.Duration // clock at Reset
+	lastNow   time.Duration // clock when the previous epoch ended
+	before    obs.Snapshot  // registry when the previous epoch ended
+	wallStart time.Time
+	tuples    int64
+	tracker   *DiagTracker
+	wPrev     []float64
+}
+
+// NewLoop returns a driver for cfg. cfg.Strategy is not used: the stream
+// comes through Step. Call Reset before the first Step.
+func NewLoop(cfg RunConfig) (*Loop, error) {
+	if cfg.Model == nil || cfg.Opt == nil {
+		return nil, fmt.Errorf("core: Model and Opt are required")
 	}
+	l := &Loop{cfg: cfg, trainer: ml.NewTrainer(cfg.Model, cfg.Opt, cfg.BatchSize)}
+	l.res.W = make([]float64, cfg.Model.Dim(cfg.Features))
+	l.trainer.Procs = cfg.Procs
+	l.trainer.Obs = cfg.Obs
+	l.trainer.TrackGradNorm = cfg.Diag != nil
 	if cfg.Clock != nil || cfg.Obs != nil {
 		scale := cfg.ComputeScale
 		if scale == 0 {
 			scale = 1
 		}
-		trainer.OnTuple = func(t *data.Tuple) {
+		l.trainer.OnTuple = func(t *data.Tuple) {
 			cost := time.Duration(float64(ml.GradCost(t.NNZ())) * scale)
 			if cfg.Clock != nil {
 				cfg.Clock.Advance(cost)
@@ -172,144 +187,189 @@ func Run(cfg RunConfig) (*Result, error) {
 			cfg.Obs.AddDuration(obs.SGDGradNanos, cost)
 		}
 	}
-
-	res := &Result{W: w}
-	if cfg.Clock != nil {
-		// Preprocessing (Shuffle Once) happened when the strategy was
-		// constructed; the caller's clock already includes it. Record zero
-		// here; callers measuring prep wrap construction themselves.
-		res.PrepSeconds = 0
-	}
-
-	var lastNow time.Duration
-	if cfg.Clock != nil {
-		lastNow = start
-	}
-	var tracker *DiagTracker
-	var wPrev []float64
 	if cfg.Diag != nil {
-		tracker = NewDiagTracker(*cfg.Diag)
-		wPrev = make([]float64, len(w))
+		l.wPrev = make([]float64, len(l.res.W))
 	}
-	wallStart := time.Now()
-	var totalTuples int64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: train canceled at epoch %d: %w", epoch+1, err)
-			}
-		}
-		if tracker != nil {
-			copy(wPrev, w)
-		}
-		var before obs.Snapshot
-		if cfg.Obs != nil {
-			before = cfg.Obs.Snapshot()
-		}
-		sp := cfg.Obs.Span(obs.SpanEpoch)
-		esp := cfg.Events.StartSpan(cfg.Trace, obs.EvSpanEpoch)
-		it, err := cfg.Strategy.StartEpoch(epoch)
-		if err != nil {
-			sp.End()
-			esp.End()
-			return nil, fmt.Errorf("core: epoch %d: %w", epoch, err)
-		}
-		next := it.Next
-		if cfg.Ctx != nil {
-			// Amortize ctx.Err's lock over the hot loop; a cancel still
-			// lands within a few hundred tuples of gradient work.
-			var sinceCheck int
-			next = func() (*data.Tuple, bool) {
-				if sinceCheck++; sinceCheck >= 256 {
-					sinceCheck = 0
-					if cfg.Ctx.Err() != nil {
-						return nil, false
-					}
-				}
-				return it.Next()
-			}
-		}
-		stats := trainer.RunEpoch(w, next)
-		spanSecs := sp.End().Seconds()
-		esp.End()
-		if cfg.Ctx != nil {
-			if err := cfg.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: train canceled at epoch %d: %w", epoch+1, err)
-			}
-		}
-		if err := it.Err(); err != nil {
-			return nil, fmt.Errorf("core: epoch %d stream: %w", epoch, err)
-		}
-		p := EpochPoint{Epoch: epoch + 1, AvgLoss: stats.AvgLoss, Tuples: stats.Tuples}
-		if cfg.Clock != nil {
-			p.Seconds = (cfg.Clock.Now() - start).Seconds()
-		}
-		if cfg.TrainEval != nil {
-			p.TrainAcc = evalMetric(cfg.Model, w, cfg.TrainEval)
-		}
-		if cfg.TestEval != nil {
-			p.TestAcc = evalMetric(cfg.Model, w, cfg.TestEval)
-		}
-		res.Points = append(res.Points, p)
-		if cfg.Obs != nil {
-			epochSecs := spanSecs
-			if cfg.Clock != nil {
-				now := cfg.Clock.Now()
-				epochSecs = (now - lastNow).Seconds()
-				lastNow = now
-			}
-			m := obs.EpochFromDelta(epoch+1, epochSecs, stats.AvgLoss,
-				cfg.Obs.Snapshot().DeltaFrom(before))
-			cfg.Obs.SetGauge(obs.SGDLoss, stats.AvgLoss)
-			cfg.Obs.EmitEpoch(m)
-			res.Breakdown = append(res.Breakdown, m)
-		}
-		var d EpochDiag
-		if tracker != nil {
-			delta, verdict := tracker.Observe(stats.AvgLoss)
-			d = EpochDiag{
-				Epoch:      epoch + 1,
-				GradNorm:   stats.GradNorm(),
-				UpdateNorm: L2Delta(w, wPrev),
-				LossDelta:  delta,
-				Verdict:    verdict,
-			}
-			res.Diag = append(res.Diag, d)
-			res.Verdict = verdict
-			EmitDiag(cfg.Obs, d)
-		}
-		totalTuples += int64(stats.Tuples)
-		publishStatus(cfg, p, d, totalTuples, wallStart, epoch+1 == cfg.Epochs)
-	}
-	if cfg.Faults != nil {
-		res.Faults = cfg.Faults.Summary()
-	}
-	return res, nil
+	return l, nil
 }
 
-// publishStatus pushes one epoch's live status to the run feed, folding in
-// the shuffle-buffer gauges and fault counters the registry holds.
-func publishStatus(cfg RunConfig, p EpochPoint, d EpochDiag, tuples int64, wallStart time.Time, done bool) {
-	if cfg.Feed == nil {
-		return
+// Reset starts a run: fresh weights and optimizer state, an empty result,
+// and the clock, registry and wall baselines taken now — so whatever the
+// source charges while it opens (Epoch Shuffle's first full shuffle) lands
+// in epoch 1's row, and work between epochs in the following epoch's.
+func (l *Loop) Reset() {
+	cfg := &l.cfg
+	w := l.res.W
+	clear(w)
+	if cfg.InitWeights != nil {
+		cfg.InitWeights(w)
 	}
-	st := obs.RunStatus{
-		Run:         cfg.RunName,
-		Epoch:       p.Epoch,
-		Epochs:      cfg.Epochs,
-		Loss:        p.AvgLoss,
-		TrainAcc:    p.TrainAcc,
-		GradNorm:    d.GradNorm,
-		UpdateNorm:  d.UpdateNorm,
-		LossDelta:   d.LossDelta,
-		Verdict:     string(d.Verdict),
-		Tuples:      tuples,
-		SimSeconds:  p.Seconds,
-		WallSeconds: time.Since(wallStart).Seconds(),
-		Done:        done,
+	cfg.Opt.Reset(len(w))
+	l.res = Result{W: w}
+	if cfg.Clock != nil {
+		l.start = cfg.Clock.Now()
+		l.lastNow = l.start
 	}
-	st.FillFromRegistry(cfg.Obs)
-	cfg.Feed.Publish(st)
+	if cfg.Obs != nil {
+		l.before = cfg.Obs.Snapshot()
+	}
+	if cfg.Diag != nil {
+		l.tracker = NewDiagTracker(*cfg.Diag)
+	}
+	l.wallStart = time.Now()
+	l.tuples = 0
+}
+
+// Step trains one epoch over next and records it. streamErr is asked, once
+// the stream has ended, whether it ended on an error; such an error (or a
+// canceled Ctx) is returned and the epoch is not recorded.
+func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (EpochPoint, error) {
+	cfg := &l.cfg
+	w := l.res.W
+	epoch := len(l.res.Points) + 1
+	if err := l.canceled(epoch); err != nil {
+		return EpochPoint{}, err
+	}
+	if l.tracker != nil {
+		copy(l.wPrev, w)
+	}
+	if cfg.Ctx != nil {
+		// Amortize ctx.Err's lock over the hot loop; a cancel still
+		// lands within a few hundred tuples of gradient work.
+		src, sinceCheck := next, 0
+		next = func() (*data.Tuple, bool) {
+			if sinceCheck++; sinceCheck >= 256 {
+				sinceCheck = 0
+				if cfg.Ctx.Err() != nil {
+					return nil, false
+				}
+			}
+			return src()
+		}
+	}
+	sp := cfg.Obs.Span(obs.SpanEpoch)
+	esp := cfg.Events.StartSpan(cfg.Trace, obs.EvSpanEpoch)
+	stats := l.trainer.RunEpoch(w, next)
+	spanSecs := sp.End().Seconds()
+	esp.End()
+	if err := l.canceled(epoch); err != nil {
+		return EpochPoint{}, err
+	}
+	if err := streamErr(); err != nil {
+		return EpochPoint{}, err
+	}
+	p := EpochPoint{Epoch: epoch, AvgLoss: stats.AvgLoss, Tuples: stats.Tuples}
+	if cfg.Clock != nil {
+		p.Seconds = (cfg.Clock.Now() - l.start).Seconds()
+	}
+	if cfg.TrainEval != nil {
+		p.TrainAcc = evalMetric(cfg.Model, w, cfg.TrainEval)
+	}
+	if cfg.TestEval != nil {
+		p.TestAcc = evalMetric(cfg.Model, w, cfg.TestEval)
+	}
+	l.res.Points = append(l.res.Points, p)
+	if cfg.Obs != nil {
+		epochSecs := spanSecs
+		if cfg.Clock != nil {
+			now := cfg.Clock.Now()
+			epochSecs = (now - l.lastNow).Seconds()
+			l.lastNow = now
+		}
+		after := cfg.Obs.Snapshot()
+		m := obs.EpochFromDelta(epoch, epochSecs, stats.AvgLoss, after.DeltaFrom(l.before))
+		l.before = after
+		cfg.Obs.SetGauge(obs.SGDLoss, stats.AvgLoss)
+		cfg.Obs.EmitEpoch(m)
+		l.res.Breakdown = append(l.res.Breakdown, m)
+	}
+	var d EpochDiag
+	if l.tracker != nil {
+		delta, verdict := l.tracker.Observe(stats.AvgLoss)
+		d = EpochDiag{
+			Epoch:      epoch,
+			GradNorm:   stats.GradNorm(),
+			UpdateNorm: L2Delta(w, l.wPrev),
+			LossDelta:  delta,
+			Verdict:    verdict,
+		}
+		l.res.Diag = append(l.res.Diag, d)
+		l.res.Verdict = verdict
+		EmitDiag(cfg.Obs, d)
+	}
+	l.res.Faults = cfg.Faults.Summary()
+	l.tuples += int64(stats.Tuples)
+	if cfg.Feed != nil {
+		st := obs.RunStatus{
+			Run:         cfg.RunName,
+			Epoch:       epoch,
+			Epochs:      cfg.Epochs,
+			Loss:        p.AvgLoss,
+			TrainAcc:    p.TrainAcc,
+			GradNorm:    d.GradNorm,
+			UpdateNorm:  d.UpdateNorm,
+			LossDelta:   d.LossDelta,
+			Verdict:     string(d.Verdict),
+			Tuples:      l.tuples,
+			SimSeconds:  p.Seconds,
+			WallSeconds: time.Since(l.wallStart).Seconds(),
+			Done:        epoch == cfg.Epochs,
+		}
+		// Fold in the shuffle-buffer gauges and fault counters.
+		st.FillFromRegistry(cfg.Obs)
+		cfg.Feed.Publish(st)
+	}
+	return p, nil
+}
+
+// canceled returns the run's cancellation error once Ctx is done (a nil
+// Ctx never cancels).
+func (l *Loop) canceled(epoch int) error {
+	if l.cfg.Ctx == nil {
+		return nil
+	}
+	if err := l.cfg.Ctx.Err(); err != nil {
+		return fmt.Errorf("core: train canceled at epoch %d: %w", epoch, err)
+	}
+	return nil
+}
+
+// Result returns the run so far: the weights, one Points / Breakdown / Diag
+// row per completed epoch, and the latest Verdict and Faults summary. The
+// driver keeps writing to it until the run ends.
+func (l *Loop) Result() *Result { return &l.res }
+
+// Close releases the trainer's worker pool.
+func (l *Loop) Close() { l.trainer.Close() }
+
+// Run executes the configured training over cfg.Strategy and returns its
+// convergence trace.
+func Run(cfg RunConfig) (*Result, error) {
+	if cfg.Strategy == nil {
+		return nil, fmt.Errorf("core: Strategy, Model and Opt are required")
+	}
+	l, err := NewLoop(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
+	l.Reset()
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		it, err := cfg.Strategy.StartEpoch(epoch)
+		if err != nil {
+			return nil, fmt.Errorf("core: epoch %d: %w", epoch, err)
+		}
+		_, err = l.Step(it.Next, func() error {
+			if err := it.Err(); err != nil {
+				return fmt.Errorf("core: epoch %d stream: %w", epoch, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return l.Result(), nil
 }
 
 // evalMetric returns accuracy for classification datasets and R² for

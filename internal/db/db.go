@@ -424,17 +424,17 @@ func (s *Session) execTrain(st *sqlparse.Train) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := pt.op
+	run := pt.op.Result()
 	res := &Result{
 		Columns:   []string{"epoch", "loss", "accuracy", "seconds", "tuples"},
-		Message:   trainMessage("TRAIN", modelName, op) + resumeNote(pt),
-		Breakdown: op.Breakdown,
+		Message:   trainMessage("TRAIN", modelName, run) + resumeNote(pt),
+		Breakdown: run.Breakdown,
 	}
 	for _, r := range rows {
 		res.Rows = append(res.Rows, []string{
 			strconv.Itoa(r.Epoch),
-			fmt.Sprintf("%.6f", r.Loss),
-			fmt.Sprintf("%.4f", r.Accuracy),
+			fmt.Sprintf("%.6f", r.AvgLoss),
+			fmt.Sprintf("%.4f", r.TrainAcc),
 			fmt.Sprintf("%.3f", r.Seconds),
 			strconv.Itoa(r.Tuples),
 		})
@@ -572,7 +572,7 @@ func (s *Session) PrepareTrain(st *sqlparse.Train, opt TrainOptions) (*PreparedT
 // Execute runs every configured epoch and returns the per-epoch metric
 // rows. It never touches the catalog, so it is safe to run outside the
 // caller's catalog lock; on cancellation it returns the context's error
-// wrapped by the executor.
+// wrapped by the epoch driver.
 func (pt *PreparedTrain) Execute() ([]executor.EpochRow, error) {
 	return pt.op.Run()
 }
@@ -588,9 +588,9 @@ func (s *Session) InstallModel(pt *PreparedTrain, rows []executor.EpochRow) (*Mo
 		modelName = fmt.Sprintf("model%d", s.nextID)
 	}
 	entry := &ModelEntry{
-		Name: modelName, Kind: pt.st.ModelType, Model: pt.cfg.SGD.Model, W: pt.op.W,
+		Name: modelName, Kind: pt.st.ModelType, Model: pt.cfg.SGD.Model, W: pt.op.Result().W,
 		Features: pt.entry.Table.Features(), Classes: pt.entry.Table.Classes(), Epochs: rows,
-		Breakdown: pt.op.Breakdown,
+		Breakdown: pt.op.Result().Breakdown,
 		Plan:      pt.op.Plan(),
 		Table:     pt.entry.Name, TrainedBlocks: pt.frontier,
 	}
@@ -624,15 +624,13 @@ func (s *Session) runTrain(st *sqlparse.Train, profile bool) (*PreparedTrain, []
 // trainMessage formats the statement's status line, appending the fault
 // summary when the run degraded and the convergence verdict when the
 // session tracks diagnostics.
-func trainMessage(verb, modelName string, op *executor.SGDOp) string {
+func trainMessage(verb, modelName string, run *core.Result) string {
 	msg := fmt.Sprintf("%s: model %q stored", verb, modelName)
-	if op.Faults != nil {
-		if sum := op.Faults.Summary(); sum.Degraded() {
-			msg += "; faults: " + sum.String()
-		}
+	if run.Faults.Degraded() {
+		msg += "; faults: " + run.Faults.String()
 	}
-	if op.Verdict != "" {
-		msg += "; verdict: " + string(op.Verdict)
+	if run.Verdict != "" {
+		msg += "; verdict: " + string(run.Verdict)
 	}
 	return msg
 }
@@ -821,7 +819,7 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 			}
 			eval = kept
 		}
-		cfg.SGD.Eval = &data.Dataset{
+		cfg.SGD.TrainEval = &data.Dataset{
 			Name: entry.Name, Task: tab.Task(),
 			Features: tab.Features(), Classes: tab.Classes(), Tuples: eval,
 		}
@@ -884,8 +882,7 @@ func (s *Session) execExplainAnalyze(st *sqlparse.Explain) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := pt.op
-	plan := op.Plan()
+	plan := pt.op.Plan()
 	var text string
 	if st.Format == "json" {
 		out, err := plan.JSON()
@@ -897,8 +894,8 @@ func (s *Session) execExplainAnalyze(st *sqlparse.Explain) (*Result, error) {
 		text = plan.Text(true)
 	}
 	res := planResult(text, plan)
-	res.Message = trainMessage("EXPLAIN ANALYZE", modelName, op)
-	res.Breakdown = op.Breakdown
+	res.Message = trainMessage("EXPLAIN ANALYZE", modelName, pt.op.Result())
+	res.Breakdown = pt.op.Result().Breakdown
 	return res, nil
 }
 
@@ -984,7 +981,7 @@ func (s *Session) execShow(st *sqlparse.Show) (*Result, error) {
 			m := s.models[name]
 			acc := ""
 			if len(m.Epochs) > 0 {
-				acc = fmt.Sprintf("%.4f", m.Epochs[len(m.Epochs)-1].Accuracy)
+				acc = fmt.Sprintf("%.4f", m.Epochs[len(m.Epochs)-1].TrainAcc)
 			}
 			res.Rows = append(res.Rows, []string{
 				name, m.Kind, strconv.Itoa(m.Features), strconv.Itoa(len(m.Epochs)), acc,

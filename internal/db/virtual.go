@@ -73,8 +73,8 @@ func (s *Session) registerSystemTables() {
 				m := s.models[name]
 				loss, acc := "", ""
 				if n := len(m.Epochs); n > 0 {
-					loss = fmt.Sprintf("%.6f", m.Epochs[n-1].Loss)
-					acc = fmt.Sprintf("%.4f", m.Epochs[n-1].Accuracy)
+					loss = fmt.Sprintf("%.6f", m.Epochs[n-1].AvgLoss)
+					acc = fmt.Sprintf("%.4f", m.Epochs[n-1].TrainAcc)
 				}
 				rows = append(rows, []string{
 					name, m.Kind, m.Table,

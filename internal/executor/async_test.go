@@ -119,7 +119,7 @@ func TestAsyncTrainingMatchesAccuracy(t *testing.T) {
 		ts := NewTupleShuffle(NewBlockShuffle(src, rng), 200, rng)
 		ts.Async = async
 		sgd, err := NewSGD(ts, SGDConfig{
-			Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: 8, Epochs: 6, Eval: ds,
+			Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: 8, Epochs: 6, TrainEval: ds,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func TestAsyncTrainingMatchesAccuracy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows[len(rows)-1].Accuracy
+		return rows[len(rows)-1].TrainAcc
 	}
 	syncAcc := run(false)
 	asyncAcc := run(true)

@@ -1,0 +1,307 @@
+package executor
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"corgipile/internal/core"
+	"corgipile/internal/data"
+	"corgipile/internal/iosim"
+	"corgipile/internal/ml"
+	"corgipile/internal/obs"
+	"corgipile/internal/shuffle"
+	"corgipile/internal/storage"
+)
+
+// engines are the two entry points over the shared epoch driver: core.Run
+// pulling from a shuffle.Strategy, and the executor's SGD operator pulling
+// from its child. Tests that pin the driver iterate both.
+var engines = []string{"core.Run", "executor"}
+
+// engineRun is one training run through one entry point, on its own
+// device, clock and registry.
+type engineRun struct {
+	kind   shuffle.Kind
+	tuples int
+	cfg    core.RunConfig // Epochs, BatchSize, ...; learner, clock and source are filled in
+	attach bool           // Obs + Diag + Feed
+	tap    func()         // called per streamed tuple when non-nil
+}
+
+type engineOut struct {
+	res *core.Result
+	err error
+	now time.Duration // device clock after the run
+	reg *obs.Registry
+}
+
+// tapStrategy calls tap for every tuple a strategy streams.
+type tapStrategy struct {
+	shuffle.Strategy
+	tap func()
+}
+
+type tapIter struct {
+	shuffle.Iterator
+	tap func()
+}
+
+func (s tapStrategy) StartEpoch(e int) (shuffle.Iterator, error) {
+	it, err := s.Strategy.StartEpoch(e)
+	if err != nil {
+		return nil, err
+	}
+	return tapIter{it, s.tap}, nil
+}
+
+func (it tapIter) Next() (*data.Tuple, bool) {
+	t, ok := it.Iterator.Next()
+	if ok {
+		it.tap()
+	}
+	return t, ok
+}
+
+func (r engineRun) run(t *testing.T, engine string) engineOut {
+	t.Helper()
+	ds := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: r.tuples, Features: 8, Separation: 1.5, Noise: 1.0,
+		Order: data.OrderClustered, Seed: 23})
+	clock := iosim.NewClock()
+	dev := iosim.NewDevice(iosim.HDD, clock)
+	tab, err := storage.Build(dev, ds, storage.Options{BlockSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := r.cfg
+	cfg.Model, cfg.Opt = ml.SVM{}, ml.NewSGD(0.05)
+	cfg.Features, cfg.Clock, cfg.TrainEval = ds.Features, clock, ds
+	out := engineOut{}
+	if r.attach {
+		out.reg = obs.New().WithClock(clock)
+		dev.WithObs(out.reg)
+		cfg.Obs, cfg.Diag, cfg.Feed = out.reg, &core.DiagConfig{}, obs.NewRunFeed()
+		defer cfg.Feed.Close()
+	}
+	const seed, frac = 7, 0.1
+	src := shuffle.TableSource(tab)
+	if engine == "executor" {
+		pc := PlanConfig{Shuffle: r.kind, BufferFraction: frac, Seed: seed, SGD: cfg}
+		if r.tap != nil {
+			pc.Filter = func(*data.Tuple) bool { r.tap(); return true }
+		}
+		op, err := BuildSGDPlan(src, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.res, out.err = op.RunResult()
+	} else {
+		st, err := shuffle.New(r.kind, src, shuffle.Options{BufferFraction: frac, Seed: seed, Obs: cfg.Obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.tap != nil {
+			st = tapStrategy{st, r.tap}
+		}
+		cfg.Strategy = st
+		out.res, out.err = core.Run(cfg)
+	}
+	out.now = clock.Now()
+	return out
+}
+
+// TestEngineParity pins the shared epoch driver: over the strategies both
+// entry points run through the same shuffle.Strategy code (the executor
+// wraps them in strategyOp), core.Run and BuildSGDPlan(...).RunResult() give
+// bit-identical weights, epoch points, breakdown rows and diagnostics, and
+// leave the device clock at the same instant.
+//
+// No Shuffle and Block-Only go through ScanOp / BlockShuffleOp in the
+// executor and shuffle.blockIter in core.Run; blockIter models sequential
+// read-ahead and the operators do not, so simulated time differs there and
+// only the weights and per-epoch loss are compared. CorgiPile is left out:
+// shuffle/corgipile.go fills whole blocks and TupleShuffleOp fills Capacity
+// tuples, so the traces differ unless the buffer ends on a block boundary
+// (ROADMAP item 2, the open pipeline half).
+func TestEngineParity(t *testing.T) {
+	type kindCase struct {
+		kind shuffle.Kind
+		full bool // compare time, breakdown and diagnostics too
+	}
+	kinds := []kindCase{
+		{shuffle.KindShuffleOnce, true}, {shuffle.KindEpochShuffle, true},
+		{shuffle.KindSlidingWindow, true}, {shuffle.KindMRS, true},
+		{shuffle.KindNoShuffle, false}, {shuffle.KindBlockOnly, false},
+	}
+	for _, kc := range kinds {
+		for _, batch := range []int{1, 16} {
+			for _, procs := range []int{1, 2} {
+				for _, attach := range []bool{false, true} {
+					name := fmt.Sprintf("%s/batch=%d/procs=%d/obs=%v", kc.kind, batch, procs, attach)
+					t.Run(name, func(t *testing.T) {
+						r := engineRun{kind: kc.kind, tuples: 1200, attach: attach,
+							cfg: core.RunConfig{Epochs: 3, BatchSize: batch, Procs: procs}}
+						a, b := r.run(t, engines[0]), r.run(t, engines[1])
+						if a.err != nil || b.err != nil {
+							t.Fatalf("errors: %v / %v", a.err, b.err)
+						}
+						if !sameBits(a.res.W, b.res.W) {
+							t.Fatalf("weights differ")
+						}
+						if len(a.res.Points) != 3 || len(b.res.Points) != 3 {
+							t.Fatalf("points: %d / %d, want 3", len(a.res.Points), len(b.res.Points))
+						}
+						if !kc.full {
+							for i := range a.res.Points {
+								if math.Float64bits(a.res.Points[i].AvgLoss) != math.Float64bits(b.res.Points[i].AvgLoss) {
+									t.Fatalf("epoch %d loss %v vs %v", i+1, a.res.Points[i].AvgLoss, b.res.Points[i].AvgLoss)
+								}
+							}
+							return
+						}
+						if !reflect.DeepEqual(a.res.Points, b.res.Points) {
+							t.Fatalf("points differ:\n%+v\n%+v", a.res.Points, b.res.Points)
+						}
+						if a.now != b.now {
+							t.Fatalf("clock %v vs %v", a.now, b.now)
+						}
+						if attach && (len(a.res.Breakdown) != 3 || len(a.res.Diag) != 3 || a.res.Verdict == "") {
+							t.Fatalf("attached run carries %d breakdown, %d diag rows, verdict %q",
+								len(a.res.Breakdown), len(a.res.Diag), a.res.Verdict)
+						}
+						if !reflect.DeepEqual(a.res.Breakdown, b.res.Breakdown) {
+							t.Fatalf("breakdown differs:\n%+v\n%+v", a.res.Breakdown, b.res.Breakdown)
+						}
+						if !reflect.DeepEqual(a.res.Diag, b.res.Diag) || a.res.Verdict != b.res.Verdict {
+							t.Fatalf("diag differs:\n%+v\n%+v", a.res.Diag, b.res.Diag)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEngineConfigHonoured covers the run-config fields and behaviours the
+// two entry points once disagreed on; each must hold through both.
+func TestEngineConfigHonoured(t *testing.T) {
+	for _, engine := range engines {
+		t.Run(engine+"/ComputeScale", func(t *testing.T) {
+			base := engineRun{kind: shuffle.KindShuffleOnce, tuples: 600, attach: true,
+				cfg: core.RunConfig{Epochs: 2}}
+			one := base.run(t, engine)
+			base.cfg.ComputeScale = 3
+			three := base.run(t, engine)
+			g1, g3 := one.reg.Counter(obs.SGDGradNanos), three.reg.Counter(obs.SGDGradNanos)
+			if g1 == 0 || g3 != 3*g1 {
+				t.Fatalf("grad nanos %d at scale 1, %d at scale 3", g1, g3)
+			}
+			// Not by the whole extra charge: blockIter's read-ahead hides
+			// part of the compute behind the next block's I/O.
+			if three.now <= one.now {
+				t.Fatalf("simulated time %v at scale 3, %v at scale 1", three.now, one.now)
+			}
+		})
+		t.Run(engine+"/TestEval", func(t *testing.T) {
+			r := engineRun{kind: shuffle.KindShuffleOnce, tuples: 600, cfg: core.RunConfig{Epochs: 2}}
+			r.cfg.TestEval = data.SyntheticBinary(data.SyntheticConfig{
+				Tuples: 200, Features: 8, Separation: 1.5, Noise: 1.0, Seed: 24})
+			out := r.run(t, engine)
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			for _, p := range out.res.Points {
+				if p.TestAcc == 0 || p.TrainAcc == 0 {
+					t.Fatalf("epoch %d: train %v test %v, want both filled", p.Epoch, p.TrainAcc, p.TestAcc)
+				}
+			}
+		})
+		t.Run(engine+"/Cancel", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			pulled := 0
+			r := engineRun{kind: shuffle.KindShuffleOnce, tuples: 3000,
+				cfg: core.RunConfig{Epochs: 2, Ctx: ctx},
+				tap: func() {
+					if pulled++; pulled == 1000 {
+						cancel()
+					}
+				}}
+			out := r.run(t, engine)
+			if !errors.Is(out.err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", out.err)
+			}
+			if pulled < 1000 || pulled > 1000+256 {
+				t.Fatalf("streamed %d tuples; the cancel at 1000 must land within 256 more", pulled)
+			}
+		})
+	}
+}
+
+// A second Init starts the run over: the operator's rows, weights,
+// breakdown and diagnostics after the second run equal the first's.
+func TestSGDReInitReproducesRun(t *testing.T) {
+	ds := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: 600, Features: 8, Separation: 1.5, Noise: 1.0, Order: data.OrderClustered, Seed: 23})
+	clock := iosim.NewClock()
+	tab, err := storage.Build(iosim.NewDevice(iosim.HDD, clock), ds, storage.Options{BlockSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Shuffle: the child re-reads the same order, so only the driver's
+	// own state could make the second run differ.
+	op, err := BuildSGDPlan(shuffle.TableSource(tab), PlanConfig{
+		Shuffle: shuffle.KindNoShuffle,
+		SGD: SGDConfig{Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: ds.Features, Epochs: 3,
+			TrainEval: ds, Diag: &core.DiagConfig{}, Obs: obs.New()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type snap struct {
+		rows    []EpochRow
+		w       []float64
+		diag    []core.EpochDiag
+		verdict core.Verdict
+		nBreak  int
+	}
+	runOnce := func() snap {
+		rows, err := op.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := op.Result()
+		return snap{rows, append([]float64(nil), res.W...), res.Diag, res.Verdict, len(res.Breakdown)}
+	}
+	first, second := runOnce(), runOnce()
+	if len(first.rows) != 3 || first.nBreak != 3 || second.nBreak != 3 {
+		t.Fatalf("rows %d, breakdown %d then %d, want 3 each", len(first.rows), first.nBreak, second.nBreak)
+	}
+	for i := range first.rows {
+		a, b := first.rows[i], second.rows[i]
+		a.Seconds, b.Seconds = 0, 0 // the clock is the device's and keeps running
+		if a != b {
+			t.Fatalf("epoch %d: first run %+v, second %+v", i+1, a, b)
+		}
+	}
+	if !sameBits(first.w, second.w) || !reflect.DeepEqual(first.diag, second.diag) || first.verdict != second.verdict {
+		t.Fatalf("second run diverged from the first: verdict %q vs %q", first.verdict, second.verdict)
+	}
+}

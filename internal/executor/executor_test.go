@@ -164,8 +164,8 @@ func TestSGDOpTrainsViaReScan(t *testing.T) {
 	}
 	// The hinge loss at w=0 is exactly 1 for every tuple; after six epochs
 	// the streaming loss must sit well below that.
-	if rows[5].Loss >= 0.9 {
-		t.Fatalf("final streaming loss %v, want < 0.9", rows[5].Loss)
+	if rows[5].AvgLoss >= 0.9 {
+		t.Fatalf("final streaming loss %v, want < 0.9", rows[5].AvgLoss)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestSGDPlanBeatsNoShufflePlanOnClusteredData(t *testing.T) {
 			Shuffle: kind, Seed: 5,
 			SGD: SGDConfig{
 				Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: 8,
-				Epochs: 6, Eval: ds,
+				Epochs: 6, TrainEval: ds,
 			},
 		})
 		if err != nil {
@@ -189,7 +189,7 @@ func TestSGDPlanBeatsNoShufflePlanOnClusteredData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows[len(rows)-1].Accuracy
+		return rows[len(rows)-1].TrainAcc
 	}
 	corgi := run(shuffle.KindCorgiPile)
 	noShuf := run(shuffle.KindNoShuffle)
@@ -238,7 +238,7 @@ func TestPredictOp(t *testing.T) {
 	if _, err := sgd.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pred := NewPredict(NewScan(src), sgd.Model(), sgd.W)
+	pred := NewPredict(NewScan(src), sgd.Model(), sgd.Result().W)
 	if err := pred.Init(); err != nil {
 		t.Fatal(err)
 	}

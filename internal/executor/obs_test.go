@@ -43,10 +43,10 @@ func TestSGDPlanPopulatesBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || len(op.Breakdown) != 2 {
-		t.Fatalf("got %d rows, %d breakdown entries, want 2 each", len(rows), len(op.Breakdown))
+	if len(rows) != 2 || len(op.Result().Breakdown) != 2 {
+		t.Fatalf("got %d rows, %d breakdown entries, want 2 each", len(rows), len(op.Result().Breakdown))
 	}
-	for i, m := range op.Breakdown {
+	for i, m := range op.Result().Breakdown {
 		if m.Epoch != i+1 || m.Tuples != 1500 {
 			t.Fatalf("breakdown row %d = %+v", i, m)
 		}

@@ -35,9 +35,11 @@ type PlanConfig struct {
 	Profile bool
 	// Resilience, when enabled, wraps the source with retry/backoff and the
 	// configured corrupt-block degrade policy below every access path; the
-	// resulting fault report is exposed as SGDOp.Faults.
+	// resulting fault report replaces SGD.Faults and is summarized in the
+	// run's Result.Faults.
 	Resilience shuffle.Resilience
-	// SGD carries the learner configuration.
+	// SGD carries the learner configuration (Strategy must stay nil: the
+	// plan's access path is the tuple source).
 	SGD SGDConfig
 }
 
@@ -70,6 +72,7 @@ func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 			cfg.Resilience.Ctx = cfg.SGD.Ctx
 		}
 		src, faults = shuffle.NewResilientSource(src, cfg.Resilience, cfg.SGD.Obs, nil)
+		cfg.SGD.Faults = faults
 		if prof != nil {
 			prof.faults = faults
 		}
@@ -147,7 +150,6 @@ func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 	if err != nil {
 		return nil, err
 	}
-	op.Faults = faults
 	op.Prof = prof
 	return op, nil
 }

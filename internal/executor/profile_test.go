@@ -101,7 +101,7 @@ func TestProfiledTrainingMatchesUnprofiled(t *testing.T) {
 			Profile:      profile,
 			SGD: SGDConfig{
 				Model: ml.SVM{}, Opt: ml.NewSGD(0.05),
-				Features: ds.Features, Epochs: 4, Clock: clock, Eval: ds,
+				Features: ds.Features, Epochs: 4, Clock: clock, TrainEval: ds,
 			},
 		}
 		op, err := BuildSGDPlan(src, cfg)
@@ -329,7 +329,7 @@ func TestRunResultCarriesPlan(t *testing.T) {
 		Profile: true,
 		SGD: SGDConfig{
 			Model: ml.SVM{}, Opt: ml.NewSGD(0.05),
-			Features: ds.Features, Epochs: 2, Clock: clock, Eval: ds,
+			Features: ds.Features, Epochs: 2, Clock: clock, TrainEval: ds,
 		},
 	})
 	if err != nil {

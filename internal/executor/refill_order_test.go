@@ -217,10 +217,10 @@ func TestRefillOrderBatchSpansRefills(t *testing.T) {
 			}
 			got := ""
 			for _, r := range rows {
-				got += fmt.Sprintf("[%d %016x %016x %d]", r.Epoch, math.Float64bits(r.Loss), math.Float64bits(r.Seconds), r.Tuples)
+				got += fmt.Sprintf("[%d %016x %016x %d]", r.Epoch, math.Float64bits(r.AvgLoss), math.Float64bits(r.Seconds), r.Tuples)
 			}
 			h := fnv.New64a()
-			for _, w := range op.W {
+			for _, w := range op.Result().W {
 				fmt.Fprintf(h, "%016x", math.Float64bits(w))
 			}
 			got += fmt.Sprintf(" w=%016x", h.Sum64())

@@ -1,322 +1,99 @@
 package executor
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"corgipile/internal/core"
 	"corgipile/internal/data"
-	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
 	"corgipile/internal/obs"
-	"corgipile/internal/shuffle"
 )
 
 // EpochRow is the SGD operator's output: one row of training metrics per
 // epoch, matching the paper's "CorgiPile outputs various metrics after each
-// epoch, such as training loss, accuracy, and execution time".
-type EpochRow struct {
-	// Epoch is 1-based.
-	Epoch int
-	// Loss is the mean streaming loss of the epoch.
-	Loss float64
-	// Accuracy is train-set accuracy (or R² for regression) if an
-	// evaluation set was attached; otherwise 0.
-	Accuracy float64
-	// Seconds is simulated elapsed time since SGD started, inclusive of
-	// the epoch.
-	Seconds float64
-	// Tuples is the number of tuples consumed this epoch.
-	Tuples int
-}
+// epoch, such as training loss, accuracy, and execution time". It is the
+// epoch driver's record.
+type EpochRow = core.EpochPoint
+
+// SGDConfig configures an SGD operator: the epoch driver's run config, with
+// Strategy left nil (the child operator is the tuple source).
+type SGDConfig = core.RunConfig
 
 // SGDOp drives multi-epoch SGD over its child pipeline — the paper's third
 // new physical operator. Each call to NextEpoch consumes one full pass from
-// the child, updates the model, and re-scans the child for the next epoch
-// via the ReScan mechanism.
+// the child through the shared epoch driver (core.Loop), and re-scans the
+// child for the next epoch via the ReScan mechanism. The driver owns the
+// weights, the trainer and every per-epoch record; the operator owns the
+// child and the plan profile.
 type SGDOp struct {
-	child   Operator
-	trainer *ml.Trainer
-	// W is the model weight vector, exposed for the catalog to store.
-	W []float64
+	child Operator
+	loop  *core.Loop
+	model ml.Model
+	feed  *obs.RunFeed
 	// Epochs is the configured number of passes.
 	Epochs int
-	// Clock, when non-nil, is charged per-tuple gradient compute.
-	Clock *iosim.Clock
-	// Eval, when non-nil, is evaluated after each epoch.
-	Eval *data.Dataset
-	// Obs, when non-nil, receives per-epoch spans and training counters;
-	// Breakdown then accumulates one cross-layer metrics row per epoch.
-	Obs *obs.Registry
-	// Breakdown holds one epoch-breakdown row per completed epoch when Obs
-	// is attached.
-	Breakdown []obs.EpochMetrics
-	// Faults, when the plan was built with resilience enabled, accumulates
-	// the run's retry and quarantine accounting (nil otherwise).
-	Faults *shuffle.FaultReport
-	// Feed, when non-nil, receives one live RunStatus update per epoch —
-	// the telemetry server's /run data for SQL-driven training.
-	Feed *obs.RunFeed
-	// RunName labels feed updates (e.g. the TRAIN statement's model name).
-	RunName string
 	// Prof, when the plan was built with PlanConfig.Profile, accumulates
 	// per-operator runtime statistics (nil otherwise); Plan() snapshots it.
 	Prof *PlanProfile
-	// Diag holds one convergence-diagnostics row per completed epoch and
-	// Verdict the detector's final state, when SGDConfig.Diag enabled them.
-	Diag    []core.EpochDiag
-	Verdict core.Verdict
-	// Events, when non-nil, receives one "epoch" span per completed epoch in
-	// the session's event ring, stamped with Trace. Both are nil-safe.
-	Events *obs.EventLog
-	// Trace is the request-scoped trace ID stamped on emitted spans.
-	Trace string
-
-	epoch     int
-	start     time.Duration
-	lastNow   time.Duration
-	tuples    int64
-	wallStart time.Time
-	diagCfg   *core.DiagConfig
-	tracker   *core.DiagTracker
-	wPrev     []float64
-	ctx       context.Context
-}
-
-// cancelCheckInterval is how many tuples flow between cancellation checks.
-// ctx.Err() takes a lock, so the hot loop amortizes it; a cancel lands
-// within a few hundred tuples (well under a millisecond of gradient work).
-const cancelCheckInterval = 256
-
-// SGDConfig configures an SGD operator.
-type SGDConfig struct {
-	Model     ml.Model
-	Opt       ml.Optimizer
-	Features  int
-	Epochs    int
-	BatchSize int
-	// Procs is the number of gradient worker goroutines for mini-batch
-	// steps (0 = GOMAXPROCS, 1 = single-threaded); see ml.Trainer.Procs.
-	Procs       int
-	Clock       *iosim.Clock
-	Eval        *data.Dataset
-	InitWeights func(w []float64)
-	// Obs, when non-nil, receives per-epoch spans and training counters.
-	Obs *obs.Registry
-	// Feed, when non-nil, receives one live RunStatus update per epoch.
-	Feed *obs.RunFeed
-	// RunName labels feed updates.
-	RunName string
-	// Diag, when non-nil, enables the read-only convergence diagnostics
-	// (see core.DiagConfig); SGDOp.Diag and SGDOp.Verdict carry the outcome.
-	Diag *core.DiagConfig
-	// Ctx, when non-nil, cancels the run: the operator checks it between
-	// epochs and every few hundred tuples inside an epoch, so a canceled
-	// context stops an in-flight epoch promptly. NextEpoch/Run then return
-	// the context's error (context.Canceled or DeadlineExceeded).
-	Ctx context.Context
-	// Events, when non-nil, receives per-epoch span records stamped with
-	// Trace (request-scoped tracing for the introspection plane).
-	Events *obs.EventLog
-	// Trace is the request-scoped trace ID for emitted span records.
-	Trace string
 }
 
 // NewSGD returns an SGD operator over the child pipeline.
 func NewSGD(child Operator, cfg SGDConfig) (*SGDOp, error) {
-	if cfg.Model == nil || cfg.Opt == nil {
-		return nil, fmt.Errorf("executor: SGD needs Model and Opt")
+	if cfg.Strategy != nil {
+		return nil, fmt.Errorf("executor: SGD reads its child operator; SGDConfig.Strategy must be nil")
 	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 1
 	}
-	dim := cfg.Model.Dim(cfg.Features)
-	w := make([]float64, dim)
-	if cfg.InitWeights != nil {
-		cfg.InitWeights(w)
+	loop, err := core.NewLoop(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("executor: SGD: %w", err)
 	}
-	cfg.Opt.Reset(dim)
-	op := &SGDOp{
-		child:   child,
-		trainer: ml.NewTrainer(cfg.Model, cfg.Opt, cfg.BatchSize),
-		W:       w,
-		Epochs:  cfg.Epochs,
-		Clock:   cfg.Clock,
-		Eval:    cfg.Eval,
-		Obs:     cfg.Obs,
-		Feed:    cfg.Feed,
-		RunName: cfg.RunName,
-		Events:  cfg.Events,
-		Trace:   cfg.Trace,
-	}
-	op.trainer.Procs = cfg.Procs
-	op.trainer.Obs = cfg.Obs
-	op.ctx = cfg.Ctx
-	if cfg.Diag != nil {
-		op.diagCfg = cfg.Diag
-		op.trainer.TrackGradNorm = true
-		op.wPrev = make([]float64, dim)
-	}
-	if cfg.Clock != nil || cfg.Obs != nil {
-		op.trainer.OnTuple = func(t *data.Tuple) {
-			cost := time.Duration(ml.GradCost(t.NNZ()))
-			if cfg.Clock != nil {
-				cfg.Clock.Advance(cost)
-			}
-			cfg.Obs.AddDuration(obs.SGDGradNanos, cost)
-		}
-	}
-	return op, nil
+	return &SGDOp{child: child, loop: loop, model: cfg.Model, feed: cfg.Feed, Epochs: cfg.Epochs}, nil
 }
 
-// Init implements the operator contract for the training pipeline.
+// Init implements the operator contract for the training pipeline. A
+// second Init starts the run over: fresh weights, empty result.
 func (op *SGDOp) Init() error {
-	// The profile baseline is taken before the child initializes so that
-	// strategy preprocessing (e.g. Shuffle Once's full sort) is attributed
-	// to the run rather than lost before the window opens.
+	// The profile and the driver's baselines are taken before the child
+	// initializes so that what it charges while opening (Epoch Shuffle's
+	// first full shuffle) is attributed to the run rather than lost before
+	// the window opens.
 	op.Prof.Start()
-	if err := op.child.Init(); err != nil {
-		return err
-	}
-	if op.Clock != nil {
-		op.start = op.Clock.Now()
-		op.lastNow = op.start
-	}
-	op.epoch = 0
-	op.tuples = 0
-	op.wallStart = time.Now()
-	op.Breakdown = op.Breakdown[:0]
-	op.Diag = op.Diag[:0]
-	op.Verdict = ""
-	if op.diagCfg != nil {
-		op.tracker = core.NewDiagTracker(*op.diagCfg)
-	}
-	return nil
+	op.loop.Reset()
+	return op.child.Init()
 }
 
 // NextEpoch runs one epoch and returns its metrics row; ok=false when the
 // configured number of epochs has completed.
 func (op *SGDOp) NextEpoch() (EpochRow, bool, error) {
-	if op.epoch >= op.Epochs {
+	done := len(op.Result().Points)
+	if done >= op.Epochs {
 		return EpochRow{}, false, nil
 	}
-	if err := op.ctxErr(); err != nil {
-		return EpochRow{}, false, err
-	}
-	if op.epoch > 0 {
+	if done > 0 {
 		// Reshuffle and reread via the re-scan mechanism.
 		if err := op.child.ReScan(); err != nil {
 			return EpochRow{}, false, err
 		}
 	}
-	if op.tracker != nil {
-		copy(op.wPrev, op.W)
-	}
-	var before obs.Snapshot
-	if op.Obs != nil {
-		before = op.Obs.Snapshot()
-	}
-	sp := op.Obs.Span(obs.SpanEpoch)
-	esp := op.Events.StartSpan(op.Trace, obs.EvSpanEpoch)
-	var streamErr error
-	var sinceCheck int
-	stats := op.trainer.RunEpoch(op.W, func() (*data.Tuple, bool) {
-		if sinceCheck++; sinceCheck >= cancelCheckInterval {
-			sinceCheck = 0
-			if err := op.ctxErr(); err != nil {
-				streamErr = err
-				return nil, false
-			}
-		}
+	var childErr error
+	row, err := op.loop.Step(func() (*data.Tuple, bool) {
 		t, ok, err := op.child.Next()
 		if err != nil {
-			streamErr = err
+			childErr = err
 			return nil, false
 		}
 		return t, ok
-	})
-	spanSecs := sp.End().Seconds()
-	esp.End()
-	if streamErr != nil {
-		return EpochRow{}, false, streamErr
+	}, func() error { return childErr })
+	if err != nil {
+		return EpochRow{}, false, err
 	}
-	op.epoch++
-	row := EpochRow{Epoch: op.epoch, Loss: stats.AvgLoss, Tuples: stats.Tuples}
-	if op.Clock != nil {
-		row.Seconds = (op.Clock.Now() - op.start).Seconds()
-	}
-	if op.Obs != nil {
-		epochSecs := spanSecs
-		if op.Clock != nil {
-			now := op.Clock.Now()
-			epochSecs = (now - op.lastNow).Seconds()
-			op.lastNow = now
-		}
-		m := obs.EpochFromDelta(op.epoch, epochSecs, stats.AvgLoss,
-			op.Obs.Snapshot().DeltaFrom(before))
-		op.Obs.SetGauge(obs.SGDLoss, stats.AvgLoss)
-		op.Obs.EmitEpoch(m)
-		op.Breakdown = append(op.Breakdown, m)
-	}
-	if op.Eval != nil {
-		if op.Eval.Task == data.TaskRegression {
-			row.Accuracy = ml.R2(op.trainer.Model, op.W, op.Eval)
-		} else {
-			row.Accuracy = ml.Accuracy(op.trainer.Model, op.W, op.Eval)
-		}
-	}
-	var d core.EpochDiag
-	if op.tracker != nil {
-		delta, verdict := op.tracker.Observe(stats.AvgLoss)
-		d = core.EpochDiag{
-			Epoch:      op.epoch,
-			GradNorm:   stats.GradNorm(),
-			UpdateNorm: core.L2Delta(op.W, op.wPrev),
-			LossDelta:  delta,
-			Verdict:    verdict,
-		}
-		op.Diag = append(op.Diag, d)
-		op.Verdict = verdict
-		core.EmitDiag(op.Obs, d)
-	}
-	op.tuples += int64(row.Tuples)
 	op.Prof.EndEpoch(row.Tuples)
-	if op.Feed != nil {
-		st := obs.RunStatus{
-			Run:         op.RunName,
-			Epoch:       row.Epoch,
-			Epochs:      op.Epochs,
-			Loss:        row.Loss,
-			TrainAcc:    row.Accuracy,
-			GradNorm:    d.GradNorm,
-			UpdateNorm:  d.UpdateNorm,
-			LossDelta:   d.LossDelta,
-			Verdict:     string(d.Verdict),
-			Tuples:      op.tuples,
-			SimSeconds:  row.Seconds,
-			WallSeconds: time.Since(op.wallStart).Seconds(),
-			Done:        op.epoch == op.Epochs,
-		}
-		st.FillFromRegistry(op.Obs)
-		op.Feed.Publish(st)
-		if op.Prof != nil {
-			op.Feed.PublishPlan(op.Prof.Snapshot())
-		}
+	if op.Prof != nil && op.feed != nil {
+		op.feed.PublishPlan(op.Prof.Snapshot())
 	}
 	return row, true, nil
-}
-
-// ctxErr returns the cancellation error when the operator's context has
-// been canceled (nil context = never canceled).
-func (op *SGDOp) ctxErr() error {
-	if op.ctx == nil {
-		return nil
-	}
-	if err := op.ctx.Err(); err != nil {
-		return fmt.Errorf("executor: train canceled at epoch %d: %w", op.epoch+1, err)
-	}
-	return nil
 }
 
 // Run drives every configured epoch and returns all metric rows.
@@ -325,27 +102,26 @@ func (op *SGDOp) Run() ([]EpochRow, error) {
 		return nil, err
 	}
 	defer op.Close()
-	var rows []EpochRow
 	for {
-		row, ok, err := op.NextEpoch()
-		if err != nil {
-			return rows, err
+		if _, ok, err := op.NextEpoch(); err != nil || !ok {
+			return op.Result().Points, err
 		}
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, row)
 	}
 }
 
 // Close releases the pipeline and the trainer's worker pool.
 func (op *SGDOp) Close() error {
-	op.trainer.Close()
+	op.loop.Close()
 	return op.child.Close()
 }
 
 // Model returns the trained model.
-func (op *SGDOp) Model() ml.Model { return op.trainer.Model }
+func (op *SGDOp) Model() ml.Model { return op.model }
+
+// Result returns the driver's live result: the weight vector (for the
+// catalog to store), one Points / Breakdown / Diag row per completed epoch,
+// and the latest Verdict and Faults summary.
+func (op *SGDOp) Result() *core.Result { return op.loop.Result() }
 
 // Plan returns a snapshot of the executed plan's per-operator profile, or
 // nil when the plan was built without PlanConfig.Profile.
@@ -356,33 +132,15 @@ func (op *SGDOp) Plan() *obs.PlanStats {
 	return op.Prof.Snapshot()
 }
 
-// RunResult drives every configured epoch like Run and adapts the outcome
-// to the core.Result shape, so executor-driven training (the -explain
-// path) is interchangeable with core.Run for callers.
+// RunResult drives every configured epoch like Run and returns the driver's
+// result with the executed plan attached, so executor-driven training (the
+// -explain path) is interchangeable with core.Run for callers.
 func (op *SGDOp) RunResult() (*core.Result, error) {
-	rows, err := op.Run()
-	if err != nil {
+	if _, err := op.Run(); err != nil {
 		return nil, err
 	}
-	res := &core.Result{
-		W:         op.W,
-		Breakdown: op.Breakdown,
-		Diag:      op.Diag,
-		Verdict:   op.Verdict,
-		Plan:      op.Plan(),
-	}
-	for _, r := range rows {
-		res.Points = append(res.Points, core.EpochPoint{
-			Epoch:    r.Epoch,
-			Seconds:  r.Seconds,
-			AvgLoss:  r.Loss,
-			TrainAcc: r.Accuracy,
-			Tuples:   r.Tuples,
-		})
-	}
-	if op.Faults != nil {
-		res.Faults = op.Faults.Summary()
-	}
+	res := op.Result()
+	res.Plan = op.Plan()
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"corgipile/internal/storage"
 )
@@ -10,15 +11,20 @@ import (
 // the append path. It keeps a bounded ring of recent framed records so a
 // subscriber that reconnects (or is created for a replica slightly behind
 // the frontier) can catch up from memory; anything older than the ring
-// needs a full snapshot. A subscriber whose buffered channel fills is shed
-// — its gone channel closes, its sender re-runs catch-up — so one slow
-// replica can never apply backpressure to ingest.
+// needs a full snapshot. A subscriber is shed — its gone channel closes,
+// its sender re-runs catch-up — when its buffered channel fills or when the
+// ring has dropped a record its replica has not acked yet: more than
+// maxBytes are then un-acked, and the replica needs a snapshot whatever the
+// socket still holds. That bounds lag by the ring budget rather than by the
+// kernel's send buffer, and one slow replica can never apply backpressure
+// to ingest.
 type hub struct {
 	mu       sync.Mutex
 	maxBytes int64
 	ring     []ringEntry
 	ringSize int64
 	lastLSN  uint64 // highest LSN published (or the log's LSN at startup)
+	dropped  uint64 // highest LSN that has left the ring (0 = none yet)
 	subs     map[*subscriber]struct{}
 }
 
@@ -29,8 +35,19 @@ type ringEntry struct {
 
 type subscriber struct {
 	ch   chan []byte
-	gone chan struct{} // closed once on overflow (shed)
+	gone chan struct{} // closed once, when the subscriber is shed
 	shed bool
+	// The replica holds everything up to max(from, acked): from is the LSN
+	// the subscription started after (a snapshot's frontier until the
+	// replica has installed it), acked the connection's last acked LSN.
+	from  uint64
+	acked *atomic.Uint64
+}
+
+// lagging reports whether the ring has dropped a record the subscriber's
+// replica has not acked.
+func (s *subscriber) lagging(dropped uint64) bool {
+	return s.from < dropped && s.acked.Load() < dropped
 }
 
 func newHub(lastLSN uint64, maxBytes int64) *hub {
@@ -51,19 +68,24 @@ func (h *hub) publish(rec storage.WALRecord) (frameLen int) {
 	h.ringSize += int64(len(frame))
 	for h.ringSize > h.maxBytes && len(h.ring) > 1 {
 		h.ringSize -= int64(len(h.ring[0].frame))
+		h.dropped = h.ring[0].lsn
 		h.ring = h.ring[1:]
 	}
 	h.lastLSN = rec.LSN
 	for sub := range h.subs {
-		select {
-		case sub.ch <- frame:
-		default:
-			// Full buffer: shed now, resync later. Dropping the subscriber
-			// here (not just marking it) keeps publish O(live subscribers).
-			sub.shed = true
-			close(sub.gone)
-			delete(h.subs, sub)
+		if !sub.lagging(h.dropped) {
+			select {
+			case sub.ch <- frame:
+				continue
+			default:
+			}
 		}
+		// Too far behind or full buffer: shed now, resync later. Dropping
+		// the subscriber here (not just marking it) keeps publish O(live
+		// subscribers).
+		sub.shed = true
+		close(sub.gone)
+		delete(h.subs, sub)
 	}
 	h.mu.Unlock()
 	return len(frame)
@@ -77,12 +99,13 @@ func (h *hub) last() uint64 {
 }
 
 // subscribe registers a subscriber needing records with LSN > after,
-// pre-filling its channel from the ring. It fails (nil, false) when the
+// pre-filling its channel from the ring; acked is the connection's last
+// acked LSN, read on every publish. It fails (nil, false) when the
 // ring no longer covers after+1 — the caller must serve a snapshot and
 // subscribe from its frontier instead. The caller must prevent concurrent
 // appends (hold the catalog lock) so no record can fall between the ring
 // check and the registration.
-func (h *hub) subscribe(after uint64, buffer int) (*subscriber, bool) {
+func (h *hub) subscribe(after uint64, buffer int, acked *atomic.Uint64) (*subscriber, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if after < h.lastLSN {
@@ -97,8 +120,10 @@ func (h *hub) subscribe(after uint64, buffer int) (*subscriber, bool) {
 		}
 	}
 	sub := &subscriber{
-		ch:   make(chan []byte, len(prefill)+buffer),
-		gone: make(chan struct{}),
+		ch:    make(chan []byte, len(prefill)+buffer),
+		gone:  make(chan struct{}),
+		from:  after,
+		acked: acked,
 	}
 	for _, f := range prefill {
 		sub.ch <- f

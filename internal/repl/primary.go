@@ -28,7 +28,8 @@ type PrimaryConfig struct {
 	// RingBytes bounds the in-memory catch-up ring (default 4 MiB).
 	RingBytes int64
 	// SendBuffer is each subscriber's buffered record count; a replica
-	// further behind than buffer+ring is shed and resynced (default 256).
+	// whose buffer fills, or whose acked LSN falls behind the ring, is shed
+	// and resynced (default 256).
 	SendBuffer int
 	// Heartbeat is the idle keep-alive interval (default 2s).
 	Heartbeat time.Duration
@@ -98,7 +99,7 @@ type ReplicaStatus struct {
 	// LagLSN is the primary's last published LSN minus AppliedLSN.
 	LagLSN uint64
 	// Sheds counts how many times this connection overflowed its send
-	// buffer and was resynced.
+	// buffer or lagged past the ring and was resynced.
 	Sheds int64
 }
 
@@ -241,7 +242,7 @@ func (p *Primary) handle(c net.Conn) {
 	bw := bufio.NewWriterSize(c, 64<<10)
 	applied, force := hello.Applied, hello.Snapshot
 	for {
-		sub, reply, snap, err := p.catchup(applied, force)
+		sub, reply, snap, err := p.catchup(applied, force, &pc.applied)
 		if err != nil {
 			break
 		}
@@ -268,9 +269,9 @@ func (p *Primary) handle(c net.Conn) {
 		if err != nil {
 			break
 		}
-		// Shed: the subscriber overflowed. Re-run catch-up from the acked
-		// LSN — served from the ring when it still covers it, otherwise a
-		// fresh snapshot.
+		// Shed: the subscriber overflowed or lagged past the ring. Re-run
+		// catch-up from the acked LSN — served from the ring when it still
+		// covers it, otherwise a fresh snapshot.
 		p.cfg.Obs.Inc(obs.ReplSheds)
 		pc.sheds.Add(1)
 		applied = pc.applied.Load()
@@ -282,13 +283,14 @@ func (p *Primary) handle(c net.Conn) {
 // catchup decides how to bring a replica at `applied` up to date. Under
 // the catalog lock (excluding appends) it either subscribes directly —
 // the ring covers everything past applied — or cuts a full snapshot and
-// subscribes from its frontier.
-func (p *Primary) catchup(applied uint64, force bool) (*subscriber, replyMsg, []byte, error) {
+// subscribes from its frontier. acked is the connection's acked LSN, which
+// the hub watches to shed the subscriber once it lags past the ring.
+func (p *Primary) catchup(applied uint64, force bool, acked *atomic.Uint64) (*subscriber, replyMsg, []byte, error) {
 	p.cfg.Locker.Lock()
 	defer p.cfg.Locker.Unlock()
 	last := p.cfg.Session.LastLSN()
 	if !force && applied <= last {
-		if sub, ok := p.hub.subscribe(applied, p.cfg.SendBuffer); ok {
+		if sub, ok := p.hub.subscribe(applied, p.cfg.SendBuffer, acked); ok {
 			return sub, replyMsg{Magic: wireMagic, V: wireVersion, Mode: modeStream, Frontier: applied}, nil, nil
 		}
 	}
@@ -296,7 +298,7 @@ func (p *Primary) catchup(applied uint64, force bool) (*subscriber, replyMsg, []
 	if err != nil {
 		return nil, replyMsg{}, nil, err
 	}
-	sub, ok := p.hub.subscribe(frontier, p.cfg.SendBuffer)
+	sub, ok := p.hub.subscribe(frontier, p.cfg.SendBuffer, acked)
 	if !ok {
 		return nil, replyMsg{}, nil, fmt.Errorf("repl: ring behind its own frontier")
 	}

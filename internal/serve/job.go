@@ -192,7 +192,7 @@ func (j *job) status() JobStatus {
 		st.Epochs = j.epochs
 		if n := len(j.rows); n > 0 {
 			st.Epoch = j.rows[n-1].Epoch
-			st.Loss = roundLoss(j.rows[n-1].Loss)
+			st.Loss = roundLoss(j.rows[n-1].AvgLoss)
 		}
 	case JobFailed:
 		st.Error = j.errMsg

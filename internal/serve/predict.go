@@ -58,10 +58,6 @@ func (c *predictCache) invalidate(name string) {
 	delete(c.tables, name)
 }
 
-// invalidateModel exists for symmetry at install sites; the tuple cache
-// does not key on models, so it is a no-op kept for clarity at call sites.
-func (c *predictCache) invalidateModel(string) {}
-
 // execPredict answers a PREDICT statement from the cache. The catalog
 // read lock is held only long enough to look up the table and model
 // entries (and to decode on a cache miss); scoring runs lock-free.

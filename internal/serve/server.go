@@ -297,10 +297,10 @@ func New(cfg Config) (*Server, error) {
 			Session: sess,
 			Locker:  &s.catalog,
 			OnApply: func(rec storage.WALRecord) {
+				// The tuple cache keys on tables only; model records
+				// leave it alone.
 				if kind, name := db.RecordTarget(rec); kind == "table" {
 					s.cache.invalidate(name)
-				} else if kind == "model" {
-					s.cache.invalidateModel(name)
 				}
 			},
 			OnSnapshot: func() { s.cache.invalidate("") },
@@ -708,7 +708,7 @@ func (s *Server) runJob(j *job) {
 
 	rows, err := pt.Execute()
 	j.mu.Lock()
-	j.breakdown = pt.Op().Breakdown
+	j.breakdown = pt.Op().Result().Breakdown
 	j.mu.Unlock()
 	if err != nil {
 		if j.ctx.Err() != nil {
@@ -730,7 +730,6 @@ func (s *Server) runJob(j *job) {
 		s.writeArtifacts(j)
 		return
 	}
-	s.cache.invalidateModel(entry.Name)
 	s.catalog.Unlock()
 	isp.End()
 

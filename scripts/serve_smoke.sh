@@ -45,22 +45,25 @@ grep '^S: ' "$workdir/transcript.txt" >"$workdir/expected.txt"
 diff -u "$workdir/expected.txt" "$workdir/replay.txt"
 
 # Per-job telemetry: start a long TRAIN on a fresh session, scrape its
-# private /run?job= feed mid-flight, then cancel it.
+# private /run?job= feed mid-flight, then cancel it. Detached, because the
+# replay client hangs up as soon as it has the ack, and a dropped session
+# cancels its attached jobs — before the first epoch, as often as not.
 printf '%s\n' \
-    '{"op":"train","sql":"SELECT * FROM demo TRAIN BY svm MODEL live WITH learning_rate=0.05, max_epoch_num=1000000, seed=7"}' \
+    '{"op":"train","sql":"SELECT * FROM demo TRAIN BY svm MODEL live WITH learning_rate=0.05, max_epoch_num=1000000, seed=7","detach":true}' \
     >"$workdir/start.txt"
 "$workdir/corgiserved" -connect "$addr" -replay "$workdir/start.txt" >"$workdir/start_out.txt" &
 replaypid=$!
 # The job is j3 (the transcript consumed j1/j2). Wait for its feed to
-# publish a first epoch, then check the live status and the job table.
+# publish a first epoch under the job's run label (the first snapshot can
+# precede both), then check the job table.
 ok=""
 for _ in $(seq 1 50); do
     if curl -sf "$telurl/run?job=j3" >"$workdir/job.json" 2>/dev/null \
-        && grep -q '"epoch"' "$workdir/job.json"; then ok=1; break; fi
+        && grep -q '"epoch"' "$workdir/job.json" \
+        && grep -q '"run": "j3 train live"' "$workdir/job.json"; then ok=1; break; fi
     sleep 0.2
 done
 [ -n "$ok" ] || { echo "per-job feed never published" >&2; cat "$workdir/serve.log"; exit 1; }
-grep -q '"run": "j3 train live"' "$workdir/job.json"
 # The shared /metrics registry serves the live runtime gauges; training
 # counters live in each job's private registry (see runs/<id>/metrics.prom).
 curl -sf "$telurl/metrics" | grep -q '^corgipile_runtime_goroutines'

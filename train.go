@@ -82,11 +82,14 @@ type TrainConfig struct {
 	// Explain routes the run through the Volcano executor with per-operator
 	// profiling enabled: Result.Plan then carries the annotated plan tree
 	// (the EXPLAIN ANALYZE payload), and the same tree streams per epoch
-	// through Feed. The executor implements the strategies as pull
-	// operators, so an Explain run may visit tuples in a different order
-	// than the default strategy-iterator engine — convergence behavior is
-	// equivalent but the loss trace is not bit-identical across the two
-	// engines.
+	// through Feed. The training loop and its configuration are the default
+	// engine's; only the tuple source differs, and only for CorgiPile, No
+	// Shuffle and Block-Only, which the executor implements as pull
+	// operators. There No Shuffle and Block-Only give the same weights at a
+	// different simulated time, and CorgiPile's loss trace differs from the
+	// default engine's whenever the shuffle buffer does not end on a block
+	// boundary. The other strategies are bit-identical with and without
+	// Explain.
 	Explain bool
 	// Ctx, when non-nil, cancels the run: training checks it between epochs
 	// and every few hundred tuples inside an epoch, then returns the
@@ -197,60 +200,7 @@ func trainOn(src shuffle.Source, ds *Dataset, cfg TrainConfig, clock *Clock) (*R
 		OnCorrupt:       policy,
 		MaxSkipFraction: cfg.MaxSkipFraction,
 	}
-	if cfg.Explain {
-		// Profiled runs go through the Volcano executor, which builds its
-		// own resilience wrapper and fault report from the plan config.
-		pc := executor.PlanConfig{
-			Shuffle:        cfg.Strategy,
-			BufferFraction: cfg.BufferFraction,
-			DoubleBuffer:   cfg.DoubleBuffer,
-			Seed:           cfg.Seed,
-			Resilience:     res,
-			Profile:        true,
-			SGD: executor.SGDConfig{
-				Model:     model,
-				Opt:       opt,
-				Features:  ds.Features,
-				Epochs:    cfg.Epochs,
-				BatchSize: cfg.BatchSize,
-				Procs:     cfg.Procs,
-				Clock:     clock,
-				Eval:      ds,
-				Obs:       cfg.Metrics,
-				Feed:      cfg.Feed,
-				Diag:      cfg.Diag,
-				RunName:   cfg.RunName,
-				Ctx:       cfg.Ctx,
-				Events:    cfg.Events,
-				Trace:     cfg.Trace,
-			},
-		}
-		if mlp, ok := model.(ml.MLP); ok {
-			pc.SGD.InitWeights = core.MLPInit(mlp, ds.Features, cfg.Seed)
-		}
-		op, err := executor.BuildSGDPlan(src, pc)
-		if err != nil {
-			return nil, err
-		}
-		return op.RunResult()
-	}
-	var report *shuffle.FaultReport
-	if res.Enabled() {
-		report = shuffle.NewFaultReport()
-	}
-	st, err := shuffle.New(cfg.Strategy, src, shuffle.Options{
-		BufferFraction: cfg.BufferFraction,
-		Seed:           cfg.Seed,
-		DoubleBuffer:   cfg.DoubleBuffer,
-		Obs:            cfg.Metrics,
-		Resilience:     res,
-		FaultReport:    report,
-	})
-	if err != nil {
-		return nil, err
-	}
 	rc := core.RunConfig{
-		Strategy:  st,
 		Model:     model,
 		Opt:       opt,
 		Features:  ds.Features,
@@ -261,7 +211,6 @@ func trainOn(src shuffle.Source, ds *Dataset, cfg TrainConfig, clock *Clock) (*R
 		TrainEval: ds,
 		Seed:      cfg.Seed,
 		Obs:       cfg.Metrics,
-		Faults:    report,
 		Diag:      cfg.Diag,
 		Feed:      cfg.Feed,
 		RunName:   cfg.RunName,
@@ -271,6 +220,37 @@ func trainOn(src shuffle.Source, ds *Dataset, cfg TrainConfig, clock *Clock) (*R
 	}
 	if mlp, ok := model.(ml.MLP); ok {
 		rc.InitWeights = core.MLPInit(mlp, ds.Features, cfg.Seed)
+	}
+	if cfg.Explain {
+		// Profiled runs go through the Volcano executor, which builds its
+		// own resilience wrapper and fault report from the plan config.
+		op, err := executor.BuildSGDPlan(src, executor.PlanConfig{
+			Shuffle:        cfg.Strategy,
+			BufferFraction: cfg.BufferFraction,
+			DoubleBuffer:   cfg.DoubleBuffer,
+			Seed:           cfg.Seed,
+			Resilience:     res,
+			Profile:        true,
+			SGD:            rc,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return op.RunResult()
+	}
+	if res.Enabled() {
+		rc.Faults = shuffle.NewFaultReport()
+	}
+	rc.Strategy, err = shuffle.New(cfg.Strategy, src, shuffle.Options{
+		BufferFraction: cfg.BufferFraction,
+		Seed:           cfg.Seed,
+		DoubleBuffer:   cfg.DoubleBuffer,
+		Obs:            cfg.Metrics,
+		Resilience:     res,
+		FaultReport:    rc.Faults,
+	})
+	if err != nil {
+		return nil, err
 	}
 	return core.Run(rc)
 }
