@@ -99,33 +99,43 @@ func TestFaultRunDeterministicAcrossProcs(t *testing.T) {
 	sameWeights(t, p1.W, p4.W, "procs 1 vs 4")
 }
 
+// Losing one block must not wreck convergence. The comparison needs a
+// converged last iterate to mean anything: at the default constant step
+// (0.05) the final accuracy of a clean susy run swings between 0.50 and 0.74
+// with the seed alone, so the runs here decay the step (0.01, halved per
+// epoch) over 5 000 tuples, where clean runs land within 0.01 of each other
+// across seeds. It runs through both engines.
 func TestSkipCorruptEndToEnd(t *testing.T) {
-	ds := Synthetic("susy", 0.1, OrderClustered)
-	clean, _, err := TrainOnDevice(ds, faultCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := faultCfg()
-	cfg.Faults = &FaultPlan{Seed: 9, CorruptBlocks: []int{2}}
-	cfg.OnCorrupt = "skip"
-	cfg.MaxSkipFraction = 0.25
-	res, _, err := TrainOnDevice(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Faults.Degraded() {
-		t.Fatal("corrupt block not recorded in Result.Faults")
-	}
-	if len(res.Faults.SkippedBlocks) != 1 || res.Faults.SkippedBlocks[0] != 2 {
-		t.Fatalf("skipped blocks = %v, want [2]", res.Faults.SkippedBlocks)
-	}
-	if res.Faults.SkippedTuples <= 0 {
-		t.Fatal("quarantine recorded no lost tuples")
-	}
-	// Losing one block must not wreck convergence: the degraded run stays
-	// within a few points of the clean run's accuracy.
-	if got, want := res.Final().TrainAcc, clean.Final().TrainAcc; got < want-0.05 {
-		t.Fatalf("degraded run accuracy %.3f, clean run %.3f", got, want)
+	ds := Synthetic("susy", 0.5, OrderClustered)
+	for _, explain := range []bool{false, true} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := faultCfg()
+			cfg.Epochs, cfg.LearningRate, cfg.Decay = 6, 0.01, 0.5
+			cfg.Seed, cfg.Explain = seed, explain
+			clean, _, err := TrainOnDevice(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = &FaultPlan{Seed: 9, CorruptBlocks: []int{2}}
+			cfg.OnCorrupt = "skip"
+			cfg.MaxSkipFraction = 0.25
+			res, _, err := TrainOnDevice(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Faults.Degraded() {
+				t.Fatal("corrupt block not recorded in Result.Faults")
+			}
+			if len(res.Faults.SkippedBlocks) != 1 || res.Faults.SkippedBlocks[0] != 2 {
+				t.Fatalf("skipped blocks = %v, want [2]", res.Faults.SkippedBlocks)
+			}
+			if res.Faults.SkippedTuples <= 0 {
+				t.Fatal("quarantine recorded no lost tuples")
+			}
+			if got, want := res.Final().TrainAcc, clean.Final().TrainAcc; got < want-0.02 {
+				t.Fatalf("explain=%v seed %d: degraded run accuracy %.3f, clean run %.3f", explain, seed, got, want)
+			}
+		}
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 // corgiPile implements the paper's two-level hierarchical shuffle
 // (Algorithm 1, operationalized as in the PostgreSQL/PyTorch
 // integrations): each epoch the block order is shuffled (block-level
-// shuffle over all N blocks), then blocks are pulled n at a time into an
-// in-memory buffer whose tuples are shuffled before being emitted
-// (tuple-level shuffle). Every tuple is visited exactly once per epoch.
+// shuffle over all N blocks), then blocks are pulled into an in-memory buffer
+// of BufferFraction of the tuples — a block that straddles the budget is
+// split and its tail opens the next buffer — whose tuples are shuffled before
+// being emitted (tuple-level shuffle). Every tuple is visited exactly once
+// per epoch.
 //
 // With DoubleBuffer set, buffer refills overlap with SGD consumption: fill
 // and consume durations are measured on the shared clock and recombined
@@ -30,26 +32,21 @@ func (*corgiPile) Name() Kind { return KindCorgiPile }
 
 // StartEpoch implements Strategy.
 func (s *corgiPile) StartEpoch(int) (Iterator, error) {
-	// Buffer capacity in blocks (the paper's n), from the tuple budget.
 	total := s.src.NumTuples()
 	blocks := s.src.NumBlocks()
 	avgPerBlock := (total + blocks - 1) / blocks
 	if avgPerBlock < 1 {
 		avgPerBlock = 1
 	}
-	n := s.opts.bufferTuples(total) / avgPerBlock
-	if n < 1 {
-		n = 1
-	}
 	perm := s.rng.Perm(blocks)
-	if s.opts.SampleOnly && n < len(perm) {
-		// Algorithm 1: one buffer of n sampled blocks per epoch.
+	// Algorithm 1 literally: one buffer of n sampled blocks per epoch, n
+	// being the tuple budget in whole blocks.
+	if n := max(1, s.opts.bufferTuples(total)/avgPerBlock); s.opts.SampleOnly && n < len(perm) {
 		perm = perm[:n]
 	}
 	it := &corgiIter{
 		src:    s.src,
 		perm:   perm,
-		nBuf:   n,
 		bufCap: s.opts.bufferTuples(total),
 		rng:    s.rng,
 		clock:  s.src.Clock(),
@@ -67,9 +64,9 @@ type corgiIter struct {
 	src    Source
 	perm   []int
 	next   int // next position in perm
-	nBuf   int // blocks per buffer (the paper's n)
-	bufCap int // tuple budget of one buffer, for the occupancy gauge
+	bufCap int // tuple budget of one buffer
 	buf    []data.Tuple
+	rest   []data.Tuple // tail of the block that straddled the budget
 	pos    int
 	rng    *rand.Rand
 	clock  *iosim.Clock
@@ -86,7 +83,7 @@ type corgiIter struct {
 // Next implements Iterator.
 func (it *corgiIter) Next() (*data.Tuple, bool) {
 	for it.pos >= len(it.buf) {
-		if it.err != nil || it.next >= len(it.perm) {
+		if it.err != nil || (it.next >= len(it.perm) && len(it.rest) == 0) {
 			it.finishPipeline()
 			return nil, false
 		}
@@ -104,7 +101,9 @@ func (it *corgiIter) Next() (*data.Tuple, bool) {
 // Err implements Iterator.
 func (it *corgiIter) Err() error { return it.err }
 
-// refill loads the next n blocks into the buffer and shuffles its tuples.
+// refill loads the next bufCap tuples into the buffer and shuffles them. A
+// block that does not fit is split: its tail waits in rest and opens the
+// next fill, exactly as executor.TupleShuffleOp.fill does.
 func (it *corgiIter) refill() {
 	var fillStartNow time.Duration
 	if it.pipe != nil {
@@ -121,16 +120,24 @@ func (it *corgiIter) refill() {
 	it.buf = it.buf[:0]
 	it.pos = 0
 	blocks := 0
-	for count := 0; count < it.nBuf && it.next < len(it.perm); count++ {
-		ts, err := it.src.ReadBlock(it.perm[it.next])
-		if err != nil {
-			it.err = err
-			sp.End()
-			return
+	for len(it.buf) < it.bufCap {
+		if len(it.rest) == 0 {
+			if it.next >= len(it.perm) {
+				break
+			}
+			ts, err := it.src.ReadBlock(it.perm[it.next])
+			if err != nil {
+				it.err = err
+				sp.End()
+				return
+			}
+			it.next++
+			blocks++
+			it.rest = ts
 		}
-		it.next++
-		blocks++
-		it.buf = append(it.buf, ts...)
+		n := min(len(it.rest), it.bufCap-len(it.buf))
+		it.buf = append(it.buf, it.rest[:n]...)
+		it.rest = it.rest[n:]
 	}
 	// Tuple-level shuffle plus the per-tuple buffer-copy cost.
 	if it.clock != nil && it.copyC > 0 {
