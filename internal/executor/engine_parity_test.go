@@ -29,8 +29,11 @@ type engineRun struct {
 	kind   shuffle.Kind
 	tuples int
 	cfg    core.RunConfig // Epochs, BatchSize, ...; learner, clock and source are filled in
+	double bool           // DoubleBuffer
 	attach bool           // Obs + Diag + Feed
 	tap    func()         // called per streamed tuple when non-nil
+	// wrap, when non-nil, replaces the table source (fault injection).
+	wrap func(shuffle.Source, *iosim.Clock) shuffle.Source
 }
 
 type engineOut struct {
@@ -89,9 +92,12 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 		defer cfg.Feed.Close()
 	}
 	const seed, frac = 7, 0.1
-	src := shuffle.TableSource(tab)
+	var src shuffle.Source = shuffle.TableSource(tab)
+	if r.wrap != nil {
+		src = r.wrap(src, clock)
+	}
 	if engine == "executor" {
-		pc := PlanConfig{Shuffle: r.kind, BufferFraction: frac, Seed: seed, SGD: cfg}
+		pc := PlanConfig{Shuffle: r.kind, BufferFraction: frac, DoubleBuffer: r.double, Seed: seed, SGD: cfg}
 		if r.tap != nil {
 			pc.Filter = func(*data.Tuple) bool { r.tap(); return true }
 		}
@@ -101,7 +107,7 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 		}
 		out.res, out.err = op.RunResult()
 	} else {
-		st, err := shuffle.New(r.kind, src, shuffle.Options{BufferFraction: frac, Seed: seed, Obs: cfg.Obs})
+		st, err := shuffle.New(r.kind, src, shuffle.Options{BufferFraction: frac, Seed: seed, DoubleBuffer: r.double, Obs: cfg.Obs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,75 +121,57 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 	return out
 }
 
-// TestEngineParity pins the shared epoch driver: over the strategies both
-// entry points run through the same shuffle.Strategy code (the executor
-// wraps them in strategyOp), core.Run and BuildSGDPlan(...).RunResult() give
-// bit-identical weights, epoch points, breakdown rows and diagnostics, and
-// leave the device clock at the same instant.
-//
-// No Shuffle and Block-Only go through ScanOp / BlockShuffleOp in the
-// executor and shuffle.blockIter in core.Run; blockIter models sequential
-// read-ahead and the operators do not, so simulated time differs there and
-// only the weights and per-epoch loss are compared. CorgiPile is left out:
-// shuffle/corgipile.go fills whole blocks and TupleShuffleOp fills Capacity
-// tuples, so the traces differ unless the buffer ends on a block boundary
-// (ROADMAP item 2, the open pipeline half).
+// TestEngineParity pins the one pipeline under the two entry points: for
+// every strategy, with DoubleBuffer off and on, core.Run and
+// BuildSGDPlan(...).RunResult() give bit-identical weights, epoch points,
+// breakdown rows and diagnostics, and leave the device clock at the same
+// instant. CorgiPile runs as BlockShuffleOp → TupleShuffleOp in the executor
+// and as a BlockCursor → TupleBuffer in core.Run, which are the same two
+// types; the other six run through the same shuffle.Strategy on both sides.
 func TestEngineParity(t *testing.T) {
-	type kindCase struct {
-		kind shuffle.Kind
-		full bool // compare time, breakdown and diagnostics too
-	}
-	kinds := []kindCase{
-		{shuffle.KindShuffleOnce, true}, {shuffle.KindEpochShuffle, true},
-		{shuffle.KindSlidingWindow, true}, {shuffle.KindMRS, true},
-		{shuffle.KindNoShuffle, false}, {shuffle.KindBlockOnly, false},
-	}
-	for _, kc := range kinds {
+	for _, kind := range shuffle.Kinds {
 		for _, batch := range []int{1, 16} {
 			for _, procs := range []int{1, 2} {
 				for _, attach := range []bool{false, true} {
-					name := fmt.Sprintf("%s/batch=%d/procs=%d/obs=%v", kc.kind, batch, procs, attach)
+					name := fmt.Sprintf("%s/batch=%d/procs=%d/obs=%v", kind, batch, procs, attach)
 					t.Run(name, func(t *testing.T) {
-						r := engineRun{kind: kc.kind, tuples: 1200, attach: attach,
-							cfg: core.RunConfig{Epochs: 3, BatchSize: batch, Procs: procs}}
-						a, b := r.run(t, engines[0]), r.run(t, engines[1])
-						if a.err != nil || b.err != nil {
-							t.Fatalf("errors: %v / %v", a.err, b.err)
-						}
-						if !sameBits(a.res.W, b.res.W) {
-							t.Fatalf("weights differ")
-						}
-						if len(a.res.Points) != 3 || len(b.res.Points) != 3 {
-							t.Fatalf("points: %d / %d, want 3", len(a.res.Points), len(b.res.Points))
-						}
-						if !kc.full {
-							for i := range a.res.Points {
-								if math.Float64bits(a.res.Points[i].AvgLoss) != math.Float64bits(b.res.Points[i].AvgLoss) {
-									t.Fatalf("epoch %d loss %v vs %v", i+1, a.res.Points[i].AvgLoss, b.res.Points[i].AvgLoss)
-								}
-							}
-							return
-						}
-						if !reflect.DeepEqual(a.res.Points, b.res.Points) {
-							t.Fatalf("points differ:\n%+v\n%+v", a.res.Points, b.res.Points)
-						}
-						if a.now != b.now {
-							t.Fatalf("clock %v vs %v", a.now, b.now)
-						}
-						if attach && (len(a.res.Breakdown) != 3 || len(a.res.Diag) != 3 || a.res.Verdict == "") {
-							t.Fatalf("attached run carries %d breakdown, %d diag rows, verdict %q",
-								len(a.res.Breakdown), len(a.res.Diag), a.res.Verdict)
-						}
-						if !reflect.DeepEqual(a.res.Breakdown, b.res.Breakdown) {
-							t.Fatalf("breakdown differs:\n%+v\n%+v", a.res.Breakdown, b.res.Breakdown)
-						}
-						if !reflect.DeepEqual(a.res.Diag, b.res.Diag) || a.res.Verdict != b.res.Verdict {
-							t.Fatalf("diag differs:\n%+v\n%+v", a.res.Diag, b.res.Diag)
+						for _, double := range []bool{false, true} {
+							t.Run(fmt.Sprintf("double=%v", double), func(t *testing.T) {
+								r := engineRun{kind: kind, tuples: 1200, double: double, attach: attach,
+									cfg: core.RunConfig{Epochs: 3, BatchSize: batch, Procs: procs}}
+								assertParity(t, r.run(t, engines[0]), r.run(t, engines[1]), attach)
+							})
 						}
 					})
 				}
 			}
 		}
+	}
+}
+
+func assertParity(t *testing.T, a, b engineOut, attach bool) {
+	t.Helper()
+	if a.err != nil || b.err != nil {
+		t.Fatalf("errors: %v / %v", a.err, b.err)
+	}
+	if !sameBits(a.res.W, b.res.W) {
+		t.Fatalf("weights differ")
+	}
+	if len(a.res.Points) != 3 || !reflect.DeepEqual(a.res.Points, b.res.Points) {
+		t.Fatalf("points differ:\n%+v\n%+v", a.res.Points, b.res.Points)
+	}
+	if a.now != b.now {
+		t.Fatalf("clock %v vs %v", a.now, b.now)
+	}
+	if attach && (len(a.res.Breakdown) != 3 || len(a.res.Diag) != 3 || a.res.Verdict == "") {
+		t.Fatalf("attached run carries %d breakdown, %d diag rows, verdict %q",
+			len(a.res.Breakdown), len(a.res.Diag), a.res.Verdict)
+	}
+	if !reflect.DeepEqual(a.res.Breakdown, b.res.Breakdown) {
+		t.Fatalf("breakdown differs:\n%+v\n%+v", a.res.Breakdown, b.res.Breakdown)
+	}
+	if !reflect.DeepEqual(a.res.Diag, b.res.Diag) || a.res.Verdict != b.res.Verdict {
+		t.Fatalf("diag differs:\n%+v\n%+v", a.res.Diag, b.res.Diag)
 	}
 }
 

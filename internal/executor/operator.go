@@ -6,7 +6,10 @@
 // the re-scan mechanism exactly as the paper describes.
 package executor
 
-import "corgipile/internal/data"
+import (
+	"corgipile/internal/data"
+	"corgipile/internal/shuffle"
+)
 
 // Operator is a pull-based physical operator producing tuples.
 type Operator interface {
@@ -28,11 +31,7 @@ type Operator interface {
 // one append per block instead of one Next per tuple.
 type blockOperator interface {
 	Operator
-	// NextBlock returns the tuples of the current block that Next has not
-	// yet returned or, when there are none, reads the next block. The
-	// slice is only valid until the following call on the operator;
-	// ok=false ends the current scan.
-	NextBlock() (block []data.Tuple, ok bool, err error)
+	shuffle.BlockSource
 }
 
 // asBlocks returns op itself when it is block-granular and otherwise an

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"corgipile/internal/data"
 	"corgipile/internal/obs"
@@ -13,10 +12,12 @@ import (
 // PlanConfig describes a training query's physical plan.
 type PlanConfig struct {
 	// Shuffle selects the access-path strategy. The CorgiPile plan is
-	// BlockShuffle → TupleShuffle → SGD; No Shuffle is Scan → SGD;
-	// Block-Only omits TupleShuffle; Once/Epoch/Window/MRS plans fall back
-	// to the strategy implementations in internal/shuffle wrapped as an
-	// operator.
+	// BlockShuffle → TupleShuffle → SGD, two operators over the cursor and
+	// buffer shuffle.New(KindCorgiPile) is made of; every other strategy
+	// is its internal/shuffle implementation wrapped as one operator
+	// (EXPLAIN names No Shuffle's "Scan" and Block-Only's "BlockShuffle").
+	// Either way the run is bit-identical to core.Run over the same
+	// strategy, simulated time included.
 	Shuffle shuffle.Kind
 	// BufferFraction sizes the TupleShuffle buffer (default 0.1).
 	BufferFraction float64
@@ -94,14 +95,6 @@ func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 	var child Operator
 	var top *nodeProf // outermost wrapped node (SGD's direct child)
 	switch cfg.Shuffle {
-	case shuffle.KindNoShuffle:
-		sc := NewScan(src)
-		sc.Obs = cfg.SGD.Obs
-		child, top = wrap(sc, shape.access)
-	case shuffle.KindBlockOnly:
-		bs := NewBlockShuffle(src, rng)
-		bs.Obs = cfg.SGD.Obs
-		child, top = wrap(bs, shape.access)
 	case shuffle.KindCorgiPile, "":
 		capTuples := int(cfg.BufferFraction * float64(src.NumTuples()))
 		if capTuples < 1 {
@@ -113,7 +106,7 @@ func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 		ts := NewTupleShuffle(bsOp, capTuples, rng)
 		ts.DoubleBuffer = cfg.DoubleBuffer
 		ts.Clock = src.Clock()
-		ts.CopyCost = 60 * time.Nanosecond
+		ts.CopyCost = shuffle.CopyCost
 		ts.Obs = cfg.SGD.Obs
 		child, top = wrap(ts, shape.access)
 		if top != nil {

@@ -67,7 +67,7 @@ func corgiAccessPath(src shuffle.Source, capacity int, double, profile bool) (Op
 func observeEpochs(top Operator, ts *TupleShuffleOp, clock *iosim.Clock) string {
 	h := fnv.New64a()
 	var refills, ends []time.Duration
-	n := 0
+	n, left := 0, 0 // tuples emitted; tuples left in the current buffer
 	fail := func(err error) string {
 		return fmt.Sprintf("n=%d ids=%016x refills=%v ends=%v err=%q at=%v", n, h.Sum64(), refills, ends, err, clock.Now())
 	}
@@ -88,9 +88,11 @@ func observeEpochs(top Operator, ts *TupleShuffleOp, clock *iosim.Clock) string 
 			if !ok {
 				break
 			}
-			if ts.pos == 1 {
+			if left == 0 { // first tuple of a freshly loaded buffer
 				refills = append(refills, clock.Now())
+				left = ts.BufferLen()
 			}
+			left--
 			fmt.Fprintf(h, "%d,", tp.ID)
 			n++
 			clock.Advance(3 * time.Microsecond)
@@ -156,6 +158,7 @@ func TestRefillOrderPinned(t *testing.T) {
 type failingSource struct {
 	shuffle.Source
 	failAt, calls int
+	onFail        func() // called just before the failure is returned
 }
 
 var errReadFailed = errors.New("read failed")
@@ -163,6 +166,9 @@ var errReadFailed = errors.New("read failed")
 func (s *failingSource) ReadBlock(i int) ([]data.Tuple, error) {
 	s.calls++
 	if s.calls == s.failAt {
+		if s.onFail != nil {
+			s.onFail()
+		}
 		return nil, errReadFailed
 	}
 	return s.Source.ReadBlock(i)

@@ -3,34 +3,24 @@ package executor
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"corgipile/internal/data"
-	"corgipile/internal/iosim"
-	"corgipile/internal/obs"
+	"corgipile/internal/shuffle"
 )
 
 // TupleShuffleOp buffers tuples pulled from its child and emits them in
-// shuffled order — the paper's second new physical operator. With
-// DoubleBuffer enabled it models the Section 6.3 optimization: a write
-// thread fills and shuffles one buffer while the read thread drains the
-// other, overlapping the child's I/O with the consumer's compute. The
-// overlap is accounted deterministically through an iosim.Pipeline on the
-// shared simulated clock.
+// shuffled order — the paper's second new physical operator. The buffer
+// itself (fill to Capacity, split the straddling block, shuffle, and with
+// DoubleBuffer the Section 6.3 overlap accounting on the simulated clock) is
+// the embedded shuffle.TupleBuffer, the same one shuffle.New(KindCorgiPile)
+// streams from; this operator adds the Volcano protocol around it and the
+// Async mode.
 type TupleShuffleOp struct {
+	// TupleBuffer carries the settable fields: Capacity, DoubleBuffer,
+	// Clock, CopyCost and Obs.
+	shuffle.TupleBuffer
 	child blockOperator
 	rng   *rand.Rand
-	// Capacity is the buffer size in tuples.
-	Capacity int
-	// DoubleBuffer enables fill/consume overlap accounting.
-	DoubleBuffer bool
-	// Clock is the simulated clock (nil disables all time accounting).
-	Clock *iosim.Clock
-	// CopyCost is the CPU cost of copying one tuple into the buffer.
-	CopyCost time.Duration
-	// Obs, when non-nil, receives refill counts and fill/consume times
-	// under the obs.Shuffle* metric names.
-	Obs *obs.Registry
 	// Async runs the fill side on a real background goroutine, streaming
 	// shuffled buffers through a channel — the write-thread/read-thread
 	// structure of Section 6.3 with actual concurrency. It is mutually
@@ -38,17 +28,6 @@ type TupleShuffleOp struct {
 	// interleavings are nondeterministic, simulated time is not); Init
 	// rejects the combination.
 	Async bool
-
-	buf       []data.Tuple
-	pos       int
-	exhausted bool
-	// rest is the tail of a block that straddled the buffer capacity, held
-	// for the next fill. It aliases the child's current block.
-	rest []data.Tuple
-
-	pipe      *iosim.Pipeline
-	consStart time.Duration
-	consuming bool
 
 	fills chan asyncFill
 	done  chan struct{}
@@ -66,7 +45,10 @@ func NewTupleShuffle(child Operator, capacity int, rng *rand.Rand) *TupleShuffle
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &TupleShuffleOp{child: asBlocks(child), Capacity: capacity, rng: rng}
+	return &TupleShuffleOp{
+		TupleBuffer: shuffle.TupleBuffer{Capacity: capacity},
+		child:       asBlocks(child), rng: rng,
+	}
 }
 
 // Init implements Operator.
@@ -74,10 +56,22 @@ func (op *TupleShuffleOp) Init() error {
 	if op.Async && op.Clock != nil {
 		return fmt.Errorf("executor: TupleShuffle Async mode excludes simulated-time accounting")
 	}
-	if err := op.child.Init(); err != nil {
+	return op.restart(op.child.Init)
+}
+
+// ReScan implements Operator: it resets the buffer I/O state and re-scans
+// the child, exactly the ExecReScan chain of Section 6.2.
+func (op *TupleShuffleOp) ReScan() error { return op.restart(op.child.ReScan) }
+
+// restart stops the async write thread (it may be mid-NextBlock on the
+// child), resets the child, then settles whatever scan was in progress and
+// starts the buffer over.
+func (op *TupleShuffleOp) restart(resetChild func() error) error {
+	op.stopAsync()
+	if err := resetChild(); err != nil {
 		return err
 	}
-	op.resetEpoch()
+	op.Reset(op.child, op.rng)
 	return nil
 }
 
@@ -96,7 +90,7 @@ func (op *TupleShuffleOp) startAsync() {
 			}
 		}
 		for {
-			buf, exhausted, err := op.fill(make([]data.Tuple, 0, op.Capacity))
+			buf, exhausted, err := op.Fill(make([]data.Tuple, 0, op.Capacity))
 			if err != nil {
 				send(asyncFill{err: err})
 				return
@@ -116,191 +110,33 @@ func (op *TupleShuffleOp) startAsync() {
 
 // nextAsync serves tuples from the async fill stream.
 func (op *TupleShuffleOp) nextAsync() (*data.Tuple, bool, error) {
-	for op.pos >= len(op.buf) {
-		fill, ok := <-op.fills
-		if !ok {
-			return nil, false, nil
+	if op.fills == nil {
+		op.startAsync()
+	}
+	for {
+		if t, ok := op.Pop(); ok {
+			return t, true, nil
 		}
-		if fill.err != nil {
+		fill, ok := <-op.fills
+		if !ok || fill.err != nil {
 			return nil, false, fill.err
 		}
-		op.buf, op.pos = fill.buf, 0
-		op.recordOccupancy()
+		op.Load(fill.buf)
 	}
-	t := &op.buf[op.pos]
-	op.pos++
-	return t, true, nil
 }
-
-// recordOccupancy reports the buffer fill level on the live-only gauges,
-// mirroring the dataset-level iterator: outside live mode only the peak
-// high-water mark is kept (JobStats.PeakBufferOccupancy), so passive
-// traces are unchanged.
-func (op *TupleShuffleOp) recordOccupancy() {
-	op.Obs.SetLiveGauge(obs.ShuffleBufferTuples, float64(len(op.buf)))
-	op.Obs.SetLiveGauge(obs.ShuffleBufferOccupancy, float64(len(op.buf))/float64(op.Capacity))
-}
-
-// BufferLen returns the number of tuples currently held in the shuffle
-// buffer — the profiler's occupancy probe.
-func (op *TupleShuffleOp) BufferLen() int { return len(op.buf) }
 
 // Next implements Operator.
 func (op *TupleShuffleOp) Next() (*data.Tuple, bool, error) {
+	// The per-tuple path, in either mode: Pop inlines to a bounds check, a
+	// pointer and an increment.
+	if t, ok := op.Pop(); ok {
+		return t, true, nil
+	}
 	if op.Async {
-		if op.fills == nil {
-			op.startAsync()
-		}
 		return op.nextAsync()
 	}
-	for op.pos >= len(op.buf) {
-		if op.exhausted {
-			op.finishPipeline()
-			return nil, false, nil
-		}
-		if err := op.refill(); err != nil {
-			return nil, false, err
-		}
-		if len(op.buf) == 0 && op.exhausted {
-			op.finishPipeline()
-			return nil, false, nil
-		}
-	}
-	t := &op.buf[op.pos]
-	op.pos++
-	return t, true, nil
-}
-
-// fill appends the child's tuples to buf, a block at a time, until buf holds
-// Capacity tuples or the child is exhausted. A block that does not fit is
-// split: its tail waits in op.rest and opens the next fill, so the child is
-// asked for a block — and the device read — only when the buffer still has
-// room and nothing is held over. It is the one fill loop, shared by refill
-// and the async write thread.
-func (op *TupleShuffleOp) fill(buf []data.Tuple) (_ []data.Tuple, exhausted bool, err error) {
-	for len(buf) < op.Capacity {
-		if len(op.rest) == 0 {
-			block, ok, err := op.child.NextBlock()
-			if err != nil {
-				return buf, false, err
-			}
-			if !ok {
-				return buf, true, nil
-			}
-			op.rest = block
-		}
-		n := min(len(op.rest), op.Capacity-len(buf))
-		buf = append(buf, op.rest[:n]...)
-		op.rest = op.rest[n:]
-	}
-	return buf, false, nil
-}
-
-// refill pulls up to Capacity tuples from the child and shuffles them.
-func (op *TupleShuffleOp) refill() error {
-	var fillStart time.Duration
-	if op.pipelined() && op.consuming {
-		op.consumeFor(op.Clock.Now() - op.consStart)
-		op.consuming = false
-	}
-	if op.Clock != nil {
-		fillStart = op.Clock.Now()
-	}
-	sp := op.Obs.Span(obs.SpanRefill)
-
-	op.pos = 0
-	var err error
-	op.buf, op.exhausted, err = op.fill(op.buf[:0])
-	if err != nil {
-		sp.End()
-		// A failing child aborts the epoch: settle the simulated
-		// clock to the pipeline's completion time instead of leaving
-		// it mid-pipeline (mirrors corgiIter.Next's error path).
-		op.settlePipeline()
-		return err
-	}
-	if op.Clock != nil && op.CopyCost > 0 {
-		op.Clock.Advance(time.Duration(len(op.buf)) * op.CopyCost)
-	}
-	op.rng.Shuffle(len(op.buf), func(i, j int) {
-		op.buf[i], op.buf[j] = op.buf[j], op.buf[i]
-	})
-
-	sp.End()
-	op.Obs.Inc(obs.ShuffleRefills)
-	op.recordOccupancy()
-	if op.Clock != nil {
-		op.Obs.AddDuration(obs.ShuffleFillNanos, op.Clock.Now()-fillStart)
-	}
-	if op.pipelined() {
-		consStart := op.pipe.Fill(op.Clock.Now() - fillStart)
-		op.Clock.Set(consStart)
-		op.consStart = consStart
-		op.consuming = true
-	}
-	return nil
-}
-
-// consumeFor closes one consume interval on the pipeline and reports it.
-func (op *TupleShuffleOp) consumeFor(d time.Duration) {
-	op.pipe.Consume(d)
-	op.Obs.AddDuration(obs.ShuffleConsumeNanos, d)
-}
-
-func (op *TupleShuffleOp) pipelined() bool {
-	return op.DoubleBuffer && op.Clock != nil
-}
-
-func (op *TupleShuffleOp) finishPipeline() {
-	if !op.pipelined() || !op.consuming {
-		return
-	}
-	op.consumeFor(op.Clock.Now() - op.consStart)
-	op.Clock.Set(op.pipe.End())
-	op.consuming = false
-}
-
-// settlePipeline closes any open consume interval and advances the clock to
-// the pipeline's completion time — the teardown path for epochs that end
-// abnormally (child error, early Close, mid-epoch ReScan). Unlike
-// finishPipeline it never rewinds the clock: an aborted fill has already
-// charged partial serial time that the pipeline never saw.
-func (op *TupleShuffleOp) settlePipeline() {
-	if !op.pipelined() || op.pipe == nil {
-		return
-	}
-	if op.consuming {
-		op.consumeFor(op.Clock.Now() - op.consStart)
-		op.consuming = false
-	}
-	if end := op.pipe.End(); end > op.Clock.Now() {
-		op.Clock.Set(end)
-	}
-}
-
-func (op *TupleShuffleOp) resetEpoch() {
-	op.stopAsync()
-	op.settlePipeline()
-	op.buf, op.pos, op.exhausted, op.rest = nil, 0, false, nil
-	op.consuming = false
-	if op.DoubleBuffer && op.Clock != nil {
-		op.pipe = iosim.NewPipeline(2, op.Clock.Now())
-	} else {
-		op.pipe = nil
-	}
-}
-
-// ReScan implements Operator: it resets the buffer I/O state and re-scans
-// the child, exactly the ExecReScan chain of Section 6.2.
-func (op *TupleShuffleOp) ReScan() error {
-	// The async write thread must stop before the child is reset: it may
-	// be mid-Next on the child.
-	op.stopAsync()
-	if err := op.child.ReScan(); err != nil {
-		return err
-	}
-	op.resetEpoch()
-	return nil
+	t, ok := op.TupleBuffer.Next()
+	return t, ok, op.Err()
 }
 
 // stopAsync terminates a running write thread and drains its channel.
@@ -319,6 +155,6 @@ func (op *TupleShuffleOp) stopAsync() {
 // that abandon a scan mid-epoch still observe consistent accounting.
 func (op *TupleShuffleOp) Close() error {
 	op.stopAsync()
-	op.settlePipeline()
+	op.Settle()
 	return op.child.Close()
 }

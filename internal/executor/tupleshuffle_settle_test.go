@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"corgipile/internal/core"
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
 	"corgipile/internal/obs"
+	"corgipile/internal/shuffle"
 )
 
 // timedOp is a child operator that charges fixed simulated I/O time per
@@ -47,9 +49,31 @@ func pipelinedShuffle(t *testing.T, clock *iosim.Clock, child Operator, capacity
 	return op
 }
 
+// assertSettled checks that the operator's overlap accounting is closed: no
+// consume interval is open and the clock is at or past the pipeline's
+// completion time. Both are private to iosim.Overlap, so it asks the
+// question behaviourally — settling again must change nothing, even after
+// more consumer time has passed.
+func assertSettled(t *testing.T, op *TupleShuffleOp, clock *iosim.Clock, reg *obs.Registry) {
+	t.Helper()
+	consumed, now := reg.Counter(obs.ShuffleConsumeNanos), clock.Now()
+	op.Settle()
+	if clock.Now() != now {
+		t.Fatalf("clock %v was left before the pipeline's end %v", now, clock.Now())
+	}
+	clock.Advance(time.Millisecond)
+	op.Settle()
+	if got := reg.Counter(obs.ShuffleConsumeNanos); got != consumed {
+		t.Fatalf("a consume interval was left open: consume time %d -> %d", consumed, got)
+	}
+	if clock.Now() != now+time.Millisecond {
+		t.Fatalf("settling twice moved the clock: %v -> %v", now+time.Millisecond, clock.Now())
+	}
+}
+
 // TestErroringChildSettlesPipeline: when the child fails mid-refill, the
 // operator must propagate the error with the pipeline settled — no open
-// consume interval (op.consuming) and the clock at or past the pipeline's
+// consume interval and the clock at or past the pipeline's
 // completion time — rather than leaving the epoch's accounting dangling.
 func TestErroringChildSettlesPipeline(t *testing.T) {
 	sentinel := errors.New("storage failed")
@@ -74,12 +98,7 @@ func TestErroringChildSettlesPipeline(t *testing.T) {
 	if !errors.Is(got, sentinel) {
 		t.Fatalf("error = %v, want sentinel", got)
 	}
-	if op.consuming {
-		t.Fatal("consume interval left open after child error")
-	}
-	if end := op.pipe.End(); clock.Now() < end {
-		t.Fatalf("clock %v left before pipeline end %v", clock.Now(), end)
-	}
+	assertSettled(t, op, clock, reg)
 	// The 25 serial milliseconds of child I/O must all have been charged.
 	if clock.Now() < 25*time.Millisecond {
 		t.Fatalf("clock %v lost charged fill time", clock.Now())
@@ -112,18 +131,13 @@ func TestCloseMidEpochSettlesClock(t *testing.T) {
 	if err := op.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if op.consuming {
-		t.Fatal("consume interval left open after Close")
-	}
 	if clock.Now() < before {
 		t.Fatalf("Close rewound the clock: %v -> %v", before, clock.Now())
-	}
-	if end := op.pipe.End(); clock.Now() < end {
-		t.Fatalf("clock %v left before pipeline end %v", clock.Now(), end)
 	}
 	if after := reg.Counter(obs.ShuffleConsumeNanos); after <= consumed {
 		t.Fatalf("open consume interval not recorded on Close: %d -> %d", consumed, after)
 	}
+	assertSettled(t, op, clock, reg)
 }
 
 // TestReScanMidEpochSettlesThenCovers: a mid-epoch ReScan settles the
@@ -166,5 +180,34 @@ func TestReScanMidEpochSettlesThenCovers(t *testing.T) {
 	}
 	if len(seen) != 60 {
 		t.Fatalf("epoch after mid-epoch ReScan covered %d tuples, want 60", len(seen))
+	}
+}
+
+// A ReadBlock error in the middle of an epoch, through both engines and both
+// users of the overlap accounting (CorgiPile's double buffer, the baselines'
+// read-ahead): the run fails with the storage error and the clock is left
+// settled — at or past the instant of the failed read, never rewound to the
+// pipeline's overlapped time, which has not seen the aborted fill.
+func TestReadErrorMidEpochSettlesClock(t *testing.T) {
+	for _, kind := range []shuffle.Kind{shuffle.KindCorgiPile, shuffle.KindNoShuffle} {
+		for _, engine := range engines {
+			t.Run(string(kind)+"/"+engine, func(t *testing.T) {
+				var failedAt time.Duration
+				r := engineRun{kind: kind, tuples: 1200, double: true, cfg: core.RunConfig{Epochs: 2},
+					wrap: func(src shuffle.Source, clock *iosim.Clock) shuffle.Source {
+						return &failingSource{Source: src, failAt: 7, onFail: func() {
+							clock.Advance(time.Millisecond) // the failed read's latency
+							failedAt = clock.Now()
+						}}
+					}}
+				out := r.run(t, engine)
+				if !errors.Is(out.err, errReadFailed) {
+					t.Fatalf("err = %v, want the read error", out.err)
+				}
+				if failedAt == 0 || out.now < failedAt {
+					t.Fatalf("clock left at %v, before the failed read at %v", out.now, failedAt)
+				}
+			})
+		}
 	}
 }

@@ -43,12 +43,12 @@ func (c *Clock) Advance(d time.Duration) {
 	c.now.Add(int64(d))
 }
 
-// Set moves the clock to t. It is used by pipelined components (such as the
-// double-buffered TupleShuffle operator) that retroactively overlap I/O time
-// with compute time: they measure both serially and then set the clock to
-// the pipelined completion time. Set never moves the clock backwards past
-// zero; it may move it backwards relative to Now, which is exactly the point
-// of overlap accounting.
+// Set moves the clock to t. Its one caller is Overlap, which retroactively
+// overlaps I/O time with compute time for pipelined components (the
+// double-buffered tuple buffer, a scan's read-ahead): both are measured
+// serially and the clock is then set to the pipelined completion time. Set
+// never moves the clock backwards past zero; it may move it backwards
+// relative to Now, which is exactly the point of overlap accounting.
 func (c *Clock) Set(t time.Duration) {
 	if t < 0 {
 		t = 0

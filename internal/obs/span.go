@@ -69,15 +69,34 @@ func (s *Span) End() time.Duration {
 	if s == nil || s.ended {
 		return 0
 	}
+	dur := s.close() - s.start
+	if dur < 0 {
+		dur = 0
+	}
+	s.reg.Observe(s.name, dur)
+	s.reg.emitSpan(s, dur)
+	return dur
+}
+
+// Cancel closes the span without recording it, for an interval that turned
+// out not to be one (a refill that found its source exhausted).
+func (s *Span) Cancel() {
+	if s != nil && !s.ended {
+		s.close()
+	}
+}
+
+// close marks the span ended, pops it from the active stack and returns the
+// clock's time.
+func (s *Span) close() (end time.Duration) {
 	s.ended = true
 	r := s.reg
-	var end time.Duration
 	r.mu.Lock()
 	if r.clock != nil {
 		end = r.clock.Now()
 	}
-	// Pop this span from the active stack (it may not be on top when spans
-	// end out of order; remove the matching entry).
+	// It may not be on top when spans end out of order; remove the matching
+	// entry.
 	for i := len(r.spans) - 1; i >= 0; i-- {
 		if r.spans[i] == s.id {
 			r.spans = append(r.spans[:i], r.spans[i+1:]...)
@@ -85,11 +104,5 @@ func (s *Span) End() time.Duration {
 		}
 	}
 	r.mu.Unlock()
-	dur := end - s.start
-	if dur < 0 {
-		dur = 0
-	}
-	r.Observe(s.name, dur)
-	r.emitSpan(s, dur)
-	return dur
+	return end
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,6 +93,7 @@ func newJob(id, session, sql string, st *sqlparse.Train, detach bool, parent con
 		feed:    obs.NewRunFeed(),
 		reg:     reg,
 		state:   JobQueued,
+		model:   strings.ToLower(st.ModelName),
 		done:    make(chan struct{}),
 	}
 }

@@ -26,31 +26,41 @@ type cachedTable struct {
 	task   data.Task
 }
 
-// predictCache maps lower-cased table names to decoded snapshots. DDL
-// (DROP TABLE, CREATE TABLE) invalidates by name under the catalog write
-// lock; model installs don't touch it (tuples don't change when a model
-// does).
+// predictCache maps lower-cased table names to decoded snapshots. Every
+// mutation of a table (INSERT, LOAD, DROP TABLE, CREATE TABLE) invalidates
+// by name under the catalog write lock; model installs don't touch it
+// (tuples don't change when a model does). Snapshots are decoded outside
+// any lock, so gen counts the invalidations: a snapshot whose decode began
+// before one is not cached.
 type predictCache struct {
 	mu     sync.Mutex
 	tables map[string]*cachedTable
+	gen    uint64
 }
 
-func (c *predictCache) get(name string) *cachedTable {
+// get returns the table's snapshot (nil on a miss) and the generation a
+// snapshot decoded from now on must be put with.
+func (c *predictCache) get(name string) (*cachedTable, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.tables[name]
+	return c.tables[name], c.gen
 }
 
-func (c *predictCache) put(name string, t *cachedTable) {
+// put caches a snapshot whose decode began at generation gen, unless an
+// invalidation has landed since: the decode may have missed that mutation.
+func (c *predictCache) put(name string, t *cachedTable, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tables[name] = t
+	if gen == c.gen {
+		c.tables[name] = t
+	}
 }
 
 // invalidate drops one table's snapshot (or all of them for name "").
 func (c *predictCache) invalidate(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen++
 	if name == "" {
 		c.tables = make(map[string]*cachedTable)
 		return
@@ -60,7 +70,9 @@ func (c *predictCache) invalidate(name string) {
 
 // execPredict answers a PREDICT statement from the cache. The catalog
 // read lock is held only long enough to look up the table and model
-// entries (and to decode on a cache miss); scoring runs lock-free.
+// entries; a cache miss decodes after releasing it (a cold decode takes
+// milliseconds) and the cache's generation keeps a snapshot that raced a
+// mutation from being kept. Scoring runs lock-free.
 func (s *Server) execPredict(st *sqlparse.Predict) *Response {
 	s.catalog.RLock()
 	entry, tok := s.dbs.Table(st.Table)
@@ -73,14 +85,14 @@ func (s *Server) execPredict(st *sqlparse.Predict) *Response {
 		return errResponse(ErrNotFound, "unknown model %q", st.Model)
 	}
 
-	ct := s.cache.get(entry.Name)
+	ct, gen := s.cache.get(entry.Name)
 	if ct == nil {
 		tuples, err := entry.Table.DecodeAll()
 		if err != nil {
 			return errResponse(ErrExec, "decode table %q: %v", st.Table, err)
 		}
 		ct = &cachedTable{tuples: tuples, task: entry.Table.Task()}
-		s.cache.put(entry.Name, ct)
+		s.cache.put(entry.Name, ct, gen)
 	}
 
 	filter := db.CompilePredicate(st.Where)

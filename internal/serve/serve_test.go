@@ -120,6 +120,23 @@ func TestPredictCachedPath(t *testing.T) {
 	}
 }
 
+// A snapshot whose decode began before an invalidation may have missed the
+// mutation: put must drop it, and a decode begun afterwards must be kept.
+func TestPredictCacheDropsSnapshotThatRacedInvalidate(t *testing.T) {
+	c := predictCache{tables: map[string]*cachedTable{}}
+	_, gen := c.get("t") // miss: the decode begins here
+	c.invalidate("t")    // an INSERT lands while it runs
+	c.put("t", &cachedTable{}, gen)
+	if ct, _ := c.get("t"); ct != nil {
+		t.Fatal("pre-INSERT snapshot was cached")
+	}
+	_, gen = c.get("t")
+	c.put("t", &cachedTable{}, gen)
+	if ct, _ := c.get("t"); ct == nil {
+		t.Fatal("snapshot decoded after the invalidation was not cached")
+	}
+}
+
 // TestConcurrentTrainPredict is the tentpole scenario: two background
 // TRAIN jobs execute while several connections hammer PREDICT; every
 // predict must succeed and both trains must finish. Run under -race this

@@ -629,6 +629,11 @@ func (s *Server) submitTrain(sessID string, st *sqlparse.Train, sql string, deta
 			"session %s already has %d active jobs (limit %d); wait or cancel one",
 			sessID, active, s.cfg.SessionMax)
 	}
+	if len(s.queue) == cap(s.queue) {
+		s.mu.Unlock()
+		return nil, errResponse(ErrQueueFull,
+			"train queue is full (%d pending); retry later", s.cfg.QueueDepth)
+	}
 	s.nextJob++
 	id := fmt.Sprintf("j%d", s.nextJob)
 	if detach {
@@ -638,19 +643,15 @@ func (s *Server) submitTrain(sessID string, st *sqlparse.Train, sql string, deta
 	j := newJob(id, sessID, sql, st, detach, parent)
 	j.trace, j.traceGiven = trace, traceGiven
 	j.events = s.events
-	select {
-	case s.queue <- j:
-	default:
-		s.nextJob-- // the id was never visible; reuse it
-		s.mu.Unlock()
-		j.cancel()
-		return nil, errResponse(ErrQueueFull,
-			"train queue is full (%d pending); retry later", s.cfg.QueueDepth)
-	}
 	s.jobs[id] = j
 	s.jobOrder = append(s.jobOrder, id)
+	// Queued must be on record before the job is handed over: a worker may
+	// emit job.running the moment the send lands. The send cannot block —
+	// this is the only sender and it holds s.mu, so the room checked above
+	// is still there.
+	s.events.Emit(obs.EvJobQueued, trace, "job="+id+" model="+j.model)
+	s.queue <- j
 	s.mu.Unlock()
-	s.events.Emit(obs.EvJobQueued, trace, "job="+id+" model="+strings.ToLower(st.ModelName))
 	return j, nil
 }
 
@@ -702,7 +703,6 @@ func (s *Server) runJob(j *job) {
 	}
 	j.mu.Lock()
 	j.epochs = pt.Op().Epochs
-	j.model = strings.ToLower(j.st.ModelName)
 	j.blockBytes = pt.AvgBlockBytes()
 	j.mu.Unlock()
 

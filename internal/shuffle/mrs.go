@@ -2,7 +2,6 @@ package shuffle
 
 import (
 	"math/rand"
-	"time"
 
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
@@ -37,13 +36,12 @@ func (s *mrs) StartEpoch(int) (Iterator, error) {
 	}
 	return &mrsIter{
 		owner:     s,
-		scan:      newBlockIter(s.src, identityOrder(s.src.NumBlocks()), s.opts.Obs),
+		scan:      newBlockIter(s.src, nil, s.opts.Obs),
 		reservoir: make([]data.Tuple, 0, half),
 		loopBuf:   s.b2,
 		loopEvery: s.opts.MRSLoopEvery,
 		rng:       s.rng,
 		clock:     s.src.Clock(),
-		copyC:     s.opts.PerTupleCopyCost,
 	}, nil
 }
 
@@ -58,7 +56,6 @@ type mrsIter struct {
 	seen      int // tuples scanned so far (reservoir index)
 	rng       *rand.Rand
 	clock     *iosim.Clock
-	copyC     time.Duration
 	draining  bool
 	out       data.Tuple
 }
@@ -124,7 +121,7 @@ func (it *mrsIter) Next() (*data.Tuple, bool) {
 func (it *mrsIter) Err() error { return it.scan.Err() }
 
 func (it *mrsIter) chargeCopy() {
-	if it.clock != nil && it.copyC > 0 {
-		it.clock.Advance(it.copyC)
+	if it.clock != nil {
+		it.clock.Advance(CopyCost)
 	}
 }

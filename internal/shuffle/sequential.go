@@ -2,154 +2,80 @@ package shuffle
 
 import (
 	"math/rand"
-	"time"
 
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
 	"corgipile/internal/obs"
 )
 
-// blockIter streams tuples from a sequence of blocks in a given order,
-// reading blocks lazily. It is the shared engine behind No Shuffle (identity
-// order), Block-Only Shuffle (random order), and Shuffle Once (identity
-// order over a shuffled copy).
-//
-// Block reads overlap with tuple consumption through a two-deep
-// iosim.Pipeline, modelling the operating system's readahead: a sequential
-// scan's I/O proceeds while SGD computes on the previous block, exactly the
-// overlap real No Shuffle scans enjoy and the baseline CorgiPile's
-// double-buffering must be measured against.
+// blockIter streams a BlockCursor's tuples with the operating system's
+// readahead modelled on top: each block read is a fill that overlaps the
+// consumption of the previous block (an iosim.Overlap at block
+// granularity), exactly the overlap real sequential scans enjoy and the
+// baseline CorgiPile's double-buffering must be measured against. It is the
+// shared engine behind No Shuffle (storage order), Block-Only Shuffle
+// (random order), Shuffle Once (storage order over a shuffled copy), and the
+// scans under Sliding-Window and MRS.
 type blockIter struct {
-	src   Source
-	order []int // block ids in visit order
-	next  int   // next position in order
-	buf   []data.Tuple
-	pos   int
-	err   error
-
-	clock     *iosim.Clock
-	reg       *obs.Registry
-	pipe      *iosim.Pipeline
-	consStart time.Duration
-	consuming bool
+	cur BlockCursor
+	ov  iosim.Overlap
+	err error
 }
 
-func newBlockIter(src Source, order []int, reg *obs.Registry) *blockIter {
-	it := &blockIter{src: src, order: order, clock: src.Clock(), reg: reg}
-	if it.clock != nil {
-		it.pipe = iosim.NewPipeline(2, it.clock.Now())
-	}
+// newBlockIter starts a pass over src: in storage order when rng is nil,
+// else in a fresh random block order.
+func newBlockIter(src Source, rng *rand.Rand, reg *obs.Registry) *blockIter {
+	it := &blockIter{cur: BlockCursor{Obs: reg, src: src}, ov: iosim.NewOverlap(src.Clock(), reg, true)}
+	it.cur.Reset(rng)
 	return it
 }
 
 // Next implements Iterator.
 func (it *blockIter) Next() (*data.Tuple, bool) {
-	for it.pos >= len(it.buf) {
-		if it.err != nil || it.next >= len(it.order) {
-			it.finishPipeline()
-			return nil, false
-		}
-		it.refill()
+	c := &it.cur
+	for c.pos >= len(c.buf) {
 		if it.err != nil {
-			it.finishPipeline()
 			return nil, false
 		}
-	}
-	t := &it.buf[it.pos]
-	it.pos++
-	return t, true
-}
-
-func (it *blockIter) refill() {
-	var fillStart time.Duration
-	if it.pipe != nil {
-		if it.consuming {
-			it.consumeFor(it.clock.Now() - it.consStart)
+		if c.next >= len(c.order) {
+			it.ov.Finish()
+			return nil, false
 		}
-		fillStart = it.clock.Now()
+		it.ov.BeginFill()
+		if _, it.err = c.advance(); it.err != nil {
+			it.ov.Settle()
+			return nil, false
+		}
+		c.Obs.Inc(obs.ShuffleRefills)
+		it.ov.EndFill()
 	}
-	it.buf, it.err = it.src.ReadBlock(it.order[it.next])
-	it.next++
-	it.pos = 0
-	it.reg.Inc(obs.ShuffleRefills)
-	it.reg.Inc(obs.ShuffleBlocks)
-	if it.pipe != nil {
-		fillCost := it.clock.Now() - fillStart
-		it.reg.AddDuration(obs.ShuffleFillNanos, fillCost)
-		consStart := it.pipe.Fill(fillCost)
-		it.clock.Set(consStart)
-		it.consStart = consStart
-		it.consuming = true
-	}
-}
-
-// consumeFor closes one consume interval on the pipeline and reports it.
-func (it *blockIter) consumeFor(d time.Duration) {
-	it.pipe.Consume(d)
-	it.reg.AddDuration(obs.ShuffleConsumeNanos, d)
-}
-
-func (it *blockIter) finishPipeline() {
-	if it.pipe == nil || !it.consuming {
-		return
-	}
-	it.consumeFor(it.clock.Now() - it.consStart)
-	it.clock.Set(it.pipe.End())
-	it.consuming = false
+	t := &c.buf[c.pos]
+	c.pos++
+	return t, true
 }
 
 // Err implements Iterator.
 func (it *blockIter) Err() error { return it.err }
 
-// identityOrder returns [0, 1, ..., n-1].
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-// noShuffle scans blocks and tuples in storage order — the fastest and
-// statistically weakest strategy.
-type noShuffle struct {
-	src Source
-	reg *obs.Registry
-}
-
-// Name implements Strategy.
-func (*noShuffle) Name() Kind { return KindNoShuffle }
-
-// StartEpoch implements Strategy.
-func (s *noShuffle) StartEpoch(int) (Iterator, error) {
-	return newBlockIter(s.src, identityOrder(s.src.NumBlocks()), s.reg), nil
-}
-
-// noShuffleNamed reuses the sequential scan under a different strategy name
-// (Shuffle Once is a sequential scan over the pre-shuffled copy).
-type noShuffleNamed struct {
-	noShuffle
+// blockScan streams whole blocks through a blockIter. Without rng it scans
+// in storage order — No Shuffle, the fastest and statistically weakest
+// strategy, and Shuffle Once, the same scan over a pre-shuffled copy. With
+// rng the block order is reshuffled each epoch while tuples within a block
+// keep their storage order: Block-Only, the CorgiPile ablation of Section
+// 7.3.2 that shows why the tuple-level shuffle matters.
+type blockScan struct {
 	kind Kind
+	src  Source
+	rng  *rand.Rand
+	reg  *obs.Registry
 }
 
 // Name implements Strategy.
-func (s *noShuffleNamed) Name() Kind { return s.kind }
-
-// blockOnly shuffles the block order each epoch but keeps tuples within a
-// block in storage order — the CorgiPile ablation of Section 7.3.2 that
-// shows why the tuple-level shuffle matters.
-type blockOnly struct {
-	src Source
-	rng *rand.Rand
-	reg *obs.Registry
-}
-
-// Name implements Strategy.
-func (*blockOnly) Name() Kind { return KindBlockOnly }
+func (s *blockScan) Name() Kind { return s.kind }
 
 // StartEpoch implements Strategy.
-func (s *blockOnly) StartEpoch(int) (Iterator, error) {
-	return newBlockIter(s.src, s.rng.Perm(s.src.NumBlocks()), s.reg), nil
+func (s *blockScan) StartEpoch(int) (Iterator, error) {
+	return newBlockIter(s.src, s.rng, s.reg), nil
 }
 
 // epochShuffle performs a full shuffle before every epoch: it scans all
@@ -166,11 +92,8 @@ func (*epochShuffle) Name() Kind { return KindEpochShuffle }
 
 // StartEpoch implements Strategy.
 func (s *epochShuffle) StartEpoch(int) (Iterator, error) {
-	var fillStart time.Duration
-	clock := s.src.Clock()
-	if clock != nil {
-		fillStart = clock.Now()
-	}
+	fill := iosim.NewOverlap(s.src.Clock(), s.reg, false) // reports the fill time
+	fill.BeginFill()
 	all := make([]data.Tuple, 0, s.src.NumTuples())
 	for b := 0; b < s.src.NumBlocks(); b++ {
 		ts, err := s.src.ReadBlock(b)
@@ -183,9 +106,7 @@ func (s *epochShuffle) StartEpoch(int) (Iterator, error) {
 	s.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	s.reg.Inc(obs.ShuffleRefills)
 	s.reg.Add(obs.ShuffleBlocks, int64(s.src.NumBlocks()))
-	if clock != nil {
-		s.reg.AddDuration(obs.ShuffleFillNanos, clock.Now()-fillStart)
-	}
+	fill.EndFill()
 	return &sliceIter{tuples: all}, nil
 }
 

@@ -3,7 +3,6 @@ package shuffle
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"corgipile/internal/data"
 	"corgipile/internal/obs"
@@ -41,10 +40,6 @@ type Options struct {
 	// DoubleBuffer enables CorgiPile's double-buffering optimization
 	// (Section 6.3), overlapping block I/O with SGD compute.
 	DoubleBuffer bool
-	// PerTupleCopyCost is the CPU cost of copying one tuple into a shuffle
-	// buffer; it models the 11.7% overhead CorgiPile pays over No Shuffle.
-	// Zero selects the default of 60ns.
-	PerTupleCopyCost time.Duration
 	// MRSLoopEvery controls how often the MRS loop "thread" injects a
 	// buffered tuple between scanned tuples (default 2, i.e. one buffered
 	// tuple per two scanned).
@@ -71,9 +66,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.BufferFraction <= 0 {
 		o.BufferFraction = 0.10
-	}
-	if o.PerTupleCopyCost == 0 {
-		o.PerTupleCopyCost = 60 * time.Nanosecond
 	}
 	if o.MRSLoopEvery <= 0 {
 		o.MRSLoopEvery = 2
@@ -116,9 +108,9 @@ func New(kind Kind, src Source, opts Options) (Strategy, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	switch kind {
 	case KindNoShuffle:
-		return &noShuffle{src: src, reg: opts.Obs}, nil
+		return &blockScan{kind: kind, src: src, reg: opts.Obs}, nil
 	case KindBlockOnly:
-		return &blockOnly{src: src, rng: rng, reg: opts.Obs}, nil
+		return &blockScan{kind: kind, src: src, rng: rng, reg: opts.Obs}, nil
 	case KindShuffleOnce:
 		fs, ok := src.(FullShuffler)
 		if !ok {
@@ -128,7 +120,7 @@ func New(kind Kind, src Source, opts Options) (Strategy, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shuffle: shuffle-once preprocessing: %w", err)
 		}
-		return &noShuffleNamed{noShuffle{src: shuf, reg: opts.Obs}, KindShuffleOnce}, nil
+		return &blockScan{kind: kind, src: shuf, reg: opts.Obs}, nil
 	case KindEpochShuffle:
 		fs, ok := src.(FullShuffler)
 		if !ok {

@@ -2,7 +2,6 @@ package shuffle
 
 import (
 	"math/rand"
-	"time"
 
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
@@ -25,11 +24,10 @@ func (*slidingWindow) Name() Kind { return KindSlidingWindow }
 // StartEpoch implements Strategy.
 func (s *slidingWindow) StartEpoch(int) (Iterator, error) {
 	return &windowIter{
-		scan:   newBlockIter(s.src, identityOrder(s.src.NumBlocks()), s.opts.Obs),
+		scan:   newBlockIter(s.src, nil, s.opts.Obs),
 		window: make([]data.Tuple, 0, s.opts.bufferTuples(s.src.NumTuples())),
 		rng:    s.rng,
 		clock:  s.src.Clock(),
-		copyC:  s.opts.PerTupleCopyCost,
 	}, nil
 }
 
@@ -38,7 +36,6 @@ type windowIter struct {
 	window  []data.Tuple
 	rng     *rand.Rand
 	clock   *iosim.Clock
-	copyC   time.Duration
 	drained bool
 	out     data.Tuple
 }
@@ -80,7 +77,7 @@ func (it *windowIter) Next() (*data.Tuple, bool) {
 func (it *windowIter) Err() error { return it.scan.Err() }
 
 func (it *windowIter) chargeCopy() {
-	if it.clock != nil && it.copyC > 0 {
-		it.clock.Advance(it.copyC)
+	if it.clock != nil {
+		it.clock.Advance(CopyCost)
 	}
 }

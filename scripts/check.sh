@@ -13,6 +13,11 @@ go test ./...
 go test -race ./internal/...
 go test -run 'Fuzz' ./internal/storage/
 
+# The benchmark harness is its own module (benchmark/go.mod) and calls into
+# internal/ directly, so the root module's build does not cover it: an
+# internal rename would otherwise break it unnoticed.
+(cd benchmark && go vet ./... && go test ./...)
+
 # EXPLAIN ANALYZE golden output: the executed-plan tree must keep its
 # Postgres-style shape — node headers, tree connectors, and per-node
 # actual annotations — end to end through the SQL front-end.

@@ -73,9 +73,10 @@ printf '%s\n' '{"op":"cancel","job":"j3","wait":true}' '{"op":"status"}' >"$work
 grep -q '"state":"canceled"' "$workdir/cancel_out.txt"
 wait $replaypid 2>/dev/null || true
 
-# Per-job durable artifacts appear once the job is terminal.
+# Per-job durable artifacts appear once the job is terminal. metrics.prom is
+# written last, so wait for its content rather than for the manifest.
 for _ in $(seq 1 50); do
-    [ -f "$workdir/runs/j3/manifest.json" ] && break
+    grep -qs '^corgipile_sgd_tuples' "$workdir/runs/j3/metrics.prom" && break
     sleep 0.2
 done
 grep -q '"tool": "corgiserved"' "$workdir/runs/j3/manifest.json"

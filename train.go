@@ -82,14 +82,11 @@ type TrainConfig struct {
 	// Explain routes the run through the Volcano executor with per-operator
 	// profiling enabled: Result.Plan then carries the annotated plan tree
 	// (the EXPLAIN ANALYZE payload), and the same tree streams per epoch
-	// through Feed. The training loop and its configuration are the default
-	// engine's; only the tuple source differs, and only for CorgiPile, No
-	// Shuffle and Block-Only, which the executor implements as pull
-	// operators. There No Shuffle and Block-Only give the same weights at a
-	// different simulated time, and CorgiPile's loss trace differs from the
-	// default engine's whenever the shuffle buffer does not end on a block
-	// boundary. The other strategies are bit-identical with and without
-	// Explain.
+	// through Feed. Explain changes profiling only: the training loop, its
+	// configuration, the block cursor, the shuffle buffer and the overlap
+	// accounting are the default engine's, so weights, loss trace and
+	// simulated time are bit-identical with and without it for every
+	// strategy.
 	Explain bool
 	// Ctx, when non-nil, cancels the run: training checks it between epochs
 	// and every few hundred tuples inside an epoch, then returns the
