@@ -693,6 +693,36 @@ func CompilePredicate(p *sqlparse.Predicate) func(*data.Tuple) bool {
 	return func(*data.Tuple) bool { return true }
 }
 
+// PredictCorrect reports whether pred counts towards the accuracy a PREDICT
+// reports: same sign as the label, and for multiclass the same class.
+// Regression has no accuracy. With PredictRow and PredictMessage it is the
+// one definition of a PREDICT's output, shared by the executor path below
+// and the serving plane's cached path.
+func PredictCorrect(task data.Task, label, pred float64) bool {
+	return task != data.TaskRegression && (pred >= 0) == (label >= 0) &&
+		(task != data.TaskMulticlass || pred == label)
+}
+
+// PredictRow formats one output row; floats print as fmt's %g does. The
+// three cells share one string.
+func PredictRow(id int64, label, pred float64) []string {
+	var b [72]byte // 20 digits of id, 24 bytes per shortest float64
+	buf := strconv.AppendInt(b[:0], id, 10)
+	i := len(buf)
+	buf = strconv.AppendFloat(buf, label, 'g', -1, 64)
+	j := len(buf)
+	s := string(strconv.AppendFloat(buf, pred, 'g', -1, 64))
+	return []string{s[:i], s[i:j], s[j:]}
+}
+
+// PredictMessage renders the statement's summary line over n scored tuples.
+func PredictMessage(task data.Task, n, correct int) string {
+	if task != data.TaskRegression && n > 0 {
+		return fmt.Sprintf("PREDICT: %d rows, accuracy %.4f", n, float64(correct)/float64(n))
+	}
+	return fmt.Sprintf("PREDICT: %d rows", n)
+}
+
 func (s *Session) execPredict(st *sqlparse.Predict) (*Result, error) {
 	entry, ok := s.Table(st.Table)
 	if !ok {
@@ -712,6 +742,7 @@ func (s *Session) execPredict(st *sqlparse.Predict) (*Result, error) {
 	}
 	defer pred.Close()
 
+	task := entry.Table.Task()
 	res := &Result{Columns: []string{"id", "label", "prediction"}}
 	correct, n := 0, 0
 	for {
@@ -723,23 +754,14 @@ func (s *Session) execPredict(st *sqlparse.Predict) (*Result, error) {
 			break
 		}
 		n++
-		if entry.Table.Task() != data.TaskRegression && (p.Pred >= 0) == (p.Label >= 0) &&
-			(entry.Table.Task() != data.TaskMulticlass || p.Pred == p.Label) {
+		if PredictCorrect(task, p.Label, p.Pred) {
 			correct++
 		}
 		if st.Limit == 0 || len(res.Rows) < st.Limit {
-			res.Rows = append(res.Rows, []string{
-				strconv.FormatInt(p.ID, 10),
-				fmt.Sprintf("%g", p.Label),
-				fmt.Sprintf("%g", p.Pred),
-			})
+			res.Rows = append(res.Rows, PredictRow(p.ID, p.Label, p.Pred))
 		}
 	}
-	if entry.Table.Task() != data.TaskRegression && n > 0 {
-		res.Message = fmt.Sprintf("PREDICT: %d rows, accuracy %.4f", n, float64(correct)/float64(n))
-	} else {
-		res.Message = fmt.Sprintf("PREDICT: %d rows", n)
-	}
+	res.Message = PredictMessage(task, n, correct)
 	return res, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -475,6 +476,24 @@ func TestTrainProcsParamDeterministic(t *testing.T) {
 						procs, i, j, rows[i][j], base[i][j])
 				}
 			}
+		}
+	}
+}
+
+// PredictRow must print floats exactly as the %g it replaced.
+func TestPredictRowMatchesPercentG(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 7, 42, 1e6, 123456789, 1e20, 1e21, 1e-4, 1e-5, 1e-7,
+		0.1 + 0.2, 2.5, -3.75, 1.0 / 3, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.MaxInt64, math.Pi * 1e100}
+	for i, label := range vals {
+		pred := vals[len(vals)-1-i]
+		id := int64(i) - 3
+		if i == 0 {
+			id = math.MinInt64
+		}
+		want := []string{fmt.Sprintf("%d", id), fmt.Sprintf("%g", label), fmt.Sprintf("%g", pred)}
+		if got := PredictRow(id, label, pred); !reflect.DeepEqual(got, want) {
+			t.Errorf("PredictRow(%d, %v, %v) = %q, want %q", id, label, pred, got, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"corgipile/internal/sqlparse"
 	"corgipile/internal/storage"
@@ -188,28 +187,4 @@ func writeFileSync(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-// RecordTarget names the catalog object a record touches — the serving
-// plane uses it to invalidate the right predict-cache entry when a
-// replicated record lands. kind is "table", "model", or "" (checkpoint
-// markers, unknown types).
-func RecordTarget(rec storage.WALRecord) (kind, name string) {
-	switch rec.Type {
-	case storage.WALCreateTable, storage.WALDropTable:
-		var p walNamePayload
-		if json.Unmarshal(rec.Payload, &p) == nil {
-			return "table", strings.ToLower(p.Name)
-		}
-	case storage.WALAppendBlock:
-		if table, _, err := storage.DecodeBlockPayload(rec.Payload); err == nil {
-			return "table", strings.ToLower(table)
-		}
-	case storage.WALPutModel, storage.WALDropModel:
-		var p walNamePayload
-		if json.Unmarshal(rec.Payload, &p) == nil {
-			return "model", strings.ToLower(p.Name)
-		}
-	}
-	return "", ""
 }

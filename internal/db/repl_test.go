@@ -2,7 +2,6 @@ package db
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"corgipile/internal/storage"
@@ -195,36 +194,4 @@ func TestReadOnlySession(t *testing.T) {
 
 	s.SetReadOnly(false)
 	mustExec(t, s, insertSQL(t, s, "t", 2))
-}
-
-// TestRecordTarget: the serving plane's cache-invalidation helper names the
-// right object for each record type.
-func TestRecordTarget(t *testing.T) {
-	prim, _ := newDurableSession(t, t.TempDir())
-	recs := collectRecords(prim)
-	mustExec(t, prim, walTestCreate)
-	mustExec(t, prim, insertSQL(t, prim, "t", 4))
-	lossTrace(t, prim, "base")
-	mustExec(t, prim, "DROP MODEL base")
-	mustExec(t, prim, "DROP TABLE t")
-
-	var got []string
-	for _, rec := range *recs {
-		kind, name := RecordTarget(rec)
-		got = append(got, kind+"/"+name)
-	}
-	// CREATE TABLE, its initial blocks, the INSERT blocks → table/t; the
-	// model install → model/base; then the two drops.
-	if got[0] != "table/t" || got[len(got)-1] != "table/t" {
-		t.Fatalf("targets: %v", got)
-	}
-	joined := strings.Join(got, " ")
-	if !strings.Contains(joined, "model/base") {
-		t.Fatalf("no model target in %v", got)
-	}
-	for _, g := range got {
-		if g == "/" {
-			t.Fatalf("unattributed record in %v", got)
-		}
-	}
 }

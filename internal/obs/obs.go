@@ -128,6 +128,12 @@ const (
 	ServeJobsRunning = "serve.jobs_running" // gauge: jobs currently executing
 	ServeJobsQueued  = "serve.jobs_queued"  // gauge: jobs waiting for a worker
 
+	// Predict-snapshot work (internal/serve/predict.go): what a PREDICT
+	// paid beyond its own rows. A warm statement moves none of them.
+	ServePredictFills         = "serve.predict.fills"          // tables decoded from block 0
+	ServePredictCatchupBlocks = "serve.predict.catchup_blocks" // appended blocks decoded onto a snapshot
+	ServePredictTallied       = "serve.predict.tallied_tuples" // tuples scored into a model's running tally
+
 	// WAL visibility gauges, refreshed by the serve checkpoint loop so
 	// compaction behavior shows up on /metrics without SQL access.
 	WALSizeBytes     = "wal.size_bytes"             // gauge: live WAL file size

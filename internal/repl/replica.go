@@ -26,8 +26,8 @@ type ReplicaConfig struct {
 	// record apply); the serving plane passes the catalog's write lock so
 	// readers never see a half-applied record. nil uses a no-op lock.
 	Locker sync.Locker
-	// OnApply observes each applied record after it lands (predict-cache
-	// invalidation). Called under Locker. Optional.
+	// OnApply observes each applied record after it lands. Called under
+	// Locker. Optional.
 	OnApply func(rec storage.WALRecord)
 	// OnSnapshot observes a wholesale snapshot install. Called under
 	// Locker. Optional.

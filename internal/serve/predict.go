@@ -1,82 +1,158 @@
 package serve
 
 import (
-	"fmt"
-	"strconv"
 	"sync"
 
 	"corgipile/internal/data"
 	"corgipile/internal/db"
+	"corgipile/internal/obs"
 	"corgipile/internal/sqlparse"
+	"corgipile/internal/storage"
 )
 
 // This file is the high-QPS predict path. The batch executor pipeline
-// (Scan → Filter → Predict over the simulated device) is the right shape
-// for offline evaluation but pays decode and simulated I/O per statement;
-// a serving workload re-reads the same table thousands of times. The
-// server instead decodes each table once into a cached []data.Tuple
-// (DecodeAll charges no simulated I/O) and evaluates the model directly
-// per request — model Predict methods are pure (any scratch space lives
-// in a per-call workspace), so concurrent sessions share one snapshot
-// with no locking beyond the cache map itself.
+// (Scan → Filter → Predict over the simulated device) pays decode and
+// simulated I/O per statement; a serving workload re-reads the same table
+// thousands of times. The server instead keeps, per table, the decoded
+// tuples up to a block frontier and, per model, a running count of correct
+// predictions over them, so a PREDICT pays for what changed plus what it
+// returns. Two storage guarantees carry it: blocks are immutable once
+// appended, and catalog entries (*storage.Table, *db.ModelEntry) are
+// replaced, never mutated. Whether cached state still applies is decided by
+// comparing pointers and frontiers at lookup — no writer notifies the cache.
+//
+// Lock order: catalog read lock (entries, frontier, snapshot lookup) →
+// released → the snapshot's own lock (catch-up) → released → rows. INSERT,
+// LOAD INTO, replica apply and their TruncateBlocks rollback all hold the
+// catalog write lock, so a frontier read under the read lock counts only
+// blocks whose WAL records are durable.
 
-// cachedTable is one decoded table snapshot.
-type cachedTable struct {
-	tuples []data.Tuple
-	task   data.Task
+// snapshot is one table's decoded tuples and per-model tallies.
+type snapshot struct {
+	table *storage.Table // valid iff the catalog entry still holds this table
+
+	// mu is held while the snapshot catches up, so concurrent PREDICTs on
+	// one table wait for one decode, and released before rows are built.
+	mu     sync.Mutex
+	blocks int // tuples holds blocks [0, blocks)
+	// tuples grows by append only: a reader keeps the header it copied
+	// under mu and a writer touches only indexes past every such length.
+	tuples  []data.Tuple
+	tallies map[string]tally // by model name
 }
 
-// predictCache maps lower-cased table names to decoded snapshots. Every
-// mutation of a table (INSERT, LOAD, DROP TABLE, CREATE TABLE) invalidates
-// by name under the catalog write lock; model installs don't touch it
-// (tuples don't change when a model does). Snapshots are decoded outside
-// any lock, so gen counts the invalidations: a snapshot whose decode began
-// before one is not cached.
+// tally is a model version's count of correct predictions over
+// tuples[:upTo]; another entry under the same name starts it over.
+type tally struct {
+	model         *db.ModelEntry
+	upTo, correct int
+}
+
+// view is what one statement takes from under the snapshot lock.
+type view struct {
+	tuples  []data.Tuple
+	correct int // the tally over all of tuples
+	// preds[i] is the prediction for tuples[first+i], made while tallying,
+	// so the statement's rows don't score those tuples again.
+	first int
+	preds []float64
+}
+
+// predictCache maps lower-cased table names to snapshots.
 type predictCache struct {
 	mu     sync.Mutex
-	tables map[string]*cachedTable
-	gen    uint64
+	tables map[string]*snapshot
 }
 
-// get returns the table's snapshot (nil on a miss) and the generation a
-// snapshot decoded from now on must be put with.
-func (c *predictCache) get(name string) (*cachedTable, uint64) {
+// snapshotOf returns the snapshot of entry's table, starting an empty one
+// when the name is new or resolved to another table when it was cached.
+// Callers hold the catalog read lock, so the name resolves to entry now.
+func (c *predictCache) snapshotOf(entry *db.TableEntry) *snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.tables[name], c.gen
+	sn := c.tables[entry.Name]
+	if sn == nil || sn.table != entry.Table {
+		sn = &snapshot{table: entry.Table, tallies: make(map[string]tally)}
+		c.tables[entry.Name] = sn
+	}
+	return sn
 }
 
-// put caches a snapshot whose decode began at generation gen, unless an
-// invalidation has landed since: the decode may have missed that mutation.
-func (c *predictCache) put(name string, t *cachedTable, gen uint64) {
+// sweep drops the snapshots whose name no longer resolves to their table
+// (DROP TABLE, a replacing CREATE TABLE, a replica snapshot install). It
+// only frees memory — snapshotOf never serves such a snapshot. Callers hold
+// the catalog write lock.
+func (c *predictCache) sweep(dbs *db.Session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gen == c.gen {
-		c.tables[name] = t
+	for name, sn := range c.tables {
+		if entry, ok := dbs.Table(name); !ok || entry.Table != sn.table {
+			delete(c.tables, name)
+		}
 	}
 }
 
-// invalidate drops one table's snapshot (or all of them for name "").
-func (c *predictCache) invalidate(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	if name == "" {
-		c.tables = make(map[string]*cachedTable)
-		return
+// advance decodes the blocks between the snapshot's frontier and the
+// caller's and, when tallied, scores the tuples m's tally has not seen,
+// keeping the predictions a statement with this limit will print.
+func (sn *snapshot) advance(frontier int, m *db.ModelEntry, tallied bool, limit int, reg *obs.Registry) (view, error) {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if sn.blocks < frontier {
+		ts, err := sn.table.DecodeBlocks(sn.blocks, frontier)
+		if err != nil {
+			return view{}, err
+		}
+		if sn.blocks == 0 {
+			reg.Inc(obs.ServePredictFills)
+			sn.tuples = ts
+		} else {
+			reg.Add(obs.ServePredictCatchupBlocks, int64(frontier-sn.blocks))
+			sn.tuples = append(sn.tuples, ts...)
+		}
+		sn.blocks = frontier
 	}
-	delete(c.tables, name)
+	v := view{tuples: sn.tuples, first: len(sn.tuples)}
+	if !tallied {
+		return v, nil
+	}
+	tl := sn.tallies[m.Name]
+	if tl.model != m {
+		tl = tally{model: m}
+	}
+	if tl.upTo < len(v.tuples) {
+		task := sn.table.Task()
+		v.first = tl.upTo
+		for i := tl.upTo; i < len(v.tuples); i++ {
+			t := &v.tuples[i]
+			pred := m.Model.Predict(m.W, t)
+			if db.PredictCorrect(task, t.Label, pred) {
+				tl.correct++
+			}
+			if limit == 0 || i < limit {
+				v.preds = append(v.preds, pred)
+			}
+		}
+		reg.Add(obs.ServePredictTallied, int64(len(v.tuples)-tl.upTo))
+		tl.upTo = len(v.tuples)
+		sn.tallies[m.Name] = tl
+	}
+	v.correct = tl.correct
+	return v, nil
 }
 
-// execPredict answers a PREDICT statement from the cache. The catalog
-// read lock is held only long enough to look up the table and model
-// entries; a cache miss decodes after releasing it (a cold decode takes
-// milliseconds) and the cache's generation keeps a snapshot that raced a
-// mutation from being kept. Scoring runs lock-free.
+// execPredict answers a PREDICT statement. Without a WHERE the count and
+// the accuracy come from the snapshot and its tally, so only the rows it
+// returns are scored; with one, the filtered tuples are scanned and scored.
 func (s *Server) execPredict(st *sqlparse.Predict) *Response {
 	s.catalog.RLock()
 	entry, tok := s.dbs.Table(st.Table)
 	m, mok := s.dbs.Model(st.Model)
+	var sn *snapshot
+	var frontier int
+	if tok && mok {
+		sn, frontier = s.cache.snapshotOf(entry), entry.Table.NumBlocks()
+	}
 	s.catalog.RUnlock()
 	if !tok {
 		return errResponse(ErrNotFound, "unknown table %q", st.Table)
@@ -85,42 +161,46 @@ func (s *Server) execPredict(st *sqlparse.Predict) *Response {
 		return errResponse(ErrNotFound, "unknown model %q", st.Model)
 	}
 
-	ct, gen := s.cache.get(entry.Name)
-	if ct == nil {
-		tuples, err := entry.Table.DecodeAll()
-		if err != nil {
-			return errResponse(ErrExec, "decode table %q: %v", st.Table, err)
-		}
-		ct = &cachedTable{tuples: tuples, task: entry.Table.Task()}
-		s.cache.put(entry.Name, ct, gen)
+	task := entry.Table.Task()
+	v, err := sn.advance(frontier, m, st.Where == nil && task != data.TaskRegression, st.Limit, s.reg)
+	if err != nil {
+		return errResponse(ErrExec, "decode table %q: %v", st.Table, err)
 	}
-
-	filter := db.CompilePredicate(st.Where)
 	resp := &Response{OK: true, Type: "result", Columns: []string{"id", "label", "prediction"}}
+	if st.Where == nil {
+		rows := v.tuples
+		if st.Limit > 0 && st.Limit < len(rows) {
+			rows = rows[:st.Limit]
+		}
+		resp.Rows = make([][]string, 0, len(rows))
+		for i := range rows {
+			var pred float64
+			if i >= v.first {
+				pred = v.preds[i-v.first]
+			} else {
+				pred = m.Model.Predict(m.W, &rows[i])
+			}
+			resp.Rows = append(resp.Rows, db.PredictRow(rows[i].ID, rows[i].Label, pred))
+		}
+		resp.Message = db.PredictMessage(task, len(v.tuples), v.correct)
+		return resp
+	}
+	filter := db.CompilePredicate(st.Where)
 	correct, n := 0, 0
-	for i := range ct.tuples {
-		t := &ct.tuples[i]
-		if filter != nil && !filter(t) {
+	for i := range v.tuples {
+		t := &v.tuples[i]
+		if !filter(t) {
 			continue
 		}
 		pred := m.Model.Predict(m.W, t)
 		n++
-		if ct.task != data.TaskRegression && (pred >= 0) == (t.Label >= 0) &&
-			(ct.task != data.TaskMulticlass || pred == t.Label) {
+		if db.PredictCorrect(task, t.Label, pred) {
 			correct++
 		}
 		if st.Limit == 0 || len(resp.Rows) < st.Limit {
-			resp.Rows = append(resp.Rows, []string{
-				strconv.FormatInt(t.ID, 10),
-				fmt.Sprintf("%g", t.Label),
-				fmt.Sprintf("%g", pred),
-			})
+			resp.Rows = append(resp.Rows, db.PredictRow(t.ID, t.Label, pred))
 		}
 	}
-	if ct.task != data.TaskRegression && n > 0 {
-		resp.Message = fmt.Sprintf("PREDICT: %d rows, accuracy %.4f", n, float64(correct)/float64(n))
-	} else {
-		resp.Message = fmt.Sprintf("PREDICT: %d rows", n)
-	}
+	resp.Message = db.PredictMessage(task, n, correct)
 	return resp
 }

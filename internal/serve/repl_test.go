@@ -461,3 +461,92 @@ func TestAutoCheckpointSurvivesCrash(t *testing.T) {
 		t.Fatalf("recovered %d tuples, want in [%d, %d]", got, min, min+rowsPer)
 	}
 }
+
+// TestReplicaPredictFollowsApply: a replica's predict snapshots are kept
+// right by what PREDICT reads at lookup, not by the apply hooks. A warm
+// replica shows an applied INSERT at once; a replicated DROP + CREATE and a
+// wholesale snapshot install put new *storage.Table values in the catalog,
+// so the old snapshots miss — even when, as here for the install, nothing
+// sweeps them.
+func TestReplicaPredictFollowsApply(t *testing.T) {
+	primSess := db.NewSession()
+	if _, err := primSess.OpenWAL(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{replCreate, replBaseTrain} {
+		if _, err := primSess.Exec(sql); err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+	}
+	prim, err := New(Config{Addr: "127.0.0.1:0", Session: primSess, ReplicaListen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("primary New: %v", err)
+	}
+	defer prim.Close()
+	repSess := db.NewSession()
+	if _, err := repSess.OpenWAL(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := New(Config{Addr: "127.0.0.1:0", Session: repSess, ReplicateFrom: prim.ReplicaAddr()})
+	if err != nil {
+		t.Fatalf("replica New: %v", err)
+	}
+	defer rep.Close()
+	pc, err := Dial(prim.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	rc, err := Dial(rep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	const sql = "SELECT * FROM t PREDICT BY base LIMIT 4"
+	onPrimary := func(stmt string) {
+		t.Helper()
+		if _, err := pc.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		waitApplied(t, rep, primSess.LastLSN())
+	}
+	served := func() int { return predictCount(t, sameAsExecutor(t, rep, rc, sql)) }
+
+	waitApplied(t, rep, primSess.LastLSN())
+	n := served()
+	onPrimary(insertRows(20, 0))
+	if got := served(); got != n+20 {
+		t.Fatalf("replica served %d tuples after an applied INSERT, want %d", got, n+20)
+	}
+	onPrimary("DROP TABLE t")
+	rep.cache.mu.Lock()
+	left := len(rep.cache.tables)
+	rep.cache.mu.Unlock()
+	if left != 0 {
+		t.Errorf("replica kept %d snapshots after a replicated DROP TABLE", left)
+	}
+	onPrimary(`CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.03, order='shuffled') WITH device='ram', block_size=16KB`)
+	if got := served(); got != 300 {
+		t.Fatalf("replica served %d tuples of the replacing table, want 300", got)
+	}
+
+	prim.catalog.RLock()
+	snap, frontier, err := primSess.ReplicationSnapshot()
+	prim.catalog.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.catalog.Lock()
+	err = repSess.InstallReplicaSnapshot(snap, frontier)
+	rep.catalog.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := served(); got != 300 {
+		t.Fatalf("replica served %d tuples after a snapshot install, want 300", got)
+	}
+	onPrimary(insertRows(20, 1))
+	if got := served(); got != 320 {
+		t.Fatalf("replica served %d tuples after an INSERT on the installed snapshot, want 320", got)
+	}
+}

@@ -114,7 +114,7 @@ func TestJobAgePruning(t *testing.T) {
 	}
 }
 
-// Online ingestion over the wire: INSERT invalidates the predict cache, and
+// Online ingestion over the wire: the next PREDICT sees an INSERT, and
 // TRAIN ... resume folds the new blocks into an incremental job.
 func TestIngestAndResumeOverWire(t *testing.T) {
 	srv := testServer(t, Config{})

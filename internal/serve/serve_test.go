@@ -120,20 +120,41 @@ func TestPredictCachedPath(t *testing.T) {
 	}
 }
 
-// A snapshot whose decode began before an invalidation may have missed the
-// mutation: put must drop it, and a decode begun afterwards must be kept.
-func TestPredictCacheDropsSnapshotThatRacedInvalidate(t *testing.T) {
-	c := predictCache{tables: map[string]*cachedTable{}}
-	_, gen := c.get("t") // miss: the decode begins here
-	c.invalidate("t")    // an INSERT lands while it runs
-	c.put("t", &cachedTable{}, gen)
-	if ct, _ := c.get("t"); ct != nil {
-		t.Fatal("pre-INSERT snapshot was cached")
+// A request that read frontier k under the catalog lock while an append was
+// landing decodes and answers k blocks, not whatever the table holds when it
+// gets to the snapshot; the next request reads k+1 and catches up.
+func TestPredictSnapshotServesItsFrontier(t *testing.T) {
+	srv := testServer(t, Config{})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, gen = c.get("t")
-	c.put("t", &cachedTable{}, gen)
-	if ct, _ := c.get("t"); ct == nil {
-		t.Fatal("snapshot decoded after the invalidation was not cached")
+	defer c.Close()
+
+	srv.catalog.RLock()
+	entry, _ := srv.dbs.Table("t")
+	m, _ := srv.dbs.Model("warm")
+	sn, k, n := srv.cache.snapshotOf(entry), entry.Table.NumBlocks(), entry.Table.NumTuples()
+	srv.catalog.RUnlock()
+	if _, err := c.Exec(insertRowsSQL("t", entry.Table, 400)); err != nil {
+		t.Fatal(err)
+	}
+	if entry.Table.NumBlocks() == k {
+		t.Fatal("the INSERT appended no block")
+	}
+	v, err := sn.advance(k, m, true, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.tuples) != n || sn.blocks != k {
+		t.Fatalf("request at frontier %d saw %d tuples over %d blocks, want %d tuples", k, len(v.tuples), sn.blocks, n)
+	}
+	resp, err := c.Predict(`SELECT * FROM t PREDICT BY warm LIMIT 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := predictCount(t, resp); got != n+400 || sn.blocks != entry.Table.NumBlocks() {
+		t.Fatalf("next request saw %d tuples over %d blocks, want %d over %d", got, sn.blocks, n+400, entry.Table.NumBlocks())
 	}
 }
 

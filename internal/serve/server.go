@@ -122,7 +122,7 @@ type Server struct {
 	// (predict, train prepare), Lock for mutations (DDL, model install).
 	catalog sync.RWMutex
 
-	// cache holds decoded tables for the lock-free predict path.
+	// cache holds the predict path's per-table snapshots (predict.go).
 	cache predictCache
 
 	queue chan *job
@@ -222,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 	}
-	s.cache.tables = make(map[string]*cachedTable)
+	s.cache.tables = make(map[string]*snapshot)
 	// Event ring: prefer the config's, else the session's (a caller may
 	// have attached one before handing the session over), else a fresh
 	// default-size ring. The session records statement events into the
@@ -297,13 +297,11 @@ func New(cfg Config) (*Server, error) {
 			Session: sess,
 			Locker:  &s.catalog,
 			OnApply: func(rec storage.WALRecord) {
-				// The tuple cache keys on tables only; model records
-				// leave it alone.
-				if kind, name := db.RecordTarget(rec); kind == "table" {
-					s.cache.invalidate(name)
+				if rec.Type == storage.WALCreateTable || rec.Type == storage.WALDropTable {
+					s.cache.sweep(sess)
 				}
 			},
-			OnSnapshot: func() { s.cache.invalidate("") },
+			OnSnapshot: func() { s.cache.sweep(sess) },
 			Obs:        s.reg,
 			Events:     s.events,
 		})
@@ -589,6 +587,13 @@ func (s *Server) acceptLoop() {
 			return // listener closed (shutdown)
 		}
 		s.connsMu.Lock()
+		if s.ctx.Err() != nil {
+			// Close canceled before it swept s.conns: a connection
+			// accepted since would never be closed by it.
+			s.connsMu.Unlock()
+			conn.Close()
+			return
+		}
 		s.conns[conn] = struct{}{}
 		s.connsMu.Unlock()
 		si := &sessionInfo{remote: conn.RemoteAddr().String(), connected: time.Now()}

@@ -308,25 +308,14 @@ func (s *Server) execStatus(sessCtx context.Context, req *Request) *Response {
 }
 
 // execInline runs a non-TRAIN, non-PREDICT statement under the catalog
-// write lock and invalidates any cached snapshot the statement replaced.
-// The db layer emits the statement start/finish events, stamped with the
-// request's trace.
+// write lock. The db layer emits the statement start/finish events, stamped
+// with the request's trace.
 func (s *Server) execInline(st sqlparse.Statement, trace string) *Response {
 	s.catalog.Lock()
 	res, err := s.dbs.ExecStatementT(st, trace)
-	switch st := st.(type) {
-	case *sqlparse.CreateTable:
-		s.cache.invalidate(strings.ToLower(st.Name))
-	case *sqlparse.Drop:
-		if st.What == "table" {
-			s.cache.invalidate(strings.ToLower(st.Name))
-		}
-	case *sqlparse.Insert:
-		// Ingestion changes the table's tuples: the cached predict snapshot
-		// is stale the moment the append lands.
-		s.cache.invalidate(strings.ToLower(st.Table))
-	case *sqlparse.LoadTable:
-		s.cache.invalidate(strings.ToLower(st.Table))
+	switch st.(type) {
+	case *sqlparse.CreateTable, *sqlparse.Drop:
+		s.cache.sweep(s.dbs)
 	}
 	s.catalog.Unlock()
 	if err != nil {

@@ -381,7 +381,7 @@ const maxFlateRatio = 1032
 // trusted: a hostile or bit-flipped header yields ErrCorrupt, never a panic
 // or an unbounded allocation. charge selects whether a compressed block's
 // modelled decompression time is charged to the device clock: reads on the
-// training path pay it, out-of-band decodes (DecodeAll, RawBlockAt) never
+// training path pay it, out-of-band decodes (DecodeBlocks, RawBlockAt) never
 // touch the clock. The returned tuples follow DecodeRawTuples's ownership
 // contract: one block, shared backing arrays, capacity-clamped slices.
 func (t *Table) decodeBlockBytes(m BlockMeta, buf []byte, charge bool) ([]data.Tuple, error) {
@@ -441,13 +441,20 @@ func (t *Table) ScanAll() ([]data.Tuple, error) {
 	return out, nil
 }
 
-// DecodeAll decodes every tuple without charging any simulated I/O. It is
-// used for out-of-band model evaluation, which the paper's measurements
-// also exclude from training time.
-func (t *Table) DecodeAll() ([]data.Tuple, error) {
+// DecodeBlocks decodes blocks [from, to) without charging any simulated
+// I/O. Blocks are immutable once appended, so a caller that remembers the
+// tuples of [0, from) extends them with DecodeBlocks(from, NumBlocks()).
+func (t *Table) DecodeBlocks(from, to int) ([]data.Tuple, error) {
 	meta, file := t.snapshot()
-	out := make([]data.Tuple, 0, t.NumTuples())
-	for _, m := range meta {
+	if from < 0 || from > to || to > len(meta) {
+		return nil, fmt.Errorf("storage: block range [%d,%d) out of range [0,%d]", from, to, len(meta))
+	}
+	n := 0
+	for _, m := range meta[from:to] {
+		n += m.Tuples
+	}
+	out := make([]data.Tuple, 0, n)
+	for _, m := range meta[from:to] {
 		ts, err := t.decodeBlockBytes(m, file[m.Offset:m.Offset+m.Len], false)
 		if err != nil {
 			return nil, err
@@ -455,6 +462,13 @@ func (t *Table) DecodeAll() ([]data.Tuple, error) {
 		out = append(out, ts...)
 	}
 	return out, nil
+}
+
+// DecodeAll decodes every tuple without charging any simulated I/O. It is
+// used for out-of-band model evaluation, which the paper's measurements
+// also exclude from training time.
+func (t *Table) DecodeAll() ([]data.Tuple, error) {
+	return t.DecodeBlocks(0, t.NumBlocks())
 }
 
 // ShuffleOnceCopy materializes a fully shuffled copy of the table — the

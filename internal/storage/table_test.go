@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -340,9 +341,60 @@ func TestUnchargedDecodeLeavesClockAlone(t *testing.T) {
 		if _, err := tab.RawBlockAt(i % tab.NumBlocks()); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := tab.DecodeBlocks(i%tab.NumBlocks(), tab.NumBlocks()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	if charged := <-done; clock.Now() != charged {
 		t.Fatalf("clock at %v after a concurrent job charged %v: an uncharged decode moved it", clock.Now(), charged)
+	}
+}
+
+// DecodeBlocks(from, to) is the matching slice of DecodeAll for every range,
+// and rejects ranges outside [0, NumBlocks()].
+func TestDecodeBlocksMatchesDecodeAll(t *testing.T) {
+	sparse := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: 120, Features: 1000, Sparse: true, NNZ: 10, Order: data.OrderClustered, Seed: 12})
+	for name, c := range map[string]struct {
+		ds   *data.Dataset
+		opts Options
+	}{
+		"dense":      {testDataset(150, 8), Options{BlockSize: 2 << 10}},
+		"sparse":     {sparse, Options{BlockSize: 2 << 10}},
+		"compressed": {testDataset(150, 8), Options{BlockSize: 2 << 10, Compress: true}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tab, _ := buildTable(t, c.ds, c.opts)
+			all, err := tab.DecodeAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb := tab.NumBlocks()
+			if nb < 4 || len(all) != c.ds.Len() {
+				t.Fatalf("%d blocks, %d tuples decoded of %d", nb, len(all), c.ds.Len())
+			}
+			starts := make([]int, nb+1) // starts[b] = index in all of block b's first tuple
+			for b := 0; b < nb; b++ {
+				starts[b+1] = starts[b] + tab.BlockTuples(b)
+			}
+			for from := 0; from <= nb; from++ {
+				for to := from; to <= nb; to++ {
+					got, err := tab.DecodeBlocks(from, to)
+					if err != nil {
+						t.Fatalf("DecodeBlocks(%d, %d): %v", from, to, err)
+					}
+					if want := all[starts[from]:starts[to]]; !reflect.DeepEqual(got, want) {
+						t.Fatalf("DecodeBlocks(%d, %d) = %d tuples, differs from DecodeAll[%d:%d]",
+							from, to, len(got), starts[from], starts[to])
+					}
+				}
+			}
+			for _, r := range [][2]int{{-1, 1}, {2, 1}, {0, nb + 1}, {nb + 1, nb + 1}} {
+				if _, err := tab.DecodeBlocks(r[0], r[1]); err == nil {
+					t.Errorf("DecodeBlocks(%d, %d) on %d blocks: no error", r[0], r[1], nb)
+				}
+			}
+		})
 	}
 }
