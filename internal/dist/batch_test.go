@@ -37,7 +37,7 @@ func TestFullBatchConsumesExactlyGlobalBatch(t *testing.T) {
 	cfg := baseConfig(8)
 	cfg.GlobalBatch = 100 // remainder 4 over 8 workers
 	cfg.BlockTuples = 25  // 64 blocks → 8 per worker → 200 tuples each
-	workers := makeWorkers(ds, cfg, 0)
+	workers := makeWorkers(ds, cfg, 0, workerRngs(cfg))
 
 	total, rounds := 0, 0
 	for {

@@ -4,17 +4,17 @@
 // gradients averaged across workers after every batch (the AllReduce step
 // of PyTorch's DistributedDataParallel mode).
 //
-// Workers compute gradients concurrently on real goroutines; the reduction
-// is performed in worker order so training is bit-for-bit deterministic.
+// An optimizer step takes GlobalBatch tuples of the merged multi-worker order
+// and sums their gradients in global tuple order, so training is bit-for-bit
+// deterministic (DESIGN.md "Buffer policy" has the worker policy).
 // Simulated time models the parallel hardware: each worker accrues its own
-// I/O and compute time, and an epoch advances the shared clock by the
-// slowest worker plus the per-batch synchronization cost.
+// I/O, buffer-copy and compute time, and an epoch advances the shared clock
+// by the slowest worker plus the per-step synchronization cost.
 package dist
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"corgipile/internal/core"
@@ -22,6 +22,7 @@ import (
 	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
 	"corgipile/internal/obs"
+	"corgipile/internal/shuffle"
 )
 
 // Config configures a distributed training run.
@@ -115,7 +116,8 @@ func (c Config) validate() error {
 }
 
 // Train runs distributed data-parallel training over ds and returns the
-// convergence trace.
+// convergence trace. On ErrWorkerLost it returns the epochs completed so far
+// with the crash count, and the clock has been charged for the aborted epoch.
 func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -158,9 +160,17 @@ func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
 	// come back with the fresh per-epoch worker set (the rebuilt process
 	// re-reads its partition), which we surface as a rejoin.
 	deadPrev := make([]bool, cfg.Workers)
+	rngs := workerRngs(cfg)
+
+	// Gradient scratch of the optimizer step, and the tuples of the merged
+	// order handed out but not yet stepped on.
+	var ws ml.Workspace
+	var gi []int32
+	var gv []float64
+	var pending []data.Tuple
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		workers := makeWorkers(ds, cfg, epoch)
+		workers := makeWorkers(ds, cfg, epoch, rngs)
 		for i := range deadPrev {
 			if deadPrev[i] {
 				deadPrev[i] = false
@@ -172,24 +182,40 @@ func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
 		}
 		alive := make([]*worker, 0, len(workers))
 		var lossSum float64
-		var tuples int
-		var epochWall time.Duration // max over worker clocks
-		var syncTotal time.Duration
-		batch := 0
+		var tuples, steps, lost int
+		pending = pending[:0]
 
+		// step takes one optimizer step over batch — GlobalBatch tuples of
+		// the merged order, or the epoch's short tail — with the gradient and
+		// the loss summed in global tuple order.
+		step := func(batch []data.Tuple) {
+			for i := range batch {
+				var loss float64
+				loss, gi, gv = ml.GradWS(cfg.Model, &ws, w, &batch[i], gi[:0], gv[:0])
+				lossSum += loss
+				acc.Add(gi, gv)
+			}
+			acc.Step(cfg.Opt, w, len(batch))
+			if cfg.OnBatch != nil {
+				cfg.OnBatch(epoch, steps, len(batch))
+			}
+			steps++
+		}
+
+		var lostErr error
 		for {
 			// Crash detection happens at the synchronization barrier: a
-			// worker whose schedule says it died since the last batch is
+			// worker whose schedule says it died since the last round is
 			// dropped here, charging the AllReduce detection timeout. The
 			// survivors then split the unchanged global batch between them
-			// (workerShare over len(alive)), so no optimizer step shrinks.
+			// (workerShare over len(alive)), so no round shrinks.
 			alive = alive[:0]
 			for i, wk := range workers {
 				if !wk.dead && wk.crashAt >= 0 && wk.consumed >= wk.crashAt {
 					wk.dead = true
 					deadPrev[i] = true
 					totalCrashes++
-					syncTotal += detect
+					lost++
 					cfg.Obs.Inc(obs.DistWorkerCrashes)
 					cfg.Obs.EmitEvent("dist.worker.crash", map[string]any{
 						"worker": i, "epoch": epoch + 1, "consumed": wk.consumed,
@@ -200,63 +226,58 @@ func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
 				}
 			}
 			if len(alive) == 0 {
-				finishFaults(res, totalCrashes)
-				return res, fmt.Errorf("dist: epoch %d: all %d workers crashed: %w",
+				lostErr = fmt.Errorf("dist: epoch %d: all %d workers crashed: %w",
 					epoch+1, cfg.Workers, ErrWorkerLost)
+				break
 			}
 			if cfg.Faults != nil && cfg.Faults.MaxCrashes > 0 && totalCrashes > cfg.Faults.MaxCrashes {
-				finishFaults(res, totalCrashes)
-				return res, fmt.Errorf("dist: %d worker crashes exceed cap %d: %w",
+				lostErr = fmt.Errorf("dist: %d worker crashes exceed cap %d: %w",
 					totalCrashes, cfg.Faults.MaxCrashes, ErrWorkerLost)
+				break
 			}
 
-			// Each surviving worker pulls its share of the batch and
-			// computes gradients concurrently at the shared weights.
-			var wg sync.WaitGroup
+			// One round: each surviving worker hands out its share, in worker
+			// order. An optimizer step is GlobalBatch tuples of that merged
+			// order, whichever rounds they came from.
+			count := 0
 			for i, wk := range alive {
 				wk.pull(workerShare(cfg.GlobalBatch, len(alive), i))
-			}
-			for _, wk := range alive {
-				wg.Add(1)
-				go func(wk *worker) {
-					defer wg.Done()
-					wk.grads(w)
-				}(wk)
-			}
-			wg.Wait()
-
-			// Deterministic reduce in worker order.
-			count := 0
-			for _, wk := range alive {
+				pending = append(pending, wk.batch...)
 				count += len(wk.batch)
-				lossSum += wk.loss
-				acc.Add(wk.gi, wk.gv)
 			}
 			if count == 0 {
-				acc.Clear()
 				break
 			}
 			tuples += count
-			acc.Step(cfg.Opt, w, count)
-			syncTotal += syncPerBatch
-			if cfg.OnBatch != nil {
-				cfg.OnBatch(epoch, batch, count)
+			for len(pending) >= cfg.GlobalBatch {
+				step(pending[:cfg.GlobalBatch])
+				pending = pending[:copy(pending, pending[cfg.GlobalBatch:])]
 			}
-			batch++
+		}
+		if len(pending) > 0 {
+			step(pending)
 		}
 		cfg.Opt.EndEpoch()
 
+		var epochWall time.Duration // max over worker clocks
 		for _, wk := range workers {
 			if wk.clock > epochWall {
 				epochWall = wk.clock
 			}
+		}
+		if cfg.Clock != nil {
+			// A lost run is charged what its aborted epoch spent.
+			cfg.Clock.Advance(epochWall + time.Duration(steps)*syncPerBatch + time.Duration(lost)*detect)
+		}
+		if lostErr != nil {
+			finishFaults(res, totalCrashes)
+			return res, lostErr
 		}
 		p := core.EpochPoint{Epoch: epoch + 1, Tuples: tuples}
 		if tuples > 0 {
 			p.AvgLoss = lossSum / float64(tuples)
 		}
 		if cfg.Clock != nil {
-			cfg.Clock.Advance(epochWall + syncTotal)
 			p.Seconds = (cfg.Clock.Now() - start).Seconds()
 		}
 		if cfg.Eval != nil {
@@ -286,16 +307,10 @@ func workerShare(globalBatch, workers, i int) int {
 }
 
 // worker is one data-parallel process: a private iterator over its block
-// share plus gradient scratch space (a reusable ml.Workspace, so per-tuple
-// gradient evaluation is allocation-free).
+// share, charging a private clock.
 type worker struct {
 	it           *workerIter
 	batch        []data.Tuple
-	ws           ml.Workspace
-	gi           []int32
-	gv           []float64
-	loss         float64
-	model        ml.Model
 	clock        time.Duration // private simulated time this epoch
 	computeScale float64
 
@@ -306,9 +321,10 @@ type worker struct {
 	dead     bool
 }
 
-// pull fills the worker's batch with up to n tuples. Tuples are copied by
-// value: the iterator's buffer is recycled across refills, so retaining
-// pointers into it would alias stale storage.
+// pull fills the worker's batch with up to n tuples, charging each tuple's
+// gradient compute to the worker's clock as it is handed out. Tuples are
+// copied by value: the iterator's buffer is recycled across refills, so
+// retaining pointers into it would alias stale storage.
 func (wk *worker) pull(n int) {
 	wk.batch = wk.batch[:0]
 	for len(wk.batch) < n {
@@ -316,48 +332,40 @@ func (wk *worker) pull(n int) {
 		if !ok {
 			break
 		}
+		wk.clock += time.Duration(float64(ml.GradCost(t.NNZ())) * wk.computeScale)
 		wk.batch = append(wk.batch, *t)
 	}
 	wk.consumed += len(wk.batch)
 }
 
-// grads computes the summed gradient of the worker's batch at w.
-func (wk *worker) grads(w []float64) {
-	wk.gi = wk.gi[:0]
-	wk.gv = wk.gv[:0]
-	wk.loss = 0
-	for i := range wk.batch {
-		t := &wk.batch[i]
-		var loss float64
-		loss, wk.gi, wk.gv = ml.GradWS(wk.model, &wk.ws, w, t, wk.gi, wk.gv)
-		wk.loss += loss
-		wk.clock += time.Duration(float64(ml.GradCost(t.NNZ())) * wk.computeScale)
+// workerRngs returns the run's random sources, one per worker. rngs[0] is
+// the run's own: it draws every epoch's block order and shuffles worker 0's
+// buffer, exactly as single-process CorgiPile's does, so Workers = 1 is that
+// strategy. Worker i >= 1 owns a private source derived from (Seed, i).
+func workerRngs(cfg Config) []*rand.Rand {
+	rngs := make([]*rand.Rand, cfg.Workers)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)))
 	}
+	return rngs
 }
 
-// makeWorkers builds the per-epoch worker set: a shared block permutation
-// split PN ways, exactly the Section 5.1 block-shuffle step.
-func makeWorkers(ds *data.Dataset, cfg Config, epoch int) []*worker {
+// makeWorkers builds the per-epoch worker set: one block permutation split
+// PN ways, exactly the Section 5.1 block-shuffle step.
+func makeWorkers(ds *data.Dataset, cfg Config, epoch int, rngs []*rand.Rand) []*worker {
 	numBlocks := (ds.Len() + cfg.BlockTuples - 1) / cfg.BlockTuples
-	perm := make([]int, numBlocks)
-	for i := range perm {
-		perm[i] = i
-	}
-	if !cfg.NoBlockShuffle {
-		// All workers share the seed, so they derive the same permutation.
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*7919))
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	var perm []int
+	if cfg.NoBlockShuffle {
+		perm = make([]int, numBlocks)
+		for i := range perm {
+			perm[i] = i
+		}
+	} else {
+		perm = rngs[0].Perm(numBlocks)
 	}
 
-	bufTotal := int(cfg.BufferFraction * float64(ds.Len()))
-	bufPerWorker := bufTotal / cfg.Workers
-	if bufPerWorker < cfg.BlockTuples {
-		bufPerWorker = cfg.BlockTuples
-	}
-	nBlocks := bufPerWorker / cfg.BlockTuples
-	if nBlocks < 1 {
-		nBlocks = 1
-	}
+	// DESIGN.md "Buffer policy": the total tuple budget split PN ways.
+	capacity := max(1, int(cfg.BufferFraction*float64(ds.Len()))/cfg.Workers)
 
 	computeScale := cfg.ComputeScale
 	if computeScale == 0 {
@@ -369,15 +377,14 @@ func makeWorkers(ds *data.Dataset, cfg Config, epoch int) []*worker {
 		hi := (i + 1) * numBlocks / cfg.Workers
 		workers[i] = &worker{
 			it: &workerIter{
-				ds:     ds,
-				blocks: perm[lo:hi],
-				per:    cfg.BlockTuples,
-				nBuf:   nBlocks,
-				shuf:   !cfg.NoTupleShuffle,
-				rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(epoch*131+i))),
-				read:   cfg.BlockReadCost,
+				ds:       ds,
+				blocks:   perm[lo:hi],
+				per:      cfg.BlockTuples,
+				capacity: capacity,
+				shuf:     !cfg.NoTupleShuffle,
+				rng:      rngs[i],
+				read:     cfg.BlockReadCost,
 			},
-			model:        cfg.Model,
 			computeScale: computeScale,
 			crashAt:      -1,
 		}
@@ -420,42 +427,55 @@ func scheduleCrashes(ds *data.Dataset, cfg Config, epoch int, workers []*worker)
 	}
 }
 
-// workerIter is the per-worker CorgiPile iterator: local buffer of nBuf
-// blocks, tuple-shuffled.
+// workerIter is the per-worker CorgiPile iterator: a local buffer of capacity
+// tuples that splits the straddling block, tuple-shuffled. Without tuple
+// shuffle there is nothing to buffer: it streams its blocks one at a time.
 type workerIter struct {
-	ds     *data.Dataset
-	blocks []int
-	per    int
-	nBuf   int
-	shuf   bool
-	rng    *rand.Rand
-	read   time.Duration
+	ds       *data.Dataset
+	blocks   []int
+	per      int
+	capacity int
+	shuf     bool
+	rng      *rand.Rand
+	read     time.Duration
 
-	idx int
-	buf []data.Tuple
-	pos int
+	idx  int
+	buf  []data.Tuple
+	pos  int
+	rest []data.Tuple // tail of the straddling block
 }
 
-// next returns the next tuple, charging I/O time to the worker clock.
+// next returns the next tuple, charging I/O and buffer-copy time to the
+// worker clock.
 func (it *workerIter) next(clock *time.Duration) (*data.Tuple, bool) {
 	for it.pos >= len(it.buf) {
-		if it.idx >= len(it.blocks) {
-			return nil, false
-		}
 		it.buf = it.buf[:0]
 		it.pos = 0
-		for count := 0; count < it.nBuf && it.idx < len(it.blocks); count++ {
-			b := it.blocks[it.idx]
-			it.idx++
-			lo := b * it.per
-			hi := lo + it.per
-			if hi > it.ds.Len() {
-				hi = it.ds.Len()
+		for len(it.buf) < it.capacity {
+			if len(it.rest) == 0 {
+				if it.idx >= len(it.blocks) {
+					break
+				}
+				b := it.blocks[it.idx]
+				it.idx++
+				it.rest = it.ds.Tuples[b*it.per : min(b*it.per+it.per, it.ds.Len())]
+				*clock += it.read
 			}
-			it.buf = append(it.buf, it.ds.Tuples[lo:hi]...)
-			*clock += it.read
+			n := len(it.rest)
+			if it.shuf {
+				n = min(n, it.capacity-len(it.buf))
+			}
+			it.buf = append(it.buf, it.rest[:n]...)
+			it.rest = it.rest[n:]
+			if !it.shuf {
+				break
+			}
+		}
+		if len(it.buf) == 0 {
+			return nil, false
 		}
 		if it.shuf {
+			*clock += time.Duration(len(it.buf)) * shuffle.CopyCost
 			it.rng.Shuffle(len(it.buf), func(i, j int) {
 				it.buf[i], it.buf[j] = it.buf[j], it.buf[i]
 			})
@@ -479,7 +499,7 @@ func EffectiveOrder(ds *data.Dataset, cfg Config) ([]int64, error) {
 	if cfg.BufferFraction <= 0 {
 		cfg.BufferFraction = 0.1
 	}
-	workers := makeWorkers(ds, cfg, 0)
+	workers := makeWorkers(ds, cfg, 0, workerRngs(cfg))
 	var order []int64
 	for {
 		emitted := false

@@ -187,6 +187,22 @@ func TestAllWorkersCrashed(t *testing.T) {
 	}
 }
 
+// TestLostRunChargesClock: a run that ends in ErrWorkerLost is not free — the
+// aborted epoch's block reads, steps and detection timeouts reach the clock.
+func TestLostRunChargesClock(t *testing.T) {
+	ds := clusteredDS(1000)
+	cfg := crashConfig(4, &FaultPlan{Seed: 2, CrashProb: 1, DetectTimeout: 50 * time.Millisecond})
+	cfg.Clock = iosim.NewClock()
+	cfg.BlockReadCost = 2 * time.Millisecond
+	if _, err := Train(ds, cfg); !errors.Is(err, ErrWorkerLost) {
+		t.Fatalf("all-crash run returned %v, want ErrWorkerLost", err)
+	}
+	// Four detection timeouts, plus at least the first block each worker read.
+	if got, want := cfg.Clock.Now(), 4*50*time.Millisecond+cfg.BlockReadCost; got < want {
+		t.Fatalf("lost run charged %v to the clock, want at least %v", got, want)
+	}
+}
+
 func TestMaxCrashesCap(t *testing.T) {
 	ds := clusteredDS(2000)
 	cfg := crashConfig(4, &FaultPlan{Seed: 11, CrashProb: 0.3, MaxCrashes: 1})
