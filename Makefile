@@ -21,11 +21,10 @@ race:
 
 check: build vet test race
 
-# bench runs the gradient hot-path micro-benchmark suite and the
-# fault-injection sweep, writing the JSON report artifacts; bench-go runs
-# the package-level Go benchmarks.
+# bench runs the fault-injection sweep, writing its JSON report artifact;
+# bench-go runs the package-level Go benchmarks (the gradient hot path's are
+# in internal/ml).
 bench:
-	$(GO) run ./cmd/corgibench -hotpath -out BENCH_hotpath.json
 	$(GO) run ./cmd/corgibench -faults -out BENCH_faults.json
 
 bench-go:

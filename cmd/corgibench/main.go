@@ -8,9 +8,8 @@
 //	           [-epochs 5] [-batch N] [-procs N] [-double] [-block N]
 //	           [-trace-out trace.jsonl] [-serve 127.0.0.1:0] [-diag]
 //	           [-explain] [-run-dir DIR]
-//	corgibench -hotpath [-out BENCH_hotpath.json] [-stamp-time RFC3339]
 //	corgibench -faults [-out BENCH_faults.json] [-stamp-time RFC3339]
-//	corgibench -compare BENCH_hotpath.json [-tolerance 0.5]
+//	corgibench -compare BENCH_faults.json
 //	corgibench -serve-load [-serve-addr HOST:PORT] [-trains 2]
 //	           [-predict-clients 4] [-predicts 2000] [-workload susy]
 //	           [-scale 0.05] [-epochs 20] [-seed 1]
@@ -27,8 +26,8 @@
 // -serve exposes the live run over HTTP (/metrics, /run, /debug/pprof/)
 // while it executes.
 //
-// With -compare it re-runs the suite behind a committed BENCH_*.json
-// baseline and exits 1 if any metric regressed.
+// With -compare it re-runs the fault sweep behind the committed
+// BENCH_faults.json baseline and exits 1 if any cell moved.
 //
 // With -serve-load it boots a corgiserved instance (or targets a running
 // one with -serve-addr), keeps -trains background TRAIN jobs executing,
@@ -55,9 +54,8 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = full synthetic size)")
 		list      = flag.Bool("list", false, "list available experiments and exit")
 		metrics   = flag.Bool("metrics", false, "run one instrumented pass and print the per-epoch time breakdown")
-		hotpath   = flag.Bool("hotpath", false, "run the gradient hot-path micro-benchmarks and exit")
 		faults    = flag.Bool("faults", false, "run the fault-injection sweep (fault rate x retry budget) and exit")
-		outFile   = flag.String("out", "", "-hotpath/-faults: also write the JSON report to this file")
+		outFile   = flag.String("out", "", "-faults: also write the JSON report to this file")
 		workload  = flag.String("workload", "higgs", "-metrics: synthetic workload name")
 		strategy  = flag.String("strategy", "corgipile", "-metrics: shuffle strategy")
 		device    = flag.String("device", "hdd", "-metrics: device profile (hdd, ssd, ram)")
@@ -72,20 +70,19 @@ func main() {
 		diag      = flag.Bool("diag", false, "-metrics: enable convergence diagnostics (grad norm, plateau/divergence verdict)")
 		explain   = flag.Bool("explain", false, "-metrics: profile the executor plan and print the annotated EXPLAIN ANALYZE tree")
 		runDir    = flag.String("run-dir", "", "-metrics: write durable run artifacts (manifest.json, epochs.jsonl, metrics.prom) to this directory")
-		compare   = flag.String("compare", "", "re-run the suite behind this BENCH_*.json baseline and report regressions")
+		compare   = flag.String("compare", "", "re-run the fault sweep behind this BENCH_faults.json baseline and report regressions")
 		serveLoad = flag.Bool("serve-load", false, "run the serving-plane load experiment (predict latency under concurrent TRAINs)")
 		serveAddr = flag.String("serve-addr", "", "-serve-load: target a running corgiserved instead of booting one in-process")
 		trains    = flag.Int("trains", 2, "-serve-load: concurrent background TRAIN jobs")
 		pClients  = flag.Int("predict-clients", 4, "-serve-load: concurrent predict connections")
 		predicts  = flag.Int("predicts", 2000, "-serve-load: total PREDICT statements")
-		tolerance = flag.Float64("tolerance", 0, "-compare: relative wall-clock slack (0 = default 0.5)")
 		sample    = flag.Duration("sample", 0, "-metrics: sample run metrics into a history store at this interval and print a summary (never on the bench/report paths)")
-		stampTime = flag.String("stamp-time", "", "-hotpath/-faults: RFC 3339 timestamp to stamp the report with (default: now)")
+		stampTime = flag.String("stamp-time", "", "-faults: RFC 3339 timestamp to stamp the report with (default: now)")
 	)
 	flag.Parse()
 
 	if *compare != "" {
-		regressions, err := bench.Compare(os.Stdout, *compare, *tolerance)
+		regressions, err := bench.Compare(os.Stdout, *compare)
 		if err != nil {
 			fatal(err)
 		}
@@ -132,7 +129,7 @@ func main() {
 		return
 	}
 
-	if *hotpath || *faults {
+	if *faults {
 		var out *os.File
 		if *outFile != "" {
 			f, err := os.Create(*outFile)
@@ -154,11 +151,7 @@ func main() {
 			}
 			now = t
 		}
-		runner := bench.Hotpath
-		if *faults {
-			runner = bench.FaultSweep
-		}
-		if err := runner(os.Stdout, w, bench.NewStamp(now)); err != nil {
+		if err := bench.FaultSweep(os.Stdout, w, bench.NewStamp(now)); err != nil {
 			fatal(err)
 		}
 		return
@@ -204,8 +197,8 @@ func main() {
 		}
 		if *sample > 0 {
 			// History rides only the explicitly instrumented profile path;
-			// the hotpath/faults report runs never sample, so committed
-			// BENCH_*.json baselines are untouched by the feature.
+			// the faults report run never samples, so the committed
+			// BENCH_faults.json baseline is untouched by the feature.
 			hist = obs.NewHistory(obs.HistoryConfig{Interval: *sample})
 		}
 		if *serve != "" {

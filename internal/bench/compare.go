@@ -8,26 +8,18 @@ import (
 	"os"
 )
 
-// Compare re-runs the benchmark suite behind a committed BENCH_*.json
-// baseline and reports per-metric regressions against it. The report kind is
-// detected from the JSON shape (rows → hotpath, grid → fault sweep). It
-// returns the number of regressions found; callers typically exit non-zero
-// when it is positive.
-//
-// Tolerance applies to wall-clock metrics only (ns/op, tuples/s), as a
-// relative slack: 0.5 allows the current run to be up to 50% slower before a
-// time regression fires. Zero or negative selects the default (0.5 — micro
-// benchmarks on shared machines are noisy). Allocation counts and the
-// simulated fault sweep are deterministic, so they are compared (near-)
-// exactly regardless of tolerance.
-func Compare(w io.Writer, path string, tolerance float64) (int, error) {
+// Compare re-runs the fault sweep behind a committed BENCH_faults.json
+// baseline and reports per-metric regressions against it. It returns the
+// number of regressions found; callers typically exit non-zero when it is
+// positive. The sweep is simulated and deterministic, so every cell is
+// compared (near-)exactly on any host.
+func Compare(w io.Writer, path string) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
 	var probe struct {
 		Stamp Stamp             `json:"stamp"`
-		Rows  []json.RawMessage `json:"rows"`
 		Grid  []json.RawMessage `json:"grid"`
 	}
 	if err := json.Unmarshal(raw, &probe); err != nil {
@@ -40,65 +32,10 @@ func Compare(w io.Writer, path string, tolerance float64) (int, error) {
 		}
 		fmt.Fprintln(w)
 	}
-	switch {
-	case probe.Rows != nil:
-		return compareHotpath(w, raw, tolerance)
-	case probe.Grid != nil:
-		return compareFaults(w, raw)
+	if probe.Grid == nil {
+		return 0, fmt.Errorf("bench: %s: not a fault-sweep report", path)
 	}
-	return 0, fmt.Errorf("bench: %s: neither a hotpath nor a fault-sweep report", path)
-}
-
-// compareHotpath re-measures the hot-path suite and compares row by row:
-// allocation counts and bytes strictly (the hot path is allocation-free by
-// construction, so any increase is a real leak), time within tolerance.
-func compareHotpath(w io.Writer, raw []byte, tolerance float64) (int, error) {
-	var base HotpathReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return 0, err
-	}
-	if tolerance <= 0 {
-		tolerance = 0.5
-	}
-	cur := HotpathRun()
-	byName := make(map[string]HotpathRow, len(cur.Rows))
-	for _, r := range cur.Rows {
-		byName[r.Name] = r
-	}
-
-	regressions := 0
-	fail := func(format string, args ...any) {
-		regressions++
-		fmt.Fprintf(w, "  REGRESSION "+format+"\n", args...)
-	}
-	for _, b := range base.Rows {
-		c, ok := byName[b.Name]
-		if !ok {
-			fail("%s: benchmark missing from current suite", b.Name)
-			continue
-		}
-		okRow := true
-		if c.AllocsPerOp > b.AllocsPerOp {
-			fail("%s: allocs/op %d -> %d", b.Name, b.AllocsPerOp, c.AllocsPerOp)
-			okRow = false
-		}
-		if c.BytesPerOp > b.BytesPerOp {
-			fail("%s: bytes/op %d -> %d", b.Name, b.BytesPerOp, c.BytesPerOp)
-			okRow = false
-		}
-		if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*(1+tolerance) {
-			fail("%s: ns/op %.1f -> %.1f (>%.0f%% slower)",
-				b.Name, b.NsPerOp, c.NsPerOp, tolerance*100)
-			okRow = false
-		}
-		if okRow {
-			fmt.Fprintf(w, "  ok %-26s %12.1f ns/op  %3d allocs/op\n",
-				b.Name, c.NsPerOp, c.AllocsPerOp)
-		}
-	}
-	fmt.Fprintf(w, "hotpath compare: %d rows, %d regressions (time tolerance %.0f%%)\n",
-		len(base.Rows), regressions, tolerance*100)
-	return regressions, nil
+	return compareFaults(w, raw)
 }
 
 // compareFaults re-runs the (fully simulated, deterministic) fault sweep and

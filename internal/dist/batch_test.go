@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"corgipile/internal/ml"
+	"corgipile/internal/obs"
 )
 
 // TestWorkerShareSumsToGlobalBatch is the regression test for the silent
@@ -29,45 +30,48 @@ func TestWorkerShareSumsToGlobalBatch(t *testing.T) {
 	}
 }
 
-// TestFullBatchConsumesExactlyGlobalBatch drives the per-epoch pull rounds
-// directly: as long as no worker has exhausted its partition, every round
-// must gather exactly GlobalBatch tuples — not Workers·⌊GlobalBatch/Workers⌋.
+// TestFullBatchConsumesExactlyGlobalBatch reads the rounds off the merged
+// order: as long as no worker has exhausted its partition, every round must
+// hand out exactly GlobalBatch tuples — not Workers·⌊GlobalBatch/Workers⌋ —
+// as each worker's share in worker order, and the run takes exactly
+// ⌈tuples/GlobalBatch⌉ optimizer steps per epoch.
 func TestFullBatchConsumesExactlyGlobalBatch(t *testing.T) {
 	ds := clusteredDS(1600)
 	cfg := baseConfig(8)
 	cfg.GlobalBatch = 100 // remainder 4 over 8 workers
 	cfg.BlockTuples = 25  // 64 blocks → 8 per worker → 200 tuples each
-	workers := makeWorkers(ds, cfg, 0, workerRngs(cfg))
-
-	total, rounds := 0, 0
-	for {
-		count := 0
-		short := false
-		for i, wk := range workers {
-			want := workerShare(cfg.GlobalBatch, cfg.Workers, i)
-			wk.pull(want)
-			count += len(wk.batch)
-			if len(wk.batch) < want {
-				short = true
-			}
-		}
-		if count == 0 {
-			break
-		}
-		total += count
-		rounds++
-		if !short && count != cfg.GlobalBatch {
-			t.Fatalf("round %d consumed %d tuples, want exactly %d",
-				rounds, count, cfg.GlobalBatch)
-		}
+	// Unshuffled, worker i streams ids [200i, 200i+200): an id names its worker.
+	cfg.NoBlockShuffle, cfg.NoTupleShuffle = true, true
+	order, err := EffectiveOrder(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total != ds.Len() {
-		t.Fatalf("total consumed %d, want %d", total, ds.Len())
+	if len(order) != ds.Len() {
+		t.Fatalf("total consumed %d, want %d", len(order), ds.Len())
 	}
 	// 200 tuples per worker at shares of 13 (first 4 workers) means the
-	// stream stays full-batch for at least 15 rounds.
-	if rounds < 15 {
-		t.Fatalf("only %d pull rounds, expected at least 15", rounds)
+	// stream stays full-round for 15 rounds.
+	pos := 0
+	for round := 0; round < 15; round++ {
+		for i := 0; i < cfg.Workers; i++ {
+			for k := workerShare(cfg.GlobalBatch, cfg.Workers, i); k > 0; k-- {
+				if got := int(order[pos] / 200); got != i {
+					t.Fatalf("round %d, position %d: tuple of worker %d, want worker %d", round, pos, got, i)
+				}
+				pos++
+			}
+		}
+		if pos != (round+1)*cfg.GlobalBatch {
+			t.Fatalf("round %d handed out %d tuples so far, want %d", round, pos, (round+1)*cfg.GlobalBatch)
+		}
+	}
+
+	cfg.Epochs, cfg.Obs = 2, obs.New()
+	if _, err := Train(ds, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if tuples, steps := cfg.Obs.Counter(obs.SGDTuples), cfg.Obs.Counter(obs.SGDBatches); tuples != 3200 || steps != 32 {
+		t.Fatalf("2 epochs consumed %d tuples in %d steps, want 3200 in 32", tuples, steps)
 	}
 }
 
@@ -92,8 +96,7 @@ func TestRemainderBatchCoverage(t *testing.T) {
 // TestDeterministicLossTraceNonDivisible extends the determinism guarantee to
 // the remainder path: with 5 workers and a batch of 64 (shares 13,13,13,13,12)
 // repeated runs must produce bit-for-bit identical loss traces and weights.
-// Run under -race this also exercises the concurrent per-batch gradient
-// goroutines.
+// Run under -race this also exercises the BatchEngine pool at Procs = 5.
 func TestDeterministicLossTraceNonDivisible(t *testing.T) {
 	ds := clusteredDS(1000)
 	run := func() ([]float64, []float64) {

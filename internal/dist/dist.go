@@ -4,12 +4,17 @@
 // gradients averaged across workers after every batch (the AllReduce step
 // of PyTorch's DistributedDataParallel mode).
 //
-// An optimizer step takes GlobalBatch tuples of the merged multi-worker order
-// and sums their gradients in global tuple order, so training is bit-for-bit
-// deterministic (DESIGN.md "Buffer policy" has the worker policy).
-// Simulated time models the parallel hardware: each worker accrues its own
-// I/O, buffer-copy and compute time, and an epoch advances the shared clock
-// by the slowest worker plus the per-step synchronization cost.
+// Figure 5's argument is that this is single-process mini-batch CorgiPile
+// over the merged order, and the package is written that way: Train is a
+// shell over core.Loop, fed the merged multi-worker stream with BatchSize =
+// GlobalBatch. The workers are shuffle.TupleBuffers over shares of one
+// shuffle.BlockCursor order; the gradient pool and its ordered reduce are
+// ml.BatchEngine's, at Procs = Workers. What is specific to dist is the
+// partition of the block order, the crash schedule (fault.go), and the
+// parallel-time model: each worker accrues I/O, copy and compute time on a
+// private lane clock, and an epoch advances the caller's clock by the slowest
+// lane plus the per-step synchronization cost and the crash-detection
+// timeouts.
 package dist
 
 import (
@@ -32,7 +37,7 @@ type Config struct {
 	// Epochs is the number of passes over the data.
 	Epochs int
 	// GlobalBatch is the total mini-batch size; each worker contributes
-	// GlobalBatch/Workers tuples per step (the paper's bs/PN).
+	// GlobalBatch/Workers tuples per round (the paper's bs/PN).
 	GlobalBatch int
 	// BufferFraction is the *total* shuffle-buffer budget as a fraction of
 	// the dataset; each worker gets BufferFraction/Workers (Section 5.1
@@ -45,8 +50,8 @@ type Config struct {
 	NoBlockShuffle bool
 	// NoTupleShuffle disables the per-buffer tuple shuffle (Block-Only).
 	NoTupleShuffle bool
-	// Seed drives all randomness. As in the paper, every worker derives
-	// the same block permutation from the shared seed.
+	// Seed drives all randomness. As in the paper, every worker visits its
+	// share of one block permutation drawn from the shared seed.
 	Seed int64
 
 	// Model, Opt, Features and InitWeights define the learner.
@@ -75,19 +80,17 @@ type Config struct {
 	// MLP gradient). Zero means 1.
 	ComputeScale float64
 
-	// Eval, when non-nil, is evaluated after each epoch.
+	// Eval, when non-nil, is evaluated after each epoch (accuracy, or R² for
+	// a regression dataset).
 	Eval *data.Dataset
 
 	// Faults, when non-nil and enabled, injects deterministic worker
 	// crashes; see FaultPlan. Crash counts land in Result.Faults and, when
 	// Obs is attached, under obs.DistWorkerCrashes.
 	Faults *FaultPlan
-	// Obs, when non-nil, receives crash counters.
+	// Obs, when non-nil, receives the crash counters and the training
+	// loop's counters (obs.SGDTuples, obs.SGDBatches, …).
 	Obs *obs.Registry
-	// OnBatch, when non-nil, observes every optimizer step: the epoch
-	// (0-based), the batch index within it, and the tuples consumed. Tests
-	// use it to verify the global batch never shrinks under crashes.
-	OnBatch func(epoch, batch, tuples int)
 }
 
 // syncCostPerBatch returns the simulated gradient-synchronization time per
@@ -102,202 +105,93 @@ func (c Config) syncCostPerBatch(dim int) time.Duration {
 	return time.Duration(transfer*float64(time.Second)) + time.Duration(2*(c.Workers-1))*c.NetLatency
 }
 
-func (c Config) validate() error {
+// withDefaults validates the configuration and fills in its defaults.
+func (c Config) withDefaults() (Config, error) {
 	if c.Workers < 1 {
-		return fmt.Errorf("dist: Workers must be >= 1")
+		return c, fmt.Errorf("dist: Workers must be >= 1")
 	}
 	if c.Model == nil || c.Opt == nil {
-		return fmt.Errorf("dist: Model and Opt are required")
+		return c, fmt.Errorf("dist: Model and Opt are required")
 	}
 	if c.BlockTuples < 1 {
-		return fmt.Errorf("dist: BlockTuples must be >= 1")
+		return c, fmt.Errorf("dist: BlockTuples must be >= 1")
 	}
-	return nil
+	c.Epochs = max(c.Epochs, 1)
+	c.GlobalBatch = max(c.GlobalBatch, c.Workers)
+	if c.BufferFraction <= 0 {
+		c.BufferFraction = 0.1
+	}
+	if c.ComputeScale == 0 {
+		c.ComputeScale = 1
+	}
+	return c, nil
 }
 
 // Train runs distributed data-parallel training over ds and returns the
 // convergence trace. On ErrWorkerLost it returns the epochs completed so far
 // with the crash count, and the clock has been charged for the aborted epoch.
 func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
-	if err := cfg.validate(); err != nil {
+	s, err := newStream(ds, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Epochs < 1 {
-		cfg.Epochs = 1
+	cfg = s.cfg
+	// The loop runs clockless: time is charged on the workers' lanes and
+	// reaches cfg.Clock once per epoch, below.
+	l, err := core.NewLoop(core.RunConfig{
+		Model: cfg.Model, Opt: cfg.Opt, Features: cfg.Features,
+		Epochs: cfg.Epochs, BatchSize: cfg.GlobalBatch, Procs: cfg.Workers,
+		TrainEval: cfg.Eval, InitWeights: cfg.InitWeights,
+		ComputeScale: cfg.ComputeScale, Obs: cfg.Obs,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.GlobalBatch < cfg.Workers {
-		cfg.GlobalBatch = cfg.Workers
-	}
-	if cfg.BufferFraction <= 0 {
-		cfg.BufferFraction = 0.1
-	}
-
-	dim := cfg.Model.Dim(cfg.Features)
-	w := make([]float64, dim)
-	if cfg.InitWeights != nil {
-		cfg.InitWeights(w)
-	}
-	cfg.Opt.Reset(dim)
-
-	res := &core.Result{W: w}
-
-	var acc ml.GradAccumulator
-	acc.Reset(dim)
-	syncPerBatch := cfg.syncCostPerBatch(dim)
-
+	defer l.Close()
+	l.Reset()
+	res := l.Result()
+	syncPerBatch := cfg.syncCostPerBatch(len(res.W))
 	var start time.Duration
 	if cfg.Clock != nil {
 		start = cfg.Clock.Now()
 	}
-
-	totalCrashes := 0
-	detect := time.Duration(0)
-	if cfg.Faults != nil && cfg.Faults.Enabled() {
-		detect = cfg.Faults.detectTimeout()
-	}
-
-	// deadPrev tracks which workers ended the previous epoch crashed; they
-	// come back with the fresh per-epoch worker set (the rebuilt process
-	// re-reads its partition), which we surface as a rejoin.
-	deadPrev := make([]bool, cfg.Workers)
-	rngs := workerRngs(cfg)
-
-	// Gradient scratch of the optimizer step, and the tuples of the merged
-	// order handed out but not yet stepped on.
-	var ws ml.Workspace
-	var gi []int32
-	var gv []float64
-	var pending []data.Tuple
-
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		workers := makeWorkers(ds, cfg, epoch, rngs)
-		for i := range deadPrev {
-			if deadPrev[i] {
-				deadPrev[i] = false
-				cfg.Obs.Inc(obs.DistWorkerRejoins)
-				cfg.Obs.EmitEvent("dist.worker.rejoin", map[string]any{
-					"worker": i, "epoch": epoch + 1,
-				})
-			}
+		s.startEpoch(epoch)
+		_, err := l.Step(s.next, func() error { return s.err })
+		if cfg.Clock != nil {
+			cfg.Clock.Advance(s.epochTime(syncPerBatch))
 		}
-		alive := make([]*worker, 0, len(workers))
-		var lossSum float64
-		var tuples, steps, lost int
-		pending = pending[:0]
-
-		// step takes one optimizer step over batch — GlobalBatch tuples of
-		// the merged order, or the epoch's short tail — with the gradient and
-		// the loss summed in global tuple order.
-		step := func(batch []data.Tuple) {
-			for i := range batch {
-				var loss float64
-				loss, gi, gv = ml.GradWS(cfg.Model, &ws, w, &batch[i], gi[:0], gv[:0])
-				lossSum += loss
-				acc.Add(gi, gv)
-			}
-			acc.Step(cfg.Opt, w, len(batch))
-			if cfg.OnBatch != nil {
-				cfg.OnBatch(epoch, steps, len(batch))
-			}
-			steps++
-		}
-
-		var lostErr error
-		for {
-			// Crash detection happens at the synchronization barrier: a
-			// worker whose schedule says it died since the last round is
-			// dropped here, charging the AllReduce detection timeout. The
-			// survivors then split the unchanged global batch between them
-			// (workerShare over len(alive)), so no round shrinks.
-			alive = alive[:0]
-			for i, wk := range workers {
-				if !wk.dead && wk.crashAt >= 0 && wk.consumed >= wk.crashAt {
-					wk.dead = true
-					deadPrev[i] = true
-					totalCrashes++
-					lost++
-					cfg.Obs.Inc(obs.DistWorkerCrashes)
-					cfg.Obs.EmitEvent("dist.worker.crash", map[string]any{
-						"worker": i, "epoch": epoch + 1, "consumed": wk.consumed,
-					})
-				}
-				if !wk.dead {
-					alive = append(alive, wk)
-				}
-			}
-			if len(alive) == 0 {
-				lostErr = fmt.Errorf("dist: epoch %d: all %d workers crashed: %w",
-					epoch+1, cfg.Workers, ErrWorkerLost)
-				break
-			}
-			if cfg.Faults != nil && cfg.Faults.MaxCrashes > 0 && totalCrashes > cfg.Faults.MaxCrashes {
-				lostErr = fmt.Errorf("dist: %d worker crashes exceed cap %d: %w",
-					totalCrashes, cfg.Faults.MaxCrashes, ErrWorkerLost)
-				break
-			}
-
-			// One round: each surviving worker hands out its share, in worker
-			// order. An optimizer step is GlobalBatch tuples of that merged
-			// order, whichever rounds they came from.
-			count := 0
-			for i, wk := range alive {
-				wk.pull(workerShare(cfg.GlobalBatch, len(alive), i))
-				pending = append(pending, wk.batch...)
-				count += len(wk.batch)
-			}
-			if count == 0 {
-				break
-			}
-			tuples += count
-			for len(pending) >= cfg.GlobalBatch {
-				step(pending[:cfg.GlobalBatch])
-				pending = pending[:copy(pending, pending[cfg.GlobalBatch:])]
-			}
-		}
-		if len(pending) > 0 {
-			step(pending)
-		}
-		cfg.Opt.EndEpoch()
-
-		var epochWall time.Duration // max over worker clocks
-		for _, wk := range workers {
-			if wk.clock > epochWall {
-				epochWall = wk.clock
-			}
+		res.Faults.WorkerCrashes = s.crashes
+		if err != nil {
+			return res, err
 		}
 		if cfg.Clock != nil {
-			// A lost run is charged what its aborted epoch spent.
-			cfg.Clock.Advance(epochWall + time.Duration(steps)*syncPerBatch + time.Duration(lost)*detect)
+			res.Points[epoch].Seconds = (cfg.Clock.Now() - start).Seconds()
 		}
-		if lostErr != nil {
-			finishFaults(res, totalCrashes)
-			return res, lostErr
-		}
-		p := core.EpochPoint{Epoch: epoch + 1, Tuples: tuples}
-		if tuples > 0 {
-			p.AvgLoss = lossSum / float64(tuples)
-		}
-		if cfg.Clock != nil {
-			p.Seconds = (cfg.Clock.Now() - start).Seconds()
-		}
-		if cfg.Eval != nil {
-			p.TrainAcc = ml.Accuracy(cfg.Model, w, cfg.Eval)
-		}
-		res.Points = append(res.Points, p)
 	}
-	finishFaults(res, totalCrashes)
 	return res, nil
 }
 
-// finishFaults records the crash count on a (possibly partial) result.
-func finishFaults(res *core.Result, crashes int) {
-	res.Faults.WorkerCrashes = crashes
+// EffectiveOrder returns the sequence of tuple IDs the first epoch of the
+// distributed run consumes, merged in global batch order — the quantity
+// Figure 5 compares against single-process CorgiPile.
+func EffectiveOrder(ds *data.Dataset, cfg Config) ([]int64, error) {
+	s, err := newStream(ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.startEpoch(0)
+	var order []int64
+	for t, ok := s.next(); ok; t, ok = s.next() {
+		order = append(order, t.ID)
+	}
+	return order, s.err
 }
 
 // workerShare returns the number of tuples worker i contributes to one
 // global batch: globalBatch/workers, with the remainder distributed one
-// tuple each to the first globalBatch%workers workers so every full batch
-// consumes exactly globalBatch tuples (not workers·⌊globalBatch/workers⌋).
+// tuple each to the first globalBatch%workers workers so every full round
+// hands out exactly globalBatch tuples (not workers·⌊globalBatch/workers⌋).
 func workerShare(globalBatch, workers, i int) int {
 	n := globalBatch / workers
 	if i < globalBatch%workers {
@@ -306,212 +200,176 @@ func workerShare(globalBatch, workers, i int) int {
 	return n
 }
 
-// worker is one data-parallel process: a private iterator over its block
-// share, charging a private clock.
+// worker is one data-parallel process: a tuple-shuffle buffer (or, without
+// tuple shuffle, the bare cursor) over its share of the epoch's block order,
+// charging a private lane clock.
 type worker struct {
-	it           *workerIter
-	batch        []data.Tuple
-	clock        time.Duration // private simulated time this epoch
-	computeScale float64
+	lane *iosim.Clock // simulated time this worker has spent this epoch
+	src  *shuffle.MemSource
+	cur  shuffle.BlockCursor
+	buf  shuffle.TupleBuffer
+	rng  *rand.Rand
 
-	// Crash-injection state: the worker dies once it has consumed crashAt
-	// tuples (-1 = never); dead workers are dropped at the next barrier.
+	// Crash-injection state: the worker dies once it has handed out crashAt
+	// tuples (-1 = never); dead workers are dropped at the next barrier and
+	// rejoin at the next epoch.
 	crashAt  int
 	consumed int
 	dead     bool
 }
 
-// pull fills the worker's batch with up to n tuples, charging each tuple's
-// gradient compute to the worker's clock as it is handed out. Tuples are
-// copied by value: the iterator's buffer is recycled across refills, so
-// retaining pointers into it would alias stale storage.
-func (wk *worker) pull(n int) {
-	wk.batch = wk.batch[:0]
-	for len(wk.batch) < n {
-		t, ok := wk.it.next(&wk.clock)
-		if !ok {
-			break
-		}
-		wk.clock += time.Duration(float64(ml.GradCost(t.NNZ())) * wk.computeScale)
-		wk.batch = append(wk.batch, *t)
-	}
-	wk.consumed += len(wk.batch)
+// stream is the merged multi-worker tuple stream of one run: round by round,
+// workerShare tuples from every alive worker in worker order. Batches of
+// GlobalBatch consecutive tuples are what the paper's workers average their
+// gradients over.
+type stream struct {
+	cfg     Config
+	rng     *rand.Rand          // draws each epoch's block order; also worker 0's shuffle rng
+	perm    shuffle.BlockCursor // the epoch's block order, never read through
+	workers []*worker
+
+	epoch   int
+	alive   []*worker
+	round   []data.Tuple // the current round, copied out of the workers' buffers
+	pos     int          // next tuple of round to hand out
+	handed  int          // tuples pulled this epoch
+	lost    int          // crashes detected this epoch
+	crashes int          // crashes detected this run
+	err     error
 }
 
-// workerRngs returns the run's random sources, one per worker. rngs[0] is
-// the run's own: it draws every epoch's block order and shuffles worker 0's
-// buffer, exactly as single-process CorgiPile's does, so Workers = 1 is that
-// strategy. Worker i >= 1 owns a private source derived from (Seed, i).
-func workerRngs(cfg Config) []*rand.Rand {
-	rngs := make([]*rand.Rand, cfg.Workers)
-	for i := range rngs {
-		rngs[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)))
-	}
-	return rngs
-}
-
-// makeWorkers builds the per-epoch worker set: one block permutation split
-// PN ways, exactly the Section 5.1 block-shuffle step.
-func makeWorkers(ds *data.Dataset, cfg Config, epoch int, rngs []*rand.Rand) []*worker {
-	numBlocks := (ds.Len() + cfg.BlockTuples - 1) / cfg.BlockTuples
-	var perm []int
-	if cfg.NoBlockShuffle {
-		perm = make([]int, numBlocks)
-		for i := range perm {
-			perm[i] = i
-		}
-	} else {
-		perm = rngs[0].Perm(numBlocks)
-	}
-
-	// DESIGN.md "Buffer policy": the total tuple budget split PN ways.
-	capacity := max(1, int(cfg.BufferFraction*float64(ds.Len()))/cfg.Workers)
-
-	computeScale := cfg.ComputeScale
-	if computeScale == 0 {
-		computeScale = 1
-	}
-	workers := make([]*worker, cfg.Workers)
-	for i := range workers {
-		lo := i * numBlocks / cfg.Workers
-		hi := (i + 1) * numBlocks / cfg.Workers
-		workers[i] = &worker{
-			it: &workerIter{
-				ds:       ds,
-				blocks:   perm[lo:hi],
-				per:      cfg.BlockTuples,
-				capacity: capacity,
-				shuf:     !cfg.NoTupleShuffle,
-				rng:      rngs[i],
-				read:     cfg.BlockReadCost,
-			},
-			computeScale: computeScale,
-			crashAt:      -1,
-		}
-	}
-	scheduleCrashes(ds, cfg, epoch, workers)
-	return workers
-}
-
-// scheduleCrashes draws the epoch's deterministic crash schedule. Exactly
-// two random draws are consumed per worker regardless of the outcome, so
-// the schedule of worker i is independent of the other workers' fates and
-// stable across runs with the same fault seed.
-func scheduleCrashes(ds *data.Dataset, cfg Config, epoch int, workers []*worker) {
-	if cfg.Faults == nil || !cfg.Faults.Enabled() {
-		return
-	}
-	seed := cfg.Faults.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := rand.New(rand.NewSource(seed + int64(epoch)*104729))
-	for _, wk := range workers {
-		crash := rng.Float64() < cfg.Faults.CrashProb
-		frac := rng.Float64()
-		if !crash {
-			continue
-		}
-		// The crash point is a fraction of the worker's epoch share, so
-		// crashes land anywhere from the first batch to the last.
-		share := 0
-		for _, b := range wk.it.blocks {
-			lo := b * cfg.BlockTuples
-			hi := lo + cfg.BlockTuples
-			if hi > ds.Len() {
-				hi = ds.Len()
-			}
-			share += hi - lo
-		}
-		wk.crashAt = int(frac * float64(share))
-	}
-}
-
-// workerIter is the per-worker CorgiPile iterator: a local buffer of capacity
-// tuples that splits the straddling block, tuple-shuffled. Without tuple
-// shuffle there is nothing to buffer: it streams its blocks one at a time.
-type workerIter struct {
-	ds       *data.Dataset
-	blocks   []int
-	per      int
-	capacity int
-	shuf     bool
-	rng      *rand.Rand
-	read     time.Duration
-
-	idx  int
-	buf  []data.Tuple
-	pos  int
-	rest []data.Tuple // tail of the straddling block
-}
-
-// next returns the next tuple, charging I/O and buffer-copy time to the
-// worker clock.
-func (it *workerIter) next(clock *time.Duration) (*data.Tuple, bool) {
-	for it.pos >= len(it.buf) {
-		it.buf = it.buf[:0]
-		it.pos = 0
-		for len(it.buf) < it.capacity {
-			if len(it.rest) == 0 {
-				if it.idx >= len(it.blocks) {
-					break
-				}
-				b := it.blocks[it.idx]
-				it.idx++
-				it.rest = it.ds.Tuples[b*it.per : min(b*it.per+it.per, it.ds.Len())]
-				*clock += it.read
-			}
-			n := len(it.rest)
-			if it.shuf {
-				n = min(n, it.capacity-len(it.buf))
-			}
-			it.buf = append(it.buf, it.rest[:n]...)
-			it.rest = it.rest[n:]
-			if !it.shuf {
-				break
-			}
-		}
-		if len(it.buf) == 0 {
-			return nil, false
-		}
-		if it.shuf {
-			*clock += time.Duration(len(it.buf)) * shuffle.CopyCost
-			it.rng.Shuffle(len(it.buf), func(i, j int) {
-				it.buf[i], it.buf[j] = it.buf[j], it.buf[i]
-			})
-		}
-	}
-	t := &it.buf[it.pos]
-	it.pos++
-	return t, true
-}
-
-// EffectiveOrder returns the sequence of tuple IDs the distributed run
-// consumes, merged in global batch order — the quantity Figure 5 compares
-// against single-process CorgiPile.
-func EffectiveOrder(ds *data.Dataset, cfg Config) ([]int64, error) {
-	if err := cfg.validate(); err != nil {
+// newStream validates cfg, fills in its defaults (s.cfg is the result) and
+// builds the run's workers.
+func newStream(ds *data.Dataset, cfg Config) (*stream, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
 		return nil, err
 	}
-	if cfg.GlobalBatch < cfg.Workers {
-		cfg.GlobalBatch = cfg.Workers
+	s := &stream{
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		perm:    shuffle.NewBlockCursor(shuffle.NewMemSource(ds, cfg.BlockTuples)),
+		workers: make([]*worker, cfg.Workers),
 	}
-	if cfg.BufferFraction <= 0 {
-		cfg.BufferFraction = 0.1
+	// DESIGN.md "Buffer policy": the total tuple budget split PN ways.
+	capacity := max(1, int(cfg.BufferFraction*float64(ds.Len()))/cfg.Workers)
+	for i := range s.workers {
+		wk := &worker{lane: iosim.NewClock(), rng: s.rng}
+		if i > 0 {
+			wk.rng = rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		}
+		wk.src = shuffle.NewMemSource(ds, cfg.BlockTuples).WithClock(wk.lane, cfg.BlockReadCost)
+		wk.buf = shuffle.TupleBuffer{Capacity: capacity, Clock: wk.lane, CopyCost: shuffle.CopyCost}
+		s.workers[i] = wk
 	}
-	workers := makeWorkers(ds, cfg, 0, workerRngs(cfg))
-	var order []int64
-	for {
-		emitted := false
-		for i, wk := range workers {
-			wk.pull(workerShare(cfg.GlobalBatch, cfg.Workers, i))
-			for i := range wk.batch {
-				order = append(order, wk.batch[i].ID)
-				emitted = true
+	return s, nil
+}
+
+// startEpoch draws the epoch's block order and splits it PN ways — exactly
+// the Section 5.1 block-shuffle step.
+func (s *stream) startEpoch(epoch int) {
+	var blockRng *rand.Rand
+	if !s.cfg.NoBlockShuffle {
+		blockRng = s.rng
+	}
+	s.perm.Reset(blockRng)
+	numBlocks := s.workers[0].src.NumBlocks()
+	for i, wk := range s.workers {
+		if wk.dead {
+			// The rebuilt process re-reads its partition.
+			wk.dead = false
+			s.cfg.Obs.Inc(obs.DistWorkerRejoins)
+			s.cfg.Obs.EmitEvent("dist.worker.rejoin", map[string]any{
+				"worker": i, "epoch": epoch + 1,
+			})
+		}
+		wk.lane.Reset()
+		wk.cur = s.perm.Narrow(wk.src, i*numBlocks/s.cfg.Workers, (i+1)*numBlocks/s.cfg.Workers)
+		wk.buf.Reset(&wk.cur, wk.rng)
+		wk.consumed, wk.crashAt = 0, -1
+	}
+	s.epoch, s.handed, s.lost = epoch, 0, 0
+	s.scheduleCrashes()
+}
+
+// next hands out the merged order. The epoch ends after a round in which
+// every alive worker was dry, or on an error.
+func (s *stream) next() (*data.Tuple, bool) {
+	if s.pos == len(s.round) && !s.nextRound() {
+		return nil, false
+	}
+	s.pos++
+	return &s.round[s.pos-1], true
+}
+
+// nextRound pulls one round. Crash detection happens first, at the
+// synchronization barrier: a worker whose schedule says it died since the
+// last round is dropped, charging the AllReduce detection timeout, and the
+// survivors split the unchanged global batch between them (workerShare over
+// len(alive)), so no round shrinks. Each tuple's gradient compute is charged
+// to its worker's lane as it is handed out.
+func (s *stream) nextRound() bool {
+	s.alive, s.round, s.pos = s.alive[:0], s.round[:0], 0
+	for i, wk := range s.workers {
+		if !wk.dead && wk.crashAt >= 0 && wk.consumed >= wk.crashAt {
+			wk.dead = true
+			s.lost++
+			s.crashes++
+			s.cfg.Obs.Inc(obs.DistWorkerCrashes)
+			s.cfg.Obs.EmitEvent("dist.worker.crash", map[string]any{
+				"worker": i, "epoch": s.epoch + 1, "consumed": wk.consumed,
+			})
+		}
+		if !wk.dead {
+			s.alive = append(s.alive, wk)
+		}
+	}
+	if len(s.alive) == 0 {
+		s.err = fmt.Errorf("dist: epoch %d: all %d workers crashed: %w",
+			s.epoch+1, s.cfg.Workers, ErrWorkerLost)
+	} else if plan := s.cfg.Faults; plan != nil && plan.MaxCrashes > 0 && s.crashes > plan.MaxCrashes {
+		s.err = fmt.Errorf("dist: %d worker crashes exceed cap %d: %w",
+			s.crashes, plan.MaxCrashes, ErrWorkerLost)
+	}
+	for i, wk := range s.alive {
+		for n := workerShare(s.cfg.GlobalBatch, len(s.alive), i); n > 0 && s.err == nil; n-- {
+			t, ok, err := wk.next(!s.cfg.NoTupleShuffle)
+			if !ok {
+				s.err = err
+				break
 			}
-		}
-		if !emitted {
-			return order, nil
+			wk.lane.Advance(time.Duration(float64(ml.GradCost(t.NNZ())) * s.cfg.ComputeScale))
+			wk.consumed++
+			s.round = append(s.round, *t)
 		}
 	}
+	s.handed += len(s.round)
+	return len(s.round) > 0 && s.err == nil
+}
+
+// next returns the worker's next tuple: through its shuffle buffer, or
+// straight off the block cursor.
+func (wk *worker) next(shuffled bool) (*data.Tuple, bool, error) {
+	if !shuffled {
+		return wk.cur.Next()
+	}
+	t, ok := wk.buf.Next()
+	return t, ok, wk.buf.Err()
+}
+
+// epochTime is the parallel-time model: what the epoch so far cost on the
+// caller's clock — the slowest lane, one synchronization per optimizer step
+// (GlobalBatch tuples of the merged order; the last may be short), and one
+// detection timeout per crash.
+func (s *stream) epochTime(syncPerBatch time.Duration) time.Duration {
+	var slowest time.Duration
+	for _, wk := range s.workers {
+		slowest = max(slowest, wk.lane.Now())
+	}
+	steps := (s.handed + s.cfg.GlobalBatch - 1) / s.cfg.GlobalBatch
+	t := slowest + time.Duration(steps)*syncPerBatch
+	if s.lost > 0 {
+		t += time.Duration(s.lost) * s.cfg.Faults.detectTimeout()
+	}
+	return t
 }

@@ -7,6 +7,7 @@ package dist
 
 import (
 	"errors"
+	"math/rand"
 	"time"
 )
 
@@ -48,4 +49,29 @@ func (p FaultPlan) detectTimeout() time.Duration {
 		return p.DetectTimeout
 	}
 	return 100 * time.Millisecond
+}
+
+// scheduleCrashes draws the epoch's deterministic crash schedule. Exactly
+// two random draws are consumed per worker regardless of the outcome, so
+// the schedule of worker i is independent of the other workers' fates and
+// stable across runs with the same fault seed.
+func (s *stream) scheduleCrashes() {
+	plan := s.cfg.Faults
+	if plan == nil || !plan.Enabled() {
+		return
+	}
+	seed := plan.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	rng := rand.New(rand.NewSource(seed + int64(s.epoch)*104729))
+	for _, wk := range s.workers {
+		crash := rng.Float64() < plan.CrashProb
+		frac := rng.Float64()
+		if crash {
+			// The crash point is a fraction of the worker's epoch share, so
+			// crashes land anywhere from the first batch to the last.
+			wk.crashAt = int(frac * float64(wk.cur.NumTuples()))
+		}
+	}
 }

@@ -97,14 +97,12 @@ func TestCrashedRunStillConverges(t *testing.T) {
 	}
 }
 
+// TestGlobalBatchNeverShrinks: survivors absorb the dead workers' shares, so a
+// crash shrinks neither the rounds nor the optimizer steps.
 func TestGlobalBatchNeverShrinks(t *testing.T) {
 	ds := clusteredDS(2000)
 	cfg := crashConfig(4, &FaultPlan{Seed: 5, CrashProb: 0.4})
-	type rec struct{ epoch, batch, tuples int }
-	var steps []rec
-	cfg.OnBatch = func(epoch, batch, tuples int) {
-		steps = append(steps, rec{epoch, batch, tuples})
-	}
+	cfg.Obs = obs.New()
 	res, err := Train(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,33 +110,47 @@ func TestGlobalBatchNeverShrinks(t *testing.T) {
 	if res.Faults.WorkerCrashes == 0 {
 		t.Fatal("no crash injected; test exercises nothing")
 	}
-	// Survivors absorb the dead workers' shares, so a crash must not shrink
-	// the optimizer steps: short batches may appear only in the short
-	// ramp-down tail where workers exhaust their partitions (which happens
-	// fault-free too), never from the crash point onward. Without
-	// redistribution, every batch after a crash would be short and the
-	// "first short batch -> epoch end" span would cover half the epoch.
-	byEpoch := map[int][]rec{}
-	for _, s := range steps {
-		byEpoch[s.epoch] = append(byEpoch[s.epoch], s)
+	// Every epoch takes ⌈tuples/GlobalBatch⌉ steps, whatever it lost: only
+	// its last step is short.
+	wantSteps := 0
+	for _, p := range res.Points {
+		wantSteps += (p.Tuples + cfg.GlobalBatch - 1) / cfg.GlobalBatch
 	}
-	for epoch, es := range byEpoch {
-		firstShort := -1
-		for i, s := range es {
-			if s.tuples > cfg.GlobalBatch {
-				t.Fatalf("epoch %d batch %d consumed %d tuples, above global batch %d",
-					epoch, s.batch, s.tuples, cfg.GlobalBatch)
+	if got := cfg.Obs.Counter(obs.SGDBatches); got != int64(wantSteps) {
+		t.Fatalf("%d optimizer steps, want %d", got, wantSteps)
+	}
+
+	// On the stream itself: short rounds may appear only in the ramp-down
+	// tail where workers exhaust their partitions (which happens fault-free
+	// too), never from the crash point onward. Without redistribution every
+	// round after a crash would be short and the "first short round -> epoch
+	// end" span would cover half the epoch.
+	s, err := newStream(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = s.cfg
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		s.startEpoch(epoch)
+		var rounds []int
+		for s.nextRound() {
+			rounds = append(rounds, len(s.round))
+		}
+		for i, n := range rounds {
+			if n > cfg.GlobalBatch {
+				t.Fatalf("epoch %d round %d handed out %d tuples, above global batch %d", epoch, i, n, cfg.GlobalBatch)
 			}
-			if s.tuples < cfg.GlobalBatch && firstShort < 0 {
-				firstShort = i
+			if n < cfg.GlobalBatch {
+				if tail := len(rounds) - i; tail > cfg.Workers {
+					t.Fatalf("epoch %d: %d trailing short rounds (workers=%d); rounds shrank instead of redistributing",
+						epoch, tail, cfg.Workers)
+				}
+				break
 			}
 		}
-		if firstShort >= 0 {
-			if tail := len(es) - firstShort; tail > cfg.Workers {
-				t.Fatalf("epoch %d: %d trailing short batches (workers=%d); batches shrank instead of redistributing",
-					epoch, tail, cfg.Workers)
-			}
-		}
+	}
+	if s.crashes != res.Faults.WorkerCrashes {
+		t.Fatalf("stream replay saw %d crashes, the run %d", s.crashes, res.Faults.WorkerCrashes)
 	}
 }
 

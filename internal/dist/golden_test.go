@@ -19,13 +19,7 @@ import (
 // the comparison is bit-exact).
 func goldenRun(t *testing.T, workers int, mode string, crash bool) string {
 	t.Helper()
-	cfg := baseConfig(workers)
-	cfg.Epochs = 3
-	cfg.GlobalBatch = 97 // divisible by no worker count in the grid
-	cfg.BlockTuples = 30 // 67 blocks, the last one short; shares are uneven
-	cfg.BufferFraction = 0.13
-	cfg.NoTupleShuffle = mode != "corgipile"
-	cfg.NoBlockShuffle = mode == "no-shuffle"
+	cfg := gridConfig(workers, mode)
 	cfg.Clock = iosim.NewClock()
 	cfg.BlockReadCost = 2 * time.Millisecond
 	cfg.SyncCost = time.Millisecond

@@ -11,6 +11,7 @@ import (
 
 	"corgipile/internal/core"
 	"corgipile/internal/data"
+	"corgipile/internal/dist"
 	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
 	"corgipile/internal/obs"
@@ -291,5 +292,57 @@ func TestSGDReInitReproducesRun(t *testing.T) {
 	}
 	if !sameBits(first.w, second.w) || !reflect.DeepEqual(first.diag, second.diag) || first.verdict != second.verdict {
 		t.Fatalf("second run diverged from the first: verdict %q vs %q", first.verdict, second.verdict)
+	}
+}
+
+// TestDistSingleWorkerIsCoreRun is the third entry point's parity row:
+// dist.Train with one worker is core.Run over the CorgiPile strategy at
+// BatchSize = GlobalBatch — same weights, same points (simulated seconds
+// included), same clock — because its worker is the same BlockCursor →
+// TupleBuffer seeded the same way, and the lane it charges is the only one.
+func TestDistSingleWorkerIsCoreRun(t *testing.T) {
+	ds := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: 2000, Features: 8, Separation: 1.5, Noise: 1.0,
+		Order: data.OrderClustered, Seed: 23})
+	const (
+		epochs, batch, blockTuples = 4, 48, 30
+		seed, frac                 = 7, 0.13 // 260 tuples: the buffer splits a block
+		readCost                   = 2 * time.Millisecond
+	)
+	for _, scale := range []float64{0, 3} {
+		distClock := iosim.NewClock()
+		got, err := dist.Train(ds, dist.Config{
+			Workers: 1, Epochs: epochs, GlobalBatch: batch, BlockTuples: blockTuples,
+			BufferFraction: frac, Seed: seed, ComputeScale: scale,
+			Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: ds.Features, Eval: ds,
+			Clock: distClock, BlockReadCost: readCost,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := iosim.NewClock()
+		st, err := shuffle.New(shuffle.KindCorgiPile,
+			shuffle.NewMemSource(ds, blockTuples).WithClock(clock, readCost),
+			shuffle.Options{BufferFraction: frac, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Run(core.RunConfig{
+			Strategy: st, Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: ds.Features,
+			Epochs: epochs, BatchSize: batch, Procs: 1, ComputeScale: scale,
+			Clock: clock, TrainEval: ds,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(got.W, want.W) {
+			t.Fatalf("scale %v: weights differ", scale)
+		}
+		if len(got.Points) != epochs || !reflect.DeepEqual(got.Points, want.Points) {
+			t.Fatalf("scale %v: points differ:\n%+v\n%+v", scale, got.Points, want.Points)
+		}
+		if distClock.Now() != clock.Now() {
+			t.Fatalf("scale %v: clock %v vs %v", scale, distClock.Now(), clock.Now())
+		}
 	}
 }

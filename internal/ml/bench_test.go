@@ -71,6 +71,31 @@ func BenchmarkGrad(b *testing.B) {
 	}
 }
 
+// TestGradWSAllocationFree is the hot path's one hard property: in steady
+// state a workspace gradient evaluation allocates nothing, for every model.
+func TestGradWSAllocationFree(t *testing.T) {
+	for _, bm := range benchModels() {
+		w := make([]float64, bm.model.Dim(bm.ds.Features))
+		if bm.init != nil {
+			bm.init(w)
+		}
+		var ws Workspace
+		var gi []int32
+		var gv []float64
+		// Warm the scratch buffers over every tuple, the widest included.
+		for i := 0; i < bm.ds.Len(); i++ {
+			_, gi, gv = GradWS(bm.model, &ws, w, bm.ds.At(i), gi[:0], gv[:0])
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(200, func() {
+			_, gi, gv = GradWS(bm.model, &ws, w, bm.ds.At(i%bm.ds.Len()), gi[:0], gv[:0])
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: GradWS allocates %v times per call, want 0", bm.name, allocs)
+		}
+	}
+}
+
 // BenchmarkBatchStep measures one mini-batch gradient accumulation + optimizer
 // step through the BatchEngine at several worker counts.
 func BenchmarkBatchStep(b *testing.B) {

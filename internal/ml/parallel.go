@@ -10,7 +10,8 @@ import (
 // GradAccumulator folds sparse per-tuple gradients into a dense accumulator,
 // deduplicating repeated indices via a touched list so the optimizer's
 // per-coordinate state is stepped once per mini-batch. It is the single
-// reducer shared by the Trainer, the BatchEngine, and internal/dist.
+// reducer behind the Trainer and the BatchEngine; nothing outside this
+// package uses it.
 type GradAccumulator struct {
 	acc     []float64 // dense gradient accumulator
 	mark    []bool    // whether a coordinate is already in touched

@@ -5,8 +5,8 @@ import "corgipile/internal/data"
 // Workspace holds per-goroutine scratch buffers for gradient evaluation, so
 // the innermost loop of training — one Grad call per tuple — performs no
 // heap allocation. Each concurrent gradient consumer (the Trainer, every
-// BatchEngine shard, every dist worker) owns one Workspace; a Workspace must
-// not be shared between goroutines.
+// BatchEngine shard) owns one Workspace; a Workspace must not be shared
+// between goroutines.
 //
 // The zero value is ready to use: buffers grow on first use and are reused
 // afterwards.
@@ -19,8 +19,8 @@ type Workspace struct {
 	// batch and the slices below belong to the Trainer's mini-batch gather
 	// path: batch holds shallow tuple copies for the current mini-batch
 	// (feature storage is owned by the dataset or the storage codec and is
-	// stable, so value copies suffice — the same contract internal/dist
-	// relies on).
+	// stable, so value copies suffice — the same contract internal/dist's
+	// merged stream relies on).
 	batch []data.Tuple
 }
 

@@ -29,7 +29,7 @@ func (s *corgiPile) StartEpoch(int) (Iterator, error) {
 		// n being the tuple budget in whole blocks.
 		perBlock := max(1, (s.src.NumTuples()+len(cur.order)-1)/max(1, len(cur.order)))
 		if n := max(1, capacity/perBlock); n < len(cur.order) {
-			cur.order = cur.order[:n]
+			*cur = cur.Narrow(s.src, 0, n)
 		}
 	}
 	buf := &TupleBuffer{

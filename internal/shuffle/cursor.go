@@ -42,6 +42,24 @@ func (c *BlockCursor) Reset(rng *rand.Rand) {
 	c.next, c.buf, c.pos = 0, nil, 0
 }
 
+// Narrow returns a cursor at the start of a pass over positions [lo, hi) of
+// c's visit order, reading its blocks through src — a source with the block
+// layout of c's own. It is the one way to visit a sub-range of a permutation:
+// SampleOnly's n sampled blocks, or one dist worker's share of the epoch's
+// order behind that worker's clock.
+func (c *BlockCursor) Narrow(src Source, lo, hi int) BlockCursor {
+	return BlockCursor{Obs: c.Obs, src: src, order: c.order[lo:hi]}
+}
+
+// NumTuples returns the tuple count of the blocks in the pass's visit order.
+func (c *BlockCursor) NumTuples() int {
+	n := 0
+	for _, b := range c.order {
+		n += c.src.BlockTuples(b)
+	}
+	return n
+}
+
 // advance makes the next block of the visit order the current one; ok=false
 // when the pass has none left.
 func (c *BlockCursor) advance() (ok bool, err error) {
