@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"corgipile/internal/data"
@@ -153,36 +152,5 @@ func TestResultFinalEmpty(t *testing.T) {
 	var r Result
 	if r.Final() != (EpochPoint{}) {
 		t.Fatal("empty result Final should be zero")
-	}
-}
-
-func TestBlockSamplerWithoutReplacement(t *testing.T) {
-	s := NewBlockSampler(20, rand.New(rand.NewSource(1)))
-	s.StartEpoch()
-	seen := map[int]bool{}
-	for {
-		ids := s.Draw(3)
-		if ids == nil {
-			break
-		}
-		for _, id := range ids {
-			if seen[id] {
-				t.Fatalf("block %d drawn twice in one epoch", id)
-			}
-			seen[id] = true
-		}
-	}
-	if len(seen) != 20 {
-		t.Fatalf("epoch covered %d blocks, want 20", len(seen))
-	}
-	if s.Remaining() != 0 {
-		t.Fatalf("Remaining = %d, want 0", s.Remaining())
-	}
-}
-
-func TestBlockSamplerAutoStart(t *testing.T) {
-	s := NewBlockSampler(5, rand.New(rand.NewSource(2)))
-	if got := s.Draw(10); len(got) != 5 {
-		t.Fatalf("auto-started draw returned %d ids, want 5", len(got))
 	}
 }

@@ -833,7 +833,9 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 			return executor.PlanConfig{}, err
 		}
 		if filter != nil {
-			kept := eval[:0]
+			// eval is a shared view of the table's image: filter into a
+			// slice of this statement's own.
+			var kept []data.Tuple
 			for i := range eval {
 				if filter(&eval[i]) {
 					kept = append(kept, eval[i])

@@ -355,6 +355,37 @@ func TestTrainWithWhere(t *testing.T) {
 	}
 }
 
+// TRAIN ... WHERE evaluates on the matching tuples only, and takes them from
+// the table's shared image: it must filter into a slice of its own. Filtering
+// in place would move the label-1 tuples to the head of the image, and every
+// later statement on the table would read them there.
+func TestTrainWhereLeavesTheTableAlone(t *testing.T) {
+	s := NewSession()
+	mustExec(t, s, `CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.05, order='clustered') WITH block_size=16KB`)
+	const train = `SELECT * FROM t TRAIN BY svm MODEL %s WITH learning_rate=0.05, max_epoch_num=3, seed=4`
+	first := mustExec(t, s, fmt.Sprintf(train, "a"))
+	all := mustExec(t, s, `SELECT * FROM t PREDICT BY a`)
+
+	pos := mustExec(t, s, `SELECT * FROM t WHERE label = 1 TRAIN BY svm MODEL pos WITH max_epoch_num=2`)
+	if n, _ := strconv.Atoi(pos.Rows[0][4]); n == 0 || n >= len(all.Rows) {
+		t.Fatalf("WHERE label = 1 trained on %d of %d tuples", n, len(all.Rows))
+	}
+
+	if again := mustExec(t, s, `SELECT * FROM t PREDICT BY a`); again.Message != all.Message || !reflect.DeepEqual(again.Rows, all.Rows) {
+		t.Fatalf("PREDICT after a filtered TRAIN: %q, %d rows; before it: %q, %d rows",
+			again.Message, len(again.Rows), all.Message, len(all.Rows))
+	}
+	second := mustExec(t, s, fmt.Sprintf(train, "b"))
+	for i, row := range first.Rows {
+		got := second.Rows[i]
+		// epoch, loss, accuracy over the eval set, tuples; the seconds
+		// column runs on the session's clock and has moved on.
+		if row[0] != got[0] || row[1] != got[1] || row[2] != got[2] || row[4] != got[4] {
+			t.Fatalf("epoch %d after a filtered TRAIN: %v, before it: %v", i+1, got, row)
+		}
+	}
+}
+
 func TestSaveAndLoadModel(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.json")

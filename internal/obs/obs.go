@@ -130,8 +130,8 @@ const (
 
 	// Predict-snapshot work (internal/serve/predict.go): what a PREDICT
 	// paid beyond its own rows. A warm statement moves none of them.
-	ServePredictFills         = "serve.predict.fills"          // tables decoded from block 0
-	ServePredictCatchupBlocks = "serve.predict.catchup_blocks" // appended blocks decoded onto a snapshot
+	ServePredictFills         = "serve.predict.fills"          // first PREDICTs on a table
+	ServePredictCatchupBlocks = "serve.predict.catchup_blocks" // appended blocks a PREDICT brought under its snapshot
 	ServePredictTallied       = "serve.predict.tallied_tuples" // tuples scored into a model's running tally
 
 	// WAL visibility gauges, refreshed by the serve checkpoint loop so

@@ -11,38 +11,38 @@ import (
 )
 
 // This file is the high-QPS predict path. The batch executor pipeline
-// (Scan → Filter → Predict over the simulated device) pays decode and
-// simulated I/O per statement; a serving workload re-reads the same table
-// thousands of times. The server instead keeps, per table, the decoded
-// tuples up to a block frontier and, per model, a running count of correct
-// predictions over them, so a PREDICT pays for what changed plus what it
-// returns. Two storage guarantees carry it: blocks are immutable once
-// appended, and catalog entries (*storage.Table, *db.ModelEntry) are
-// replaced, never mutated. Whether cached state still applies is decided by
-// comparing pointers and frontiers at lookup — no writer notifies the cache.
+// (Scan → Filter → Predict over the simulated device) pays simulated I/O per
+// statement; a serving workload re-reads the same table thousands of times.
+// The server instead reads the table's decoded image (storage.Table keeps
+// one, shared with TRAIN) up to a block frontier and keeps, per model, a
+// running count of correct predictions over it, so a PREDICT pays for what
+// changed plus what it returns. Two storage guarantees carry it: blocks are
+// immutable once appended, and catalog entries (*storage.Table,
+// *db.ModelEntry) are replaced, never mutated. Whether cached state still
+// applies is decided by comparing pointers and frontiers at lookup — no
+// writer notifies the cache.
 //
 // Lock order: catalog read lock (entries, frontier, snapshot lookup) →
-// released → the snapshot's own lock (catch-up) → released → rows. INSERT,
-// LOAD INTO, replica apply and their TruncateBlocks rollback all hold the
-// catalog write lock, so a frontier read under the read lock counts only
-// blocks whose WAL records are durable.
+// released → the snapshot's own lock (catch-up; the image's lock inside it) →
+// released → rows. INSERT, LOAD INTO, replica apply and their TruncateBlocks
+// rollback all hold the catalog write lock, so a frontier read under the read
+// lock counts only blocks whose WAL records are durable.
 
-// snapshot is one table's decoded tuples and per-model tallies.
+// snapshot is one table's per-model tallies over its decoded image.
 type snapshot struct {
 	table *storage.Table // valid iff the catalog entry still holds this table
 
 	// mu is held while the snapshot catches up, so concurrent PREDICTs on
-	// one table wait for one decode, and released before rows are built.
-	mu     sync.Mutex
-	blocks int // tuples holds blocks [0, blocks)
-	// tuples grows by append only: a reader keeps the header it copied
-	// under mu and a writer touches only indexes past every such length.
-	tuples  []data.Tuple
+	// one table wait for one scoring pass, and released before rows are built.
+	mu sync.Mutex
+	// blocks is the furthest frontier a PREDICT has brought here: statements
+	// answer over blocks [0, blocks), which no tally runs past.
+	blocks  int
 	tallies map[string]tally // by model name
 }
 
-// tally is a model version's count of correct predictions over
-// tuples[:upTo]; another entry under the same name starts it over.
+// tally is a model version's count of correct predictions over the first
+// upTo tuples; another entry under the same name starts it over.
 type tally struct {
 	model         *db.ModelEntry
 	upTo, correct int
@@ -92,27 +92,24 @@ func (c *predictCache) sweep(dbs *db.Session) {
 	}
 }
 
-// advance decodes the blocks between the snapshot's frontier and the
-// caller's and, when tallied, scores the tuples m's tally has not seen,
-// keeping the predictions a statement with this limit will print.
+// advance moves the snapshot up to the caller's frontier and, when tallied,
+// scores the tuples m's tally has not seen, keeping the predictions a
+// statement with this limit will print.
 func (sn *snapshot) advance(frontier int, m *db.ModelEntry, tallied bool, limit int, reg *obs.Registry) (view, error) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	if sn.blocks < frontier {
-		ts, err := sn.table.DecodeBlocks(sn.blocks, frontier)
-		if err != nil {
-			return view{}, err
-		}
-		if sn.blocks == 0 {
-			reg.Inc(obs.ServePredictFills)
-			sn.tuples = ts
-		} else {
-			reg.Add(obs.ServePredictCatchupBlocks, int64(frontier-sn.blocks))
-			sn.tuples = append(sn.tuples, ts...)
-		}
-		sn.blocks = frontier
+	frontier = max(frontier, sn.blocks) // a tally may already cover what a later statement brought
+	tuples, err := sn.table.DecodeBlocks(0, frontier)
+	if err != nil {
+		return view{}, err
 	}
-	v := view{tuples: sn.tuples, first: len(sn.tuples)}
+	if sn.blocks == 0 && frontier > 0 {
+		reg.Inc(obs.ServePredictFills)
+	} else if sn.blocks < frontier {
+		reg.Add(obs.ServePredictCatchupBlocks, int64(frontier-sn.blocks))
+	}
+	sn.blocks = frontier
+	v := view{tuples: tuples, first: len(tuples)}
 	if !tallied {
 		return v, nil
 	}

@@ -57,12 +57,12 @@ type TupleBuffer struct {
 }
 
 // Reset settles whatever scan was in progress and starts a new one over src,
-// shuffling with rng.
+// shuffling with rng. The buffer's storage is kept for the new scan.
 func (b *TupleBuffer) Reset(src BlockSource, rng *rand.Rand) {
 	b.ov.Settle()
 	b.src, b.rng = src, rng
 	b.ov = iosim.NewOverlap(b.Clock, b.Obs, b.DoubleBuffer)
-	b.buf, b.pos, b.rest, b.done, b.err = nil, 0, nil, false, nil
+	b.buf, b.pos, b.rest, b.done, b.err = b.buf[:0], 0, nil, false, nil
 }
 
 // Settle closes the overlap accounting of a scan abandoned mid-way, leaving

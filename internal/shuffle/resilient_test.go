@@ -278,3 +278,66 @@ func TestFaultSummaryString(t *testing.T) {
 		}
 	}
 }
+
+// A table whose decoded image is warm answers a fault plan exactly as a cold
+// copy of it does: the image spares the decode, never the read. Transient
+// errors, stragglers and an injected corrupt block draw from the plan in the
+// same order, so errors, retries, the quarantine set, the device's counters
+// and the simulated clock all agree — under SkipCorrupt, where training runs
+// on past the bad block, and under FailFast, where its error ends the epoch.
+func TestWarmImageKeepsFaultBehaviour(t *testing.T) {
+	plan := iosim.FaultPlan{Seed: 5, ReadErrorProb: 0.15, ErrorBurst: 2,
+		StragglerProb: 0.1, StragglerDelay: 3 * time.Millisecond, CorruptBlocks: []int{4}}
+	for _, policy := range []FailurePolicy{SkipCorrupt, FailFast} {
+		for _, compress := range []bool{false, true} {
+			observe := func(warm bool) string {
+				ds := data.SyntheticBinary(data.SyntheticConfig{
+					Tuples: 600, Features: 6, Order: data.OrderClustered, Seed: 31})
+				dev := iosim.NewDevice(iosim.HDD, iosim.NewClock()).WithFaults(plan)
+				tab, err := storage.Build(dev, ds, storage.Options{BlockSize: 2 << 10, Compress: compress})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if warm {
+					if _, err := tab.DecodeAll(); err != nil {
+						t.Fatal(err)
+					}
+					if s := dev.Stats(); s.Reads != 0 || dev.Clock().Now() != 0 {
+						t.Fatalf("warming the image charged the device: %+v at %v", s, dev.Clock().Now())
+					}
+				}
+				report := NewFaultReport()
+				st, err := New(KindCorgiPile, TableSource(tab), Options{
+					Seed: 9, BufferFraction: 0.2, DoubleBuffer: true, FaultReport: report,
+					Resilience: Resilience{OnCorrupt: policy, MaxSkipFraction: 0.2,
+						Retry: storage.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond, Seed: 9}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out strings.Builder
+				for epoch := 0; epoch < 2; epoch++ {
+					it, err := st.StartEpoch(epoch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, ids := 0, int64(0)
+					for tp, ok := it.Next(); ok; tp, ok = it.Next() {
+						n, ids = n+1, ids*31+tp.ID
+					}
+					fmt.Fprintf(&out, "epoch %d: %d tuples ids %x err %v\n", epoch, n, ids, it.Err())
+				}
+				fmt.Fprintf(&out, "%+v\n%+v\nclock %v", report.Summary(), dev.Stats(), dev.Clock().Now())
+				return out.String()
+			}
+			cold, warm := observe(false), observe(true)
+			if cold != warm {
+				t.Errorf("policy %v compress %v\ncold: %s\nwarm: %s", policy, compress, cold, warm)
+			}
+			want := map[FailurePolicy]string{SkipCorrupt: "skipped_blocks=1", FailFast: "block 4: storage: corrupt data: block checksum mismatch"}[policy]
+			if !strings.Contains(cold, want) || !strings.Contains(cold, "retries=") {
+				t.Errorf("policy %v: the plan injected too little to compare:\n%s", policy, cold)
+			}
+		}
+	}
+}

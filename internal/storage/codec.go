@@ -83,14 +83,16 @@ func tupleShape(buf []byte) (sparse bool, count, size int, err error) {
 }
 
 // fillTuple decodes the tuple at the front of buf, whose shape tupleShape
-// has validated, into t, and reports that shape again. Feature values go to
+// has validated, over *t, and reports that shape again. Feature values go to
 // the front of vals and, for a sparse tuple, indices to the front of idx;
 // t's slices are those prefixes with their capacity clamped to count, so an
-// append by a holder reallocates instead of writing into whatever follows
-// in the caller's backing array.
+// append to one reallocates instead of writing into whatever follows in the
+// caller's backing array.
 func fillTuple(t *data.Tuple, buf []byte, vals []float64, idx []int32) (sparse bool, count, size int) {
-	t.ID = int64(binary.LittleEndian.Uint64(buf))
-	t.Label = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
+	*t = data.Tuple{
+		ID:    int64(binary.LittleEndian.Uint64(buf)),
+		Label: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
+	}
 	sparse = buf[16] == flagSparse
 	count = int(binary.LittleEndian.Uint32(buf[17:]))
 	vals = vals[:count:count]
@@ -165,31 +167,40 @@ func scanRawTuples(raw []byte, count int) (floats, ints int, err error) {
 // (concatenated AppendTuple encodings with no trailing bytes), validating
 // all of it before allocating: hostile payloads yield ErrCorrupt, never a
 // panic or an allocation larger than the payload warrants.
-//
-// The block is decoded into three allocations however many tuples it holds:
-// the tuple slice, one float64 arena for every feature value and one int32
-// arena for every sparse index. Each tuple's slices are sub-slices of the
-// arenas with capacity clamped to their length. Tuples of one block
-// therefore share backing arrays — retaining one tuple keeps its whole
-// block's features reachable — but none can grow into a neighbour.
 func DecodeRawTuples(raw []byte, count int) ([]data.Tuple, error) {
-	floats, ints, err := scanRawTuples(raw, count)
-	if err != nil {
+	if err := ValidateRawTuples(raw, count); err != nil {
 		return nil, err
 	}
 	tuples := make([]data.Tuple, count)
+	return tuples, decodeRawTuples(tuples, raw)
+}
+
+// decodeRawTuples decodes the len(dst) tuples of a raw block payload into
+// dst, validating all of raw before allocating or writing anything.
+//
+// Whatever the tuple count, it allocates twice at most: one float64 arena for
+// every feature value and one int32 arena for every sparse index. Each
+// tuple's slices are sub-slices of the arenas with capacity clamped to their
+// length. Tuples of one block therefore share backing arrays — retaining one
+// tuple keeps its whole block's features reachable — but none can grow into a
+// neighbour.
+func decodeRawTuples(dst []data.Tuple, raw []byte) error {
+	floats, ints, err := scanRawTuples(raw, len(dst))
+	if err != nil {
+		return err
+	}
 	vals := make([]float64, floats)
 	idx := make([]int32, ints)
 	off := 0
-	for i := range tuples {
-		sparse, c, size := fillTuple(&tuples[i], raw[off:], vals, idx)
+	for i := range dst {
+		sparse, c, size := fillTuple(&dst[i], raw[off:], vals, idx)
 		vals = vals[c:]
 		if sparse {
 			idx = idx[c:]
 		}
 		off += size
 	}
-	return tuples, nil
+	return nil
 }
 
 // EncodedTupleSize returns the size of t's encoding in bytes.

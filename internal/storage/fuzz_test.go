@@ -5,11 +5,12 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"corgipile/internal/data"
 	"corgipile/internal/iosim"
 )
 
-// fuzzTable returns a throwaway table whose decodeBlockBytes can be pointed
-// at arbitrary bytes.
+// fuzzTable returns a throwaway table whose block decoder can be pointed at
+// arbitrary bytes.
 func fuzzTable(compress bool) *Table {
 	clock := iosim.NewClock()
 	return &Table{
@@ -80,8 +81,11 @@ func FuzzDecodeBlock(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte, compress bool) {
 		tab := fuzzTable(compress)
-		m := BlockMeta{Offset: 0, Len: int64(len(b))}
-		tuples, err := tab.decodeBlockBytes(m, b, true)
+		count, raw, err := tab.rawPayload(b)
+		var tuples []data.Tuple
+		if err == nil {
+			tuples, err = DecodeRawTuples(raw, count)
+		}
 		if err == nil && compress == false && len(b) >= 24 {
 			// A successful decode must account for every payload byte.
 			payLen := binary.LittleEndian.Uint64(b[12:])

@@ -62,6 +62,8 @@ type BlockMeta struct {
 	Tuples int
 	// FirstID is the ID of the block's first tuple in storage order.
 	FirstID int64
+	// Start is the number of tuples stored in the blocks before this one.
+	Start int
 }
 
 // RawBlock is the device-independent form of one block: the raw
@@ -87,6 +89,12 @@ type RawBlock struct {
 // tail under an internal lock, and existing blocks are never rewritten, so
 // concurrent readers (a training epoch in flight) observe a stable prefix
 // while ingestion extends the table.
+//
+// Tuples handed out by ReadBlock, DecodeBlocks and DecodeAll are read-only
+// views of the table's decoded image (image.go), shared between every reader
+// of the table: copy a tuple to change it, build a new slice to reorder or
+// filter. The views' capacity is clamped to their length, so an append
+// reallocates.
 type Table struct {
 	Name string
 
@@ -96,6 +104,8 @@ type Table struct {
 	mu   sync.RWMutex
 	file []byte
 	meta []BlockMeta
+
+	img image
 
 	task     data.Task
 	features int
@@ -223,7 +233,7 @@ func (t *Table) AppendRawBlock(rb RawBlock) error {
 	}
 	blockLen := int64(len(t.file)) - offset
 	t.meta = append(t.meta, BlockMeta{
-		Offset: offset, Len: blockLen, RawLen: rawLen, Tuples: rb.Tuples, FirstID: rb.FirstID,
+		Offset: offset, Len: blockLen, RawLen: rawLen, Tuples: rb.Tuples, FirstID: rb.FirstID, Start: t.tuples,
 	})
 	t.tuples += rb.Tuples
 	t.mu.Unlock()
@@ -252,21 +262,23 @@ func (t *Table) Classes() int { return t.classes }
 // hook for an append whose WAL record could not be made durable. Durable
 // state is the source of truth: if the log rejected the record, the
 // in-memory blocks must go too, or a restart would silently lose tuples
-// the session still served. Snapshots taken before the call stay valid
-// (the retained prefix is re-sliced with full capacity bounds so later
-// appends reallocate instead of overwriting).
+// the session still served. The decoded image is cut with the table.
+// Snapshots and views taken before the call stay valid (the retained
+// prefixes are re-sliced with full capacity bounds so later appends
+// reallocate instead of overwriting).
 func (t *Table) TruncateBlocks(n int) {
+	t.img.mu.Lock()
+	defer t.img.mu.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if n < 0 || n >= len(t.meta) {
 		return
 	}
-	cut := t.meta[n].Offset
-	for _, m := range t.meta[n:] {
-		t.tuples -= m.Tuples
-	}
+	cut := t.meta[n]
+	t.tuples = cut.Start
 	t.meta = t.meta[:n:n]
-	t.file = t.file[:cut:cut]
+	t.file = t.file[:cut.Offset:cut.Offset]
+	t.img.truncate(n, cut.Start)
 }
 
 // NumBlocks returns the number of blocks (the paper's N).
@@ -317,12 +329,13 @@ func (t *Table) snapshotBlock(i int) (BlockMeta, []byte, error) {
 	return m, t.file[m.Offset : m.Offset+m.Len : m.Offset+m.Len], nil
 }
 
-// ReadBlock reads and decodes block i, charging the device (and therefore
-// the simulated clock) for the access. Compressed blocks additionally pay
-// the modelled decompression time. A device fault plan may make the read
-// fail transiently (an error wrapping iosim.ErrTransient) or return the
-// block's payload with a flipped bit, which the CRC check converts into a
-// permanent ErrCorrupt.
+// ReadBlock reads block i, charging the device (and therefore the simulated
+// clock) for the access, and returns the image's tuples for it. Every call
+// validates the block header and checksums the stored payload; compressed
+// blocks additionally pay the modelled decompression time. A device fault
+// plan may make the read fail transiently (an error wrapping
+// iosim.ErrTransient) or return the block's payload with a flipped bit, which
+// the CRC check converts into a permanent ErrCorrupt.
 func (t *Table) ReadBlock(i int) ([]data.Tuple, error) {
 	m, blk, err := t.snapshotBlock(i)
 	if err != nil {
@@ -332,19 +345,24 @@ func (t *Table) ReadBlock(i int) ([]data.Tuple, error) {
 		return nil, fmt.Errorf("storage: block %d: %w", i, err)
 	}
 	if t.dev.BlockCorrupt(i) {
-		// Decode a copy with one payload bit flipped: the checksum trips
+		// Check a copy with one payload bit flipped: the checksum trips
 		// exactly as it would for real media corruption.
 		buf := append([]byte(nil), blk...)
 		if len(buf) > 24 {
 			buf[24] ^= 0x01
 		}
-		tuples, err := t.decodeBlockBytes(m, buf, true)
-		if err != nil {
+		if _, _, _, err := t.verifyBlock(buf); err != nil {
 			return nil, fmt.Errorf("storage: block %d: %w", i, err)
 		}
-		return tuples, nil
 	}
-	return t.decodeBlockBytes(m, blk, true)
+	_, rawLen, _, err := t.verifyBlock(blk)
+	if err != nil {
+		return nil, err
+	}
+	if t.opts.Compress {
+		t.dev.Clock().Advance(time.Duration(float64(rawLen) / t.opts.DecompressRate * float64(time.Second)))
+	}
+	return t.view(i, i+1)
 }
 
 // RawBlockAt reconstructs block i's raw form without charging any simulated
@@ -354,20 +372,14 @@ func (t *Table) RawBlockAt(i int) (RawBlock, error) {
 	if err != nil {
 		return RawBlock{}, err
 	}
+	var raw []byte
 	if !t.opts.Compress {
 		if int64(len(blk)) < 24+m.RawLen {
 			return RawBlock{}, fmt.Errorf("%w: block %d shorter than its raw length", ErrCorrupt, i)
 		}
-		raw := append([]byte(nil), blk[24:24+m.RawLen]...)
-		return RawBlock{Raw: raw, Tuples: m.Tuples, FirstID: m.FirstID}, nil
-	}
-	tuples, err := t.decodeBlockBytes(m, blk, false)
-	if err != nil {
+		raw = append([]byte(nil), blk[24:24+m.RawLen]...)
+	} else if _, raw, err = t.rawPayload(blk); err != nil {
 		return RawBlock{}, err
-	}
-	var raw []byte
-	for i := range tuples {
-		raw = AppendTuple(raw, &tuples[i])
 	}
 	return RawBlock{Raw: raw, Tuples: m.Tuples, FirstID: m.FirstID}, nil
 }
@@ -376,53 +388,55 @@ func (t *Table) RawBlockAt(i int) (RawBlock, error) {
 // of the stored payload are rejected as corrupt before any allocation.
 const maxFlateRatio = 1032
 
-// decodeBlockBytes decodes the tuples of block m from buf. Every header
-// field is validated against m.Len and the actual payload before it is
-// trusted: a hostile or bit-flipped header yields ErrCorrupt, never a panic
-// or an unbounded allocation. charge selects whether a compressed block's
-// modelled decompression time is charged to the device clock: reads on the
-// training path pay it, out-of-band decodes (DecodeBlocks, RawBlockAt) never
-// touch the clock. The returned tuples follow DecodeRawTuples's ownership
-// contract: one block, shared backing arrays, capacity-clamped slices.
-func (t *Table) decodeBlockBytes(m BlockMeta, buf []byte, charge bool) ([]data.Tuple, error) {
+// verifyBlock validates every header field of a stored block against the
+// bytes actually present and checksums the payload, before any of it is
+// trusted: a hostile or bit-flipped block yields ErrCorrupt, never a panic or
+// an unbounded allocation. It returns the header's tuple count and raw
+// length and the stored (possibly compressed) payload.
+func (t *Table) verifyBlock(buf []byte) (count int, rawLen int64, payload []byte, err error) {
 	if len(buf) < 24 {
-		return nil, fmt.Errorf("%w: short block header", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: short block header", ErrCorrupt)
 	}
-	count := int64(binary.LittleEndian.Uint32(buf[0:]))
-	rawLen := int64(binary.LittleEndian.Uint64(buf[4:]))
+	tuples := int64(binary.LittleEndian.Uint32(buf[0:]))
+	rawLen = int64(binary.LittleEndian.Uint64(buf[4:]))
 	payLen := int64(binary.LittleEndian.Uint64(buf[12:]))
 	sum := binary.LittleEndian.Uint32(buf[20:])
 	if payLen < 0 || payLen > int64(len(buf))-24 {
-		return nil, fmt.Errorf("%w: payload length %d out of range for %d-byte block", ErrCorrupt, payLen, len(buf))
+		return 0, 0, nil, fmt.Errorf("%w: payload length %d out of range for %d-byte block", ErrCorrupt, payLen, len(buf))
 	}
 	if rawLen < 0 || (!t.opts.Compress && rawLen != payLen) || rawLen > payLen*maxFlateRatio+64 {
-		return nil, fmt.Errorf("%w: raw length %d inconsistent with %d-byte payload", ErrCorrupt, rawLen, payLen)
+		return 0, 0, nil, fmt.Errorf("%w: raw length %d inconsistent with %d-byte payload", ErrCorrupt, rawLen, payLen)
 	}
-	if count*tupleHeaderSize > rawLen {
-		return nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte raw payload", ErrCorrupt, count, rawLen)
+	if tuples*tupleHeaderSize > rawLen {
+		return 0, 0, nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte raw payload", ErrCorrupt, tuples, rawLen)
 	}
-	payload := buf[24 : 24+payLen]
+	payload = buf[24 : 24+payLen]
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("%w: block checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
+		return 0, 0, nil, fmt.Errorf("%w: block checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
 	}
-	if t.opts.Compress {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		raw, err := io.ReadAll(io.LimitReader(fr, rawLen+1))
-		if err != nil {
-			return nil, fmt.Errorf("storage: decompress: %w", err)
-		}
-		if err := fr.Close(); err != nil {
-			return nil, fmt.Errorf("storage: decompress close: %w", err)
-		}
-		if int64(len(raw)) != rawLen {
-			return nil, fmt.Errorf("%w: decompressed %d bytes, header claims %d", ErrCorrupt, len(raw), rawLen)
-		}
-		payload = raw
-		if charge {
-			t.dev.Clock().Advance(time.Duration(float64(rawLen) / t.opts.DecompressRate * float64(time.Second)))
-		}
+	return int(tuples), rawLen, payload, nil
+}
+
+// rawPayload verifies a stored block and returns its tuple count and raw
+// (uncompressed) tuple bytes: the stored payload itself, aliasing buf, or its
+// inflation. It never touches the clock.
+func (t *Table) rawPayload(buf []byte) (count int, raw []byte, err error) {
+	count, rawLen, payload, err := t.verifyBlock(buf)
+	if err != nil || !t.opts.Compress {
+		return count, payload, err
 	}
-	return DecodeRawTuples(payload, int(count))
+	fr := flate.NewReader(bytes.NewReader(payload))
+	raw, err = io.ReadAll(io.LimitReader(fr, rawLen+1))
+	if err != nil {
+		return 0, nil, fmt.Errorf("storage: decompress: %w", err)
+	}
+	if err := fr.Close(); err != nil {
+		return 0, nil, fmt.Errorf("storage: decompress close: %w", err)
+	}
+	if int64(len(raw)) != rawLen {
+		return 0, nil, fmt.Errorf("%w: decompressed %d bytes, header claims %d", ErrCorrupt, len(raw), rawLen)
+	}
+	return count, raw, nil
 }
 
 // ScanAll reads every block in storage order, returning all tuples and
@@ -441,34 +455,18 @@ func (t *Table) ScanAll() ([]data.Tuple, error) {
 	return out, nil
 }
 
-// DecodeBlocks decodes blocks [from, to) without charging any simulated
-// I/O. Blocks are immutable once appended, so a caller that remembers the
-// tuples of [0, from) extends them with DecodeBlocks(from, NumBlocks()).
+// DecodeBlocks returns the image's tuples of blocks [from, to) without
+// charging any simulated I/O, decoding the blocks no reader has asked for
+// yet.
 func (t *Table) DecodeBlocks(from, to int) ([]data.Tuple, error) {
-	meta, file := t.snapshot()
-	if from < 0 || from > to || to > len(meta) {
-		return nil, fmt.Errorf("storage: block range [%d,%d) out of range [0,%d]", from, to, len(meta))
-	}
-	n := 0
-	for _, m := range meta[from:to] {
-		n += m.Tuples
-	}
-	out := make([]data.Tuple, 0, n)
-	for _, m := range meta[from:to] {
-		ts, err := t.decodeBlockBytes(m, file[m.Offset:m.Offset+m.Len], false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ts...)
-	}
-	return out, nil
+	return t.view(from, to)
 }
 
-// DecodeAll decodes every tuple without charging any simulated I/O. It is
+// DecodeAll returns every tuple without charging any simulated I/O. It is
 // used for out-of-band model evaluation, which the paper's measurements
 // also exclude from training time.
 func (t *Table) DecodeAll() ([]data.Tuple, error) {
-	return t.DecodeBlocks(0, t.NumBlocks())
+	return t.view(0, t.NumBlocks())
 }
 
 // ShuffleOnceCopy materializes a fully shuffled copy of the table — the

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -268,48 +270,189 @@ func TestBlockFirstIDs(t *testing.T) {
 	}
 }
 
+// The checksum guards every charged read, not the first one: a byte that rots
+// after the image is warm still fails the next ReadBlock.
 func TestBlockChecksumDetectsCorruption(t *testing.T) {
-	ds := testDataset(300, 8)
-	tab, _ := buildTable(t, ds, Options{BlockSize: 4 << 10})
-	// Flip a byte inside the first block's payload.
-	tab.file[tab.meta[0].Offset+30] ^= 0xFF
-	if _, err := tab.ReadBlock(0); err == nil {
-		t.Fatal("corrupted block should fail its checksum")
-	} else if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("error %v should mention checksum", err)
-	}
-	// Other blocks stay readable.
-	if _, err := tab.ReadBlock(1); err != nil {
-		t.Fatalf("unrelated block failed: %v", err)
+	for _, warm := range []bool{false, true} {
+		ds := testDataset(300, 8)
+		tab, _ := buildTable(t, ds, Options{BlockSize: 4 << 10})
+		if warm {
+			if _, err := tab.ReadBlock(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Flip a byte inside the first block's payload.
+		tab.file[tab.meta[0].Offset+30] ^= 0xFF
+		if _, err := tab.ReadBlock(0); err == nil {
+			t.Fatalf("warm=%v: corrupted block should fail its checksum", warm)
+		} else if !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("warm=%v: error %v should mention checksum", warm, err)
+		}
+		// Other blocks stay readable.
+		if _, err := tab.ReadBlock(1); err != nil {
+			t.Fatalf("warm=%v: unrelated block failed: %v", warm, err)
+		}
 	}
 }
 
 func TestBlockChecksumCompressed(t *testing.T) {
-	ds := testDataset(300, 16)
-	tab, _ := buildTable(t, ds, Options{BlockSize: 8 << 10, Compress: true})
-	tab.file[tab.meta[0].Offset+26] ^= 0x01
-	if _, err := tab.ReadBlock(0); err == nil {
-		t.Fatal("corrupted compressed block should fail")
+	for _, warm := range []bool{false, true} {
+		ds := testDataset(300, 16)
+		tab, _ := buildTable(t, ds, Options{BlockSize: 8 << 10, Compress: true})
+		if warm {
+			if _, err := tab.DecodeAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tab.file[tab.meta[0].Offset+26] ^= 0x01
+		if _, err := tab.ReadBlock(0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("warm=%v: corrupted compressed block read gave %v, want ErrCorrupt", warm, err)
+		}
 	}
 }
 
-// A block decodes into the tuple slice and the feature arenas: ReadBlock's
-// allocation count must not depend on how many tuples the block holds.
+// A block is decoded once, into the table's image: the first read of a fresh
+// table allocates the image and the block's feature arena however many
+// tuples the block holds, and every later read of it allocates nothing.
 func TestReadBlockAllocsIndependentOfTupleCount(t *testing.T) {
+	const runs = 5
 	for _, perBlock := range []int{8, 800} {
 		ds := testDataset(perBlock, 6)
-		tab, _ := buildTable(t, ds, Options{BlockSize: 1 << 20})
-		if tab.NumBlocks() != 1 {
-			t.Fatalf("%d tuples landed in %d blocks, want 1", perBlock, tab.NumBlocks())
+		for _, compress := range []bool{false, true} {
+			fresh := make([]*Table, runs+1) // AllocsPerRun warms up with one extra call
+			for i := range fresh {
+				fresh[i], _ = buildTable(t, ds, Options{BlockSize: 1 << 20, Compress: compress})
+				if fresh[i].NumBlocks() != 1 {
+					t.Fatalf("%d tuples landed in %d blocks, want 1", perBlock, fresh[i].NumBlocks())
+				}
+			}
+			next := 0
+			cold := testing.AllocsPerRun(runs, func() {
+				if _, err := fresh[next].ReadBlock(0); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			if !compress && cold > 4 { // inflating allocates in compress/flate
+				t.Fatalf("the first ReadBlock of a %d-tuple block allocates %v times, want <= 4", perBlock, cold)
+			}
+			tab := fresh[0]
+			warm := testing.AllocsPerRun(20, func() {
+				if _, err := tab.ReadBlock(0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if warm != 0 {
+				t.Fatalf("compress=%v: a warm ReadBlock of a %d-tuple block allocates %v times, want 0", compress, perBlock, warm)
+			}
 		}
-		n := testing.AllocsPerRun(20, func() {
-			if _, err := tab.ReadBlock(0); err != nil {
+	}
+}
+
+// TruncateBlocks cuts the image with the table, and what is re-appended in a
+// cut block's place is what every later reader gets — the cut block's tuples
+// stay with whoever read them before, untouched. Block identity cannot be
+// told from its index entry: a re-appended block has the offset and the
+// first ID of the one it replaces.
+func TestImageFollowsTruncateAndReappend(t *testing.T) {
+	base := testDataset(200, 6)
+	variant := func(k int) []data.Tuple { // one block; same IDs, label k
+		ts := make([]data.Tuple, 20)
+		for i := range ts {
+			ts[i] = data.Tuple{ID: int64(1000 + i), Label: float64(k), Dense: []float64{float64(k), float64(i)}}
+		}
+		return ts
+	}
+	allVariant := func(ts []data.Tuple, k int) bool {
+		for i := range ts {
+			if ts[i].Label != float64(k) || ts[i].Dense[0] != float64(k) || ts[i].ID != int64(1000+i) {
+				return false
+			}
+		}
+		return len(ts) == 20
+	}
+	for _, compress := range []bool{false, true} {
+		tab, _ := buildTable(t, base, Options{BlockSize: 4 << 10, Compress: compress})
+		n := tab.NumBlocks()
+		reappend := func(k int) {
+			t.Helper()
+			tab.TruncateBlocks(n)
+			if _, err := tab.AppendTuples(variant(k)); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if n > 4 {
-			t.Fatalf("ReadBlock of a %d-tuple block allocates %v times, want <= 4", perBlock, n)
 		}
+		reappend(0)
+		old, err := tab.ReadBlock(n)
+		if err != nil || !allVariant(old, 0) {
+			t.Fatalf("block %d: %v %v", n, old, err)
+		}
+		m0 := tab.meta[n]
+		reappend(1)
+		if m1 := tab.meta[n]; m1.Offset != m0.Offset || m1.FirstID != m0.FirstID || m1.Start != m0.Start {
+			t.Fatalf("the re-appended block's index entry %+v differs from %+v: the test lost its point", m1, m0)
+		}
+		if got, err := tab.ReadBlock(n); err != nil || !allVariant(got, 1) {
+			t.Fatalf("ReadBlock after truncate + re-append served %v, %v", got, err)
+		}
+		if all, err := tab.DecodeAll(); err != nil || len(all) != base.Len()+20 || !allVariant(all[base.Len():], 1) {
+			t.Fatalf("DecodeAll after truncate + re-append: %d tuples, %v", len(all), err)
+		}
+		if !allVariant(old, 0) {
+			t.Fatal("a view handed out before the truncate was overwritten")
+		}
+
+		// The same under fire: readers of every kind beside a writer that
+		// rolls the tail block back and appends another in its place. The
+		// writer must read back what it appended, a reader must never see a
+		// block that mixes two appends, and -race must stay silent.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					var ts []data.Tuple
+					var err error
+					switch r {
+					case 0:
+						ts, err = tab.ReadBlock(n)
+					case 1:
+						if ts, err = tab.DecodeBlocks(0, tab.NumBlocks()); err == nil && len(ts) > base.Len() {
+							ts = ts[base.Len():]
+						} else {
+							continue
+						}
+					default:
+						if ts, err = tab.DecodeBlocks(n-1, n); err == nil && ts[0].ID >= 1000 {
+							t.Errorf("block %d served the tail block's tuples", n-1)
+						}
+						continue
+					}
+					if err != nil {
+						continue // the block was rolled back under the reader
+					}
+					if !allVariant(ts, int(ts[0].Label)) {
+						t.Errorf("reader %d saw a torn block: %v", r, ts)
+						return
+					}
+				}
+			}(r)
+		}
+		for k := 2; k < 150; k++ {
+			reappend(k)
+			if got, err := tab.ReadBlock(n); err != nil || !allVariant(got, k) {
+				t.Errorf("append %d: read back %v, %v", k, got, err)
+				break
+			}
+		}
+		close(stop)
+		wg.Wait()
 	}
 }
 
