@@ -35,7 +35,7 @@ type RunConfig struct {
 	BatchSize int
 	// Procs is the number of gradient worker goroutines for mini-batch
 	// steps (0 = GOMAXPROCS, 1 = single-threaded). The loss trace is
-	// bit-for-bit identical at every setting; see ml.BatchEngine.
+	// bit-for-bit identical at every setting; see ml.Trainer.Procs.
 	Procs int
 	// Clock, when non-nil, receives per-tuple gradient-compute charges and
 	// is sampled for per-epoch simulated timestamps.

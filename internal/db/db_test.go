@@ -486,7 +486,7 @@ func TestPredicateFuncAllOperators(t *testing.T) {
 
 func TestTrainProcsParamDeterministic(t *testing.T) {
 	// The procs WITH-param selects the mini-batch worker count; results
-	// must be bit-for-bit identical at every setting (see ml.BatchEngine).
+	// must be bit-for-bit identical at every setting (see ml.Trainer.Procs).
 	run := func(procs int) [][]string {
 		s := NewSession()
 		mustExec(t, s, `CREATE TABLE t AS SYNTHETIC(workload='higgs', scale=0.05, order='clustered')`)

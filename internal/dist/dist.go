@@ -9,7 +9,7 @@
 // shell over core.Loop, fed the merged multi-worker stream with BatchSize =
 // GlobalBatch. The workers are shuffle.TupleBuffers over shares of one
 // shuffle.BlockCursor order; the gradient pool and its ordered reduce are
-// ml.BatchEngine's, at Procs = Workers. What is specific to dist is the
+// ml.Trainer's mini-batch engine, at Procs = Workers. What is specific to dist is the
 // partition of the block order, the crash schedule (fault.go), and the
 // parallel-time model: each worker accrues I/O, copy and compute time on a
 // private lane clock, and an epoch advances the caller's clock by the slowest

@@ -93,11 +93,57 @@ func TestGradWSAllocationFree(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: GradWS allocates %v times per call, want 0", bm.name, allocs)
 		}
+
+		// The one-shard batch path adds straight into the accumulator.
+		d, ok := bm.model.(directGrader)
+		if !ok {
+			continue
+		}
+		var acc gradAccumulator
+		acc.Reset(len(w))
+		for i := 0; i < bm.ds.Len(); i++ {
+			d.gradInto(&ws, w, bm.ds.At(i), &acc)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			acc.Clear()
+			d.gradInto(&ws, w, bm.ds.At(i%bm.ds.Len()), &acc)
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: gradInto allocates %v times per call, want 0", bm.name, allocs)
+		}
+	}
+}
+
+// TestAccuracyAllocations: the per-epoch eval pass allocates its scratch once
+// per call, not once per tuple, for the models whose Predict needs scratch.
+func TestAccuracyAllocations(t *testing.T) {
+	for _, bm := range benchModels() {
+		if _, ok := bm.model.(workspacePredictor); !ok {
+			continue
+		}
+		w := make([]float64, bm.model.Dim(bm.ds.Features))
+		if bm.init != nil {
+			bm.init(w)
+		}
+		small := &data.Dataset{Task: bm.ds.Task, Features: bm.ds.Features,
+			Classes: bm.ds.Classes, Tuples: bm.ds.Tuples[:100]}
+		large := &data.Dataset{Task: bm.ds.Task, Features: bm.ds.Features,
+			Classes: bm.ds.Classes}
+		for len(large.Tuples) < 1000 {
+			large.Tuples = append(large.Tuples, bm.ds.Tuples...)
+		}
+		large.Tuples = large.Tuples[:1000]
+		a100 := testing.AllocsPerRun(5, func() { Accuracy(bm.model, w, small) })
+		a1000 := testing.AllocsPerRun(5, func() { Accuracy(bm.model, w, large) })
+		if a100 > 4 || a1000 != a100 {
+			t.Errorf("%s: Accuracy allocates %v times at 100 tuples and %v at 1000, want a small constant",
+				bm.name, a100, a1000)
+		}
 	}
 }
 
 // BenchmarkBatchStep measures one mini-batch gradient accumulation + optimizer
-// step through the BatchEngine at several worker counts.
+// step through the batchEngine at several worker counts.
 func BenchmarkBatchStep(b *testing.B) {
 	ds := data.SyntheticBinary(data.SyntheticConfig{
 		Tuples: 256, Features: 28, Order: data.OrderShuffled, Seed: 21})
@@ -111,9 +157,9 @@ func BenchmarkBatchStep(b *testing.B) {
 			opt := NewSGD(0.01)
 			w := make([]float64, m.Dim(ds.Features))
 			opt.Reset(len(w))
-			eng := NewBatchEngine(m, procs)
+			eng := newBatchEngine(m, procs)
 			defer eng.Close()
-			var acc GradAccumulator
+			var acc gradAccumulator
 			acc.Reset(len(w))
 			var lossSum float64
 			eng.Accumulate(w, batch, &acc, &lossSum) // warm shard scratch
@@ -129,16 +175,23 @@ func BenchmarkBatchStep(b *testing.B) {
 }
 
 // BenchmarkEpoch measures a full trainer epoch (per-tuple SGD and mini-batch
-// at several worker counts) over an in-memory dataset.
+// at several worker counts) over an in-memory dataset, plus the MLP at the
+// shape of the benchmark's train_mlp_batch workload (sparse, 64 features,
+// 10 classes, hidden 32, batch 64).
 func BenchmarkEpoch(b *testing.B) {
-	ds := data.SyntheticBinary(data.SyntheticConfig{
+	svmDS := data.SyntheticBinary(data.SyntheticConfig{
 		Tuples: 4096, Features: 28, Order: data.OrderShuffled, Seed: 31})
-	run := func(b *testing.B, batchSize, procs int) {
-		m := SVM{}
+	mlpDS := data.SyntheticMulticlass(data.SyntheticConfig{
+		Tuples: 2048, Features: 64, Classes: 10, Sparse: true, NNZ: 64,
+		Order: data.OrderShuffled, Seed: 32})
+	run := func(b *testing.B, m Model, ds *data.Dataset, batchSize, procs int) {
 		tr := NewTrainer(m, NewSGD(0.01), batchSize)
 		tr.Procs = procs
 		defer tr.Close()
 		w := make([]float64, m.Dim(ds.Features))
+		if mlp, ok := m.(MLP); ok {
+			mlp.InitWeights(w, ds.Features, rand.New(rand.NewSource(1)))
+		}
 		tr.Opt.Reset(len(w))
 		// One resettable stream, constructed outside the timed loop so the
 		// epochs themselves are allocation-free.
@@ -160,10 +213,15 @@ func BenchmarkEpoch(b *testing.B) {
 			tr.RunEpoch(w, next)
 		}
 	}
-	b.Run("tuple", func(b *testing.B) { run(b, 1, 1) })
+	b.Run("tuple", func(b *testing.B) { run(b, SVM{}, svmDS, 1, 1) })
 	for _, procs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("batch64/procs=%d", procs), func(b *testing.B) {
-			run(b, 64, procs)
+			run(b, SVM{}, svmDS, 64, procs)
+		})
+	}
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("mlp/procs=%d", procs), func(b *testing.B) {
+			run(b, MLP{Classes: 10, Hidden: 32}, mlpDS, 64, procs)
 		})
 	}
 }

@@ -157,7 +157,14 @@ func (m FactorizationMachine) GradWS(ws *Workspace, w []float64, t *data.Tuple, 
 
 // Predict implements Model, returning ±1.
 func (m FactorizationMachine) Predict(w []float64, t *data.Tuple) float64 {
-	if m.score(w, t) >= 0 {
+	var ws Workspace
+	return m.predictWS(&ws, w, t)
+}
+
+// predictWS implements workspacePredictor: Predict with the per-factor sum
+// buffer in ws.
+func (m FactorizationMachine) predictWS(ws *Workspace, w []float64, t *data.Tuple) float64 {
+	if y, _ := m.scoreSums(ws, w, t); y >= 0 {
 		return 1
 	}
 	return -1

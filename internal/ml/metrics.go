@@ -16,9 +16,10 @@ func Accuracy(m Model, w []float64, ds *data.Dataset) float64 {
 	}
 	correct := 0
 	multi := ds.Task == data.TaskMulticlass
+	predict := predictor(m)
 	for i := range ds.Tuples {
 		t := &ds.Tuples[i]
-		pred := m.Predict(w, t)
+		pred := predict(w, t)
 		if multi {
 			if int(pred) == classIndex(t.Label, maxInt(ds.Classes, 2)) {
 				correct++

@@ -15,6 +15,10 @@ import (
 //
 // Weight layout: W1 is Hidden rows of (features+1) values (bias last),
 // followed by W2, Classes rows of (Hidden+1) values.
+//
+// The kernels below are bit-exact rewrites of the plain loops (DESIGN.md
+// "Bit-exact kernels"): every weight, loss and accuracy is the value the
+// one-row-at-a-time, (gi, gv)-only form computes.
 type MLP struct {
 	// Classes is the number of output classes.
 	Classes int
@@ -49,18 +53,9 @@ func (m MLP) InitWeights(w []float64, features int, rng *rand.Rand) {
 // probabilities p into the workspace's scratch buffers.
 func (m MLP) forward(ws *Workspace, w []float64, t *data.Tuple) (h, p []float64, features int) {
 	features = (len(w)-m.Classes*(m.Hidden+1))/m.Hidden - 1
-	in1 := features + 1
 	h = f64(&ws.h, m.Hidden)
-	for j := 0; j < m.Hidden; j++ {
-		wj := w[j*in1 : (j+1)*in1]
-		z := t.Dot(wj[:features]) + wj[features]
-		if z > 0 {
-			h[j] = z
-		} else {
-			h[j] = 0
-		}
-	}
-	off := m.Hidden * in1
+	hiddenLayer(h, w, t, features)
+	off := m.Hidden * (features + 1)
 	in2 := m.Hidden + 1
 	p = f64(&ws.p, m.Classes)
 	for k := 0; k < m.Classes; k++ {
@@ -73,6 +68,66 @@ func (m MLP) forward(ws *Workspace, w []float64, t *data.Tuple) (h, p []float64,
 	}
 	softmaxProbs(p)
 	return h, p, features
+}
+
+// hiddenLayer sets h[j] = ReLU(⟨w_j[:features], x⟩ + w_j[features]) for the
+// len(h) rows of W1, four rows per pass over the tuple's features. Each row
+// keeps its own accumulator, starts it at 0 and adds w_j[idx]*x_i in exactly
+// Tuple.Dot's order (skipping idx >= features as Dot does), so every h[j] is
+// bit-identical to the one-row-at-a-time Dot form; only the number of passes
+// over x changes. The products are written as Dot writes them, so a compiler
+// that fuses multiply-add treats both forms alike. Rows past the last
+// multiple of four go through Dot itself.
+func hiddenLayer(h, w []float64, t *data.Tuple, features int) {
+	in1 := features + 1
+	j := 0
+	for ; j+4 <= len(h); j += 4 {
+		w0 := w[j*in1 : j*in1+in1]
+		w1 := w[(j+1)*in1 : (j+1)*in1+in1]
+		w2 := w[(j+2)*in1 : (j+2)*in1+in1]
+		w3 := w[(j+3)*in1 : (j+3)*in1+in1]
+		var s0, s1, s2, s3 float64
+		if t.IsSparse() {
+			idxs, vals := t.SparseIdx, t.SparseVal[:len(t.SparseIdx)]
+			for i, idx := range idxs {
+				if int(idx) < features {
+					x := vals[i]
+					s0 += w0[idx] * x
+					s1 += w1[idx] * x
+					s2 += w2[idx] * x
+					s3 += w3[idx] * x
+				}
+			}
+		} else {
+			xs := t.Dense
+			if len(xs) > features {
+				xs = xs[:features]
+			}
+			r0, r1, r2, r3 := w0[:len(xs)], w1[:len(xs)], w2[:len(xs)], w3[:len(xs)]
+			for i, x := range xs {
+				s0 += r0[i] * x
+				s1 += r1[i] * x
+				s2 += r2[i] * x
+				s3 += r3[i] * x
+			}
+		}
+		h[j] = relu(s0 + w0[features])
+		h[j+1] = relu(s1 + w1[features])
+		h[j+2] = relu(s2 + w2[features])
+		h[j+3] = relu(s3 + w3[features])
+	}
+	for ; j < len(h); j++ {
+		wj := w[j*in1 : (j+1)*in1]
+		h[j] = relu(t.Dot(wj[:features]) + wj[features])
+	}
+}
+
+// relu returns max(z, 0), mapping NaN and −0 to +0.
+func relu(z float64) float64 {
+	if z > 0 {
+		return z
+	}
+	return 0
 }
 
 // Loss implements Model.
@@ -95,9 +150,27 @@ func (m MLP) Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (float64
 
 // GradWS implements WorkspaceGrader: backpropagation with all temporaries
 // (hidden activations, probabilities, backprop deltas) in ws, so steady-state
-// calls are allocation-free. MLP gradients are dense over both layers
-// (sparse inputs still yield sparse first-layer rows).
+// calls are allocation-free.
 func (m MLP) GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
+	d := gradDest{gi: gi, gv: gv}
+	loss := m.backward(ws, w, t, &d)
+	return loss, d.gi, d.gv
+}
+
+// gradInto implements directGrader: GradWS's entries, in GradWS's order,
+// folded straight into acc.
+func (m MLP) gradInto(ws *Workspace, w []float64, t *data.Tuple, acc *gradAccumulator) float64 {
+	d := gradDest{acc: acc}
+	return m.backward(ws, w, t, &d)
+}
+
+// backward is the MLP's one backpropagation: it returns the example loss and
+// puts the gradient's (index, value) entries into d. MLP gradients are dense
+// over both layers (sparse inputs still yield sparse first-layer rows).
+// Products go through float64(...) so that, when d adds them straight into an
+// accumulator, no compiler can fuse them into that add: the accumulator then
+// receives exactly the rounded values the (gi, gv) form stores.
+func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) float64 {
 	h, p, features := m.forward(ws, w, t)
 	y := classIndex(t.Label, m.Classes)
 	py := p[y]
@@ -127,45 +200,47 @@ func (m MLP) GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []
 		wk := w[off+k*in2 : off+(k+1)*in2]
 		for j := 0; j < m.Hidden; j++ {
 			if h[j] != 0 {
-				gi = append(gi, base+int32(j))
-				gv = append(gv, dk*h[j])
+				d.put(base+int32(j), float64(dk*h[j]))
 			}
 			dh[j] += dk * wk[j]
 		}
-		gi = append(gi, base+int32(m.Hidden))
-		gv = append(gv, dk)
+		d.put(base+int32(m.Hidden), dk)
 	}
 
 	// Hidden layer: ReLU gate (h[j] > 0), dL/dz1_j = dh[j].
 	for j := 0; j < m.Hidden; j++ {
-		if h[j] <= 0 || dh[j] == 0 {
+		g := dh[j]
+		if h[j] <= 0 || g == 0 {
 			continue
 		}
 		base := int32(j * in1)
 		if t.IsSparse() {
+			vals := t.SparseVal[:len(t.SparseIdx)]
 			for i, idx := range t.SparseIdx {
-				gi = append(gi, base+idx)
-				gv = append(gv, dh[j]*t.SparseVal[i])
+				d.put(base+idx, float64(g*vals[i]))
 			}
 		} else {
 			for i, v := range t.Dense {
 				if v == 0 {
 					continue
 				}
-				gi = append(gi, base+int32(i))
-				gv = append(gv, dh[j]*v)
+				d.put(base+int32(i), float64(g*v))
 			}
 		}
-		gi = append(gi, base+int32(features))
-		gv = append(gv, dh[j])
+		d.put(base+int32(features), g)
 	}
-	return loss, gi, gv
+	return loss
 }
 
 // Predict implements Model, returning the argmax class index.
 func (m MLP) Predict(w []float64, t *data.Tuple) float64 {
 	var ws Workspace
-	_, p, _ := m.forward(&ws, w, t)
+	return m.predictWS(&ws, w, t)
+}
+
+// predictWS implements workspacePredictor: Predict with its scratch in ws.
+func (m MLP) predictWS(ws *Workspace, w []float64, t *data.Tuple) float64 {
+	_, p, _ := m.forward(ws, w, t)
 	best, bestV := 0, p[0]
 	for k, v := range p[1:] {
 		if v > bestV {

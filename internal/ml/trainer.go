@@ -51,8 +51,8 @@ func (s EpochStats) GradNorm() float64 {
 }
 
 // Trainer runs SGD-style epochs of a Model with an Optimizer. It owns the
-// scratch state (a Workspace, a GradAccumulator, and — for parallel
-// mini-batches — a BatchEngine) that makes per-tuple updates allocation-free
+// scratch state (a Workspace, a gradAccumulator, and — for parallel
+// mini-batches — a batchEngine) that makes per-tuple updates allocation-free
 // and deduplicates repeated gradient indices within a mini-batch so that
 // Adam's per-coordinate state is touched once per batch.
 type Trainer struct {
@@ -64,7 +64,7 @@ type Trainer struct {
 	// Procs is the number of gradient worker goroutines used for mini-batch
 	// steps (BatchSize > 1): 1 is single-threaded, 0 selects GOMAXPROCS.
 	// The loss trace and weight trajectory are bit-for-bit identical at
-	// every Procs setting (see BatchEngine). Per-tuple SGD ignores it.
+	// every Procs setting (see batchEngine). Per-tuple SGD ignores it.
 	Procs int
 	// OnTuple, when non-nil, is invoked for every consumed tuple — the hook
 	// the benchmark harness uses to charge simulated gradient-compute time.
@@ -82,8 +82,8 @@ type Trainer struct {
 	gi []int32
 	gv []float64
 
-	acc    GradAccumulator
-	engine *BatchEngine
+	acc    gradAccumulator
+	engine *batchEngine
 }
 
 // NewTrainer returns a trainer for the model/optimizer pair.
@@ -104,7 +104,7 @@ func (tr *Trainer) Close() {
 // statistics. With BatchSize > 1 the gradients of each batch are averaged
 // before a single optimizer step, matching mini-batch SGD; a final partial
 // batch is still applied. Batch gradients are computed by the trainer's
-// BatchEngine across Procs workers.
+// batchEngine across Procs workers.
 func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 	batch := tr.BatchSize
 	if batch < 1 {
@@ -145,7 +145,7 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 			if tr.engine != nil {
 				tr.engine.Close()
 			}
-			tr.engine = NewBatchEngine(tr.Model, tr.procs())
+			tr.engine = newBatchEngine(tr.Model, tr.procs())
 		}
 		buf := tr.ws.batch[:0]
 		flush := func() {

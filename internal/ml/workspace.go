@@ -5,7 +5,7 @@ import "corgipile/internal/data"
 // Workspace holds per-goroutine scratch buffers for gradient evaluation, so
 // the innermost loop of training — one Grad call per tuple — performs no
 // heap allocation. Each concurrent gradient consumer (the Trainer, every
-// BatchEngine shard) owns one Workspace; a Workspace must not be shared
+// batchEngine shard) owns one Workspace; a Workspace must not be shared
 // between goroutines.
 //
 // The zero value is ready to use: buffers grow on first use and are reused
@@ -53,4 +53,20 @@ func GradWS(m Model, ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv [
 		return g.GradWS(ws, w, t, gi, gv)
 	}
 	return m.Grad(w, t, gi, gv)
+}
+
+// workspacePredictor is implemented by models whose Predict needs scratch
+// buffers: predictWS is Predict with that scratch in ws.
+type workspacePredictor interface {
+	predictWS(ws *Workspace, w []float64, t *data.Tuple) float64
+}
+
+// predictor returns m's Predict, bound to one Workspace when m needs scratch,
+// so an evaluation pass over a dataset allocates once rather than per tuple.
+func predictor(m Model) func(w []float64, t *data.Tuple) float64 {
+	if p, ok := m.(workspacePredictor); ok {
+		ws := new(Workspace)
+		return func(w []float64, t *data.Tuple) float64 { return p.predictWS(ws, w, t) }
+	}
+	return m.Predict
 }

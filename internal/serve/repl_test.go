@@ -417,11 +417,14 @@ func TestAutoCheckpointSurvivesCrash(t *testing.T) {
 	}
 
 	// Ingest until at least one background compaction has landed, then a
-	// little more so the kill hits ingest-after-checkpoint.
+	// little more so the kill hits ingest-after-checkpoint. The bound is wall
+	// time, not a statement count: the checkpoint loop ticks on a timer, and
+	// a fast host finishes any fixed count before its first tick.
 	const rowsPer = 10
 	acked := 0
 	sawCkpt := false
-	for i := 0; i < 2000; i++ {
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; time.Now().Before(deadline); i++ {
 		if _, err := c.Exec(insertRows(rowsPer, i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
