@@ -5,7 +5,7 @@
 //
 //	corgibench [-scale 1.0] [-list] [experiment ...]
 //	corgibench -metrics [-workload higgs] [-strategy corgipile] [-device hdd]
-//	           [-epochs 5] [-batch N] [-procs N] [-double] [-block N]
+//	           [-epochs 5] [-batch N] [-double] [-block N]
 //	           [-trace-out trace.jsonl] [-serve 127.0.0.1:0] [-diag]
 //	           [-explain] [-run-dir DIR]
 //	corgibench -faults [-out BENCH_faults.json] [-stamp-time RFC3339]
@@ -63,7 +63,6 @@ func main() {
 		double    = flag.Bool("double", false, "-metrics: enable double buffering")
 		block     = flag.Int64("block", 0, "-metrics: block size in bytes (0 = auto)")
 		batch     = flag.Int("batch", 1, "-metrics: mini-batch size (1 = per-tuple SGD)")
-		procs     = flag.Int("procs", 0, "gradient worker goroutines for mini-batches (0 = GOMAXPROCS)")
 		seed      = flag.Int64("seed", 1, "-metrics: random seed")
 		traceOut  = flag.String("trace-out", "", "write the JSONL event trace to this file")
 		serve     = flag.String("serve", "", "serve live telemetry (/metrics, /run, /debug/pprof/) on this address during -metrics")
@@ -164,7 +163,6 @@ func main() {
 			Strategy:     shuffle.Kind(*strategy),
 			Epochs:       *epochs,
 			BatchSize:    *batch,
-			Procs:        *procs,
 			Device:       *device,
 			DoubleBuffer: *double,
 			BlockSize:    *block,

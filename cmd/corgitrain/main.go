@@ -44,7 +44,6 @@ func main() {
 		strategy  = flag.String("strategy", "corgipile", "shuffle strategy: no_shuffle, shuffle_once, epoch_shuffle, sliding_window, mrs, block_only, corgipile")
 		buffer    = flag.Float64("buffer", 0.1, "buffer fraction for the shuffle strategies")
 		batch     = flag.Int("batch", 1, "mini-batch size (1 = per-tuple SGD)")
-		procs     = flag.Int("procs", 0, "gradient worker goroutines for mini-batches (0 = GOMAXPROCS)")
 		testFrac  = flag.Float64("test", 0.2, "held-out test fraction")
 		seed      = flag.Int64("seed", 1, "random seed")
 		save      = flag.String("save", "", "save the trained model to this JSON file via the SQL layer")
@@ -148,7 +147,6 @@ func main() {
 		Decay:           *decay,
 		Epochs:          *epochs,
 		BatchSize:       *batch,
-		Procs:           *procs,
 		Strategy:        corgipile.StrategyKind(*strategy),
 		BufferFraction:  *buffer,
 		Seed:            *seed,

@@ -1,6 +1,7 @@
 package corgipile
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -76,12 +77,14 @@ func TestTransientStormWithinBudgetSameWeights(t *testing.T) {
 	}
 }
 
+// A mini-batch run under a fault storm gives the same faults and weights at
+// GOMAXPROCS 1 and 4: training starts no goroutine of its own.
 func TestFaultRunDeterministicAcrossProcs(t *testing.T) {
 	ds := Synthetic("susy", 0.1, OrderClustered)
 	run := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cfg := faultCfg()
 		cfg.BatchSize = 32
-		cfg.Procs = procs
 		cfg.Faults = &FaultPlan{Seed: 9, ReadErrorProb: 0.05}
 		cfg.Retries = 4
 		res, _, err := TrainOnDevice(ds, cfg)

@@ -24,10 +24,8 @@ type ProfileOptions struct {
 	Strategy shuffle.Kind
 	// Epochs is the number of passes (default 5).
 	Epochs int
-	// BatchSize selects mini-batch SGD when > 1; Procs is the number of
-	// gradient worker goroutines for mini-batch steps (0 = GOMAXPROCS).
+	// BatchSize selects mini-batch SGD when > 1.
 	BatchSize int
-	Procs     int
 	// Device is the profile name: "hdd", "ssd", "ram" (default "hdd" —
 	// the regime where the I/O decomposition is most interesting).
 	Device string
@@ -104,7 +102,6 @@ func Profile(w io.Writer, opts ProfileOptions) error {
 		model:     opts.Model,
 		epochs:    opts.Epochs,
 		batch:     opts.BatchSize,
-		procs:     opts.Procs,
 		kind:      opts.Strategy,
 		double:    opts.DoubleBuffer,
 		device:    prof,

@@ -27,7 +27,6 @@ type spec struct {
 	decay     float64
 	epochs    int
 	batch     int
-	procs     int
 
 	kind       shuffle.Kind
 	bufferFrac float64
@@ -198,7 +197,6 @@ func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
 		Features:     ds.Features,
 		Epochs:       s.epochs,
 		BatchSize:    s.batch,
-		Procs:        s.procs,
 		Clock:        clock,
 		TrainEval:    ds,
 		TestEval:     test,

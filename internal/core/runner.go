@@ -33,9 +33,7 @@ type RunConfig struct {
 	Epochs int
 	// BatchSize selects per-tuple (<=1) or mini-batch SGD.
 	BatchSize int
-	// Procs is the number of gradient worker goroutines for mini-batch
-	// steps (0 = GOMAXPROCS, 1 = single-threaded). The loss trace is
-	// bit-for-bit identical at every setting; see ml.Trainer.Procs.
+	// Procs is read by nothing; it stays because benchmark/ladder.go sets it.
 	Procs int
 	// Clock, when non-nil, receives per-tuple gradient-compute charges and
 	// is sampled for per-epoch simulated timestamps.
@@ -171,7 +169,6 @@ func NewLoop(cfg RunConfig) (*Loop, error) {
 	}
 	l := &Loop{cfg: cfg, trainer: ml.NewTrainer(cfg.Model, cfg.Opt, cfg.BatchSize)}
 	l.res.W = make([]float64, cfg.Model.Dim(cfg.Features))
-	l.trainer.Procs = cfg.Procs
 	l.trainer.Obs = cfg.Obs
 	l.trainer.TrackGradNorm = cfg.Diag != nil
 	if cfg.Clock != nil || cfg.Obs != nil {
@@ -339,9 +336,6 @@ func (l *Loop) canceled(epoch int) error {
 // driver keeps writing to it until the run ends.
 func (l *Loop) Result() *Result { return &l.res }
 
-// Close releases the trainer's worker pool.
-func (l *Loop) Close() { l.trainer.Close() }
-
 // Run executes the configured training over cfg.Strategy and returns its
 // convergence trace.
 func Run(cfg RunConfig) (*Result, error) {
@@ -352,7 +346,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer l.Close()
 	l.Reset()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		it, err := cfg.Strategy.StartEpoch(epoch)

@@ -816,7 +816,6 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 			Features:  tab.Features(),
 			Epochs:    int(st.Params.Num("max_epoch_num", 20)),
 			BatchSize: int(st.Params.Num("batch_size", 1)),
-			Procs:     int(st.Params.Num("procs", 1)),
 			Clock:     s.clock,
 			Obs:       reg,
 			Feed:      feed,

@@ -96,7 +96,6 @@ func TestRemainderBatchCoverage(t *testing.T) {
 // TestDeterministicLossTraceNonDivisible extends the determinism guarantee to
 // the remainder path: with 5 workers and a batch of 64 (shares 13,13,13,13,12)
 // repeated runs must produce bit-for-bit identical loss traces and weights.
-// Run under -race this also exercises ml.Trainer's worker pool at Procs = 5.
 func TestDeterministicLossTraceNonDivisible(t *testing.T) {
 	ds := clusteredDS(1000)
 	run := func() ([]float64, []float64) {

@@ -8,13 +8,13 @@
 // over the merged order, and the package is written that way: Train is a
 // shell over core.Loop, fed the merged multi-worker stream with BatchSize =
 // GlobalBatch. The workers are shuffle.TupleBuffers over shares of one
-// shuffle.BlockCursor order; the gradient pool and its ordered reduce are
-// ml.Trainer's mini-batch engine, at Procs = Workers. What is specific to dist is the
-// partition of the block order, the crash schedule (fault.go), and the
-// parallel-time model: each worker accrues I/O, copy and compute time on a
-// private lane clock, and an epoch advances the caller's clock by the slowest
-// lane plus the per-step synchronization cost and the crash-detection
-// timeouts.
+// shuffle.BlockCursor order, and the AllReduce is ml.Trainer's mini-batch
+// accumulator, which sums the merged batch in order on one goroutine. What
+// is specific to dist is the partition of the block order, the crash
+// schedule (fault.go), and the parallel-time model: each worker accrues I/O,
+// copy and compute time on a private lane clock, and an epoch advances the
+// caller's clock by the slowest lane plus the per-step synchronization cost
+// and the crash-detection timeouts.
 package dist
 
 import (
@@ -140,14 +140,13 @@ func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
 	// reaches cfg.Clock once per epoch, below.
 	l, err := core.NewLoop(core.RunConfig{
 		Model: cfg.Model, Opt: cfg.Opt, Features: cfg.Features,
-		Epochs: cfg.Epochs, BatchSize: cfg.GlobalBatch, Procs: cfg.Workers,
+		Epochs: cfg.Epochs, BatchSize: cfg.GlobalBatch,
 		TrainEval: cfg.Eval, InitWeights: cfg.InitWeights,
 		ComputeScale: cfg.ComputeScale, Obs: cfg.Obs,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer l.Close()
 	l.Reset()
 	res := l.Result()
 	syncPerBatch := cfg.syncCostPerBatch(len(res.W))

@@ -67,10 +67,8 @@ func TestEveryEpochCoversEveryTupleOnce(t *testing.T) {
 }
 
 // TestMultiWorkerIsMiniBatchOverMergedOrder is Figure 5 as a bit-exact
-// statement: multi-worker training (gradients on a pool of Workers
-// goroutines) ends at the very weights, and reports the very losses, of a
-// plain single-threaded mini-batch trainer fed the merged order. Under -race
-// it extends the bit-identity-at-any-Procs promise to dist.
+// statement: multi-worker training ends at the very weights, and reports the
+// very losses, of a plain mini-batch trainer fed the merged order.
 func TestMultiWorkerIsMiniBatchOverMergedOrder(t *testing.T) {
 	ds := clusteredDS(2000)
 	for _, workers := range []int{2, 5, 8} {
@@ -81,7 +79,6 @@ func TestMultiWorkerIsMiniBatchOverMergedOrder(t *testing.T) {
 			}
 			cfg := gridConfig(workers, "corgipile")
 			tr := ml.NewTrainer(cfg.Model, cfg.Opt, cfg.GlobalBatch)
-			tr.Procs = 1
 			w := make([]float64, cfg.Model.Dim(cfg.Features))
 			cfg.Opt.Reset(len(w))
 			for epoch, order := range epochOrders(t, ds, cfg) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,6 +130,8 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 // instant. CorgiPile runs as BlockShuffleOp → TupleShuffleOp in the executor
 // and as a BlockCursor → TupleBuffer in core.Run, which are the same two
 // types; the other six run through the same shuffle.Strategy on both sides.
+// The procs axis is GOMAXPROCS: training starts no goroutine, so how many
+// the scheduler could run at once must not show in any bit.
 func TestEngineParity(t *testing.T) {
 	for _, kind := range shuffle.Kinds {
 		for _, batch := range []int{1, 16} {
@@ -136,10 +139,11 @@ func TestEngineParity(t *testing.T) {
 				for _, attach := range []bool{false, true} {
 					name := fmt.Sprintf("%s/batch=%d/procs=%d/obs=%v", kind, batch, procs, attach)
 					t.Run(name, func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 						for _, double := range []bool{false, true} {
 							t.Run(fmt.Sprintf("double=%v", double), func(t *testing.T) {
 								r := engineRun{kind: kind, tuples: 1200, double: double, attach: attach,
-									cfg: core.RunConfig{Epochs: 3, BatchSize: batch, Procs: procs}}
+									cfg: core.RunConfig{Epochs: 3, BatchSize: batch}}
 								assertParity(t, r.run(t, engines[0]), r.run(t, engines[1]), attach)
 							})
 						}
@@ -329,7 +333,7 @@ func TestDistSingleWorkerIsCoreRun(t *testing.T) {
 		}
 		want, err := core.Run(core.RunConfig{
 			Strategy: st, Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: ds.Features,
-			Epochs: epochs, BatchSize: batch, Procs: 1, ComputeScale: scale,
+			Epochs: epochs, BatchSize: batch, ComputeScale: scale,
 			Clock: clock, TrainEval: ds,
 		})
 		if err != nil {

@@ -200,8 +200,8 @@ func TestRefillOrderChildErrorPinned(t *testing.T) {
 }
 
 // Mini-batches of 64 over a 19-tuple buffer: every batch spans three or four
-// refills, so the trainer's gathered tuples outlive the buffer contents they
-// were copied from. The whole training trace is pinned, profiled and not.
+// refills, so a batch's gradient is summed from tuples that no buffer holds
+// at once. The whole training trace is pinned, profiled and not.
 func TestRefillOrderBatchSpansRefills(t *testing.T) {
 	const want = `[1 3fefa17a6f523b13 3fb9c0b8417a73ba 95][2 3feb51185c752743 3fc8790a2cff9272 95][3 3fe76049cf885551 3fd16505126384e0 95] w=fa26dfe12cfa8d7b`
 	for _, profile := range []bool{false, true} {
@@ -211,7 +211,7 @@ func TestRefillOrderBatchSpansRefills(t *testing.T) {
 				Shuffle: shuffle.KindCorgiPile, BufferFraction: 0.2, DoubleBuffer: true, Seed: 5, Profile: profile,
 				SGD: SGDConfig{
 					Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: tab.Features(),
-					Epochs: 3, BatchSize: 64, Procs: 1, Clock: tab.Device().Clock(),
+					Epochs: 3, BatchSize: 64, Clock: tab.Device().Clock(),
 				},
 			})
 			if err != nil {

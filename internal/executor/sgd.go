@@ -109,11 +109,8 @@ func (op *SGDOp) Run() ([]EpochRow, error) {
 	}
 }
 
-// Close releases the pipeline and the trainer's worker pool.
-func (op *SGDOp) Close() error {
-	op.loop.Close()
-	return op.child.Close()
-}
+// Close releases the pipeline.
+func (op *SGDOp) Close() error { return op.child.Close() }
 
 // Model returns the trained model.
 func (op *SGDOp) Model() ml.Model { return op.model }

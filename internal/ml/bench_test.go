@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -94,7 +93,7 @@ func TestGradWSAllocationFree(t *testing.T) {
 			t.Errorf("%s: GradWS allocates %v times per call, want 0", bm.name, allocs)
 		}
 
-		// The one-shard batch path adds straight into the accumulator.
+		// The mini-batch path adds straight into the accumulator.
 		d, ok := bm.model.(directGrader)
 		if !ok {
 			continue
@@ -142,52 +141,18 @@ func TestAccuracyAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchStep measures one mini-batch gradient accumulation + optimizer
-// step through the batchEngine at several worker counts.
-func BenchmarkBatchStep(b *testing.B) {
-	ds := data.SyntheticBinary(data.SyntheticConfig{
-		Tuples: 256, Features: 28, Order: data.OrderShuffled, Seed: 21})
-	batch := make([]data.Tuple, ds.Len())
-	for i := range batch {
-		batch[i] = *ds.At(i)
-	}
-	for _, procs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			m := SVM{}
-			opt := NewSGD(0.01)
-			w := make([]float64, m.Dim(ds.Features))
-			opt.Reset(len(w))
-			eng := newBatchEngine(m, procs)
-			defer eng.Close()
-			var acc gradAccumulator
-			acc.Reset(len(w))
-			var lossSum float64
-			eng.Accumulate(w, batch, &acc, &lossSum) // warm shard scratch
-			acc.Step(opt, w, len(batch))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := eng.Accumulate(w, batch, &acc, &lossSum)
-				acc.Step(opt, w, n)
-			}
-		})
-	}
-}
-
-// BenchmarkEpoch measures a full trainer epoch (per-tuple SGD and mini-batch
-// at several worker counts) over an in-memory dataset, plus the MLP at the
-// shape of the benchmark's train_mlp_batch workload (sparse, 64 features,
-// 10 classes, hidden 32, batch 64).
+// BenchmarkEpoch measures a full trainer epoch (per-tuple SGD and batch 64)
+// over an in-memory dataset, plus the MLP at the shape of the benchmark's
+// train_mlp_batch workload (sparse, 64 features, 10 classes, hidden 32,
+// batch 64).
 func BenchmarkEpoch(b *testing.B) {
 	svmDS := data.SyntheticBinary(data.SyntheticConfig{
 		Tuples: 4096, Features: 28, Order: data.OrderShuffled, Seed: 31})
 	mlpDS := data.SyntheticMulticlass(data.SyntheticConfig{
 		Tuples: 2048, Features: 64, Classes: 10, Sparse: true, NNZ: 64,
 		Order: data.OrderShuffled, Seed: 32})
-	run := func(b *testing.B, m Model, ds *data.Dataset, batchSize, procs int) {
+	run := func(b *testing.B, m Model, ds *data.Dataset, batchSize int) {
 		tr := NewTrainer(m, NewSGD(0.01), batchSize)
-		tr.Procs = procs
-		defer tr.Close()
 		w := make([]float64, m.Dim(ds.Features))
 		if mlp, ok := m.(MLP); ok {
 			mlp.InitWeights(w, ds.Features, rand.New(rand.NewSource(1)))
@@ -213,15 +178,7 @@ func BenchmarkEpoch(b *testing.B) {
 			tr.RunEpoch(w, next)
 		}
 	}
-	b.Run("tuple", func(b *testing.B) { run(b, SVM{}, svmDS, 1, 1) })
-	for _, procs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("batch64/procs=%d", procs), func(b *testing.B) {
-			run(b, SVM{}, svmDS, 64, procs)
-		})
-	}
-	for _, procs := range []int{1, 2} {
-		b.Run(fmt.Sprintf("mlp/procs=%d", procs), func(b *testing.B) {
-			run(b, MLP{Classes: 10, Hidden: 32}, mlpDS, 64, procs)
-		})
-	}
+	b.Run("tuple", func(b *testing.B) { run(b, SVM{}, svmDS, 1) })
+	b.Run("batch64", func(b *testing.B) { run(b, SVM{}, svmDS, 64) })
+	b.Run("mlp", func(b *testing.B) { run(b, MLP{Classes: 10, Hidden: 32}, mlpDS, 64) })
 }

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"math"
-	"runtime"
 
 	"corgipile/internal/data"
 	"corgipile/internal/obs"
@@ -50,21 +49,18 @@ func (s EpochStats) GradNorm() float64 {
 	return math.Sqrt(s.GradSqSum / float64(s.Steps))
 }
 
-// Trainer runs SGD-style epochs of a Model with an Optimizer. It owns the
-// scratch state (a Workspace, a gradAccumulator, and — for parallel
-// mini-batches — a batchEngine) that makes per-tuple updates allocation-free
-// and deduplicates repeated gradient indices within a mini-batch so that
-// Adam's per-coordinate state is touched once per batch.
+// Trainer runs SGD-style epochs of a Model with an Optimizer on the calling
+// goroutine. It owns the scratch state (a Workspace and a gradAccumulator)
+// that makes per-tuple updates allocation-free and deduplicates repeated
+// gradient indices within a mini-batch so that Adam's per-coordinate state
+// is touched once per batch.
 type Trainer struct {
 	Model Model
 	Opt   Optimizer
 	// BatchSize is the mini-batch size; 0 or 1 gives per-tuple updates
 	// (the paper's "standard SGD").
 	BatchSize int
-	// Procs is the number of gradient worker goroutines used for mini-batch
-	// steps (BatchSize > 1): 1 is single-threaded, 0 selects GOMAXPROCS.
-	// The loss trace and weight trajectory are bit-for-bit identical at
-	// every Procs setting (see batchEngine). Per-tuple SGD ignores it.
+	// Procs is read by nothing; it stays because benchmark/ladder.go sets it.
 	Procs int
 	// OnTuple, when non-nil, is invoked for every consumed tuple — the hook
 	// the benchmark harness uses to charge simulated gradient-compute time.
@@ -82,8 +78,7 @@ type Trainer struct {
 	gi []int32
 	gv []float64
 
-	acc    gradAccumulator
-	engine *batchEngine
+	acc gradAccumulator
 }
 
 // NewTrainer returns a trainer for the model/optimizer pair.
@@ -91,20 +86,13 @@ func NewTrainer(m Model, opt Optimizer, batchSize int) *Trainer {
 	return &Trainer{Model: m, Opt: opt, BatchSize: batchSize}
 }
 
-// Close releases the trainer's worker pool, if one was started. The trainer
-// must not run further epochs afterwards.
-func (tr *Trainer) Close() {
-	if tr.engine != nil {
-		tr.engine.Close()
-		tr.engine = nil
-	}
-}
+// Close does nothing; it stays because benchmark/ladder.go calls it.
+func (tr *Trainer) Close() {}
 
 // RunEpoch consumes the stream, applying updates to w, and returns epoch
 // statistics. With BatchSize > 1 the gradients of each batch are averaged
 // before a single optimizer step, matching mini-batch SGD; a final partial
-// batch is still applied. Batch gradients are computed by the trainer's
-// batchEngine across Procs workers.
+// batch is still applied.
 func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 	batch := tr.BatchSize
 	if batch < 1 {
@@ -125,10 +113,8 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 				tr.OnTuple(t)
 			}
 			stats.Tuples++
-			tr.gi = tr.gi[:0]
-			tr.gv = tr.gv[:0]
 			var loss float64
-			loss, tr.gi, tr.gv = GradWS(tr.Model, &tr.ws, w, t, tr.gi, tr.gv)
+			loss, tr.gi, tr.gv = GradWS(tr.Model, &tr.ws, w, t, tr.gi[:0], tr.gv[:0])
 			lossSum += loss
 			if tr.TrackGradNorm {
 				stats.GradSqSum += sqNorm(tr.gv)
@@ -138,22 +124,14 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 			tr.Obs.Inc(obs.SGDBatches)
 		}
 	} else {
-		// Mini-batch SGD: gather shallow tuple copies (feature storage is
-		// dataset-owned and stable), then one engine step per full batch.
+		// Mini-batch SGD: each tuple's gradient is folded into the
+		// accumulator as it arrives, in stream order, and every full batch
+		// takes one optimizer step.
 		tr.acc.Reset(len(w))
-		if tr.engine == nil || tr.engine.Procs() != tr.procs() {
-			if tr.engine != nil {
-				tr.engine.Close()
-			}
-			tr.engine = newBatchEngine(tr.Model, tr.procs())
-		}
-		buf := tr.ws.batch[:0]
-		flush := func() {
-			if len(buf) == 0 {
-				return
-			}
-			count := tr.engine.Accumulate(w, buf, &tr.acc, &lossSum)
-			if tr.TrackGradNorm && count > 0 {
+		direct, _ := tr.Model.(directGrader)
+		count := 0
+		step := func() {
+			if tr.TrackGradNorm {
 				// Gather is repeatable until Clear, so peeking at the
 				// averaged batch gradient does not disturb the step below.
 				_, gv := tr.acc.Gather(1 / float64(count))
@@ -162,7 +140,7 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 			tr.acc.Step(tr.Opt, w, count)
 			stats.Steps++
 			tr.Obs.Inc(obs.SGDBatches)
-			buf = buf[:0]
+			count = 0
 		}
 		for {
 			t, ok := next()
@@ -173,13 +151,21 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 				tr.OnTuple(t)
 			}
 			stats.Tuples++
-			buf = append(buf, *t)
-			if len(buf) >= batch {
-				flush()
+			if direct != nil {
+				lossSum += direct.gradInto(&tr.ws, w, t, &tr.acc)
+			} else {
+				var loss float64
+				loss, tr.gi, tr.gv = GradWS(tr.Model, &tr.ws, w, t, tr.gi[:0], tr.gv[:0])
+				lossSum += loss
+				tr.acc.Add(tr.gi, tr.gv)
+			}
+			if count++; count == batch {
+				step()
 			}
 		}
-		flush()
-		tr.ws.batch = buf[:0]
+		if count > 0 {
+			step()
+		}
 	}
 	tr.Opt.EndEpoch()
 
@@ -200,15 +186,4 @@ func sqNorm(gv []float64) float64 {
 		s += v * v
 	}
 	return s
-}
-
-// procs resolves the Procs setting: 0 means GOMAXPROCS, negative means 1.
-func (tr *Trainer) procs() int {
-	switch {
-	case tr.Procs == 0:
-		return runtime.GOMAXPROCS(0)
-	case tr.Procs < 0:
-		return 1
-	}
-	return tr.Procs
 }

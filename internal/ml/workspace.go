@@ -2,11 +2,9 @@ package ml
 
 import "corgipile/internal/data"
 
-// Workspace holds per-goroutine scratch buffers for gradient evaluation, so
-// the innermost loop of training — one Grad call per tuple — performs no
-// heap allocation. Each concurrent gradient consumer (the Trainer, every
-// batchEngine shard) owns one Workspace; a Workspace must not be shared
-// between goroutines.
+// Workspace holds scratch buffers for gradient evaluation, so the innermost
+// loop of training — one Grad call per tuple — performs no heap allocation.
+// The Trainer owns one; a Workspace must not be shared between goroutines.
 //
 // The zero value is ready to use: buffers grow on first use and are reused
 // afterwards.
@@ -15,13 +13,6 @@ type Workspace struct {
 	// hidden-layer backprop temporaries; p doubles as the Softmax logit
 	// buffer and dh as the FM per-factor sum buffer.
 	h, p, dh []float64
-
-	// batch and the slices below belong to the Trainer's mini-batch gather
-	// path: batch holds shallow tuple copies for the current mini-batch
-	// (feature storage is owned by the dataset or the storage codec and is
-	// stable, so value copies suffice — the same contract internal/dist's
-	// merged stream relies on).
-	batch []data.Tuple
 }
 
 // f64 returns a scratch slice of length n backed by *buf, growing *buf's

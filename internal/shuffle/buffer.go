@@ -95,10 +95,9 @@ func (b *TupleBuffer) Err() error { return b.err }
 // BufferLen returns the number of tuples currently held in the buffer.
 func (b *TupleBuffer) BufferLen() int { return len(b.buf) }
 
-// Fill appends the source's tuples to buf until it holds Capacity tuples or
-// the source is exhausted. It is the one fill loop, shared by refill and the
-// executor's async write thread.
-func (b *TupleBuffer) Fill(buf []data.Tuple) (_ []data.Tuple, exhausted bool, err error) {
+// fill appends the source's tuples to buf until it holds Capacity tuples or
+// the source is exhausted.
+func (b *TupleBuffer) fill(buf []data.Tuple) (_ []data.Tuple, exhausted bool, err error) {
 	for len(buf) < b.Capacity {
 		if len(b.rest) == 0 {
 			block, ok, err := b.src.NextBlock()
@@ -117,15 +116,6 @@ func (b *TupleBuffer) Fill(buf []data.Tuple) (_ []data.Tuple, exhausted bool, er
 	return buf, false, nil
 }
 
-// Load makes buf the buffer's contents and reports its fill level on the
-// live-only gauges: outside live mode only the peak high-water mark is kept,
-// so passive traces are unchanged.
-func (b *TupleBuffer) Load(buf []data.Tuple) {
-	b.buf, b.pos = buf, 0
-	b.Obs.SetLiveGauge(obs.ShuffleBufferTuples, float64(len(buf)))
-	b.Obs.SetLiveGauge(obs.ShuffleBufferOccupancy, float64(len(buf))/float64(b.Capacity))
-}
-
 // refill loads and shuffles the next buffer. It returns false when the scan
 // is over: the source is exhausted (the overlap is finished) or failed (it is
 // settled, and Err reports why).
@@ -139,7 +129,7 @@ func (b *TupleBuffer) refill() bool {
 	}
 	b.ov.BeginFill()
 	sp := b.Obs.Span(obs.SpanRefill)
-	buf, done, err := b.Fill(b.buf[:0])
+	buf, done, err := b.fill(b.buf[:0])
 	if err != nil {
 		sp.End()
 		b.err = err
@@ -161,7 +151,11 @@ func (b *TupleBuffer) refill() bool {
 	b.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
 	sp.End()
 	b.Obs.Inc(obs.ShuffleRefills)
-	b.Load(buf)
+	b.buf, b.pos = buf, 0
+	// The fill level goes to the live-only gauges: outside live mode only
+	// the peak high-water mark is kept, so passive traces are unchanged.
+	b.Obs.SetLiveGauge(obs.ShuffleBufferTuples, float64(len(buf)))
+	b.Obs.SetLiveGauge(obs.ShuffleBufferOccupancy, float64(len(buf))/float64(b.Capacity))
 	b.ov.EndFill()
 	return true
 }

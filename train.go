@@ -30,10 +30,6 @@ type TrainConfig struct {
 	Epochs int
 	// BatchSize selects mini-batch SGD when > 1.
 	BatchSize int
-	// Procs is the number of gradient worker goroutines for mini-batch steps
-	// (0 = GOMAXPROCS, 1 = single-threaded). The loss trace is bit-for-bit
-	// identical at every setting; per-tuple SGD (BatchSize <= 1) ignores it.
-	Procs int
 	// Strategy is the shuffling strategy (default CorgiPile).
 	Strategy StrategyKind
 	// BufferFraction sizes the shuffle buffer (default 0.1).
@@ -203,7 +199,6 @@ func trainOn(src shuffle.Source, ds *Dataset, cfg TrainConfig, clock *Clock) (*R
 		Features:  ds.Features,
 		Epochs:    cfg.Epochs,
 		BatchSize: cfg.BatchSize,
-		Procs:     cfg.Procs,
 		Clock:     clock,
 		TrainEval: ds,
 		Seed:      cfg.Seed,
