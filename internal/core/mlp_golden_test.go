@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"os"
 	"testing"
 
 	"corgipile/internal/data"
@@ -14,11 +15,14 @@ import (
 	"corgipile/internal/shuffle"
 )
 
-// mlpGoldenData returns the golden matrix's three datasets: dense (with
-// exact zeros, which the gradient skips), sparse, and sparse with holes
-// (every 7th feature dropped). Both sparse sets carry one tuple with indices
-// at and past features, which the forward pass ignores and the backward pass
-// writes wherever base+idx lands — behaviour the golden pins as it is.
+// mlpGoldenData returns the golden matrix's four datasets: dense (with
+// exact zeros, which the gradient skips), sparse, sparse with holes (every
+// 7th feature dropped), and full: sparse tuples carrying every index 0…F−1,
+// the shape LIBSVM gives a dense file. Both sparse and holes carry one tuple
+// with indices at and past features, and full one running 0…F+1; the forward
+// pass ignores those indices and the backward pass writes wherever base+idx
+// lands — behaviour the golden pins as it is. Full also stores explicit
+// zeros, which the sparse gradient does not skip, and short prefixes 0…k−1.
 func mlpGoldenData() map[string]*data.Dataset {
 	cfg := data.SyntheticConfig{Tuples: 160, Features: 20, Classes: 4,
 		Order: data.OrderClustered, Seed: 71}
@@ -51,7 +55,28 @@ func mlpGoldenData() map[string]*data.Dataset {
 		ds.Tuples[len(ds.Tuples)/2] = data.Tuple{ID: int64(len(ds.Tuples) / 2), Label: 2,
 			SparseIdx: []int32{1, f, f + 2}, SparseVal: []float64{0.5, -1.25, 2}}
 	}
-	return map[string]*data.Dataset{"dense": dense, "sparse": sparse, "holes": holes}
+
+	full := data.SyntheticMulticlass(data.SyntheticConfig{Tuples: 160, Features: 20,
+		Classes: 4, Order: data.OrderClustered, Seed: 74})
+	for i := range full.Tuples {
+		t := &full.Tuples[i]
+		n := len(t.Dense)
+		switch {
+		case i%3 == 0:
+			t.Dense[i%n] = 0 // stored, not dropped
+		case i%5 == 1:
+			n = 1 + i%(n-1) // a prefix 0…k−1 with k < F
+		}
+		for j, v := range t.Dense[:n] {
+			t.SparseIdx = append(t.SparseIdx, int32(j))
+			t.SparseVal = append(t.SparseVal, v)
+		}
+		t.Dense = nil
+	}
+	past := &full.Tuples[len(full.Tuples)/2]
+	past.SparseIdx = append(past.SparseIdx, int32(full.Features), int32(full.Features+1))
+	past.SparseVal = append(past.SparseVal, 0.75, -0.5)
+	return map[string]*data.Dataset{"dense": dense, "sparse": sparse, "holes": holes, "full": full}
 }
 
 // mlpGoldenRun trains one cell of the matrix through Run (CorgiPile, 4
@@ -96,6 +121,9 @@ func mlpGoldenRun(t *testing.T, h hash.Hash, ds *data.Dataset, hidden int, opt s
 		h.Write(b[:])
 	}
 	for _, w := range res.W {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			t.Fatalf("hidden=%d/%s/batch=%d: weight %v; a golden over a diverged run pins nothing", hidden, opt, batch, w)
+		}
 		put(w)
 	}
 	for i, p := range res.Points {
@@ -111,11 +139,13 @@ func mlpGoldenRun(t *testing.T, h hash.Hash, ds *data.Dataset, hidden int, opt s
 // four-row kernel) × optimizer (L2 and Adam read the touched set) × batch
 // size. One SHA-256 per data × hidden cell covers its nine runs. The
 // literals were captured at the commit before the MLP kernel rewrite
-// (DESIGN.md "Bit-exact kernels"): that rewrite and any later one must leave
-// them untouched.
+// (DESIGN.md "Bit-exact kernels"), the full ones at the commit before the
+// gap-free forward path: those rewrites and any later one must leave them
+// untouched. CORGI_PRINT_GOLDEN=1 prints the observed hashes for a
+// deliberate recapture.
 func TestMLPGolden(t *testing.T) {
 	sets := mlpGoldenData()
-	for _, dsName := range []string{"dense", "sparse", "holes"} {
+	for _, dsName := range []string{"dense", "sparse", "holes", "full"} {
 		for _, hidden := range []int{32, 30, 5} {
 			h := sha256.New()
 			for _, opt := range []string{"sgd", "sgd_l2", "adam"} {
@@ -127,7 +157,12 @@ func TestMLPGolden(t *testing.T) {
 				mlpGoldenRun(t, h, sets[dsName], hidden, opt, 64)
 			}
 			name := fmt.Sprintf("%s/hidden=%d", dsName, hidden)
-			if got := hex.EncodeToString(h.Sum(nil)); got != mlpGolden[name] {
+			got := hex.EncodeToString(h.Sum(nil))
+			if os.Getenv("CORGI_PRINT_GOLDEN") != "" {
+				fmt.Printf("\t%q: %q,\n", name, got)
+				continue
+			}
+			if got != mlpGolden[name] {
 				t.Errorf("%s: got %s want %s", name, got, mlpGolden[name])
 			}
 		}
@@ -144,4 +179,7 @@ var mlpGolden = map[string]string{
 	"holes/hidden=32":  "65ce7ed2731eadf55a892a8af3f14c80bb845f4a5fb4f8e1aa50d7f6ad11f91b",
 	"holes/hidden=30":  "58de5dbd3bac427592cd77b39d9df2db2ee7cd0c58f9f650aa04d28a5878cef2",
 	"holes/hidden=5":   "f533e8ae65995f336113910f401e3ee3632ddf4b19f6cff6b4b069f9155fae9b",
+	"full/hidden=32":   "0c34750d9ab030340bd71c55ff4140192249a1b8e1751889e61d5843b7e813c6",
+	"full/hidden=30":   "07e81c2faad536ff3c71849ae3b6f3cf06517342111a8c9f78b0220cf15ef1a2",
+	"full/hidden=5":    "00a3a7b68d7e97f59c6bcc31c72070975d77510b71e5cbab40c5c1884f563f66",
 }
