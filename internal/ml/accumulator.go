@@ -76,9 +76,9 @@ func (a *gradAccumulator) Step(opt Optimizer, w []float64, count int) {
 }
 
 // gradDest is where a backward pass puts its gradient entries: appended to
-// gi/gv, or — when acc is set — folded straight into acc by the same
-// addEntry step Add applies to a (gi, gv) log. Either way every coordinate
-// receives the same values in the same order.
+// gi/gv, or — when acc is set — folded straight into acc by the addEntry step
+// Add applies to a (gi, gv) log (the row writers below inline it). Either way
+// every coordinate receives the same values in the same order.
 type gradDest struct {
 	gi  []int32
 	gv  []float64
@@ -93,6 +93,63 @@ func (d *gradDest) put(idx int32, v float64) {
 	}
 	d.gi = append(d.gi, idx)
 	d.gv = append(d.gv, v)
+}
+
+// putScaled emits (base+idxs[i], float64(g*vals[i])) for every i: the entries
+// one put per entry would emit, in the same order and with the same rounding
+// (the conversion keeps a compiler from fusing the product into acc's add),
+// with the destination's slices held in locals so that a row costs one call.
+func (d *gradDest) putScaled(base int32, g float64, idxs []int32, vals []float64) {
+	vals = vals[:len(idxs)]
+	if a := d.acc; a != nil {
+		acc, mark, touched := a.acc, a.mark, a.touched
+		for i, idx := range idxs {
+			k := base + idx
+			if !mark[k] {
+				mark[k] = true
+				touched = append(touched, k)
+			}
+			acc[k] += float64(g * vals[i])
+		}
+		a.touched = touched
+		return
+	}
+	gi, gv := d.gi, d.gv
+	for i, idx := range idxs {
+		gi = append(gi, base+idx)
+		gv = append(gv, float64(g*vals[i]))
+	}
+	d.gi, d.gv = gi, gv
+}
+
+// putScaledDense is putScaled over a dense row: vals[i] goes to base+i, and
+// zeros are skipped.
+func (d *gradDest) putScaledDense(base int32, g float64, vals []float64) {
+	if a := d.acc; a != nil {
+		acc, mark, touched := a.acc, a.mark, a.touched
+		for i, v := range vals {
+			if v == 0 {
+				continue
+			}
+			k := base + int32(i)
+			if !mark[k] {
+				mark[k] = true
+				touched = append(touched, k)
+			}
+			acc[k] += float64(g * v)
+		}
+		a.touched = touched
+		return
+	}
+	gi, gv := d.gi, d.gv
+	for i, v := range vals {
+		if v == 0 {
+			continue
+		}
+		gi = append(gi, base+int32(i))
+		gv = append(gv, float64(g*v))
+	}
+	d.gi, d.gv = gi, gv
 }
 
 // directGrader is implemented by models that can add a tuple's gradient

@@ -78,8 +78,20 @@ func (m MLP) forward(ws *Workspace, w []float64, t *data.Tuple) (h, p []float64,
 // over x changes. The products are written as Dot writes them, so a compiler
 // that fuses multiply-add treats both forms alike. Rows past the last
 // multiple of four go through Dot itself.
+//
+// A sparse tuple whose indices are exactly 0, 1, …, n−1 — a dense row stored
+// sparse, as LIBSVM loads one — takes the dense loop over SparseVal[:n]: for
+// it idx < features holds exactly when i < features, so both loops perform
+// the same operations in the same order.
 func hiddenLayer(h, w []float64, t *data.Tuple, features int) {
 	in1 := features + 1
+	sparse, xs := t.IsSparse(), t.Dense
+	if sparse && gapFree(t.SparseIdx) {
+		sparse, xs = false, t.SparseVal[:len(t.SparseIdx)]
+	}
+	if len(xs) > features {
+		xs = xs[:features]
+	}
 	j := 0
 	for ; j+4 <= len(h); j += 4 {
 		w0 := w[j*in1 : j*in1+in1]
@@ -87,7 +99,7 @@ func hiddenLayer(h, w []float64, t *data.Tuple, features int) {
 		w2 := w[(j+2)*in1 : (j+2)*in1+in1]
 		w3 := w[(j+3)*in1 : (j+3)*in1+in1]
 		var s0, s1, s2, s3 float64
-		if t.IsSparse() {
+		if sparse {
 			idxs, vals := t.SparseIdx, t.SparseVal[:len(t.SparseIdx)]
 			for i, idx := range idxs {
 				if int(idx) < features {
@@ -99,10 +111,6 @@ func hiddenLayer(h, w []float64, t *data.Tuple, features int) {
 				}
 			}
 		} else {
-			xs := t.Dense
-			if len(xs) > features {
-				xs = xs[:features]
-			}
 			r0, r1, r2, r3 := w0[:len(xs)], w1[:len(xs)], w2[:len(xs)], w3[:len(xs)]
 			for i, x := range xs {
 				s0 += r0[i] * x
@@ -120,6 +128,18 @@ func hiddenLayer(h, w []float64, t *data.Tuple, features int) {
 		wj := w[j*in1 : (j+1)*in1]
 		h[j] = relu(t.Dot(wj[:features]) + wj[features])
 	}
+}
+
+// gapFree reports whether idxs is exactly 0, 1, …, len(idxs)−1. It checks
+// every index: no decoder enforces the strictly increasing order Tuple
+// documents, so the last index alone proves nothing.
+func gapFree(idxs []int32) bool {
+	for i, idx := range idxs {
+		if int(idx) != i {
+			return false
+		}
+	}
+	return true
 }
 
 // relu returns max(z, 0), mapping NaN and −0 to +0.
@@ -166,9 +186,10 @@ func (m MLP) gradInto(ws *Workspace, w []float64, t *data.Tuple, acc *gradAccumu
 
 // backward is the MLP's one backpropagation: it returns the example loss and
 // puts the gradient's (index, value) entries into d. MLP gradients are dense
-// over both layers (sparse inputs still yield sparse first-layer rows).
-// Products go through float64(...) so that, when d adds them straight into an
-// accumulator, no compiler can fuse them into that add: the accumulator then
+// over both layers (sparse inputs still yield sparse first-layer rows), so
+// all but the bias entries go to d a row at a time. d rounds every product
+// through float64(...), so that when it adds them straight into an
+// accumulator no compiler can fuse them into that add: the accumulator then
 // receives exactly the rounded values the (gi, gv) form stores.
 func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) float64 {
 	h, p, features := m.forward(ws, w, t)
@@ -188,6 +209,8 @@ func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) fl
 	for j := range dh {
 		dh[j] = 0
 	}
+	// The row's entries go to d before its dh terms are added; each dh[j]
+	// still receives its terms in k order.
 	for k := 0; k < m.Classes; k++ {
 		dk := p[k]
 		if k == y {
@@ -197,12 +220,10 @@ func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) fl
 			continue
 		}
 		base := int32(off + k*in2)
-		wk := w[off+k*in2 : off+(k+1)*in2]
-		for j := 0; j < m.Hidden; j++ {
-			if h[j] != 0 {
-				d.put(base+int32(j), float64(dk*h[j]))
-			}
-			dh[j] += dk * wk[j]
+		d.putScaledDense(base, dk, h)
+		wk := w[off+k*in2 : off+k*in2+m.Hidden]
+		for j, wkj := range wk {
+			dh[j] += dk * wkj
 		}
 		d.put(base+int32(m.Hidden), dk)
 	}
@@ -215,17 +236,9 @@ func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) fl
 		}
 		base := int32(j * in1)
 		if t.IsSparse() {
-			vals := t.SparseVal[:len(t.SparseIdx)]
-			for i, idx := range t.SparseIdx {
-				d.put(base+idx, float64(g*vals[i]))
-			}
+			d.putScaled(base, g, t.SparseIdx, t.SparseVal)
 		} else {
-			for i, v := range t.Dense {
-				if v == 0 {
-					continue
-				}
-				d.put(base+int32(i), float64(g*v))
-			}
+			d.putScaledDense(base, g, t.Dense)
 		}
 		d.put(base+int32(features), g)
 	}
