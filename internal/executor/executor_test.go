@@ -264,6 +264,40 @@ func TestPredictOp(t *testing.T) {
 	}
 }
 
+// TestPredictOpAllocations: a Predict operator binds one workspace for its
+// whole scan, so PREDICT over an MLP allocates as often at 10 tuples as at
+// 1 000 (both one block here, so the scan's own allocations match too).
+func TestPredictOpAllocations(t *testing.T) {
+	ds := data.SyntheticMulticlass(data.SyntheticConfig{
+		Tuples: 1000, Features: 12, Classes: 4, Order: data.OrderShuffled, Seed: 65})
+	m := ml.MLP{Classes: 4, Hidden: 8}
+	w := make([]float64, m.Dim(ds.Features))
+	m.InitWeights(w, ds.Features, rand.New(rand.NewSource(1)))
+	allocs := func(n int) float64 {
+		src := shuffle.NewMemSource(&data.Dataset{Task: ds.Task, Features: ds.Features,
+			Classes: ds.Classes, Tuples: ds.Tuples[:n]}, 1000)
+		return testing.AllocsPerRun(5, func() {
+			pred := NewPredict(NewScan(src), m, w)
+			if err := pred.Init(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, ok, err := pred.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+			}
+			pred.Close()
+		})
+	}
+	if a10, a1000 := allocs(10), allocs(1000); a1000 != a10 {
+		t.Errorf("PREDICT over an MLP allocates %v times at 10 tuples and %v at 1000, want the same", a10, a1000)
+	}
+}
+
 func TestDoubleBufferPlanFasterOnDisk(t *testing.T) {
 	ds := data.SyntheticBinary(data.SyntheticConfig{
 		Tuples: 20000, Features: 64, Order: data.OrderClustered, Seed: 64})

@@ -153,14 +153,14 @@ type Prediction struct {
 // PredictOp streams model predictions over its child's tuples — the
 // "SELECT table PREDICT BY model" path.
 type PredictOp struct {
-	child Operator
-	model ml.Model
-	w     []float64
+	child   Operator
+	predict func(w []float64, t *data.Tuple) float64 // one per operator
+	w       []float64
 }
 
 // NewPredict returns a prediction operator.
 func NewPredict(child Operator, model ml.Model, w []float64) *PredictOp {
-	return &PredictOp{child: child, model: model, w: w}
+	return &PredictOp{child: child, predict: ml.Predictor(model), w: w}
 }
 
 // Init implements Operator-style initialization.
@@ -172,7 +172,7 @@ func (op *PredictOp) Next() (Prediction, bool, error) {
 	if err != nil || !ok {
 		return Prediction{}, false, err
 	}
-	return Prediction{ID: t.ID, Label: t.Label, Pred: op.model.Predict(op.w, t)}, true, nil
+	return Prediction{ID: t.ID, Label: t.Label, Pred: op.predict(op.w, t)}, true, nil
 }
 
 // Close releases the pipeline.

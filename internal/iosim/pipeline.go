@@ -15,23 +15,26 @@ import "time"
 // Using the classic recurrences, for buffer i with fill time F[i] and
 // consume time C[i]:
 //
-//	fillStart[i] = max(fillEnd[i-1], consEnd[i-depth+1])
+//	fillStart[i] = max(fillEnd[i-1], consEnd[i-depth])
 //	fillEnd[i]   = fillStart[i] + F[i]
 //	consStart[i] = max(fillEnd[i], consEnd[i-1])
 //	consEnd[i]   = consStart[i] + C[i]
 //
 // With Depth == 1 the pipeline degenerates to strictly serial execution.
+// Nothing reads further back than buffer i-Depth, so the two series live in
+// a ring of Depth slots indexed by i.
 type Pipeline struct {
 	// Depth is the number of buffers (2 for double buffering).
 	Depth int
 
 	i        int // index of the next buffer to fill
-	fillEnd  []time.Duration
-	consEnd  []time.Duration
+	ring     []pipeSlot
 	base     time.Duration
-	started  bool
 	lastCons time.Duration
 }
+
+// pipeSlot holds fillEnd and consEnd of the last buffer filled into it.
+type pipeSlot struct{ fillEnd, consEnd time.Duration }
 
 // NewPipeline returns a pipeline with the given buffer depth, starting at
 // simulated time start.
@@ -39,41 +42,27 @@ func NewPipeline(depth int, start time.Duration) *Pipeline {
 	if depth < 1 {
 		depth = 1
 	}
-	return &Pipeline{Depth: depth, base: start, lastCons: start}
+	return &Pipeline{Depth: depth, ring: make([]pipeSlot, depth), base: start, lastCons: start}
 }
 
 // Fill records that the next buffer took fillCost to produce, and returns
 // the simulated time at which the consumer may begin draining it.
 func (p *Pipeline) Fill(fillCost time.Duration) (consStart time.Duration) {
 	fillStart := p.base
-	if p.started {
+	if p.i > 0 {
 		fillStart = p.fillEndAt(p.i - 1)
-		if p.Depth > 1 {
-			// The slot being refilled was last used by buffer i-Depth and
-			// must have been fully consumed.
-			if j := p.i - p.Depth; j >= 0 {
-				if ce := p.consEndAt(j); ce > fillStart {
-					fillStart = ce
-				}
-			}
-		} else {
-			// Serial: cannot start filling before the previous buffer is
-			// consumed.
-			if ce := p.consEndAt(p.i - 1); ce > fillStart {
-				fillStart = ce
-			}
+		// The slot being refilled was last used by buffer i-Depth (with one
+		// buffer, the previous one), which must have been fully consumed.
+		if j := p.i - p.Depth; j >= 0 {
+			fillStart = max(fillStart, p.consEndAt(j))
 		}
 	}
 	fillEnd := fillStart + fillCost
-	p.fillEnd = append(p.fillEnd, fillEnd)
-	consStart = fillEnd
-	if ce := p.consEndAt(p.i - 1); ce > consStart {
-		consStart = ce
-	}
-	// Reserve the consume slot; Consume will finalize it.
-	p.consEnd = append(p.consEnd, consStart)
+	consStart = max(fillEnd, p.consEndAt(p.i-1))
+	// Buffer i takes over the slot of buffer i-Depth, read above for the
+	// last time. The consume end is reserved here; Consume finalizes it.
+	p.ring[p.i%len(p.ring)] = pipeSlot{fillEnd: fillEnd, consEnd: consStart}
 	p.i++
-	p.started = true
 	return consStart
 }
 
@@ -83,25 +72,27 @@ func (p *Pipeline) Consume(consCost time.Duration) (consEnd time.Duration) {
 	if p.i == 0 {
 		return p.base
 	}
-	idx := p.i - 1
-	p.consEnd[idx] += consCost
-	p.lastCons = p.consEnd[idx]
-	return p.consEnd[idx]
+	s := &p.ring[(p.i-1)%len(p.ring)]
+	s.consEnd += consCost
+	p.lastCons = s.consEnd
+	return s.consEnd
 }
 
 // End reports the simulated completion time of everything recorded so far.
 func (p *Pipeline) End() time.Duration { return p.lastCons }
 
+// fillEndAt and consEndAt read buffer i, one of the last Depth filled, or
+// the start time for i < 0.
 func (p *Pipeline) fillEndAt(i int) time.Duration {
-	if i < 0 || i >= len(p.fillEnd) {
+	if i < 0 {
 		return p.base
 	}
-	return p.fillEnd[i]
+	return p.ring[i%len(p.ring)].fillEnd
 }
 
 func (p *Pipeline) consEndAt(i int) time.Duration {
-	if i < 0 || i >= len(p.consEnd) {
+	if i < 0 {
 		return p.base
 	}
-	return p.consEnd[i]
+	return p.ring[i%len(p.ring)].consEnd
 }

@@ -89,6 +89,41 @@ func TestPipelineDepthClamp(t *testing.T) {
 	}
 }
 
+// Property: the Depth-slot ring returns what the recurrences return over the
+// whole history, at depths 1 to 4, for every Fill and Consume.
+func TestPipelineRingMatchesHistory(t *testing.T) {
+	const start = 7
+	f := func(raw []uint16, d uint8) bool {
+		depth := int(d%4) + 1
+		p := NewPipeline(depth, start)
+		var fillEnd, consEnd []time.Duration
+		at := func(s []time.Duration, i int) time.Duration {
+			if i < 0 {
+				return start
+			}
+			return s[i]
+		}
+		for i := 0; i+1 < len(raw); i += 2 {
+			fill, cons := time.Duration(raw[i]), time.Duration(raw[i+1])
+			n := len(fillEnd)
+			fillStart := time.Duration(start)
+			if n > 0 {
+				fillStart = max(fillEnd[n-1], at(consEnd, n-depth))
+			}
+			fillEnd = append(fillEnd, fillStart+fill)
+			consStart := max(fillEnd[n], at(consEnd, n-1))
+			consEnd = append(consEnd, consStart+cons)
+			if p.Fill(fill) != consStart || p.Consume(cons) != consEnd[n] {
+				return false
+			}
+		}
+		return p.End() == at(consEnd, len(consEnd)-1)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: double buffering never takes longer than serial execution and
 // never finishes before max(total fill, total consume) given the first fill.
 func TestPipelineBoundsProperty(t *testing.T) {

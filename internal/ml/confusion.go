@@ -122,10 +122,11 @@ func Confuse(m Model, w []float64, ds *data.Dataset) *Confusion {
 		classes = 2
 	}
 	c := NewConfusion(classes)
+	predict := Predictor(m)
 	for i := range ds.Tuples {
 		t := &ds.Tuples[i]
 		actual := classIndex(t.Label, classes)
-		pred := classIndex(m.Predict(w, t), classes)
+		pred := classIndex(predict(w, t), classes)
 		c.Add(actual, pred)
 	}
 	return c

@@ -16,7 +16,7 @@ func Accuracy(m Model, w []float64, ds *data.Dataset) float64 {
 	}
 	correct := 0
 	multi := ds.Task == data.TaskMulticlass
-	predict := predictor(m)
+	predict := Predictor(m)
 	for i := range ds.Tuples {
 		t := &ds.Tuples[i]
 		pred := predict(w, t)

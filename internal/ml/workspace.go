@@ -52,9 +52,11 @@ type workspacePredictor interface {
 	predictWS(ws *Workspace, w []float64, t *data.Tuple) float64
 }
 
-// predictor returns m's Predict, bound to one Workspace when m needs scratch,
-// so an evaluation pass over a dataset allocates once rather than per tuple.
-func predictor(m Model) func(w []float64, t *data.Tuple) float64 {
+// Predictor returns m's Predict, bound to one Workspace when m needs scratch,
+// so a pass over many tuples — an evaluation pass, a PREDICT statement —
+// allocates once rather than per tuple. Like a Workspace, the returned
+// function must not be shared between goroutines.
+func Predictor(m Model) func(w []float64, t *data.Tuple) float64 {
 	if p, ok := m.(workspacePredictor); ok {
 		ws := new(Workspace)
 		return func(w []float64, t *data.Tuple) float64 { return p.predictWS(ws, w, t) }

@@ -5,6 +5,7 @@ import (
 
 	"corgipile/internal/data"
 	"corgipile/internal/db"
+	"corgipile/internal/ml"
 	"corgipile/internal/obs"
 	"corgipile/internal/sqlparse"
 	"corgipile/internal/storage"
@@ -93,9 +94,9 @@ func (c *predictCache) sweep(dbs *db.Session) {
 }
 
 // advance moves the snapshot up to the caller's frontier and, when tallied,
-// scores the tuples m's tally has not seen, keeping the predictions a
-// statement with this limit will print.
-func (sn *snapshot) advance(frontier int, m *db.ModelEntry, tallied bool, limit int, reg *obs.Registry) (view, error) {
+// scores with predict the tuples m's tally has not seen, keeping the
+// predictions a statement with this limit will print.
+func (sn *snapshot) advance(frontier int, m *db.ModelEntry, predict func([]float64, *data.Tuple) float64, tallied bool, limit int, reg *obs.Registry) (view, error) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	frontier = max(frontier, sn.blocks) // a tally may already cover what a later statement brought
@@ -122,7 +123,7 @@ func (sn *snapshot) advance(frontier int, m *db.ModelEntry, tallied bool, limit 
 		v.first = tl.upTo
 		for i := tl.upTo; i < len(v.tuples); i++ {
 			t := &v.tuples[i]
-			pred := m.Model.Predict(m.W, t)
+			pred := predict(m.W, t)
 			if db.PredictCorrect(task, t.Label, pred) {
 				tl.correct++
 			}
@@ -159,7 +160,8 @@ func (s *Server) execPredict(st *sqlparse.Predict) *Response {
 	}
 
 	task := entry.Table.Task()
-	v, err := sn.advance(frontier, m, st.Where == nil && task != data.TaskRegression, st.Limit, s.reg)
+	predict := ml.Predictor(m.Model) // one workspace for the statement
+	v, err := sn.advance(frontier, m, predict, st.Where == nil && task != data.TaskRegression, st.Limit, s.reg)
 	if err != nil {
 		return errResponse(ErrExec, "decode table %q: %v", st.Table, err)
 	}
@@ -175,7 +177,7 @@ func (s *Server) execPredict(st *sqlparse.Predict) *Response {
 			if i >= v.first {
 				pred = v.preds[i-v.first]
 			} else {
-				pred = m.Model.Predict(m.W, &rows[i])
+				pred = predict(m.W, &rows[i])
 			}
 			resp.Rows = append(resp.Rows, db.PredictRow(rows[i].ID, rows[i].Label, pred))
 		}
@@ -189,7 +191,7 @@ func (s *Server) execPredict(st *sqlparse.Predict) *Response {
 		if !filter(t) {
 			continue
 		}
-		pred := m.Model.Predict(m.W, t)
+		pred := predict(m.W, t)
 		n++
 		if db.PredictCorrect(task, t.Label, pred) {
 			correct++

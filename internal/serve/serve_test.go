@@ -142,7 +142,7 @@ func TestPredictSnapshotServesItsFrontier(t *testing.T) {
 	if entry.Table.NumBlocks() == k {
 		t.Fatal("the INSERT appended no block")
 	}
-	v, err := sn.advance(k, m, true, 0, nil)
+	v, err := sn.advance(k, m, m.Model.Predict, true, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
