@@ -66,6 +66,25 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+// A library FM run trains its factors: they start random, as under SQL
+// TRAIN, so none ends at exactly zero (from zero they would never move).
+func TestTrainFMLearnsFactors(t *testing.T) {
+	ds := Synthetic("higgs", 0.05, OrderClustered)
+	res, err := Train(ds, TrainConfig{Model: "fm", Epochs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factors := res.W[ds.Features+1:]
+	if len(factors) != 8*ds.Features {
+		t.Fatalf("%d factor weights for %d features", len(factors), ds.Features)
+	}
+	for i, v := range factors {
+		if v == 0 {
+			t.Fatalf("factor weight %d is exactly 0", i)
+		}
+	}
+}
+
 func TestCorgiPileDatasetStreams(t *testing.T) {
 	ds := Synthetic("susy", 0.1, OrderClustered)
 	cds, err := NewCorgiPileDataset(ds, 0.1, 50, 1)

@@ -107,7 +107,7 @@ func TestFaultRunDeterministicAcrossProcs(t *testing.T) {
 // (0.05) the final accuracy of a clean susy run swings between 0.50 and 0.74
 // with the seed alone, so the runs here decay the step (0.01, halved per
 // epoch) over 5 000 tuples, where clean runs land within 0.01 of each other
-// across seeds. It runs through both engines.
+// across seeds. It runs with profiling off and on.
 func TestSkipCorruptEndToEnd(t *testing.T) {
 	ds := Synthetic("susy", 0.5, OrderClustered)
 	for _, explain := range []bool{false, true} {

@@ -6,8 +6,8 @@ import (
 	"io"
 	"time"
 
-	"corgipile/internal/core"
 	"corgipile/internal/data"
+	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
 	"corgipile/internal/shuffle"
@@ -77,28 +77,26 @@ func faultRun(ds *data.Dataset, epochs int, plan iosim.FaultPlan, resil shuffle.
 		return cell
 	}
 	report := shuffle.NewFaultReport()
-	st, err := shuffle.New(shuffle.KindCorgiPile, shuffle.TableSource(tab), shuffle.Options{
+	op, err := executor.BuildSGDPlan(shuffle.TableSource(tab), executor.PlanConfig{
+		Shuffle:        shuffle.KindCorgiPile,
 		BufferFraction: 0.1,
 		Seed:           1,
 		Resilience:     resil,
-		FaultReport:    report,
+		SGD: executor.SGDConfig{
+			Model:     ml.SVM{},
+			Opt:       ml.NewSGD(0.05),
+			Features:  ds.Features,
+			Epochs:    epochs,
+			Clock:     clock,
+			TrainEval: ds,
+			Faults:    report,
+		},
 	})
 	if err != nil {
 		cell.Error = err.Error()
 		return cell
 	}
-	model := ml.SVM{}
-	res, err := core.Run(core.RunConfig{
-		Strategy:  st,
-		Model:     model,
-		Opt:       ml.NewSGD(0.05),
-		Features:  ds.Features,
-		Epochs:    epochs,
-		Clock:     clock,
-		TrainEval: ds,
-		Seed:      1,
-		Faults:    report,
-	})
+	res, err := op.RunResult()
 	sum := report.Summary()
 	cell.SimSeconds = clock.Now().Seconds()
 	cell.TransientErrors = int(sum.TransientErrors)

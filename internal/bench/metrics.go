@@ -51,10 +51,9 @@ type ProfileOptions struct {
 	// epochs.jsonl and a final metrics snapshot (plus plan.json when
 	// Explain is set).
 	RunDir string
-	// Explain routes the run through the Volcano executor with per-operator
-	// profiling and prints the annotated plan tree after the breakdown
-	// tables; the tree also streams through Feed and lands in RunDir as
-	// plan.json.
+	// Explain switches on the plan's per-operator profiling and prints the
+	// annotated plan tree after the breakdown tables; the tree also streams
+	// through Feed and lands in RunDir as plan.json.
 	Explain bool
 }
 

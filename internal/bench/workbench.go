@@ -50,9 +50,8 @@ type spec struct {
 	runName string
 	// diag, when non-nil, enables the convergence diagnostics.
 	diag *core.DiagConfig
-	// explain routes the run through the Volcano executor with per-operator
-	// profiling; out.res.Plan then carries the annotated plan tree. The
-	// executor engine ignores computeScale and test-set evaluation.
+	// explain switches on per-operator profiling of the plan every run
+	// executes; out.res.Plan then carries the annotated plan tree.
 	explain bool
 }
 
@@ -191,58 +190,36 @@ func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
 		sgd.Decay = s.decay
 	}
 
-	rc := core.RunConfig{
-		Model:        model,
-		Opt:          opt,
-		Features:     ds.Features,
-		Epochs:       s.epochs,
-		BatchSize:    s.batch,
-		Clock:        clock,
-		TrainEval:    ds,
-		TestEval:     test,
-		ComputeScale: s.computeScale,
-		Obs:          s.reg,
-		Diag:         s.diag,
-		Feed:         s.feed,
-		RunName:      s.runName,
+	op, err := executor.BuildSGDPlan(src, executor.PlanConfig{
+		Shuffle:        s.kind,
+		BufferFraction: s.bufferFrac,
+		DoubleBuffer:   s.double,
+		Seed:           s.seed,
+		Profile:        s.explain,
+		SGD: executor.SGDConfig{
+			Model:        model,
+			Opt:          opt,
+			Features:     ds.Features,
+			Epochs:       s.epochs,
+			BatchSize:    s.batch,
+			Clock:        clock,
+			TrainEval:    ds,
+			TestEval:     test,
+			InitWeights:  core.InitWeights(model, ds.Features, s.seed),
+			ComputeScale: s.computeScale,
+			Obs:          s.reg,
+			Diag:         s.diag,
+			Feed:         s.feed,
+			RunName:      s.runName,
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if mlp, ok := model.(ml.MLP); ok {
-		rc.InitWeights = core.MLPInit(mlp, ds.Features, s.seed)
-	}
-	var res *core.Result
-	var prep float64
-	if s.explain {
-		op, err := executor.BuildSGDPlan(src, executor.PlanConfig{
-			Shuffle:        s.kind,
-			BufferFraction: s.bufferFrac,
-			DoubleBuffer:   s.double,
-			Seed:           s.seed,
-			Profile:        true,
-			SGD:            rc,
-		})
-		if err != nil {
-			return nil, err
-		}
-		prep = clock.Now().Seconds() // Shuffle Once pays its sort at build.
-		res, err = op.RunResult()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rc.Strategy, err = shuffle.New(s.kind, src, shuffle.Options{
-			BufferFraction: s.bufferFrac,
-			Seed:           s.seed,
-			DoubleBuffer:   s.double,
-			Obs:            s.reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		prep = clock.Now().Seconds() // Shuffle Once pays its sort here.
-		res, err = core.Run(rc)
-		if err != nil {
-			return nil, err
-		}
+	prep := clock.Now().Seconds() // Shuffle Once pays its sort at build.
+	res, err := op.RunResult()
+	if err != nil {
+		return nil, err
 	}
 
 	o := &out{res: res, prep: prep, total: clock.Now().Seconds(), ds: ds}

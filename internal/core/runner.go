@@ -46,7 +46,7 @@ type RunConfig struct {
 	// the MLP); otherwise weights start at zero.
 	InitWeights func(w []float64)
 	// Seed is read by nothing: weight initialization takes its seed through
-	// InitWeights (MLPInit) and the tuple source is seeded where it is built.
+	// InitWeights and the tuple source is seeded where it is built.
 	// The field stays because benchmark/ladder.go sets it.
 	Seed int64
 	// ComputeScale multiplies the per-tuple gradient compute cost charged
@@ -72,9 +72,10 @@ type RunConfig struct {
 	// RunName labels feed updates (free-form, e.g. "corgitrain svm/higgs").
 	RunName string
 	// Faults, when non-nil, is the fault report the tuple source's resilient
-	// wrapper accumulates into (shuffle.Options.FaultReport, or the one
-	// executor.BuildSGDPlan builds from PlanConfig.Resilience); its summary
-	// is copied to Result.Faults after every epoch.
+	// wrapper accumulates into (shuffle.Options.FaultReport; under
+	// executor.BuildSGDPlan the wrapper fills this report, or a fresh one
+	// when nil); its summary is copied to Result.Faults after every
+	// completed epoch.
 	Faults *shuffle.FaultReport
 	// Ctx, when non-nil, cancels the run: the driver checks it between
 	// epochs and every 256 tuples inside an epoch, then returns the
@@ -126,9 +127,9 @@ type Result struct {
 	// (nil / empty otherwise).
 	Diag    []EpochDiag
 	Verdict Verdict
-	// Plan holds the executed plan's per-operator profile when the run went
-	// through the instrumented executor (TrainConfig.Explain, EXPLAIN
-	// ANALYZE); nil for strategy-iterator runs.
+	// Plan holds the executed plan's per-operator profile when the plan was
+	// built with PlanConfig.Profile (TrainConfig.Explain, EXPLAIN ANALYZE);
+	// nil otherwise.
 	Plan *obs.PlanStats
 }
 
@@ -218,8 +219,10 @@ func (l *Loop) Reset() {
 }
 
 // Step trains one epoch over next and records it. streamErr is asked, once
-// the stream has ended, whether it ended on an error; such an error (or a
-// canceled Ctx) is returned and the epoch is not recorded.
+// the stream has ended, whether it ended on an error; such an error is
+// returned wrapped as "core: epoch N stream: ..." with the 0-based epoch, so
+// every tuple source words a storage failure the same way. On that error (or
+// a canceled Ctx) the epoch is not recorded.
 func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (EpochPoint, error) {
 	cfg := &l.cfg
 	w := l.res.W
@@ -253,7 +256,7 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 		return EpochPoint{}, err
 	}
 	if err := streamErr(); err != nil {
-		return EpochPoint{}, err
+		return EpochPoint{}, fmt.Errorf("core: epoch %d stream: %w", epoch-1, err)
 	}
 	p := EpochPoint{Epoch: epoch, AvgLoss: stats.AvgLoss, Tuples: stats.Tuples}
 	if cfg.Clock != nil {
@@ -337,7 +340,9 @@ func (l *Loop) canceled(epoch int) error {
 func (l *Loop) Result() *Result { return &l.res }
 
 // Run executes the configured training over cfg.Strategy and returns its
-// convergence trace.
+// convergence trace. Every TRAIN in the module runs executor.BuildSGDPlan;
+// Run stays as this package's test driver (its goldens cannot import
+// executor) and as the benchmark ladder's core.run rung.
 func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Strategy == nil {
 		return nil, fmt.Errorf("core: Strategy, Model and Opt are required")
@@ -352,13 +357,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: epoch %d: %w", epoch, err)
 		}
-		_, err = l.Step(it.Next, func() error {
-			if err := it.Err(); err != nil {
-				return fmt.Errorf("core: epoch %d stream: %w", epoch, err)
-			}
-			return nil
-		})
-		if err != nil {
+		if _, err := l.Step(it.Next, it.Err); err != nil {
 			return nil, err
 		}
 	}
@@ -379,4 +378,20 @@ func MLPInit(m ml.MLP, features int, seed int64) func(w []float64) {
 	return func(w []float64) {
 		m.InitWeights(w, features, rand.New(rand.NewSource(seed)))
 	}
+}
+
+// InitWeights returns the RunConfig.InitWeights function m needs, seeded by
+// seed: the MLP's hidden-layer weights and the factorization machine's
+// factors start random (from zero neither ever leaves its symmetric or
+// linear starting point); every other model returns nil and starts at zero.
+func InitWeights(m ml.Model, features int, seed int64) func([]float64) {
+	switch m := m.(type) {
+	case ml.MLP:
+		return MLPInit(m, features, seed)
+	case ml.FactorizationMachine:
+		return func(w []float64) {
+			m.InitWeights(w, features, 0.01, rand.New(rand.NewSource(seed)))
+		}
+	}
+	return nil
 }

@@ -7,7 +7,6 @@ package db
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -811,19 +810,20 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 		FilterDesc:     predicateDesc(st.Where),
 		Profile:        opt.Profile,
 		SGD: executor.SGDConfig{
-			Model:     model,
-			Opt:       optimizer,
-			Features:  tab.Features(),
-			Epochs:    int(st.Params.Num("max_epoch_num", 20)),
-			BatchSize: int(st.Params.Num("batch_size", 1)),
-			Clock:     s.clock,
-			Obs:       reg,
-			Feed:      feed,
-			Diag:      s.diag,
-			RunName:   runName,
-			Ctx:       opt.Ctx,
-			Events:    opt.Events,
-			Trace:     opt.Trace,
+			Model:       model,
+			Opt:         optimizer,
+			Features:    tab.Features(),
+			Epochs:      int(st.Params.Num("max_epoch_num", 20)),
+			BatchSize:   int(st.Params.Num("batch_size", 1)),
+			Clock:       s.clock,
+			InitWeights: core.InitWeights(model, tab.Features(), seed),
+			Obs:         reg,
+			Feed:        feed,
+			Diag:        s.diag,
+			RunName:     runName,
+			Ctx:         opt.Ctx,
+			Events:      opt.Events,
+			Trace:       opt.Trace,
 		},
 	}
 	if withEval {
@@ -845,18 +845,6 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 		cfg.SGD.TrainEval = &data.Dataset{
 			Name: entry.Name, Task: tab.Task(),
 			Features: tab.Features(), Classes: tab.Classes(), Tuples: eval,
-		}
-	}
-	if mlp, ok := model.(ml.MLP); ok {
-		feats := tab.Features()
-		cfg.SGD.InitWeights = func(w []float64) {
-			mlp.InitWeights(w, feats, rand.New(rand.NewSource(seed)))
-		}
-	}
-	if fm, ok := model.(ml.FactorizationMachine); ok {
-		feats := tab.Features()
-		cfg.SGD.InitWeights = func(w []float64) {
-			fm.InitWeights(w, feats, 0.01, rand.New(rand.NewSource(seed)))
 		}
 	}
 	return cfg, nil

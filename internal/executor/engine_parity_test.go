@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,10 +21,12 @@ import (
 	"corgipile/internal/storage"
 )
 
-// engines are the two entry points over the shared epoch driver: core.Run
-// pulling from a shuffle.Strategy, and the executor's SGD operator pulling
-// from its child. Tests that pin the driver iterate both.
-var engines = []string{"core.Run", "executor"}
+// engines are the entry points over the shared epoch driver: core.Run
+// pulling from a shuffle.Strategy (the reference the core goldens are
+// captured through), and the executor's SGD operator pulling from its child
+// with profiling off (every TRAIN) and on (Explain, EXPLAIN ANALYZE). Tests
+// that pin the driver iterate all three.
+var engines = []string{"core.Run", "executor", "executor+profile"}
 
 // engineRun is one training run through one entry point, on its own
 // device, clock and registry.
@@ -36,6 +39,8 @@ type engineRun struct {
 	tap    func()         // called per streamed tuple when non-nil
 	// wrap, when non-nil, replaces the table source (fault injection).
 	wrap func(shuffle.Source, *iosim.Clock) shuffle.Source
+	// faults is injected into the device (zero: none).
+	faults iosim.FaultPlan
 }
 
 type engineOut struct {
@@ -79,6 +84,9 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 		Order: data.OrderClustered, Seed: 23})
 	clock := iosim.NewClock()
 	dev := iosim.NewDevice(iosim.HDD, clock)
+	if r.faults.Enabled() {
+		dev.WithFaults(r.faults)
+	}
 	tab, err := storage.Build(dev, ds, storage.Options{BlockSize: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +106,9 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 	if r.wrap != nil {
 		src = r.wrap(src, clock)
 	}
-	if engine == "executor" {
-		pc := PlanConfig{Shuffle: r.kind, BufferFraction: frac, DoubleBuffer: r.double, Seed: seed, SGD: cfg}
+	if engine != "core.Run" {
+		pc := PlanConfig{Shuffle: r.kind, BufferFraction: frac, DoubleBuffer: r.double, Seed: seed,
+			Profile: engine == "executor+profile", SGD: cfg}
 		if r.tap != nil {
 			pc.Filter = func(*data.Tuple) bool { r.tap(); return true }
 		}
@@ -123,13 +132,14 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 	return out
 }
 
-// TestEngineParity pins the one pipeline under the two entry points: for
-// every strategy, with DoubleBuffer off and on, core.Run and
-// BuildSGDPlan(...).RunResult() give bit-identical weights, epoch points,
-// breakdown rows and diagnostics, and leave the device clock at the same
-// instant. CorgiPile runs as BlockShuffleOp → TupleShuffleOp in the executor
-// and as a BlockCursor → TupleBuffer in core.Run, which are the same two
-// types; the other six run through the same shuffle.Strategy on both sides.
+// TestEngineParity pins the one pipeline under its entry points: for every
+// strategy, with DoubleBuffer off and on, BuildSGDPlan(...).RunResult() with
+// Profile off and on gives the weights, epoch points, breakdown rows and
+// diagnostics of the core.Run reference bit for bit, and leaves the device
+// clock at the same instant. CorgiPile runs as BlockShuffleOp →
+// TupleShuffleOp in the executor and as a BlockCursor → TupleBuffer in
+// core.Run, which are the same two types; the other six run through the same
+// shuffle.Strategy on both sides.
 // The procs axis is GOMAXPROCS: training starts no goroutine, so how many
 // the scheduler could run at once must not show in any bit.
 func TestEngineParity(t *testing.T) {
@@ -144,7 +154,10 @@ func TestEngineParity(t *testing.T) {
 							t.Run(fmt.Sprintf("double=%v", double), func(t *testing.T) {
 								r := engineRun{kind: kind, tuples: 1200, double: double, attach: attach,
 									cfg: core.RunConfig{Epochs: 3, BatchSize: batch}}
-								assertParity(t, r.run(t, engines[0]), r.run(t, engines[1]), attach)
+								want := r.run(t, engines[0])
+								for _, engine := range engines[1:] {
+									assertParity(t, want, r.run(t, engine), attach)
+								}
 							})
 						}
 					})
@@ -190,6 +203,65 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestStreamErrorWordedOnce: a read error injected into the device reaches
+// the caller in the same words through every entry point — the epoch
+// driver, not the engine, wraps it — and errors.Is still finds the cause.
+func TestStreamErrorWordedOnce(t *testing.T) {
+	for _, kind := range []shuffle.Kind{shuffle.KindCorgiPile, shuffle.KindNoShuffle} {
+		r := engineRun{kind: kind, tuples: 1200, cfg: core.RunConfig{Epochs: 2},
+			faults: iosim.FaultPlan{Seed: 9, ReadErrorProb: 0.05}}
+		var want string
+		for _, engine := range engines {
+			err := r.run(t, engine).err
+			if !errors.Is(err, iosim.ErrTransient) {
+				t.Fatalf("%s/%s: err = %v, want iosim.ErrTransient", kind, engine, err)
+			}
+			if want == "" {
+				want = err.Error()
+				if !strings.HasPrefix(want, "core: epoch ") || !strings.Contains(want, " stream: storage: block ") {
+					t.Fatalf("%s: reference error %q", kind, want)
+				}
+			} else if err.Error() != want {
+				t.Fatalf("%s/%s: err %q, want %q", kind, engine, err, want)
+			}
+		}
+	}
+}
+
+// TestPlanFillsCallerFaultReport: a plan built with SGD.Faults accumulates
+// into that report, so retries and backoff stay readable after a run that
+// fails in its first epoch, when Result.Faults (copied after each completed
+// epoch) is still empty.
+func TestPlanFillsCallerFaultReport(t *testing.T) {
+	ds := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: 1200, Features: 8, Separation: 1.5, Noise: 1.0, Seed: 23})
+	clock := iosim.NewClock()
+	dev := iosim.NewDevice(iosim.HDD, clock).WithFaults(iosim.FaultPlan{Seed: 9, ReadErrorProb: 0.5})
+	tab, err := storage.Build(dev, ds, storage.Options{BlockSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := shuffle.NewFaultReport()
+	op, err := BuildSGDPlan(shuffle.TableSource(tab), PlanConfig{
+		Resilience: shuffle.Resilience{Retry: storage.RetryPolicy{MaxAttempts: 2, Seed: 1}},
+		SGD: SGDConfig{Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: ds.Features,
+			Epochs: 2, Clock: clock, Faults: report},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := op.RunResult(); !errors.Is(err, iosim.ErrTransient) {
+		t.Fatalf("err = %v, want a transient read error in epoch 0", err)
+	}
+	if n := len(op.Result().Points); n != 0 {
+		t.Fatalf("%d epochs completed, want the first to fail", n)
+	}
+	sum := report.Summary()
+	if sum.TransientErrors < 2 || sum.Retries < 1 || sum.BackoffSeconds <= 0 {
+		t.Fatalf("caller's report after a failed epoch 0: %+v", sum)
+	}
 }
 
 // TestEngineConfigHonoured covers the run-config fields and behaviours the

@@ -17,7 +17,7 @@ type PlanConfig struct {
 	// is its internal/shuffle implementation wrapped as one operator
 	// (EXPLAIN names No Shuffle's "Scan" and Block-Only's "BlockShuffle").
 	// Either way the run is bit-identical to core.Run over the same
-	// strategy, simulated time included.
+	// strategy, simulated time included (TestEngineParity).
 	Shuffle shuffle.Kind
 	// BufferFraction sizes the TupleShuffle buffer (default 0.1).
 	BufferFraction float64
@@ -35,9 +35,11 @@ type PlanConfig struct {
 	// epoch through SGDConfig.Feed. Zero-cost when false.
 	Profile bool
 	// Resilience, when enabled, wraps the source with retry/backoff and the
-	// configured corrupt-block degrade policy below every access path; the
-	// resulting fault report replaces SGD.Faults and is summarized in the
-	// run's Result.Faults.
+	// configured corrupt-block degrade policy below every access path. The
+	// wrapper accumulates into SGD.Faults (a fresh report when nil, which
+	// then becomes SGD.Faults), summarized in the run's Result.Faults after
+	// every completed epoch; a caller that passes its own report can read
+	// it even after a run that fails in its first epoch.
 	Resilience shuffle.Resilience
 	// SGD carries the learner configuration (Strategy must stay nil: the
 	// plan's access path is the tuple source).
@@ -63,7 +65,6 @@ func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 			prof.dev = ds.Device()
 		}
 	}
-	var faults *shuffle.FaultReport
 	if cfg.Resilience.Enabled() {
 		// Wrap here, below the strategy switch, so every access path —
 		// Scan, BlockShuffle, the CorgiPile pipeline, and the fallback
@@ -72,10 +73,9 @@ func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 		if cfg.Resilience.Ctx == nil {
 			cfg.Resilience.Ctx = cfg.SGD.Ctx
 		}
-		src, faults = shuffle.NewResilientSource(src, cfg.Resilience, cfg.SGD.Obs, nil)
-		cfg.SGD.Faults = faults
+		src, cfg.SGD.Faults = shuffle.NewResilientSource(src, cfg.Resilience, cfg.SGD.Obs, cfg.SGD.Faults)
 		if prof != nil {
-			prof.faults = faults
+			prof.faults = cfg.SGD.Faults
 		}
 	}
 	// wrap attaches a profiling shell feeding the plan node st; a no-op

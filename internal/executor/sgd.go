@@ -130,8 +130,8 @@ func (op *SGDOp) Plan() *obs.PlanStats {
 }
 
 // RunResult drives every configured epoch like Run and returns the driver's
-// result with the executed plan attached, so executor-driven training (the
-// -explain path) is interchangeable with core.Run for callers.
+// result, with the executed plan attached when the plan was profiled. It is
+// how every TRAIN in the module runs.
 func (op *SGDOp) RunResult() (*core.Result, error) {
 	if _, err := op.Run(); err != nil {
 		return nil, err

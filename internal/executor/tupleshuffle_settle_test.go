@@ -183,7 +183,7 @@ func TestReScanMidEpochSettlesThenCovers(t *testing.T) {
 	}
 }
 
-// A ReadBlock error in the middle of an epoch, through both engines and both
+// A ReadBlock error in the middle of an epoch, through every entry point and both
 // users of the overlap accounting (CorgiPile's double buffer, the baselines'
 // read-ahead): the run fails with the storage error and the clock is left
 // settled — at or past the instant of the failed read, never rewound to the

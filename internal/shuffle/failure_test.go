@@ -170,15 +170,13 @@ func TestSlidingWindowPermutationProperty(t *testing.T) {
 }
 
 // Property: MRS covers every tuple at least once each epoch for any buffer
-// fraction and loop cadence.
+// fraction.
 func TestMRSCoverageProperty(t *testing.T) {
-	f := func(bufRaw, loopRaw uint8, seed int64) bool {
+	f := func(bufRaw uint8, seed int64) bool {
 		bufferFrac := (float64(bufRaw)/255)*0.4 + 0.01
-		loopEvery := int(loopRaw)%5 + 1
 		const n = 200
 		src := clusteredSource(n, 10)
-		st, err := New(KindMRS, src, Options{
-			Seed: seed, BufferFraction: bufferFrac, MRSLoopEvery: loopEvery})
+		st, err := New(KindMRS, src, Options{Seed: seed, BufferFraction: bufferFrac})
 		if err != nil {
 			return false
 		}

@@ -7,6 +7,10 @@ import (
 	"corgipile/internal/iosim"
 )
 
+// mrsLoopEvery is the MRS loop "thread"'s cadence: one buffered tuple is
+// injected per mrsLoopEvery scanned tuples.
+const mrsLoopEvery = 2
+
 // mrs implements Bismarck's Multiplexed Reservoir Sampling shuffle
 // (Section 3.4). One thread scans the data sequentially, maintaining a
 // reservoir sample in buffer B1; tuples *dropped* by the reservoir feed
@@ -14,7 +18,7 @@ import (
 // tuples in buffer B2, multiplexing them into the same model.
 //
 // This implementation emulates the two threads deterministically: every
-// MRSLoopEvery scan-emissions, one tuple from the loop buffer is
+// mrsLoopEvery scan-emissions, one tuple from the loop buffer is
 // interleaved into the stream. At the end of the scan, B2 is refilled from
 // B1 for the next epoch, and the reservoir itself is drained (so every
 // epoch still emits at least the full pass worth of tuples).
@@ -39,7 +43,6 @@ func (s *mrs) StartEpoch(int) (Iterator, error) {
 		scan:      newBlockIter(s.src, nil, s.opts.Obs),
 		reservoir: make([]data.Tuple, 0, half),
 		loopBuf:   s.b2,
-		loopEvery: s.opts.MRSLoopEvery,
 		rng:       s.rng,
 		clock:     s.src.Clock(),
 	}, nil
@@ -50,7 +53,6 @@ type mrsIter struct {
 	scan      *blockIter
 	reservoir []data.Tuple
 	loopBuf   []data.Tuple
-	loopEvery int
 	loopPos   int
 	sinceLoop int
 	seen      int // tuples scanned so far (reservoir index)
@@ -75,9 +77,9 @@ func (it *mrsIter) Next() (*data.Tuple, bool) {
 			return &it.out, true
 		}
 
-		// Multiplex: interleave a loop-buffer tuple every loopEvery
+		// Multiplex: interleave a loop-buffer tuple every mrsLoopEvery
 		// emissions, modelling the second thread.
-		if len(it.loopBuf) > 0 && it.sinceLoop >= it.loopEvery {
+		if len(it.loopBuf) > 0 && it.sinceLoop >= mrsLoopEvery {
 			it.sinceLoop = 0
 			it.out = it.loopBuf[it.loopPos%len(it.loopBuf)]
 			it.loopPos++

@@ -40,10 +40,6 @@ type Options struct {
 	// DoubleBuffer enables CorgiPile's double-buffering optimization
 	// (Section 6.3), overlapping block I/O with SGD compute.
 	DoubleBuffer bool
-	// MRSLoopEvery controls how often the MRS loop "thread" injects a
-	// buffered tuple between scanned tuples (default 2, i.e. one buffered
-	// tuple per two scanned).
-	MRSLoopEvery int
 	// SampleOnly makes CorgiPile follow Algorithm 1 literally: each epoch
 	// trains on ONE buffer of n blocks sampled without replacement (n·b
 	// tuples) instead of streaming every block through the buffer. This is
@@ -66,9 +62,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.BufferFraction <= 0 {
 		o.BufferFraction = 0.10
-	}
-	if o.MRSLoopEvery <= 0 {
-		o.MRSLoopEvery = 2
 	}
 	return o
 }

@@ -163,18 +163,6 @@ func scanRawTuples(raw []byte, count int) (floats, ints int, err error) {
 	return floats, ints, nil
 }
 
-// DecodeRawTuples decodes exactly count tuples from a raw block payload
-// (concatenated AppendTuple encodings with no trailing bytes), validating
-// all of it before allocating: hostile payloads yield ErrCorrupt, never a
-// panic or an allocation larger than the payload warrants.
-func DecodeRawTuples(raw []byte, count int) ([]data.Tuple, error) {
-	if err := ValidateRawTuples(raw, count); err != nil {
-		return nil, err
-	}
-	tuples := make([]data.Tuple, count)
-	return tuples, decodeRawTuples(tuples, raw)
-}
-
 // decodeRawTuples decodes the len(dst) tuples of a raw block payload into
 // dst, validating all of raw before allocating or writing anything.
 //

@@ -156,9 +156,22 @@ func TestEncodedSizeMatchesDataEstimate(t *testing.T) {
 	}
 }
 
+// decodeRawBlock decodes exactly count tuples from a raw block payload
+// (concatenated AppendTuple encodings with no trailing bytes) the way a
+// block read does: ValidateRawTuples, then the arena decoder. Hostile
+// payloads must yield ErrCorrupt, never a panic or an allocation larger
+// than the payload warrants.
+func decodeRawBlock(raw []byte, count int) ([]data.Tuple, error) {
+	if err := ValidateRawTuples(raw, count); err != nil {
+		return nil, err
+	}
+	tuples := make([]data.Tuple, count)
+	return tuples, decodeRawTuples(tuples, raw)
+}
+
 // decodeTupleLoop is the reference the arena decoder is held to: the
-// tuple-at-a-time DecodeTuple loop DecodeRawTuples used to be, with its
-// count and trailing-byte checks.
+// tuple-at-a-time DecodeTuple loop the raw-block decoder used to be, with
+// its count and trailing-byte checks.
 func decodeTupleLoop(raw []byte, count int) ([]data.Tuple, error) {
 	if count < 0 || count > len(raw)/tupleHeaderSize {
 		return nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte payload", ErrCorrupt, count, len(raw))
@@ -227,7 +240,7 @@ func TestDecodeRawTuplesMatchesTupleLoop(t *testing.T) {
 				count += rng.Intn(5) - 2
 			}
 			want, wantErr := decodeTupleLoop(raw, count)
-			got, gotErr := DecodeRawTuples(raw, count)
+			got, gotErr := decodeRawBlock(raw, count)
 			valErr := ValidateRawTuples(raw, count)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(valErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s #%d: arena err %v, validator err %v, loop err %v", kind, iter, gotErr, valErr, wantErr)
@@ -261,7 +274,7 @@ func TestDecodedTuplesDoNotAliasOnAppend(t *testing.T) {
 	for i := range src {
 		raw = AppendTuple(raw, &src[i])
 	}
-	got, err := DecodeRawTuples(raw, len(src))
+	got, err := decodeRawBlock(raw, len(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func FuzzDecodeBlock(f *testing.F) {
 		count, raw, err := tab.rawPayload(b)
 		var tuples []data.Tuple
 		if err == nil {
-			tuples, err = DecodeRawTuples(raw, count)
+			tuples, err = decodeRawBlock(raw, count)
 		}
 		if err == nil && compress == false && len(b) >= 24 {
 			// A successful decode must account for every payload byte.

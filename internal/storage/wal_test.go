@@ -283,7 +283,7 @@ func TestRawBlockAtRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tuples, err := DecodeRawTuples(rb.Raw, rb.Tuples)
+			tuples, err := decodeRawBlock(rb.Raw, rb.Tuples)
 			if err != nil {
 				t.Fatalf("compress=%v block %d: %v", compress, i, err)
 			}
@@ -460,7 +460,7 @@ func TestDecodeRawTuplesHostile(t *testing.T) {
 	for i := range ds.Tuples {
 		raw = AppendTuple(raw, &ds.Tuples[i])
 	}
-	if tuples, err := DecodeRawTuples(raw, 5); err != nil || len(tuples) != 5 {
+	if tuples, err := decodeRawBlock(raw, 5); err != nil || len(tuples) != 5 {
 		t.Fatalf("clean decode failed: %d tuples, %v", len(tuples), err)
 	}
 	cases := []struct {
@@ -474,7 +474,7 @@ func TestDecodeRawTuplesHostile(t *testing.T) {
 		{nil, 1},
 	}
 	for i, c := range cases {
-		if _, err := DecodeRawTuples(c.raw, c.count); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeRawBlock(c.raw, c.count); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("case %d: got %v, want ErrCorrupt", i, err)
 		}
 	}

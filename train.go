@@ -15,7 +15,8 @@ import (
 
 // TrainConfig configures a high-level training run.
 type TrainConfig struct {
-	// Model names the learner: "lr", "svm", "linreg", "softmax", "mlp".
+	// Model names the learner: "lr", "svm", "linreg", "softmax", "mlp",
+	// "fm".
 	Model string
 	// Optimizer names the update rule: "sgd" (default) or "adam".
 	Optimizer string
@@ -75,12 +76,11 @@ type TrainConfig struct {
 	Feed *RunFeed
 	// RunName labels feed updates (free-form).
 	RunName string
-	// Explain routes the run through the Volcano executor with per-operator
-	// profiling enabled: Result.Plan then carries the annotated plan tree
-	// (the EXPLAIN ANALYZE payload), and the same tree streams per epoch
-	// through Feed. Explain changes profiling only: the training loop, its
-	// configuration, the block cursor, the shuffle buffer and the overlap
-	// accounting are the default engine's, so weights, loss trace and
+	// Explain switches on per-operator profiling: Result.Plan then carries
+	// the annotated plan tree (the EXPLAIN ANALYZE payload), and the same
+	// tree streams per epoch through Feed. It switches profiling, not the
+	// engine: every run is the same Volcano plan (BlockShuffle →
+	// TupleShuffle → SGD for CorgiPile), so weights, loss trace and
 	// simulated time are bit-identical with and without it for every
 	// strategy.
 	Explain bool
@@ -184,67 +184,43 @@ func trainOn(src shuffle.Source, ds *Dataset, cfg TrainConfig, clock *Clock) (*R
 	if err != nil {
 		return nil, err
 	}
-	res := shuffle.Resilience{
-		Retry: storage.RetryPolicy{
-			MaxAttempts: cfg.Retries + 1,
-			Backoff:     cfg.RetryBackoff,
-			Seed:        cfg.Seed,
-		},
-		OnCorrupt:       policy,
-		MaxSkipFraction: cfg.MaxSkipFraction,
-	}
-	rc := core.RunConfig{
-		Model:     model,
-		Opt:       opt,
-		Features:  ds.Features,
-		Epochs:    cfg.Epochs,
-		BatchSize: cfg.BatchSize,
-		Clock:     clock,
-		TrainEval: ds,
-		Seed:      cfg.Seed,
-		Obs:       cfg.Metrics,
-		Diag:      cfg.Diag,
-		Feed:      cfg.Feed,
-		RunName:   cfg.RunName,
-		Ctx:       cfg.Ctx,
-		Events:    cfg.Events,
-		Trace:     cfg.Trace,
-	}
-	if mlp, ok := model.(ml.MLP); ok {
-		rc.InitWeights = core.MLPInit(mlp, ds.Features, cfg.Seed)
-	}
-	if cfg.Explain {
-		// Profiled runs go through the Volcano executor, which builds its
-		// own resilience wrapper and fault report from the plan config.
-		op, err := executor.BuildSGDPlan(src, executor.PlanConfig{
-			Shuffle:        cfg.Strategy,
-			BufferFraction: cfg.BufferFraction,
-			DoubleBuffer:   cfg.DoubleBuffer,
-			Seed:           cfg.Seed,
-			Resilience:     res,
-			Profile:        true,
-			SGD:            rc,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return op.RunResult()
-	}
-	if res.Enabled() {
-		rc.Faults = shuffle.NewFaultReport()
-	}
-	rc.Strategy, err = shuffle.New(cfg.Strategy, src, shuffle.Options{
+	op, err := executor.BuildSGDPlan(src, executor.PlanConfig{
+		Shuffle:        cfg.Strategy,
 		BufferFraction: cfg.BufferFraction,
-		Seed:           cfg.Seed,
 		DoubleBuffer:   cfg.DoubleBuffer,
-		Obs:            cfg.Metrics,
-		Resilience:     res,
-		FaultReport:    rc.Faults,
+		Seed:           cfg.Seed,
+		Profile:        cfg.Explain,
+		Resilience: shuffle.Resilience{
+			Retry: storage.RetryPolicy{
+				MaxAttempts: cfg.Retries + 1,
+				Backoff:     cfg.RetryBackoff,
+				Seed:        cfg.Seed,
+			},
+			OnCorrupt:       policy,
+			MaxSkipFraction: cfg.MaxSkipFraction,
+		},
+		SGD: executor.SGDConfig{
+			Model:       model,
+			Opt:         opt,
+			Features:    ds.Features,
+			Epochs:      cfg.Epochs,
+			BatchSize:   cfg.BatchSize,
+			Clock:       clock,
+			TrainEval:   ds,
+			InitWeights: core.InitWeights(model, ds.Features, cfg.Seed),
+			Obs:         cfg.Metrics,
+			Diag:        cfg.Diag,
+			Feed:        cfg.Feed,
+			RunName:     cfg.RunName,
+			Ctx:         cfg.Ctx,
+			Events:      cfg.Events,
+			Trace:       cfg.Trace,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return core.Run(rc)
+	return op.RunResult()
 }
 
 // CorgiPileDataset is the paper's PyTorch-style dataset API: it streams the
