@@ -488,10 +488,9 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 			return nil, fmt.Errorf("db: INSERT row %d has %d features, table %q has %d",
 				i+1, len(row.Features), entry.Name, feats)
 		}
-		tuples[i] = data.Tuple{
-			ID: base + int64(i), Label: row.Label,
-			Dense: append([]float64(nil), row.Features...),
-		}
+		// AppendTuples encodes the tuples and keeps none of them, so the
+		// statement's own feature slices serve.
+		tuples[i] = data.Tuple{ID: base + int64(i), Label: row.Label, Dense: row.Features}
 	}
 	preBlocks := tab.NumBlocks()
 	raws, err := tab.AppendTuples(tuples)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,12 +48,14 @@ func (s *Server) handleSession(si *sessionInfo, conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxLineBytes)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		// The scanner's buffer is decoded in place: Unmarshal copies out
+		// every string it keeps.
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		var req Request
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
+		if err := json.Unmarshal(line, &req); err != nil {
 			if enc.Encode(errResponse(ErrBadRequest, "request is not valid JSON: %v", err)) != nil {
 				return
 			}

@@ -14,8 +14,8 @@ func Render(st Statement) string {
 	case *CreateTable:
 		var b strings.Builder
 		fmt.Fprintf(&b, "CREATE TABLE %s", st.Name)
-		if st.SourceFile != "" {
-			fmt.Fprintf(&b, " FROM '%s'", st.SourceFile)
+		if st.Synthetic == nil {
+			fmt.Fprintf(&b, " FROM %s", quote(st.SourceFile))
 		} else {
 			fmt.Fprintf(&b, " AS SYNTHETIC(%s)", renderParams(st.Synthetic))
 		}
@@ -56,7 +56,7 @@ func Render(st Statement) string {
 			if c.Value.IsNum {
 				fmt.Fprintf(&b, "%s %s %s", c.Column, c.Op, c.Value.Raw)
 			} else {
-				fmt.Fprintf(&b, "%s %s '%s'", c.Column, c.Op, c.Value.Raw)
+				fmt.Fprintf(&b, "%s %s %s", c.Column, c.Op, quote(c.Value.Raw))
 			}
 		}
 		if st.OrderBy != "" {
@@ -89,9 +89,9 @@ func Render(st Statement) string {
 		}
 		return out
 	case *SaveModel:
-		return fmt.Sprintf("SAVE MODEL %s TO '%s'", st.Name, st.Path)
+		return fmt.Sprintf("SAVE MODEL %s TO %s", st.Name, quote(st.Path))
 	case *LoadModel:
-		return fmt.Sprintf("LOAD MODEL %s FROM '%s'", st.Name, st.Path)
+		return fmt.Sprintf("LOAD MODEL %s FROM %s", st.Name, quote(st.Path))
 	case *Insert:
 		var b strings.Builder
 		fmt.Fprintf(&b, "INSERT INTO %s VALUES ", st.Table)
@@ -107,7 +107,7 @@ func Render(st Statement) string {
 		}
 		return b.String()
 	case *LoadTable:
-		return fmt.Sprintf("LOAD INTO %s FROM '%s'", st.Table, st.Path)
+		return fmt.Sprintf("LOAD INTO %s FROM %s", st.Table, quote(st.Path))
 	case *Checkpoint:
 		return "CHECKPOINT"
 	case *Promote:
@@ -136,8 +136,17 @@ func renderParams(p Params) string {
 		if v.IsNum {
 			parts = append(parts, fmt.Sprintf("%s=%g", k, v.Num))
 		} else {
-			parts = append(parts, fmt.Sprintf("%s='%s'", k, v.Raw))
+			parts = append(parts, fmt.Sprintf("%s=%s", k, quote(v.Raw)))
 		}
 	}
 	return strings.Join(parts, ", ")
+}
+
+// quote renders a string literal. It uses ' unless the text holds one, and
+// then ": the lexer never yields a string holding both.
+func quote(s string) string {
+	if strings.IndexByte(s, '\'') >= 0 {
+		return `"` + s + `"`
+	}
+	return "'" + s + "'"
 }

@@ -35,6 +35,10 @@ func TestRenderRoundTrip(t *testing.T) {
 		`SELECT id, state FROM corgi_jobs WHERE state = 'running'`,
 		`SELECT * FROM corgi_events WHERE trace_id = 's1-r2' AND type = 'job.done' ORDER BY seq DESC LIMIT 10`,
 		`SELECT name, value FROM corgi_metrics WHERE value > 0 ORDER BY name`,
+		// A ' inside a string renders between double quotes.
+		`CREATE TABLE t FROM "/tmp/o'brien.libsvm"`,
+		`SELECT * FROM t TRAIN BY svm WITH note="it's"`,
+		`SELECT * FROM corgi_events WHERE detail = "a'b"`,
 	}
 	for _, sql := range statements {
 		first, err := Parse(sql)

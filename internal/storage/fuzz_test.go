@@ -28,8 +28,7 @@ func validBlockBytes(tb testing.TB, compress bool) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m := tab.meta[0]
-	return append([]byte(nil), tab.file[m.Offset:m.Offset+m.Len]...)
+	return append([]byte(nil), tab.blocks[0]...)
 }
 
 // reseal recomputes the CRC so header mutations survive the checksum and

@@ -52,7 +52,7 @@ func (t *Table) view(from, to int) ([]data.Tuple, error) {
 	img := &t.img
 	img.mu.Lock()
 	defer img.mu.Unlock()
-	meta, file := t.snapshot()
+	meta, blocks := t.snapshot()
 	if from < 0 || from > to || to > len(meta) {
 		return nil, fmt.Errorf("storage: block range [%d,%d) out of range [0,%d]", from, to, len(meta))
 	}
@@ -65,7 +65,7 @@ func (t *Table) view(from, to int) ([]data.Tuple, error) {
 			continue
 		}
 		m := meta[i]
-		count, raw, err := t.rawPayload(file[m.Offset : m.Offset+m.Len])
+		count, raw, err := t.rawPayload(blocks[i])
 		if err == nil && count != m.Tuples {
 			err = fmt.Errorf("%w: block %d holds %d tuples, its index entry says %d", ErrCorrupt, i, count, m.Tuples)
 		}

@@ -2,7 +2,8 @@
 # Full verification gate, equivalent to `make check`: build, vet, the test
 # suite, the race detector over the internal packages, and the fuzz seed
 # corpora (hostile block/tuple headers must stay rejected; hostile WAL
-# bytes must replay to a clean prefix without a panic).
+# bytes must replay to a clean prefix without a panic; any statement text
+# must parse or fail cleanly, and a parsed one must survive Render).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -11,7 +12,7 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./internal/...
-go test -run 'Fuzz' ./internal/storage/
+go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/
 
 # The benchmark harness is its own module (benchmark/go.mod) and calls into
 # internal/ directly, so the root module's build does not cover it: an
