@@ -171,12 +171,3 @@ func (d *Dataset) Clone() *Dataset {
 	}
 	return c
 }
-
-// LabelCounts returns a histogram of labels, keyed by label value.
-func (d *Dataset) LabelCounts() map[float64]int {
-	m := make(map[float64]int)
-	for i := range d.Tuples {
-		m[d.Tuples[i].Label]++
-	}
-	return m
-}

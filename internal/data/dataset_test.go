@@ -18,6 +18,15 @@ func makeDataset(n int) *Dataset {
 	return ds
 }
 
+// LabelCounts returns a histogram of labels, keyed by label value.
+func (d *Dataset) LabelCounts() map[float64]int {
+	m := make(map[float64]int)
+	for i := range d.Tuples {
+		m[d.Tuples[i].Label]++
+	}
+	return m
+}
+
 func TestShuffleIsPermutation(t *testing.T) {
 	ds := makeDataset(100)
 	vals := map[float64]bool{}

@@ -59,41 +59,6 @@ func (t *Tuple) Dot(w []float64) float64 {
 	return s
 }
 
-// AxpyInto adds a*x to the vector v, where x is the tuple's feature vector:
-// v += a*x. Indices outside len(v) are ignored.
-func (t *Tuple) AxpyInto(v []float64, a float64) {
-	if t.IsSparse() {
-		for i, idx := range t.SparseIdx {
-			if int(idx) < len(v) {
-				v[idx] += a * t.SparseVal[i]
-			}
-		}
-		return
-	}
-	n := len(t.Dense)
-	if len(v) < n {
-		n = len(v)
-	}
-	for i := 0; i < n; i++ {
-		v[i] += a * t.Dense[i]
-	}
-}
-
-// FeatureNorm2 returns ‖x‖² of the tuple's feature vector.
-func (t *Tuple) FeatureNorm2() float64 {
-	var s float64
-	if t.IsSparse() {
-		for _, v := range t.SparseVal {
-			s += v * v
-		}
-		return s
-	}
-	for _, v := range t.Dense {
-		s += v * v
-	}
-	return s
-}
-
 // Clone returns a deep copy of the tuple.
 func (t *Tuple) Clone() Tuple {
 	c := Tuple{ID: t.ID, Label: t.Label}

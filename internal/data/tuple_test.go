@@ -1,10 +1,6 @@
 package data
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func denseTuple(vals ...float64) Tuple {
 	return Tuple{Dense: vals}
@@ -50,62 +46,6 @@ func TestDotOutOfRangeIgnored(t *testing.T) {
 	d := denseTuple(1, 2, 3)
 	if got := d.Dot([]float64{1}); got != 1 {
 		t.Fatalf("short-w dense Dot = %v, want 1", got)
-	}
-}
-
-func TestAxpyIntoDense(t *testing.T) {
-	tp := denseTuple(1, 2)
-	v := []float64{10, 10}
-	tp.AxpyInto(v, 3)
-	if v[0] != 13 || v[1] != 16 {
-		t.Fatalf("AxpyInto = %v, want [13 16]", v)
-	}
-}
-
-func TestAxpyIntoSparse(t *testing.T) {
-	tp := sparseTuple([]int32{1}, []float64{5})
-	v := []float64{0, 0, 0}
-	tp.AxpyInto(v, 2)
-	if v[0] != 0 || v[1] != 10 || v[2] != 0 {
-		t.Fatalf("AxpyInto = %v, want [0 10 0]", v)
-	}
-}
-
-// Property: Dot(w) after AxpyInto(w, a) equals Dot(w) + a*‖x‖².
-func TestAxpyDotConsistency(t *testing.T) {
-	f := func(vals []float64, a float64) bool {
-		if len(vals) == 0 || len(vals) > 20 {
-			return true
-		}
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
-				return true
-			}
-		}
-		if math.IsNaN(a) || math.IsInf(a, 0) || math.Abs(a) > 1e6 {
-			return true
-		}
-		tp := denseTuple(vals...)
-		w := make([]float64, len(vals))
-		before := tp.Dot(w)
-		tp.AxpyInto(w, a)
-		after := tp.Dot(w)
-		want := before + a*tp.FeatureNorm2()
-		return math.Abs(after-want) <= 1e-6*(1+math.Abs(want))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFeatureNorm2(t *testing.T) {
-	d := denseTuple(3, 4)
-	if d.FeatureNorm2() != 25 {
-		t.Fatalf("dense norm² = %v, want 25", d.FeatureNorm2())
-	}
-	s := sparseTuple([]int32{7, 9}, []float64{3, 4})
-	if s.FeatureNorm2() != 25 {
-		t.Fatalf("sparse norm² = %v, want 25", s.FeatureNorm2())
 	}
 }
 

@@ -435,11 +435,11 @@ func TestOpenWALErrors(t *testing.T) {
 	s.Close()
 
 	// An unknown record type in the log is a replay error.
-	w, _, err := storage.OpenWAL(WALPath(t.TempDir()))
+	dir2 := t.TempDir()
+	w, _, err := storage.OpenWAL(WALPath(dir2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir2 := filepath.Dir(w.Path())
 	if _, err := w.Append(storage.WALRecordType(99), []byte("???")); err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestPredictOp(t *testing.T) {
 	if _, err := sgd.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pred := NewPredict(NewScan(src), sgd.Model(), sgd.Result().W)
+	pred := NewPredict(NewScan(src), ml.SVM{}, sgd.Result().W)
 	if err := pred.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestDescribePlanShapes(t *testing.T) {
 	corgi := base
 	corgi.Shuffle = shuffle.KindCorgiPile
 	corgi.DoubleBuffer = true
-	plan := DescribePlan(src, corgi)
+	plan := PlanShape(src, corgi).Text(false)
 	for _, needle := range []string{"SGD (model=svm optimizer=sgd epochs=3 batch=1)", "TupleShuffle", "BlockShuffle", "double-buffer"} {
 		if !strings.Contains(plan, needle) {
 			t.Fatalf("corgipile plan missing %q:\n%s", needle, plan)
@@ -374,23 +374,23 @@ func TestDescribePlanShapes(t *testing.T) {
 
 	ns := base
 	ns.Shuffle = shuffle.KindNoShuffle
-	if !strings.Contains(DescribePlan(src, ns), "Scan (blocks=10, sequential)") {
-		t.Fatalf("no-shuffle plan wrong:\n%s", DescribePlan(src, ns))
+	if !strings.Contains(PlanShape(src, ns).Text(false), "Scan (blocks=10, sequential)") {
+		t.Fatalf("no-shuffle plan wrong:\n%s", PlanShape(src, ns).Text(false))
 	}
 
 	bo := base
 	bo.Shuffle = shuffle.KindBlockOnly
-	if !strings.Contains(DescribePlan(src, bo), "BlockShuffle (blocks=10") {
+	if !strings.Contains(PlanShape(src, bo).Text(false), "BlockShuffle (blocks=10") {
 		t.Fatal("block-only plan wrong")
 	}
 
 	mrs := base
 	mrs.Shuffle = shuffle.KindMRS
-	if !strings.Contains(DescribePlan(src, mrs), "Strategy[mrs]") {
+	if !strings.Contains(PlanShape(src, mrs).Text(false), "Strategy[mrs]") {
 		t.Fatal("fallback strategy plan wrong")
 	}
 
-	empty := DescribePlan(src, PlanConfig{Shuffle: shuffle.KindCorgiPile})
+	empty := PlanShape(src, PlanConfig{Shuffle: shuffle.KindCorgiPile}).Text(false)
 	if !strings.Contains(empty, "model=?") {
 		t.Fatal("nil-model plan should render placeholders")
 	}

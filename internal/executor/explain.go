@@ -114,12 +114,3 @@ func buildShape(src shuffle.Source, cfg PlanConfig) planShape {
 func PlanShape(src shuffle.Source, cfg PlanConfig) *obs.PlanStats {
 	return buildShape(src, cfg).root
 }
-
-// DescribePlan renders the physical operator tree a PlanConfig would build
-// over src, in EXPLAIN style. The CorgiPile plan is the paper's
-// SGD → TupleShuffle → BlockShuffle pipeline; other strategies show their
-// access path. The same tree, executed with PlanConfig.Profile, renders as
-// EXPLAIN ANALYZE via obs.PlanStats.Text(true).
-func DescribePlan(src shuffle.Source, cfg PlanConfig) string {
-	return PlanShape(src, cfg).Text(false)
-}

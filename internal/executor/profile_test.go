@@ -249,7 +249,7 @@ func TestDescribePlanGolden(t *testing.T) {
 		cfg := base
 		cfg.Shuffle = g.kind
 		cfg.DoubleBuffer = g.double
-		if got := DescribePlan(src, cfg); got != g.want {
+		if got := PlanShape(src, cfg).Text(false); got != g.want {
 			t.Errorf("%s plan:\n got: %q\nwant: %q", g.kind, got, g.want)
 		}
 	}
@@ -290,7 +290,7 @@ func TestAnalyzeTextStripsToStaticPlan(t *testing.T) {
 			stripped.WriteString(line)
 			stripped.WriteString("\n")
 		}
-		static := DescribePlan(src, cfg)
+		static := PlanShape(src, cfg).Text(false)
 		if stripped.String() != static {
 			t.Errorf("%s: stripped ANALYZE text diverged from EXPLAIN:\n got: %q\nwant: %q",
 				kind, stripped.String(), static)

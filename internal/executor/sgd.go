@@ -28,7 +28,6 @@ type SGDConfig = core.RunConfig
 type SGDOp struct {
 	child Operator
 	loop  *core.Loop
-	model ml.Model
 	feed  *obs.RunFeed
 	// Epochs is the configured number of passes.
 	Epochs int
@@ -49,7 +48,7 @@ func NewSGD(child Operator, cfg SGDConfig) (*SGDOp, error) {
 	if err != nil {
 		return nil, fmt.Errorf("executor: SGD: %w", err)
 	}
-	return &SGDOp{child: child, loop: loop, model: cfg.Model, feed: cfg.Feed, Epochs: cfg.Epochs}, nil
+	return &SGDOp{child: child, loop: loop, feed: cfg.Feed, Epochs: cfg.Epochs}, nil
 }
 
 // Init implements the operator contract for the training pipeline. A
@@ -111,9 +110,6 @@ func (op *SGDOp) Run() ([]EpochRow, error) {
 
 // Close releases the pipeline.
 func (op *SGDOp) Close() error { return op.child.Close() }
-
-// Model returns the trained model.
-func (op *SGDOp) Model() ml.Model { return op.model }
 
 // Result returns the driver's live result: the weight vector (for the
 // catalog to store), one Points / Breakdown / Diag row per completed epoch,

@@ -24,9 +24,8 @@ type cacheNode struct {
 }
 
 // newPageCache returns a cache with the given capacity in bytes. A
-// capacity of zero disables caching. The second parameter is retained for
-// call-site compatibility and ignored.
-func newPageCache(capacityBytes, _ int64) *pageCache {
+// capacity of zero disables caching.
+func newPageCache(capacityBytes int64) *pageCache {
 	return &pageCache{
 		capacity: capacityBytes,
 		resident: make(map[int64]*cacheNode),
@@ -63,16 +62,6 @@ func (c *pageCache) span(off, n int64) (hitBytes int64) {
 	c.pushFront(node)
 	c.evictOverflow()
 	return 0
-}
-
-// invalidate drops every resident extent, modelling `echo 3 > drop_caches`.
-func (c *pageCache) invalidate() {
-	if c == nil {
-		return
-	}
-	c.resident = make(map[int64]*cacheNode)
-	c.total = 0
-	c.head, c.tail = nil, nil
 }
 
 func (c *pageCache) evictOverflow() {
@@ -124,6 +113,3 @@ func (c *pageCache) evict() {
 	delete(c.resident, n.off)
 	c.total -= n.n
 }
-
-// len reports the number of resident extents (for tests).
-func (c *pageCache) len() int { return len(c.resident) }

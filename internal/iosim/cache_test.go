@@ -3,7 +3,7 @@ package iosim
 import "testing"
 
 func TestCacheHitOnRepeatExtent(t *testing.T) {
-	c := newPageCache(4<<20, 0)
+	c := newPageCache(4 << 20)
 	if c.span(0, 1<<20) != 0 {
 		t.Fatal("first read must miss")
 	}
@@ -16,7 +16,7 @@ func TestCacheNoFalseHitsForNeighbors(t *testing.T) {
 	// Reading an adjacent, never-read extent must NOT hit, whatever the
 	// internal granularity (regression test for unit-granularity false
 	// hits).
-	c := newPageCache(64<<20, 0)
+	c := newPageCache(64 << 20)
 	c.span(0, 64<<10)
 	if c.span(64<<10, 64<<10) != 0 {
 		t.Fatal("adjacent unread extent reported a hit")
@@ -27,7 +27,7 @@ func TestCacheNoFalseHitsForNeighbors(t *testing.T) {
 }
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
-	c := newPageCache(2<<20, 0) // two 1 MiB extents fit
+	c := newPageCache(2 << 20) // two 1 MiB extents fit
 	c.span(0, 1<<20)
 	c.span(10<<20, 1<<20)
 	c.span(0, 1<<20)      // offset 0 is now MRU
@@ -41,7 +41,7 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 }
 
 func TestCacheGrowingExtent(t *testing.T) {
-	c := newPageCache(8<<20, 0)
+	c := newPageCache(8 << 20)
 	c.span(0, 1<<20)
 	// Re-reading a longer extent at the same offset hits the cached prefix.
 	if hit := c.span(0, 2<<20); hit != 1<<20 {
@@ -53,9 +53,9 @@ func TestCacheGrowingExtent(t *testing.T) {
 }
 
 func TestCacheOversizeExtentNotAdmitted(t *testing.T) {
-	c := newPageCache(1<<20, 0)
+	c := newPageCache(1 << 20)
 	c.span(0, 2<<20)
-	if c.len() != 0 {
+	if len(c.resident) != 0 {
 		t.Fatal("extent larger than cache must not be admitted")
 	}
 	if c.span(0, 2<<20) != 0 {
@@ -64,20 +64,20 @@ func TestCacheOversizeExtentNotAdmitted(t *testing.T) {
 }
 
 func TestCacheCapacityEnforced(t *testing.T) {
-	c := newPageCache(4<<20, 0)
+	c := newPageCache(4 << 20)
 	for i := int64(0); i < 16; i++ {
 		c.span(i*(1<<20), 1<<20)
 	}
 	if c.total > 4<<20 {
 		t.Fatalf("resident bytes %d exceed capacity", c.total)
 	}
-	if c.len() > 4 {
-		t.Fatalf("resident extents = %d, want <= 4", c.len())
+	if len(c.resident) > 4 {
+		t.Fatalf("resident extents = %d, want <= 4", len(c.resident))
 	}
 }
 
 func TestCacheZeroCapacityDisabled(t *testing.T) {
-	c := newPageCache(0, 0)
+	c := newPageCache(0)
 	if c.span(0, 1<<20) != 0 || c.span(0, 1<<20) != 0 {
 		t.Fatal("zero-capacity cache must never hit")
 	}
@@ -88,26 +88,13 @@ func TestCacheNilSafe(t *testing.T) {
 	if c.span(0, 100) != 0 {
 		t.Fatal("nil cache span must be 0")
 	}
-	c.invalidate() // must not panic
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := newPageCache(8<<20, 0)
-	c.span(0, 4<<20)
-	c.invalidate()
-	if c.len() != 0 || c.total != 0 {
-		t.Fatal("invalidate should empty the cache")
-	}
-	if c.span(0, 4<<20) != 0 {
-		t.Fatal("read after invalidate must miss")
-	}
 }
 
 func TestCacheSequentialFloodingNoHits(t *testing.T) {
 	// Looping sequentially over a working set larger than the cache must
 	// never hit (the classic LRU sequential-flooding behaviour that keeps
 	// the paper's criteo runs disk-bound every epoch).
-	c := newPageCache(4<<20, 0)
+	c := newPageCache(4 << 20)
 	var hits int64
 	for pass := 0; pass < 3; pass++ {
 		for i := int64(0); i < 16; i++ {

@@ -8,8 +8,7 @@ import (
 	"corgipile/internal/obs"
 )
 
-// Stats counts the traffic a device has served since creation or the last
-// ResetStats call.
+// Stats counts the traffic a device has served since creation.
 type Stats struct {
 	Reads         int64 // read operations
 	Writes        int64 // write operations
@@ -53,7 +52,7 @@ func NewDevice(prof Profile, clock *Clock) *Device {
 // bandwidth. Unit granularity is 1 MiB.
 func (d *Device) WithCache(capacityBytes int64) *Device {
 	d.mu.Lock()
-	d.cache = newPageCache(capacityBytes, 1<<20)
+	d.cache = newPageCache(capacityBytes)
 	d.mu.Unlock()
 	return d
 }
@@ -72,8 +71,8 @@ func (d *Device) WithObs(reg *obs.Registry) *Device {
 
 // WithFaults attaches a deterministic fault-injection plan to the device and
 // returns the device. Faults act only on TryReadAt — the checked read path
-// real data accesses use; pure cost-accounting calls (ReadAt, WriteAt,
-// ReadCost) never fail, so a zero plan leaves every existing timing
+// real data accesses use; pure cost-accounting calls (ReadAt, WriteAt)
+// never fail, so a zero plan leaves every existing timing
 // bit-for-bit unchanged.
 func (d *Device) WithFaults(p FaultPlan) *Device {
 	d.mu.Lock()
@@ -86,16 +85,6 @@ func (d *Device) WithFaults(p FaultPlan) *Device {
 	return d
 }
 
-// FaultPlan returns the attached fault plan (zero when none).
-func (d *Device) FaultPlan() FaultPlan {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.faults == nil {
-		return FaultPlan{}
-	}
-	return d.faults.plan
-}
-
 // BlockCorrupt reports whether the fault plan marks storage block i as
 // permanently corrupt. The storage layer consults this on each block read
 // and flips a payload bit so its CRC check trips.
@@ -105,9 +94,6 @@ func (d *Device) BlockCorrupt(i int) bool {
 	return d.faults != nil && d.faults.corrupt[i]
 }
 
-// Profile returns the device's performance profile.
-func (d *Device) Profile() Profile { return d.prof }
-
 // Clock returns the clock the device charges time to.
 func (d *Device) Clock() *Clock { return d.clock }
 
@@ -116,21 +102,6 @@ func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// ResetStats zeroes the traffic counters.
-func (d *Device) ResetStats() {
-	d.mu.Lock()
-	d.stats = Stats{}
-	d.mu.Unlock()
-}
-
-// DropCaches invalidates the simulated OS cache, as the paper does before
-// each experiment.
-func (d *Device) DropCaches() {
-	d.mu.Lock()
-	d.cache.invalidate()
-	d.mu.Unlock()
 }
 
 // ReadAt charges the cost of reading n bytes at offset off and returns that
@@ -250,20 +221,6 @@ func (d *Device) WriteAt(off, n int64) time.Duration {
 	}
 	d.mu.Unlock()
 	d.clock.Advance(cost)
-	return cost
-}
-
-// ReadCost computes the cost of reading n bytes at offset off without
-// advancing the clock. It still updates head position, cache state, and
-// statistics; it exists for pipelined components that account for overlap
-// themselves.
-func (d *Device) ReadCost(off, n int64) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	d.mu.Lock()
-	cost := d.readCostLocked(off, n)
-	d.mu.Unlock()
 	return cost
 }
 

@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"math"
 	"sort"
 
 	"corgipile/internal/data"
@@ -29,19 +28,6 @@ func Accuracy(m Model, w []float64, ds *data.Dataset) float64 {
 		}
 	}
 	return float64(correct) / float64(ds.Len())
-}
-
-// MeanLoss returns the mean per-example loss of the model at w over ds —
-// the objective value F(w).
-func MeanLoss(m Model, w []float64, ds *data.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range ds.Tuples {
-		sum += m.Loss(w, &ds.Tuples[i])
-	}
-	return sum / float64(ds.Len())
 }
 
 // R2 returns the coefficient of determination of the model's predictions
@@ -131,34 +117,6 @@ func ModelAUC(m Model, w []float64, ds *data.Dataset) float64 {
 		labels[i] = t.Label
 	}
 	return AUC(scores, labels)
-}
-
-// GradNorm2 returns ‖∇F(w)‖² — the convergence measure of Theorem 2 for
-// non-convex objectives.
-func GradNorm2(m Model, w []float64, ds *data.Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	g := make([]float64, len(w))
-	var gi []int32
-	var gv []float64
-	for i := range ds.Tuples {
-		gi, gv = gi[:0], gv[:0]
-		_, gi, gv = m.Grad(w, &ds.Tuples[i], gi, gv)
-		for j, idx := range gi {
-			g[idx] += gv[j]
-		}
-	}
-	inv := 1 / float64(ds.Len())
-	var n2 float64
-	for _, v := range g {
-		v *= inv
-		n2 += v * v
-	}
-	if math.IsNaN(n2) {
-		return math.Inf(1)
-	}
-	return n2
 }
 
 func maxInt(a, b int) int {

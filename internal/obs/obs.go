@@ -146,8 +146,10 @@ const (
 	SpanRecovery = "wal.recovery"
 )
 
-// histBuckets is the number of log2(ns) histogram buckets: bucket i counts
-// observations with 2^i ≤ ns < 2^(i+1) (bucket 0 includes sub-ns).
+// histBuckets is the number of log2(ns) histogram buckets: bucket 0 counts
+// zero durations, bucket i counts observations with 2^(i−1) ≤ ns < 2^i, and
+// the last bucket also takes everything longer (bits.Len64 of the value,
+// clamped).
 const histBuckets = 40
 
 // hist is a duration histogram with log2 buckets.
@@ -220,17 +222,6 @@ func (r *Registry) WithClock(c Clock) *Registry {
 	r.clock = c
 	r.mu.Unlock()
 	return r
-}
-
-// now reports the registry clock's current time.
-func (r *Registry) now() time.Duration {
-	r.mu.Lock()
-	c := r.clock
-	r.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.Now()
 }
 
 // Add increments the named counter by delta.
@@ -338,16 +329,6 @@ func (r *Registry) EnableLive() {
 	r.mu.Unlock()
 }
 
-// Live reports whether live-telemetry mode is enabled.
-func (r *Registry) Live() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.live
-}
-
 // SetLiveGauge sets the named gauge only in live mode. Components on hot
 // paths use it for metrics that only a live scraper consumes (buffer
 // occupancy, runtime stats), so that attaching a passive trace sink never
@@ -394,16 +375,9 @@ type HistSnapshot struct {
 	Count    int64
 	Sum      time.Duration
 	Min, Max time.Duration
-	// Buckets[i] counts observations with 2^i ≤ ns < 2^(i+1).
+	// Buckets[i] counts observations with 2^(i−1) ≤ ns < 2^i; Buckets[0]
+	// counts zero durations and the last bucket everything from 2^38 ns up.
 	Buckets [histBuckets]int64
-}
-
-// Mean returns the mean observed duration (0 when empty).
-func (h HistSnapshot) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / time.Duration(h.Count)
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry. Deltas

@@ -53,15 +53,29 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if h.Min != 2*time.Millisecond || h.Max != 4*time.Millisecond {
 		t.Errorf("hist min/max = %v/%v", h.Min, h.Max)
 	}
-	if h.Mean() != 3*time.Millisecond {
-		t.Errorf("hist mean = %v", h.Mean())
-	}
 	var bucketSum int64
 	for _, b := range h.Buckets {
 		bucketSum += b
 	}
 	if bucketSum != 2 {
 		t.Errorf("bucket sum = %d, want 2", bucketSum)
+	}
+
+	// Bucket i holds [2^(i−1), 2^i) ns, bucket 0 holds zero, and anything
+	// past the last bucket's lower bound clamps into it.
+	for _, c := range []struct {
+		d      time.Duration
+		bucket int
+	}{{0, 0}, {1, 1}, {3, 2}, {1023, 10}, {1024, 11}, {1 << 39, histBuckets - 1}, {1 << 45, histBuckets - 1}} {
+		name := "place " + c.d.String()
+		r.Observe(name, c.d)
+		placed := r.Snapshot().Hists[name]
+		if placed.Buckets[c.bucket] != 1 {
+			t.Errorf("%d ns landed in %v, want bucket %d", c.d, placed.Buckets, c.bucket)
+		}
+		if lo, hi := bucketBounds(c.bucket); c.bucket < histBuckets-1 && (c.d < lo || c.d >= hi) {
+			t.Errorf("bucketBounds(%d) = [%d, %d) does not hold %d ns", c.bucket, lo, hi, c.d)
+		}
 	}
 }
 
@@ -77,7 +91,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.WithClock(&fakeClock{})
 	r.StreamTo(&bytes.Buffer{})
 	sp := r.Span("s")
-	sp.Child("c").End()
+	r.Span("c").End()
 	sp.End()
 	if got := r.Counter("a"); got != 0 {
 		t.Errorf("nil counter = %d", got)
@@ -165,7 +179,7 @@ func TestSpanChild(t *testing.T) {
 	clock := &fakeClock{}
 	r := New().WithClock(clock)
 	root := r.Span("root")
-	child := root.Child("leaf")
+	child := r.Span("leaf")
 	clock.advance(time.Second)
 	// Children may end out of order relative to the stack.
 	root.End()
@@ -305,7 +319,7 @@ func TestConcurrentUse(t *testing.T) {
 				r.Observe("h", time.Duration(i))
 				sp := r.Span("s")
 				clock.advance(time.Nanosecond)
-				sp.Child("leaf").End()
+				r.Span("leaf").End()
 				sp.End()
 				_ = r.Snapshot()
 			}

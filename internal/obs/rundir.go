@@ -11,7 +11,7 @@ import (
 
 // This file implements durable run artifacts: a run directory holding
 //
-//	manifest.json   full config, seed, git SHA, go version, timestamp
+//	manifest.json   full config, seed, git SHA, go version
 //	epochs.jsonl    one EpochMetrics row per epoch
 //	metrics.prom    the final registry snapshot in Prometheus text format
 //	plan.json       the executed-plan profile, for profiled runs
@@ -26,9 +26,6 @@ type Manifest struct {
 	Tool string `json:"tool"`
 	// Run labels the run (workload/model/strategy, free-form).
 	Run string `json:"run,omitempty"`
-	// StartedAt is an injected RFC 3339 timestamp (callers pass it in so
-	// tests stay deterministic).
-	StartedAt string `json:"started_at,omitempty"`
 	// GitSHA and GoVersion are filled from build info when left empty.
 	GitSHA    string `json:"git_sha"`
 	GoVersion string `json:"go_version"`

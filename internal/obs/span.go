@@ -9,8 +9,7 @@ import "time"
 //
 // Spans nest: a span started while another is active records that span as
 // its parent (the registry keeps a stack of active spans, which matches the
-// single-goroutine structure of the training loop), and Child starts an
-// explicitly parented span for concurrent producers. All methods are no-ops
+// single-goroutine structure of the training loop). All methods are no-ops
 // on a nil *Span, so `defer reg.Span("epoch").End()` is safe even when reg
 // is nil.
 type Span struct {
@@ -34,25 +33,6 @@ func (r *Registry) Span(name string) *Span {
 		sp.parent = r.spans[n-1]
 	}
 	r.spans = append(r.spans, sp.id)
-	clock := r.clock
-	r.mu.Unlock()
-	if clock != nil {
-		sp.start = clock.Now()
-	}
-	return sp
-}
-
-// Child starts a span explicitly parented to s. It does not join the
-// registry's active-span stack, so it is safe to end out of order (e.g.
-// from a producer goroutine).
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	r := s.reg
-	r.mu.Lock()
-	r.spanSeq++
-	sp := &Span{reg: r, name: name, id: r.spanSeq, parent: s.id}
 	clock := r.clock
 	r.mu.Unlock()
 	if clock != nil {

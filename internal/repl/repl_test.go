@@ -463,3 +463,6 @@ func TestPrimaryShedsSlowReplica(t *testing.T) {
 	sameCatalog(t, prim.s, repSess)
 	slow.Unlock()
 }
+
+// AppliedLSN returns the replica's durable applied LSN.
+func (r *Replica) AppliedLSN() uint64 { return r.cfg.Session.LastLSN() }

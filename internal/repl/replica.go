@@ -100,9 +100,6 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 	return r, nil
 }
 
-// AppliedLSN returns the replica's durable applied LSN.
-func (r *Replica) AppliedLSN() uint64 { return r.cfg.Session.LastLSN() }
-
 // Promote stops replication, flushes the replica's WAL, and returns the
 // applied LSN the new primary starts from. Idempotent.
 func (r *Replica) Promote() (uint64, error) {

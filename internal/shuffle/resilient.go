@@ -131,7 +131,6 @@ type FaultReport struct {
 	backoff     time.Duration
 	quarantined map[int]bool
 	skippedTup  int
-	crashes     int
 }
 
 // NewFaultReport returns an empty report.
@@ -153,16 +152,6 @@ func (r *FaultReport) addRetry(wait time.Duration) {
 	r.mu.Lock()
 	r.retries++
 	r.backoff += wait
-	r.mu.Unlock()
-}
-
-// AddWorkerCrash records one absorbed distributed-worker crash.
-func (r *FaultReport) AddWorkerCrash() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.crashes++
 	r.mu.Unlock()
 }
 
@@ -203,7 +192,6 @@ func (r *FaultReport) Summary() FaultSummary {
 		Retries:         r.retries,
 		BackoffSeconds:  r.backoff.Seconds(),
 		SkippedTuples:   r.skippedTup,
-		WorkerCrashes:   r.crashes,
 	}
 	for i := range r.quarantined {
 		s.SkippedBlocks = append(s.SkippedBlocks, i)

@@ -22,12 +22,6 @@ const (
 	KindCorgiPile     Kind = "corgipile"
 )
 
-// Kinds lists every strategy in presentation order.
-var Kinds = []Kind{
-	KindNoShuffle, KindShuffleOnce, KindEpochShuffle,
-	KindSlidingWindow, KindMRS, KindBlockOnly, KindCorgiPile,
-}
-
 // Options configures a strategy.
 type Options struct {
 	// BufferFraction is the in-memory buffer size as a fraction of the

@@ -49,6 +49,12 @@ func assertPermutation(t *testing.T, ids []int64, n int) {
 	}
 }
 
+// allKinds lists every strategy in presentation order.
+var allKinds = []Kind{
+	KindNoShuffle, KindShuffleOnce, KindEpochShuffle,
+	KindSlidingWindow, KindMRS, KindBlockOnly, KindCorgiPile,
+}
+
 // Strategies that visit every tuple exactly once per epoch.
 var exactlyOnceKinds = []Kind{
 	KindNoShuffle, KindShuffleOnce, KindEpochShuffle,
@@ -193,7 +199,7 @@ func TestCorgiPileEpochsDiffer(t *testing.T) {
 }
 
 func TestStrategiesDeterministicAcrossRuns(t *testing.T) {
-	for _, kind := range Kinds {
+	for _, kind := range allKinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			run := func() []int64 {
@@ -291,7 +297,7 @@ func TestUnknownKindErrors(t *testing.T) {
 
 func TestStrategyNames(t *testing.T) {
 	src := clusteredSource(50, 5)
-	for _, kind := range Kinds {
+	for _, kind := range allKinds {
 		st, err := New(kind, src, Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)

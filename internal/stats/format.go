@@ -34,9 +34,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Len reports the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
-
 // Write renders the table as aligned plain text.
 func (t *Table) Write(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

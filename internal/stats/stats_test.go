@@ -161,8 +161,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(out, "## Demo") || !strings.Contains(out, "alpha") || !strings.Contains(out, "1.235") {
 		t.Fatalf("table output malformed:\n%s", out)
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d", tab.Len())
+	if len(tab.rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.rows))
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// Header, separator, two rows, plus title.

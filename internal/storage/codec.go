@@ -113,22 +113,6 @@ func fillTuple(t *data.Tuple, buf []byte, vals []float64, idx []int32) (sparse b
 	return true, count, tupleHeaderSize + count*12
 }
 
-// DecodeTuple decodes one tuple from the front of buf, returning the tuple
-// and the number of bytes consumed. The tuple owns its slices.
-func DecodeTuple(buf []byte) (data.Tuple, int, error) {
-	sparse, count, size, err := tupleShape(buf)
-	if err != nil {
-		return data.Tuple{}, 0, err
-	}
-	var t data.Tuple
-	var idx []int32
-	if sparse {
-		idx = make([]int32, count)
-	}
-	fillTuple(&t, buf, make([]float64, count), idx)
-	return t, size, nil
-}
-
 // ValidateRawTuples checks that raw is exactly count well-formed tuple
 // encodings (AppendTuple format) with no trailing bytes, allocating nothing.
 // It is the gate for blocks arriving from outside — INSERT, LOAD INTO and

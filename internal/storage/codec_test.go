@@ -156,6 +156,22 @@ func TestEncodedSizeMatchesDataEstimate(t *testing.T) {
 	}
 }
 
+// DecodeTuple decodes one tuple from the front of buf, returning the tuple
+// and the number of bytes consumed. The tuple owns its slices.
+func DecodeTuple(buf []byte) (data.Tuple, int, error) {
+	sparse, count, size, err := tupleShape(buf)
+	if err != nil {
+		return data.Tuple{}, 0, err
+	}
+	var t data.Tuple
+	var idx []int32
+	if sparse {
+		idx = make([]int32, count)
+	}
+	fillTuple(&t, buf, make([]float64, count), idx)
+	return t, size, nil
+}
+
 // decodeRawBlock decodes exactly count tuples from a raw block payload
 // (concatenated AppendTuple encodings with no trailing bytes) the way a
 // block read does: ValidateRawTuples, then the arena decoder. Hostile

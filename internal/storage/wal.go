@@ -140,10 +140,9 @@ type WAL struct {
 	mu     sync.Mutex
 	f      *os.File
 	ws     WriteSyncer // == f unless a test wrapped it
-	path   string
-	next   uint64 // next LSN to assign
-	size   int64  // bytes of valid records in the file
-	failed error  // poison: set on sync failure or failed rollback
+	next   uint64      // next LSN to assign
+	size   int64       // bytes of valid records in the file
+	failed error       // poison: set on sync failure or failed rollback
 	notify func(WALRecord)
 	reg    *obs.Registry
 	events *obs.EventLog
@@ -181,7 +180,7 @@ func OpenWALFile(path string, wrap func(WriteSyncer) WriteSyncer) (*WAL, []WALRe
 		f.Close()
 		return nil, nil, fmt.Errorf("storage: seek wal: %w", err)
 	}
-	w := &WAL{f: f, path: path, next: 1, size: int64(valid)}
+	w := &WAL{f: f, next: 1, size: int64(valid)}
 	w.ws = f
 	if wrap != nil {
 		w.ws = wrap(f)
@@ -241,9 +240,6 @@ func (w *WAL) WithNotify(fn func(WALRecord)) *WAL {
 	w.mu.Unlock()
 	return w
 }
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Size returns the bytes of valid records currently in the log file — the
 // auto-checkpoint trigger reads this to decide when to compact.
