@@ -10,9 +10,6 @@
 //	           [-explain] [-run-dir DIR]
 //	corgibench -faults [-out BENCH_faults.json] [-stamp-time RFC3339]
 //	corgibench -compare BENCH_faults.json
-//	corgibench -serve-load [-serve-addr HOST:PORT] [-trains 2]
-//	           [-predict-clients 4] [-predicts 2000] [-workload susy]
-//	           [-scale 0.05] [-epochs 20] [-seed 1]
 //
 // With no experiment arguments (or "all") it runs the full suite. Each
 // experiment prints the rows/series of the corresponding paper artifact;
@@ -28,12 +25,6 @@
 //
 // With -compare it re-runs the fault sweep behind the committed
 // BENCH_faults.json baseline and exits 1 if any cell moved.
-//
-// With -serve-load it boots a corgiserved instance (or targets a running
-// one with -serve-addr), keeps -trains background TRAIN jobs executing,
-// and measures PREDICT throughput and p50/p95/p99 latency from
-// -predict-clients concurrent connections, canceling one TRAIN mid-run to
-// verify its admission slot is returned.
 package main
 
 import (
@@ -70,11 +61,6 @@ func main() {
 		explain   = flag.Bool("explain", false, "-metrics: profile the executor plan and print the annotated EXPLAIN ANALYZE tree")
 		runDir    = flag.String("run-dir", "", "-metrics: write durable run artifacts (manifest.json, epochs.jsonl, metrics.prom) to this directory")
 		compare   = flag.String("compare", "", "re-run the fault sweep behind this BENCH_faults.json baseline and report regressions")
-		serveLoad = flag.Bool("serve-load", false, "run the serving-plane load experiment (predict latency under concurrent TRAINs)")
-		serveAddr = flag.String("serve-addr", "", "-serve-load: target a running corgiserved instead of booting one in-process")
-		trains    = flag.Int("trains", 2, "-serve-load: concurrent background TRAIN jobs")
-		pClients  = flag.Int("predict-clients", 4, "-serve-load: concurrent predict connections")
-		predicts  = flag.Int("predicts", 2000, "-serve-load: total PREDICT statements")
 		sample    = flag.Duration("sample", 0, "-metrics: sample run metrics into a history store at this interval and print a summary (never on the bench/report paths)")
 		stampTime = flag.String("stamp-time", "", "-faults: RFC 3339 timestamp to stamp the report with (default: now)")
 	)
@@ -87,36 +73,6 @@ func main() {
 		}
 		if regressions > 0 {
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveLoad {
-		opts := bench.ServeLoadOptions{
-			Addr:     *serveAddr,
-			Workload: *workload,
-			Trains:   *trains,
-			Clients:  *pClients,
-			Predicts: *predicts,
-			Cancel:   true,
-			Seed:     *seed,
-		}
-		// Reuse the suite's -workload/-scale/-epochs knobs, but default to
-		// a serving-sized catalog and long-running background jobs rather
-		// than the experiment suite's defaults.
-		if flagSet("scale") {
-			opts.Scale = *scale
-		}
-		if flagSet("epochs") {
-			opts.Epochs = *epochs
-		}
-		if flagSet("workload") {
-			opts.Workload = *workload
-		} else {
-			opts.Workload = ""
-		}
-		if err := bench.ServeLoad(os.Stdout, opts); err != nil {
-			fatal(err)
 		}
 		return
 	}
@@ -159,7 +115,6 @@ func main() {
 	if *metrics {
 		opts := bench.ProfileOptions{
 			Workload:     *workload,
-			Scale:        *scale,
 			Strategy:     shuffle.Kind(*strategy),
 			Epochs:       *epochs,
 			BatchSize:    *batch,
@@ -169,11 +124,13 @@ func main() {
 			Seed:         *seed,
 		}
 		// The experiment suite runs at scale 1.0 by default; profiles want
-		// quick turnaround, so -metrics defaults to a smaller dataset unless
-		// the user set -scale explicitly.
-		if !flagSet("scale") {
-			opts.Scale = 0
-		}
+		// quick turnaround, so -metrics keeps Scale 0 (a smaller dataset)
+		// unless the user set -scale explicitly.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "scale" {
+				opts.Scale = *scale
+			}
+		})
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
@@ -233,17 +190,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// flagSet reports whether the named flag was given on the command line.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 func fatal(err error) {

@@ -30,7 +30,8 @@ echo "$plan" | grep -q '(actual: rows='
 echo "$plan" | grep -q 'EXPLAIN ANALYZE: model'
 
 # Serving-plane smoke: boot corgiserved, replay the docs/PROTOCOL.md
-# transcript byte-for-byte, scrape per-job telemetry, run -serve-load.
+# transcript byte-for-byte, scrape per-job telemetry, run a tiny
+# serve_mixed benchmark pass.
 ./scripts/serve_smoke.sh
 
 # Durability smoke: SIGKILL a WAL-backed corgiserved mid-catalog, restart

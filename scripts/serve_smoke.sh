@@ -3,8 +3,8 @@
 # docs/PROTOCOL.md worked transcript against it and diff the responses
 # byte-for-byte against the documented ones, scrape the per-job telemetry
 # feed while a TRAIN is live, check per-job durable artifacts, and run a
-# short corgibench -serve-load. Fails on any drift between the protocol
-# document and the server's actual behavior.
+# short pass of the benchmark's serve_mixed workload. Fails on any drift
+# between the protocol document and the server's actual behavior.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -13,7 +13,6 @@ workdir=$(mktemp -d)
 trap 'kill $servepid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/corgiserved" ./cmd/corgiserved
-go build -o "$workdir/corgibench" ./cmd/corgibench
 
 # Extract the worked transcript (C: request / S: expected-response pairs)
 # from the protocol document.
@@ -86,10 +85,12 @@ grep -q '^corgipile_sgd_tuples' "$workdir/runs/j3/metrics.prom"
 kill $servepid 2>/dev/null || true
 wait $servepid 2>/dev/null || true
 
-# The load generator end to end: predict tail latency under two live
-# background TRAINs, with the mid-run cancellation probe.
-"$workdir/corgibench" -serve-load -predicts 400 -predict-clients 2 >"$workdir/load.txt"
-grep -q 'latency p50' "$workdir/load.txt"
-grep -q 'slot re-admitted' "$workdir/load.txt"
+# Load end to end: a tiny pass of the benchmark's serve_mixed workload
+# (PREDICTs with every 10th request an INSERT, over a real server) must
+# answer correctly and fail nothing. The cancel/slot probe is
+# TestCancelMidEpochReleasesSlot.
+(cd benchmark && go run . -workload serve_mixed -tiny -seconds 2 -tmp "$workdir/bench") >"$workdir/load.txt"
+grep -q '"correct":true' "$workdir/load.txt"
+grep -q '"failed":0,' "$workdir/load.txt"
 
 echo "serve smoke: OK"
