@@ -89,6 +89,9 @@ func TestRunFeedPlanTopic(t *testing.T) {
 	// Close shuts the plan topic down alongside the run topic.
 	f.Close()
 	late, _ := f.SubscribePlan()
+	if msg := <-late; !strings.Contains(string(msg), `"name":"SGD"`) {
+		t.Fatalf("late subscriber's first message %s, want the current plan", msg)
+	}
 	if _, ok := <-late; ok {
 		t.Fatal("SubscribePlan after Close must return a closed channel")
 	}

@@ -266,9 +266,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, errMsg, http.StatusNotFound)
 		return
 	}
-	if r.URL.Query().Get("stream") != "" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamRun(w, r, feed)
+	if wantsStream(r) {
+		streamSSE(w, r, feed.Subscribe)
 		return
 	}
 	st, seq := feed.Status()
@@ -292,9 +291,8 @@ func (s *Server) handleRunPlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, errMsg, http.StatusNotFound)
 		return
 	}
-	if r.URL.Query().Get("stream") != "" ||
-		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.streamRunPlan(w, r, feed)
+	if wantsStream(r) {
+		streamSSE(w, r, feed.SubscribePlan)
 		return
 	}
 	p, _ := feed.PlanStatus()
@@ -318,45 +316,18 @@ func (s *Server) handleRunPlan(w http.ResponseWriter, r *http.Request) {
 	p.WriteText(w, true)
 }
 
-// streamRunPlan streams per-epoch plan snapshots as server-sent events.
-func (s *Server) streamRunPlan(w http.ResponseWriter, r *http.Request, feed *RunFeed) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	// Subscribe before reading the current snapshot so no epoch published
-	// in between is missed (same ordering as streamRun).
-	ch, cancel := feed.SubscribePlan()
-	defer cancel()
-	if p, seq := feed.PlanStatus(); seq > 0 && p != nil {
-		if msg, err := json.Marshal(p); err == nil {
-			fmt.Fprintf(w, "data: %s\n\n", msg)
-			fl.Flush()
-		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case msg, ok := <-ch:
-			if !ok {
-				return
-			}
-			fmt.Fprintf(w, "data: %s\n\n", msg)
-			fl.Flush()
-		}
-	}
+// wantsStream reports whether a /run or /run/plan request asks for SSE
+// (?stream=1 or Accept: text/event-stream).
+func wantsStream(r *http.Request) bool {
+	return r.URL.Query().Get("stream") != "" ||
+		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
-// streamRun streams run updates as server-sent events until the client
-// disconnects or the feed closes (server shutdown or job completion).
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, feed *RunFeed) {
+// streamSSE streams a feed topic as server-sent events — the current value
+// first, so a late subscriber sees something immediately, then every update
+// — until the client disconnects or the feed closes (server shutdown or job
+// completion).
+func streamSSE(w http.ResponseWriter, r *http.Request, subscribe func() (<-chan []byte, func())) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
@@ -369,18 +340,8 @@ func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, feed *RunFeed
 	// before the first epoch publishes, not block until it does.
 	fl.Flush()
 
-	// Subscribe before reading the current state so no update published in
-	// between is missed (a duplicate initial event is harmless; a gap is a
-	// stall). Then send the current state so a late subscriber sees
-	// something immediately.
-	ch, cancel := feed.Subscribe()
+	ch, cancel := subscribe()
 	defer cancel()
-	if st, seq := feed.Status(); seq > 0 {
-		if msg, err := json.Marshal(st); err == nil {
-			fmt.Fprintf(w, "data: %s\n\n", msg)
-			fl.Flush()
-		}
-	}
 	for {
 		select {
 		case <-r.Context().Done():

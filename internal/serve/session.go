@@ -183,12 +183,13 @@ func (s *Server) execPredictOp(req *Request, trace string) *Response {
 // serve.predict latency histogram — the series the history plane samples
 // as serve.predict_p50/_p95/_p99.
 func (s *Server) execPredictTraced(st *sqlparse.Predict, trace string) *Response {
-	return s.emitStatement(trace, "predict "+strings.ToLower(st.Table), func() *Response {
-		start := time.Now()
-		resp := s.execPredict(st)
-		s.reg.Observe(obs.ServePredict, time.Since(start))
-		return resp
-	})
+	kind := "predict " + strings.ToLower(st.Table)
+	began := s.events.StatementStart(trace, kind)
+	start := time.Now()
+	resp := s.execPredict(st)
+	s.reg.Observe(obs.ServePredict, time.Since(start))
+	s.events.StatementFinish(trace, kind, began, errCode(resp))
+	return resp
 }
 
 // execSelect answers a general SELECT under the catalog read lock —
@@ -210,25 +211,12 @@ func (s *Server) execSelect(st *sqlparse.Select, trace string) *Response {
 	}
 }
 
-// emitStatement brackets fn with statement.start/finish events (and a
-// statement.slow companion past the armed threshold), recording the
-// response's error code on failure.
-func (s *Server) emitStatement(trace, kind string, fn func() *Response) *Response {
-	s.events.Emit(obs.EvStatementStart, trace, kind)
-	start := time.Now()
-	resp := fn()
-	d := time.Since(start)
-	ev := obs.Event{Type: obs.EvStatementFinish, Trace: trace, Detail: kind,
-		DurMs: float64(d.Nanoseconds()) / 1e6}
+// errCode is a response's wire error code, "" unless it failed.
+func errCode(resp *Response) string {
 	if resp != nil && !resp.OK && resp.Error != nil {
-		ev.Err = resp.Error.Code
+		return resp.Error.Code
 	}
-	s.events.Record(ev)
-	if s.events.Slow(d) {
-		s.events.Record(obs.Event{Type: obs.EvStatementSlow, Trace: trace,
-			Detail: kind, DurMs: float64(d.Nanoseconds()) / 1e6})
-	}
-	return resp
+	return ""
 }
 
 // submitAndReply enqueues a TRAIN job and acknowledges it. The ack always
@@ -236,9 +224,11 @@ func (s *Server) emitStatement(trace, kind string, fn func() *Response) *Respons
 // started it — so transcripts are deterministic. With wait=true the reply
 // is deferred until the job reaches a terminal state.
 func (s *Server) submitAndReply(sessID string, sessCtx context.Context, st *sqlparse.Train, req *Request, trace string, traceGiven bool) *Response {
-	return s.emitStatement(trace, "train "+strings.ToLower(st.Table), func() *Response {
-		return s.submitAndReplyInner(sessID, sessCtx, st, req, trace, traceGiven)
-	})
+	kind := "train " + strings.ToLower(st.Table)
+	start := s.events.StatementStart(trace, kind)
+	resp := s.submitAndReplyInner(sessID, sessCtx, st, req, trace, traceGiven)
+	s.events.StatementFinish(trace, kind, start, errCode(resp))
+	return resp
 }
 
 func (s *Server) submitAndReplyInner(sessID string, sessCtx context.Context, st *sqlparse.Train, req *Request, trace string, traceGiven bool) *Response {
