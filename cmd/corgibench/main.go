@@ -5,9 +5,8 @@
 //
 //	corgibench [-scale 1.0] [-list] [experiment ...]
 //	corgibench -metrics [-workload higgs] [-strategy corgipile] [-device hdd]
-//	           [-epochs 5] [-batch N] [-double] [-block N]
-//	           [-trace-out trace.jsonl] [-serve 127.0.0.1:0] [-diag]
-//	           [-explain] [-run-dir DIR]
+//	           [-epochs 5] [-double] [-trace-out trace.jsonl]
+//	           [-serve 127.0.0.1:0] [-diag] [-explain] [-run-dir DIR]
 //	corgibench -faults [-out BENCH_faults.json] [-stamp-time RFC3339]
 //	corgibench -compare BENCH_faults.json
 //
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"corgipile/internal/bench"
-	"corgipile/internal/core"
 	"corgipile/internal/obs"
 	"corgipile/internal/shuffle"
 )
@@ -52,16 +50,12 @@ func main() {
 		device    = flag.String("device", "hdd", "-metrics: device profile (hdd, ssd, ram)")
 		epochs    = flag.Int("epochs", 5, "-metrics: training epochs")
 		double    = flag.Bool("double", false, "-metrics: enable double buffering")
-		block     = flag.Int64("block", 0, "-metrics: block size in bytes (0 = auto)")
-		batch     = flag.Int("batch", 1, "-metrics: mini-batch size (1 = per-tuple SGD)")
-		seed      = flag.Int64("seed", 1, "-metrics: random seed")
 		traceOut  = flag.String("trace-out", "", "write the JSONL event trace to this file")
 		serve     = flag.String("serve", "", "serve live telemetry (/metrics, /run, /debug/pprof/) on this address during -metrics")
 		diag      = flag.Bool("diag", false, "-metrics: enable convergence diagnostics (grad norm, plateau/divergence verdict)")
 		explain   = flag.Bool("explain", false, "-metrics: profile the executor plan and print the annotated EXPLAIN ANALYZE tree")
 		runDir    = flag.String("run-dir", "", "-metrics: write durable run artifacts (manifest.json, epochs.jsonl, metrics.prom) to this directory")
 		compare   = flag.String("compare", "", "re-run the fault sweep behind this BENCH_faults.json baseline and report regressions")
-		sample    = flag.Duration("sample", 0, "-metrics: sample run metrics into a history store at this interval and print a summary (never on the bench/report paths)")
 		stampTime = flag.String("stamp-time", "", "-faults: RFC 3339 timestamp to stamp the report with (default: now)")
 	)
 	flag.Parse()
@@ -117,11 +111,11 @@ func main() {
 			Workload:     *workload,
 			Strategy:     shuffle.Kind(*strategy),
 			Epochs:       *epochs,
-			BatchSize:    *batch,
 			Device:       *device,
 			DoubleBuffer: *double,
-			BlockSize:    *block,
-			Seed:         *seed,
+			Diag:         *diag,
+			Explain:      *explain,
+			RunDir:       *runDir,
 		}
 		// The experiment suite runs at scale 1.0 by default; profiles want
 		// quick turnaround, so -metrics keeps Scale 0 (a smaller dataset)
@@ -139,26 +133,11 @@ func main() {
 			defer f.Close()
 			opts.TraceOut = f
 		}
-		if *diag {
-			opts.Diag = &core.DiagConfig{}
-		}
-		opts.Explain = *explain
-		opts.RunDir = *runDir
-		var reg *obs.Registry
-		var hist *obs.History
-		if *serve != "" || *sample > 0 {
-			reg = obs.New()
-			opts.Registry = reg
-		}
-		if *sample > 0 {
-			// History rides only the explicitly instrumented profile path;
-			// the faults report run never samples, so the committed
-			// BENCH_faults.json baseline is untouched by the feature.
-			hist = obs.NewHistory(obs.HistoryConfig{Interval: *sample})
-		}
 		if *serve != "" {
+			reg := obs.New()
+			opts.Registry = reg
 			feed := obs.NewRunFeed()
-			srv, err := obs.Serve(obs.ServeConfig{Addr: *serve, Registry: reg, Feed: feed, History: hist})
+			srv, err := obs.Serve(obs.ServeConfig{Addr: *serve, Registry: reg, Feed: feed})
 			if err != nil {
 				fatal(err)
 			}
@@ -166,14 +145,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "corgibench: telemetry on %s\n", srv.URL())
 			opts.Feed = feed
 		}
-		hist.Start(reg)
 		if err := bench.Profile(os.Stdout, opts); err != nil {
 			fatal(err)
-		}
-		if hist != nil {
-			hist.Stop()
-			fmt.Fprintf(os.Stderr, "corgibench: history sampled %d series every %s\n",
-				len(hist.Names()), *sample)
 		}
 		return
 	}

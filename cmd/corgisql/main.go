@@ -36,7 +36,6 @@ import (
 	"os"
 	"strings"
 
-	"corgipile/internal/core"
 	"corgipile/internal/db"
 	"corgipile/internal/obs"
 )
@@ -49,7 +48,6 @@ func main() {
 	diag := flag.Bool("diag", false, "enable convergence diagnostics on every TRAIN (verdict in the result message and live feed)")
 	runDir := flag.String("run-dir", "", "write durable run artifacts (manifest.json, epochs.jsonl, metrics.prom, plan.json) for the last TRAIN to this directory")
 	eventsOut := flag.String("events", "", "record structured events (statement, checkpoint, recovery) and append them as JSONL to this file")
-	sample := flag.Duration("sample", 0, "sample session metrics into the history store at this interval (queryable via SELECT * FROM corgi_metrics_history)")
 	flag.Parse()
 
 	session := db.NewSession()
@@ -62,7 +60,7 @@ func main() {
 		defer f.Close()
 		session.WithEvents(obs.NewEventLog(0).StreamTo(f))
 	}
-	if *metrics || *traceOut != "" || *serve != "" || *runDir != "" || *sample > 0 {
+	if *metrics || *traceOut != "" || *serve != "" || *runDir != "" {
 		reg := obs.New()
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
@@ -75,16 +73,7 @@ func main() {
 		}
 		session.WithMetrics(reg)
 	}
-	var hist *obs.History
-	if *sample > 0 {
-		hist = obs.NewHistory(obs.HistoryConfig{Interval: *sample}).WithEvents(session.Events())
-		session.WithHistory(hist)
-		hist.Start(session.Metrics())
-		defer hist.Stop()
-	}
-	if *diag {
-		session.WithDiag(&core.DiagConfig{})
-	}
+	session.WithDiag(*diag)
 	// last tracks the most recent result carrying training artifacts (a
 	// TRAIN breakdown or an EXPLAIN ANALYZE plan) for -run-dir.
 	var last *db.Result
@@ -108,7 +97,7 @@ func main() {
 	if *serve != "" {
 		feed := obs.NewRunFeed()
 		session.WithFeed(feed)
-		srv, err := obs.Serve(obs.ServeConfig{Addr: *serve, Registry: session.Metrics(), Feed: feed, History: hist})
+		srv, err := obs.Serve(obs.ServeConfig{Addr: *serve, Registry: session.Metrics(), Feed: feed})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "corgisql:", err)
 			os.Exit(1)

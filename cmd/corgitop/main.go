@@ -1,21 +1,19 @@
-// Command corgitop is a live terminal dashboard over a corgiserved (or
-// corgitrain/corgisql/corgibench) telemetry plane: it polls the
-// /metrics/history and /alertz endpoints that -sample enables and renders
-// the sampled series — jobs running/queued, WAL size, replication lag,
-// predict latency quantiles — as current values with Unicode sparklines,
-// plus every alert rule's firing state.
+// Command corgitop is a live terminal dashboard over a corgiserved
+// telemetry plane: it polls the /metrics/history and /alertz endpoints that
+// corgiserved -sample enables and renders the sampled series — jobs
+// running/queued, WAL size, replication lag, predict latency quantiles — as
+// current values with Unicode sparklines over the last two minutes, plus
+// every alert rule's firing state.
 //
 // Usage:
 //
-//	corgitop -connect 127.0.0.1:9090 [-interval 2s] [-window 2m] \
-//	    [-metrics serve.jobs_running,wal.size_bytes] [-once]
+//	corgitop -connect 127.0.0.1:9090 [-once]
 //
 // -connect takes the telemetry address (the server's -telemetry flag),
-// with or without the http:// scheme. By default corgitop shows a curated
-// set of serving-plane series and falls back to whatever the store has
-// sampled; -metrics pins an explicit comma-separated list. -once prints a
-// single frame and exits (scriptable); otherwise the screen redraws every
-// -interval until interrupted.
+// with or without the http:// scheme. corgitop shows a curated set of
+// serving-plane series and falls back to whatever the store has sampled.
+// -once prints a single frame and exits (scriptable); otherwise the screen
+// redraws every two seconds until interrupted.
 package main
 
 import (
@@ -71,15 +69,12 @@ var defaultMetrics = []string{
 	"io.fault.transient",
 }
 
-// maxFallbackRows bounds the everything-else listing when no curated or
-// requested series exist.
+// maxFallbackRows bounds the everything-else listing when no curated
+// series exist.
 const maxFallbackRows = 16
 
 func main() {
 	connect := flag.String("connect", "127.0.0.1:9090", "telemetry address (host:port or http://host:port) of a -sample'd server")
-	interval := flag.Duration("interval", 2*time.Second, "dashboard refresh period")
-	window := flag.Duration("window", 2*time.Minute, "history window the sparklines cover")
-	metricsFlag := flag.String("metrics", "", "comma-separated series to show (default: a curated serving-plane set)")
 	once := flag.Bool("once", false, "print one frame and exit")
 	flag.Parse()
 
@@ -88,18 +83,10 @@ func main() {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	var want []string
-	if *metricsFlag != "" {
-		for _, m := range strings.Split(*metricsFlag, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				want = append(want, m)
-			}
-		}
-	}
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	for {
-		frame, err := render(client, base, *window, want)
+		frame, err := render(client, base)
 		if err != nil {
 			frame = fmt.Sprintf("corgitop: %v\n(is the server running with -telemetry and -sample?)\n", err)
 			if *once {
@@ -115,12 +102,19 @@ func main() {
 		if *once {
 			return
 		}
-		time.Sleep(*interval)
+		time.Sleep(refresh)
 	}
 }
 
+// refresh is the redraw period, and window the history the sparklines
+// cover.
+const (
+	refresh = 2 * time.Second
+	window  = 2 * time.Minute
+)
+
 // render fetches one snapshot and formats the full dashboard frame.
-func render(client *http.Client, base string, window time.Duration, want []string) (string, error) {
+func render(client *http.Client, base string) (string, error) {
 	var hist historyReply
 	if err := getJSON(client, base+"/metrics/history?since="+window.String(), &hist); err != nil {
 		return "", err
@@ -146,21 +140,19 @@ func render(client *http.Client, base string, window time.Duration, want []strin
 		last[p.Name] = p.Value
 	}
 
-	names := want
-	if len(names) == 0 {
-		for _, n := range defaultMetrics {
-			if _, ok := series[n]; ok {
-				names = append(names, n)
-			}
+	var names []string
+	for _, n := range defaultMetrics {
+		if _, ok := series[n]; ok {
+			names = append(names, n)
 		}
-		if len(names) == 0 {
-			for n := range series {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			if len(names) > maxFallbackRows {
-				names = names[:maxFallbackRows]
-			}
+	}
+	if len(names) == 0 {
+		for n := range series {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		if len(names) > maxFallbackRows {
+			names = names[:maxFallbackRows]
 		}
 	}
 
@@ -174,12 +166,7 @@ func render(client *http.Client, base string, window time.Duration, want []strin
 		}
 	}
 	for _, n := range names {
-		vals, ok := series[n]
-		if !ok {
-			fmt.Fprintf(&b, "  %-*s  %12s\n", width, n, "-")
-			continue
-		}
-		fmt.Fprintf(&b, "  %-*s  %12s  %s\n", width, n, formatValue(n, last[n]), sparkline(vals, 40))
+		fmt.Fprintf(&b, "  %-*s  %12s  %s\n", width, n, formatValue(n, last[n]), sparkline(series[n], 40))
 	}
 	if len(names) == 0 {
 		b.WriteString("  (no series sampled yet)\n")

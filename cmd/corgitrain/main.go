@@ -4,16 +4,18 @@
 // Usage:
 //
 //	corgitrain -file data.libsvm [-model svm] [-lr 0.05] [-epochs 10]
-//	           [-strategy corgipile] [-buffer 0.1] [-batch 1] [-test 0.2]
+//	           [-strategy corgipile] [-buffer 0.1] [-batch 1]
 //	           [-save model.json] [-metrics] [-trace-out trace.jsonl]
-//	           [-faults 'seed=7,read_err=0.01'] [-retries 3] [-on-corrupt skip]
+//	           [-faults 'seed=7,read_err=0.01'] [-retries 3]
 //	           [-serve 127.0.0.1:0] [-diag] [-explain] [-run-dir DIR]
 //	           [-events events.jsonl]
 //	corgitrain -synthetic higgs [-scale 0.05] ...
 //
 // The training table is used as-is (no shuffling of the file), so a file
 // written in clustered order exercises exactly the pathology the paper
-// studies; compare -strategy no_shuffle against -strategy corgipile.
+// studies; compare -strategy no_shuffle against -strategy corgipile. A
+// fifth of the tuples is held out for the test metrics, and every run uses
+// seed 1. -faults trains on a simulated SSD and fails on a corrupt block.
 //
 // -serve exposes live telemetry over HTTP while training: /metrics in
 // Prometheus text format, /run as a JSON snapshot or SSE stream, and
@@ -39,22 +41,15 @@ func main() {
 		file      = flag.String("file", "", "LIBSVM input file (required)")
 		model     = flag.String("model", "svm", "model: lr, svm, linreg, softmax, mlp, fm")
 		lr        = flag.Float64("lr", 0.05, "initial learning rate")
-		decay     = flag.Float64("decay", 0.95, "per-epoch learning-rate decay")
 		epochs    = flag.Int("epochs", 10, "training epochs")
 		strategy  = flag.String("strategy", "corgipile", "shuffle strategy: no_shuffle, shuffle_once, epoch_shuffle, sliding_window, mrs, block_only, corgipile")
 		buffer    = flag.Float64("buffer", 0.1, "buffer fraction for the shuffle strategies")
 		batch     = flag.Int("batch", 1, "mini-batch size (1 = per-tuple SGD)")
-		testFrac  = flag.Float64("test", 0.2, "held-out test fraction")
-		seed      = flag.Int64("seed", 1, "random seed")
 		save      = flag.String("save", "", "save the trained model to this JSON file via the SQL layer")
 		metrics   = flag.Bool("metrics", false, "print a per-epoch time breakdown after training")
 		traceOut  = flag.String("trace-out", "", "write the JSONL event trace to this file")
-		device    = flag.String("device", "ssd", "simulated device for -faults runs: hdd, ssd, ram")
 		faults    = flag.String("faults", "", "fault-injection plan, e.g. 'seed=7,read_err=0.01,corrupt=3;17' (switches to simulated-device training)")
 		retries   = flag.Int("retries", 0, "retry attempts after a transient read error")
-		backoff   = flag.Duration("retry-backoff", 0, "base retry backoff charged to the simulated clock (default 1ms)")
-		corrupt   = flag.String("on-corrupt", "fail", "corrupt-block policy: fail or skip")
-		skipCap   = flag.Float64("skip-cap", 0, "max tuple fraction the skip policy may quarantine (default 0.05)")
 		serve     = flag.String("serve", "", "serve live telemetry (/metrics, /run, /debug/pprof/) on this address during training")
 		diag      = flag.Bool("diag", false, "enable convergence diagnostics (grad norm, plateau/divergence verdict)")
 		explain   = flag.Bool("explain", false, "profile the executor plan and print the annotated EXPLAIN ANALYZE tree after training")
@@ -62,21 +57,8 @@ func main() {
 		synthetic = flag.String("synthetic", "", "train on a generated workload (higgs, susy, ...) instead of -file")
 		scale     = flag.Float64("scale", 0.05, "-synthetic: dataset scale factor")
 		eventsOut = flag.String("events", "", "append structured per-epoch span events as JSONL to this file")
-		sample    = flag.Duration("sample", 0, "sample run metrics into a history store at this interval and print a summary")
 	)
-	var alerts []corgipile.AlertRule
-	flag.Func("alert", "threshold alert rule 'metric>value[ for 30s]' (repeatable; requires -sample)", func(spec string) error {
-		r, err := corgipile.ParseAlertRule(spec)
-		if err != nil {
-			return err
-		}
-		alerts = append(alerts, r)
-		return nil
-	})
 	flag.Parse()
-	if len(alerts) > 0 && *sample <= 0 {
-		fatal(fmt.Errorf("-alert requires -sample (alerts evaluate on history samples)"))
-	}
 	if *file == "" && *synthetic == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -104,15 +86,12 @@ func main() {
 		fmt.Printf("loaded %s: %d tuples, %d features, %s\n", *file, ds.Len(), ds.Features, ds.Task)
 	}
 
-	var test *corgipile.Dataset
-	train := ds
-	if *testFrac > 0 {
-		train, test = ds.Split(*testFrac, rand.New(rand.NewSource(*seed)))
-		fmt.Printf("split: %d train / %d test\n", train.Len(), test.Len())
-	}
+	const seed = 1
+	train, test := ds.Split(0.2, rand.New(rand.NewSource(seed)))
+	fmt.Printf("split: %d train / %d test\n", train.Len(), test.Len())
 
 	var reg *corgipile.Metrics
-	if *metrics || *traceOut != "" || *serve != "" || *runDir != "" || *sample > 0 {
+	if *metrics || *traceOut != "" || *serve != "" || *runDir != "" {
 		reg = corgipile.NewMetrics()
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
@@ -124,17 +103,10 @@ func main() {
 		}
 	}
 	runName := fmt.Sprintf("corgitrain %s/%s", *model, source)
-	var hist *corgipile.History
-	if *sample > 0 {
-		hist = corgipile.NewHistory(corgipile.HistoryConfig{Interval: *sample})
-		for _, r := range alerts {
-			hist.AddRule(r)
-		}
-	}
 	var feed *corgipile.RunFeed
 	if *serve != "" {
 		feed = corgipile.NewRunFeed()
-		srv, err := obs.Serve(obs.ServeConfig{Addr: *serve, Registry: reg, Feed: feed, History: hist})
+		srv, err := obs.Serve(obs.ServeConfig{Addr: *serve, Registry: reg, Feed: feed})
 		if err != nil {
 			fatal(err)
 		}
@@ -142,26 +114,19 @@ func main() {
 		fmt.Printf("telemetry on %s\n", srv.URL())
 	}
 	cfg := corgipile.TrainConfig{
-		Model:           *model,
-		LearningRate:    *lr,
-		Decay:           *decay,
-		Epochs:          *epochs,
-		BatchSize:       *batch,
-		Strategy:        corgipile.StrategyKind(*strategy),
-		BufferFraction:  *buffer,
-		Seed:            *seed,
-		Metrics:         reg,
-		Device:          *device,
-		Retries:         *retries,
-		RetryBackoff:    *backoff,
-		OnCorrupt:       *corrupt,
-		MaxSkipFraction: *skipCap,
-		Feed:            feed,
-		RunName:         runName,
-		Explain:         *explain,
-	}
-	if *diag {
-		cfg.Diag = &corgipile.DiagConfig{}
+		Model:          *model,
+		LearningRate:   *lr,
+		Epochs:         *epochs,
+		BatchSize:      *batch,
+		Strategy:       corgipile.StrategyKind(*strategy),
+		BufferFraction: *buffer,
+		Seed:           seed,
+		Metrics:        reg,
+		Retries:        *retries,
+		Feed:           feed,
+		RunName:        runName,
+		Explain:        *explain,
+		Diag:           *diag,
 	}
 	if *eventsOut != "" {
 		f, err := os.OpenFile(*eventsOut, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
@@ -171,11 +136,6 @@ func main() {
 		defer f.Close()
 		cfg.Events = corgipile.NewEventLog(0).StreamTo(f)
 		cfg.Trace = runName
-	}
-	if hist != nil {
-		// Alert transitions land in the same event log as the epoch spans.
-		hist.WithEvents(cfg.Events)
-		hist.Start(reg)
 	}
 	var res *corgipile.Result
 	if *faults != "" {
@@ -191,23 +151,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("faults: %s (simulated %s time %.2fs)\n",
-			res.Faults.String(), *device, clock.Now().Seconds())
+		fmt.Printf("faults: %s (simulated ssd time %.2fs)\n",
+			res.Faults.String(), clock.Now().Seconds())
 	} else {
 		var err error
 		res, err = corgipile.Train(train, cfg)
 		if err != nil {
 			fatal(err)
-		}
-	}
-	if hist != nil {
-		// One last sample catches counters that moved since the final tick,
-		// then the summary reports what the store saw.
-		hist.Stop()
-		hist.Sample(reg)
-		fmt.Printf("history: %d series sampled every %s\n", len(hist.Names()), *sample)
-		for _, a := range hist.Alerts() {
-			fmt.Printf("alert %s: state=%s fired=%d\n", a.Name, a.State, a.Fired)
 		}
 	}
 	if *metrics {
@@ -232,18 +182,16 @@ func main() {
 		}
 		fmt.Printf("run artifacts written to %s\n", *runDir)
 	}
-	if test != nil {
-		m, err := ml.New(*model, train.Classes)
-		if err != nil {
-			fatal(err)
-		}
-		if test.Task == data.TaskRegression {
-			fmt.Printf("test R²: %.4f\n", ml.R2(m, res.W, test))
-		} else {
-			fmt.Printf("test accuracy: %.4f\n", ml.Accuracy(m, res.W, test))
-			if test.Task == data.TaskBinary {
-				fmt.Printf("test AUC: %.4f\n", ml.ModelAUC(m, res.W, test))
-			}
+	m, err := ml.New(*model, train.Classes)
+	if err != nil {
+		fatal(err)
+	}
+	if test.Task == data.TaskRegression {
+		fmt.Printf("test R²: %.4f\n", ml.R2(m, res.W, test))
+	} else {
+		fmt.Printf("test accuracy: %.4f\n", ml.Accuracy(m, res.W, test))
+		if test.Task == data.TaskBinary {
+			fmt.Printf("test AUC: %.4f\n", ml.ModelAUC(m, res.W, test))
 		}
 	}
 

@@ -90,9 +90,6 @@ type (
 	// TelemetryServer is the HTTP server behind ServeTelemetry: /metrics in
 	// Prometheus text format, /run as JSON or SSE, and /debug/pprof/.
 	TelemetryServer = obs.Server
-	// DiagConfig enables and tunes the convergence diagnostics; see
-	// TrainConfig.Diag.
-	DiagConfig = core.DiagConfig
 	// EpochDiag is one epoch's convergence diagnostics row.
 	EpochDiag = core.EpochDiag
 	// PlanStats is an annotated physical-plan tree: one node per executor
@@ -133,7 +130,7 @@ type (
 	// downsampling tiers and evaluates threshold alert rules. Create one
 	// with NewHistory; attach via Session.WithHistory or ServeConfig.
 	History = obs.History
-	// HistoryConfig configures a History (interval, ring slots, tiers).
+	// HistoryConfig configures a History (interval and ring slots).
 	HistoryConfig = obs.HistoryConfig
 	// HistoryPoint is one sampled value of one series at one resolution.
 	HistoryPoint = obs.HistoryPoint
@@ -196,8 +193,9 @@ func NewRunFeed() *RunFeed { return obs.NewRunFeed() }
 func NewEventLog(n int) *EventLog { return obs.NewEventLog(n) }
 
 // NewHistory builds a metrics time-series store from cfg (zero fields
-// take the defaults: 1s interval, 256 slots, 1×/10×/60× tiers). Start
-// sampling a registry with Start; query with Query/Names/Alerts, over
+// take the defaults: 1s interval, 256 slots; the tiers are always
+// 1×/10×/60×). Start sampling a registry with Start; query with
+// Query/Alerts, over
 // HTTP via /metrics/history, or in a session via corgi_metrics_history.
 func NewHistory(cfg HistoryConfig) *History { return obs.NewHistory(cfg) }
 

@@ -4,38 +4,28 @@ import (
 	"fmt"
 	"io"
 
-	"corgipile/internal/core"
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
 	"corgipile/internal/obs"
 	"corgipile/internal/shuffle"
 )
 
-// ProfileOptions configures one instrumented training run for Profile —
+// ProfileOptions configures one instrumented SVM training run for Profile —
 // the "where does the time go" mode behind corgibench -metrics.
 type ProfileOptions struct {
 	// Workload names the synthetic dataset (default "higgs"); Scale scales
 	// it (default 0.2 — profiles want quick turnaround).
 	Workload string
 	Scale    float64
-	// Model is the learner (default "svm").
-	Model string
 	// Strategy is the shuffling strategy (default CorgiPile).
 	Strategy shuffle.Kind
 	// Epochs is the number of passes (default 5).
 	Epochs int
-	// BatchSize selects mini-batch SGD when > 1.
-	BatchSize int
 	// Device is the profile name: "hdd", "ssd", "ram" (default "hdd" —
 	// the regime where the I/O decomposition is most interesting).
 	Device string
 	// DoubleBuffer enables the Section 6.3 overlap optimization.
 	DoubleBuffer bool
-	// BlockSize overrides the block size in bytes (default: the paper's
-	// 256-block regime for the scaled dataset).
-	BlockSize int64
-	// Seed drives all randomness (default 1).
-	Seed int64
 	// TraceOut, when non-nil, additionally receives the JSONL event stream
 	// (span ends, per-epoch breakdowns, and a final snapshot).
 	TraceOut io.Writer
@@ -44,9 +34,9 @@ type ProfileOptions struct {
 	Registry *obs.Registry
 	// Feed, when non-nil, receives one live status update per epoch.
 	Feed *obs.RunFeed
-	// Diag, when non-nil, enables the convergence diagnostics; the verdict is
-	// printed after the breakdown table.
-	Diag *core.DiagConfig
+	// Diag enables the convergence diagnostics; the verdict is printed after
+	// the breakdown table.
+	Diag bool
 	// RunDir, when non-empty, receives durable run artifacts: manifest.json,
 	// epochs.jsonl and a final metrics snapshot (plus plan.json when
 	// Explain is set).
@@ -95,22 +85,18 @@ func Profile(w io.Writer, opts ProfileOptions) error {
 	}
 	runName := fmt.Sprintf("corgibench %s/%s/%s", opts.Workload, opts.Strategy, opts.Device)
 	o, err := run(spec{
-		workload:  opts.Workload,
-		order:     data.OrderClustered,
-		scale:     opts.Scale,
-		model:     opts.Model,
-		epochs:    opts.Epochs,
-		batch:     opts.BatchSize,
-		kind:      opts.Strategy,
-		double:    opts.DoubleBuffer,
-		device:    prof,
-		blockSize: opts.BlockSize,
-		seed:      opts.Seed,
-		reg:       reg,
-		feed:      opts.Feed,
-		runName:   runName,
-		diag:      opts.Diag,
-		explain:   opts.Explain,
+		workload: opts.Workload,
+		order:    data.OrderClustered,
+		scale:    opts.Scale,
+		epochs:   opts.Epochs,
+		kind:     opts.Strategy,
+		double:   opts.DoubleBuffer,
+		device:   prof,
+		reg:      reg,
+		feed:     opts.Feed,
+		runName:  runName,
+		diag:     opts.Diag,
+		explain:  opts.Explain,
 	})
 	if err != nil {
 		return err
@@ -124,7 +110,7 @@ func Profile(w io.Writer, opts ProfileOptions) error {
 	if err := reg.WriteCounterTable(w, "run totals"); err != nil {
 		return err
 	}
-	if opts.Diag != nil && o.res.Verdict != "" {
+	if opts.Diag && o.res.Verdict != "" {
 		fmt.Fprintf(w, "convergence verdict: %s\n", o.res.Verdict)
 	}
 	if opts.Explain && o.res.Plan != nil {
@@ -152,7 +138,7 @@ func writeRunDir(dir, runName string, opts ProfileOptions, rows []obs.EpochMetri
 	if err := rd.WriteManifest(obs.Manifest{
 		Tool:   "corgibench",
 		Run:    runName,
-		Seed:   opts.Seed,
+		Seed:   1, // spec's default: profiles do not set one
 		Config: opts,
 	}); err != nil {
 		return err

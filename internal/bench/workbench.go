@@ -48,8 +48,8 @@ type spec struct {
 	// labels the updates.
 	feed    *obs.RunFeed
 	runName string
-	// diag, when non-nil, enables the convergence diagnostics.
-	diag *core.DiagConfig
+	// diag enables the convergence diagnostics.
+	diag bool
 	// explain switches on per-operator profiling of the plan every run
 	// executes; out.res.Plan then carries the annotated plan tree.
 	explain bool
@@ -132,8 +132,6 @@ type out struct {
 	// perEpoch is the mean per-epoch time over the steady-state epochs
 	// (epoch 2 onward when available, since epoch 1 warms the OS cache).
 	perEpoch float64
-	// ds is the generated dataset, for follow-up analysis.
-	ds *data.Dataset
 }
 
 // run executes the spec and collects its timing summary.
@@ -222,7 +220,7 @@ func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
 		return nil, err
 	}
 
-	o := &out{res: res, prep: prep, total: clock.Now().Seconds(), ds: ds}
+	o := &out{res: res, prep: prep, total: clock.Now().Seconds()}
 	// Steady-state per-epoch time.
 	pts := res.Points
 	if len(pts) >= 2 {

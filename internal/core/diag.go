@@ -23,39 +23,24 @@ type Verdict string
 const (
 	// VerdictConverging: the loss is still improving.
 	VerdictConverging Verdict = "converging"
-	// VerdictPlateau: the relative loss improvement stayed below the
-	// plateau tolerance for the configured window of epochs.
+	// VerdictPlateau: the relative loss improvement stayed below
+	// diagPlateauTol for diagWindow epochs.
 	VerdictPlateau Verdict = "plateau"
-	// VerdictDiverging: the loss rose (or went non-finite) for the
-	// configured window of epochs.
+	// VerdictDiverging: the loss rose (or went non-finite) for diagWindow
+	// epochs.
 	VerdictDiverging Verdict = "diverging"
 	// VerdictWarmup: not enough epochs yet to judge.
 	VerdictWarmup Verdict = "warmup"
 )
 
-// DiagConfig enables and tunes the convergence diagnostics.
-type DiagConfig struct {
-	// Window is the number of consecutive qualifying epochs before a
-	// plateau or divergence verdict fires (default 3).
-	Window int
-	// PlateauTol is the relative loss-improvement threshold below which an
-	// epoch counts toward a plateau (default 1e-3).
-	PlateauTol float64
-}
-
-func (c DiagConfig) window() int {
-	if c.Window <= 0 {
-		return 3
-	}
-	return c.Window
-}
-
-func (c DiagConfig) plateauTol() float64 {
-	if c.PlateauTol <= 0 {
-		return 1e-3
-	}
-	return c.PlateauTol
-}
+const (
+	// diagWindow is the number of consecutive qualifying epochs before a
+	// plateau or divergence verdict fires.
+	diagWindow = 3
+	// diagPlateauTol is the relative loss-improvement threshold below which
+	// an epoch counts toward a plateau.
+	diagPlateauTol = 1e-3
+)
 
 // EpochDiag is one epoch's convergence diagnostics.
 type EpochDiag struct {
@@ -75,15 +60,11 @@ type EpochDiag struct {
 // DiagTracker folds per-epoch losses into a running verdict. It is shared
 // by core.Run and the executor's SGD operator.
 type DiagTracker struct {
-	cfg      DiagConfig
 	prevLoss float64
 	epochs   int
 	flatRun  int // consecutive epochs under the plateau tolerance
 	riseRun  int // consecutive epochs with rising (or non-finite) loss
 }
-
-// NewDiagTracker returns a tracker with the given configuration.
-func NewDiagTracker(cfg DiagConfig) *DiagTracker { return &DiagTracker{cfg: cfg} }
 
 // Observe ingests one epoch's loss and returns the loss delta and the
 // verdict after this epoch.
@@ -92,7 +73,7 @@ func (d *DiagTracker) Observe(loss float64) (lossDelta float64, v Verdict) {
 	if d.epochs == 1 {
 		d.prevLoss = loss
 		if !isFinite(loss) {
-			d.riseRun = d.cfg.window() // non-finite from the start
+			d.riseRun = diagWindow // non-finite from the start
 			return 0, VerdictDiverging
 		}
 		return 0, VerdictWarmup
@@ -108,7 +89,7 @@ func (d *DiagTracker) Observe(loss float64) (lossDelta float64, v Verdict) {
 	if scale < 1e-12 {
 		scale = 1e-12
 	}
-	if isFinite(loss) && math.Abs(lossDelta)/scale < d.cfg.plateauTol() {
+	if isFinite(loss) && math.Abs(lossDelta)/scale < diagPlateauTol {
 		d.flatRun++
 	} else if isFinite(loss) {
 		d.flatRun = 0
@@ -116,9 +97,9 @@ func (d *DiagTracker) Observe(loss float64) (lossDelta float64, v Verdict) {
 	d.prevLoss = loss
 
 	switch {
-	case d.riseRun >= d.cfg.window():
+	case d.riseRun >= diagWindow:
 		v = VerdictDiverging
-	case d.flatRun >= d.cfg.window():
+	case d.flatRun >= diagWindow:
 		v = VerdictPlateau
 	default:
 		v = VerdictConverging

@@ -110,7 +110,7 @@ func mlpGoldenRun(t *testing.T, h hash.Hash, ds *data.Dataset, hidden int, opt s
 		BatchSize:   batch,
 		TrainEval:   ds,
 		InitWeights: MLPInit(m, ds.Features, 17),
-		Diag:        &DiagConfig{},
+		Diag:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func modelGoldenRun(t *testing.T, h hash.Hash, model string, ds *data.Dataset, o
 		BatchSize:   batch,
 		TrainEval:   ds,
 		InitWeights: init,
-		Diag:        &DiagConfig{},
+		Diag:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,12 +60,12 @@ type RunConfig struct {
 	// (shuffle.Options.Obs) to get the full I/O + shuffle + compute
 	// decomposition.
 	Obs *obs.Registry
-	// Diag, when non-nil, enables the convergence diagnostics: per-epoch
+	// Diag enables the convergence diagnostics: per-epoch
 	// gradient-norm, update-norm and loss-delta tracking plus the
 	// plateau/divergence detector. Result.Diag and Result.Verdict carry
 	// the outcome. Diagnostics are read-only: the loss trace and weight
 	// trajectory are bit-for-bit identical with or without them.
-	Diag *DiagConfig
+	Diag bool
 	// Feed, when non-nil, receives one live RunStatus update per epoch
 	// (plus a final one with Done set) — the telemetry server's /run data.
 	Feed *obs.RunFeed
@@ -171,7 +171,7 @@ func NewLoop(cfg RunConfig) (*Loop, error) {
 	l := &Loop{cfg: cfg, trainer: ml.NewTrainer(cfg.Model, cfg.Opt, cfg.BatchSize)}
 	l.res.W = make([]float64, cfg.Model.Dim(cfg.Features))
 	l.trainer.Obs = cfg.Obs
-	l.trainer.TrackGradNorm = cfg.Diag != nil
+	l.trainer.TrackGradNorm = cfg.Diag
 	if cfg.Clock != nil || cfg.Obs != nil {
 		scale := cfg.ComputeScale
 		if scale == 0 {
@@ -185,7 +185,7 @@ func NewLoop(cfg RunConfig) (*Loop, error) {
 			cfg.Obs.AddDuration(obs.SGDGradNanos, cost)
 		}
 	}
-	if cfg.Diag != nil {
+	if cfg.Diag {
 		l.wPrev = make([]float64, len(l.res.W))
 	}
 	return l, nil
@@ -211,8 +211,8 @@ func (l *Loop) Reset() {
 	if cfg.Obs != nil {
 		l.before = cfg.Obs.Snapshot()
 	}
-	if cfg.Diag != nil {
-		l.tracker = NewDiagTracker(*cfg.Diag)
+	if cfg.Diag {
+		l.tracker = &DiagTracker{}
 	}
 	l.wallStart = time.Now()
 	l.tuples = 0

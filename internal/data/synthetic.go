@@ -31,10 +31,9 @@ type SyntheticConfig struct {
 	// Noise is the per-feature Gaussian noise standard deviation.
 	// Defaults to 1.
 	Noise float64
-	// Order is the physical tuple order to produce.
+	// Order is the physical tuple order to produce; OrderFeature sorts by
+	// feature 0.
 	Order Order
-	// OrderFeatureIdx selects the sort feature for OrderFeature.
-	OrderFeatureIdx int
 	// Seed seeds the generator; equal seeds give identical datasets.
 	Seed int64
 }
@@ -192,18 +191,11 @@ func SyntheticRegression(cfg SyntheticConfig) *Dataset {
 		y += rng.NormFloat64() * cfg.Noise
 		ds.Tuples = append(ds.Tuples, Tuple{ID: int64(i), Label: y, Dense: x})
 	}
-	switch cfg.Order {
-	case OrderClustered:
-		ds.ClusterByLabel()
-	case OrderShuffled:
-		ds.Shuffle(rand.New(rand.NewSource(cfg.Seed + 1)))
-	case OrderFeature:
-		ds.OrderByFeature(cfg.OrderFeatureIdx)
-	}
-	ds.AssignIDs()
+	applyOrder(ds, cfg)
 	return ds
 }
 
+// applyOrder lays ds out in cfg.Order and renumbers its IDs.
 func applyOrder(ds *Dataset, cfg SyntheticConfig) {
 	switch cfg.Order {
 	case OrderClustered:
@@ -211,7 +203,7 @@ func applyOrder(ds *Dataset, cfg SyntheticConfig) {
 	case OrderShuffled:
 		ds.Shuffle(rand.New(rand.NewSource(cfg.Seed + 1)))
 	case OrderFeature:
-		ds.OrderByFeature(cfg.OrderFeatureIdx)
+		ds.OrderByFeature(0)
 	}
 	ds.AssignIDs()
 }

@@ -51,12 +51,6 @@ type ModelEntry struct {
 	TrainedBlocks int
 	// Epochs holds the per-epoch training metrics.
 	Epochs []executor.EpochRow
-	// Breakdown holds the per-epoch cross-layer time breakdown when the
-	// session has a metrics registry attached (nil otherwise).
-	Breakdown []obs.EpochMetrics
-	// Plan holds the executed plan's per-operator profile when the model
-	// was trained through EXPLAIN ANALYZE (nil otherwise).
-	Plan *obs.PlanStats
 }
 
 // Result is the tabular output of a statement.
@@ -82,7 +76,7 @@ type Session struct {
 	models  map[string]*ModelEntry
 	obs     *obs.Registry
 	feed    *obs.RunFeed
-	diag    *core.DiagConfig
+	diag    bool
 	nextID  int
 	// events is the structured event log (nil = introspection idle) and
 	// virtual holds the registered system tables the general SELECT path
@@ -130,7 +124,7 @@ func (s *Session) Clock() *iosim.Clock { return s.clock }
 
 // WithMetrics attaches a metrics registry to the session: the registry
 // measures spans on the session clock, every device reports I/O into it,
-// and TRAIN statements record per-epoch breakdowns (ModelEntry.Breakdown).
+// and TRAIN statements return per-epoch breakdowns (Result.Breakdown).
 // It returns the session.
 func (s *Session) WithMetrics(reg *obs.Registry) *Session {
 	s.obs = reg
@@ -179,12 +173,12 @@ func (s *Session) WithFeed(feed *obs.RunFeed) *Session {
 	return s
 }
 
-// WithDiag attaches a convergence-diagnostics configuration: every TRAIN
+// WithDiag switches the convergence diagnostics on or off: every TRAIN
 // statement tracks gradient/update norms and the plateau/divergence
 // verdict (read-only; the loss trace is unchanged). It returns the
 // session.
-func (s *Session) WithDiag(d *core.DiagConfig) *Session {
-	s.diag = d
+func (s *Session) WithDiag(on bool) *Session {
+	s.diag = on
 	return s
 }
 
@@ -571,9 +565,7 @@ func (s *Session) InstallModel(pt *PreparedTrain, rows []executor.EpochRow) (*Mo
 	entry := &ModelEntry{
 		Name: modelName, Kind: pt.st.ModelType, Model: pt.cfg.SGD.Model, W: pt.op.Result().W,
 		Features: pt.entry.Table.Features(), Classes: pt.entry.Table.Classes(), Epochs: rows,
-		Breakdown: pt.op.Result().Breakdown,
-		Plan:      pt.op.Plan(),
-		Table:     pt.entry.Name, TrainedBlocks: pt.frontier,
+		Table: pt.entry.Name, TrainedBlocks: pt.frontier,
 	}
 	if err := s.logModel(entry); err != nil {
 		return nil, err

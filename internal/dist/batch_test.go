@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"corgipile/internal/ml"
-	"corgipile/internal/obs"
 )
 
 // TestWorkerShareSumsToGlobalBatch is the regression test for the silent
@@ -66,13 +65,26 @@ func TestFullBatchConsumesExactlyGlobalBatch(t *testing.T) {
 		}
 	}
 
-	cfg.Epochs, cfg.Obs = 2, obs.New()
-	if _, err := Train(ds, cfg); err != nil {
+	opt := &countingOpt{Optimizer: cfg.Opt}
+	cfg.Epochs, cfg.Opt = 2, opt
+	res, err := Train(ds, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tuples, steps := cfg.Obs.Counter(obs.SGDTuples), cfg.Obs.Counter(obs.SGDBatches); tuples != 3200 || steps != 32 {
-		t.Fatalf("2 epochs consumed %d tuples in %d steps, want 3200 in 32", tuples, steps)
+	if tuples := res.Points[0].Tuples + res.Points[1].Tuples; tuples != 3200 || opt.steps != 32 {
+		t.Fatalf("2 epochs consumed %d tuples in %d steps, want 3200 in 32", tuples, opt.steps)
 	}
+}
+
+// countingOpt counts the optimizer steps a run takes.
+type countingOpt struct {
+	ml.Optimizer
+	steps int
+}
+
+func (o *countingOpt) Step(w []float64, gi []int32, gv []float64) {
+	o.steps++
+	o.Optimizer.Step(w, gi, gv)
 }
 
 // TestRemainderBatchCoverage: a non-divisible GlobalBatch must still consume

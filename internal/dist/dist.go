@@ -10,11 +10,10 @@
 // GlobalBatch. The workers are shuffle.TupleBuffers over shares of one
 // shuffle.BlockCursor order, and the AllReduce is ml.Trainer's mini-batch
 // accumulator, which sums the merged batch in order on one goroutine. What
-// is specific to dist is the partition of the block order, the crash
-// schedule (fault.go), and the parallel-time model: each worker accrues I/O,
-// copy and compute time on a private lane clock, and an epoch advances the
-// caller's clock by the slowest lane plus the per-step synchronization cost
-// and the crash-detection timeouts.
+// is specific to dist is the partition of the block order and the
+// parallel-time model: each worker accrues I/O, copy and compute time on a
+// private lane clock, and an epoch advances the caller's clock by the slowest
+// lane plus a fixed synchronization cost per optimizer step.
 package dist
 
 import (
@@ -26,7 +25,6 @@ import (
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
-	"corgipile/internal/obs"
 	"corgipile/internal/shuffle"
 )
 
@@ -65,16 +63,8 @@ type Config struct {
 	// BlockReadCost is the simulated time for one worker to fetch one
 	// block from the parallel file system.
 	BlockReadCost time.Duration
-	// SyncCost is a fixed simulated AllReduce cost per batch. When
-	// NetBandwidth is set, a ring-AllReduce model is used instead:
-	// 2·(PN−1)/PN · modelBytes / NetBandwidth + 2·(PN−1)·NetLatency,
-	// the standard bandwidth-optimal ring schedule.
+	// SyncCost is the simulated AllReduce cost per batch.
 	SyncCost time.Duration
-	// NetBandwidth is the per-link bandwidth in bytes/second for the ring
-	// AllReduce model (0 disables it, falling back to SyncCost).
-	NetBandwidth float64
-	// NetLatency is the per-hop latency for the ring AllReduce model.
-	NetLatency time.Duration
 	// ComputeScale multiplies the per-tuple gradient compute cost, for
 	// modelling heavier learners (a ResNet forward+backward costs ~500x an
 	// MLP gradient). Zero means 1.
@@ -83,26 +73,6 @@ type Config struct {
 	// Eval, when non-nil, is evaluated after each epoch (accuracy, or R² for
 	// a regression dataset).
 	Eval *data.Dataset
-
-	// Faults, when non-nil and enabled, injects deterministic worker
-	// crashes; see FaultPlan. Crash counts land in Result.Faults and, when
-	// Obs is attached, under obs.DistWorkerCrashes.
-	Faults *FaultPlan
-	// Obs, when non-nil, receives the crash counters and the training
-	// loop's counters (obs.SGDTuples, obs.SGDBatches, …).
-	Obs *obs.Registry
-}
-
-// syncCostPerBatch returns the simulated gradient-synchronization time per
-// batch for a model of dim float64 weights.
-func (c Config) syncCostPerBatch(dim int) time.Duration {
-	if c.NetBandwidth <= 0 {
-		return c.SyncCost
-	}
-	pn := float64(c.Workers)
-	modelBytes := float64(dim * 8)
-	transfer := 2 * (pn - 1) / pn * modelBytes / c.NetBandwidth
-	return time.Duration(transfer*float64(time.Second)) + time.Duration(2*(c.Workers-1))*c.NetLatency
 }
 
 // withDefaults validates the configuration and fills in its defaults.
@@ -128,8 +98,7 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Train runs distributed data-parallel training over ds and returns the
-// convergence trace. On ErrWorkerLost it returns the epochs completed so far
-// with the crash count, and the clock has been charged for the aborted epoch.
+// convergence trace.
 func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
 	s, err := newStream(ds, cfg)
 	if err != nil {
@@ -142,29 +111,24 @@ func Train(ds *data.Dataset, cfg Config) (*core.Result, error) {
 		Model: cfg.Model, Opt: cfg.Opt, Features: cfg.Features,
 		Epochs: cfg.Epochs, BatchSize: cfg.GlobalBatch,
 		TrainEval: cfg.Eval, InitWeights: cfg.InitWeights,
-		ComputeScale: cfg.ComputeScale, Obs: cfg.Obs,
+		ComputeScale: cfg.ComputeScale,
 	})
 	if err != nil {
 		return nil, err
 	}
 	l.Reset()
 	res := l.Result()
-	syncPerBatch := cfg.syncCostPerBatch(len(res.W))
 	var start time.Duration
 	if cfg.Clock != nil {
 		start = cfg.Clock.Now()
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		s.startEpoch(epoch)
-		_, err := l.Step(s.next, func() error { return s.err })
-		if cfg.Clock != nil {
-			cfg.Clock.Advance(s.epochTime(syncPerBatch))
-		}
-		res.Faults.WorkerCrashes = s.crashes
-		if err != nil {
-			return res, err
+		s.startEpoch()
+		if _, err := l.Step(s.next, func() error { return s.err }); err != nil {
+			return nil, err
 		}
 		if cfg.Clock != nil {
+			cfg.Clock.Advance(s.epochTime())
 			res.Points[epoch].Seconds = (cfg.Clock.Now() - start).Seconds()
 		}
 	}
@@ -179,7 +143,7 @@ func EffectiveOrder(ds *data.Dataset, cfg Config) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.startEpoch(0)
+	s.startEpoch()
 	var order []int64
 	for t, ok := s.next(); ok; t, ok = s.next() {
 		order = append(order, t.ID)
@@ -208,17 +172,10 @@ type worker struct {
 	cur  shuffle.BlockCursor
 	buf  shuffle.TupleBuffer
 	rng  *rand.Rand
-
-	// Crash-injection state: the worker dies once it has handed out crashAt
-	// tuples (-1 = never); dead workers are dropped at the next barrier and
-	// rejoin at the next epoch.
-	crashAt  int
-	consumed int
-	dead     bool
 }
 
 // stream is the merged multi-worker tuple stream of one run: round by round,
-// workerShare tuples from every alive worker in worker order. Batches of
+// workerShare tuples from every worker in worker order. Batches of
 // GlobalBatch consecutive tuples are what the paper's workers average their
 // gradients over.
 type stream struct {
@@ -227,14 +184,10 @@ type stream struct {
 	perm    shuffle.BlockCursor // the epoch's block order, never read through
 	workers []*worker
 
-	epoch   int
-	alive   []*worker
-	round   []data.Tuple // the current round, copied out of the workers' buffers
-	pos     int          // next tuple of round to hand out
-	handed  int          // tuples pulled this epoch
-	lost    int          // crashes detected this epoch
-	crashes int          // crashes detected this run
-	err     error
+	round  []data.Tuple // the current round, copied out of the workers' buffers
+	pos    int          // next tuple of round to hand out
+	handed int          // tuples pulled this epoch
+	err    error
 }
 
 // newStream validates cfg, fills in its defaults (s.cfg is the result) and
@@ -266,7 +219,7 @@ func newStream(ds *data.Dataset, cfg Config) (*stream, error) {
 
 // startEpoch draws the epoch's block order and splits it PN ways — exactly
 // the Section 5.1 block-shuffle step.
-func (s *stream) startEpoch(epoch int) {
+func (s *stream) startEpoch() {
 	var blockRng *rand.Rand
 	if !s.cfg.NoBlockShuffle {
 		blockRng = s.rng
@@ -274,25 +227,15 @@ func (s *stream) startEpoch(epoch int) {
 	s.perm.Reset(blockRng)
 	numBlocks := s.workers[0].src.NumBlocks()
 	for i, wk := range s.workers {
-		if wk.dead {
-			// The rebuilt process re-reads its partition.
-			wk.dead = false
-			s.cfg.Obs.Inc(obs.DistWorkerRejoins)
-			s.cfg.Obs.EmitEvent("dist.worker.rejoin", map[string]any{
-				"worker": i, "epoch": epoch + 1,
-			})
-		}
 		wk.lane.Reset()
 		wk.cur = s.perm.Narrow(wk.src, i*numBlocks/s.cfg.Workers, (i+1)*numBlocks/s.cfg.Workers)
 		wk.buf.Reset(&wk.cur, wk.rng)
-		wk.consumed, wk.crashAt = 0, -1
 	}
-	s.epoch, s.handed, s.lost = epoch, 0, 0
-	s.scheduleCrashes()
+	s.handed = 0
 }
 
 // next hands out the merged order. The epoch ends after a round in which
-// every alive worker was dry, or on an error.
+// every worker was dry, or on an error.
 func (s *stream) next() (*data.Tuple, bool) {
 	if s.pos == len(s.round) && !s.nextRound() {
 		return nil, false
@@ -301,44 +244,19 @@ func (s *stream) next() (*data.Tuple, bool) {
 	return &s.round[s.pos-1], true
 }
 
-// nextRound pulls one round. Crash detection happens first, at the
-// synchronization barrier: a worker whose schedule says it died since the
-// last round is dropped, charging the AllReduce detection timeout, and the
-// survivors split the unchanged global batch between them (workerShare over
-// len(alive)), so no round shrinks. Each tuple's gradient compute is charged
-// to its worker's lane as it is handed out.
+// nextRound pulls one round: workerShare tuples from each worker, so every
+// full round is exactly one global batch. Each tuple's gradient compute is
+// charged to its worker's lane as it is handed out.
 func (s *stream) nextRound() bool {
-	s.alive, s.round, s.pos = s.alive[:0], s.round[:0], 0
+	s.round, s.pos = s.round[:0], 0
 	for i, wk := range s.workers {
-		if !wk.dead && wk.crashAt >= 0 && wk.consumed >= wk.crashAt {
-			wk.dead = true
-			s.lost++
-			s.crashes++
-			s.cfg.Obs.Inc(obs.DistWorkerCrashes)
-			s.cfg.Obs.EmitEvent("dist.worker.crash", map[string]any{
-				"worker": i, "epoch": s.epoch + 1, "consumed": wk.consumed,
-			})
-		}
-		if !wk.dead {
-			s.alive = append(s.alive, wk)
-		}
-	}
-	if len(s.alive) == 0 {
-		s.err = fmt.Errorf("dist: epoch %d: all %d workers crashed: %w",
-			s.epoch+1, s.cfg.Workers, ErrWorkerLost)
-	} else if plan := s.cfg.Faults; plan != nil && plan.MaxCrashes > 0 && s.crashes > plan.MaxCrashes {
-		s.err = fmt.Errorf("dist: %d worker crashes exceed cap %d: %w",
-			s.crashes, plan.MaxCrashes, ErrWorkerLost)
-	}
-	for i, wk := range s.alive {
-		for n := workerShare(s.cfg.GlobalBatch, len(s.alive), i); n > 0 && s.err == nil; n-- {
+		for n := workerShare(s.cfg.GlobalBatch, s.cfg.Workers, i); n > 0 && s.err == nil; n-- {
 			t, ok, err := wk.next(!s.cfg.NoTupleShuffle)
 			if !ok {
 				s.err = err
 				break
 			}
 			wk.lane.Advance(time.Duration(float64(ml.GradCost(t.NNZ())) * s.cfg.ComputeScale))
-			wk.consumed++
 			s.round = append(s.round, *t)
 		}
 	}
@@ -356,19 +274,14 @@ func (wk *worker) next(shuffled bool) (*data.Tuple, bool, error) {
 	return t, ok, wk.buf.Err()
 }
 
-// epochTime is the parallel-time model: what the epoch so far cost on the
-// caller's clock — the slowest lane, one synchronization per optimizer step
-// (GlobalBatch tuples of the merged order; the last may be short), and one
-// detection timeout per crash.
-func (s *stream) epochTime(syncPerBatch time.Duration) time.Duration {
+// epochTime is the parallel-time model: what the epoch cost on the caller's
+// clock — the slowest lane plus one synchronization per optimizer step
+// (GlobalBatch tuples of the merged order; the last may be short).
+func (s *stream) epochTime() time.Duration {
 	var slowest time.Duration
 	for _, wk := range s.workers {
 		slowest = max(slowest, wk.lane.Now())
 	}
 	steps := (s.handed + s.cfg.GlobalBatch - 1) / s.cfg.GlobalBatch
-	t := slowest + time.Duration(steps)*syncPerBatch
-	if s.lost > 0 {
-		t += time.Duration(s.lost) * s.cfg.Faults.detectTimeout()
-	}
-	return t
+	return slowest + time.Duration(steps)*s.cfg.SyncCost
 }

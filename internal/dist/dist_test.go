@@ -251,41 +251,3 @@ func TestMLPDistributed(t *testing.T) {
 
 // newRand avoids importing math/rand at the top for a single use.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func TestRingAllReduceCostModel(t *testing.T) {
-	// 8 workers, 1e6-float64 model (8 MB), 1 GB/s links: ring transfer
-	// 2·7/8·8MB/1GB/s = 14 ms, plus 14 hops of latency.
-	cfg := Config{Workers: 8, NetBandwidth: 1e9, NetLatency: time.Millisecond}
-	got := cfg.syncCostPerBatch(1_000_000)
-	want := 14*time.Millisecond + 14*time.Millisecond
-	if d := got - want; d < -time.Millisecond || d > time.Millisecond {
-		t.Fatalf("ring sync cost = %v, want ~%v", got, want)
-	}
-	// Fixed SyncCost path when no bandwidth is set.
-	flat := Config{Workers: 4, SyncCost: 5 * time.Millisecond}
-	if flat.syncCostPerBatch(123) != 5*time.Millisecond {
-		t.Fatal("flat sync cost path broken")
-	}
-}
-
-func TestRingAllReduceChargesEpochTime(t *testing.T) {
-	ds := clusteredDS(1000)
-	run := func(bw float64) float64 {
-		clock := iosim.NewClock()
-		cfg := baseConfig(4)
-		cfg.Epochs = 1
-		cfg.Clock = clock
-		cfg.NetBandwidth = bw
-		cfg.NetLatency = 100 * time.Microsecond
-		res, err := Train(ds, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Final().Seconds
-	}
-	slowNet := run(1e6) // 1 MB/s links
-	fastNet := run(1e10)
-	if slowNet <= fastNet {
-		t.Fatalf("slow network (%v) should cost more than fast (%v)", slowNet, fastNet)
-	}
-}

@@ -19,7 +19,7 @@ func epochOrders(t *testing.T, ds *data.Dataset, cfg Config) [][]int64 {
 	}
 	orders := make([][]int64, s.cfg.Epochs)
 	for epoch := range orders {
-		s.startEpoch(epoch)
+		s.startEpoch()
 		for tu, ok := s.next(); ok; tu, ok = s.next() {
 			orders[epoch] = append(orders[epoch], tu.ID)
 		}
@@ -43,7 +43,7 @@ func gridConfig(workers int, mode string) Config {
 	return cfg
 }
 
-// TestEveryEpochCoversEveryTupleOnce: fault-free, each epoch of the merged
+// TestEveryEpochCoversEveryTupleOnce: each epoch of the merged
 // stream is a permutation of the dataset — the straddling-block split, the
 // uneven partition and the short last block lose and repeat nothing.
 func TestEveryEpochCoversEveryTupleOnce(t *testing.T) {

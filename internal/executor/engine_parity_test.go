@@ -98,7 +98,7 @@ func (r engineRun) run(t *testing.T, engine string) engineOut {
 	if r.attach {
 		out.reg = obs.New().WithClock(clock)
 		dev.WithObs(out.reg)
-		cfg.Obs, cfg.Diag, cfg.Feed = out.reg, &core.DiagConfig{}, obs.NewRunFeed()
+		cfg.Obs, cfg.Diag, cfg.Feed = out.reg, true, obs.NewRunFeed()
 		defer cfg.Feed.Close()
 	}
 	const seed, frac = 7, 0.1
@@ -338,7 +338,7 @@ func TestSGDReInitReproducesRun(t *testing.T) {
 	op, err := BuildSGDPlan(shuffle.TableSource(tab), PlanConfig{
 		Shuffle: shuffle.KindNoShuffle,
 		SGD: SGDConfig{Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: ds.Features, Epochs: 3,
-			TrainEval: ds, Diag: &core.DiagConfig{}, Obs: obs.New()},
+			TrainEval: ds, Diag: true, Obs: obs.New()},
 	})
 	if err != nil {
 		t.Fatal(err)

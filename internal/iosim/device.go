@@ -11,8 +11,6 @@ import (
 // Stats counts the traffic a device has served since creation.
 type Stats struct {
 	Reads         int64 // read operations
-	Writes        int64 // write operations
-	Seeks         int64 // non-contiguous repositionings
 	BytesRead     int64
 	BytesWrit     int64
 	CacheHitBytes int64 // bytes served from the simulated OS cache (obs.IOCacheHitBytes)
@@ -172,7 +170,6 @@ func (d *Device) readCostLocked(off, n int64) time.Duration {
 	if miss > 0 {
 		if off != d.pos {
 			cost += d.prof.SeekLatency
-			d.stats.Seeks++
 			seek = true
 		}
 		cost += d.prof.readCost(miss)
@@ -199,13 +196,11 @@ func (d *Device) WriteAt(off, n int64) time.Duration {
 		return 0
 	}
 	d.mu.Lock()
-	d.stats.Writes++
 	d.stats.BytesWrit += n
 	var cost time.Duration
 	seek := off != d.pos
 	if seek {
 		cost += d.prof.SeekLatency
-		d.stats.Seeks++
 	}
 	cost += d.prof.writeCost(n)
 	d.cache.span(off, n)

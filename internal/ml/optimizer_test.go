@@ -82,12 +82,14 @@ func TestAdamLazyInitOnFirstStep(t *testing.T) {
 	}
 }
 
+// TestAdamDecay: Adam does not decay its learning rate between epochs (the
+// decay setting is SGD's).
 func TestAdamDecay(t *testing.T) {
-	opt := &Adam{LR0: 1, Decay: 0.5}
+	opt := NewAdam(1)
 	opt.Reset(1)
 	opt.EndEpoch()
-	if opt.LR() != 0.5 {
-		t.Fatalf("Adam decay: lr = %v, want 0.5", opt.LR())
+	if opt.LR() != 1 {
+		t.Fatalf("Adam decay: lr = %v, want 1", opt.LR())
 	}
 }
 

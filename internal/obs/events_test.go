@@ -216,10 +216,9 @@ func TestServeProbes(t *testing.T) {
 	var mu sync.Mutex
 	var readyErr error
 	srv, err := Serve(ServeConfig{
-		Addr:        "127.0.0.1:0",
-		Registry:    New(),
-		SampleEvery: -1,
-		Health:      func() error { return nil },
+		Addr:     "127.0.0.1:0",
+		Registry: New(),
+		Health:   func() error { return nil },
 		Ready: func() error {
 			mu.Lock()
 			defer mu.Unlock()

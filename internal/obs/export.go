@@ -85,9 +85,8 @@ func (r *Registry) EmitEpoch(m EpochMetrics) {
 	}{"epoch", m})
 }
 
-// EmitEvent streams a named point event with arbitrary fields (e.g.
-// "dist.worker.crash" with the worker index, or a convergence-diagnostics
-// verdict). Field keys are merged into the event object; "ev" and "name"
+// EmitEvent streams a named point event with arbitrary fields (e.g. a
+// convergence-diagnostics verdict). Field keys are merged into the event object; "ev" and "name"
 // are reserved. No-op without a sink, like every emitter.
 func (r *Registry) EmitEvent(name string, fields map[string]any) {
 	sink := r.getSink()

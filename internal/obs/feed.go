@@ -20,7 +20,7 @@ type RunStatus struct {
 	Loss     float64 `json:"loss"`
 	TrainAcc float64 `json:"train_acc,omitempty"`
 	// GradNorm, UpdateNorm, LossDelta and Verdict carry the convergence
-	// diagnostics when enabled (see core.DiagConfig).
+	// diagnostics when enabled (see core.RunConfig.Diag).
 	GradNorm   float64 `json:"grad_norm,omitempty"`
 	UpdateNorm float64 `json:"update_norm,omitempty"`
 	LossDelta  float64 `json:"loss_delta,omitempty"`
@@ -47,7 +47,6 @@ type RunStatus struct {
 var faultCounterNames = []string{
 	IOFaultOps, IOStragglerOps, StorageRetries,
 	StorageSkippedBlocks, StorageSkippedTuples,
-	DistWorkerCrashes, DistWorkerRejoins,
 }
 
 // FillFromRegistry populates the shuffle-buffer gauges and the non-zero

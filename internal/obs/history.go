@@ -46,9 +46,10 @@ const (
 	DefaultHistorySlots    = 256
 )
 
-// defaultHistoryTiers are the downsampling factors: raw samples, 10-sample
-// means, 60-sample means (1s → 10s → 1m at the default interval).
-var defaultHistoryTiers = []int{1, 10, 60}
+// historyTiers are the downsampling factors relative to the interval: raw
+// samples, 10-sample means, 60-sample means (1s → 10s → 1m at the default
+// interval).
+var historyTiers = []int{1, 10, 60}
 
 // HistoryConfig configures a History store.
 type HistoryConfig struct {
@@ -57,10 +58,6 @@ type HistoryConfig struct {
 	// Slots is the ring capacity of every series at every tier
 	// (default 256). Memory is bounded by metrics × tiers × Slots points.
 	Slots int
-	// Tiers are the downsampling factors relative to Interval; each tier
-	// stores the mean of that many consecutive raw samples (default
-	// 1, 10, 60). Factor 1 is the raw tier.
-	Tiers []int
 }
 
 // HistoryPoint is one sampled value of one series at one resolution — the
@@ -174,7 +171,6 @@ type alertState struct {
 	state   string
 	since   time.Time // entered the current non-ok state
 	value   float64   // last evaluated value
-	hasVal  bool
 	fired   int64
 	firedAt time.Time
 }
@@ -220,17 +216,8 @@ func NewHistory(cfg HistoryConfig) *History {
 	if cfg.Slots <= 0 {
 		cfg.Slots = DefaultHistorySlots
 	}
-	factors := cfg.Tiers
-	if len(factors) == 0 {
-		factors = defaultHistoryTiers
-	}
-	factors = append([]int(nil), factors...)
-	sort.Ints(factors)
 	h := &History{interval: cfg.Interval, slots: cfg.Slots}
-	for _, f := range factors {
-		if f < 1 {
-			f = 1
-		}
+	for _, f := range historyTiers {
 		h.tiers = append(h.tiers, &historyTier{
 			factor: f,
 			label:  resolutionLabel(time.Duration(f) * cfg.Interval),
@@ -417,7 +404,7 @@ func (h *History) evalAlertsLocked(now time.Time, intervalSec float64, vals map[
 				}
 			}
 		}
-		a.value, a.hasVal = v, ok
+		a.value = v
 		cond := ok && ((a.rule.Op == '>' && v > a.rule.Threshold) ||
 			(a.rule.Op == '<' && v < a.rule.Threshold))
 		switch {
@@ -499,27 +486,6 @@ func (h *History) Query(name string, sinceMs int64) []HistoryPoint {
 		}
 	}
 	return out
-}
-
-// Names returns the sampled series names, sorted.
-func (h *History) Names() []string {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	seen := make(map[string]bool)
-	var names []string
-	for _, t := range h.tiers {
-		for n := range t.series {
-			if !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Resolutions returns the tier labels, finest first.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,27 @@ func (c *histClock) tick() time.Time {
 	return c.now
 }
 
+// Names returns the sampled series names, sorted.
+func (h *History) Names() []string {
+	if h == nil {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	seen := make(map[string]bool)
+	var names []string
+	for _, t := range h.tiers {
+		for n := range t.series {
+			if !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 func gaugeSnap(name string, v float64) Snapshot {
 	return Snapshot{Gauges: map[string]float64{name: v}}
 }
@@ -42,7 +64,7 @@ func pointsAt(h *History, name, resolution string) []HistoryPoint {
 }
 
 func TestHistoryTierPromotion(t *testing.T) {
-	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 64, Tiers: []int{1, 10}})
+	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 64})
 	clk := newHistClock(time.Second)
 	// 25 samples with value = sample index: the 10x tier must hold the
 	// means of samples 1..10 and 11..20 (5.5 and 15.5), each stamped with
@@ -86,7 +108,7 @@ func TestHistoryDefaultTiers(t *testing.T) {
 
 func TestHistoryRingWraparound(t *testing.T) {
 	const slots = 8
-	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: slots, Tiers: []int{1}})
+	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: slots})
 	clk := newHistClock(time.Second)
 	for i := 1; i <= 20; i++ {
 		h.sampleAt(clk.tick(), gaugeSnap("g", float64(i)))
@@ -108,7 +130,7 @@ func TestHistoryRingWraparound(t *testing.T) {
 
 func TestHistorySinceWindow(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
-		h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 8, Tiers: []int{1}})
+		h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 8})
 		if pts := h.Query("g", 0); len(pts) != 0 {
 			t.Fatalf("empty store returned %d points", len(pts))
 		}
@@ -117,7 +139,7 @@ func TestHistorySinceWindow(t *testing.T) {
 		}
 	})
 	t.Run("partial", func(t *testing.T) {
-		h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16, Tiers: []int{1}})
+		h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16})
 		clk := newHistClock(time.Second)
 		var cut int64
 		for i := 1; i <= 10; i++ {
@@ -127,7 +149,12 @@ func TestHistorySinceWindow(t *testing.T) {
 			}
 			h.sampleAt(now, gaugeSnap("g", float64(i)))
 		}
-		pts := h.Query("g", cut)
+		var pts []HistoryPoint
+		for _, p := range h.Query("g", cut) {
+			if p.Resolution == "1s" {
+				pts = append(pts, p)
+			}
+		}
 		if len(pts) != 4 { // samples 7..10, boundary inclusive
 			t.Fatalf("since-window returned %d points, want 4", len(pts))
 		}
@@ -136,7 +163,7 @@ func TestHistorySinceWindow(t *testing.T) {
 		}
 	})
 	t.Run("wrapped", func(t *testing.T) {
-		h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 4, Tiers: []int{1}})
+		h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 4})
 		clk := newHistClock(time.Second)
 		var cut int64
 		for i := 1; i <= 12; i++ {
@@ -158,7 +185,7 @@ func TestHistoryHistogramSeries(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		reg.Observe("op", time.Duration(i)*time.Millisecond)
 	}
-	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 8, Tiers: []int{1}})
+	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 8})
 	h.sampleAt(newHistClock(time.Second).tick(), reg.Snapshot())
 	names := h.Names()
 	for _, want := range []string{"op_count", "op_p50", "op_p95", "op_p99"} {
@@ -206,7 +233,7 @@ func TestParseAlertRule(t *testing.T) {
 
 func TestHistoryAlertFireResolve(t *testing.T) {
 	el := NewEventLog(64)
-	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16, Tiers: []int{1}}).WithEvents(el)
+	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16}).WithEvents(el)
 	h.AddRule(AlertRule{Metric: "g", Op: '>', Threshold: 10, For: 2 * time.Second})
 	clk := newHistClock(time.Second)
 
@@ -248,7 +275,7 @@ func TestHistoryAlertFireResolve(t *testing.T) {
 }
 
 func TestHistoryAlertPendingResetsBelowThreshold(t *testing.T) {
-	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16, Tiers: []int{1}})
+	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16})
 	h.AddRule(AlertRule{Metric: "g", Op: '>', Threshold: 10, For: 3 * time.Second})
 	clk := newHistClock(time.Second)
 	h.sampleAt(clk.tick(), gaugeSnap("g", 20)) // pending
@@ -259,7 +286,7 @@ func TestHistoryAlertPendingResetsBelowThreshold(t *testing.T) {
 }
 
 func TestHistoryCounterAlertUsesRate(t *testing.T) {
-	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16, Tiers: []int{1}})
+	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 16})
 	// A cumulative counter alert evaluates the per-second delta, so it can
 	// fire while traffic flows and resolve when it stops — a threshold on
 	// the raw total would latch forever.
@@ -307,22 +334,13 @@ func TestHistorySamplerStartStopNoLeak(t *testing.T) {
 		h := NewHistory(HistoryConfig{Interval: 10 * time.Millisecond, Slots: 8})
 		h.Start(reg)
 		h.Start(reg) // idempotent: no second goroutine
-		time.Sleep(25 * time.Millisecond)
+		// Start samples once itself; a second point is the ticker's.
+		waitFor(t, "a ticker sample", func() bool { return len(pointsAt(h, "g", "10ms")) >= 2 })
 		h.Stop()
 		h.Stop() // idempotent: no panic, no hang
-		if len(h.Names()) == 0 {
-			t.Fatal("sampler recorded nothing")
-		}
 	}
 	// The goroutine count must return to baseline once samplers stop.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+	waitFor(t, "goroutines back to the pre-sampler count", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 func TestHistorySamplerOnSampleHook(t *testing.T) {
@@ -343,11 +361,11 @@ func TestHistorySamplerOnSampleHook(t *testing.T) {
 func TestHistoryHTTPEndpoints(t *testing.T) {
 	reg := New()
 	reg.SetGauge("g", 42)
-	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 8, Tiers: []int{1}})
+	h := NewHistory(HistoryConfig{Interval: time.Second, Slots: 8})
 	h.AddRule(AlertRule{Metric: "g", Op: '>', Threshold: 1})
 	h.sampleAt(newHistClock(time.Second).tick(), reg.Snapshot())
 
-	srv, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: reg, History: h, SampleEvery: -1})
+	srv, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: reg, History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +398,7 @@ func TestHistoryHTTPEndpoints(t *testing.T) {
 	}
 
 	// No history attached: both endpoints are 404, not empty-success.
-	bare, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: New(), SampleEvery: -1})
+	bare, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: New()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,11 +66,6 @@ const (
 	StorageBackoffNanos  = "storage.retry.backoff_ns"  // simulated backoff time, ns
 	StorageSkippedBlocks = "storage.quarantine.blocks" // blocks quarantined by SkipCorrupt
 	StorageSkippedTuples = "storage.quarantine.tuples" // tuples lost to quarantined blocks
-	DistWorkerCrashes    = "dist.worker.crashes"       // injected worker crashes absorbed
-
-	// Distributed layer (internal/dist). Rejoins count workers that came
-	// back at an epoch boundary after crashing in a previous epoch.
-	DistWorkerRejoins = "dist.worker.rejoins"
 
 	// Shuffle layer (internal/shuffle, executor.TupleShuffleOp).
 	ShuffleRefills      = "shuffle.refills"    // buffer refill operations

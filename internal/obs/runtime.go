@@ -39,13 +39,10 @@ type RuntimeSampler struct {
 	done chan struct{}
 }
 
-// StartRuntimeSampler samples runtime metrics into r every interval
-// (default 1s when interval <= 0). It samples once synchronously before
-// returning, so gauges are present immediately.
-func StartRuntimeSampler(r *Registry, interval time.Duration) *RuntimeSampler {
-	if interval <= 0 {
-		interval = time.Second
-	}
+// StartRuntimeSampler samples runtime metrics into r every second. It
+// samples once synchronously before returning, so gauges are present
+// immediately.
+func StartRuntimeSampler(r *Registry) *RuntimeSampler {
 	s := &RuntimeSampler{stop: make(chan struct{}), done: make(chan struct{})}
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, rs := range runtimeSamples {
@@ -54,7 +51,7 @@ func StartRuntimeSampler(r *Registry, interval time.Duration) *RuntimeSampler {
 	sampleOnce(r, samples)
 	go func() {
 		defer close(s.done)
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(time.Second)
 		defer tick.Stop()
 		for {
 			select {

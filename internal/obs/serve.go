@@ -39,9 +39,6 @@ type ServeConfig struct {
 	// /run/plan?job=<name>) — the serving plane's per-job telemetry hook.
 	// It must be safe for concurrent use and return nil for unknown names.
 	Feeds func(name string) *RunFeed
-	// SampleEvery is the runtime-sampler tick (0 = 1s, negative disables
-	// the sampler).
-	SampleEvery time.Duration
 	// History, when non-nil, backs /metrics/history (sampled time series)
 	// and /alertz (threshold alert rules). The server only reads it; the
 	// owner runs the sampler.
@@ -82,8 +79,8 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	cfg.Registry.EnableLive()
 	s := &Server{ln: ln, feed: cfg.Feed, feeds: cfg.Feeds, reg: cfg.Registry,
 		history: cfg.History, served: make(chan struct{})}
-	if cfg.SampleEvery >= 0 && cfg.Registry != nil {
-		s.sampler = StartRuntimeSampler(cfg.Registry, cfg.SampleEvery)
+	if cfg.Registry != nil {
+		s.sampler = StartRuntimeSampler(cfg.Registry)
 	}
 
 	mux := http.NewServeMux()

@@ -155,7 +155,7 @@ func TestFillFromRegistry(t *testing.T) {
 	r.SetLiveGauge(ShuffleBufferTuples, 128)
 	r.SetLiveGauge(ShuffleBufferOccupancy, 0.5)
 	r.Add(StorageRetries, 3)
-	r.Add(DistWorkerCrashes, 1)
+	r.Add(IOFaultOps, 1)
 	r.Add(IOReadOps, 99) // not a fault counter; must not be folded in
 
 	var st RunStatus
@@ -163,7 +163,7 @@ func TestFillFromRegistry(t *testing.T) {
 	if st.BufferTuples != 128 || st.BufferOccupancy != 0.5 {
 		t.Fatalf("buffer gauges not folded: %+v", st)
 	}
-	if len(st.Faults) != 2 || st.Faults[StorageRetries] != 3 || st.Faults[DistWorkerCrashes] != 1 {
+	if len(st.Faults) != 2 || st.Faults[StorageRetries] != 3 || st.Faults[IOFaultOps] != 1 {
 		t.Fatalf("fault counters wrong: %v", st.Faults)
 	}
 
@@ -233,11 +233,11 @@ func TestRunFeedPubSub(t *testing.T) {
 	}
 }
 
-// startServer boots a telemetry server on a free port with the runtime
-// sampler disabled (deterministic gauge set) and registers cleanup.
+// startServer boots a telemetry server on a free port and registers
+// cleanup.
 func startServer(t *testing.T, reg *Registry, feed *RunFeed) *Server {
 	t.Helper()
-	srv, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: reg, Feed: feed, SampleEvery: -1})
+	srv, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: reg, Feed: feed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSSEShutdownNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	feed := NewRunFeed()
-	srv, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: New(), Feed: feed, SampleEvery: -1})
+	srv, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: New(), Feed: feed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,14 +358,20 @@ func TestSSEShutdownNoLeak(t *testing.T) {
 	srv.Close() // double Close is safe
 
 	http.DefaultClient.CloseIdleConnections()
+	waitFor(t, "goroutines back to the pre-server count", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
+		if cond() {
 			return
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, runtime.NumGoroutine())
+	t.Fatalf("timed out waiting for %s", what)
 }
 
 // TestConcurrentScrapeDuringRun hammers the registry and feed from writer
@@ -429,7 +435,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 
 func TestRuntimeSamplerRecords(t *testing.T) {
 	reg := New()
-	s := StartRuntimeSampler(reg, time.Hour) // one synchronous sample is enough
+	s := StartRuntimeSampler(reg) // its synchronous first sample is enough
 	defer s.Stop()
 	if g := reg.Gauge(RuntimeGoroutines); g < 1 {
 		t.Fatalf("goroutine gauge %v, want >= 1", g)

@@ -36,7 +36,6 @@ type ringEntry struct {
 type subscriber struct {
 	ch   chan []byte
 	gone chan struct{} // closed once, when the subscriber is shed
-	shed bool
 	// The replica holds everything up to max(from, acked): from is the LSN
 	// the subscription started after (a snapshot's frontier until the
 	// replica has installed it), acked the connection's last acked LSN.
@@ -83,7 +82,6 @@ func (h *hub) publish(rec storage.WALRecord) (frameLen int) {
 		// Too far behind or full buffer: shed now, resync later. Dropping
 		// the subscriber here (not just marking it) keeps publish O(live
 		// subscribers).
-		sub.shed = true
 		close(sub.gone)
 		delete(h.subs, sub)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"corgipile/internal/db"
 	"corgipile/internal/obs"
-	"corgipile/internal/storage"
 )
 
 const testCreate = `CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.02, order='clustered') WITH device='ram', block_size=16KB`
@@ -356,7 +355,6 @@ func TestReplicaTransportFaults(t *testing.T) {
 		Session:          repSess,
 		Locker:           &repMu,
 		HeartbeatTimeout: 400 * time.Millisecond,
-		Retry:            storage.RetryPolicy{Backoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond, Seed: 3},
 		Obs:              reg,
 	})
 	if err != nil {
@@ -401,7 +399,7 @@ type slowLocker struct {
 }
 
 func (l *slowLocker) Lock() {
-	time.Sleep(time.Duration(l.d.Load()))
+	time.Sleep(time.Duration(l.d.Load())) // the fault itself: a slow apply path, not a wait for anything
 	l.mu.Lock()
 }
 func (l *slowLocker) Unlock() { l.mu.Unlock() }
@@ -433,7 +431,6 @@ func TestPrimaryShedsSlowReplica(t *testing.T) {
 		Primary: p.Addr(),
 		Session: repSess,
 		Locker:  slow,
-		Retry:   storage.RetryPolicy{Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, Seed: 5},
 		Obs:     reg,
 	})
 	if err != nil {

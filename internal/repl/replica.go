@@ -32,11 +32,6 @@ type ReplicaConfig struct {
 	// OnSnapshot observes a wholesale snapshot install. Called under
 	// Locker. Optional.
 	OnSnapshot func()
-	// Retry shapes the reconnect backoff: Backoff, MaxBackoff, Multiplier
-	// and Seed are used exactly as storage.RetryPolicy defines them
-	// (equal jitter, deterministic per seed); MaxAttempts is ignored — a
-	// replica retries until promoted or closed.
-	Retry storage.RetryPolicy
 	// HeartbeatTimeout is how long the stream may stay silent before the
 	// primary is presumed dead (default 10s; must exceed the primary's
 	// heartbeat interval).
@@ -130,23 +125,21 @@ func (r *Replica) shutdown() {
 	<-r.done
 }
 
-// loop dials, streams, and backs off on failure, forever. Backoff uses
-// the storage.RetryPolicy equal-jitter schedule and resets to the base
-// delay after any session that made progress.
+// The replica's reconnect backoff doubles from reconnectBase up to
+// reconnectMax.
+const (
+	reconnectBase = time.Millisecond
+	reconnectMax  = 100 * time.Millisecond
+)
+
+// loop dials, streams, and backs off on failure, until promoted or closed.
+// Backoff uses the storage.RetryPolicy equal-jitter schedule (seeded, so
+// deterministic) and resets to the base delay after any session that made
+// progress.
 func (r *Replica) loop() {
 	defer close(r.done)
-	pol := r.cfg.Retry
-	if pol.Backoff <= 0 {
-		pol.Backoff = time.Millisecond
-	}
-	if pol.MaxBackoff <= 0 {
-		pol.MaxBackoff = 100 * time.Millisecond
-	}
-	if pol.Multiplier < 1 {
-		pol.Multiplier = 2
-	}
-	rng := rand.New(rand.NewSource(pol.Seed))
-	wait := pol.Backoff
+	rng := rand.New(rand.NewSource(0))
+	wait := reconnectBase
 	for {
 		select {
 		case <-r.stop:
@@ -159,7 +152,7 @@ func (r *Replica) loop() {
 		}
 		r.cfg.Obs.Inc(obs.ReplReconnects)
 		if progressed {
-			wait = pol.Backoff
+			wait = reconnectBase
 		}
 		// Equal jitter, as in storage.RetryPolicy.Do.
 		d := wait/2 + time.Duration(rng.Int63n(int64(wait/2)+1))
@@ -168,10 +161,7 @@ func (r *Replica) loop() {
 			return
 		case <-time.After(d):
 		}
-		wait = time.Duration(float64(wait) * pol.Multiplier)
-		if wait > pol.MaxBackoff {
-			wait = pol.MaxBackoff
-		}
+		wait = min(2*wait, reconnectMax)
 	}
 }
 

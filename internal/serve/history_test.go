@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -142,22 +143,15 @@ func TestHistorySamplingOverWire(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
 	var rows [][]string
-	for time.Now().Before(deadline) {
+	waitCondition(t, "two serve.predict_p95 history samples", func() bool {
 		res, err := c.Exec(`SELECT name, ts, value FROM corgi_metrics_history WHERE name = 'serve.predict_p95'`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) >= 2 {
-			rows = res.Rows
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if len(rows) < 2 {
-		t.Fatal("serve.predict_p95 never accumulated history samples")
-	}
+		rows = res.Rows
+		return len(rows) >= 2
+	})
 	for _, row := range rows {
 		if ts, err := strconv.ParseInt(row[1], 10, 64); err != nil || ts <= 0 {
 			t.Fatalf("history ts = %q, want positive unix-ms", row[1])
@@ -231,21 +225,19 @@ func TestServeAlertFireResolveOverWire(t *testing.T) {
 // reaches the wanted state.
 func waitAlertState(t *testing.T, c *Client, name, want string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	waitCondition(t, fmt.Sprintf("alert %q in state %q", name, want), func() bool {
 		res, err := c.Exec(`SELECT state, fired FROM corgi_alerts WHERE name = '` + name + `'`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) == 1 && res.Rows[0][0] == want {
-			if want == "firing" && res.Rows[0][1] == "0" {
-				t.Fatalf("alert firing with fired=0: %v", res.Rows)
-			}
-			return
+		if len(res.Rows) != 1 || res.Rows[0][0] != want {
+			return false
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("alert %q never reached state %q", name, want)
+		if want == "firing" && res.Rows[0][1] == "0" {
+			t.Fatalf("alert firing with fired=0: %v", res.Rows)
+		}
+		return true
+	})
 }
 
 // TestServePredictHistogram pins the serve.predict latency histogram:

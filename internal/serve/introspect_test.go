@@ -13,10 +13,11 @@ import (
 	"corgipile/internal/obs"
 )
 
-// waitCondition polls f until it reports true (or the deadline).
+// waitCondition polls f until it reports true, failing the test after 20
+// seconds. It is the package's one way to wait.
 func waitCondition(t *testing.T, what string, f func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		if f() {
 			return

@@ -130,14 +130,7 @@ const replResumeTrain = `SELECT * FROM t TRAIN BY svm MODEL base2 WITH resume='b
 // waitApplied polls a replica server until its durable LSN reaches want.
 func waitApplied(t *testing.T, srv *Server, want uint64) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.dbs.LastLSN() >= want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("replica stuck at lsn %d, want %d", srv.dbs.LastLSN(), want)
+	waitCondition(t, fmt.Sprintf("replica at lsn %d", want), func() bool { return srv.dbs.LastLSN() >= want })
 }
 
 func wireErrCode(err error) string {
@@ -285,9 +278,7 @@ func TestFailoverPromoteDeterministic(t *testing.T) {
 			acked.Add(1)
 		}
 	}()
-	for acked.Load() < 20 {
-		time.Sleep(time.Millisecond)
-	}
+	waitCondition(t, "20 acknowledged INSERTs", func() bool { return acked.Load() >= 20 })
 	child.Process.Kill() // SIGKILL mid-INSERT: no flush, no goodbye
 	<-stormDone
 
@@ -299,7 +290,7 @@ func TestFailoverPromoteDeterministic(t *testing.T) {
 			break
 		}
 		settled = now
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond) // a quiet window: nothing signals that a dead primary's stream is drained
 	}
 	rc, err := Dial(rep.Addr())
 	if err != nil {

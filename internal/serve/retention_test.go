@@ -105,13 +105,7 @@ func TestJobAgePruning(t *testing.T) {
 		`SELECT * FROM t TRAIN BY svm MODEL aged2 WITH learning_rate=0.05, max_epoch_num=1, seed=7`, true, false); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for jobCount(srv) > 1 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := jobCount(srv); n > 1 {
-		t.Fatalf("job map holds %d jobs, want the aged ones pruned", n)
-	}
+	waitCondition(t, "the aged jobs pruned", func() bool { return jobCount(srv) <= 1 })
 }
 
 // Online ingestion over the wire: the next PREDICT sees an INSERT, and

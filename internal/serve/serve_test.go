@@ -48,19 +48,15 @@ func longTrain(model string) string {
 // waitState polls one job until it reaches want (or the deadline).
 func waitState(t *testing.T, c *Client, job string, want JobState) JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := c.Status(job, false)
-		if err != nil {
+	var st *JobStatus
+	waitCondition(t, fmt.Sprintf("job %s in state %q", job, want), func() bool {
+		var err error
+		if st, err = c.Status(job, false); err != nil {
 			t.Fatalf("status %s: %v", job, err)
 		}
-		if st.State == want {
-			return *st
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("job %s never reached state %q", job, want)
-	return JobStatus{}
+		return st.State == want
+	})
+	return *st
 }
 
 func TestHelloAndInlineSQL(t *testing.T) {
@@ -308,7 +304,7 @@ func TestDroppedConnectionCancelsJobs(t *testing.T) {
 	srv := testServer(t, Config{Workers: 1, SessionMax: 1})
 
 	// Let the server settle, then record the goroutine baseline.
-	time.Sleep(20 * time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // a settle window: no condition says the server's goroutines are all up
 	base := runtime.NumGoroutine()
 
 	c, err := Dial(srv.Addr())
@@ -336,14 +332,9 @@ func TestDroppedConnectionCancelsJobs(t *testing.T) {
 	// The dropped session's handler and the job's executor must unwind.
 	// One extra goroutine remains for ctl's session; allow small slack for
 	// runtime background goroutines.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= base+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: baseline %d, now %d — session cleanup leaked", base, runtime.NumGoroutine())
+	waitCondition(t, fmt.Sprintf("goroutines back to baseline %d (+2)", base), func() bool {
+		return runtime.NumGoroutine() <= base+2
+	})
 }
 
 // TestDetachedJobSurvivesDisconnect checks the opposite contract: a

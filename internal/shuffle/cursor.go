@@ -51,15 +51,6 @@ func (c *BlockCursor) Narrow(src Source, lo, hi int) BlockCursor {
 	return BlockCursor{Obs: c.Obs, src: src, order: c.order[lo:hi]}
 }
 
-// NumTuples returns the tuple count of the blocks in the pass's visit order.
-func (c *BlockCursor) NumTuples() int {
-	n := 0
-	for _, b := range c.order {
-		n += c.src.BlockTuples(b)
-	}
-	return n
-}
-
 // advance makes the next block of the visit order the current one; ok=false
 // when the pass has none left.
 func (c *BlockCursor) advance() (ok bool, err error) {

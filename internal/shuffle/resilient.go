@@ -98,9 +98,6 @@ type FaultSummary struct {
 	SkippedBlocks []int
 	// SkippedTuples counts tuples lost to quarantined blocks.
 	SkippedTuples int
-	// WorkerCrashes counts distributed workers that crashed and were
-	// absorbed by redistribution (filled by internal/dist).
-	WorkerCrashes int
 }
 
 // Degraded reports whether any data was lost to quarantine.
@@ -108,15 +105,12 @@ func (s FaultSummary) Degraded() bool { return s.SkippedTuples > 0 }
 
 // String renders a one-line human-readable summary ("clean" when empty).
 func (s FaultSummary) String() string {
-	if s.TransientErrors == 0 && s.Retries == 0 && len(s.SkippedBlocks) == 0 && s.WorkerCrashes == 0 {
+	if s.TransientErrors == 0 && s.Retries == 0 && len(s.SkippedBlocks) == 0 {
 		return "clean"
 	}
 	out := fmt.Sprintf("transient=%d retries=%d backoff=%.3fs", s.TransientErrors, s.Retries, s.BackoffSeconds)
 	if len(s.SkippedBlocks) > 0 {
 		out += fmt.Sprintf(" skipped_blocks=%d skipped_tuples=%d", len(s.SkippedBlocks), s.SkippedTuples)
-	}
-	if s.WorkerCrashes > 0 {
-		out += fmt.Sprintf(" worker_crashes=%d", s.WorkerCrashes)
 	}
 	return out
 }

@@ -93,13 +93,9 @@ func TestTransientStormWithinBudgetSameStream(t *testing.T) {
 
 	clock := iosim.NewClock()
 	flaky := newBlink(clusteredSource(n, perBlock).WithClock(clock, 0), 2)
-	report := NewFaultReport()
-	st, err := New(KindCorgiPile, flaky, Options{
-		Seed: 9,
-		Resilience: Resilience{Retry: storage.RetryPolicy{
-			MaxAttempts: 4, Backoff: time.Millisecond, Seed: 9}},
-		FaultReport: report,
-	})
+	src, report := NewResilientSource(flaky, Resilience{Retry: storage.RetryPolicy{
+		MaxAttempts: 4, Backoff: time.Millisecond, Seed: 9}}, nil, nil)
+	st, err := New(KindCorgiPile, src, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +138,8 @@ func drainAll(it Iterator) {
 
 func TestTransientStormBeyondBudgetFails(t *testing.T) {
 	flaky := newBlink(clusteredSource(100, 10), 5)
-	st, err := New(KindCorgiPile, flaky, Options{
-		Seed:       1,
-		Resilience: Resilience{Retry: storage.RetryPolicy{MaxAttempts: 3}},
-	})
+	src, _ := NewResilientSource(flaky, Resilience{Retry: storage.RetryPolicy{MaxAttempts: 3}}, nil, nil)
+	st, err := New(KindCorgiPile, src, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +156,8 @@ func TestTransientStormBeyondBudgetFails(t *testing.T) {
 func TestSkipCorruptQuarantinesAcrossEpochs(t *testing.T) {
 	const n, perBlock = 300, 20 // 15 blocks; one bad block is 6.7% > default cap
 	bad := &corruptSource{Source: clusteredSource(n, perBlock), bad: map[int]bool{3: true}}
-	report := NewFaultReport()
-	st, err := New(KindCorgiPile, bad, Options{
-		Seed: 2,
-		Resilience: Resilience{
-			OnCorrupt:       SkipCorrupt,
-			MaxSkipFraction: 0.10,
-		},
-		FaultReport: report,
-	})
+	src, report := NewResilientSource(bad, Resilience{OnCorrupt: SkipCorrupt, MaxSkipFraction: 0.10}, nil, nil)
+	st, err := New(KindCorgiPile, src, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +191,11 @@ func TestSkipCorruptQuarantinesAcrossEpochs(t *testing.T) {
 func TestSkipCorruptBudgetCap(t *testing.T) {
 	bad := &corruptSource{Source: clusteredSource(300, 20),
 		bad: map[int]bool{1: true, 2: true, 3: true, 4: true}}
-	st, err := New(KindCorgiPile, bad, Options{
-		Seed: 2,
-		Resilience: Resilience{
-			OnCorrupt:       SkipCorrupt,
-			MaxSkipFraction: 0.10, // 4 bad blocks = 26.7% >> 10%
-		},
-	})
+	src, _ := NewResilientSource(bad, Resilience{
+		OnCorrupt:       SkipCorrupt,
+		MaxSkipFraction: 0.10, // 4 bad blocks = 26.7% >> 10%
+	}, nil, nil)
+	st, err := New(KindCorgiPile, src, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +214,9 @@ func TestSkipCorruptBudgetCap(t *testing.T) {
 
 func TestFailFastSurfacesCorrupt(t *testing.T) {
 	bad := &corruptSource{Source: clusteredSource(100, 10), bad: map[int]bool{2: true}}
-	st, err := New(KindCorgiPile, bad, Options{
-		Seed: 2,
-		// Retry enabled so the wrapper engages; OnCorrupt stays FailFast.
-		Resilience: Resilience{Retry: storage.RetryPolicy{MaxAttempts: 2}},
-	})
+	// Retry enabled so the wrapper engages; OnCorrupt stays FailFast.
+	src, _ := NewResilientSource(bad, Resilience{Retry: storage.RetryPolicy{MaxAttempts: 2}}, nil, nil)
+	st, err := New(KindCorgiPile, src, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +253,9 @@ func TestFaultSummaryString(t *testing.T) {
 		t.Fatal("empty summary must read clean")
 	}
 	s := FaultSummary{TransientErrors: 3, Retries: 2, BackoffSeconds: 0.004,
-		SkippedBlocks: []int{5}, SkippedTuples: 20, WorkerCrashes: 1}
+		SkippedBlocks: []int{5}, SkippedTuples: 20}
 	out := s.String()
-	for _, want := range []string{"transient=3", "retries=2", "skipped_blocks=1", "worker_crashes=1"} {
+	for _, want := range []string{"transient=3", "retries=2", "skipped_blocks=1"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary %q missing %q", out, want)
 		}
@@ -306,12 +289,9 @@ func TestWarmImageKeepsFaultBehaviour(t *testing.T) {
 						t.Fatalf("warming the image charged the device: %+v at %v", s, dev.Clock().Now())
 					}
 				}
-				report := NewFaultReport()
-				st, err := New(KindCorgiPile, TableSource(tab), Options{
-					Seed: 9, BufferFraction: 0.2, DoubleBuffer: true, FaultReport: report,
-					Resilience: Resilience{OnCorrupt: policy, MaxSkipFraction: 0.2,
-						Retry: storage.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond, Seed: 9}},
-				})
+				src, report := NewResilientSource(TableSource(tab), Resilience{OnCorrupt: policy, MaxSkipFraction: 0.2,
+					Retry: storage.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond, Seed: 9}}, nil, nil)
+				st, err := New(KindCorgiPile, src, Options{Seed: 9, BufferFraction: 0.2, DoubleBuffer: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -44,13 +44,6 @@ type Options struct {
 	// times under the obs.Shuffle* metric names, making strategy I/O
 	// behaviour visible in the cross-layer epoch breakdown.
 	Obs *obs.Registry
-	// Resilience, when enabled, wraps the source with retry/backoff and the
-	// configured corrupt-block degrade policy before the strategy sees it.
-	Resilience Resilience
-	// FaultReport, when non-nil, receives the resilient source's fault
-	// accounting so the caller can surface it in results. Ignored unless
-	// Resilience is enabled.
-	FaultReport *FaultReport
 }
 
 func (o Options) withDefaults() Options {
@@ -89,9 +82,6 @@ type Strategy interface {
 // end-to-end measurements exactly as in Figure 11.
 func New(kind Kind, src Source, opts Options) (Strategy, error) {
 	opts = opts.withDefaults()
-	if opts.Resilience.Enabled() {
-		src, _ = NewResilientSource(src, opts.Resilience, opts.Obs, opts.FaultReport)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	switch kind {
 	case KindNoShuffle:

@@ -13,8 +13,6 @@ import (
 // the count of negative and positive tuples among `window` consecutive
 // emissions.
 type LabelWindow struct {
-	// Start is the emission index of the window's first tuple.
-	Start int
 	// Neg and Pos count labels < 0 and >= 0 respectively.
 	Neg, Pos int
 }
@@ -31,7 +29,7 @@ func LabelWindows(labels []float64, window int) []LabelWindow {
 		if hi > len(labels) {
 			hi = len(labels)
 		}
-		w := LabelWindow{Start: lo}
+		var w LabelWindow
 		for _, l := range labels[lo:hi] {
 			if l < 0 {
 				w.Neg++

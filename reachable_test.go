@@ -10,7 +10,9 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -18,8 +20,12 @@ import (
 
 // reachAllow lists declarations under internal/ that stay without a non-test
 // caller, keyed pkg.Name or pkg.Type.Member; an entry naming a type keeps its
-// methods and fields too. Each entry needs a reason. TestReachable fails on an
-// entry that names nothing or that a non-test caller already keeps.
+// methods and fields too, and counts the fields of the structs its methods
+// return as read, since what it hands out is for its test callers to read.
+// A field entry keeps a field that non-test code reads but never sets, or
+// sets but never reads. Each entry needs a reason. TestReachable fails on an
+// entry that names nothing or that keeps nothing non-test code does not
+// already keep.
 var reachAllow = map[string]string{
 	"iosim.Trace": "the per-access recorder behind Device.WithTrace; iosim's and shuffle's " +
 		"tests read it to prove No Shuffle scans sequentially and CorgiPile seeks per block",
@@ -32,6 +38,11 @@ var reachAllow = map[string]string{
 		"that obs's, executor's and db's tests hold executed plans to",
 	"serve.Client": "the library's protocol client (corgipile.ServeClient): one method per wire op, " +
 		"cancel, status and quit included, whether or not the module itself sends that op",
+	"shuffle.Options.SampleOnly": "Theorem 1's regime of n whole blocks per epoch, which shuffle's tests " +
+		"pin as the reference the rate tests of ROADMAP item 9 read",
+	"core.RunConfig.Procs": "frozen-benchmark shim: benchmark/ladder.go sets it; ROADMAP item 1(h) removes it",
+	"core.RunConfig.Seed":  "frozen-benchmark shim: benchmark/ladder.go sets it; ROADMAP item 1(h) removes it",
+	"ml.Trainer.Procs":     "frozen-benchmark shim: benchmark/ladder.go sets it; ROADMAP item 1(h) removes it",
 }
 
 // stdInterfaces are standard-library interfaces whose methods the standard
@@ -57,6 +68,10 @@ var stdInterfaces = []string{
 // A method is also reachable when its reachable type implements a reachable
 // interface (or a standard-library one) that declares it, which covers
 // sealed marker methods and methods called only through an interface.
+//
+// A reachable struct field must also be both read and set by reachable code:
+// a field only tests set is a constant with a name, and a field nobody reads
+// is dead state. See reachGraph.collect for what counts as which.
 func TestReachable(t *testing.T) {
 	g, err := loadReachGraph(".")
 	if err != nil {
@@ -65,37 +80,48 @@ func TestReachable(t *testing.T) {
 	if len(g.nodes) < 1000 {
 		t.Fatalf("found %d declarations under internal/; the walk missed the module", len(g.nodes))
 	}
-	g.markReachable()
-	var stale []string
-	for name := range reachAllow {
-		obj, ok := g.byName[name]
-		if !ok {
-			stale = append(stale, name+": names no declaration under internal/")
-			continue
-		}
-		kept := append([]types.Object{obj}, g.members[obj]...)
-		used := true
-		for _, o := range kept {
-			used = used && g.live[o]
-		}
-		if used {
-			stale = append(stale, name+": has a non-test caller")
-		}
-		for _, o := range kept {
-			g.mark(o)
-		}
-	}
-	g.markReachable()
-	sort.Strings(stale)
-	for _, s := range stale {
+	r := g.report(reachAllow)
+	for _, s := range r.stale {
 		t.Errorf("reachAllow entry %s; drop it", s)
 	}
-	if dead := g.unreachable(); len(dead) > 0 {
-		t.Errorf("%d declarations under internal/ have no non-test caller:\n%s\n"+
-			"delete it, move it into a _test.go file of its package, or allow-list it with a reason in reachAllow",
-			len(dead), strings.Join(dead, "\n"))
+	for _, c := range []struct {
+		found []string
+		what  string
+	}{
+		{r.dead, "have no non-test caller"},
+		{r.unset, "are read by non-test code but set only by tests: replace each read with the default"},
+		{r.unread, "are set by non-test code but never read"},
+	} {
+		if len(c.found) > 0 {
+			t.Errorf("%d declarations under internal/ %s:\n%s\n"+
+				"delete it, move it into a _test.go file of its package, or allow-list it with a reason in reachAllow",
+				len(c.found), c.what, strings.Join(c.found, "\n"))
+		}
 	}
 }
+
+// TestReachableFieldClasses holds the field classifier to a fixture with one
+// field per kind of access, of which exactly two are dead.
+func TestReachableFieldClasses(t *testing.T) {
+	g, err := loadReachGraph(filepath.Join("testdata", "reach"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := g.report(nil)
+	want := reachReport{
+		unset:  []string{"internal/fix/fix.go:7 fix.Fields.ReadNeverSet"},
+		unread: []string{"internal/fix/fix.go:8 fix.Fields.SetNeverRead"},
+	}
+	if !reflect.DeepEqual(r, want) {
+		t.Errorf("fixture report:\n got %+v\nwant %+v", r, want)
+	}
+}
+
+// Kinds of access to a struct field.
+const (
+	accRead = 1 << iota
+	accWrite
+)
 
 // reachNode is one declaration under internal/ and what its declaration
 // refers to.
@@ -104,6 +130,8 @@ type reachNode struct {
 	name   string       // pkg.Name, pkg.Type.Method or pkg.Type.Field
 	owner  types.Object // the type a method or field belongs to
 	refs   []types.Object
+	reads  []types.Object // fields the declaration reads
+	writes []types.Object // fields the declaration sets
 	ifaces []*types.Interface
 }
 
@@ -118,7 +146,10 @@ type reachGraph struct {
 	byName  map[string]types.Object
 	members map[types.Object][]types.Object // a type's methods and fields
 	named   []*types.Named                  // module types that declare methods
-	roots   []ast.Node                      // caller files and init functions
+	callers []ast.Node                      // caller files and init functions
+	roots   *reachNode                      // what the callers refer to
+	json    map[types.Object]bool           // fields encoding/json reads and fills
+	acc     map[*ast.Ident]int              // field selectors that are not plain reads
 
 	live   map[types.Object]bool
 	work   []types.Object
@@ -134,9 +165,10 @@ func loadReachGraph(root string) (*reachGraph, error) {
 		fset: token.NewFileSet(),
 		root: root,
 		info: &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 		std:     importer.Default(),
 		pkgs:    map[string]*types.Package{},
@@ -144,6 +176,9 @@ func loadReachGraph(root string) (*reachGraph, error) {
 		nodes:   map[types.Object]*reachNode{},
 		byName:  map[string]types.Object{},
 		members: map[types.Object][]types.Object{},
+		roots:   &reachNode{},
+		json:    map[types.Object]bool{},
+		acc:     map[*ast.Ident]int{},
 		live:    map[types.Object]bool{},
 		seen:    map[*types.Interface]bool{},
 	}
@@ -172,7 +207,7 @@ func loadReachGraph(root string) (*reachGraph, error) {
 			}
 		} else {
 			for _, f := range files {
-				g.roots = append(g.roots, f)
+				g.callers = append(g.callers, f)
 			}
 		}
 		return nil
@@ -186,11 +221,10 @@ func loadReachGraph(root string) (*reachGraph, error) {
 			g.members[n.owner] = append(g.members[n.owner], obj)
 		}
 	}
-	roots := &reachNode{}
-	for _, x := range g.roots {
-		g.collect(roots, x)
+	for _, x := range g.callers {
+		g.collect(g.roots, x)
 	}
-	g.follow(roots)
+	g.follow(g.roots)
 	for _, name := range stdInterfaces {
 		i := strings.LastIndex(name, ".")
 		pkg, err := g.std.Import(name[:i])
@@ -253,7 +287,7 @@ func (g *reachGraph) addDecls(f *ast.File) {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil && d.Name.Name == "init" {
-				g.roots = append(g.roots, d)
+				g.callers = append(g.callers, d)
 				continue
 			}
 			obj := g.info.Defs[d.Name].(*types.Func)
@@ -290,6 +324,12 @@ func (g *reachGraph) addDecls(f *ast.File) {
 							fn.owner = obj
 							fn.name = obj.Pkg().Name() + "." + obj.Name() + "." + id.Name
 							g.collect(fn, field.Type)
+							if field.Tag != nil {
+								tag := reflect.StructTag(strings.Trim(field.Tag.Value, "`"))
+								if name, ok := tag.Lookup("json"); ok && name != "-" {
+									g.json[g.info.Defs[id]] = true
+								}
+							}
 						}
 					}
 				case *ast.ValueSpec:
@@ -318,8 +358,12 @@ func (g *reachGraph) node(obj types.Object, pos token.Pos) *reachNode {
 }
 
 // collect records in n every object the syntax under x refers to, every
-// field an unkeyed struct literal sets, and every interface x spells out or
-// calls a method of.
+// interface x spells out or calls a method of, and whether each field it
+// names is read, set, or both. A field is set by an assignment to it, a
+// composite-literal key, an unkeyed literal (every field), ++ and --, and a
+// range clause; it is read and set by op=, by &, by slicing an array and by a
+// pointer-receiver method called on it. Setting an element or a field of a
+// struct-valued field sets that field too. Every other mention reads it.
 func (g *reachGraph) collect(n *reachNode, x ast.Node) {
 	ast.Inspect(x, func(x ast.Node) bool {
 		switch x := x.(type) {
@@ -335,27 +379,107 @@ func (g *reachGraph) collect(n *reachNode, x ast.Node) {
 				}
 			case *types.Var:
 				obj = o.Origin()
+				if o.IsField() {
+					acc, ok := g.acc[x]
+					if !ok {
+						acc = accRead
+					}
+					g.access(n, obj, acc)
+				}
 			}
 			if obj != nil {
 				n.refs = append(n.refs, obj)
 			}
-		case *ast.CompositeLit:
-			st, ok := g.info.Types[x].Type.Underlying().(*types.Struct)
-			if ok && len(x.Elts) > 0 {
-				if _, keyed := x.Elts[0].(*ast.KeyValueExpr); !keyed {
-					if named := namedOf(g.info.Types[x].Type); named != nil {
-						st = named.Origin().Underlying().(*types.Struct)
-					}
-					for i := 0; i < st.NumFields(); i++ {
-						n.refs = append(n.refs, st.Field(i))
-					}
+		case *ast.AssignStmt:
+			acc := accWrite
+			if x.Tok != token.ASSIGN && x.Tok != token.DEFINE {
+				acc |= accRead
+			}
+			for _, lhs := range x.Lhs {
+				g.store(lhs, acc)
+			}
+		case *ast.IncDecStmt:
+			g.store(x.X, accWrite)
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				for _, e := range []ast.Expr{x.Key, x.Value} {
+					g.store(e, accWrite)
 				}
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				g.store(x.X, accRead|accWrite)
+			}
+		case *ast.SliceExpr:
+			if _, ok := g.info.Types[x.X].Type.Underlying().(*types.Array); ok {
+				g.store(x.X, accRead|accWrite)
+			}
+		case *ast.SelectorExpr:
+			if sel := g.info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal {
+				recv := sel.Obj().Type().(*types.Signature).Recv()
+				if _, ptr := recv.Type().(*types.Pointer); ptr && !isPointer(g.info.Types[x.X].Type) {
+					g.store(x.X, accRead|accWrite)
+				}
+			}
+		case *ast.CompositeLit:
+			t := g.info.Types[x].Type
+			if named := namedOf(t); named != nil {
+				t = named.Origin()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok || len(x.Elts) == 0 {
+				break
+			}
+			if _, keyed := x.Elts[0].(*ast.KeyValueExpr); keyed {
+				for _, e := range x.Elts {
+					g.acc[e.(*ast.KeyValueExpr).Key.(*ast.Ident)] = accWrite
+				}
+				break
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				n.refs = append(n.refs, st.Field(i))
+				g.access(n, st.Field(i), accWrite)
 			}
 		case *ast.InterfaceType:
 			n.ifaces = append(n.ifaces, g.info.Types[x].Type.Underlying().(*types.Interface))
 		}
 		return true
 	})
+}
+
+// store records that e is stored to with the access acc: the field e
+// selects or indexes, and with it every field of a struct value that holds
+// e. A field reached through a pointer is only read.
+func (g *reachGraph) store(e ast.Expr, acc int) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sel := g.info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			g.acc[x.Sel] |= acc
+			if sel.Indirect() {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+func (g *reachGraph) access(n *reachNode, field types.Object, acc int) {
+	if acc&accRead != 0 {
+		n.reads = append(n.reads, field)
+	}
+	if acc&accWrite != 0 {
+		n.writes = append(n.writes, field)
+	}
 }
 
 // mark makes obj reachable, if it is a declaration under internal/.
@@ -419,23 +543,132 @@ func (g *reachGraph) markReachable() {
 	}
 }
 
-// unreachable lists, sorted by position, every declaration not reachable.
-func (g *reachGraph) unreachable() []string {
-	var dead []*reachNode
-	for obj, n := range g.nodes {
-		if !g.live[obj] {
-			dead = append(dead, n)
+// reachReport is what the gate finds, each list as file:line pkg.Name.
+type reachReport struct {
+	stale  []string // allow-list entries that keep nothing
+	dead   []string // declarations no non-test caller reaches
+	unset  []string // fields reachable code reads and only tests set
+	unread []string // fields reachable code sets and never reads
+}
+
+// report marks what the callers reach, then what the allow-list keeps, and
+// lists what is left dead or half used.
+func (g *reachGraph) report(allow map[string]string) reachReport {
+	var r reachReport
+	g.markReachable()
+	reached := maps.Clone(g.live)
+	keeps, handsOut := map[string][]types.Object{}, map[string][]types.Object{}
+	for name := range allow {
+		obj, ok := g.byName[name]
+		if !ok {
+			r.stale = append(r.stale, name+": names no declaration under internal/")
+			continue
+		}
+		keeps[name] = append([]types.Object{obj}, g.members[obj]...)
+		for _, o := range keeps[name] {
+			g.mark(o)
+			if m, ok := o.(*types.Func); ok {
+				handsOut[name] = append(handsOut[name], g.returnedFields(m)...)
+			}
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool { return g.less(dead[i].pos, dead[j].pos) })
-	out := make([]string, len(dead))
-	for i, n := range dead {
+	g.markReachable()
+	read, written := map[types.Object]bool{}, map[types.Object]bool{}
+	for _, n := range g.liveNodes() {
+		for _, f := range n.reads {
+			read[f] = true
+		}
+		for _, f := range n.writes {
+			written[f] = true
+		}
+	}
+	exempt := map[types.Object]bool{}
+	for name, objs := range keeps {
+		needed := false
+		for _, o := range objs {
+			exempt[o] = true
+			needed = needed || !reached[o] || isField(o) && !g.json[o] && !(read[o] && written[o])
+		}
+		for _, f := range handsOut[name] {
+			needed = needed || !read[f] && !g.json[f]
+		}
+		if !needed {
+			r.stale = append(r.stale, name+": keeps nothing non-test code does not")
+		}
+	}
+	for _, fields := range handsOut {
+		for _, f := range fields {
+			read[f] = true
+		}
+	}
+	sort.Strings(r.stale)
+	var dead, unset, unread []types.Object
+	for obj := range g.nodes {
+		switch {
+		case !g.live[obj]:
+			dead = append(dead, obj)
+		case !isField(obj) || exempt[obj] || g.json[obj]:
+		case !written[obj]:
+			unset = append(unset, obj)
+		case !read[obj]:
+			unread = append(unread, obj)
+		}
+	}
+	r.dead, r.unset, r.unread = g.positions(dead), g.positions(unset), g.positions(unread)
+	return r
+}
+
+// liveNodes returns the callers' node and every reachable declaration's.
+func (g *reachGraph) liveNodes() []*reachNode {
+	out := []*reachNode{g.roots}
+	for obj := range g.live {
+		out = append(out, g.nodes[obj])
+	}
+	return out
+}
+
+func isField(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField()
+}
+
+// returnedFields lists the fields of every module struct m returns, through
+// pointers, slices, arrays, maps and channels.
+func (g *reachGraph) returnedFields(m *types.Func) []types.Object {
+	var out []types.Object
+	res := m.Type().(*types.Signature).Results()
+	for i := 0; i < res.Len(); i++ {
+		t := res.At(i).Type()
+		for {
+			e, ok := t.(interface{ Elem() types.Type })
+			if !ok {
+				break
+			}
+			t = e.Elem()
+		}
+		if st, ok := t.Underlying().(*types.Struct); ok && namedOf(t) != nil {
+			for j := 0; j < st.NumFields(); j++ {
+				if _, ok := g.nodes[st.Field(j)]; ok {
+					out = append(out, st.Field(j))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// positions lists objs as file:line pkg.Name, sorted by position.
+func (g *reachGraph) positions(objs []types.Object) []string {
+	sort.Slice(objs, func(i, j int) bool { return g.less(g.nodes[objs[i]].pos, g.nodes[objs[j]].pos) })
+	var out []string
+	for _, obj := range objs {
+		n := g.nodes[obj]
 		p := g.fset.Position(n.pos)
 		rel, err := filepath.Rel(g.root, p.Filename)
 		if err != nil {
 			rel = p.Filename
 		}
-		out[i] = fmt.Sprintf("%s:%d %s", filepath.ToSlash(rel), p.Line, n.name)
+		out = append(out, fmt.Sprintf("%s:%d %s", filepath.ToSlash(rel), p.Line, n.name))
 	}
 	return out
 }
@@ -455,4 +688,9 @@ func namedOf(t types.Type) *types.Named {
 	}
 	named, _ := t.(*types.Named)
 	return named
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }

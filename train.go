@@ -66,11 +66,11 @@ type TrainConfig struct {
 	// Faults, when non-nil, attaches a deterministic fault-injection plan to
 	// the simulated device (TrainOnDevice only; Train has no device).
 	Faults *FaultPlan
-	// Diag, when non-nil, enables the convergence diagnostics (per-epoch
+	// Diag enables the convergence diagnostics (per-epoch
 	// gradient norm, update norm, loss delta, plateau/divergence verdict);
 	// Result.Diag and Result.Verdict carry the outcome. Diagnostics are
 	// read-only: the loss trace is bit-for-bit identical with or without.
-	Diag *DiagConfig
+	Diag bool
 	// Feed, when non-nil, receives one live RunStatus update per epoch —
 	// serve it over HTTP with ServeTelemetry.
 	Feed *RunFeed
