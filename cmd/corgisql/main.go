@@ -88,7 +88,14 @@ func main() {
 		if *runDir == "" {
 			return
 		}
-		if err := writeRunDir(*runDir, session, last); err != nil {
+		a := obs.RunArtifacts{
+			Manifest: obs.Manifest{Tool: "corgisql", Args: os.Args[1:]},
+			Metrics:  session.Metrics(),
+		}
+		if last != nil {
+			a.Epochs, a.Plan = last.Breakdown, last.Plan
+		}
+		if err := obs.WriteRunDir(*runDir, a); err != nil {
 			fmt.Fprintln(os.Stderr, "corgisql:", err)
 			return
 		}
@@ -152,31 +159,6 @@ func main() {
 		fmt.Printf("[%s]\n> ", session.Clock())
 	}
 	writeArtifacts()
-}
-
-// writeRunDir persists the durable artifacts of the session's most recent
-// training statement: the manifest, the per-epoch breakdown, the executed
-// plan (for EXPLAIN ANALYZE) and a final metrics snapshot.
-func writeRunDir(dir string, session *db.Session, last *db.Result) error {
-	rd, err := obs.OpenRunDir(dir)
-	if err != nil {
-		return err
-	}
-	if err := rd.WriteManifest(obs.Manifest{
-		Tool: "corgisql",
-		Args: os.Args[1:],
-	}); err != nil {
-		return err
-	}
-	if last != nil {
-		if err := rd.WriteEpochs(last.Breakdown); err != nil {
-			return err
-		}
-		if err := rd.WritePlan(last.Plan); err != nil {
-			return err
-		}
-	}
-	return rd.WriteMetrics(session.Metrics())
 }
 
 func printResult(r *db.Result) {

@@ -177,7 +177,21 @@ func main() {
 	}
 	fmt.Printf("final train accuracy: %.4f\n", res.Final().TrainAcc)
 	if *runDir != "" {
-		if err := writeRunDir(*runDir, runName, cfg, res, reg); err != nil {
+		manifestCfg := cfg
+		manifestCfg.Metrics = nil // not serializable config
+		manifestCfg.Feed = nil
+		if err := obs.WriteRunDir(*runDir, obs.RunArtifacts{
+			Manifest: obs.Manifest{
+				Tool:   "corgitrain",
+				Run:    runName,
+				Seed:   cfg.Seed,
+				Config: manifestCfg,
+				Args:   os.Args[1:],
+			},
+			Epochs:  res.Breakdown,
+			Plan:    res.Plan,
+			Metrics: reg,
+		}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("run artifacts written to %s\n", *runDir)
@@ -201,34 +215,6 @@ func main() {
 		}
 		fmt.Printf("model saved to %s\n", *save)
 	}
-}
-
-// writeRunDir persists the durable artifacts of the run: the manifest
-// (config, seed, git SHA, command line), the per-epoch breakdown, and a
-// final Prometheus-format metrics snapshot.
-func writeRunDir(dir, runName string, cfg corgipile.TrainConfig, res *corgipile.Result, reg *corgipile.Metrics) error {
-	rd, err := obs.OpenRunDir(dir)
-	if err != nil {
-		return err
-	}
-	cfg.Metrics = nil // not serializable config
-	cfg.Feed = nil
-	if err := rd.WriteManifest(obs.Manifest{
-		Tool:   "corgitrain",
-		Run:    runName,
-		Seed:   cfg.Seed,
-		Config: cfg,
-		Args:   os.Args[1:],
-	}); err != nil {
-		return err
-	}
-	if err := rd.WriteEpochs(res.Breakdown); err != nil {
-		return err
-	}
-	if err := rd.WritePlan(res.Plan); err != nil {
-		return err
-	}
-	return rd.WriteMetrics(reg)
 }
 
 // saveModel persists the weights in the db layer's model-file format, so

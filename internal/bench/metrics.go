@@ -118,36 +118,22 @@ func Profile(w io.Writer, opts ProfileOptions) error {
 		o.res.Plan.WriteText(w, true)
 	}
 	reg.EmitSnapshot("final")
-	if opts.RunDir != "" {
-		if err := writeRunDir(opts.RunDir, runName, opts, o.res.Breakdown, reg, o.res.Plan); err != nil {
-			return fmt.Errorf("bench: run dir: %w", err)
-		}
+	if opts.RunDir == "" {
+		return nil
 	}
-	return nil
-}
-
-// writeRunDir persists the durable artifacts of one profiled run.
-func writeRunDir(dir, runName string, opts ProfileOptions, rows []obs.EpochMetrics, reg *obs.Registry, plan *obs.PlanStats) error {
-	rd, err := obs.OpenRunDir(dir)
-	if err != nil {
-		return err
-	}
+	dir := opts.RunDir
 	opts.TraceOut = nil // not serializable config
 	opts.Registry = nil
 	opts.Feed = nil
-	if err := rd.WriteManifest(obs.Manifest{
-		Tool:   "corgibench",
-		Run:    runName,
-		Seed:   1, // spec's default: profiles do not set one
-		Config: opts,
-	}); err != nil {
-		return err
-	}
-	if err := rd.WriteEpochs(rows); err != nil {
-		return err
-	}
-	if err := rd.WritePlan(plan); err != nil {
-		return err
-	}
-	return rd.WriteMetrics(reg)
+	return obs.WriteRunDir(dir, obs.RunArtifacts{
+		Manifest: obs.Manifest{
+			Tool:   "corgibench",
+			Run:    runName,
+			Seed:   1, // spec's default: profiles do not set one
+			Config: opts,
+		},
+		Epochs:  o.res.Breakdown,
+		Plan:    o.res.Plan,
+		Metrics: reg,
+	})
 }

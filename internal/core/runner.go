@@ -279,7 +279,6 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 		after := cfg.Obs.Snapshot()
 		m := obs.EpochFromDelta(epoch, epochSecs, stats.AvgLoss, after.DeltaFrom(l.before))
 		l.before = after
-		cfg.Obs.SetGauge(obs.SGDLoss, stats.AvgLoss)
 		cfg.Obs.EmitEpoch(m)
 		l.res.Breakdown = append(l.res.Breakdown, m)
 	}
@@ -315,8 +314,9 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 			WallSeconds: time.Since(l.wallStart).Seconds(),
 			Done:        epoch == cfg.Epochs,
 		}
-		// Fold in the shuffle-buffer gauges and fault counters.
-		st.FillFromRegistry(cfg.Obs)
+		// Fold in the shuffle-buffer gauges and fault counters from the
+		// snapshot that closed this epoch's breakdown row.
+		st.FillFrom(l.before)
 		cfg.Feed.Publish(st)
 	}
 	return p, nil

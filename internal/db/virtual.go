@@ -196,31 +196,14 @@ func (s *Session) registerSystemTables() {
 	})
 }
 
-// metricRows renders a registry snapshot as one row per counter, gauge,
-// and histogram quantile (suffixed _p50/_p95/_p99, plus _count), in
-// sorted name order.
+// metricRows renders the registry's flattened snapshot, one row per
+// series, in sorted name order.
 func metricRows(reg *obs.Registry) [][]string {
-	if reg == nil {
-		return nil
+	flat := reg.Snapshot().Flatten()
+	rows := make([][]string, len(flat))
+	for i, m := range flat {
+		rows[i] = []string{m.Name, m.Kind, m.Text()}
 	}
-	snap := reg.Snapshot()
-	var rows [][]string
-	for _, name := range sortedKeys(snap.Counters) {
-		rows = append(rows, []string{name, "counter", strconv.FormatInt(snap.Counters[name], 10)})
-	}
-	for _, name := range sortedKeys(snap.Gauges) {
-		rows = append(rows, []string{name, "gauge", trimFloat(snap.Gauges[name])})
-	}
-	for _, name := range sortedKeys(snap.Hists) {
-		h := snap.Hists[name]
-		rows = append(rows,
-			[]string{name + "_count", "histogram", strconv.FormatInt(h.Count, 10)},
-			[]string{name + "_p50", "histogram", trimFloat(h.Quantile(0.5).Seconds())},
-			[]string{name + "_p95", "histogram", trimFloat(h.Quantile(0.95).Seconds())},
-			[]string{name + "_p99", "histogram", trimFloat(h.Quantile(0.99).Seconds())},
-		)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
 	return rows
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -224,26 +223,12 @@ func WriteEpochTable(w io.Writer, title string, rows []EpochMetrics) error {
 	return t.Write(w)
 }
 
-// WriteCounterTable renders the registry's counters and gauges, sorted by
-// name — the "totals" companion to the per-epoch table.
+// WriteCounterTable renders every series of the registry's flattened
+// snapshot, sorted by name — the "totals" companion to the per-epoch table.
 func (r *Registry) WriteCounterTable(w io.Writer, title string) error {
-	s := r.Snapshot()
 	t := stats.NewTable(title, "metric", "value")
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		t.AddRow(k, fmt.Sprintf("%d", s.Counters[k]))
-	}
-	names = names[:0]
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		t.AddRow(k, fmt.Sprintf("%.6g", s.Gauges[k]))
+	for _, m := range r.Snapshot().Flatten() {
+		t.AddRow(m.Name, m.Text())
 	}
 	return t.Write(w)
 }

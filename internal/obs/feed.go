@@ -43,22 +43,20 @@ type RunStatus struct {
 }
 
 // faultCounterNames are the registry counters folded into
-// RunStatus.Faults by FillFromRegistry.
+// RunStatus.Faults by FillFrom.
 var faultCounterNames = []string{
 	IOFaultOps, IOStragglerOps, StorageRetries,
 	StorageSkippedBlocks, StorageSkippedTuples,
 }
 
-// FillFromRegistry populates the shuffle-buffer gauges and the non-zero
-// fault counters from r — the registry-derived half of a status update.
-func (st *RunStatus) FillFromRegistry(r *Registry) {
-	if r == nil {
-		return
-	}
-	st.BufferTuples = int64(r.Gauge(ShuffleBufferTuples))
-	st.BufferOccupancy = r.Gauge(ShuffleBufferOccupancy)
+// FillFrom populates the shuffle-buffer gauges and the non-zero fault
+// counters from a registry snapshot — the registry-derived half of a
+// status update.
+func (st *RunStatus) FillFrom(s Snapshot) {
+	st.BufferTuples = int64(s.Gauges[ShuffleBufferTuples])
+	st.BufferOccupancy = s.Gauges[ShuffleBufferOccupancy]
 	for _, name := range faultCounterNames {
-		if v := r.Counter(name); v != 0 {
+		if v := s.Counters[name]; v != 0 {
 			if st.Faults == nil {
 				st.Faults = make(map[string]int64)
 			}

@@ -24,7 +24,8 @@ import (
 //
 // Like EventLog, a History is optional everywhere it is threaded: every
 // method is a no-op on a nil receiver, and sampling only ever *reads* the
-// registry (Snapshot), so a process that never attaches one produces
+// registry (Snapshot, which runs its collectors, so a sampled gauge is as
+// fresh as the sample), so a process that never attaches one produces
 // byte-identical passive traces (TestTracePurity pins this).
 
 // Alert event types recorded into the EventLog when rules transition.
@@ -198,10 +199,10 @@ type History struct {
 	tiers    []*historyTier
 	alerts   []*alertState
 	events   *EventLog
-	onSample func()
-	// prevCounters backs counter-rate computation (alert evaluation and
-	// nothing else); nil until the first sample.
-	prevCounters map[string]int64
+	// prevCumulative holds the last sample of every cumulative series and
+	// backs counter-rate alerts (and nothing else); nil until the first
+	// sample.
+	prevCumulative map[string]float64
 
 	samplerMu sync.Mutex
 	stop      chan struct{}
@@ -276,22 +277,10 @@ func (h *History) AddRule(r AlertRule) {
 	h.mu.Unlock()
 }
 
-// OnSample registers a hook the sampler calls (outside the store lock)
-// immediately before every sample — the serving plane refreshes its job
-// and WAL gauges here so sampled values are never a tick stale.
-func (h *History) OnSample(fn func()) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.onSample = fn
-	h.mu.Unlock()
-}
-
-// Sample takes one sample of reg now: every counter and gauge is recorded
-// verbatim, every histogram as <name>_count plus <name>_p50/_p95/_p99 in
-// seconds. Alert rules evaluate against the same sample. Reading the
-// registry is the only interaction — sampling never mutates it.
+// Sample takes one sample of reg now: every series of its flattened
+// snapshot (Snapshot.Flatten). Alert rules evaluate against the same
+// sample. Reading the registry is the only interaction — sampling never
+// mutates it.
 func (h *History) Sample(reg *Registry) {
 	if h == nil {
 		return
@@ -306,35 +295,21 @@ func (h *History) sampleAt(now time.Time, snap Snapshot) {
 		return
 	}
 	ms := now.UnixMilli()
-	vals := make(map[string]float64, len(snap.Counters)+len(snap.Gauges)+4*len(snap.Hists))
+	flat := snap.Flatten()
 	h.mu.Lock()
-	intervalSec := h.interval.Seconds()
-	for name, v := range snap.Counters {
-		vals[name] = float64(v)
-	}
-	for name, v := range snap.Gauges {
-		vals[name] = v
-	}
-	for name, hs := range snap.Hists {
-		vals[name+"_count"] = float64(hs.Count)
-		vals[name+"_p50"] = hs.Quantile(0.50).Seconds()
-		vals[name+"_p95"] = hs.Quantile(0.95).Seconds()
-		vals[name+"_p99"] = hs.Quantile(0.99).Seconds()
-	}
-	for name, v := range vals {
+	for _, m := range flat {
 		for _, t := range h.tiers {
-			t.record(name, ms, v, h.slots)
+			t.record(m.Name, ms, m.Value, h.slots)
 		}
 	}
-	h.evalAlertsLocked(now, intervalSec, vals, snap)
-	prev := make(map[string]int64, len(snap.Counters)+len(snap.Hists))
-	for name, v := range snap.Counters {
-		prev[name] = v
+	h.evalAlertsLocked(now, flat)
+	prev := make(map[string]float64, len(flat))
+	for _, m := range flat {
+		if m.Cumulative() {
+			prev[m.Name] = m.Value
+		}
 	}
-	for name, hs := range snap.Hists {
-		prev[name+"_count"] = hs.Count
-	}
-	h.prevCounters = prev
+	h.prevCumulative = prev
 	events := h.events
 	var fired, resolved []string
 	for _, a := range h.alerts {
@@ -388,20 +363,23 @@ func (t *historyTier) seriesFor(name string, slots int) *series {
 }
 
 // evalAlertsLocked advances every rule's state machine against this
-// sample. Counter-family metrics (those present in prevCounters' domain)
-// evaluate the per-second rate; everything else the sampled value. A rule
-// whose metric is absent from the sample stays (or returns to) ok.
-// Callers hold h.mu. Transitions are published by sampleAt afterwards.
-func (h *History) evalAlertsLocked(now time.Time, intervalSec float64, vals map[string]float64, snap Snapshot) {
+// sample. Cumulative series evaluate the per-second rate since the last
+// sample; everything else the sampled value. A rule whose metric is absent
+// from the sample stays (or returns to) ok. Callers hold h.mu. Transitions
+// are published by sampleAt afterwards.
+func (h *History) evalAlertsLocked(now time.Time, flat []Metric) {
+	byName := make(map[string]Metric, len(flat))
+	for _, m := range flat {
+		byName[m.Name] = m
+	}
 	for _, a := range h.alerts {
-		v, ok := vals[a.rule.Metric]
-		if ok {
-			if prev, isCounter := h.counterPrev(a.rule.Metric, snap); isCounter {
-				if h.prevCounters == nil {
-					ok = false // no rate until a second sample exists
-				} else if intervalSec > 0 {
-					v = (v - float64(prev)) / intervalSec
-				}
+		m, ok := byName[a.rule.Metric]
+		v := m.Value
+		if ok && m.Cumulative() {
+			if h.prevCumulative == nil {
+				ok = false // no rate until a second sample exists
+			} else {
+				v = (v - h.prevCumulative[m.Name]) / h.interval.Seconds()
 			}
 		}
 		a.value = v
@@ -425,20 +403,6 @@ func (h *History) evalAlertsLocked(now time.Time, intervalSec float64, vals map[
 			a.state, a.since = AlertOK, time.Time{}
 		}
 	}
-}
-
-// counterPrev reports whether metric is counter-like (a registry counter
-// or a histogram _count series) and its previous sampled total.
-func (h *History) counterPrev(metric string, snap Snapshot) (prev int64, isCounter bool) {
-	if _, ok := snap.Counters[metric]; ok {
-		return h.prevCounters[metric], true
-	}
-	if name, ok := strings.CutSuffix(metric, "_count"); ok {
-		if _, isHist := snap.Hists[name]; isHist {
-			return h.prevCounters[metric], true
-		}
-	}
-	return 0, false
 }
 
 func trimAlertFloat(f float64) string {
@@ -527,10 +491,10 @@ func (h *History) Alerts() []AlertStatus {
 	return out
 }
 
-// Start launches the sampler goroutine: one sample of reg every interval,
-// preceded by the OnSample hook. It samples once synchronously so series
-// exist immediately. Start on an already-started store is a no-op; Stop
-// halts the goroutine and waits for it.
+// Start launches the sampler goroutine: one sample of reg every interval.
+// It samples once synchronously so series exist immediately. Start on an
+// already-started store is a no-op; Stop halts the goroutine and waits for
+// it.
 func (h *History) Start(reg *Registry) {
 	if h == nil {
 		return
@@ -542,7 +506,7 @@ func (h *History) Start(reg *Registry) {
 	}
 	h.stop = make(chan struct{})
 	h.done = make(chan struct{})
-	h.hookAndSample(reg)
+	h.Sample(reg)
 	go func(stop, done chan struct{}) {
 		defer close(done)
 		tick := time.NewTicker(h.interval)
@@ -552,20 +516,10 @@ func (h *History) Start(reg *Registry) {
 			case <-stop:
 				return
 			case <-tick.C:
-				h.hookAndSample(reg)
+				h.Sample(reg)
 			}
 		}
 	}(h.stop, h.done)
-}
-
-func (h *History) hookAndSample(reg *Registry) {
-	h.mu.Lock()
-	hook := h.onSample
-	h.mu.Unlock()
-	if hook != nil {
-		hook()
-	}
-	h.Sample(reg)
 }
 
 // Stop halts the sampler goroutine and waits for it to exit. Safe on a

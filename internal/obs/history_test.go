@@ -314,7 +314,6 @@ func TestHistoryNilSafe(t *testing.T) {
 	h.Sample(New())
 	h.sampleAt(time.Now(), Snapshot{})
 	h.AddRule(AlertRule{Metric: "x", Op: '>'})
-	h.OnSample(func() {})
 	h.WithEvents(NewEventLog(1))
 	h.Start(New())
 	h.Stop()
@@ -343,18 +342,24 @@ func TestHistorySamplerStartStopNoLeak(t *testing.T) {
 	waitFor(t, "goroutines back to the pre-sampler count", func() bool { return runtime.NumGoroutine() <= before })
 }
 
-func TestHistorySamplerOnSampleHook(t *testing.T) {
+// TestHistorySampleReadsCollectors: a sample reads the registry's
+// collectors at the instant it is taken, once per sample, and the registry
+// itself keeps nothing of what they reported.
+func TestHistorySampleReadsCollectors(t *testing.T) {
 	reg := New()
 	h := NewHistory(HistoryConfig{Interval: time.Hour})
 	calls := 0
-	h.OnSample(func() { calls++; reg.SetGauge("hooked", float64(calls)) })
+	reg.AddCollector(func(set func(string, float64)) { calls++; set("collected", float64(calls)) })
 	h.Start(reg) // samples once synchronously
 	defer h.Stop()
 	if calls != 1 {
-		t.Fatalf("OnSample ran %d times on Start, want 1", calls)
+		t.Fatalf("collector ran %d times on Start, want 1", calls)
 	}
-	if pts := h.Query("hooked", 0); len(pts) != 1 || pts[0].Value != 1 {
-		t.Fatalf("hook-set gauge not visible in the same sample: %+v", pts)
+	if pts := h.Query("collected", 0); len(pts) != 1 || pts[0].Value != 1 {
+		t.Fatalf("collected gauge not visible in the same sample: %+v", pts)
+	}
+	if v := reg.Gauge("collected"); v != 0 {
+		t.Fatalf("registry stored collected gauge %v, want nothing", v)
 	}
 }
 

@@ -17,12 +17,22 @@
 // time). All Registry methods are safe for concurrent use and are no-ops
 // on a nil *Registry, so instrumented components need no conditionals.
 //
+// Telemetry is read, not pushed. Components record events as they happen
+// (counters, histograms, gauges whose value exists only at that moment);
+// a value its owner can compute at any time is a collector instead, which
+// every Snapshot calls. Every reader (/metrics, the history sampler,
+// corgi_metrics, run artifacts) goes through Snapshot, so all of them see
+// the same state and no goroutine exists to refresh a gauge.
+//
 // The package depends only on the standard library and internal/stats
 // (itself dependency-free), so any layer may import it without cycles.
 package obs
 
 import (
 	"math/bits"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -117,8 +127,8 @@ const (
 
 	// Serving-plane latency and load (internal/serve). ServePredict is a
 	// duration histogram of wire PREDICT statements, so the history plane
-	// samples serve.predict_p50/_p95/_p99 series; the job gauges are
-	// refreshed by the history sampler's OnSample hook.
+	// samples serve.predict_p50/_p95/_p99 series; the job gauges come from
+	// the server's collector.
 	ServePredict     = "serve.predict"      // histogram: wire PREDICT latency
 	ServeJobsRunning = "serve.jobs_running" // gauge: jobs currently executing
 	ServeJobsQueued  = "serve.jobs_queued"  // gauge: jobs waiting for a worker
@@ -129,8 +139,8 @@ const (
 	ServePredictCatchupBlocks = "serve.predict.catchup_blocks" // appended blocks a PREDICT brought under its snapshot
 	ServePredictTallied       = "serve.predict.tallied_tuples" // tuples scored into a model's running tally
 
-	// WAL visibility gauges, refreshed by the serve checkpoint loop so
-	// compaction behavior shows up on /metrics without SQL access.
+	// WAL visibility gauges, read by the server's collector so compaction
+	// behavior shows up on /metrics without SQL access.
 	WALSizeBytes     = "wal.size_bytes"             // gauge: live WAL file size
 	WALLastLSN       = "wal.last_lsn"               // gauge: last appended LSN
 	WALCheckpointAge = "wal.checkpoint_age_seconds" // gauge: age of the newest checkpoint
@@ -186,6 +196,8 @@ type Registry struct {
 	spanSeq  int64
 	spans    []int64 // stack of active span ids (parent inference)
 	live     bool
+	// collectors report gauges computed at read time (AddCollector).
+	collectors []Collector
 	// peaks, when EnablePeaks armed it, records the high-water mark of
 	// every gauge set since — including live-only gauges that never land
 	// in the gauges map outside live mode. Peaks are read through Peak
@@ -217,6 +229,23 @@ func (r *Registry) WithClock(c Clock) *Registry {
 	r.clock = c
 	r.mu.Unlock()
 	return r
+}
+
+// Collector reports gauges computed when a registry is read: it calls set
+// once per gauge. It runs outside the registry's lock, may take its owner's
+// locks, and must not call back into the registry.
+type Collector func(set func(name string, v float64))
+
+// AddCollector registers c: every Snapshot calls it and takes what it
+// reports as gauges of that snapshot only. The registry stores nothing, so
+// Gauge does not see collected values.
+func (r *Registry) AddCollector(c Collector) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.collectors = append(r.collectors, c)
+	r.mu.Unlock()
 }
 
 // Add increments the named counter by delta.
@@ -383,8 +412,9 @@ type Snapshot struct {
 	Hists    map[string]HistSnapshot
 }
 
-// Snapshot copies the registry's current state. A nil registry yields an
-// empty (but usable) snapshot.
+// Snapshot copies the registry's current state and adds what its
+// collectors report now. A nil registry yields an empty (but usable)
+// snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters: make(map[string]int64),
@@ -395,7 +425,6 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for k, v := range r.counters {
 		s.Counters[k] = v
 	}
@@ -404,6 +433,11 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k, h := range r.hists {
 		s.Hists[k] = HistSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: h.buckets}
+	}
+	collectors := r.collectors
+	r.mu.Unlock()
+	for _, c := range collectors {
+		c(func(name string, v float64) { s.Gauges[name] = v })
 	}
 	return s
 }
@@ -436,4 +470,58 @@ func (s Snapshot) DeltaFrom(prev Snapshot) Snapshot {
 // CounterDur reads a "_ns" counter from a snapshot as a duration.
 func (s Snapshot) CounterDur(name string) time.Duration {
 	return time.Duration(s.Counters[name])
+}
+
+// quantiles are the histogram quantiles every view derives (the flat
+// series and the Prometheus summaries), with the suffix each flat series
+// takes.
+var quantiles = []struct {
+	q      float64
+	suffix string
+}{{0.50, "_p50"}, {0.95, "_p95"}, {0.99, "_p99"}}
+
+// Metric is one series of a flattened snapshot: a counter or gauge under
+// its own name, or one of a histogram's derived series (<name>_count, and
+// <name>_p50/_p95/_p99 in seconds).
+type Metric struct {
+	Name string
+	// Kind is "counter", "gauge" or "histogram".
+	Kind  string
+	Value float64
+}
+
+// Cumulative reports whether the series only grows (a counter or a
+// histogram's _count), so a rate between samples, not the value, is what
+// a threshold compares.
+func (m Metric) Cumulative() bool {
+	return m.Kind == "counter" || (m.Kind == "histogram" && strings.HasSuffix(m.Name, "_count"))
+}
+
+// Text renders the value: cumulative series as integers, everything else
+// in the shortest form of up to nine significant digits.
+func (m Metric) Text() string {
+	if m.Cumulative() {
+		return strconv.FormatFloat(m.Value, 'f', -1, 64)
+	}
+	return strconv.FormatFloat(m.Value, 'g', 9, 64)
+}
+
+// Flatten lists every series of s, sorted by name: the one flat form the
+// history store samples and corgi_metrics and the totals table render.
+func (s Snapshot) Flatten() []Metric {
+	out := make([]Metric, 0, len(s.Counters)+len(s.Gauges)+(1+len(quantiles))*len(s.Hists))
+	for name, v := range s.Counters {
+		out = append(out, Metric{name, "counter", float64(v)})
+	}
+	for name, v := range s.Gauges {
+		out = append(out, Metric{name, "gauge", v})
+	}
+	for name, h := range s.Hists {
+		out = append(out, Metric{name + "_count", "histogram", float64(h.Count)})
+		for _, q := range quantiles {
+			out = append(out, Metric{name + q.suffix, "histogram", h.Quantile(q.q).Seconds()})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

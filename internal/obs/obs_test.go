@@ -125,6 +125,34 @@ func TestSnapshotDelta(t *testing.T) {
 	}
 }
 
+// TestSnapshotFlatten pins the one flat form of a snapshot: counters,
+// gauges (collected ones included) and each histogram's _count and
+// quantile series, sorted by name, with cumulative series rendered as
+// integers.
+func TestSnapshotFlatten(t *testing.T) {
+	r := New()
+	r.Add("b.count", 1<<40)
+	r.SetGauge("c.gauge", 0.25)
+	r.Observe("a.op", 2*time.Millisecond)
+	r.AddCollector(func(set func(string, float64)) { set("d.collected", 3) })
+	var got []string
+	for _, m := range r.Snapshot().Flatten() {
+		got = append(got, m.Name+" "+m.Kind+" "+m.Text())
+	}
+	want := []string{
+		"a.op_count histogram 1",
+		"a.op_p50 histogram 0.002",
+		"a.op_p95 histogram 0.002",
+		"a.op_p99 histogram 0.002",
+		"b.count counter 1099511627776",
+		"c.gauge gauge 0.25",
+		"d.collected gauge 3",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("Flatten:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestSpanNestingAndStream(t *testing.T) {
 	clock := &fakeClock{}
 	var buf bytes.Buffer
@@ -312,6 +340,7 @@ func TestConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			r.AddCollector(func(set func(string, float64)) { set("collected", 1) })
 			for i := 0; i < 200; i++ {
 				r.Inc("c")
 				r.AddDuration(IOTimeNanos, time.Microsecond)

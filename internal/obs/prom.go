@@ -19,9 +19,6 @@ import (
 // promPrefix namespaces every exported metric.
 const promPrefix = "corgipile_"
 
-// promQuantiles are the quantile labels rendered for each histogram.
-var promQuantiles = []float64{0.5, 0.95, 0.99}
-
 // promName sanitizes a registry metric name into a Prometheus metric name:
 // dots and dashes become underscores and the corgipile_ namespace prefix is
 // applied.
@@ -84,9 +81,9 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", n); err != nil {
 			return err
 		}
-		for _, q := range promQuantiles {
+		for _, q := range quantiles {
 			if _, err := fmt.Fprintf(w, "%s{quantile=%q} %s\n",
-				n, promFloat(q), promFloat(h.Quantile(q).Seconds())); err != nil {
+				n, promFloat(q.q), promFloat(h.Quantile(q.q).Seconds())); err != nil {
 				return err
 			}
 		}

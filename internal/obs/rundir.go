@@ -3,13 +3,15 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 )
 
-// This file implements durable run artifacts: a run directory holding
+// This file implements durable run artifacts. WriteRunDir is the one
+// writer every tool and the serving plane call; a run directory holds
 //
 //	manifest.json   full config, seed, git SHA, go version
 //	epochs.jsonl    one EpochMetrics row per epoch
@@ -63,83 +65,71 @@ func GitSHA() string {
 	return sha
 }
 
-// RunDir is an open run-artifact directory.
-type RunDir struct {
-	// Dir is the directory path (created by OpenRunDir).
-	Dir string
+// RunArtifacts is what a run directory holds.
+type RunArtifacts struct {
+	// Manifest is written as manifest.json, with GitSHA and GoVersion
+	// filled from the build when left empty.
+	Manifest Manifest
+	// Epochs is written as epochs.jsonl, one row per line — the same row
+	// schema the JSONL trace emits. No rows leave an empty file.
+	Epochs []EpochMetrics
+	// Plan, when non-nil, is written as plan.json.
+	Plan *PlanStats
+	// Metrics is written as metrics.prom: the bytes a final /metrics
+	// scrape would have returned.
+	Metrics *Registry
 }
 
-// OpenRunDir creates dir (and parents) and returns the artifact writer.
-func OpenRunDir(dir string) (*RunDir, error) {
+// WriteRunDir creates dir (and parents) and writes a's artifacts into it.
+func WriteRunDir(dir string, a RunArtifacts) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("obs: run dir: %w", err)
+		return fmt.Errorf("obs: run dir: %w", err)
 	}
-	return &RunDir{Dir: dir}, nil
-}
-
-// WriteManifest writes manifest.json, filling GitSHA and GoVersion from
-// the build when the caller left them empty.
-func (rd *RunDir) WriteManifest(m Manifest) error {
-	if rd == nil {
-		return nil
-	}
+	m := a.Manifest
 	if m.GitSHA == "" {
 		m.GitSHA = GitSHA()
 	}
 	if m.GoVersion == "" {
 		m.GoVersion = runtime.Version()
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(rd.Dir, "manifest.json"), append(data, '\n'), 0o644)
-}
-
-// WriteEpochs writes the per-epoch breakdown rows as epochs.jsonl, one
-// JSON object per line — the same row schema the JSONL trace emits.
-func (rd *RunDir) WriteEpochs(rows []EpochMetrics) error {
-	if rd == nil {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(rd.Dir, "epochs.jsonl"))
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, m := range rows {
-		if err := enc.Encode(m); err != nil {
-			f.Close()
-			return err
+	indented := func(v any) func(w io.Writer) error {
+		return func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(v)
 		}
 	}
-	return f.Close()
+	err := writeFile(filepath.Join(dir, "manifest.json"), indented(m))
+	if err == nil {
+		err = writeFile(filepath.Join(dir, "epochs.jsonl"), func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			for _, row := range a.Epochs {
+				if err := enc.Encode(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	if err == nil && a.Plan != nil {
+		err = writeFile(filepath.Join(dir, "plan.json"), indented(a.Plan))
+	}
+	if err == nil {
+		err = writeFile(filepath.Join(dir, "metrics.prom"), a.Metrics.WritePrometheus)
+	}
+	if err != nil {
+		return fmt.Errorf("obs: run dir: %w", err)
+	}
+	return nil
 }
 
-// WritePlan writes the executed-plan profile as plan.json. A nil plan (the
-// run was not profiled) writes nothing.
-func (rd *RunDir) WritePlan(p *PlanStats) error {
-	if rd == nil || p == nil {
-		return nil
-	}
-	data, err := p.JSON()
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(rd.Dir, "plan.json"), append(data, '\n'), 0o644)
-}
-
-// WriteMetrics snapshots the registry into metrics.prom — the same bytes a
-// final /metrics scrape would have returned.
-func (rd *RunDir) WriteMetrics(r *Registry) error {
-	if rd == nil {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(rd.Dir, "metrics.prom"))
-	if err != nil {
-		return err
-	}
-	if err := r.WritePrometheus(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -3,10 +3,9 @@ package obs
 import (
 	"math"
 	"runtime/metrics"
-	"time"
 )
 
-// Runtime gauge names fed by the RuntimeSampler. These describe the
+// Runtime gauge names reported by collectRuntime. These describe the
 // process, not the simulation, so they live in their own runtime.*
 // namespace.
 const (
@@ -29,68 +28,25 @@ var runtimeSamples = []struct {
 	{"/gc/pauses:seconds", RuntimeGCPauseP99},
 }
 
-// RuntimeSampler periodically folds runtime/metrics (heap size, total
-// memory, goroutine count, GC cycles and pause p99) into a Registry as
-// gauges. The telemetry server starts one so that /metrics exposes process
-// health next to the training metrics; it samples on a ticker goroutine
-// and stops cleanly via Stop.
-type RuntimeSampler struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartRuntimeSampler samples runtime metrics into r every second. It
-// samples once synchronously before returning, so gauges are present
-// immediately.
-func StartRuntimeSampler(r *Registry) *RuntimeSampler {
-	s := &RuntimeSampler{stop: make(chan struct{}), done: make(chan struct{})}
+// collectRuntime is the collector of process health: heap size, total
+// memory, goroutine count, GC cycles and GC pause p99, read from
+// runtime/metrics at the moment the registry is read. The telemetry server
+// registers it on the registry it exposes.
+func collectRuntime(set func(name string, v float64)) {
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, rs := range runtimeSamples {
 		samples[i].Name = rs.metric
 	}
-	sampleOnce(r, samples)
-	go func() {
-		defer close(s.done)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-tick.C:
-				sampleOnce(r, samples)
-			}
-		}
-	}()
-	return s
-}
-
-// Stop halts the sampler goroutine and waits for it to exit. Safe to call
-// on a nil sampler.
-func (s *RuntimeSampler) Stop() {
-	if s == nil {
-		return
-	}
-	select {
-	case <-s.stop:
-	default:
-		close(s.stop)
-	}
-	<-s.done
-}
-
-// sampleOnce reads all configured runtime metrics and records them.
-func sampleOnce(r *Registry, samples []metrics.Sample) {
 	metrics.Read(samples)
 	for i, sm := range samples {
 		gauge := runtimeSamples[i].gauge
 		switch sm.Value.Kind() {
 		case metrics.KindUint64:
-			r.SetGauge(gauge, float64(sm.Value.Uint64()))
+			set(gauge, float64(sm.Value.Uint64()))
 		case metrics.KindFloat64:
-			r.SetGauge(gauge, sm.Value.Float64())
+			set(gauge, sm.Value.Float64())
 		case metrics.KindFloat64Histogram:
-			r.SetGauge(gauge, histQuantile(sm.Value.Float64Histogram(), 0.99))
+			set(gauge, histQuantile(sm.Value.Float64Histogram(), 0.99))
 		}
 	}
 }

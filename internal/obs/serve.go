@@ -22,9 +22,9 @@ import (
 //
 // The server owns nothing but views: the Registry keeps being written by
 // the training run, the RunFeed by the training loop. Serving enables the
-// registry's live mode (buffer-occupancy and runtime gauges start
-// recording) and starts a RuntimeSampler, so a process that never calls
-// Serve produces byte-identical passive traces.
+// registry's live mode (buffer-occupancy gauges start recording) and adds
+// the runtime collector to it, so a process that never calls Serve
+// produces byte-identical passive traces.
 
 // ServeConfig configures a telemetry server.
 type ServeConfig struct {
@@ -53,12 +53,11 @@ type ServeConfig struct {
 }
 
 // Server is a running telemetry HTTP server. Close shuts it down without
-// leaking goroutines: the sampler stops, SSE subscribers are disconnected,
-// and in-flight handlers finish.
+// leaking goroutines: SSE subscribers are disconnected and in-flight
+// handlers finish.
 type Server struct {
 	ln      net.Listener
 	srv     *http.Server
-	sampler *RuntimeSampler
 	feed    *RunFeed
 	feeds   func(name string) *RunFeed
 	reg     *Registry
@@ -77,11 +76,9 @@ func Serve(cfg ServeConfig) (*Server, error) {
 		return nil, fmt.Errorf("obs: telemetry listen on %s: %w", cfg.Addr, err)
 	}
 	cfg.Registry.EnableLive()
+	cfg.Registry.AddCollector(collectRuntime)
 	s := &Server{ln: ln, feed: cfg.Feed, feeds: cfg.Feeds, reg: cfg.Registry,
 		history: cfg.History, served: make(chan struct{})}
-	if cfg.Registry != nil {
-		s.sampler = StartRuntimeSampler(cfg.Registry)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
@@ -124,10 +121,9 @@ func (s *Server) URL() string {
 	return "http://" + s.Addr()
 }
 
-// Close shuts the server down: the runtime sampler stops, SSE subscribers
-// are disconnected (the shared feed is closed), the listener closes, and
-// Close waits for the serve goroutine to exit. Safe to call twice and on
-// a nil server.
+// Close shuts the server down: SSE subscribers are disconnected (the
+// shared feed is closed), the listener closes, and Close waits for the
+// serve goroutine to exit. Safe to call twice and on a nil server.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
@@ -140,7 +136,6 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 
-	s.sampler.Stop()
 	s.feed.Close()
 	err := s.srv.Close()
 	<-s.served

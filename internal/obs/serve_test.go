@@ -159,7 +159,7 @@ func TestFillFromRegistry(t *testing.T) {
 	r.Add(IOReadOps, 99) // not a fault counter; must not be folded in
 
 	var st RunStatus
-	st.FillFromRegistry(r)
+	st.FillFrom(r.Snapshot())
 	if st.BufferTuples != 128 || st.BufferOccupancy != 0.5 {
 		t.Fatalf("buffer gauges not folded: %+v", st)
 	}
@@ -168,11 +168,11 @@ func TestFillFromRegistry(t *testing.T) {
 	}
 
 	var clean RunStatus
-	clean.FillFromRegistry(New())
+	clean.FillFrom(New().Snapshot())
 	if clean.Faults != nil {
 		t.Fatalf("zero counters must not allocate a fault map: %v", clean.Faults)
 	}
-	clean.FillFromRegistry(nil) // must not panic
+	clean.FillFrom(Snapshot{}) // an unattached registry's zero snapshot must not panic
 }
 
 func TestRunFeedPubSub(t *testing.T) {
@@ -433,20 +433,26 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 	writers.Wait()
 }
 
-func TestRuntimeSamplerRecords(t *testing.T) {
+// TestRuntimeGaugesReadOnServe: serving a registry adds the runtime
+// collector, so every read of it carries the process gauges, and a
+// registry that was never served carries none.
+func TestRuntimeGaugesReadOnServe(t *testing.T) {
+	if g := New().Snapshot().Gauges; len(g) != 0 {
+		t.Fatalf("unserved registry reports gauges %v", g)
+	}
 	reg := New()
-	s := StartRuntimeSampler(reg) // its synchronous first sample is enough
-	defer s.Stop()
-	if g := reg.Gauge(RuntimeGoroutines); g < 1 {
-		t.Fatalf("goroutine gauge %v, want >= 1", g)
+	srv, err := Serve(ServeConfig{Addr: "127.0.0.1:0", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b := reg.Gauge(RuntimeTotalBytes); b <= 0 {
-		t.Fatalf("total memory gauge %v, want > 0", b)
+	defer srv.Close()
+	g := reg.Snapshot().Gauges
+	if g[RuntimeGoroutines] < 1 {
+		t.Fatalf("goroutine gauge %v, want >= 1", g[RuntimeGoroutines])
 	}
-	s.Stop()
-	s.Stop() // idempotent
-	var nilS *RuntimeSampler
-	nilS.Stop() // nil-safe
+	if g[RuntimeTotalBytes] <= 0 {
+		t.Fatalf("total memory gauge %v, want > 0", g[RuntimeTotalBytes])
+	}
 }
 
 // Live reports whether live-telemetry mode is enabled.

@@ -36,7 +36,8 @@ type PrimaryConfig struct {
 	// WriteTimeout bounds each frame write; a replica that can't drain its
 	// socket within it is disconnected, not waited on (default 10s).
 	WriteTimeout time.Duration
-	// Obs receives repl.* metrics (nil-safe).
+	// Obs receives the publish counters, and the primary adds its lag
+	// collector to it (nil-safe).
 	Obs *obs.Registry
 	// Events, when non-nil, receives replica connect/shed/disconnect events
 	// for the introspection plane (nil-safe).
@@ -146,8 +147,8 @@ func StartPrimary(cfg PrimaryConfig) (*Primary, error) {
 		n := p.hub.publish(rec)
 		p.cfg.Obs.Inc(obs.ReplPublishRecords)
 		p.cfg.Obs.Add(obs.ReplPublishBytes, int64(n))
-		p.updateLag()
 	})
+	cfg.Obs.AddCollector(p.collectLag)
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -170,7 +171,6 @@ func (p *Primary) Close() error {
 	p.cfg.Session.WAL().WithNotify(nil)
 	err := p.ln.Close()
 	p.wg.Wait()
-	p.updateLag()
 	return err
 }
 
@@ -218,10 +218,8 @@ func (p *Primary) handle(c net.Conn) {
 		p.mu.Lock()
 		delete(p.conns, pc)
 		p.mu.Unlock()
-		p.updateLag()
 		p.cfg.Events.Emit(obs.EvReplDisconnect, "", fmt.Sprintf("remote=%s applied=%d", pc.remote, pc.applied.Load()))
 	}()
-	p.updateLag()
 
 	// Ack reader: the replica reports durable progress on the same
 	// connection. Closing c on exit unblocks the writer below.
@@ -235,7 +233,6 @@ func (p *Primary) handle(c net.Conn) {
 				return
 			}
 			pc.applied.Store(ack.Applied)
-			p.updateLag()
 		}
 	}()
 
@@ -344,39 +341,28 @@ func (p *Primary) stream(c net.Conn, bw *bufio.Writer, sub *subscriber) error {
 				return err
 			}
 			p.cfg.Obs.Inc(obs.ReplHeartbeats)
-			// Acks drive the lag gauges; on a quiet stream only heartbeats
-			// tick, so refresh here too or sampled lag history goes stale.
-			p.updateLag()
 		case <-p.done:
 			return fmt.Errorf("repl: primary closed")
 		}
 	}
 }
 
-// updateLag recomputes the aggregate lag gauges from every connection's
-// acked LSN. With no replicas connected the gauges read zero.
-func (p *Primary) updateLag() {
-	p.mu.Lock()
-	n := len(p.conns)
-	minApplied := ^uint64(0)
-	for pc := range p.conns {
-		if a := pc.applied.Load(); a < minApplied {
-			minApplied = a
-		}
-	}
-	p.mu.Unlock()
-	if n == 0 {
-		p.cfg.Obs.SetGauge(obs.ReplReplicas, 0)
-		p.cfg.Obs.SetGauge(obs.ReplLagLSN, 0)
-		p.cfg.Obs.SetGauge(obs.ReplLagBytes, 0)
-		return
-	}
-	last := p.hub.last()
+// collectLag is the primary's registry collector: connected replicas, and
+// the slowest one's lag in LSNs and in ring bytes it has not acked. With no
+// replica connected all three read zero.
+func (p *Primary) collectLag(set func(string, float64)) {
+	reps := p.Replicas()
 	var lag uint64
-	if last > minApplied {
-		lag = last - minApplied
+	var pending int64
+	if len(reps) > 0 {
+		minApplied := ^uint64(0)
+		for _, r := range reps {
+			lag = max(lag, r.LagLSN)
+			minApplied = min(minApplied, r.AppliedLSN)
+		}
+		pending = p.hub.pendingBytes(minApplied)
 	}
-	p.cfg.Obs.SetGauge(obs.ReplReplicas, float64(n))
-	p.cfg.Obs.SetGauge(obs.ReplLagLSN, float64(lag))
-	p.cfg.Obs.SetGauge(obs.ReplLagBytes, float64(p.hub.pendingBytes(minApplied)))
+	set(obs.ReplReplicas, float64(len(reps)))
+	set(obs.ReplLagLSN, float64(lag))
+	set(obs.ReplLagBytes, float64(pending))
 }

@@ -175,7 +175,7 @@ func TestReplicaCatchupSnapshotAndStream(t *testing.T) {
 	repMu.Lock()
 	sameCatalog(t, prim.s, repSess, "base", "tail")
 	repMu.Unlock()
-	waitFor(t, "lag gauge to settle", func() bool { return reg.Gauge(obs.ReplLagLSN) == 0 })
+	waitFor(t, "lag gauge to settle", func() bool { return reg.Snapshot().Gauges[obs.ReplLagLSN] == 0 })
 
 	// Disconnect, write a little more (still inside the ring), reconnect:
 	// the replica resumes from its applied LSN without another snapshot.

@@ -157,7 +157,7 @@ func TestHistorySamplingOverWire(t *testing.T) {
 			t.Fatalf("history ts = %q, want positive unix-ms", row[1])
 		}
 	}
-	// The sampler's pre-sample hook refreshes the job gauges, so the
+	// Each sample reads the job gauges from the server's collector, so the
 	// running TRAIN is visible in the sampled series too.
 	res, err := c.Exec(`SELECT value FROM corgi_metrics_history WHERE name = 'serve.jobs_running'`)
 	if err != nil {

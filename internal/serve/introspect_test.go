@@ -376,8 +376,9 @@ func TestCorgiReplicationAndPromoteGauges(t *testing.T) {
 }
 
 // TestWALGaugesAndProbes covers the telemetry satellites on a durable
-// server: the WAL health gauges appear on /metrics, and /healthz + /readyz
-// answer 200 while the WAL is healthy. The replica-lag readiness gate is
+// server: the WAL health gauges are on the first /metrics scrape (they are
+// read when the registry is, not refreshed by a loop), and /healthz +
+// /readyz answer 200 while the WAL is healthy. The replica-lag readiness gate is
 // checked through the probe directly (the HTTP rendering of a failing
 // probe is pinned by the obs package's own test).
 func TestWALGaugesAndProbes(t *testing.T) {
@@ -400,12 +401,11 @@ func TestWALGaugesAndProbes(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(body)
 	}
-	waitCondition(t, "WAL gauges on /metrics", func() bool {
-		_, body := get("/metrics")
-		return strings.Contains(body, "corgipile_wal_size_bytes") &&
-			strings.Contains(body, "corgipile_wal_last_lsn") &&
-			strings.Contains(body, "corgipile_wal_checkpoint_age_seconds")
-	})
+	if _, body := get("/metrics"); !strings.Contains(body, "corgipile_wal_size_bytes") ||
+		!strings.Contains(body, "corgipile_wal_last_lsn") ||
+		!strings.Contains(body, "corgipile_wal_checkpoint_age_seconds") {
+		t.Fatalf("first /metrics scrape lacks the WAL gauges:\n%s", body)
+	}
 	if code, body := get("/healthz"); code != http.StatusOK || !strings.HasPrefix(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}

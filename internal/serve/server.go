@@ -240,6 +240,7 @@ func New(cfg Config) (*Server, error) {
 		el.SetSlowThreshold(cfg.SlowStatement)
 	}
 	s.registerIntrospection()
+	s.reg.AddCollector(s.collectGauges)
 	if cfg.SampleEvery > 0 {
 		h := obs.NewHistory(obs.HistoryConfig{
 			Interval: cfg.SampleEvery,
@@ -248,9 +249,6 @@ func New(cfg Config) (*Server, error) {
 		for _, r := range cfg.Alerts {
 			h.AddRule(r)
 		}
-		// The pre-sample hook refreshes the gauges only request handling
-		// would otherwise update, so samples are never a tick stale.
-		h.OnSample(s.refreshSampledGauges)
 		sess.WithHistory(h)
 		s.history = h
 	}
@@ -317,10 +315,7 @@ func New(cfg Config) (*Server, error) {
 		s.primary = p
 		s.primPtr.Store(p)
 	}
-	// Durable sessions always run the maintenance loop: it exports the
-	// WAL gauges (size, last LSN, checkpoint age) every tick and compacts
-	// only when a checkpoint trigger is armed.
-	if sess.Durable() {
+	if sess.Durable() && (cfg.CheckpointEvery > 0 || cfg.CheckpointBytes > 0) {
 		s.ckptStop = make(chan struct{})
 		s.ckptDone = make(chan struct{})
 		go s.checkpointLoop()
@@ -335,12 +330,13 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// refreshSampledGauges is the History's pre-sample hook: it recomputes the
-// gauges that are otherwise only updated by request handling (job-state
-// counts) or the maintenance tick (WAL health), so every sample reflects
-// the instant it was taken. Runs on the sampler goroutine; takes s.mu only
-// (never the catalog lock), so it cannot deadlock with query paths.
-func (s *Server) refreshSampledGauges() {
+// collectGauges is the server registry's collector: job-state counts and,
+// on a durable session, the WAL's size, last LSN and checkpoint age (time
+// since recovery when no checkpoint has committed), read at the instant
+// /metrics, corgi_metrics or a history sample reads the registry. It takes
+// s.mu only (never the catalog lock), so it cannot deadlock with query
+// paths.
+func (s *Server) collectGauges(set func(string, float64)) {
 	s.mu.Lock()
 	running, queued := 0, 0
 	for _, j := range s.jobs {
@@ -354,10 +350,14 @@ func (s *Server) refreshSampledGauges() {
 		j.mu.Unlock()
 	}
 	s.mu.Unlock()
-	s.reg.SetGauge(obs.ServeJobsRunning, float64(running))
-	s.reg.SetGauge(obs.ServeJobsQueued, float64(queued))
+	set(obs.ServeJobsRunning, float64(running))
+	set(obs.ServeJobsQueued, float64(queued))
 	if s.dbs.Durable() {
-		s.updateWALGauges()
+		set(obs.WALSizeBytes, float64(s.dbs.WALSize()))
+		set(obs.WALLastLSN, float64(s.dbs.LastLSN()))
+		if age, ok := s.dbs.CheckpointAge(); ok {
+			set(obs.WALCheckpointAge, age.Seconds())
+		}
 	}
 }
 
@@ -390,6 +390,7 @@ func (s *Server) ReplicaAddr() string {
 
 // checkpointLoop compacts the WAL in the background whenever the
 // configured interval elapses or the live log outgrows the byte trigger.
+// It runs only when one of the two is set.
 // Compaction takes the catalog write lock briefly — the same path as the
 // CHECKPOINT statement — so ingest observed before the checkpoint is
 // exactly what recovery replays after it.
@@ -397,18 +398,12 @@ func (s *Server) checkpointLoop() {
 	defer close(s.ckptDone)
 	tick := time.NewTicker(500 * time.Millisecond)
 	defer tick.Stop()
-	s.updateWALGauges()
-	armed := s.cfg.CheckpointEvery > 0 || s.cfg.CheckpointBytes > 0
 	last := time.Now()
 	for {
 		select {
 		case <-s.ckptStop:
 			return
 		case now := <-tick.C:
-			s.updateWALGauges()
-			if !armed {
-				continue
-			}
 			due := s.cfg.CheckpointEvery > 0 && now.Sub(last) >= s.cfg.CheckpointEvery
 			if !due && s.cfg.CheckpointBytes > 0 && s.dbs.WALSize() >= s.cfg.CheckpointBytes {
 				due = true
@@ -422,20 +417,8 @@ func (s *Server) checkpointLoop() {
 			last = time.Now()
 			if err == nil {
 				s.reg.Inc(obs.ServeCheckpoints)
-				s.updateWALGauges()
 			}
 		}
-	}
-}
-
-// updateWALGauges exports the WAL health gauges scraped from /metrics:
-// live log size, last durable LSN, and seconds since the last checkpoint
-// committed (time since recovery when none has).
-func (s *Server) updateWALGauges() {
-	s.reg.SetGauge(obs.WALSizeBytes, float64(s.dbs.WALSize()))
-	s.reg.SetGauge(obs.WALLastLSN, float64(s.dbs.LastLSN()))
-	if age, ok := s.dbs.CheckpointAge(); ok {
-		s.reg.SetGauge(obs.WALCheckpointAge, age.Seconds())
 	}
 }
 
@@ -746,27 +729,27 @@ func (s *Server) runJob(j *job) {
 }
 
 // writeArtifacts persists the job's durable run directory when RunRoot is
-// configured: manifest.json identifying the job and epochs.jsonl with the
-// per-epoch cross-layer breakdown from the job's private registry.
+// configured: manifest.json identifying the job, epochs.jsonl with the
+// per-epoch cross-layer breakdown and metrics.prom from the job's private
+// registry.
 func (s *Server) writeArtifacts(j *job) {
 	if s.cfg.RunRoot == "" {
 		return
 	}
-	rd, err := obs.OpenRunDir(filepath.Join(s.cfg.RunRoot, j.id))
-	if err != nil {
-		return // artifacts are best-effort; the job outcome already stands
-	}
 	st := j.status()
-	_ = rd.WriteManifest(obs.Manifest{
-		Tool: "corgiserved",
-		Run:  j.id + " " + string(st.State) + " " + st.Model,
-		Seed: int64(j.st.Params.Num("seed", 1)),
-		Config: map[string]any{
-			"sql":     j.sql,
-			"session": j.session,
-			"state":   st.State,
+	// Artifacts are best-effort; the job outcome already stands.
+	_ = obs.WriteRunDir(filepath.Join(s.cfg.RunRoot, j.id), obs.RunArtifacts{
+		Manifest: obs.Manifest{
+			Tool: "corgiserved",
+			Run:  j.id + " " + string(st.State) + " " + st.Model,
+			Seed: int64(j.st.Params.Num("seed", 1)),
+			Config: map[string]any{
+				"sql":     j.sql,
+				"session": j.session,
+				"state":   st.State,
+			},
 		},
+		Epochs:  j.breakdownRows(),
+		Metrics: j.reg,
 	})
-	_ = rd.WriteEpochs(j.breakdownRows())
-	_ = rd.WriteMetrics(j.reg)
 }
