@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,6 +32,13 @@ type TableEntry struct {
 	Table *storage.Table
 	// Device names the device class the table lives on.
 	Device string
+
+	// predictMu guards the PREDICT snapshot (predict.go): predictBlocks is
+	// the furthest frontier a PREDICT has brought under it, and tallies
+	// holds each model's running count of correct predictions, by name.
+	predictMu     sync.Mutex
+	predictBlocks int
+	tallies       map[string]tally
 }
 
 // ModelEntry is a catalog entry for a trained model.
@@ -388,7 +396,7 @@ func (s *Session) execCreate(st *sqlparse.CreateTable) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	entry := &TableEntry{Name: name, Table: tab, Device: devName}
+	entry := &TableEntry{Name: name, Table: tab, Device: devName, tallies: make(map[string]tally)}
 	if err := s.logCreateTable(entry); err != nil {
 		return nil, err
 	}
@@ -635,11 +643,9 @@ func trainResilience(params sqlparse.Params, seed int64) (shuffle.Resilience, er
 	}, nil
 }
 
-// CompilePredicate compiles a parsed WHERE predicate to a tuple filter
-// (nil predicate = nil filter, meaning "keep everything"). Exported for the
-// serving plane's cached PREDICT path, which evaluates predicates over
-// in-memory tuples without building an executor pipeline.
-func CompilePredicate(p *sqlparse.Predicate) func(*data.Tuple) bool {
+// compilePredicate compiles a parsed WHERE predicate to a tuple filter
+// (nil predicate = nil filter, meaning "keep everything").
+func compilePredicate(p *sqlparse.Predicate) func(*data.Tuple) bool {
 	if p == nil {
 		return nil
 	}
@@ -664,78 +670,6 @@ func CompilePredicate(p *sqlparse.Predicate) func(*data.Tuple) bool {
 		return func(t *data.Tuple) bool { return field(t) >= p.Value }
 	}
 	return func(*data.Tuple) bool { return true }
-}
-
-// PredictCorrect reports whether pred counts towards the accuracy a PREDICT
-// reports: same sign as the label, and for multiclass the same class.
-// Regression has no accuracy. With PredictRow and PredictMessage it is the
-// one definition of a PREDICT's output, shared by the executor path below
-// and the serving plane's cached path.
-func PredictCorrect(task data.Task, label, pred float64) bool {
-	return task != data.TaskRegression && (pred >= 0) == (label >= 0) &&
-		(task != data.TaskMulticlass || pred == label)
-}
-
-// PredictRow formats one output row; floats print as fmt's %g does. The
-// three cells share one string.
-func PredictRow(id int64, label, pred float64) []string {
-	var b [72]byte // 20 digits of id, 24 bytes per shortest float64
-	buf := strconv.AppendInt(b[:0], id, 10)
-	i := len(buf)
-	buf = strconv.AppendFloat(buf, label, 'g', -1, 64)
-	j := len(buf)
-	s := string(strconv.AppendFloat(buf, pred, 'g', -1, 64))
-	return []string{s[:i], s[i:j], s[j:]}
-}
-
-// PredictMessage renders the statement's summary line over n scored tuples.
-func PredictMessage(task data.Task, n, correct int) string {
-	if task != data.TaskRegression && n > 0 {
-		return fmt.Sprintf("PREDICT: %d rows, accuracy %.4f", n, float64(correct)/float64(n))
-	}
-	return fmt.Sprintf("PREDICT: %d rows", n)
-}
-
-func (s *Session) execPredict(st *sqlparse.Predict) (*Result, error) {
-	entry, ok := s.Table(st.Table)
-	if !ok {
-		return nil, fmt.Errorf("db: unknown table %q", st.Table)
-	}
-	m, ok := s.Model(st.Model)
-	if !ok {
-		return nil, fmt.Errorf("db: unknown model %q", st.Model)
-	}
-	var scan executor.Operator = executor.NewScan(shuffle.TableSource(entry.Table))
-	if f := CompilePredicate(st.Where); f != nil {
-		scan = executor.NewFilter(scan, f)
-	}
-	pred := executor.NewPredict(scan, m.Model, m.W)
-	if err := pred.Init(); err != nil {
-		return nil, err
-	}
-	defer pred.Close()
-
-	task := entry.Table.Task()
-	res := &Result{Columns: []string{"id", "label", "prediction"}}
-	correct, n := 0, 0
-	for {
-		p, ok, err := pred.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		n++
-		if PredictCorrect(task, p.Label, p.Pred) {
-			correct++
-		}
-		if st.Limit == 0 || len(res.Rows) < st.Limit {
-			res.Rows = append(res.Rows, PredictRow(p.ID, p.Label, p.Pred))
-		}
-	}
-	res.Message = PredictMessage(task, n, correct)
-	return res, nil
 }
 
 // trainPlanConfig builds the executor plan configuration a TRAIN statement
@@ -773,7 +707,7 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 	if opt.RunName != "" {
 		runName = opt.RunName
 	}
-	filter := CompilePredicate(st.Where)
+	filter := compilePredicate(st.Where)
 	cfg := executor.PlanConfig{
 		Shuffle:        shuffle.Kind(st.Params.Str("shuffle", string(shuffle.KindCorgiPile))),
 		BufferFraction: st.Params.Num("buffer_fraction", 0.1),

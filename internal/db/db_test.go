@@ -470,16 +470,16 @@ func TestPredicateFuncAllOperators(t *testing.T) {
 		{"label", "=", -1, true}, {"label", ">", 0, false},
 	}
 	for _, c := range cases {
-		f := CompilePredicate(&sqlparse.Predicate{Column: c.col, Op: c.op, Value: c.val})
+		f := compilePredicate(&sqlparse.Predicate{Column: c.col, Op: c.op, Value: c.val})
 		if got := f(tp); got != c.want {
 			t.Errorf("%s %s %v = %v, want %v", c.col, c.op, c.val, got, c.want)
 		}
 	}
-	if CompilePredicate(nil) != nil {
+	if compilePredicate(nil) != nil {
 		t.Error("nil predicate should compile to nil")
 	}
 	// Unknown operator falls through to pass-all.
-	if f := CompilePredicate(&sqlparse.Predicate{Column: "id", Op: "~", Value: 1}); !f(tp) {
+	if f := compilePredicate(&sqlparse.Predicate{Column: "id", Op: "~", Value: 1}); !f(tp) {
 		t.Error("unknown op should pass everything")
 	}
 }
@@ -504,7 +504,7 @@ func TestTrainProcsParamDeterministic(t *testing.T) {
 	}
 }
 
-// PredictRow must print floats exactly as the %g it replaced.
+// predictRow must print floats exactly as the %g it replaced.
 func TestPredictRowMatchesPercentG(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, -1, 7, 42, 1e6, 123456789, 1e20, 1e21, 1e-4, 1e-5, 1e-7,
 		0.1 + 0.2, 2.5, -3.75, 1.0 / 3, math.Inf(1), math.Inf(-1), math.NaN(),
@@ -516,8 +516,8 @@ func TestPredictRowMatchesPercentG(t *testing.T) {
 			id = math.MinInt64
 		}
 		want := []string{fmt.Sprintf("%d", id), fmt.Sprintf("%g", label), fmt.Sprintf("%g", pred)}
-		if got := PredictRow(id, label, pred); !reflect.DeepEqual(got, want) {
-			t.Errorf("PredictRow(%d, %v, %v) = %q, want %q", id, label, pred, got, want)
+		if got := predictRow(id, label, pred); !reflect.DeepEqual(got, want) {
+			t.Errorf("predictRow(%d, %v, %v) = %q, want %q", id, label, pred, got, want)
 		}
 	}
 }

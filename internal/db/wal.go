@@ -219,7 +219,7 @@ func (s *Session) applyWALRecord(rec storage.WALRecord) error {
 			BlockSize: p.BlockSize, PageSize: p.PageSize,
 			Compress: p.Compress, DecompressRate: p.DecompressRate,
 		})
-		s.tables[name] = &TableEntry{Name: name, Table: tab, Device: strings.ToLower(p.Device)}
+		s.tables[name] = &TableEntry{Name: name, Table: tab, Device: strings.ToLower(p.Device), tallies: make(map[string]tally)}
 	case storage.WALAppendBlock:
 		table, rb, err := storage.DecodeBlockPayload(rec.Payload)
 		if err != nil {

@@ -25,7 +25,7 @@ func newDurableSession(t *testing.T, dir string) (*Session, RecoveryStats) {
 const walTestCreate = `CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.02, order='clustered') WITH device='ram', block_size=16KB`
 
 // insertSQL builds an INSERT of n rows matching the table's feature count.
-func insertSQL(t *testing.T, s *Session, table string, n int) string {
+func insertSQL(t testing.TB, s *Session, table string, n int) string {
 	t.Helper()
 	e, ok := s.Table(table)
 	if !ok {

@@ -48,26 +48,6 @@ func assertPerm(t *testing.T, ids []int64, n int) {
 	}
 }
 
-func TestScanOpSequential(t *testing.T) {
-	src := memSource(100, 10, data.OrderClustered)
-	op := NewScan(src)
-	if err := op.Init(); err != nil {
-		t.Fatal(err)
-	}
-	ids := drainOp(t, op)
-	for i, id := range ids {
-		if id != int64(i) {
-			t.Fatalf("scan out of order at %d: %d", i, id)
-		}
-	}
-	if err := op.ReScan(); err != nil {
-		t.Fatal(err)
-	}
-	if ids2 := drainOp(t, op); len(ids2) != 100 {
-		t.Fatal("rescan did not reproduce the scan")
-	}
-}
-
 func TestBlockShuffleOpPermutesBlocks(t *testing.T) {
 	src := memSource(100, 10, data.OrderClustered)
 	op := NewBlockShuffle(src, rand.New(rand.NewSource(1)))
@@ -219,82 +199,8 @@ func TestStrategyOpFallbackKinds(t *testing.T) {
 }
 
 func TestSGDValidation(t *testing.T) {
-	if _, err := NewSGD(NewScan(memSource(10, 5, data.OrderShuffled)), SGDConfig{}); err == nil {
+	if _, err := NewSGD(NewBlockShuffle(memSource(10, 5, data.OrderShuffled), rand.New(rand.NewSource(1))), SGDConfig{}); err == nil {
 		t.Fatal("SGD without model must error")
-	}
-}
-
-func TestPredictOp(t *testing.T) {
-	ds := data.SyntheticBinary(data.SyntheticConfig{
-		Tuples: 500, Features: 6, Separation: 3, Order: data.OrderShuffled, Seed: 63})
-	src := shuffle.NewMemSource(ds, 50)
-	sgd, err := BuildSGDPlan(src, PlanConfig{
-		Shuffle: shuffle.KindCorgiPile, Seed: 7,
-		SGD: SGDConfig{Model: ml.SVM{}, Opt: ml.NewSGD(0.05), Features: 6, Epochs: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sgd.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pred := NewPredict(NewScan(src), ml.SVM{}, sgd.Result().W)
-	if err := pred.Init(); err != nil {
-		t.Fatal(err)
-	}
-	n, correct := 0, 0
-	for {
-		p, ok, err := pred.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
-		if (p.Pred >= 0) == (p.Label >= 0) {
-			correct++
-		}
-	}
-	if n != 500 {
-		t.Fatalf("predicted %d rows, want 500", n)
-	}
-	if float64(correct)/float64(n) < 0.9 {
-		t.Fatalf("prediction accuracy %.3f < 0.9", float64(correct)/float64(n))
-	}
-}
-
-// TestPredictOpAllocations: a Predict operator binds one workspace for its
-// whole scan, so PREDICT over an MLP allocates as often at 10 tuples as at
-// 1 000 (both one block here, so the scan's own allocations match too).
-func TestPredictOpAllocations(t *testing.T) {
-	ds := data.SyntheticMulticlass(data.SyntheticConfig{
-		Tuples: 1000, Features: 12, Classes: 4, Order: data.OrderShuffled, Seed: 65})
-	m := ml.MLP{Classes: 4, Hidden: 8}
-	w := make([]float64, m.Dim(ds.Features))
-	m.InitWeights(w, ds.Features, rand.New(rand.NewSource(1)))
-	allocs := func(n int) float64 {
-		src := shuffle.NewMemSource(&data.Dataset{Task: ds.Task, Features: ds.Features,
-			Classes: ds.Classes, Tuples: ds.Tuples[:n]}, 1000)
-		return testing.AllocsPerRun(5, func() {
-			pred := NewPredict(NewScan(src), m, w)
-			if err := pred.Init(); err != nil {
-				t.Fatal(err)
-			}
-			for {
-				_, ok, err := pred.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-			}
-			pred.Close()
-		})
-	}
-	if a10, a1000 := allocs(10), allocs(1000); a1000 != a10 {
-		t.Errorf("PREDICT over an MLP allocates %v times at 10 tuples and %v at 1000, want the same", a10, a1000)
 	}
 }
 
@@ -337,7 +243,7 @@ func TestDoubleBufferPlanFasterOnDisk(t *testing.T) {
 
 func TestFilterOpDropsNonMatching(t *testing.T) {
 	src := memSource(100, 10, data.OrderClustered)
-	op := NewFilter(NewScan(src), func(tp *data.Tuple) bool { return tp.Label > 0 })
+	op := NewFilter(NewBlockShuffle(src, rand.New(rand.NewSource(1))), func(tp *data.Tuple) bool { return tp.Label > 0 })
 	if err := op.Init(); err != nil {
 		t.Fatal(err)
 	}

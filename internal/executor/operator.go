@@ -1,9 +1,10 @@
 // Package executor implements the Volcano-style physical operators the
 // paper adds to PostgreSQL (Section 6): BlockShuffle, TupleShuffle (with
-// the double-buffering optimization), and SGD, plus a sequential Scan and a
-// Predict operator. Operators follow PostgreSQL's pull model — Init/Next/
+// the double-buffering optimization), and SGD, plus the Filter behind a
+// TRAIN's WHERE. Operators follow PostgreSQL's pull model — Init/Next/
 // ReScan/Close — and the SGD operator drives multi-epoch training through
-// the re-scan mechanism exactly as the paper describes.
+// the re-scan mechanism exactly as the paper describes. PREDICT is not a
+// pipeline: package db answers it from the table's decoded image.
 package executor
 
 import (
@@ -26,9 +27,9 @@ type Operator interface {
 }
 
 // blockOperator is an Operator that can also hand out its tuples a storage
-// block at a time. The access-path leaves (ScanOp, BlockShuffleOp) implement
-// it, and TupleShuffleOp fills its buffer through it: one interface call and
-// one append per block instead of one Next per tuple.
+// block at a time. The access-path leaf BlockShuffleOp implements it, and
+// TupleShuffleOp fills its buffer through it: one interface call and one
+// append per block instead of one Next per tuple.
 type blockOperator interface {
 	Operator
 	shuffle.BlockSource

@@ -5,7 +5,6 @@ import (
 
 	"corgipile/internal/core"
 	"corgipile/internal/data"
-	"corgipile/internal/ml"
 	"corgipile/internal/obs"
 )
 
@@ -136,40 +135,3 @@ func (op *SGDOp) RunResult() (*core.Result, error) {
 	res.Plan = op.Plan()
 	return res, nil
 }
-
-// Prediction is one output row of the Predict operator.
-type Prediction struct {
-	// ID is the input tuple's id, Label its true label, Pred the model's
-	// prediction.
-	ID    int64
-	Label float64
-	Pred  float64
-}
-
-// PredictOp streams model predictions over its child's tuples — the
-// "SELECT table PREDICT BY model" path.
-type PredictOp struct {
-	child   Operator
-	predict func(w []float64, t *data.Tuple) float64 // one per operator
-	w       []float64
-}
-
-// NewPredict returns a prediction operator.
-func NewPredict(child Operator, model ml.Model, w []float64) *PredictOp {
-	return &PredictOp{child: child, predict: ml.Predictor(model), w: w}
-}
-
-// Init implements Operator-style initialization.
-func (op *PredictOp) Init() error { return op.child.Init() }
-
-// Next returns the next prediction row.
-func (op *PredictOp) Next() (Prediction, bool, error) {
-	t, ok, err := op.child.Next()
-	if err != nil || !ok {
-		return Prediction{}, false, err
-	}
-	return Prediction{ID: t.ID, Label: t.Label, Pred: op.predict(op.w, t)}, true, nil
-}
-
-// Close releases the pipeline.
-func (op *PredictOp) Close() error { return op.child.Close() }

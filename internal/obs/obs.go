@@ -133,7 +133,7 @@ const (
 	ServeJobsRunning = "serve.jobs_running" // gauge: jobs currently executing
 	ServeJobsQueued  = "serve.jobs_queued"  // gauge: jobs waiting for a worker
 
-	// Predict-snapshot work (internal/serve/predict.go): what a PREDICT
+	// Predict-snapshot work (internal/db/predict.go): what a PREDICT
 	// paid beyond its own rows. A warm statement moves none of them.
 	ServePredictFills         = "serve.predict.fills"          // first PREDICTs on a table
 	ServePredictCatchupBlocks = "serve.predict.catchup_blocks" // appended blocks a PREDICT brought under its snapshot

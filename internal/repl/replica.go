@@ -26,12 +26,6 @@ type ReplicaConfig struct {
 	// record apply); the serving plane passes the catalog's write lock so
 	// readers never see a half-applied record. nil uses a no-op lock.
 	Locker sync.Locker
-	// OnApply observes each applied record after it lands. Called under
-	// Locker. Optional.
-	OnApply func(rec storage.WALRecord)
-	// OnSnapshot observes a wholesale snapshot install. Called under
-	// Locker. Optional.
-	OnSnapshot func()
 	// HeartbeatTimeout is how long the stream may stay silent before the
 	// primary is presumed dead (default 10s; must exceed the primary's
 	// heartbeat interval).
@@ -263,9 +257,6 @@ func (r *Replica) session() (progressed bool, err error) {
 		}
 		r.cfg.Locker.Lock()
 		err = r.cfg.Session.ApplyReplicated(rec)
-		if err == nil && r.cfg.OnApply != nil {
-			r.cfg.OnApply(rec)
-		}
 		r.cfg.Locker.Unlock()
 		switch {
 		case err == nil:
@@ -319,9 +310,6 @@ func (r *Replica) installSnapshot(conn net.Conn, br *bufio.Reader, frontier uint
 		r.mu.Lock()
 		r.forceSnap = false
 		r.mu.Unlock()
-		if r.cfg.OnSnapshot != nil {
-			r.cfg.OnSnapshot()
-		}
 	}
 	r.cfg.Locker.Unlock()
 	if err != nil {

@@ -13,8 +13,7 @@ import (
 
 	"corgipile/internal/data"
 	"corgipile/internal/db"
-	"corgipile/internal/ml"
-	"corgipile/internal/obs"
+	"corgipile/internal/sqlparse"
 	"corgipile/internal/storage"
 )
 
@@ -51,27 +50,89 @@ func predictCount(t *testing.T, resp *Response) int {
 	return n
 }
 
-// sameAsExecutor runs one PREDICT over the wire and through the session's
-// executor path and fails unless columns, rows and message are identical.
-// The server must be quiescent. It returns the wire response.
-func sameAsExecutor(t *testing.T, srv *Server, c *Client, sql string) *Response {
+// sameAsBruteForce runs one PREDICT over the wire and fails unless columns,
+// rows and message are what bruteForce computes. The server must be
+// quiescent. It returns the wire response.
+func sameAsBruteForce(t *testing.T, srv *Server, c *Client, sql string) *Response {
 	t.Helper()
 	wire, err := c.Predict(sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	srv.catalog.RLock()
-	want, err := srv.dbs.Exec(sql)
-	srv.catalog.RUnlock()
-	if err != nil {
-		t.Fatalf("executor %s: %v", sql, err)
-	}
-	if wire.Message != want.Message || !reflect.DeepEqual(wire.Columns, want.Columns) ||
-		len(wire.Rows) != len(want.Rows) || (len(want.Rows) > 0 && !reflect.DeepEqual(wire.Rows, want.Rows)) {
-		t.Fatalf("%s\nwire:     %q %d rows %v\nexecutor: %q %d rows %v", sql,
-			wire.Message, len(wire.Rows), head(wire.Rows), want.Message, len(want.Rows), head(want.Rows))
+	rows, msg := bruteForce(t, srv, sql)
+	if wire.Message != msg || !reflect.DeepEqual(wire.Columns, []string{"id", "label", "prediction"}) ||
+		len(wire.Rows) != len(rows) || (len(rows) > 0 && !reflect.DeepEqual(wire.Rows, rows)) {
+		t.Fatalf("%s\nwire:        %q %d rows %v\nbrute force: %q %d rows %v", sql,
+			wire.Message, len(wire.Rows), head(wire.Rows), msg, len(rows), head(rows))
 	}
 	return wire
+}
+
+// bruteForce answers a PREDICT the long way: decode the whole table, keep
+// the tuples the WHERE admits, score each with the model and print with
+// fmt's %g.
+func bruteForce(t *testing.T, srv *Server, sql string) (rows [][]string, msg string) {
+	t.Helper()
+	st, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	p := st.(*sqlparse.Predict)
+	srv.catalog.RLock()
+	entry, tok := srv.dbs.Table(p.Table)
+	m, mok := srv.dbs.Model(p.Model)
+	srv.catalog.RUnlock()
+	if !tok || !mok {
+		t.Fatalf("%s: table or model missing", sql)
+	}
+	tuples, err := entry.Table.DecodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := entry.Table.Task()
+	n, correct := 0, 0
+	for i := range tuples {
+		tp := &tuples[i]
+		if p.Where != nil && !admits(p.Where, tp) {
+			continue
+		}
+		pred := m.Model.Predict(m.W, tp)
+		n++
+		if task != data.TaskRegression && (pred >= 0) == (tp.Label >= 0) && (task != data.TaskMulticlass || pred == tp.Label) {
+			correct++
+		}
+		if p.Limit == 0 || len(rows) < p.Limit {
+			rows = append(rows, []string{fmt.Sprintf("%d", tp.ID), fmt.Sprintf("%g", tp.Label), fmt.Sprintf("%g", pred)})
+		}
+	}
+	msg = fmt.Sprintf("PREDICT: %d rows", n)
+	if task != data.TaskRegression && n > 0 {
+		msg += fmt.Sprintf(", accuracy %.4f", float64(correct)/float64(n))
+	}
+	return rows, msg
+}
+
+// admits evaluates a WHERE predicate on one tuple.
+func admits(w *sqlparse.Predicate, tp *data.Tuple) bool {
+	v := tp.Label
+	if w.Column == "id" {
+		v = float64(tp.ID)
+	}
+	switch w.Op {
+	case "=":
+		return v == w.Value
+	case "!=":
+		return v != w.Value
+	case "<":
+		return v < w.Value
+	case "<=":
+		return v <= w.Value
+	case ">":
+		return v > w.Value
+	case ">=":
+		return v >= w.Value
+	}
+	panic("operator " + w.Op)
 }
 
 func head(rows [][]string) [][]string {
@@ -103,11 +164,11 @@ func (f *flakySyncer) Sync() error {
 	return f.WriteSyncer.Sync()
 }
 
-// TestPredictMatchesExecutorAcrossHistory: at every quiescent point of a
+// TestPredictMatchesBruteForceAcrossHistory: at every quiescent point of a
 // history of appends, model replacements, a table replacement and failed
-// INSERTs, every PREDICT shape answers over the wire exactly what the
-// executor path answers, cold and warm.
-func TestPredictMatchesExecutorAcrossHistory(t *testing.T) {
+// INSERTs, every PREDICT shape answers over the wire exactly what decoding
+// and scoring the whole table answers, cold and warm.
+func TestPredictMatchesBruteForceAcrossHistory(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.libsvm")
 	extra := filepath.Join(dir, "extra.libsvm")
@@ -170,7 +231,7 @@ func TestPredictMatchesExecutorAcrossHistory(t *testing.T) {
 			for _, p := range pairs {
 				for _, shape := range shapes {
 					sql := "SELECT * FROM " + p[0] + " " + fmt.Sprintf(shape, "PREDICT BY "+p[1])
-					resp := sameAsExecutor(t, srv, c, sql)
+					resp := sameAsBruteForce(t, srv, c, sql)
 					if p[0] == "t" && shape == "%s" {
 						n = predictCount(t, resp)
 					}
@@ -241,131 +302,12 @@ func TestPredictMatchesExecutorAcrossHistory(t *testing.T) {
 	}
 }
 
-// countingModel counts Predict calls.
-type countingModel struct {
-	ml.Model
-	calls *atomic.Int64
-}
-
-func (m countingModel) Predict(w []float64, t *data.Tuple) float64 {
-	m.calls.Add(1)
-	return m.Model.Predict(w, t)
-}
-
-// TestPredictWorkBounds pins what each kind of PREDICT may cost: Predict
-// calls (counted by a wrapper around the served models) and decodes (the
-// server's counters).
-func TestPredictWorkBounds(t *testing.T) {
-	srv := testServer(t, Config{})
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var calls atomic.Int64
-	count := func(model string) { // wrap the catalog's current entry, before it is served
-		srv.catalog.Lock()
-		defer srv.catalog.Unlock()
-		m, _ := srv.dbs.Model(model)
-		m.Model = countingModel{m.Model, &calls}
-	}
-	entry, _ := srv.dbs.Table("t")
-	tab := entry.Table
-	var fills, blocks, tallied int64
-	step := func(what, sql string, wantCalls, wantRows, dFills, dBlocks, dTallied int) {
-		t.Helper()
-		calls.Store(0)
-		resp, err := c.Predict(sql)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		wire := int(calls.Load())
-		fills, blocks, tallied = fills+int64(dFills), blocks+int64(dBlocks), tallied+int64(dTallied)
-		if wire != wantCalls || len(resp.Rows) != wantRows ||
-			srv.reg.Counter(obs.ServePredictFills) != fills ||
-			srv.reg.Counter(obs.ServePredictCatchupBlocks) != blocks ||
-			srv.reg.Counter(obs.ServePredictTallied) != tallied {
-			t.Fatalf("%s: %d Predict calls for %d rows (want %d for %d); fills %d catch-up blocks %d tallied %d (want %d %d %d)",
-				what, wire, len(resp.Rows), wantCalls, wantRows,
-				srv.reg.Counter(obs.ServePredictFills), srv.reg.Counter(obs.ServePredictCatchupBlocks),
-				srv.reg.Counter(obs.ServePredictTallied), fills, blocks, tallied)
-		}
-	}
-	const limit10 = `SELECT * FROM t PREDICT BY warm LIMIT 10`
-	n := tab.NumTuples()
-	count("warm")
-	step("first PREDICT on a table", limit10, n, 10, 1, 0, n)
-	step("warm LIMIT 10", limit10, 10, 10, 0, 0, 0)
-	step("warm LIMIT 1", `SELECT * FROM t PREDICT BY warm LIMIT 1`, 1, 1, 0, 0, 0)
-	step("warm LIMIT > n", `SELECT * FROM t PREDICT BY warm LIMIT 100000`, n, n, 0, 0, 0)
-	step("warm no LIMIT", `SELECT * FROM t PREDICT BY warm`, n, n, 0, 0, 0)
-	step("WHERE scans the filtered tuples", `SELECT * FROM t WHERE id < 100 PREDICT BY warm LIMIT 10`, 100, 10, 0, 0, 0)
-
-	before := tab.NumBlocks()
-	if _, err := c.Exec(insertRowsSQL("t", tab, 400)); err != nil {
-		t.Fatal(err)
-	}
-	appended := tab.NumBlocks() - before
-	if appended < 2 {
-		t.Fatalf("INSERT appended %d blocks, want several", appended)
-	}
-	step("first PREDICT after an append", limit10, 400+10, 10, 0, appended, 400)
-	step("warm again", limit10, 10, 10, 0, 0, 0)
-	n += 400
-
-	if st, err := c.Train(`SELECT * FROM t TRAIN BY svm MODEL warm WITH learning_rate=0.2, max_epoch_num=1, seed=9`, true, false); err != nil || st.State != JobDone {
-		t.Fatalf("re-TRAIN: %v %+v", err, st)
-	}
-	count("warm")
-	step("first use of a model version", limit10, n, 10, 0, 0, n)
-	step("warm on the new version", limit10, 10, 10, 0, 0, 0)
-	if st, err := c.Train(`SELECT * FROM t TRAIN BY svm MODEL other WITH learning_rate=0.1, max_epoch_num=1, seed=5`, true, false); err != nil || st.State != JobDone {
-		t.Fatalf("TRAIN other: %v %+v", err, st)
-	}
-	count("other")
-	step("LIMIT 0 over a cold tally scores once", `SELECT * FROM t PREDICT BY other LIMIT 0`, n, n, 0, 0, n)
-	step("the first model's tally survived", limit10, 10, 10, 0, 0, 0)
-}
-
-// The sweep that follows DROP TABLE and CREATE TABLE frees memory; answers
-// do not depend on it. Put the dropped table's snapshot back, as if no sweep
-// had run, and the replacing table is still what gets served.
-func TestPredictSweepIsHygieneNotCorrectness(t *testing.T) {
-	srv := testServer(t, Config{})
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const sql = `SELECT * FROM t PREDICT BY warm LIMIT 5`
-	sameAsExecutor(t, srv, c, sql)
-	srv.cache.mu.Lock()
-	stale := srv.cache.tables["t"]
-	srv.cache.mu.Unlock()
-	for _, ddl := range []string{`DROP TABLE t`,
-		`CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.03, order='shuffled') WITH device='ssd', block_size=16KB`} {
-		if _, err := c.Exec(ddl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.cache.mu.Lock()
-	if len(srv.cache.tables) != 0 {
-		t.Errorf("sweep left %d snapshots after DROP TABLE", len(srv.cache.tables))
-	}
-	srv.cache.tables["t"] = stale
-	srv.cache.mu.Unlock()
-	if n := predictCount(t, sameAsExecutor(t, srv, c, sql)); n != 300 {
-		t.Fatalf("served %d tuples, want the replacing table's 300", n)
-	}
-	sameAsExecutor(t, srv, c, `SELECT * FROM t PREDICT BY warm`)
-}
-
 // TestPredictConcurrentWithAppendsAndRetrain: four PREDICT connections run
 // beside an INSERT stream and a re-TRAIN loop on the served model. Every
 // count a PREDICT reports is the initial table plus a whole number of
 // INSERTs: at least those acknowledged before it was sent, at most those
 // sent by the time it returned. Afterwards the wire agrees with the
-// executor, so no tally was corrupted on the way.
+// brute-force scorer, so no tally was corrupted on the way.
 func TestPredictConcurrentWithAppendsAndRetrain(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -444,7 +386,7 @@ func TestPredictConcurrentWithAppendsAndRetrain(t *testing.T) {
 				t.Fatal(werr)
 			}
 			for _, tail := range []string{"", " LIMIT 10"} {
-				resp := sameAsExecutor(t, srv, writer, `SELECT * FROM t PREDICT BY warm`+tail)
+				resp := sameAsBruteForce(t, srv, writer, `SELECT * FROM t PREDICT BY warm`+tail)
 				if n := predictCount(t, resp); n != initial+inserts*per {
 					t.Fatalf("final count %d, want %d", n, initial+inserts*per)
 				}
@@ -570,7 +512,7 @@ func TestPredictBesideRolledBackInserts(t *testing.T) {
 		return
 	}
 	for _, tail := range []string{"", " LIMIT 10"} {
-		resp := sameAsExecutor(t, srv, writer, `SELECT * FROM t PREDICT BY warm`+tail)
+		resp := sameAsBruteForce(t, srv, writer, `SELECT * FROM t PREDICT BY warm`+tail)
 		if n := predictCount(t, resp); n != initial+int(acked.Load())*good {
 			t.Fatalf("final count %d, want %d", n, initial+int(acked.Load())*good)
 		}

@@ -188,7 +188,7 @@ func TestReplicaReadOnlyAndPromote(t *testing.T) {
 	if _, err := rc.Train(replBaseTrain, true, false); wireErrCode(err) != ErrReadOnly {
 		t.Fatalf("TRAIN on replica: err %v, want %s", err, ErrReadOnly)
 	}
-	// Reads and the cached predict path still work.
+	// Reads and PREDICT still work.
 	if _, err := rc.Exec("SHOW MODELS"); err != nil {
 		t.Fatalf("SHOW MODELS on replica: %v", err)
 	}
@@ -456,12 +456,11 @@ func TestAutoCheckpointSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestReplicaPredictFollowsApply: a replica's predict snapshots are kept
-// right by what PREDICT reads at lookup, not by the apply hooks. A warm
+// TestReplicaPredictFollowsApply: a replica's PREDICT snapshots live on its
+// catalog entries, so nothing has to tell them about applied records. A warm
 // replica shows an applied INSERT at once; a replicated DROP + CREATE and a
-// wholesale snapshot install put new *storage.Table values in the catalog,
-// so the old snapshots miss — even when, as here for the install, nothing
-// sweeps them.
+// wholesale snapshot install put new entries in the catalog, which start
+// their snapshots empty.
 func TestReplicaPredictFollowsApply(t *testing.T) {
 	primSess := db.NewSession()
 	if _, err := primSess.OpenWAL(t.TempDir()); err != nil {
@@ -504,7 +503,7 @@ func TestReplicaPredictFollowsApply(t *testing.T) {
 		}
 		waitApplied(t, rep, primSess.LastLSN())
 	}
-	served := func() int { return predictCount(t, sameAsExecutor(t, rep, rc, sql)) }
+	served := func() int { return predictCount(t, sameAsBruteForce(t, rep, rc, sql)) }
 
 	waitApplied(t, rep, primSess.LastLSN())
 	n := served()
@@ -513,12 +512,6 @@ func TestReplicaPredictFollowsApply(t *testing.T) {
 		t.Fatalf("replica served %d tuples after an applied INSERT, want %d", got, n+20)
 	}
 	onPrimary("DROP TABLE t")
-	rep.cache.mu.Lock()
-	left := len(rep.cache.tables)
-	rep.cache.mu.Unlock()
-	if left != 0 {
-		t.Errorf("replica kept %d snapshots after a replicated DROP TABLE", left)
-	}
 	onPrimary(`CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.03, order='shuffled') WITH device='ram', block_size=16KB`)
 	if got := served(); got != 300 {
 		t.Fatalf("replica served %d tuples of the replacing table, want 300", got)

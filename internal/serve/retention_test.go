@@ -142,7 +142,7 @@ func TestIngestAndResumeOverWire(t *testing.T) {
 		t.Fatalf("INSERT message = %q", res.Message)
 	}
 
-	// The cached predict path must see the appended tuples immediately.
+	// PREDICT must see the appended tuples immediately.
 	after, err := c.Predict(`SELECT * FROM t PREDICT BY warm`)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"corgipile/internal/db"
+	"corgipile/internal/obs"
+	"corgipile/internal/sqlparse"
 )
 
 // testServer boots a server on a free port with a small synthetic catalog:
@@ -105,14 +107,13 @@ func TestPredictCachedPath(t *testing.T) {
 	if !strings.Contains(resp.Message, "accuracy") {
 		t.Fatalf("message = %q, want accuracy report", resp.Message)
 	}
-	// The cached path must agree with the executor path the db session
-	// uses for the same statement.
+	// A warm repeat answers the same.
 	again, err := c.Predict(`SELECT * FROM t PREDICT BY warm LIMIT 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Message != resp.Message {
-		t.Fatalf("cached predict unstable: %q vs %q", again.Message, resp.Message)
+		t.Fatalf("warm predict unstable: %q vs %q", again.Message, resp.Message)
 	}
 }
 
@@ -127,30 +128,38 @@ func TestPredictSnapshotServesItsFrontier(t *testing.T) {
 	}
 	defer c.Close()
 
+	st, err := sqlparse.Parse(`SELECT * FROM t PREDICT BY warm LIMIT 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.catalog.RLock()
 	entry, _ := srv.dbs.Table("t")
-	m, _ := srv.dbs.Model("warm")
-	sn, k, n := srv.cache.snapshotOf(entry), entry.Table.NumBlocks(), entry.Table.NumTuples()
+	pp, err := srv.dbs.PreparePredict(st.(*sqlparse.Predict))
+	k, n := entry.Table.NumBlocks(), entry.Table.NumTuples()
 	srv.catalog.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Exec(insertRowsSQL("t", entry.Table, 400)); err != nil {
 		t.Fatal(err)
 	}
 	if entry.Table.NumBlocks() == k {
 		t.Fatal("the INSERT appended no block")
 	}
-	v, err := sn.advance(k, m, m.Model.Predict, true, 0, nil)
+	res, err := pp.Run(srv.reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.tuples) != n || sn.blocks != k {
-		t.Fatalf("request at frontier %d saw %d tuples over %d blocks, want %d tuples", k, len(v.tuples), sn.blocks, n)
+	if got := predictCount(t, resultResponse(res)); got != n {
+		t.Fatalf("request at frontier %d saw %d tuples, want %d", k, got, n)
 	}
 	resp, err := c.Predict(`SELECT * FROM t PREDICT BY warm LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := predictCount(t, resp); got != n+400 || sn.blocks != entry.Table.NumBlocks() {
-		t.Fatalf("next request saw %d tuples over %d blocks, want %d over %d", got, sn.blocks, n+400, entry.Table.NumBlocks())
+	caught := srv.reg.Counter(obs.ServePredictCatchupBlocks)
+	if got := predictCount(t, resp); got != n+400 || caught != int64(entry.Table.NumBlocks()-k) {
+		t.Fatalf("next request saw %d tuples and caught up %d blocks, want %d and %d", got, caught, n+400, entry.Table.NumBlocks()-k)
 	}
 }
 

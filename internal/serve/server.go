@@ -4,14 +4,15 @@
 // newline-delimited JSON protocol (documented in docs/PROTOCOL.md) over
 // TCP; TRAIN statements become queued background jobs with admission
 // control and cancellation, while PREDICT statements are answered inline
-// at high QPS from cached models and decoded tables.
+// at high QPS from decoded tables and running per-model tallies.
 //
 // Concurrency discipline: one RWMutex guards the shared db.Session
 // catalog. Statement execution is split so the lock is held only around
 // catalog access — a TRAIN job prepares its plan under RLock, runs its
 // epochs (the long part) with no lock at all, and installs the trained
-// model under the write lock; PREDICTs take RLock for lookup and then
-// evaluate lock-free over immutable snapshots. DDL takes the write lock.
+// model under the write lock; a PREDICT prepares under RLock and scores
+// outside it over the table's immutable decoded image. DDL takes the write
+// lock.
 package serve
 
 import (
@@ -28,7 +29,6 @@ import (
 	"corgipile/internal/obs"
 	"corgipile/internal/repl"
 	"corgipile/internal/sqlparse"
-	"corgipile/internal/storage"
 )
 
 // Config configures a server. The zero value of every field has a usable
@@ -121,9 +121,6 @@ type Server struct {
 	// catalog serializes db.Session catalog access: RLock for lookups
 	// (predict, train prepare), Lock for mutations (DDL, model install).
 	catalog sync.RWMutex
-
-	// cache holds the predict path's per-table snapshots (predict.go).
-	cache predictCache
 
 	queue chan *job
 
@@ -222,7 +219,6 @@ func New(cfg Config) (*Server, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 	}
-	s.cache.tables = make(map[string]*snapshot)
 	// Event ring: prefer the config's, else the session's (a caller may
 	// have attached one before handing the session over), else a fresh
 	// default-size ring. The session records statement events into the
@@ -294,14 +290,8 @@ func New(cfg Config) (*Server, error) {
 			Primary: cfg.ReplicateFrom,
 			Session: sess,
 			Locker:  &s.catalog,
-			OnApply: func(rec storage.WALRecord) {
-				if rec.Type == storage.WALCreateTable || rec.Type == storage.WALDropTable {
-					s.cache.sweep(sess)
-				}
-			},
-			OnSnapshot: func() { s.cache.sweep(sess) },
-			Obs:        s.reg,
-			Events:     s.events,
+			Obs:     s.reg,
+			Events:  s.events,
 		})
 		if err != nil {
 			return fail(err)

@@ -127,7 +127,7 @@ func (s *Server) dispatch(sessID string, sessCtx context.Context, req *Request, 
 }
 
 // execSQL parses a statement and routes it by kind: TRAIN becomes a
-// background job, PREDICT takes the cached read path, and everything else
+// background job, PREDICT reads the table's snapshot, and everything else
 // (DDL, SHOW, EXPLAIN, SAVE/LOAD/DROP) executes inline under the catalog
 // write lock.
 func (s *Server) execSQL(sessID string, sessCtx context.Context, req *Request, trace string, traceGiven bool) *Response {
@@ -178,8 +178,7 @@ func (s *Server) execPredictOp(req *Request, trace string) *Response {
 	return s.execPredictTraced(pr, trace)
 }
 
-// execPredictTraced wraps the cached predict path (which never touches
-// the db session's statement executor) with statement events and the
+// execPredictTraced wraps execPredict with statement events and the
 // serve.predict latency histogram — the series the history plane samples
 // as serve.predict_p50/_p95/_p99.
 func (s *Server) execPredictTraced(st *sqlparse.Predict, trace string) *Response {
@@ -192,6 +191,27 @@ func (s *Server) execPredictTraced(st *sqlparse.Predict, trace string) *Response
 	return resp
 }
 
+// execPredict resolves the statement under the catalog read lock and
+// scores outside it, counting the snapshot work into the server's registry.
+func (s *Server) execPredict(st *sqlparse.Predict) *Response {
+	s.catalog.RLock()
+	pp, err := s.dbs.PreparePredict(st)
+	s.catalog.RUnlock()
+	if err != nil {
+		return errResponse(ErrNotFound, "%v", err)
+	}
+	res, err := pp.Run(s.reg)
+	if err != nil {
+		return errResponse(ErrExec, "%v", err)
+	}
+	return resultResponse(res)
+}
+
+// resultResponse carries a statement's tabular result onto the wire.
+func resultResponse(res *db.Result) *Response {
+	return &Response{OK: true, Type: "result", Columns: res.Columns, Rows: res.Rows, Message: res.Message}
+}
+
 // execSelect answers a general SELECT under the catalog read lock —
 // system tables read live state, base tables decode their snapshot; no
 // mutation happens on this path.
@@ -202,13 +222,7 @@ func (s *Server) execSelect(st *sqlparse.Select, trace string) *Response {
 	if err != nil {
 		return errResponse(ErrExec, "%v", err)
 	}
-	return &Response{
-		OK:      true,
-		Type:    "result",
-		Columns: res.Columns,
-		Rows:    res.Rows,
-		Message: res.Message,
-	}
+	return resultResponse(res)
 }
 
 // errCode is a response's wire error code, "" unless it failed.
@@ -306,10 +320,6 @@ func (s *Server) execStatus(sessCtx context.Context, req *Request) *Response {
 func (s *Server) execInline(st sqlparse.Statement, trace string) *Response {
 	s.catalog.Lock()
 	res, err := s.dbs.ExecStatementT(st, trace)
-	switch st.(type) {
-	case *sqlparse.CreateTable, *sqlparse.Drop:
-		s.cache.sweep(s.dbs)
-	}
 	s.catalog.Unlock()
 	if err != nil {
 		if errors.Is(err, db.ErrReadOnly) {
@@ -317,13 +327,7 @@ func (s *Server) execInline(st sqlparse.Statement, trace string) *Response {
 		}
 		return errResponse(ErrExec, "%v", err)
 	}
-	return &Response{
-		OK:      true,
-		Type:    "result",
-		Columns: res.Columns,
-		Rows:    res.Rows,
-		Message: res.Message,
-	}
+	return resultResponse(res)
 }
 
 // execPromote turns a replica server into a writable primary: the
