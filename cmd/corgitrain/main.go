@@ -37,13 +37,14 @@ import (
 )
 
 func main() {
+	def := corgipile.TrainConfig{}.WithDefaults()
 	var (
 		file      = flag.String("file", "", "LIBSVM input file (required)")
-		model     = flag.String("model", "svm", "model: lr, svm, linreg, softmax, mlp, fm")
-		lr        = flag.Float64("lr", 0.05, "initial learning rate")
-		epochs    = flag.Int("epochs", 10, "training epochs")
-		strategy  = flag.String("strategy", "corgipile", "shuffle strategy: no_shuffle, shuffle_once, epoch_shuffle, sliding_window, mrs, block_only, corgipile")
-		buffer    = flag.Float64("buffer", 0.1, "buffer fraction for the shuffle strategies")
+		model     = flag.String("model", def.Model, "model: lr, svm, linreg, softmax, mlp, fm")
+		lr        = flag.Float64("lr", def.LearningRate, "initial learning rate")
+		epochs    = flag.Int("epochs", def.Epochs, "training epochs")
+		strategy  = flag.String("strategy", string(def.Strategy), "shuffle strategy: no_shuffle, shuffle_once, epoch_shuffle, sliding_window, mrs, block_only, corgipile")
+		buffer    = flag.Float64("buffer", def.BufferFraction, "buffer fraction for the shuffle strategies")
 		batch     = flag.Int("batch", 1, "mini-batch size (1 = per-tuple SGD)")
 		save      = flag.String("save", "", "save the trained model to this JSON file via the SQL layer")
 		metrics   = flag.Bool("metrics", false, "print a per-epoch time breakdown after training")

@@ -6,6 +6,8 @@ import (
 
 	"corgipile/internal/core"
 	"corgipile/internal/data"
+	"corgipile/internal/executor"
+	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
 	"corgipile/internal/shuffle"
 	"corgipile/internal/stats"
@@ -38,18 +40,18 @@ func runAblation(w io.Writer, scale float64) error {
 		s    spec
 	}
 	base := spec{
-		workload: "higgs", order: data.OrderClustered, scale: scale,
-		model: "svm", lr: glmLR["higgs"], decay: glmDecay, epochs: 8,
+		workload: "higgs", order: data.OrderClustered, scale: scale, device: iosim.SSD,
+		TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR["higgs"], Decay: glmDecay, Epochs: 8},
 	}
 	full := base
-	full.kind, full.double = shuffle.KindCorgiPile, true
+	full.Strategy, full.DoubleBuffer = shuffle.KindCorgiPile, true
 	variants := []variant{
 		{"CorgiPile (full)", full},
-		{"− tuple shuffle (Block-Only)", func() spec { s := base; s.kind = shuffle.KindBlockOnly; return s }()},
-		{"− block shuffle (Sliding-Window)", func() spec { s := base; s.kind = shuffle.KindSlidingWindow; return s }()},
-		{"− double buffering", func() spec { s := full; s.double = false; return s }()},
-		{"buffer 1% instead of 10%", func() spec { s := full; s.bufferFrac = 0.01; return s }()},
-		{"− everything (No Shuffle)", func() spec { s := base; s.kind = shuffle.KindNoShuffle; return s }()},
+		{"− tuple shuffle (Block-Only)", func() spec { s := base; s.Strategy = shuffle.KindBlockOnly; return s }()},
+		{"− block shuffle (Sliding-Window)", func() spec { s := base; s.Strategy = shuffle.KindSlidingWindow; return s }()},
+		{"− double buffering", func() spec { s := full; s.DoubleBuffer = false; return s }()},
+		{"buffer 1% instead of 10%", func() spec { s := full; s.BufferFraction = 0.01; return s }()},
+		{"− everything (No Shuffle)", func() spec { s := base; s.Strategy = shuffle.KindNoShuffle; return s }()},
 	}
 	var fullOut *out
 	for i, v := range variants {
@@ -156,8 +158,9 @@ func runDrift(w io.Writer, scale float64) error {
 		"strategy", "e1", "e4", "final acc")
 	for _, kind := range []shuffle.Kind{shuffle.KindNoShuffle, shuffle.KindSlidingWindow, shuffle.KindCorgiPile, shuffle.KindShuffleOnce} {
 		o, err := runOnDataset(ds, spec{
-			workload: "drift", model: "svm", lr: 0.05, decay: glmDecay, epochs: 8,
-			kind: kind, inMemory: true,
+			workload: "drift", inMemory: true,
+			TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: 0.05, Decay: glmDecay, Epochs: 8,
+				Strategy: kind},
 		}, nil)
 		if err != nil {
 			return err

@@ -9,7 +9,6 @@ import (
 	"corgipile/internal/data"
 	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
-	"corgipile/internal/ml"
 	"corgipile/internal/shuffle"
 	"corgipile/internal/storage"
 )
@@ -56,15 +55,10 @@ type FaultSweepReport struct {
 }
 
 // faultRun trains susy/clustered on simulated SSD under the given fault plan
-// and resilience policy, and summarizes the outcome as a FaultCell.
-func faultRun(ds *data.Dataset, epochs int, plan iosim.FaultPlan, resil shuffle.Resilience) FaultCell {
-	cell := FaultCell{
-		ReadErrorProb: plan.ReadErrorProb,
-		Retries:       resil.Retry.MaxAttempts - 1,
-	}
-	if cell.Retries < 0 {
-		cell.Retries = 0
-	}
+// with the run cfg describes (its epochs and resilience policy, every other
+// knob at its default), and summarizes the outcome as a FaultCell.
+func faultRun(ds *data.Dataset, cfg executor.TrainConfig, plan iosim.FaultPlan) FaultCell {
+	cell := FaultCell{ReadErrorProb: plan.ReadErrorProb, Retries: cfg.Retries}
 	clock := iosim.NewClock()
 	dev := iosim.NewDevice(scaledDevice(iosim.SSD, ds), clock).
 		WithCache(cacheBytes("susy", ds))
@@ -76,28 +70,19 @@ func faultRun(ds *data.Dataset, epochs int, plan iosim.FaultPlan, resil shuffle.
 		cell.Error = err.Error()
 		return cell
 	}
-	report := shuffle.NewFaultReport()
-	op, err := executor.BuildSGDPlan(shuffle.TableSource(tab), executor.PlanConfig{
-		Shuffle:        shuffle.KindCorgiPile,
-		BufferFraction: 0.1,
-		Seed:           1,
-		Resilience:     resil,
-		SGD: executor.SGDConfig{
-			Model:     ml.SVM{},
-			Opt:       ml.NewSGD(0.05),
-			Features:  ds.Features,
-			Epochs:    epochs,
-			Clock:     clock,
-			TrainEval: ds,
-			Faults:    report,
-		},
-	})
+	pc, err := cfg.Plan(ds.Features, ds.Classes)
+	if err != nil {
+		cell.Error = err.Error()
+		return cell
+	}
+	pc.SGD.Clock, pc.SGD.TrainEval, pc.SGD.Faults = clock, ds, shuffle.NewFaultReport()
+	op, err := executor.BuildSGDPlan(shuffle.TableSource(tab), pc)
 	if err != nil {
 		cell.Error = err.Error()
 		return cell
 	}
 	res, err := op.RunResult()
-	sum := report.Summary()
+	sum := pc.SGD.Faults.Summary()
 	cell.SimSeconds = clock.Now().Seconds()
 	cell.TransientErrors = int(sum.TransientErrors)
 	cell.RetriesUsed = int(sum.Retries)
@@ -144,7 +129,7 @@ func FaultSweepRun(w io.Writer) (FaultSweepReport, error) {
 	ds := data.Generate("susy", 0.2, data.OrderClustered)
 	rep := FaultSweepReport{Workload: "susy", Epochs: epochs}
 
-	clean := faultRun(ds, epochs, iosim.FaultPlan{}, shuffle.Resilience{})
+	clean := faultRun(ds, executor.TrainConfig{Epochs: epochs}, iosim.FaultPlan{})
 	if clean.Error != "" {
 		return rep, fmt.Errorf("bench: clean baseline failed: %s", clean.Error)
 	}
@@ -157,10 +142,7 @@ func FaultSweepRun(w io.Writer) (FaultSweepReport, error) {
 	for _, prob := range []float64{0, 0.01, 0.05} {
 		for _, retries := range []int{0, 1, 3} {
 			plan := iosim.FaultPlan{Seed: 9, ReadErrorProb: prob, ErrorLatency: 2 * time.Millisecond}
-			resil := shuffle.Resilience{
-				Retry: storage.RetryPolicy{MaxAttempts: retries + 1, Seed: 1},
-			}
-			cell := faultRun(ds, epochs, plan, resil)
+			cell := faultRun(ds, executor.TrainConfig{Epochs: epochs, Retries: retries}, plan)
 			rep.Grid = append(rep.Grid, cell)
 			outcome := "ok"
 			if !cell.Completed {
@@ -173,8 +155,8 @@ func FaultSweepRun(w io.Writer) (FaultSweepReport, error) {
 	}
 
 	// Quarantine scenario: two corrupt blocks under the skip policy.
-	rep.Corrupt = faultRun(ds, epochs, iosim.FaultPlan{Seed: 9, CorruptBlocks: []int{3, 17}},
-		shuffle.Resilience{OnCorrupt: shuffle.SkipCorrupt})
+	rep.Corrupt = faultRun(ds, executor.TrainConfig{Epochs: epochs, OnCorrupt: "skip"},
+		iosim.FaultPlan{Seed: 9, CorruptBlocks: []int{3, 17}})
 	c := rep.Corrupt
 	fmt.Fprintf(w, "  corrupt blocks %v, on_corrupt=skip: completed=%v acc=%.4f (clean %.4f), %d tuples quarantined\n",
 		c.SkippedBlocks, c.Completed, c.FinalAcc, rep.CleanAcc, c.SkippedTuples)

@@ -8,6 +8,7 @@ import (
 
 	"corgipile/internal/data"
 	"corgipile/internal/dist"
+	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
 	"corgipile/internal/shuffle"
@@ -187,9 +188,9 @@ func dlSweep(w io.Writer, title string, ds *data.Dataset, model, optimizer strin
 			"strategy", "e2 acc", "e10 acc", "final acc")
 		for _, kind := range kinds {
 			o, err := runOnDataset(ds, spec{
-				workload: ds.Name,
-				model:    model, optimizer: optimizer, lr: lr, batch: batch, epochs: 20,
-				kind: kind, inMemory: true,
+				workload: ds.Name, inMemory: true,
+				TrainConfig: executor.TrainConfig{Model: model, Optimizer: optimizer, LearningRate: lr,
+					BatchSize: batch, Epochs: 20, Strategy: kind},
 			}, nil)
 			if err != nil {
 				return err

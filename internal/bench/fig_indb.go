@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"corgipile/internal/data"
+	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
 	"corgipile/internal/shuffle"
 	"corgipile/internal/stats"
@@ -78,11 +79,10 @@ func runFig11(w io.Writer, scale float64) error {
 			best := 0.0
 			for i, sys := range systems {
 				o, err := run(spec{
-					workload: workload, order: data.OrderClustered, scale: scale,
-					model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 8,
-					kind: sys.kind, device: dev, double: true,
-					compress:     compressedWorkloads[workload],
-					computeScale: sys.computeScale,
+					workload: workload, order: data.OrderClustered, scale: scale, device: dev,
+					compress: compressedWorkloads[workload], computeScale: sys.computeScale,
+					TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload],
+						Decay: glmDecay, Epochs: 8, Strategy: sys.kind, DoubleBuffer: true},
 				})
 				if err != nil {
 					return err
@@ -121,9 +121,9 @@ func runTable3(w io.Writer, scale float64) error {
 				ds := data.Generate(workload, scale, data.OrderClustered)
 				train, test := splitEval(ds)
 				o, err := runOnDataset(train, spec{
-					workload: workload, scale: scale,
-					model: model, lr: glmLR[workload], decay: glmDecay, epochs: 8,
-					kind: kind, inMemory: true,
+					workload: workload, scale: scale, inMemory: true,
+					TrainConfig: executor.TrainConfig{Model: model, LearningRate: glmLR[workload],
+						Decay: glmDecay, Epochs: 8, Strategy: kind},
 				}, test)
 				if err != nil {
 					return err
@@ -150,9 +150,9 @@ func runFig12(w io.Writer, scale float64) error {
 				"strategy", "e1", "e2", "e4", "final acc")
 			for _, kind := range kinds {
 				o, err := run(spec{
-					workload: workload, order: data.OrderClustered, scale: scale,
-					model: model, lr: glmLR[workload], epochs: 8,
-					kind: kind, inMemory: true,
+					workload: workload, order: data.OrderClustered, scale: scale, inMemory: true,
+					TrainConfig: executor.TrainConfig{Model: model, LearningRate: glmLR[workload],
+						Epochs: 8, Strategy: kind},
 				})
 				if err != nil {
 					return err
@@ -187,10 +187,10 @@ func runFig13(w io.Writer, scale float64) error {
 				{"cp1", shuffle.KindCorgiPile, false},
 			} {
 				o, err := run(spec{
-					workload: workload, order: data.OrderClustered, scale: scale,
-					model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 5,
-					kind: cfg.kind, double: cfg.double, device: dev,
+					workload: workload, order: data.OrderClustered, scale: scale, device: dev,
 					compress: compressedWorkloads[workload],
+					TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload],
+						Decay: glmDecay, Epochs: 5, Strategy: cfg.kind, DoubleBuffer: cfg.double},
 				})
 				if err != nil {
 					return err

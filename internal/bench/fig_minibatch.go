@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"corgipile/internal/data"
+	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
 	"corgipile/internal/shuffle"
 	"corgipile/internal/stats"
@@ -54,10 +55,10 @@ func runFig16(w io.Writer, scale float64) error {
 			best := 0.0
 			for i, kind := range kinds {
 				o, err := run(spec{
-					workload: workload, order: data.OrderClustered, scale: scale,
-					model: model, lr: glmLR[workload] * 4, decay: glmDecay, epochs: 8, batch: 128,
-					kind: kind, device: iosim.SSD, double: true,
+					workload: workload, order: data.OrderClustered, scale: scale, device: iosim.SSD,
 					compress: compressedWorkloads[workload],
+					TrainConfig: executor.TrainConfig{Model: model, LearningRate: glmLR[workload] * 4,
+						Decay: glmDecay, Epochs: 8, BatchSize: 128, Strategy: kind, DoubleBuffer: true},
 				})
 				if err != nil {
 					return err
@@ -98,9 +99,9 @@ func runFig17(w io.Writer, scale float64) error {
 				"strategy", "e1", "e2", "e4", "final acc")
 			for _, kind := range kinds {
 				o, err := run(spec{
-					workload: workload, order: data.OrderClustered, scale: scale,
-					model: model, lr: glmLR[workload] * 4, decay: glmDecay, epochs: 8, batch: 128,
-					kind: kind, inMemory: true,
+					workload: workload, order: data.OrderClustered, scale: scale, inMemory: true,
+					TrainConfig: executor.TrainConfig{Model: model, LearningRate: glmLR[workload] * 4,
+						Decay: glmDecay, Epochs: 8, BatchSize: 128, Strategy: kind},
 				})
 				if err != nil {
 					return err
@@ -140,9 +141,9 @@ func runFig18(w io.Writer, scale float64) error {
 		best := 0.0
 		for i, kind := range kinds {
 			o, err := run(spec{
-				workload: job.workload, order: data.OrderClustered, scale: scale,
-				model: job.model, lr: job.lr, decay: glmDecay, epochs: 8, batch: job.batch,
-				kind: kind, device: iosim.SSD, double: true,
+				workload: job.workload, order: data.OrderClustered, scale: scale, device: iosim.SSD,
+				TrainConfig: executor.TrainConfig{Model: job.model, LearningRate: job.lr, Decay: glmDecay,
+					Epochs: 8, BatchSize: job.batch, Strategy: kind, DoubleBuffer: true},
 			})
 			if err != nil {
 				return err
@@ -197,9 +198,9 @@ func runFig19(w io.Writer, scale float64) error {
 				accs := map[shuffle.Kind]float64{}
 				for _, kind := range []shuffle.Kind{shuffle.KindNoShuffle, shuffle.KindCorgiPile, shuffle.KindShuffleOnce} {
 					o, err := runOnDataset(base, spec{
-						workload: workload, scale: scale,
-						model: model, lr: glmLR[workload], decay: glmDecay, epochs: 8,
-						kind: kind, inMemory: true,
+						workload: workload, scale: scale, inMemory: true,
+						TrainConfig: executor.TrainConfig{Model: model, LearningRate: glmLR[workload],
+							Decay: glmDecay, Epochs: 8, Strategy: kind},
 					}, nil)
 					if err != nil {
 						return err

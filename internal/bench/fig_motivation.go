@@ -6,6 +6,7 @@ import (
 
 	"corgipile/internal/data"
 	"corgipile/internal/dist"
+	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
 	"corgipile/internal/shuffle"
@@ -75,9 +76,10 @@ func runFig1(w io.Writer, scale float64) error {
 	outs := make([]*out, len(systems))
 	for i, sys := range systems {
 		o, err := run(spec{
-			workload: "higgs", order: data.OrderClustered, scale: scale,
-			model: "svm", lr: glmLR["higgs"], decay: glmDecay, epochs: 10,
-			kind: sys.kind, device: iosim.HDD, computeScale: sys.computeScale,
+			workload: "higgs", order: data.OrderClustered, scale: scale, device: iosim.HDD,
+			computeScale: sys.computeScale,
+			TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR["higgs"], Decay: glmDecay,
+				Epochs: 10, Strategy: sys.kind},
 		})
 		if err != nil {
 			return err
@@ -126,9 +128,9 @@ func runFig2(w io.Writer, scale float64) error {
 				"strategy", "e1", "e3", "e6", "final acc")
 			for _, kind := range kinds {
 				o, err := run(spec{
-					workload: wl.workload, order: order, scale: scale,
-					model: wl.model, lr: wl.lr, batch: wl.batch, epochs: 8,
-					kind: kind, inMemory: true,
+					workload: wl.workload, order: order, scale: scale, inMemory: true,
+					TrainConfig: executor.TrainConfig{Model: wl.model, LearningRate: wl.lr,
+						BatchSize: wl.batch, Epochs: 8, Strategy: kind},
 				})
 				if err != nil {
 					return err
@@ -200,9 +202,9 @@ func runTable1(w io.Writer, scale float64) error {
 		shuffle.KindMRS, shuffle.KindSlidingWindow, shuffle.KindCorgiPile,
 	} {
 		o, err := run(spec{
-			workload: "higgs", order: data.OrderClustered, scale: scale,
-			model: "svm", lr: glmLR["higgs"], decay: glmDecay, epochs: 8,
-			kind: kind, device: iosim.HDD,
+			workload: "higgs", order: data.OrderClustered, scale: scale, device: iosim.HDD,
+			TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR["higgs"], Decay: glmDecay,
+				Epochs: 8, Strategy: kind},
 		})
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"corgipile/internal/data"
+	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
 	"corgipile/internal/shuffle"
 	"corgipile/internal/stats"
@@ -41,9 +42,9 @@ func runFig14(w io.Writer, scale float64) error {
 		soFinal := 0.0
 		{
 			o, err := run(spec{
-				workload: workload, order: data.OrderClustered, scale: scale,
-				model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 8,
-				kind: shuffle.KindShuffleOnce, inMemory: true,
+				workload: workload, order: data.OrderClustered, scale: scale, inMemory: true,
+				TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload],
+					Decay: glmDecay, Epochs: 8, Strategy: shuffle.KindShuffleOnce},
 			})
 			if err != nil {
 				return err
@@ -54,9 +55,9 @@ func runFig14(w io.Writer, scale float64) error {
 		}
 		for _, frac := range []float64{0.01, 0.02, 0.05, 0.10} {
 			o, err := run(spec{
-				workload: workload, order: data.OrderClustered, scale: scale,
-				model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 8,
-				kind: shuffle.KindCorgiPile, bufferFrac: frac, inMemory: true,
+				workload: workload, order: data.OrderClustered, scale: scale, inMemory: true,
+				TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload],
+					Decay: glmDecay, Epochs: 8, Strategy: shuffle.KindCorgiPile, BufferFraction: frac},
 			})
 			if err != nil {
 				return err
@@ -79,10 +80,10 @@ func runFig14(w io.Writer, scale float64) error {
 		row := []any{workload}
 		for _, bs := range []int64{base / 5, base, base * 5} {
 			o, err := run(spec{
-				workload: workload, order: data.OrderClustered, scale: scale,
-				model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 3,
-				kind: shuffle.KindCorgiPile, device: iosim.HDD, blockSize: bs,
+				workload: workload, order: data.OrderClustered, scale: scale, device: iosim.HDD,
 				compress: compressedWorkloads[workload],
+				TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload],
+					Decay: glmDecay, Epochs: 3, Strategy: shuffle.KindCorgiPile, BlockSize: bs},
 			})
 			if err != nil {
 				return err
@@ -107,26 +108,28 @@ func runFig15(w io.Writer, scale float64) error {
 		"dataset", "in-DB CorgiPile", "PyTorch-style (No Shuffle)", "PyTorch-style (CorgiPile)", "in-DB speedup", "CP-vs-NS overhead outside DB")
 	for _, workload := range data.GLMDatasets {
 		inDB, err := run(spec{
-			workload: workload, order: data.OrderClustered, scale: scale,
-			model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 4,
-			kind: shuffle.KindCorgiPile, double: true, device: iosim.SSD,
+			workload: workload, order: data.OrderClustered, scale: scale, device: iosim.SSD,
 			compress: compressedWorkloads[workload],
+			TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload], Decay: glmDecay,
+				Epochs: 4, Strategy: shuffle.KindCorgiPile, DoubleBuffer: true},
 		})
 		if err != nil {
 			return err
 		}
 		pyNS, err := run(spec{
-			workload: workload, order: data.OrderClustered, scale: scale,
-			model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 4,
-			kind: shuffle.KindNoShuffle, inMemory: true, computeScale: pyOverhead,
+			workload: workload, order: data.OrderClustered, scale: scale, inMemory: true,
+			computeScale: pyOverhead,
+			TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload], Decay: glmDecay,
+				Epochs: 4, Strategy: shuffle.KindNoShuffle},
 		})
 		if err != nil {
 			return err
 		}
 		pyCP, err := run(spec{
-			workload: workload, order: data.OrderClustered, scale: scale,
-			model: "svm", lr: glmLR[workload], decay: glmDecay, epochs: 4,
-			kind: shuffle.KindCorgiPile, inMemory: true, computeScale: pyOverhead,
+			workload: workload, order: data.OrderClustered, scale: scale, inMemory: true,
+			computeScale: pyOverhead,
+			TrainConfig: executor.TrainConfig{Model: "svm", LearningRate: glmLR[workload], Decay: glmDecay,
+				Epochs: 4, Strategy: shuffle.KindCorgiPile},
 		})
 		if err != nil {
 			return err

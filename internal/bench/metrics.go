@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"corgipile/internal/data"
+	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
 	"corgipile/internal/obs"
 	"corgipile/internal/shuffle"
@@ -73,9 +74,7 @@ func Profile(w io.Writer, opts ProfileOptions) error {
 	if !ok {
 		return fmt.Errorf("bench: unknown device %q (hdd, ssd, ram)", opts.Device)
 	}
-	if opts.Strategy == "" {
-		opts.Strategy = shuffle.KindCorgiPile
-	}
+	opts.Strategy = executor.TrainConfig{Strategy: opts.Strategy}.WithDefaults().Strategy
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.New()
@@ -84,20 +83,13 @@ func Profile(w io.Writer, opts ProfileOptions) error {
 		reg.StreamTo(opts.TraceOut)
 	}
 	runName := fmt.Sprintf("corgibench %s/%s/%s", opts.Workload, opts.Strategy, opts.Device)
-	o, err := run(spec{
-		workload: opts.Workload,
-		order:    data.OrderClustered,
-		scale:    opts.Scale,
-		epochs:   opts.Epochs,
-		kind:     opts.Strategy,
-		double:   opts.DoubleBuffer,
-		device:   prof,
-		reg:      reg,
-		feed:     opts.Feed,
-		runName:  runName,
-		diag:     opts.Diag,
-		explain:  opts.Explain,
-	})
+	s := spec{
+		workload: opts.Workload, order: data.OrderClustered, scale: opts.Scale, device: prof,
+		TrainConfig: executor.TrainConfig{Epochs: opts.Epochs, Strategy: opts.Strategy,
+			DoubleBuffer: opts.DoubleBuffer, Metrics: reg, Feed: opts.Feed, RunName: runName,
+			Diag: opts.Diag, Explain: opts.Explain},
+	}
+	o, err := run(s)
 	if err != nil {
 		return err
 	}
@@ -129,7 +121,7 @@ func Profile(w io.Writer, opts ProfileOptions) error {
 		Manifest: obs.Manifest{
 			Tool:   "corgibench",
 			Run:    runName,
-			Seed:   1, // spec's default: profiles do not set one
+			Seed:   s.WithDefaults().Seed,
 			Config: opts,
 		},
 		Epochs:  o.res.Breakdown,

@@ -9,81 +9,27 @@ import (
 	"corgipile/internal/data"
 	"corgipile/internal/executor"
 	"corgipile/internal/iosim"
-	"corgipile/internal/ml"
-	"corgipile/internal/obs"
 	"corgipile/internal/shuffle"
 	"corgipile/internal/storage"
 )
 
-// spec fully describes one training run on simulated storage.
+// spec fully describes one training run on simulated storage: the dataset,
+// the storage under it, and the run's knobs.
 type spec struct {
 	workload string
 	order    data.Order
 	scale    float64
 
-	model     string
-	optimizer string
-	lr        float64
-	decay     float64
-	epochs    int
-	batch     int
+	device   iosim.Profile // on-device runs only
+	compress bool
 
-	kind       shuffle.Kind
-	bufferFrac float64
-	double     bool
-
-	device    iosim.Profile
-	blockSize int64
-	compress  bool
-
-	seed         int64
 	computeScale float64
 	inMemory     bool // skip the storage engine (PyTorch-style in-memory)
 
-	// reg, when non-nil, collects cross-layer metrics: it is attached to the
-	// simulated clock, the device, the shuffle strategy, and the training
-	// loop, so out.res.Breakdown carries one row per epoch.
-	reg *obs.Registry
-	// feed, when non-nil, receives one live status update per epoch; runName
-	// labels the updates.
-	feed    *obs.RunFeed
-	runName string
-	// diag enables the convergence diagnostics.
-	diag bool
-	// explain switches on per-operator profiling of the plan every run
-	// executes; out.res.Plan then carries the annotated plan tree.
-	explain bool
-}
-
-func (s spec) withDefaults() spec {
-	if s.scale == 0 {
-		s.scale = 1
-	}
-	if s.model == "" {
-		s.model = "svm"
-	}
-	if s.lr == 0 {
-		s.lr = 0.05
-	}
-	if s.decay == 0 {
-		s.decay = 0.95
-	}
-	if s.epochs == 0 {
-		s.epochs = 10
-	}
-	if s.kind == "" {
-		s.kind = shuffle.KindCorgiPile
-	}
-	if s.bufferFrac == 0 {
-		s.bufferFrac = 0.1
-	}
-	if s.device.Name == "" {
-		s.device = iosim.SSD
-	}
-	if s.seed == 0 {
-		s.seed = 1
-	}
-	return s
+	// TrainConfig holds the run's knobs (BlockSize 0 = paperBlockEquiv) and
+	// hooks; Metrics also watches the clock and the device, so
+	// out.res.Breakdown carries one row per epoch.
+	executor.TrainConfig
 }
 
 // paperBlockEquiv returns the block size playing the role of the paper's
@@ -136,7 +82,6 @@ type out struct {
 
 // run executes the spec and collects its timing summary.
 func run(s spec) (*out, error) {
-	s = s.withDefaults()
 	return runOnDataset(data.Generate(s.workload, s.scale, s.order), s, nil)
 }
 
@@ -149,25 +94,20 @@ func splitEval(ds *data.Dataset) (train, test *data.Dataset) {
 // runOnDataset executes the spec over an explicit dataset, optionally
 // evaluating a held-out test set each epoch.
 func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
-	s = s.withDefaults()
 	clock := iosim.NewClock()
-	s.reg.WithClock(clock)
+	s.Metrics.WithClock(clock)
 	var src shuffle.Source
 	if s.inMemory {
 		// Match the on-device regime: N = 256 blocks.
-		perBlock := ds.Len() / 256
-		if perBlock < 1 {
-			perBlock = 1
-		}
-		src = shuffle.NewMemSource(ds, perBlock).WithClock(clock, 0)
+		src = shuffle.NewMemSource(ds, max(ds.Len()/256, 1)).WithClock(clock, 0)
 	} else {
-		if s.blockSize == 0 {
-			s.blockSize = paperBlockEquiv(ds)
+		if s.BlockSize == 0 {
+			s.BlockSize = paperBlockEquiv(ds)
 		}
 		dev := iosim.NewDevice(scaledDevice(s.device, ds), clock).
-			WithCache(cacheBytes(s.workload, ds)).WithObs(s.reg)
+			WithCache(cacheBytes(s.workload, ds)).WithObs(s.Metrics)
 		tab, err := storage.Build(dev, ds, storage.Options{
-			BlockSize: s.blockSize,
+			BlockSize: s.BlockSize,
 			Compress:  s.compress,
 		})
 		if err != nil {
@@ -175,42 +115,13 @@ func runOnDataset(ds *data.Dataset, s spec, test *data.Dataset) (*out, error) {
 		}
 		src = shuffle.TableSource(tab)
 	}
-
-	model, err := ml.New(s.model, ds.Classes)
+	cfg, err := s.Plan(ds.Features, ds.Classes)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := ml.NewOptimizer(s.optimizer, s.lr)
-	if err != nil {
-		return nil, err
-	}
-	if sgd, ok := opt.(*ml.SGD); ok {
-		sgd.Decay = s.decay
-	}
-
-	op, err := executor.BuildSGDPlan(src, executor.PlanConfig{
-		Shuffle:        s.kind,
-		BufferFraction: s.bufferFrac,
-		DoubleBuffer:   s.double,
-		Seed:           s.seed,
-		Profile:        s.explain,
-		SGD: executor.SGDConfig{
-			Model:        model,
-			Opt:          opt,
-			Features:     ds.Features,
-			Epochs:       s.epochs,
-			BatchSize:    s.batch,
-			Clock:        clock,
-			TrainEval:    ds,
-			TestEval:     test,
-			InitWeights:  core.InitWeights(model, ds.Features, s.seed),
-			ComputeScale: s.computeScale,
-			Obs:          s.reg,
-			Diag:         s.diag,
-			Feed:         s.feed,
-			RunName:      s.runName,
-		},
-	})
+	cfg.SGD.Clock, cfg.SGD.TrainEval, cfg.SGD.TestEval = clock, ds, test
+	cfg.SGD.ComputeScale = s.computeScale
+	op, err := executor.BuildSGDPlan(src, cfg)
 	if err != nil {
 		return nil, err
 	}

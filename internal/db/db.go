@@ -5,8 +5,8 @@
 package db
 
 import (
-	"context"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -428,34 +428,6 @@ func (s *Session) execTrain(st *sqlparse.Train) (*Result, error) {
 	return res, nil
 }
 
-// TrainOptions overrides the session-level execution hooks for one TRAIN
-// statement — the serving plane's per-job knobs. The zero value inherits
-// the session's registry, feed and diagnostics, never cancels, and leaves
-// profiling off.
-type TrainOptions struct {
-	// Ctx, when non-nil, cancels the run: the executor checks it between
-	// epochs and every few hundred tuples inside one, so a canceled context
-	// stops an in-flight epoch promptly.
-	Ctx context.Context
-	// Obs, when non-nil, replaces the session metrics registry for this
-	// run (per-job epoch breakdowns for concurrent trains).
-	Obs *obs.Registry
-	// Feed, when non-nil, replaces the session run feed for this run
-	// (per-job live status for concurrent trains).
-	Feed *obs.RunFeed
-	// RunName labels feed updates (default "train <model>").
-	RunName string
-	// Profile enables the per-operator runtime profile (EXPLAIN ANALYZE).
-	Profile bool
-	// Events, when non-nil, receives per-epoch wall-clock spans stamped
-	// with Trace — the serving plane threads its event log and the wire
-	// request's trace ID through here so corgi_spans can reconstruct a
-	// TRAIN job's timeline.
-	Events *obs.EventLog
-	// Trace is the request trace ID attributed to this run's events.
-	Trace string
-}
-
 // PreparedTrain is a TRAIN statement bound to an executable plan. The
 // three-phase Prepare → Execute → Install split exists for the serving
 // plane: Prepare and Install read/write the catalog (callers serialize
@@ -474,6 +446,9 @@ type PreparedTrain struct {
 	resume   *ModelEntry
 	frontier int
 }
+
+// Seed returns the seed the plan draws its randomness from.
+func (pt *PreparedTrain) Seed() int64 { return pt.cfg.Seed }
 
 // Op returns the plan's root SGD operator.
 func (pt *PreparedTrain) Op() *executor.SGDOp { return pt.op }
@@ -506,19 +481,24 @@ var resumableKinds = map[shuffle.Kind]bool{
 // does not mutate it. With resume='model', the plan starts from that
 // model's weights and scans only the blocks appended since it was trained;
 // evaluation still covers the whole table.
-func (s *Session) PrepareTrain(st *sqlparse.Train, opt TrainOptions) (*PreparedTrain, error) {
+//
+// hooks supplies the run's hooks (Ctx, Metrics, Feed, RunName, Explain,
+// Events, Trace), each overriding the session's when set — the serving
+// plane's per-job ones. The WITH list decides every knob, and Diag is the
+// session's.
+func (s *Session) PrepareTrain(st *sqlparse.Train, hooks executor.TrainConfig) (*PreparedTrain, error) {
 	entry, ok := s.Table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("db: unknown table %q", st.Table)
 	}
-	cfg, err := s.trainPlanConfig(st, entry, true, opt)
+	cfg, name, err := s.trainPlanConfig(st, entry, true, hooks)
 	if err != nil {
 		return nil, err
 	}
 	var src shuffle.Source = shuffle.TableSource(entry.Table)
 	frontier := entry.Table.NumBlocks()
 	var resume *ModelEntry
-	if name := st.Params.Str("resume", ""); name != "" {
+	if name != "" {
 		m, ok := s.Model(name)
 		if !ok {
 			return nil, fmt.Errorf("db: resume: unknown model %q", name)
@@ -587,7 +567,7 @@ func (s *Session) InstallModel(pt *PreparedTrain, rows []executor.EpochRow) (*Mo
 // runtime profile (EXPLAIN ANALYZE); a plain TRAIN leaves it off so the
 // executor hot path is untouched.
 func (s *Session) runTrain(st *sqlparse.Train, profile bool) (*PreparedTrain, []executor.EpochRow, string, error) {
-	pt, err := s.PrepareTrain(st, TrainOptions{Profile: profile})
+	pt, err := s.PrepareTrain(st, executor.TrainConfig{Explain: profile})
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -624,25 +604,6 @@ func resumeNote(pt *PreparedTrain) string {
 	return fmt.Sprintf("; resumed from %q (+%d blocks)", pt.resume.Name, pt.frontier-pt.resume.TrainedBlocks)
 }
 
-// trainResilience builds the retry/degrade configuration from a TRAIN
-// statement's WITH-params: retries=N (extra attempts after the first),
-// retry_backoff_ms=M, on_corrupt=fail|skip, max_skip_fraction=F.
-func trainResilience(params sqlparse.Params, seed int64) (shuffle.Resilience, error) {
-	policy, err := shuffle.ParseFailurePolicy(params.Str("on_corrupt", ""))
-	if err != nil {
-		return shuffle.Resilience{}, fmt.Errorf("db: %w", err)
-	}
-	return shuffle.Resilience{
-		Retry: storage.RetryPolicy{
-			MaxAttempts: int(params.Num("retries", 0)) + 1,
-			Backoff:     time.Duration(params.Num("retry_backoff_ms", 0) * float64(time.Millisecond)),
-			Seed:        seed,
-		},
-		OnCorrupt:       policy,
-		MaxSkipFraction: params.Num("max_skip_fraction", 0),
-	}, nil
-}
-
 // compilePredicate compiles a parsed WHERE predicate to a tuple filter
 // (nil predicate = nil filter, meaning "keep everything").
 func compilePredicate(p *sqlparse.Predicate) func(*data.Tuple) bool {
@@ -673,71 +634,41 @@ func compilePredicate(p *sqlparse.Predicate) func(*data.Tuple) bool {
 }
 
 // trainPlanConfig builds the executor plan configuration a TRAIN statement
-// describes. Shared by execTrain (withEval=true: the evaluation set is the
-// table decoded out-of-band, restricted to the WHERE predicate) and
+// describes, and returns the name of the model it resumes (empty for a
+// fresh train). Shared by execTrain (withEval=true: the evaluation set is
+// the table decoded out-of-band, restricted to the WHERE predicate) and
 // execExplain (withEval=false: only the plan shape matters, so the decode
-// is skipped). opt overrides the session-level hooks per run and turns on
-// the per-operator runtime profile.
-func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEval bool, opt TrainOptions) (executor.PlanConfig, error) {
+// is skipped). hooks are PrepareTrain's.
+func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEval bool, hooks executor.TrainConfig) (executor.PlanConfig, string, error) {
+	run, err := resolveTrain(st.Params)
+	if err != nil {
+		return executor.PlanConfig{}, "", err
+	}
+	tc := run.TrainConfig
+	tc.Model, tc.Diag = st.ModelType, s.diag
+	tc.Ctx, tc.Metrics, tc.Feed, tc.RunName = hooks.Ctx, hooks.Metrics, hooks.Feed, hooks.RunName
+	tc.Explain, tc.Events, tc.Trace = hooks.Explain, hooks.Events, hooks.Trace
+	if tc.Metrics == nil {
+		tc.Metrics = s.obs
+	}
+	if tc.Feed == nil {
+		tc.Feed = s.feed
+	}
+	if tc.RunName == "" {
+		tc.RunName = "train " + strings.ToLower(st.ModelName)
+	}
 	tab := entry.Table
-	model, err := ml.New(st.ModelType, tab.Classes())
+	cfg, err := tc.Plan(tab.Features(), tab.Classes())
 	if err != nil {
-		return executor.PlanConfig{}, err
-	}
-	lr := st.Params.Num("learning_rate", 0.05)
-	optimizer, err := ml.NewOptimizer(st.Params.Str("optimizer", "sgd"), lr)
-	if err != nil {
-		return executor.PlanConfig{}, err
-	}
-	if sgd, ok := optimizer.(*ml.SGD); ok {
-		sgd.Decay = st.Params.Num("decay", 0.95)
-	}
-	seed := int64(st.Params.Num("seed", 1))
-	resil, err := trainResilience(st.Params, seed)
-	if err != nil {
-		return executor.PlanConfig{}, err
-	}
-	reg, feed, runName := s.obs, s.feed, "train "+strings.ToLower(st.ModelName)
-	if opt.Obs != nil {
-		reg = opt.Obs
-	}
-	if opt.Feed != nil {
-		feed = opt.Feed
-	}
-	if opt.RunName != "" {
-		runName = opt.RunName
+		return executor.PlanConfig{}, "", err
 	}
 	filter := compilePredicate(st.Where)
-	cfg := executor.PlanConfig{
-		Shuffle:        shuffle.Kind(st.Params.Str("shuffle", string(shuffle.KindCorgiPile))),
-		BufferFraction: st.Params.Num("buffer_fraction", 0.1),
-		DoubleBuffer:   st.Params.Bool("double_buffer", true),
-		Seed:           seed,
-		Resilience:     resil,
-		Filter:         filter,
-		FilterDesc:     predicateDesc(st.Where),
-		Profile:        opt.Profile,
-		SGD: executor.SGDConfig{
-			Model:       model,
-			Opt:         optimizer,
-			Features:    tab.Features(),
-			Epochs:      int(st.Params.Num("max_epoch_num", 20)),
-			BatchSize:   int(st.Params.Num("batch_size", 1)),
-			Clock:       s.clock,
-			InitWeights: core.InitWeights(model, tab.Features(), seed),
-			Obs:         reg,
-			Feed:        feed,
-			Diag:        s.diag,
-			RunName:     runName,
-			Ctx:         opt.Ctx,
-			Events:      opt.Events,
-			Trace:       opt.Trace,
-		},
-	}
+	cfg.Filter, cfg.FilterDesc = filter, predicateDesc(st.Where)
+	cfg.SGD.Clock = s.clock
 	if withEval {
 		eval, err := tab.DecodeAll()
 		if err != nil {
-			return executor.PlanConfig{}, err
+			return executor.PlanConfig{}, "", err
 		}
 		if filter != nil {
 			// eval is a shared view of the table's image: filter into a
@@ -755,7 +686,7 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 			Features: tab.Features(), Classes: tab.Classes(), Tuples: eval,
 		}
 	}
-	return cfg, nil
+	return cfg, run.resume, nil
 }
 
 // predicateDesc renders a WHERE predicate for plan display.
@@ -779,7 +710,7 @@ func (s *Session) execExplain(st *sqlparse.Explain) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("db: unknown table %q", st.Train.Table)
 	}
-	cfg, err := s.trainPlanConfig(st.Train, entry, false, TrainOptions{})
+	cfg, _, err := s.trainPlanConfig(st.Train, entry, false, executor.TrainConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -836,7 +767,7 @@ func (s *Session) execAnalyze(st *sqlparse.Analyze) (*Result, error) {
 		return nil, fmt.Errorf("db: unknown table %q", st.Table)
 	}
 	tab := entry.Table
-	model, err := ml.New(st.Params.Str("model", "svm"), tab.Classes())
+	model, err := ml.New(st.Params.Str("model", executor.TrainConfig{}.WithDefaults().Model), tab.Classes())
 	if err != nil {
 		return nil, err
 	}
@@ -855,11 +786,17 @@ func (s *Session) execAnalyze(st *sqlparse.Analyze) (*Result, error) {
 	w := make([]float64, model.Dim(tab.Features()))
 	hd := core.HDFactor(model, w, ds, blockTuples)
 
-	epochs := int(st.Params.Num("max_epoch_num", 20))
+	// The bound's horizon is the run a TRAIN with this max_epoch_num makes.
+	horizon := maps.Clone(st.Params)
+	maps.DeleteFunc(horizon, func(key string, _ sqlparse.Value) bool { return key != "max_epoch_num" })
+	run, err := resolveTrain(horizon)
+	if err != nil {
+		return nil, err
+	}
 	params := core.BoundParams{
 		N: tab.NumBlocks(), B: blockTuples, M: tab.NumTuples(),
 		HD: hd, Sigma2: 1, // σ² scales both bounds identically; h_D carries the order information
-		T: epochs * tab.NumTuples(),
+		T: run.Epochs * tab.NumTuples(),
 	}
 	nbuf, bound, full := core.RecommendBuffer(params, st.Params.Num("tolerance", 1.10))
 	frac := float64(nbuf) / float64(tab.NumBlocks())

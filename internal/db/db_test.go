@@ -485,7 +485,7 @@ func TestPredicateFuncAllOperators(t *testing.T) {
 }
 
 // TRAIN does not read procs, and clients still send it (the benchmark sends
-// procs=1): like any WITH key TRAIN does not read, it is accepted and
+// procs=1): it is the one accepted WITH key that nothing reads, so it
 // changes nothing.
 func TestTrainProcsParamDeterministic(t *testing.T) {
 	run := func(with string) [][]string {

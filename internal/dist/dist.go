@@ -89,7 +89,7 @@ func (c Config) withDefaults() (Config, error) {
 	c.Epochs = max(c.Epochs, 1)
 	c.GlobalBatch = max(c.GlobalBatch, c.Workers)
 	if c.BufferFraction <= 0 {
-		c.BufferFraction = 0.1
+		c.BufferFraction = shuffle.DefaultBufferFraction
 	}
 	if c.ComputeScale == 0 {
 		c.ComputeScale = 1

@@ -21,7 +21,7 @@ type planShape struct {
 // src, without building any operators.
 func buildShape(src shuffle.Source, cfg PlanConfig) planShape {
 	if cfg.BufferFraction <= 0 {
-		cfg.BufferFraction = 0.1
+		cfg.BufferFraction = shuffle.DefaultBufferFraction
 	}
 	model := "?"
 	if cfg.SGD.Model != nil {

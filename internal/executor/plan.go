@@ -50,7 +50,7 @@ type PlanConfig struct {
 // and returns its SGD root operator.
 func BuildSGDPlan(src shuffle.Source, cfg PlanConfig) (*SGDOp, error) {
 	if cfg.BufferFraction <= 0 {
-		cfg.BufferFraction = 0.1
+		cfg.BufferFraction = shuffle.DefaultBufferFraction
 	}
 	var prof *PlanProfile
 	var shape planShape

@@ -280,6 +280,35 @@ func TestCancelMidEpochReleasesSlot(t *testing.T) {
 	}
 }
 
+// A WITH list TRAIN refuses fails the job the way a bad shuffle value
+// does: state failed, with the text a session's Exec returns.
+func TestTrainRefusedWithFailsJob(t *testing.T) {
+	srv := testServer(t, Config{})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	local := db.NewSession()
+	if _, err := local.Exec(`CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.01)`); err != nil {
+		t.Fatal(err)
+	}
+	for _, with := range []string{`shuffle='sideways'`, `lerning_rate=9`, `seed=0`} {
+		sql := `SELECT * FROM t TRAIN BY svm MODEL refused WITH ` + with
+		_, want := local.Exec(sql)
+		if want == nil {
+			t.Fatalf("%s: session accepted it", sql)
+		}
+		st, err := c.Train(sql, true, false)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if st.State != JobFailed || st.Error != want.Error() {
+			t.Errorf("%s: job %s %q, want failed %q", sql, st.State, st.Error, want)
+		}
+	}
+}
+
 // TestAdmissionQueueFull saturates the bounded queue and checks the
 // overflow TRAIN is rejected with ERR_QUEUE_FULL rather than blocking.
 func TestAdmissionQueueFull(t *testing.T) {

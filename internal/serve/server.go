@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"corgipile/internal/db"
+	"corgipile/internal/executor"
 	"corgipile/internal/obs"
 	"corgipile/internal/repl"
 	"corgipile/internal/sqlparse"
@@ -666,9 +667,9 @@ func (s *Server) runJob(j *job) {
 	s.events.RecordSpan(j.trace, obs.EvSpanQueue, j.created, time.Since(j.created))
 	s.events.Emit(obs.EvJobRunning, j.trace, "job="+j.id)
 	s.catalog.RLock()
-	pt, err := s.dbs.PrepareTrain(j.st, db.TrainOptions{
+	pt, err := s.dbs.PrepareTrain(j.st, executor.TrainConfig{
 		Ctx:     j.ctx,
-		Obs:     j.reg,
+		Metrics: j.reg,
 		Feed:    j.feed,
 		RunName: j.id + " train " + strings.ToLower(j.st.ModelName),
 		Events:  s.events,
@@ -694,7 +695,7 @@ func (s *Server) runJob(j *job) {
 		} else {
 			j.finish(JobFailed, nil, err.Error())
 		}
-		s.writeArtifacts(j)
+		s.writeArtifacts(j, pt.Seed())
 		return
 	}
 
@@ -705,7 +706,7 @@ func (s *Server) runJob(j *job) {
 		s.catalog.Unlock()
 		isp.End()
 		j.finish(JobFailed, nil, err.Error())
-		s.writeArtifacts(j)
+		s.writeArtifacts(j, pt.Seed())
 		return
 	}
 	s.catalog.Unlock()
@@ -715,14 +716,14 @@ func (s *Server) runJob(j *job) {
 	j.model = entry.Name
 	j.mu.Unlock()
 	j.finish(JobDone, rows, "")
-	s.writeArtifacts(j)
+	s.writeArtifacts(j, pt.Seed())
 }
 
 // writeArtifacts persists the job's durable run directory when RunRoot is
-// configured: manifest.json identifying the job, epochs.jsonl with the
-// per-epoch cross-layer breakdown and metrics.prom from the job's private
-// registry.
-func (s *Server) writeArtifacts(j *job) {
+// configured: manifest.json identifying the job and its plan's seed,
+// epochs.jsonl with the per-epoch cross-layer breakdown and metrics.prom
+// from the job's private registry.
+func (s *Server) writeArtifacts(j *job, seed int64) {
 	if s.cfg.RunRoot == "" {
 		return
 	}
@@ -732,7 +733,7 @@ func (s *Server) writeArtifacts(j *job) {
 		Manifest: obs.Manifest{
 			Tool: "corgiserved",
 			Run:  j.id + " " + string(st.State) + " " + st.Model,
-			Seed: int64(j.st.Params.Num("seed", 1)),
+			Seed: seed,
 			Config: map[string]any{
 				"sql":     j.sql,
 				"session": j.session,

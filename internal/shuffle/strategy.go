@@ -22,10 +22,13 @@ const (
 	KindCorgiPile     Kind = "corgipile"
 )
 
+// DefaultBufferFraction is the paper's buffer size, a fraction of the dataset.
+const DefaultBufferFraction = 0.1
+
 // Options configures a strategy.
 type Options struct {
 	// BufferFraction is the in-memory buffer size as a fraction of the
-	// dataset (the paper's default is 0.10). It sizes CorgiPile's block
+	// dataset (default DefaultBufferFraction). It sizes CorgiPile's block
 	// buffer, the sliding window, and the MRS reservoir alike, so the
 	// strategies compete with equal memory.
 	BufferFraction float64
@@ -48,7 +51,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.BufferFraction <= 0 {
-		o.BufferFraction = 0.10
+		o.BufferFraction = DefaultBufferFraction
 	}
 	return o
 }

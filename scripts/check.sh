@@ -29,6 +29,14 @@ echo "$plan" | grep -q '└─ BlockShuffle'
 echo "$plan" | grep -q '(actual: rows='
 echo "$plan" | grep -q 'EXPLAIN ANALYZE: model'
 
+# A misspelt WITH key fails the statement and names the key, instead of
+# training with the default.
+if err=$(go run ./cmd/corgisql -c "CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.05); SELECT * FROM t TRAIN BY svm WITH lerning_rate=9" 2>&1 >/dev/null); then
+	echo "corgisql accepted WITH lerning_rate=9" >&2
+	exit 1
+fi
+echo "$err" | grep -q 'lerning_rate'
+
 # Serving-plane smoke: boot corgiserved, replay the docs/PROTOCOL.md
 # transcript byte-for-byte, scrape per-job telemetry, run a tiny
 # serve_mixed benchmark pass.
