@@ -206,9 +206,9 @@ func ParseAlertRule(spec string) (AlertRule, error) { return obs.ParseAlertRule(
 // ServeTelemetry starts the telemetry HTTP server on addr (host:port;
 // port 0 picks a free one — read the bound address with Addr). It serves
 // /metrics (Prometheus text format over reg), /run (live JSON or SSE from
-// feed), and /debug/pprof/. Attaching reg switches it into live mode: the
-// shuffle-buffer occupancy gauges and a runtime sampler (heap, goroutines,
-// GC pauses) start recording. Close the server to stop both.
+// feed), and /debug/pprof/. Serving reg adds the runtime collector to it,
+// so every read of reg carries the process gauges (heap, goroutines, GC
+// pauses). Close the server to stop serving.
 func ServeTelemetry(addr string, reg *Metrics, feed *RunFeed) (*TelemetryServer, error) {
 	return obs.Serve(obs.ServeConfig{Addr: addr, Registry: reg, Feed: feed})
 }

@@ -28,7 +28,7 @@ type ProfileOptions struct {
 	// DoubleBuffer enables the Section 6.3 overlap optimization.
 	DoubleBuffer bool
 	// TraceOut, when non-nil, additionally receives the JSONL event stream
-	// (span ends, per-epoch breakdowns, and a final snapshot).
+	// (per-epoch breakdowns, diagnostics events, and a final snapshot).
 	TraceOut io.Writer
 	// Registry, when non-nil, is used instead of a fresh one — the telemetry
 	// server scrapes it while the run is live.

@@ -181,22 +181,19 @@ func TestRunPublishesFeed(t *testing.T) {
 	}
 }
 
-// staticClock pins the registry's span clock so JSONL traces carry no
+// staticClock pins the registry's clock so JSONL traces carry no
 // wall-time noise and can be compared byte-for-byte.
 type staticClock struct{}
 
 func (staticClock) Now() time.Duration { return 0 }
 
 // passiveTrace runs training with a JSONL sink attached and returns the
-// exact trace bytes. live and feed model a telemetry server being attached;
-// neither may change the passive trace.
-func passiveTrace(t *testing.T, ds *data.Dataset, live bool, withFeed bool) []byte {
+// exact trace bytes. withFeed models a telemetry server being attached; it
+// may not change the passive trace.
+func passiveTrace(t *testing.T, ds *data.Dataset, withFeed bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	reg := obs.New().WithClock(staticClock{}).StreamTo(&buf)
-	if live {
-		reg.EnableLive()
-	}
 	var feed *obs.RunFeed
 	if withFeed {
 		feed = obs.NewRunFeed()
@@ -238,16 +235,13 @@ func passiveTraceWithEvents(t *testing.T, ds *data.Dataset, el *obs.EventLog) []
 }
 
 // TestTracePurity: the JSONL event trace of a passive run must be
-// bit-for-bit identical whether or not live telemetry (feed, live-mode
-// gauges) is attached — the PR's hard compatibility constraint.
+// bit-for-bit identical whether or not live telemetry (a feed, an event
+// log, a history sampler) is attached.
 func TestTracePurity(t *testing.T) {
 	ds := diagDataset()
-	base := passiveTrace(t, ds, false, false)
+	base := passiveTrace(t, ds, false)
 	if len(base) == 0 {
 		t.Fatal("no trace emitted")
-	}
-	if bytes.Contains(base, []byte("shuffle.buffer")) {
-		t.Fatal("passive trace mentions live-only buffer gauges")
 	}
 	if bytes.Contains(base, []byte(`"name":"diag"`)) {
 		t.Fatal("passive trace contains diag events without Diag config")
@@ -256,13 +250,9 @@ func TestTracePurity(t *testing.T) {
 		t.Fatal("passive trace contains plan-profile events without Profile; " +
 			"see the executor's TestProfiledTraceBytesIdentical for the profiled case")
 	}
-	withFeed := passiveTrace(t, ds, false, true)
+	withFeed := passiveTrace(t, ds, true)
 	if !bytes.Equal(base, withFeed) {
 		t.Fatal("attaching a RunFeed changed the JSONL trace")
-	}
-	withLive := passiveTrace(t, ds, true, true)
-	if !bytes.Equal(base, withLive) {
-		t.Fatal("enabling live mode changed the JSONL trace")
 	}
 
 	// The introspection plane: attaching an EventLog must not perturb the
@@ -317,25 +307,17 @@ func passiveTraceWithHistory(t *testing.T, ds *data.Dataset) []byte {
 	return buf.Bytes()
 }
 
-// TestLiveGaugesGatedDuringRun: a passive run leaves the live-only buffer
-// gauges untouched; a live (serve-attached) run records them.
-func TestLiveGaugesGatedDuringRun(t *testing.T) {
+// TestBufferGaugesDuringRun: every run that reports into a registry
+// records the shuffle buffer's fill level, served or not.
+func TestBufferGaugesDuringRun(t *testing.T) {
 	ds := diagDataset()
-
-	passive := obs.New()
-	diagRun(t, ds, false, nil, passive)
-	if v := passive.Gauge(obs.ShuffleBufferTuples); v != 0 {
-		t.Fatalf("passive run recorded buffer gauge %v", v)
+	reg := obs.New()
+	diagRun(t, ds, false, nil, reg)
+	if v := reg.Gauge(obs.ShuffleBufferTuples); v <= 0 {
+		t.Fatalf("buffer-tuples gauge %v, want > 0", v)
 	}
-
-	live := obs.New()
-	live.EnableLive()
-	diagRun(t, ds, false, nil, live)
-	if v := live.Gauge(obs.ShuffleBufferTuples); v <= 0 {
-		t.Fatalf("live run buffer-tuples gauge %v, want > 0", v)
-	}
-	occ := live.Gauge(obs.ShuffleBufferOccupancy)
+	occ := reg.Gauge(obs.ShuffleBufferOccupancy)
 	if occ <= 0 || occ > 1 {
-		t.Fatalf("live run buffer occupancy %v, want in (0, 1]", occ)
+		t.Fatalf("buffer occupancy %v, want in (0, 1]", occ)
 	}
 }

@@ -54,7 +54,7 @@ type RunConfig struct {
 	// extra statistics, PyTorch's per-call interpreter overhead). Zero
 	// means 1.
 	ComputeScale float64
-	// Obs, when non-nil, receives per-epoch spans and training counters;
+	// Obs, when non-nil, receives epoch durations and training counters;
 	// Result.Breakdown then carries one cross-layer metrics row per epoch.
 	// Attach the same registry to the device (Device.WithObs) and strategy
 	// (shuffle.Options.Obs) to get the full I/O + shuffle + compute
@@ -144,7 +144,7 @@ func (r *Result) Final() EpochPoint {
 // Loop is the epoch driver: the one training loop behind both Run (tuples
 // from a shuffle.Strategy) and executor.SGDOp (tuples from a child operator).
 // It owns the weights, the trainer and its per-tuple clock charge, the
-// per-epoch bookkeeping (cancellation, spans, breakdown, evaluation,
+// per-epoch bookkeeping (cancellation, timing, breakdown, evaluation,
 // diagnostics, the live status feed) and the accumulated Result. The caller
 // owns the tuple source: it opens or re-scans it, then hands Step the
 // epoch's stream.
@@ -158,6 +158,7 @@ type Loop struct {
 	before    obs.Snapshot  // registry when the previous epoch ended
 	wallStart time.Time
 	tuples    int64
+	gradCost  time.Duration // gradient time charged so far this epoch
 	tracker   *DiagTracker
 	wPrev     []float64
 }
@@ -182,7 +183,7 @@ func NewLoop(cfg RunConfig) (*Loop, error) {
 			if cfg.Clock != nil {
 				cfg.Clock.Advance(cost)
 			}
-			cfg.Obs.AddDuration(obs.SGDGradNanos, cost)
+			l.gradCost += cost
 		}
 	}
 	if cfg.Diag {
@@ -247,10 +248,16 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 			return src()
 		}
 	}
-	sp := cfg.Obs.Span(obs.SpanEpoch)
+	start := cfg.Obs.Now()
 	esp := cfg.Events.StartSpan(cfg.Trace, obs.EvSpanEpoch)
 	stats := l.trainer.RunEpoch(w, next)
-	spanSecs := sp.End().Seconds()
+	if stats.Tuples > 0 {
+		// Charged once per epoch, canceled ones included, like sgd.tuples.
+		cfg.Obs.AddDuration(obs.SGDGradNanos, l.gradCost)
+		l.gradCost = 0
+	}
+	epochDur := max(cfg.Obs.Now()-start, 0)
+	cfg.Obs.Observe(obs.SpanEpoch, epochDur)
 	esp.End()
 	if err := l.canceled(epoch); err != nil {
 		return EpochPoint{}, err
@@ -270,7 +277,7 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 	}
 	l.res.Points = append(l.res.Points, p)
 	if cfg.Obs != nil {
-		epochSecs := spanSecs
+		epochSecs := epochDur.Seconds()
 		if cfg.Clock != nil {
 			now := cfg.Clock.Now()
 			epochSecs = (now - l.lastNow).Seconds()

@@ -650,6 +650,10 @@ func (s *Session) trainPlanConfig(st *sqlparse.Train, entry *TableEntry, withEva
 	tc.Explain, tc.Events, tc.Trace = hooks.Explain, hooks.Events, hooks.Trace
 	if tc.Metrics == nil {
 		tc.Metrics = s.obs
+	} else {
+		// A caller's registry measures on the session clock, as one
+		// attached by WithMetrics does.
+		tc.Metrics.WithClock(s.clock)
 	}
 	if tc.Feed == nil {
 		tc.Feed = s.feed

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"corgipile/internal/data"
+	"corgipile/internal/executor"
 	"corgipile/internal/obs"
 	"corgipile/internal/sqlparse"
 )
@@ -518,6 +519,40 @@ func TestPredictRowMatchesPercentG(t *testing.T) {
 		want := []string{fmt.Sprintf("%d", id), fmt.Sprintf("%g", label), fmt.Sprintf("%g", pred)}
 		if got := predictRow(id, label, pred); !reflect.DeepEqual(got, want) {
 			t.Errorf("predictRow(%d, %v, %v) = %q, want %q", id, label, pred, got, want)
+		}
+	}
+}
+
+// A registry handed to PrepareTrain measures on the session clock, as one
+// attached by WithMetrics does: the same TRAIN on two sessions built the
+// same way leaves equal epoch and refill histograms either way.
+func TestTrainRegistryOnSessionClock(t *testing.T) {
+	const create = `CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.02, order='clustered') WITH device='hdd'`
+	const train = `SELECT * FROM t TRAIN BY svm MODEL m WITH max_epoch_num=3, seed=7`
+	attached := obs.New()
+	a := NewSession().WithMetrics(attached)
+	mustExec(t, a, create)
+	mustExec(t, a, train)
+
+	s := NewSession()
+	mustExec(t, s, create)
+	st, err := sqlparse.Parse(train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private := obs.New()
+	pt, err := s.PrepareTrain(st.(*sqlparse.Train), executor.TrainConfig{Metrics: private})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pt.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{obs.SpanEpoch, obs.SpanRefill} {
+		got, want := private.Snapshot().Hists[name], attached.Snapshot().Hists[name]
+		if want.Count == 0 || got != want {
+			t.Errorf("%s: private registry count=%d sum=%v, session registry count=%d sum=%v",
+				name, got.Count, got.Sum, want.Count, want.Sum)
 		}
 	}
 }

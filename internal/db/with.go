@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -27,13 +28,13 @@ type trainRun struct {
 // the check: a key that is not here is an error, and so is a value its
 // entry rejects.
 var trainKeys = map[string]trainKey{
-	"learning_rate":     nonZero(func(r *trainRun, x float64) { r.LearningRate = x }),
-	"decay":             nonZero(func(r *trainRun, x float64) { r.Decay = x }),
-	"seed":              nonZero(func(r *trainRun, x float64) { r.Seed = int64(x) }),
-	"max_epoch_num":     nonZero(func(r *trainRun, x float64) { r.Epochs = int(x) }),
-	"batch_size":        number(func(r *trainRun, x float64) { r.BatchSize = int(x) }),
-	"buffer_fraction":   number(func(r *trainRun, x float64) { r.BufferFraction = x }),
-	"retries":           number(func(r *trainRun, x float64) { r.Retries = int(x) }),
+	"learning_rate":     number(func(r *trainRun, x float64) { r.LearningRate = x }, nonZero),
+	"decay":             number(func(r *trainRun, x float64) { r.Decay = x }, nonZero),
+	"seed":              integer(func(r *trainRun, n int) { r.Seed = int64(n) }, nonZero),
+	"max_epoch_num":     integer(func(r *trainRun, n int) { r.Epochs = n }, nonZero, nonNegative),
+	"batch_size":        integer(func(r *trainRun, n int) { r.BatchSize = n }, nonNegative),
+	"buffer_fraction":   number(func(r *trainRun, x float64) { r.BufferFraction = x }, positive),
+	"retries":           integer(func(r *trainRun, n int) { r.Retries = n }, nonNegative),
 	"retry_backoff_ms":  number(func(r *trainRun, x float64) { r.RetryBackoff = time.Duration(x * float64(time.Millisecond)) }),
 	"max_skip_fraction": number(func(r *trainRun, x float64) { r.MaxSkipFraction = x }),
 	"optimizer":         func(r *trainRun, v sqlparse.Value) error { r.Optimizer = v.Raw; return nil },
@@ -60,23 +61,60 @@ var trainKeys = map[string]trainKey{
 // trainKey is a trainKeys entry: it sets its field, or says why it cannot.
 type trainKey func(*trainRun, sqlparse.Value) error
 
-// number is the entry of a numeric key, and nonZero that of one whose
-// TrainConfig field reads 0 as unset: there an explicit 0 would silently
-// train with the default, so it is refused.
-func number(set func(*trainRun, float64)) trainKey  { return numeric(false, set) }
-func nonZero(set func(*trainRun, float64)) trainKey { return numeric(true, set) }
+// check refuses a numeric value, saying why.
+type check func(x float64) error
 
-func numeric(nonZero bool, set func(*trainRun, float64)) trainKey {
+// number is the entry of a numeric key: the value must be a number that
+// passes every check.
+func number(set func(*trainRun, float64), checks ...check) trainKey {
 	return func(r *trainRun, v sqlparse.Value) error {
-		switch {
-		case !v.IsNum:
+		if !v.IsNum {
 			return errors.New("want a number")
-		case nonZero && v.Num == 0:
-			return errors.New("0 reads as unset; leave the key out for the default")
+		}
+		for _, c := range checks {
+			if err := c(v.Num); err != nil {
+				return err
+			}
 		}
 		set(r, v.Num)
 		return nil
 	}
+}
+
+// integer is number for a key whose field is an integer: a fraction would
+// be truncated into another run, so it is refused.
+func integer(set func(*trainRun, int), checks ...check) trainKey {
+	return number(func(r *trainRun, x float64) { set(r, int(x)) }, append([]check{whole}, checks...)...)
+}
+
+func whole(x float64) error {
+	if x != math.Trunc(x) {
+		return errors.New("want a whole number")
+	}
+	return nil
+}
+
+// nonZero guards a field that reads 0 as unset: there an explicit 0 would
+// silently train with the default.
+func nonZero(x float64) error {
+	if x == 0 {
+		return errors.New("0 reads as unset; leave the key out for the default")
+	}
+	return nil
+}
+
+func nonNegative(x float64) error {
+	if x < 0 {
+		return errors.New("want 0 or more")
+	}
+	return nil
+}
+
+func positive(x float64) error {
+	if x <= 0 {
+		return errors.New("want more than 0")
+	}
+	return nil
 }
 
 // resolveTrain resolves a TRAIN statement's WITH list, starting from

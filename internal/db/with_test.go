@@ -33,6 +33,15 @@ func TestTrainWithMustFail(t *testing.T) {
 		{with: `max_epoch_num=0`,
 			want: "db: TRAIN WITH max_epoch_num=0: 0 reads as unset; leave the key out for the default " + validTrainKeys},
 		{with: `seed=0`, want: "db: TRAIN WITH seed=0: 0 reads as unset; leave the key out for the default " + validTrainKeys},
+		{with: `seed=0.5`, want: "db: TRAIN WITH seed=0.5: want a whole number " + validTrainKeys},
+		{with: `max_epoch_num=0.5`, want: "db: TRAIN WITH max_epoch_num=0.5: want a whole number " + validTrainKeys},
+		{with: `max_epoch_num=-3`, want: "db: TRAIN WITH max_epoch_num=-3: want 0 or more " + validTrainKeys},
+		{with: `batch_size=2.5`, want: "db: TRAIN WITH batch_size=2.5: want a whole number " + validTrainKeys},
+		{with: `batch_size=-4`, want: "db: TRAIN WITH batch_size=-4: want 0 or more " + validTrainKeys},
+		{with: `retries=1.5`, want: "db: TRAIN WITH retries=1.5: want a whole number " + validTrainKeys},
+		{with: `retries=-1`, want: "db: TRAIN WITH retries=-1: want 0 or more " + validTrainKeys},
+		{with: `buffer_fraction=-0.2`, want: "db: TRAIN WITH buffer_fraction=-0.2: want more than 0 " + validTrainKeys},
+		{with: `buffer_fraction=0`, want: "db: TRAIN WITH buffer_fraction=0: want more than 0 " + validTrainKeys},
 		{with: `on_corrupt='shrug'`, want: `db: shuffle: unknown failure policy "shrug" (want fail or skip)`},
 	}
 	s := NewSession()

@@ -66,7 +66,8 @@ type Trainer struct {
 	// the benchmark harness uses to charge simulated gradient-compute time.
 	OnTuple func(t *data.Tuple)
 	// Obs, when non-nil, counts consumed tuples and optimizer steps under
-	// the obs.SGD* metric names and records the epoch's mean loss gauge.
+	// the obs.SGD* metric names and records the epoch's mean loss gauge,
+	// once per epoch as RunEpoch returns.
 	Obs *obs.Registry
 	// TrackGradNorm enables per-step gradient-norm accumulation
 	// (EpochStats.GradSqSum) for the convergence diagnostics. Tracking is
@@ -121,7 +122,6 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 			}
 			tr.Opt.Step(w, tr.gi, tr.gv)
 			stats.Steps++
-			tr.Obs.Inc(obs.SGDBatches)
 		}
 	} else {
 		// Mini-batch SGD: each tuple's gradient is folded into the
@@ -139,7 +139,6 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 			}
 			tr.acc.Step(tr.Opt, w, count)
 			stats.Steps++
-			tr.Obs.Inc(obs.SGDBatches)
 			count = 0
 		}
 		for {
@@ -174,6 +173,10 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 	}
 	if tr.Obs != nil {
 		tr.Obs.Add(obs.SGDTuples, int64(stats.Tuples))
+		if stats.Steps > 0 {
+			// An epoch that took no step leaves the counter absent.
+			tr.Obs.Add(obs.SGDBatches, int64(stats.Steps))
+		}
 		tr.Obs.SetGauge(obs.SGDLoss, stats.AvgLoss)
 	}
 	return stats

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"corgipile/internal/data"
+	"corgipile/internal/obs"
 )
 
 func binaryData(n int, order data.Order, seed int64) *data.Dataset {
@@ -65,6 +66,34 @@ func TestTrainerOnTupleHook(t *testing.T) {
 	tr.RunEpoch(w, SliceStream(ds))
 	if calls != 50 {
 		t.Fatalf("OnTuple called %d times, want 50", calls)
+	}
+}
+
+// The trainer writes sgd.batches once per epoch, as it returns: the counter
+// equals EpochStats.Steps, a final partial batch included, and reads 0
+// mid-epoch.
+func TestTrainerCountsBatchesPerEpoch(t *testing.T) {
+	ds := binaryData(50, data.OrderShuffled, 4)
+	for _, tt := range []struct{ batch, steps int }{{1, 50}, {7, 8}} {
+		reg := obs.New()
+		tr := NewTrainer(SVM{}, NewSGD(0.1), tt.batch)
+		tr.Obs = reg
+		var midEpoch int64
+		tr.OnTuple = func(*data.Tuple) { midEpoch += reg.Counter(obs.SGDBatches) }
+		w := make([]float64, SVM{}.Dim(ds.Features))
+		stats := tr.RunEpoch(w, SliceStream(ds))
+		if stats.Steps != tt.steps {
+			t.Errorf("batch %d: Steps = %d, want %d", tt.batch, stats.Steps, tt.steps)
+		}
+		if got := reg.Counter(obs.SGDBatches); got != int64(stats.Steps) {
+			t.Errorf("batch %d: %s = %d, want Steps = %d", tt.batch, obs.SGDBatches, got, stats.Steps)
+		}
+		if got := reg.Counter(obs.SGDTuples); got != 50 {
+			t.Errorf("batch %d: %s = %d, want 50", tt.batch, obs.SGDTuples, got)
+		}
+		if midEpoch != 0 {
+			t.Errorf("batch %d: %s moved mid-epoch", tt.batch, obs.SGDBatches)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"corgipile/internal/stats"
 )
@@ -27,7 +26,7 @@ func (s *jsonlSink) emit(v any) {
 	s.mu.Unlock()
 }
 
-// StreamTo attaches a JSONL event sink: every span end, epoch breakdown,
+// StreamTo attaches a JSONL event sink: every epoch breakdown, point event
 // and explicit snapshot is written to w as one JSON object per line. It
 // returns the registry.
 func (r *Registry) StreamTo(w io.Writer) *Registry {
@@ -48,27 +47,6 @@ func (r *Registry) getSink() *jsonlSink {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.sink
-}
-
-// spanEvent is the JSONL record of one completed span.
-type spanEvent struct {
-	Ev     string  `json:"ev"`
-	Name   string  `json:"name"`
-	ID     int64   `json:"id"`
-	Parent int64   `json:"parent,omitempty"`
-	Start  float64 `json:"start_s"`
-	Dur    float64 `json:"dur_s"`
-}
-
-func (r *Registry) emitSpan(s *Span, dur time.Duration) {
-	sink := r.getSink()
-	if sink == nil {
-		return
-	}
-	sink.emit(spanEvent{
-		Ev: "span", Name: s.name, ID: s.id, Parent: s.parent,
-		Start: s.start.Seconds(), Dur: dur.Seconds(),
-	})
 }
 
 // EmitEpoch streams one epoch's breakdown as a JSONL event — the
@@ -156,7 +134,7 @@ type EpochMetrics struct {
 
 	// RefillP50S, RefillP95S and RefillP99S are quantiles (seconds) of the
 	// epoch's shuffle-buffer refill durations, estimated from the refill
-	// span histogram's per-epoch bucket delta. They are excluded from the
+	// histogram's per-epoch bucket delta. They are excluded from the
 	// JSON encoding so existing JSONL traces stay byte-identical; the
 	// epoch-table exporter and the live telemetry plane render them.
 	RefillP50S float64 `json:"-"`

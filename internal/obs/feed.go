@@ -27,8 +27,8 @@ type RunStatus struct {
 	Verdict    string  `json:"verdict,omitempty"`
 	// Tuples counts examples consumed so far across the run.
 	Tuples int64 `json:"tuples"`
-	// BufferTuples and BufferOccupancy mirror the shuffle-buffer live
-	// gauges at publish time.
+	// BufferTuples and BufferOccupancy mirror the shuffle-buffer gauges
+	// at publish time.
 	BufferTuples    int64   `json:"buffer_tuples,omitempty"`
 	BufferOccupancy float64 `json:"buffer_occupancy,omitempty"`
 	// Faults aggregates the fault counters (transient errors, retries,

@@ -1,7 +1,7 @@
 // Package obs is the cross-layer observability subsystem: a registry of
-// named counters, gauges, and duration histograms, a lightweight span API,
-// and two exporters (a JSONL event stream and a human-readable epoch
-// breakdown table).
+// named counters, gauges, and duration histograms, an event log of
+// statement and epoch spans, and two exporters (a JSONL event stream and a
+// human-readable epoch breakdown table).
 //
 // Every layer of the stack reports into one Registry — the simulated device
 // (internal/iosim) its bytes, seeks, and cache hits; the shuffling
@@ -12,10 +12,11 @@
 // compute (Figures 7–14); this package makes that decomposition available
 // to every benchmark and to library users.
 //
-// Time can be either real or simulated: spans are measured on a Clock,
-// which *iosim.Clock satisfies (virtual time) and WallClock adapts (real
-// time). All Registry methods are safe for concurrent use and are no-ops
-// on a nil *Registry, so instrumented components need no conditionals.
+// Time can be either real or simulated: the registry's duration
+// histograms are measured on a Clock, which *iosim.Clock satisfies
+// (virtual time) and WallClock adapts (real time). All Registry methods
+// are safe for concurrent use and are no-ops on a nil *Registry, so
+// instrumented components need no conditionals.
 //
 // Telemetry is read, not pushed. Components record events as they happen
 // (counters, histograms, gauges whose value exists only at that moment);
@@ -37,8 +38,8 @@ import (
 	"time"
 )
 
-// Clock is the minimal time source spans are measured on. *iosim.Clock
-// satisfies it with simulated time; WallClock adapts real time.
+// Clock is the minimal time source a registry measures durations on.
+// *iosim.Clock satisfies it with simulated time; WallClock adapts real time.
 type Clock interface {
 	Now() time.Duration
 }
@@ -83,8 +84,7 @@ const (
 	ShuffleFillNanos    = "shuffle.fill_ns"    // time spent filling buffers
 	ShuffleConsumeNanos = "shuffle.consume_ns" // time consumers spent draining
 
-	// Live-only gauges (recorded via SetLiveGauge, so passive traces stay
-	// byte-identical when no telemetry server is attached).
+	// Shuffle-buffer fill level, set on every refill.
 	ShuffleBufferTuples    = "shuffle.buffer.tuples"    // tuples in the shuffle buffer after the last refill
 	ShuffleBufferOccupancy = "shuffle.buffer.occupancy" // filled fraction of the buffer budget
 
@@ -145,7 +145,7 @@ const (
 	WALLastLSN       = "wal.last_lsn"               // gauge: last appended LSN
 	WALCheckpointAge = "wal.checkpoint_age_seconds" // gauge: age of the newest checkpoint
 
-	// Span names (duration histograms under the same keys).
+	// Duration histograms, measured on the registry's clock.
 	SpanEpoch    = "epoch"
 	SpanRefill   = "shuffle.refill"
 	SpanRecovery = "wal.recovery"
@@ -185,7 +185,7 @@ func (h *hist) observe(d time.Duration) {
 }
 
 // Registry is a lock-protected collection of named counters, gauges, and
-// duration histograms, plus the span/event machinery. The zero value is not
+// duration histograms, plus an optional JSONL sink. The zero value is not
 // usable; construct with New. All methods are no-ops on a nil receiver.
 type Registry struct {
 	mu       sync.Mutex
@@ -193,23 +193,19 @@ type Registry struct {
 	counters map[string]int64
 	gauges   map[string]float64
 	hists    map[string]*hist
-	spanSeq  int64
-	spans    []int64 // stack of active span ids (parent inference)
-	live     bool
 	// collectors report gauges computed at read time (AddCollector).
 	collectors []Collector
 	// peaks, when EnablePeaks armed it, records the high-water mark of
-	// every gauge set since — including live-only gauges that never land
-	// in the gauges map outside live mode. Peaks are read through Peak
-	// only and never appear in Snapshot or the exporters, so arming them
-	// cannot perturb traces or scrapes. The serving plane arms them on
-	// each job's private registry for JobStats' peak buffer occupancy.
+	// every gauge set since. Peaks are read through Peak only and never
+	// appear in Snapshot or the exporters, so arming them cannot perturb
+	// traces or scrapes. The serving plane arms them on each job's private
+	// registry for JobStats' peak buffer occupancy.
 	peaks map[string]float64
 
 	sink *jsonlSink
 }
 
-// New returns an empty registry measuring spans on a fresh wall clock.
+// New returns an empty registry measuring on a fresh wall clock.
 func New() *Registry {
 	return &Registry{
 		clock:    NewWallClock(),
@@ -219,8 +215,8 @@ func New() *Registry {
 	}
 }
 
-// WithClock switches the registry's span time source (e.g. to the
-// simulation's *iosim.Clock) and returns the registry.
+// WithClock switches the registry's time source (e.g. to the simulation's
+// *iosim.Clock) and returns the registry.
 func (r *Registry) WithClock(c Clock) *Registry {
 	if r == nil || c == nil {
 		return r
@@ -229,6 +225,20 @@ func (r *Registry) WithClock(c Clock) *Registry {
 	r.clock = c
 	r.mu.Unlock()
 	return r
+}
+
+// Now reads the registry's clock; 0 on a nil registry. A component times an
+// interval by reading Now where it opens and Observing Now minus that where
+// it ends (Observe clamps a negative interval, which the simulated clock
+// can give when a pipelined component sets it back, at zero).
+func (r *Registry) Now() time.Duration {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	clock := r.clock
+	r.mu.Unlock()
+	return clock.Now()
 }
 
 // Collector reports gauges computed when a registry is read: it calls set
@@ -304,9 +314,7 @@ func (r *Registry) EnablePeaks() {
 }
 
 // Peak returns the highest value the named gauge was set to since
-// EnablePeaks, including SetLiveGauge values outside live mode (the gauge
-// itself stays unrecorded then — only the peak is kept). Zero when peaks
-// were never armed or the gauge never set.
+// EnablePeaks. Zero when peaks were never armed or the gauge never set.
 func (r *Registry) Peak(name string) float64 {
 	if r == nil {
 		return 0
@@ -337,35 +345,6 @@ func (r *Registry) DeleteGauge(name string) {
 	}
 	r.mu.Lock()
 	delete(r.gauges, name)
-	r.mu.Unlock()
-}
-
-// EnableLive switches the registry into live-telemetry mode: SetLiveGauge
-// calls start recording. The telemetry server (Serve) enables it on the
-// registry it exposes; passive runs never enter live mode, which keeps
-// their JSONL traces and snapshot exports byte-identical.
-func (r *Registry) EnableLive() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.live = true
-	r.mu.Unlock()
-}
-
-// SetLiveGauge sets the named gauge only in live mode. Components on hot
-// paths use it for metrics that only a live scraper consumes (buffer
-// occupancy, runtime stats), so that attaching a passive trace sink never
-// changes the set of exported metrics.
-func (r *Registry) SetLiveGauge(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.live {
-		r.gauges[name] = v
-	}
-	r.trackPeakLocked(name, v)
 	r.mu.Unlock()
 }
 

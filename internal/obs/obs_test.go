@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -90,9 +89,9 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.EmitSnapshot("x")
 	r.WithClock(&fakeClock{})
 	r.StreamTo(&bytes.Buffer{})
-	sp := r.Span("s")
-	r.Span("c").End()
-	sp.End()
+	if got := r.Now(); got != 0 {
+		t.Errorf("nil Now = %v", got)
+	}
 	if got := r.Counter("a"); got != 0 {
 		t.Errorf("nil counter = %d", got)
 	}
@@ -153,80 +152,19 @@ func TestSnapshotFlatten(t *testing.T) {
 	}
 }
 
-func TestSpanNestingAndStream(t *testing.T) {
-	clock := &fakeClock{}
-	var buf bytes.Buffer
-	r := New().WithClock(clock).StreamTo(&buf)
-
-	epoch := r.Span("epoch")
-	clock.advance(time.Second)
-	refill := r.Span("refill")
-	clock.advance(2 * time.Second)
-	if d := refill.End(); d != 2*time.Second {
-		t.Errorf("refill dur = %v", d)
-	}
-	clock.advance(time.Second)
-	if d := epoch.End(); d != 4*time.Second {
-		t.Errorf("epoch dur = %v", d)
-	}
-	// Double End is a no-op.
-	if d := epoch.End(); d != 0 {
-		t.Errorf("second End = %v", d)
-	}
-
-	// Histograms recorded under the span names.
-	if h := r.Snapshot().Hists["epoch"]; h.Count != 1 || h.Sum != 4*time.Second {
-		t.Errorf("epoch hist = %+v", h)
-	}
-
-	// The JSONL stream holds both spans, with refill parented to epoch.
-	var events []spanEvent
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var ev spanEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
-	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
-	}
-	if events[0].Name != "refill" || events[1].Name != "epoch" {
-		t.Errorf("event order: %q, %q", events[0].Name, events[1].Name)
-	}
-	if events[0].Parent != events[1].ID {
-		t.Errorf("refill parent = %d, epoch id = %d", events[0].Parent, events[1].ID)
-	}
-	if events[0].Dur != 2.0 {
-		t.Errorf("refill dur_s = %v", events[0].Dur)
-	}
-}
-
-func TestSpanChild(t *testing.T) {
-	clock := &fakeClock{}
-	r := New().WithClock(clock)
-	root := r.Span("root")
-	child := r.Span("leaf")
-	clock.advance(time.Second)
-	// Children may end out of order relative to the stack.
-	root.End()
-	if d := child.End(); d != time.Second {
-		t.Errorf("child dur = %v", d)
-	}
-}
-
 func TestNegativeSpanClamped(t *testing.T) {
-	// Pipelined components Set the simulated clock backwards; span
-	// durations must clamp at zero rather than go negative.
+	// Pipelined components Set the simulated clock backwards; an interval
+	// timed on the registry clock must clamp at zero rather than go
+	// negative.
 	clock := &fakeClock{now: 10 * time.Second}
 	r := New().WithClock(clock)
-	sp := r.Span("warp")
+	start := r.Now()
 	clock.mu.Lock()
 	clock.now = 5 * time.Second
 	clock.mu.Unlock()
-	if d := sp.End(); d != 0 {
-		t.Errorf("warped span dur = %v, want 0", d)
+	r.Observe("warp", r.Now()-start)
+	if h := r.Snapshot().Hists["warp"]; h.Count != 1 || h.Sum != 0 || h.Min != 0 || h.Max != 0 {
+		t.Errorf("warped interval hist = %+v, want one zero observation", h)
 	}
 }
 
@@ -346,10 +284,9 @@ func TestConcurrentUse(t *testing.T) {
 				r.AddDuration(IOTimeNanos, time.Microsecond)
 				r.SetGauge("g", float64(i))
 				r.Observe("h", time.Duration(i))
-				sp := r.Span("s")
+				start := r.Now()
 				clock.advance(time.Nanosecond)
-				r.Span("leaf").End()
-				sp.End()
+				r.Observe("s", r.Now()-start)
 				_ = r.Snapshot()
 			}
 		}()
@@ -359,6 +296,6 @@ func TestConcurrentUse(t *testing.T) {
 		t.Errorf("concurrent counter = %d, want 1600", got)
 	}
 	if h := r.Snapshot().Hists["s"]; h.Count != 1600 {
-		t.Errorf("span hist count = %d, want 1600", h.Count)
+		t.Errorf("interval hist count = %d, want 1600", h.Count)
 	}
 }

@@ -21,17 +21,16 @@ import (
 //	/              a plain-text index of the above
 //
 // The server owns nothing but views: the Registry keeps being written by
-// the training run, the RunFeed by the training loop. Serving enables the
-// registry's live mode (buffer-occupancy gauges start recording) and adds
-// the runtime collector to it, so a process that never calls Serve
-// produces byte-identical passive traces.
+// the training run, the RunFeed by the training loop. Serving adds the
+// runtime collector to the registry, so a process that never calls Serve
+// carries no process gauges in its snapshots.
 
 // ServeConfig configures a telemetry server.
 type ServeConfig struct {
 	// Addr is the listen address, e.g. "127.0.0.1:9090"; port 0 picks a
 	// free port (read it back from Server.Addr).
 	Addr string
-	// Registry is rendered by /metrics. Serving enables its live mode.
+	// Registry is rendered by /metrics. Serving adds the runtime collector.
 	Registry *Registry
 	// Feed, when non-nil, backs the /run endpoint.
 	Feed *RunFeed
@@ -75,7 +74,6 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: telemetry listen on %s: %w", cfg.Addr, err)
 	}
-	cfg.Registry.EnableLive()
 	cfg.Registry.AddCollector(collectRuntime)
 	s := &Server{ln: ln, feed: cfg.Feed, feeds: cfg.Feeds, reg: cfg.Registry,
 		history: cfg.History, served: make(chan struct{})}

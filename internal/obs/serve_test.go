@@ -128,32 +128,10 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 }
 
-// TestLiveGaugeGating is the trace-purity core: SetLiveGauge must record
-// nothing until a telemetry server enables live mode.
-func TestLiveGaugeGating(t *testing.T) {
-	r := New()
-	r.SetLiveGauge(ShuffleBufferTuples, 42)
-	if r.Live() {
-		t.Fatal("fresh registry must not be live")
-	}
-	if v := r.Gauge(ShuffleBufferTuples); v != 0 {
-		t.Fatalf("passive registry recorded live gauge: %v", v)
-	}
-	if _, ok := r.Snapshot().Gauges[ShuffleBufferTuples]; ok {
-		t.Fatal("passive snapshot contains the live gauge key")
-	}
-	r.EnableLive()
-	r.SetLiveGauge(ShuffleBufferTuples, 42)
-	if v := r.Gauge(ShuffleBufferTuples); v != 42 {
-		t.Fatalf("live gauge not recorded after EnableLive: %v", v)
-	}
-}
-
 func TestFillFromRegistry(t *testing.T) {
 	r := New()
-	r.EnableLive()
-	r.SetLiveGauge(ShuffleBufferTuples, 128)
-	r.SetLiveGauge(ShuffleBufferOccupancy, 0.5)
+	r.SetGauge(ShuffleBufferTuples, 128)
+	r.SetGauge(ShuffleBufferOccupancy, 0.5)
 	r.Add(StorageRetries, 3)
 	r.Add(IOFaultOps, 1)
 	r.Add(IOReadOps, 99) // not a fault counter; must not be folded in
@@ -264,9 +242,6 @@ func TestServeEndpoints(t *testing.T) {
 	reg.Add(IOReadOps, 5)
 	feed := NewRunFeed()
 	srv := startServer(t, reg, feed)
-	if !reg.Live() {
-		t.Fatal("Serve must enable the registry's live mode")
-	}
 
 	code, body, hdr := get(t, srv.URL()+"/metrics")
 	if code != http.StatusOK {
@@ -400,7 +375,7 @@ func TestConcurrentScrapeDuringRun(t *testing.T) {
 				}
 				reg.Inc(SGDTuples)
 				reg.Observe(SpanEpoch, time.Duration(i%1000)*time.Microsecond)
-				reg.SetLiveGauge(ShuffleBufferOccupancy, float64(i%100)/100)
+				reg.SetGauge(ShuffleBufferOccupancy, float64(i%100)/100)
 				feed.Publish(RunStatus{Epoch: i, Loss: 1 / float64(i+1)})
 				runtime.Gosched()
 			}
@@ -453,14 +428,4 @@ func TestRuntimeGaugesReadOnServe(t *testing.T) {
 	if g[RuntimeTotalBytes] <= 0 {
 		t.Fatalf("total memory gauge %v, want > 0", g[RuntimeTotalBytes])
 	}
-}
-
-// Live reports whether live-telemetry mode is enabled.
-func (r *Registry) Live() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.live
 }

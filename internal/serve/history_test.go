@@ -266,3 +266,32 @@ func TestServePredictHistogram(t *testing.T) {
 		t.Fatalf("serve.predict p95 = %v, want positive", q)
 	}
 }
+
+// TestJobFeedReportsBuffer: a CorgiPile job's private /run?job= feed
+// carries the shuffle buffer's fill level, though no telemetry server
+// serves the job's own registry.
+func TestJobFeedReportsBuffer(t *testing.T) {
+	srv := testServer(t, Config{})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Train(shortTrain("m_feed")+`, shuffle='corgipile'`, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone {
+		t.Fatalf("train finished in state %q", st.State)
+	}
+	run, n := srv.feedFor(st.ID).Status()
+	if n == 0 {
+		t.Fatal("job feed published nothing")
+	}
+	if run.BufferTuples <= 0 {
+		t.Fatalf("buffer_tuples=%d, want > 0", run.BufferTuples)
+	}
+	if run.BufferOccupancy <= 0 || run.BufferOccupancy > 1 {
+		t.Fatalf("buffer_occupancy=%v, want in (0,1]", run.BufferOccupancy)
+	}
+}

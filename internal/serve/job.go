@@ -77,9 +77,8 @@ func (j *job) breakdownRows() []obs.EpochMetrics {
 func newJob(id, session, sql string, st *sqlparse.Train, detach bool, parent context.Context) *job {
 	ctx, cancel := context.WithCancel(parent)
 	reg := obs.New()
-	// Peaks arm buffer-occupancy high-water tracking for JobStats. The job
-	// registry never enters live mode, so without this the occupancy gauge
-	// (a SetLiveGauge metric) would leave no trace at all.
+	// Peaks arm buffer-occupancy high-water tracking for JobStats: the
+	// gauge itself holds only the last refill's fill level.
 	reg.EnablePeaks()
 	return &job{
 		id:      id,

@@ -42,8 +42,8 @@ type TupleBuffer struct {
 	Clock *iosim.Clock
 	// CopyCost is the CPU cost of copying one tuple into the buffer.
 	CopyCost time.Duration
-	// Obs, when non-nil, receives refill counts and spans, fill/consume
-	// times and the live buffer-occupancy gauges.
+	// Obs, when non-nil, receives refill counts and durations, fill/consume
+	// times and the buffer-occupancy gauges.
 	Obs *obs.Registry
 
 	src  BlockSource
@@ -128,10 +128,10 @@ func (b *TupleBuffer) refill() bool {
 		return false
 	}
 	b.ov.BeginFill()
-	sp := b.Obs.Span(obs.SpanRefill)
+	start := b.Obs.Now()
 	buf, done, err := b.fill(b.buf[:0])
 	if err != nil {
-		sp.End()
+		b.Obs.Observe(obs.SpanRefill, b.Obs.Now()-start)
 		b.err = err
 		b.ov.Settle()
 		return false
@@ -140,7 +140,6 @@ func (b *TupleBuffer) refill() bool {
 	if len(buf) == 0 {
 		// The source ended on the previous buffer's last tuple: there was
 		// no refill to count, only its time to account.
-		sp.Cancel()
 		b.ov.EndFill()
 		b.ov.Finish()
 		return false
@@ -149,13 +148,11 @@ func (b *TupleBuffer) refill() bool {
 		b.Clock.Advance(time.Duration(len(buf)) * b.CopyCost)
 	}
 	b.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-	sp.End()
+	b.Obs.Observe(obs.SpanRefill, b.Obs.Now()-start)
 	b.Obs.Inc(obs.ShuffleRefills)
 	b.buf, b.pos = buf, 0
-	// The fill level goes to the live-only gauges: outside live mode only
-	// the peak high-water mark is kept, so passive traces are unchanged.
-	b.Obs.SetLiveGauge(obs.ShuffleBufferTuples, float64(len(buf)))
-	b.Obs.SetLiveGauge(obs.ShuffleBufferOccupancy, float64(len(buf))/float64(b.Capacity))
+	b.Obs.SetGauge(obs.ShuffleBufferTuples, float64(len(buf)))
+	b.Obs.SetGauge(obs.ShuffleBufferOccupancy, float64(len(buf))/float64(b.Capacity))
 	b.ov.EndFill()
 	return true
 }

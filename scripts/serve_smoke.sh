@@ -53,13 +53,15 @@ printf '%s\n' \
 "$workdir/corgiserved" -connect "$addr" -replay "$workdir/start.txt" >"$workdir/start_out.txt" &
 replaypid=$!
 # The job is j3 (the transcript consumed j1/j2). Wait for its feed to
-# publish a first epoch under the job's run label (the first snapshot can
-# precede both), then check the job table.
+# publish a first epoch under the job's run label, with the shuffle
+# buffer's fill level (the first snapshot can precede all three), then
+# check the job table.
 ok=""
 for _ in $(seq 1 50); do
     if curl -sf "$telurl/run?job=j3" >"$workdir/job.json" 2>/dev/null \
         && grep -q '"epoch"' "$workdir/job.json" \
-        && grep -q '"run": "j3 train live"' "$workdir/job.json"; then ok=1; break; fi
+        && grep -q '"run": "j3 train live"' "$workdir/job.json" \
+        && grep -q '"buffer_tuples"' "$workdir/job.json"; then ok=1; break; fi
     sleep 0.2
 done
 [ -n "$ok" ] || { echo "per-job feed never published" >&2; cat "$workdir/serve.log"; exit 1; }
