@@ -2,8 +2,11 @@ package data
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,66 +16,388 @@ import (
 //
 //	<label> <index>:<value> <index>:<value> ...
 //
-// Indices are 1-based in the file and converted to 0-based. features, when
-// positive, fixes the dimensionality; otherwise it is inferred as the
-// maximum index seen. Lines that are empty or start with '#' are skipped.
+// Indices are 1-based in the file and converted to 0-based; one must be
+// below 2³¹ and appear at most once on its line. Labels and values must be
+// finite. features, when positive, fixes the dimensionality; otherwise it
+// is inferred as the maximum index seen. Lines that are empty or start
+// with '#' are skipped, and fields split as strings.Fields splits them.
+//
+// The reader splits each line in one walk over its bytes, without
+// converting an ASCII line to a string, parses numbers in the common
+// decimal form itself (parseDecimal), and cuts every tuple's SparseIdx
+// and SparseVal from shared chunks (arena), so a file costs a few dozen
+// allocations in all.
 func ReadLIBSVM(r io.Reader, name string, features int) (*Dataset, error) {
-	ds := &Dataset{Name: name, Task: TaskBinary, Features: features, Classes: 2}
+	p := libsvmParser{labels: make(map[float64]bool), maxIdx: -1}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	lineNo := 0
-	maxIdx := -1
-	labels := make(map[float64]bool)
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		p.lineNo++
+		if err := p.line(sc.Bytes()); err != nil {
+			return nil, err
 		}
-		fields := strings.Fields(line)
-		label, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("libsvm: line %d: bad label %q: %w", lineNo, fields[0], err)
-		}
-		t := Tuple{ID: int64(len(ds.Tuples)), Label: label}
-		for _, f := range fields[1:] {
-			colon := strings.IndexByte(f, ':')
-			if colon <= 0 {
-				return nil, fmt.Errorf("libsvm: line %d: bad feature %q", lineNo, f)
-			}
-			idx, err := strconv.Atoi(f[:colon])
-			if err != nil || idx < 1 {
-				return nil, fmt.Errorf("libsvm: line %d: bad index %q", lineNo, f[:colon])
-			}
-			val, err := strconv.ParseFloat(f[colon+1:], 64)
-			if err != nil {
-				return nil, fmt.Errorf("libsvm: line %d: bad value %q: %w", lineNo, f[colon+1:], err)
-			}
-			t.SparseIdx = append(t.SparseIdx, int32(idx-1))
-			t.SparseVal = append(t.SparseVal, val)
-			if idx-1 > maxIdx {
-				maxIdx = idx - 1
-			}
-		}
-		if t.SparseIdx == nil {
-			t.SparseIdx = []int32{}
-			t.SparseVal = []float64{}
-		}
-		sortSparse(&t)
-		labels[label] = true
-		ds.Tuples = append(ds.Tuples, t)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("libsvm: %w", err)
 	}
+	ds := &Dataset{Name: name, Task: TaskBinary, Features: features, Classes: 2, Tuples: p.tuples}
 	if ds.Features <= 0 {
-		ds.Features = maxIdx + 1
+		ds.Features = p.maxIdx + 1
 	}
-	if len(labels) > 2 {
+	if len(p.labels) > 2 {
 		ds.Task = TaskMulticlass
-		ds.Classes = len(labels)
+		ds.Classes = len(p.labels)
 	}
 	return ds, nil
+}
+
+// errNotFinite is the cause of a "bad label" or "bad value" error for NaN
+// or ±Inf, which strconv.ParseFloat accepts: a NaN label would be a class
+// of its own, and a non-finite value poisons the first weight it touches.
+var errNotFinite = errors.New("not a finite number")
+
+// Byte classes for the field walk: the ASCII spaces strings.Fields splits
+// on, the index separator, and the bytes >= 0x80 that send a line through
+// strings.Fields itself, which also splits on Unicode spaces.
+const (
+	byteOther = iota
+	byteSpace
+	byteColon
+	byteHigh
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range []byte("\t\n\v\f\r ") {
+		c[b] = byteSpace
+	}
+	c[':'] = byteColon
+	for b := 0x80; b < 0x100; b++ {
+		c[b] = byteHigh
+	}
+	return c
+}()
+
+// libsvmParser is ReadLIBSVM's state: the tuples so far, and the tuple
+// the current line is building.
+type libsvmParser struct {
+	tuples []Tuple
+	arena  arena
+	labels map[float64]bool
+	maxIdx int
+	lineNo int
+
+	label  float64
+	prev   int32 // the line's last index, to see whether it arrived sorted
+	sorted bool
+}
+
+// line parses one line. Fields are cut at ASCII spaces; the first byte >=
+// 0x80 drops what the line has parsed and hands it to unicodeLine. Every
+// field parsed before that byte ends at an ASCII space, so it is a field
+// of strings.Fields too, and an error it raised is the same error.
+func (p *libsvmParser) line(b []byte) error {
+	n := 0 // fields parsed
+	for i := 0; ; {
+		for i < len(b) && byteClass[b[i]] == byteSpace {
+			i++
+		}
+		if i == len(b) {
+			break
+		}
+		if n == 0 && b[i] == '#' {
+			return nil
+		}
+		start, colon := i, -1
+		for {
+			for i < len(b) && byteClass[b[i]] == byteOther {
+				i++
+			}
+			if i == len(b) || byteClass[b[i]] == byteSpace {
+				break
+			}
+			if byteClass[b[i]] == byteHigh {
+				p.arena.drop()
+				return p.unicodeLine(b)
+			}
+			if colon < 0 {
+				colon = i - start
+			}
+			i++
+		}
+		if err := p.field(n, b[start:i], colon); err != nil {
+			return err
+		}
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	return p.endTuple()
+}
+
+// unicodeLine parses a line holding a byte >= 0x80 the way the reader
+// always has: TrimSpace, then strings.Fields.
+func (p *libsvmParser) unicodeLine(b []byte) error {
+	line := strings.TrimSpace(string(b))
+	if line == "" || strings.HasPrefix(line, "#") {
+		return nil
+	}
+	for n, f := range strings.Fields(line) {
+		if err := p.field(n, []byte(f), strings.IndexByte(f, ':')); err != nil {
+			return err
+		}
+	}
+	return p.endTuple()
+}
+
+// field parses a line's n-th field: the label when n is 0, else an
+// index:value pair whose first ':' is at offset colon (-1 if none).
+func (p *libsvmParser) field(n int, f []byte, colon int) error {
+	if n == 0 {
+		label, err := parseFinite(f)
+		if err != nil {
+			return fmt.Errorf("libsvm: line %d: bad label %q: %w", p.lineNo, f, err)
+		}
+		p.label, p.prev, p.sorted = label, -1, true
+		return nil
+	}
+	if colon <= 0 {
+		return fmt.Errorf("libsvm: line %d: bad feature %q", p.lineNo, f)
+	}
+	// The 0-based index must fit the storage format's int32, and
+	// WriteLIBSVM's int32 idx+1 must not wrap on the way back out.
+	idx, err := strconv.Atoi(string(f[:colon]))
+	if err != nil || idx < 1 || idx > math.MaxInt32 {
+		return fmt.Errorf("libsvm: line %d: bad index %q", p.lineNo, f[:colon])
+	}
+	val, err := parseFinite(f[colon+1:])
+	if err != nil {
+		return fmt.Errorf("libsvm: line %d: bad value %q: %w", p.lineNo, f[colon+1:], err)
+	}
+	i := int32(idx - 1)
+	if i <= p.prev {
+		p.sorted = false
+	}
+	p.prev = i
+	p.arena.push(i, val)
+	return nil
+}
+
+// endTuple closes the line's tuple: sorted by index, each index once.
+func (p *libsvmParser) endTuple() error {
+	t := Tuple{ID: int64(len(p.tuples)), Label: p.label}
+	t.SparseIdx, t.SparseVal = p.arena.cut()
+	if !p.sorted {
+		sortSparse(&t)
+		for i := 1; i < len(t.SparseIdx); i++ {
+			if t.SparseIdx[i] == t.SparseIdx[i-1] {
+				return fmt.Errorf("libsvm: line %d: duplicate index %d", p.lineNo, t.SparseIdx[i]+1)
+			}
+		}
+	}
+	if k := len(t.SparseIdx); k > 0 && int(t.SparseIdx[k-1]) > p.maxIdx {
+		p.maxIdx = int(t.SparseIdx[k-1])
+	}
+	p.labels[t.Label] = true
+	p.tuples = append(p.tuples, t)
+	return nil
+}
+
+// parseFinite parses a label or value: parseDecimal's common form
+// directly, anything else with strconv.ParseFloat (string(f) does not
+// escape, so a field of up to 32 bytes is converted on the stack).
+func parseFinite(f []byte) (float64, error) {
+	if v, ok := parseDecimal(f); ok {
+		return v, nil
+	}
+	v, err := strconv.ParseFloat(string(f), 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = errNotFinite
+	}
+	return v, err
+}
+
+// pow10 holds 10⁰…10¹⁹, every power of ten a uint64 holds.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// parseDecimal parses [+-]digits[.digits][(e|E)[+-]digits] with at most 19
+// digits before the exponent and a decimal exponent within ±19 — every
+// number WriteLIBSVM's %g prints, and most that other tools print. It
+// computes mantissa × 10^exponent exactly in 128-bit integers and rounds
+// once, to nearest, ties to even, so it returns strconv.ParseFloat's
+// result. ok is false for any other text, which strconv.ParseFloat then
+// parses.
+func parseDecimal(s []byte) (v float64, ok bool) {
+	i, neg := 0, false
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		neg, i = s[0] == '-', 1
+	}
+	var mant uint64
+	start := i
+	for ; i < len(s) && s[i]-'0' < 10; i++ {
+		mant = mant*10 + uint64(s[i]-'0')
+	}
+	digits, exp := i-start, 0
+	if i < len(s) && s[i] == '.' {
+		i++
+		frac := i
+		for ; i < len(s) && s[i]-'0' < 10; i++ {
+			mant = mant*10 + uint64(s[i]-'0')
+		}
+		digits += i - frac
+		exp = frac - i
+	}
+	if digits == 0 || digits > 19 {
+		return 0, false
+	}
+	if i < len(s) && s[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			eneg, i = s[i] == '-', i+1
+		}
+		e, start := 0, i
+		for ; i < len(s) && s[i]-'0' < 10 && e < 1000; i++ {
+			e = e*10 + int(s[i]-'0')
+		}
+		if i == start {
+			return 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+	}
+	if i != len(s) || exp < -19 || exp > 19 {
+		return 0, false
+	}
+	if mant != 0 {
+		v = decimalToFloat(mant, exp)
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// decimalToFloat returns mant × 10^exp rounded to the nearest float64, ties
+// to even, for mant > 0 and |exp| <= 19. A mant below 2^53 takes one float
+// operation. A larger one is multiplied or divided exactly into a 64-bit m
+// with its top bit set, scaled by 2^e2, plus a sticky flag for any nonzero
+// bits below m; rounding m to 53 bits is then the only rounding.
+func decimalToFloat(mant uint64, exp int) float64 {
+	if mant < 1<<53 {
+		// Both operands are exact float64s (5^19 < 2^53), so the one
+		// multiply or divide is the only rounding.
+		if exp < 0 {
+			return float64(mant) / float64(pow10[-exp])
+		}
+		return float64(mant) * float64(pow10[exp])
+	}
+	var m uint64
+	var e2 int
+	sticky := false
+	if exp >= 0 {
+		hi, lo := bits.Mul64(mant, pow10[exp])
+		if hi == 0 {
+			n := bits.LeadingZeros64(lo)
+			m, e2 = lo<<n, -n
+		} else {
+			n := bits.LeadingZeros64(hi)
+			m, e2 = hi<<n|lo>>(64-n), 64-n
+			sticky = lo<<n != 0
+		}
+	} else {
+		// Scale mant by 2^s so that the quotient lands in [2^63, 2^64):
+		// 2^63 + t puts it in (2^62, 2^64), and one more doubling is
+		// needed when mant × 2^t < d.
+		d := pow10[-exp]
+		t := bits.Len64(d) - bits.Len64(mant)
+		s := 63 + t
+		if t >= 0 && mant<<t < d || t < 0 && mant < d<<-t {
+			s++
+		}
+		q, r := divShifted(mant, s, d)
+		m, e2, sticky = q, -s, r != 0
+	}
+	// A keep rounded up to 2^53 is still exact in a float64.
+	keep, rest := m>>11, m&(1<<11-1)
+	if rest > 1<<10 || rest == 1<<10 && (sticky || keep&1 == 1) {
+		keep++
+	}
+	return math.Ldexp(float64(keep), e2+11)
+}
+
+// divShifted returns the quotient and remainder of mant × 2^s over d, for
+// 0 < s < 128 and a quotient below 2^64.
+func divShifted(mant uint64, s int, d uint64) (q, r uint64) {
+	var hi, lo uint64
+	if s >= 64 {
+		hi = mant << (s - 64)
+	} else {
+		hi, lo = mant>>(64-s), mant<<s
+	}
+	return bits.Div64(hi, lo, d)
+}
+
+// arena hands out tuples' SparseIdx and SparseVal as sub-slices of shared
+// chunks, capacity clamped so that an append to one tuple's slice copies
+// instead of overwriting the next tuple's entries. Chunks start at
+// minArenaChunk entries and double up to maxArenaChunk, so a tiny file
+// stays cheap and a large one takes a few dozen allocations.
+type arena struct {
+	idx   []int32
+	val   []float64
+	start int // the open tuple's first entry
+}
+
+const (
+	minArenaChunk = 64
+	maxArenaChunk = 1 << 16
+)
+
+func (a *arena) push(i int32, v float64) {
+	if len(a.idx) == cap(a.idx) {
+		a.grow()
+	}
+	a.idx = append(a.idx, i)
+	a.val = append(a.val, v)
+}
+
+// grow moves the open tuple's entries to a new chunk with room for as
+// many again.
+func (a *arena) grow() {
+	open := len(a.idx) - a.start
+	size := min(max(2*cap(a.idx), minArenaChunk), maxArenaChunk)
+	size = max(size, 2*open) // a tuple longer than a chunk
+	idx := make([]int32, open, size)
+	val := make([]float64, open, size)
+	copy(idx, a.idx[a.start:])
+	copy(val, a.val[a.start:])
+	a.idx, a.val, a.start = idx, val, 0
+}
+
+// cut closes the open tuple and returns its entries; a tuple without
+// features gets empty, non-nil slices.
+func (a *arena) cut() ([]int32, []float64) {
+	if a.idx == nil {
+		a.grow()
+	}
+	end := len(a.idx)
+	idx, val := a.idx[a.start:end:end], a.val[a.start:end:end]
+	a.start = end
+	return idx, val
+}
+
+// drop discards the open tuple's entries.
+func (a *arena) drop() {
+	a.idx, a.val = a.idx[:a.start], a.val[:a.start]
 }
 
 // WriteLIBSVM writes the dataset in LIBSVM text format with 1-based indices.
@@ -107,10 +432,9 @@ func WriteLIBSVM(w io.Writer, ds *Dataset) error {
 	return bw.Flush()
 }
 
+// sortSparse orders a tuple's entries by index; ReadLIBSVM calls it only
+// for a line whose indices did not arrive in increasing order.
 func sortSparse(t *Tuple) {
-	if sort.SliceIsSorted(t.SparseIdx, func(i, j int) bool { return t.SparseIdx[i] < t.SparseIdx[j] }) {
-		return
-	}
 	type pair struct {
 		i int32
 		v float64

@@ -3,7 +3,9 @@
 # suite, the race detector over the internal packages, and the fuzz seed
 # corpora (hostile block/tuple headers must stay rejected; hostile WAL
 # bytes must replay to a clean prefix without a panic; any statement text
-# must parse or fail cleanly, and a parsed one must survive Render).
+# must parse or fail cleanly, and a parsed one must survive Render; any
+# LIBSVM text must read as the reference reader reads it, and a dataset
+# read must survive WriteLIBSVM).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -12,7 +14,7 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./internal/...
-go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/
+go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/ ./internal/data/
 
 # The benchmark harness is its own module (benchmark/go.mod) and calls into
 # internal/ directly, so the root module's build does not cover it: an
