@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -310,57 +309,6 @@ func TestReadLIBSVMTuplesDoNotAlias(t *testing.T) {
 	first.SparseVal = append(first.SparseVal, 7)
 	if next := ds.At(1); next.SparseIdx[0] != 2 || next.SparseVal[0] != 3 {
 		t.Fatalf("appending to tuple 0 changed tuple 1: %v %v", next.SparseIdx, next.SparseVal)
-	}
-}
-
-// TestParseDecimalMatchesStrconv holds parseDecimal to strconv.ParseFloat,
-// bit for bit, on random float64s printed every way strconv prints them
-// and on random digit strings with random exponents.
-func TestParseDecimalMatchesStrconv(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	fast := 0
-	check := func(s string) {
-		got, ok := parseDecimal([]byte(s))
-		if !ok {
-			return
-		}
-		fast++
-		want, err := strconv.ParseFloat(s, 64)
-		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("parseDecimal(%q) = %v (%#x), strconv: %v (%#x), %v", s, got, math.Float64bits(got), want, math.Float64bits(want), err)
-		}
-	}
-	for _, s := range []string{"0", "-0", "+0.0", "0e5", "1", "-1", "5.", ".5", "1e19", "1e-19",
-		"9999999999999999999", "9999999999999999999e19", "1.000000000000000000e-19", "18446744073709551615",
-		"9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5", "0.1", "0.3"} {
-		check(s)
-	}
-	for i := 0; i < 50000; i++ {
-		x := math.Float64frombits(rng.Uint64())
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		if i%2 == 0 {
-			x = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
-		}
-		check(strconv.FormatFloat(x, 'g', -1, 64))
-		check(strconv.FormatFloat(x, 'e', rng.Intn(19), 64))
-		check(strconv.FormatFloat(x, 'f', rng.Intn(19), 64))
-		digits := strconv.FormatUint(rng.Uint64()>>uint(rng.Intn(64)), 10)
-		if k := rng.Intn(len(digits) + 1); k < len(digits) {
-			digits = digits[:k] + "." + digits[k:]
-		}
-		check(fmt.Sprintf("%se%d", digits, rng.Intn(41)-20))
-	}
-	// Mantissas past 2^53 take the integer path; about one in 4 096 of
-	// them lands its discarded bits on exactly half, where only the
-	// remainder tells a tie from a round-up.
-	for i := 0; i < 200000; i++ {
-		mant := 1<<53 + rng.Uint64()%(1e19-1<<53)
-		check(strconv.FormatUint(mant, 10) + "e" + strconv.Itoa(rng.Intn(39)-19))
-	}
-	if fast < 300000 {
-		t.Fatalf("only %d inputs took the fast path", fast)
 	}
 }
 

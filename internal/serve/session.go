@@ -48,14 +48,14 @@ func (s *Server) handleSession(si *sessionInfo, conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxLineBytes)
 	for sc.Scan() {
-		// The scanner's buffer is decoded in place: Unmarshal copies out
-		// every string it keeps.
+		// The scanner's buffer is decoded in place: decodeRequest copies
+		// out every string it keeps.
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := decodeRequest(line, &req); err != nil {
 			if enc.Encode(errResponse(ErrBadRequest, "request is not valid JSON: %v", err)) != nil {
 				return
 			}

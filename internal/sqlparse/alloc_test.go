@@ -46,3 +46,15 @@ func TestParseInsertAllocsPerRow(t *testing.T) {
 			rows, allocs[18], allocs[64], rows+16)
 	}
 }
+
+// BenchmarkParseInsert parses a 20-row INSERT of 64 features, the shape
+// of the benchmark's train_mlp_batch INSERTs.
+func BenchmarkParseInsert(b *testing.B) {
+	sql := insertText(20, 64)
+	b.SetBytes(int64(len(sql)))
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

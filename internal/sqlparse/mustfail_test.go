@@ -104,6 +104,8 @@ func TestParseMustFail(t *testing.T) {
 		{sql: `INSERT INTO t VALUES (1, 2) (3, 4)`, want: "sqlparse: trailing input at \"(\""},
 		{sql: `INSERT INTO t VALUES (1, 1e)`, want: "sqlparse: bad size \"1E\": strconv.ParseFloat: parsing \"1E\": invalid syntax"},
 		{sql: `INSERT INTO t VALUES (1, 1.2.3e4)`, want: "sqlparse: bad number \"1.2.3e4\""},
+		{sql: `INSERT INTO t VALUES (1, 1e999)`, want: "sqlparse: bad number \"1e999\""},
+		{sql: `INSERT INTO t VALUES (1, -1e999)`, want: "sqlparse: bad number \"-1e999\""},
 		{sql: `INSERT INTO t VALUES (1, 1e5MB)`, want: "sqlparse: unit suffix on exponent literal \"1e5MB\" at offset 25"},
 		{sql: `INSERT INTO t VALUES (1, e5)`, want: "sqlparse: INSERT values must be numeric, got \"e5\""},
 		{sql: `INSERT INTO t VALUES (1, 2) @`, want: "sqlparse: unexpected character '@' at offset 28"},

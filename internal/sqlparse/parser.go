@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"corgipile/internal/decimal"
 )
 
 // Parse parses a single SQL statement (a trailing semicolon is optional).
@@ -607,7 +609,7 @@ func (p *parser) paramList(insideParens bool) (Params, error) {
 }
 
 // value parses a parameter value: string, number, size literal, or bare
-// word.
+// word. A number in decimal.Parse's common form is read without strconv.
 func (p *parser) value() (Value, error) {
 	t := p.peek()
 	switch t.kind {
@@ -616,9 +618,12 @@ func (p *parser) value() (Value, error) {
 		return Value{Raw: t.text}, nil
 	case tokNumber:
 		p.next()
-		n, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("sqlparse: bad number %q", t.text)
+		n, ok := decimal.Parse(t.text)
+		if !ok {
+			var err error
+			if n, err = strconv.ParseFloat(t.text, 64); err != nil {
+				return Value{}, fmt.Errorf("sqlparse: bad number %q", t.text)
+			}
 		}
 		return Value{Raw: t.text, Num: n, IsNum: true}, nil
 	case tokUnitNum:

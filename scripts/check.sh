@@ -5,7 +5,10 @@
 # bytes must replay to a clean prefix without a panic; any statement text
 # must parse or fail cleanly, and a parsed one must survive Render; any
 # LIBSVM text must read as the reference reader reads it, and a dataset
-# read must survive WriteLIBSVM).
+# read must survive WriteLIBSVM; a number the exact decimal parser accepts
+# must parse to strconv.ParseFloat's bits; a request line the server's
+# one-pass decoder accepts must be one json.Unmarshal decodes alike, and
+# any other must get json.Unmarshal's exact error).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -14,7 +17,7 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./internal/...
-go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/ ./internal/data/
+go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/ ./internal/data/ ./internal/decimal/ ./internal/serve/
 
 # The benchmark harness is its own module (benchmark/go.mod) and calls into
 # internal/ directly, so the root module's build does not cover it: an
