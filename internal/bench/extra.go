@@ -33,7 +33,7 @@ func init() {
 // block-level shuffle (a sequentially filled shuffle buffer — exactly the
 // sliding-window family), shrink the buffer, and disable double buffering.
 func runAblation(w io.Writer, scale float64) error {
-	tab := stats.NewTable("Ablations on clustered higgs (SVM, HDD)",
+	tab := stats.NewTable("Ablations on clustered higgs (SVM, SSD)",
 		"variant", "final acc", "per-epoch time", "Δacc vs full", "Δtime vs full")
 	type variant struct {
 		name string

@@ -507,12 +507,14 @@ func (s *Session) execInsert(st *sqlparse.Insert) (*Result, error) {
 		len(tuples), len(raws), entry.Name, tab.NumTuples(), tab.NumBlocks())}, nil
 }
 
-// loadChunkTuples is the streaming LOAD INTO append granularity: each chunk
-// is appended and WAL-synced independently, so a crash mid-load leaves a
-// consistent prefix of the file ingested.
+// loadChunkTuples is LOAD INTO's append granularity: once the whole file is
+// parsed, each chunk of this many tuples is appended and WAL-synced on its
+// own, so a crash mid-load leaves a consistent prefix of the file ingested.
 const loadChunkTuples = 4096
 
-// execLoadTable streams a LIBSVM file into an existing table.
+// execLoadTable loads a LIBSVM file into an existing table. It reads and
+// checks the whole file first, so a malformed or out-of-range row ingests
+// nothing, then appends and syncs it loadChunkTuples tuples at a time.
 func (s *Session) execLoadTable(st *sqlparse.LoadTable) (*Result, error) {
 	entry, ok := s.Table(st.Table)
 	if !ok {

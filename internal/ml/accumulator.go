@@ -1,7 +1,5 @@
 package ml
 
-import "corgipile/internal/data"
-
 // gradAccumulator folds sparse per-tuple gradients into a dense accumulator,
 // deduplicating repeated indices via a touched list so the optimizer's
 // per-coordinate state is stepped once per mini-batch. It is the Trainer's
@@ -76,9 +74,10 @@ func (a *gradAccumulator) Step(opt Optimizer, w []float64, count int) {
 }
 
 // gradDest is where a backward pass puts its gradient entries: appended to
-// gi/gv, or — when acc is set — folded straight into acc by the addEntry step
-// Add applies to a (gi, gv) log (the row writers below inline it). Either way
-// every coordinate receives the same values in the same order.
+// gi/gv, or — when acc is set, as on gradBatch's out-of-row path — folded
+// straight into acc by the addEntry step Add applies to a (gi, gv) log (the
+// row writers below inline it). Either way every coordinate receives the same
+// values in the same order.
 type gradDest struct {
 	gi  []int32
 	gv  []float64
@@ -150,12 +149,4 @@ func (d *gradDest) putScaledDense(base int32, g float64, vals []float64) {
 		gv = append(gv, float64(g*v))
 	}
 	d.gi, d.gv = gi, gv
-}
-
-// directGrader is implemented by models that can add a tuple's gradient
-// straight into a gradAccumulator, skipping the (gi, gv) log. The entries
-// and their order must be exactly GradWS's, so the accumulator ends up
-// bit-identical to Add(GradWS(...)).
-type directGrader interface {
-	gradInto(ws *Workspace, w []float64, t *data.Tuple, acc *gradAccumulator) (loss float64)
 }

@@ -93,22 +93,24 @@ func TestGradWSAllocationFree(t *testing.T) {
 			t.Errorf("%s: GradWS allocates %v times per call, want 0", bm.name, allocs)
 		}
 
-		// The mini-batch path adds straight into the accumulator.
-		d, ok := bm.model.(directGrader)
+		// The mini-batch path adds a batch at a time into the accumulator.
+		g, ok := bm.model.(MLP)
 		if !ok {
 			continue
 		}
+		const batch = 64
 		var acc gradAccumulator
 		acc.Reset(len(w))
-		for i := 0; i < bm.ds.Len(); i++ {
-			d.gradInto(&ws, w, bm.ds.At(i), &acc)
+		for lo := 0; lo+batch <= bm.ds.Len(); lo += batch {
+			g.gradBatch(&ws, w, bm.ds.Tuples[lo:lo+batch], &acc)
 		}
-		if allocs := testing.AllocsPerRun(200, func() {
+		if allocs := testing.AllocsPerRun(50, func() {
 			acc.Clear()
-			d.gradInto(&ws, w, bm.ds.At(i%bm.ds.Len()), &acc)
-			i++
+			lo := i % (bm.ds.Len() - batch)
+			g.gradBatch(&ws, w, bm.ds.Tuples[lo:lo+batch], &acc)
+			i += batch
 		}); allocs != 0 {
-			t.Errorf("%s: gradInto allocates %v times per call, want 0", bm.name, allocs)
+			t.Errorf("%s: gradBatch allocates %v times per batch, want 0", bm.name, allocs)
 		}
 	}
 }

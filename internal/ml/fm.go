@@ -69,7 +69,7 @@ func (m FactorizationMachine) scoreSums(ws *Workspace, w []float64, t *data.Tupl
 	}
 
 	eachNZ(func(idx int, x float64) { y += w[idx] * x })
-	sums = f64(&ws.dh, k)
+	sums = scratch(&ws.dh, k)
 	for f := range sums {
 		sums[f] = 0
 	}

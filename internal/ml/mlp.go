@@ -49,15 +49,26 @@ func (m MLP) InitWeights(w []float64, features int, rng *rand.Rand) {
 	}
 }
 
+// features returns the input width w was sized for: Dim inverted.
+func (m MLP) features(w []float64) int {
+	return (len(w)-m.Classes*(m.Hidden+1))/m.Hidden - 1
+}
+
 // forward computes hidden activations h (post-ReLU) and output
 // probabilities p into the workspace's scratch buffers.
 func (m MLP) forward(ws *Workspace, w []float64, t *data.Tuple) (h, p []float64, features int) {
-	features = (len(w)-m.Classes*(m.Hidden+1))/m.Hidden - 1
-	h = f64(&ws.h, m.Hidden)
+	features = m.features(w)
+	h, p = scratch(&ws.h, m.Hidden), scratch(&ws.p, m.Classes)
+	m.outputs(h, p, w, t, features)
+	return h, p, features
+}
+
+// outputs writes t's hidden activations into h and its output probabilities
+// into p.
+func (m MLP) outputs(h, p, w []float64, t *data.Tuple, features int) {
 	hiddenLayer(h, w, t, features)
 	off := m.Hidden * (features + 1)
 	in2 := m.Hidden + 1
-	p = f64(&ws.p, m.Classes)
 	for k := 0; k < m.Classes; k++ {
 		wk := w[off+k*in2 : off+(k+1)*in2]
 		z := wk[m.Hidden] // bias
@@ -67,7 +78,6 @@ func (m MLP) forward(ws *Workspace, w []float64, t *data.Tuple) (h, p []float64,
 		p[k] = z
 	}
 	softmaxProbs(p)
-	return h, p, features
 }
 
 // hiddenLayer sets h[j] = ReLU(⟨w_j[:features], x⟩ + w_j[features]) for the
@@ -177,60 +187,33 @@ func (m MLP) GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []
 	return loss, d.gi, d.gv
 }
 
-// gradInto implements directGrader: GradWS's entries, in GradWS's order,
-// folded straight into acc.
-func (m MLP) gradInto(ws *Workspace, w []float64, t *data.Tuple, acc *gradAccumulator) float64 {
-	d := gradDest{acc: acc}
-	return m.backward(ws, w, t, &d)
-}
-
-// backward is the MLP's one backpropagation: it returns the example loss and
-// puts the gradient's (index, value) entries into d. MLP gradients are dense
-// over both layers (sparse inputs still yield sparse first-layer rows), so
-// all but the bias entries go to d a row at a time. d rounds every product
-// through float64(...), so that when it adds them straight into an
-// accumulator no compiler can fuse them into that add: the accumulator then
-// receives exactly the rounded values the (gi, gv) form stores.
+// backward is the MLP's one per-tuple backpropagation: it returns the
+// example loss and puts the gradient's (index, value) entries into d. MLP
+// gradients are dense over both layers (sparse inputs still yield sparse
+// first-layer rows), so all but the bias entries go to d a row at a time. d
+// rounds every product through float64(...), so that when it adds them
+// straight into an accumulator no compiler can fuse them into that add: the
+// accumulator then receives exactly the rounded values the (gi, gv) form
+// stores. gradBatch is the batch-major form of the same entries.
 func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) float64 {
-	h, p, features := m.forward(ws, w, t)
-	y := classIndex(t.Label, m.Classes)
-	py := p[y]
-	if py < 1e-300 {
-		py = 1e-300
-	}
-	loss := -math.Log(py)
+	features := m.features(w)
+	h, dk, dh := scratch(&ws.h, m.Hidden), scratch(&ws.p, m.Classes), scratch(&ws.dh, m.Hidden)
+	loss := m.deltas(h, dk, dh, w, t, features)
 
 	in1 := features + 1
 	off := m.Hidden * in1
 	in2 := m.Hidden + 1
-
-	// Output layer: dL/dz2_k = p_k − 1{k=y}.
-	dh := f64(&ws.dh, m.Hidden)
-	for j := range dh {
-		dh[j] = 0
-	}
-	// The row's entries go to d before its dh terms are added; each dh[j]
-	// still receives its terms in k order.
-	for k := 0; k < m.Classes; k++ {
-		dk := p[k]
-		if k == y {
-			dk -= 1
-		}
-		if dk == 0 {
+	// Output layer: row k of W2 gets dk[k]·h, then its bias dk[k].
+	for k, g := range dk {
+		if g == 0 {
 			continue
 		}
 		base := int32(off + k*in2)
-		d.putScaledDense(base, dk, h)
-		wk := w[off+k*in2 : off+k*in2+m.Hidden]
-		for j, wkj := range wk {
-			dh[j] += dk * wkj
-		}
-		d.put(base+int32(m.Hidden), dk)
+		d.putScaledDense(base, g, h)
+		d.put(base+int32(m.Hidden), g)
 	}
-
 	// Hidden layer: ReLU gate (h[j] > 0), dL/dz1_j = dh[j].
-	for j := 0; j < m.Hidden; j++ {
-		g := dh[j]
+	for j, g := range dh {
 		if h[j] <= 0 || g == 0 {
 			continue
 		}
@@ -241,6 +224,37 @@ func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) fl
 			d.putScaledDense(base, g, t.Dense)
 		}
 		d.put(base+int32(features), g)
+	}
+	return loss
+}
+
+// deltas runs t's forward pass into h and returns the example loss, with the
+// output deltas dL/dz2_k = p_k − 1{k=y} in dk and the hidden deltas
+// dh[j] = Σ_k dk[k]·W2[k][j] (the k with dk[k] = 0 skipped, the rest added
+// in k order) in dh.
+func (m MLP) deltas(h, dk, dh, w []float64, t *data.Tuple, features int) float64 {
+	m.outputs(h, dk, w, t, features)
+	y := classIndex(t.Label, m.Classes)
+	py := dk[y]
+	if py < 1e-300 {
+		py = 1e-300
+	}
+	loss := -math.Log(py)
+	dk[y] -= 1
+
+	off := m.Hidden * (features + 1)
+	in2 := m.Hidden + 1
+	for j := range dh {
+		dh[j] = 0
+	}
+	for k, g := range dk {
+		if g == 0 {
+			continue
+		}
+		wk := w[off+k*in2 : off+k*in2+m.Hidden]
+		for j, wkj := range wk {
+			dh[j] += g * wkj
+		}
 	}
 	return loss
 }

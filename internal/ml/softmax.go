@@ -36,7 +36,7 @@ func classIndex(label float64, classes int) int {
 // logits computes the K class scores into the workspace's scratch buffer.
 func (s Softmax) logits(ws *Workspace, w []float64, t *data.Tuple) []float64 {
 	row := len(w) / s.Classes
-	z := f64(&ws.p, s.Classes)
+	z := scratch(&ws.p, s.Classes)
 	for k := 0; k < s.Classes; k++ {
 		wk := w[k*row : (k+1)*row]
 		z[k] = t.Dot(wk[:row-1]) + wk[row-1]

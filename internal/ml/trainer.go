@@ -9,7 +9,9 @@ import (
 
 // Stream yields training tuples one at a time; ok=false ends the epoch.
 // Strategies in internal/shuffle and operators in internal/executor produce
-// Streams.
+// Streams. A returned tuple is good until the next call: the producer may
+// reuse the Tuple it points to. The feature slices it holds stay valid, and
+// unchanged, for the rest of the epoch.
 type Stream func() (t *data.Tuple, ok bool)
 
 // SliceStream returns a Stream over the tuples of ds in storage order.
@@ -79,8 +81,13 @@ type Trainer struct {
 	gi []int32
 	gv []float64
 
-	acc gradAccumulator
+	acc   gradAccumulator
+	batch []data.Tuple // headers of the tuples waiting for gradBatch
 }
+
+// maxGradBatch bounds the tuples one gradBatch call takes, and with it the
+// Workspace's batch scratch; a larger mini-batch goes in several calls.
+const maxGradBatch = 256
 
 // NewTrainer returns a trainer for the model/optimizer pair.
 func NewTrainer(m Model, opt Optimizer, batchSize int) *Trainer {
@@ -125,11 +132,19 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 		}
 	} else {
 		// Mini-batch SGD: each tuple's gradient is folded into the
-		// accumulator as it arrives, in stream order, and every full batch
-		// takes one optimizer step.
+		// accumulator in stream order, and every full batch takes one
+		// optimizer step. The MLP gets its tuples a batch (or maxGradBatch)
+		// at a time, for MLP.gradBatch; OnTuple still sees each as it
+		// arrives.
 		tr.acc.Reset(len(w))
-		direct, _ := tr.Model.(directGrader)
+		mlp, batched := tr.Model.(MLP)
 		count := 0
+		grad := func() {
+			for _, loss := range mlp.gradBatch(&tr.ws, w, tr.batch, &tr.acc) {
+				lossSum += loss
+			}
+			tr.batch = tr.batch[:0]
+		}
 		step := func() {
 			if tr.TrackGradNorm {
 				// Gather is repeatable until Clear, so peeking at the
@@ -150,19 +165,27 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 				tr.OnTuple(t)
 			}
 			stats.Tuples++
-			if direct != nil {
-				lossSum += direct.gradInto(&tr.ws, w, t, &tr.acc)
+			count++
+			if batched {
+				// The stream may overwrite *t on its next call.
+				tr.batch = append(tr.batch, *t)
+				if count == batch || len(tr.batch) == maxGradBatch {
+					grad()
+				}
 			} else {
 				var loss float64
 				loss, tr.gi, tr.gv = GradWS(tr.Model, &tr.ws, w, t, tr.gi[:0], tr.gv[:0])
 				lossSum += loss
 				tr.acc.Add(tr.gi, tr.gv)
 			}
-			if count++; count == batch {
+			if count == batch {
 				step()
 			}
 		}
 		if count > 0 {
+			if len(tr.batch) > 0 {
+				grad()
+			}
 			step()
 		}
 	}

@@ -13,14 +13,27 @@ type Workspace struct {
 	// hidden-layer backprop temporaries; p doubles as the Softmax logit
 	// buffer and dh as the FM per-factor sum buffer.
 	h, p, dh []float64
+
+	// The MLP's batch scratch (gradBatch): per tuple of the batch its
+	// loss, layout, hidden activations, output deltas and hidden deltas;
+	// per W2 row the hidden units not yet marked; per W1 row the length of
+	// its marked prefix and the tuples that reach it.
+	loss         []float64
+	layout       []rowLayout
+	bh, bdk, bdh []float64
+	unmarked     []int32
+	nUnmarked    []int
+	markedPrefix []int
+	active       []int32
+	nActive      []int
 }
 
-// f64 returns a scratch slice of length n backed by *buf, growing *buf's
-// capacity when needed. Contents are unspecified; callers that need zeros
-// must write them.
-func f64(buf *[]float64, n int) []float64 {
+// scratch returns a scratch slice of length n backed by *buf, growing
+// *buf's capacity when needed. Contents are unspecified; callers that need
+// zeros must write them.
+func scratch[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf

@@ -17,7 +17,7 @@ go build ./...
 go vet ./...
 go test ./...
 go test -race ./internal/...
-go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/ ./internal/data/ ./internal/decimal/ ./internal/serve/
+go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/ ./internal/data/ ./internal/decimal/ ./internal/serve/ ./internal/ml/
 
 # The benchmark harness is its own module (benchmark/go.mod) and calls into
 # internal/ directly, so the root module's build does not cover it: an
