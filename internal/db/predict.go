@@ -80,7 +80,7 @@ func (s *Session) execPredict(st *sqlparse.Predict) (*Result, error) {
 // advance moves the entry's snapshot up to the caller's frontier and, when
 // tallied, scores with predict the tuples m's tally has not seen, keeping
 // the predictions a statement with this limit will print.
-func (e *TableEntry) advance(frontier int, m *ModelEntry, predict func([]float64, *data.Tuple) float64, tallied bool, limit int, reg *obs.Registry) (view, error) {
+func (e *TableEntry) advance(frontier int, m *ModelEntry, predict func(*data.Tuple) float64, tallied bool, limit int, reg *obs.Registry) (view, error) {
 	e.predictMu.Lock()
 	defer e.predictMu.Unlock()
 	frontier = max(frontier, e.predictBlocks) // a tally may already cover what a later statement brought
@@ -107,7 +107,7 @@ func (e *TableEntry) advance(frontier int, m *ModelEntry, predict func([]float64
 		v.first = tl.upTo
 		for i := tl.upTo; i < len(v.tuples); i++ {
 			t := &v.tuples[i]
-			pred := predict(m.W, t)
+			pred := predict(t)
 			if predictCorrect(task, t.Label, pred) {
 				tl.correct++
 			}
@@ -130,7 +130,7 @@ func (e *TableEntry) advance(frontier int, m *ModelEntry, predict func([]float64
 func (pp *PreparedPredict) Run(reg *obs.Registry) (*Result, error) {
 	st, m := pp.st, pp.model
 	task := pp.entry.Table.Task()
-	predict := ml.Predictor(m.Model) // one workspace for the statement
+	predict := ml.Predictor(m.Model, m.W) // one workspace and set-up for the statement
 	v, err := pp.entry.advance(pp.frontier, m, predict, st.Where == nil && task != data.TaskRegression, st.Limit, reg)
 	if err != nil {
 		return nil, fmt.Errorf("db: decode table %q: %w", st.Table, err)
@@ -147,7 +147,7 @@ func (pp *PreparedPredict) Run(reg *obs.Registry) (*Result, error) {
 			if i >= v.first {
 				pred = v.preds[i-v.first]
 			} else {
-				pred = predict(m.W, &rows[i])
+				pred = predict(&rows[i])
 			}
 			res.Rows = append(res.Rows, predictRow(rows[i].ID, rows[i].Label, pred))
 		}
@@ -161,7 +161,7 @@ func (pp *PreparedPredict) Run(reg *obs.Registry) (*Result, error) {
 		if !filter(t) {
 			continue
 		}
-		pred := predict(m.W, t)
+		pred := predict(t)
 		n++
 		if predictCorrect(task, t.Label, pred) {
 			correct++

@@ -120,7 +120,7 @@ func TestGradWSAllocationFree(t *testing.T) {
 // needs scratch.
 func TestAccuracyAllocations(t *testing.T) {
 	for _, bm := range benchModels() {
-		if _, ok := bm.model.(workspacePredictor); !ok {
+		if _, ok := bm.model.(boundPredictor); !ok {
 			continue
 		}
 		w := make([]float64, bm.model.Dim(bm.ds.Features))
@@ -153,17 +153,12 @@ func mlpWorkloadDS() *data.Dataset {
 		Order: data.OrderShuffled, Seed: 32})
 }
 
-// BenchmarkEpoch measures a full trainer epoch (per-tuple SGD and batch 64)
-// over an in-memory dataset, plus the MLP at the shape of the benchmark's
-// train_mlp_batch workload (hidden 32, batch 64), once as loaded and once
-// with every 7th index dropped, so the generic sparse path keeps a number.
-func BenchmarkEpoch(b *testing.B) {
-	svmDS := data.SyntheticBinary(data.SyntheticConfig{
-		Tuples: 4096, Features: 28, Order: data.OrderShuffled, Seed: 31})
-	mlpDS := mlpWorkloadDS()
-	holesDS := mlpWorkloadDS()
-	for i := range holesDS.Tuples {
-		t := &holesDS.Tuples[i]
+// holesWorkloadDS is mlpWorkloadDS with every 7th index dropped: sparse
+// tuples with holes, which keep the MLP's scalar hidden layer.
+func holesWorkloadDS() *data.Dataset {
+	ds := mlpWorkloadDS()
+	for i := range ds.Tuples {
+		t := &ds.Tuples[i]
 		idx, val := t.SparseIdx[:0], t.SparseVal[:0]
 		for j, v := range t.SparseVal {
 			if t.SparseIdx[j]%7 != 6 {
@@ -172,6 +167,18 @@ func BenchmarkEpoch(b *testing.B) {
 		}
 		t.SparseIdx, t.SparseVal = idx, val
 	}
+	return ds
+}
+
+// BenchmarkEpoch measures a full trainer epoch (per-tuple SGD and batch 64)
+// over an in-memory dataset, plus the MLP at the shape of the benchmark's
+// train_mlp_batch workload (hidden 32, batch 64), once as loaded and once
+// with every 7th index dropped, so the generic sparse path keeps a number.
+func BenchmarkEpoch(b *testing.B) {
+	svmDS := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: 4096, Features: 28, Order: data.OrderShuffled, Seed: 31})
+	mlpDS := mlpWorkloadDS()
+	holesDS := holesWorkloadDS()
 	run := func(b *testing.B, m Model, ds *data.Dataset, batchSize int) {
 		tr := NewTrainer(m, NewSGD(0.01), batchSize)
 		w := make([]float64, m.Dim(ds.Features))
@@ -209,10 +216,10 @@ func BenchmarkEpoch(b *testing.B) {
 var accuracySink float64
 
 // BenchmarkAccuracy times the per-epoch eval pass (TrainEval, and TRAIN's
-// accuracy column) over the train_mlp_batch table.
+// accuracy column) over the train_mlp_batch table, once as loaded and once
+// with every 7th index dropped, so the scalar hidden layer keeps a number.
 func BenchmarkAccuracy(b *testing.B) {
-	b.Run("mlp", func(b *testing.B) {
-		ds := mlpWorkloadDS()
+	run := func(b *testing.B, ds *data.Dataset) {
 		m := MLP{Classes: 10, Hidden: 32}
 		w := make([]float64, m.Dim(ds.Features))
 		m.InitWeights(w, ds.Features, rand.New(rand.NewSource(1)))
@@ -222,5 +229,7 @@ func BenchmarkAccuracy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			accuracySink = Accuracy(m, w, ds)
 		}
-	})
+	}
+	b.Run("mlp", func(b *testing.B) { run(b, mlpWorkloadDS()) })
+	b.Run("mlp_holes", func(b *testing.B) { run(b, holesWorkloadDS()) })
 }

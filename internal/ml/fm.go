@@ -161,8 +161,14 @@ func (m FactorizationMachine) Predict(w []float64, t *data.Tuple) float64 {
 	return m.predictWS(&ws, w, t)
 }
 
-// predictWS implements workspacePredictor: Predict with the per-factor sum
-// buffer in ws.
+// predictor implements boundPredictor: Predict with one per-factor sum
+// buffer for every call.
+func (m FactorizationMachine) predictor(w []float64) func(*data.Tuple) float64 {
+	ws := new(Workspace)
+	return func(t *data.Tuple) float64 { return m.predictWS(ws, w, t) }
+}
+
+// predictWS is Predict with the per-factor sum buffer in ws.
 func (m FactorizationMachine) predictWS(ws *Workspace, w []float64, t *data.Tuple) float64 {
 	if y, _ := m.scoreSums(ws, w, t); y >= 0 {
 		return 1

@@ -1,0 +1,132 @@
+package ml
+
+import "corgipile/internal/data"
+
+// The lane kernels: loops whose every output value is its own sequential
+// sum, so vector lanes can carry several of those sums side by side without
+// reordering a single add (DESIGN.md "Bit-exact kernels"). Each has a Go
+// reference loop, which runs wherever the AVX2 form does not (another CPU or
+// GOARCH) and which the tests hold the AVX2 form to, bit for bit. The
+// wrappers check every length before the kernel runs, so a short slice
+// panics here instead of being read past its end.
+
+// gemvT sets acc[l] = acc[l] + x[i]·m[i·stride+l] for every lane l of acc,
+// i ascending: each lane's sum in order, the product rounded before the
+// add. m holds len(x) rows of stride values, and stride is at least len(acc)
+// rounded up to a multiple of 4, so the kernel may read whole groups of
+// four lanes from every row.
+func gemvT(acc, x, m []float64, stride int) {
+	if stride < pad4(len(acc)) || len(m) < len(x)*stride {
+		panic("ml: gemvT: matrix shorter than its lanes")
+	}
+	gemvTKernel(acc, x, m, stride)
+}
+
+// gemvTGo is gemvT's reference loop.
+func gemvTGo(acc, x, m []float64, stride int) {
+	for i, xi := range x {
+		row := m[i*stride : i*stride+len(acc)]
+		for l, v := range row {
+			acc[l] = acc[l] + xi*v
+		}
+	}
+}
+
+// addRuns4 sets r[c] = (((r[c] + g0·x0[c]) + g1·x1[c]) + g2·x2[c]) +
+// g3·x3[c] for every c of r, each product rounded before its add: four runs
+// added into one row, in run order at every coordinate.
+func addRuns4(r []float64, g *[4]float64, x0, x1, x2, x3 []float64) {
+	if n := len(r); len(x0) < n || len(x1) < n || len(x2) < n || len(x3) < n {
+		panic("ml: addRuns4: run shorter than its row")
+	}
+	addRuns4Kernel(r, g, x0, x1, x2, x3)
+}
+
+// addRuns4Go is addRuns4's reference loop. The products go through
+// float64(...), so no compiler fuses them into the adds.
+func addRuns4Go(r []float64, g *[4]float64, x0, x1, x2, x3 []float64) {
+	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
+	x0, x1, x2, x3 = x0[:len(r)], x1[:len(r)], x2[:len(r)], x3[:len(r)]
+	for c := range r {
+		s := r[c]
+		s += float64(g0 * x0[c])
+		s += float64(g1 * x1[c])
+		s += float64(g2 * x2[c])
+		s += float64(g3 * x3[c])
+		r[c] = s
+	}
+}
+
+// pad4 rounds n up to a multiple of 4, a whole number of lane groups.
+func pad4(n int) int { return (n + 3) &^ 3 }
+
+// laneWeights is an MLP's weights transposed for gemvT: W1ᵀ, features+1
+// rows of hs lanes with the hidden biases in the last, then W2ᵀ, Hidden+1
+// rows of cs lanes with the output biases in the last. hs and cs are Hidden
+// and Classes padded to a multiple of 4. The kernel computes on the padding
+// lanes and never stores them; they are zero, not stale scratch, because a
+// subnormal there would cost a microcode assist on every pass. The zero
+// laneWeights stands for the scalar loops.
+type laneWeights struct {
+	w1t, w2t []float64
+	hs, cs   int
+}
+
+// transpose builds w's laneWeights in ws's scratch, valid until the next
+// call with ws and for as long as w holds the same values.
+func (m MLP) transpose(ws *Workspace, w []float64, features int) laneWeights {
+	H, C := m.Hidden, m.Classes
+	in1, in2 := features+1, H+1
+	hs, cs := pad4(H), pad4(C)
+	buf := scratch(&ws.lanes, in1*hs+in2*cs)
+	w1t, w2t := buf[:in1*hs], buf[in1*hs:]
+	transposeInto(w1t, w, H, in1, hs)
+	transposeInto(w2t, w[H*in1:], C, in2, cs)
+	for i := 0; i < in1; i++ {
+		clear(w1t[i*hs+H : (i+1)*hs])
+	}
+	for j := 0; j < in2; j++ {
+		clear(w2t[j*cs+C : (j+1)*cs])
+	}
+	return laneWeights{w1t: w1t, w2t: w2t, hs: hs, cs: cs}
+}
+
+// transposeInto writes the rows × cols matrix src into dst as its
+// transpose: cols rows of stride values. Four source rows go per pass, so
+// each pass fills four adjacent values of every destination row.
+func transposeInto(dst, src []float64, rows, cols, stride int) {
+	j := 0
+	for ; j+4 <= rows; j += 4 {
+		r0 := src[j*cols : (j+1)*cols]
+		r1 := src[(j+1)*cols : (j+2)*cols]
+		r2 := src[(j+2)*cols : (j+3)*cols]
+		r3 := src[(j+3)*cols : (j+4)*cols]
+		for i := range r0 {
+			d := dst[i*stride+j : i*stride+j+4]
+			d[0], d[1], d[2], d[3] = r0[i], r1[i], r2[i], r3[i]
+		}
+	}
+	for ; j < rows; j++ {
+		col := dst[j:]
+		for i, v := range src[j*cols : (j+1)*cols] {
+			col[i*stride] = v
+		}
+	}
+}
+
+// hidden sets h[j] = ReLU(Σ_i x_i·W1[j][i] + b1[j]) on gemvT, for a tuple
+// of layout l, dense or prefix: its values cut to features are the x that
+// hiddenLayer's dense loop takes, summed from 0 in the same order, the bias
+// added after.
+func (lw laneWeights) hidden(h []float64, t *data.Tuple, l rowLayout, features int) {
+	xs := t.Dense
+	if l == layoutPrefix {
+		xs = t.SparseVal[:len(t.SparseIdx)]
+	}
+	xs = xs[:min(len(xs), features)]
+	clear(h)
+	gemvT(h, xs, lw.w1t, lw.hs)
+	for j, b := range lw.w1t[features*lw.hs:][:len(h)] {
+		h[j] = relu(h[j] + b)
+	}
+}

@@ -15,10 +15,10 @@ func Accuracy(m Model, w []float64, ds *data.Dataset) float64 {
 	}
 	correct := 0
 	multi := ds.Task == data.TaskMulticlass
-	predict := Predictor(m)
+	predict := Predictor(m, w)
 	for i := range ds.Tuples {
 		t := &ds.Tuples[i]
-		pred := predict(w, t)
+		pred := predict(t)
 		if multi {
 			if int(pred) == classIndex(t.Label, maxInt(ds.Classes, 2)) {
 				correct++

@@ -55,27 +55,39 @@ func (m MLP) features(w []float64) int {
 }
 
 // forward computes hidden activations h (post-ReLU) and output
-// probabilities p into the workspace's scratch buffers.
+// probabilities p into the workspace's scratch buffers, on the scalar loops.
 func (m MLP) forward(ws *Workspace, w []float64, t *data.Tuple) (h, p []float64, features int) {
 	features = m.features(w)
 	h, p = scratch(&ws.h, m.Hidden), scratch(&ws.p, m.Classes)
-	m.outputs(h, p, w, t, features)
+	m.outputs(h, p, w, t, features, laneWeights{}, 0)
 	return h, p, features
 }
 
 // outputs writes t's hidden activations into h and its output probabilities
-// into p.
-func (m MLP) outputs(h, p, w []float64, t *data.Tuple, features int) {
-	hiddenLayer(h, w, t, features)
-	off := m.Hidden * (features + 1)
-	in2 := m.Hidden + 1
-	for k := 0; k < m.Classes; k++ {
-		wk := w[off+k*in2 : off+(k+1)*in2]
-		z := wk[m.Hidden] // bias
-		for j := 0; j < m.Hidden; j++ {
-			z += wk[j] * h[j]
+// into p. With the zero lw it runs the scalar loops and does not read l;
+// otherwise lw holds w transposed and l is t's layout (layoutOf): the output
+// layer runs on gemvT, and so does the hidden layer unless t is sparse with
+// holes. Both forms compute every activation and logit bit-identically.
+func (m MLP) outputs(h, p, w []float64, t *data.Tuple, features int, lw laneWeights, l rowLayout) {
+	if lw.hs == 0 || l == layoutSparse {
+		hiddenLayer(h, w, t, features)
+	} else {
+		lw.hidden(h, t, l, features)
+	}
+	if lw.hs == 0 {
+		off := m.Hidden * (features + 1)
+		in2 := m.Hidden + 1
+		for k := 0; k < m.Classes; k++ {
+			wk := w[off+k*in2 : off+(k+1)*in2]
+			z := wk[m.Hidden] // bias
+			for j := 0; j < m.Hidden; j++ {
+				z += wk[j] * h[j]
+			}
+			p[k] = z
 		}
-		p[k] = z
+	} else {
+		copy(p, lw.w2t[m.Hidden*lw.cs:]) // biases
+		gemvT(p, h, lw.w2t, lw.cs)
 	}
 	softmaxProbs(p)
 }
@@ -152,12 +164,16 @@ func gapFree(idxs []int32) bool {
 	return true
 }
 
-// relu returns max(z, 0), mapping NaN and −0 to +0.
+// relu returns max(z, 0), mapping NaN and −0 to +0. It tests z's bits, not
+// z > 0, so the compiler emits a conditional move: whether a hidden unit
+// fires is a coin toss a branch predictor loses. z > 0 exactly when its bits
+// lie in [1, +Inf's bits].
 func relu(z float64) float64 {
-	if z > 0 {
-		return z
+	b := math.Float64bits(z)
+	if b-1 >= 0x7FF0000000000000 {
+		b = 0
 	}
-	return 0
+	return math.Float64frombits(b)
 }
 
 // Loss implements Model.
@@ -198,7 +214,7 @@ func (m MLP) GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []
 func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) float64 {
 	features := m.features(w)
 	h, dk, dh := scratch(&ws.h, m.Hidden), scratch(&ws.p, m.Classes), scratch(&ws.dh, m.Hidden)
-	loss := m.deltas(h, dk, dh, w, t, features)
+	loss := m.deltas(h, dk, dh, w, t, features, laneWeights{}, 0)
 
 	in1 := features + 1
 	off := m.Hidden * in1
@@ -228,12 +244,12 @@ func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) fl
 	return loss
 }
 
-// deltas runs t's forward pass into h and returns the example loss, with the
-// output deltas dL/dz2_k = p_k − 1{k=y} in dk and the hidden deltas
-// dh[j] = Σ_k dk[k]·W2[k][j] (the k with dk[k] = 0 skipped, the rest added
-// in k order) in dh.
-func (m MLP) deltas(h, dk, dh, w []float64, t *data.Tuple, features int) float64 {
-	m.outputs(h, dk, w, t, features)
+// deltas runs t's forward pass into h (outputs, with lw and l) and returns
+// the example loss, with the output deltas dL/dz2_k = p_k − 1{k=y} in dk and
+// the hidden deltas dh[j] = Σ_k dk[k]·W2[k][j] (the k with dk[k] = 0
+// skipped, the rest added in k order) in dh.
+func (m MLP) deltas(h, dk, dh, w []float64, t *data.Tuple, features int, lw laneWeights, l rowLayout) float64 {
+	m.outputs(h, dk, w, t, features, lw, l)
 	y := classIndex(t.Label, m.Classes)
 	py := dk[y]
 	if py < 1e-300 {
@@ -259,15 +275,31 @@ func (m MLP) deltas(h, dk, dh, w []float64, t *data.Tuple, features int) float64
 	return loss
 }
 
-// Predict implements Model, returning the argmax class index.
+// Predict implements Model, returning the argmax class index. It runs the
+// scalar loops: a pass over many tuples binds Predictor instead.
 func (m MLP) Predict(w []float64, t *data.Tuple) float64 {
 	var ws Workspace
-	return m.predictWS(&ws, w, t)
+	_, p, _ := m.forward(&ws, w, t)
+	return argmax(p)
 }
 
-// predictWS implements workspacePredictor: Predict with its scratch in ws.
-func (m MLP) predictWS(ws *Workspace, w []float64, t *data.Tuple) float64 {
-	_, p, _ := m.forward(ws, w, t)
+// predictor implements boundPredictor: Predict on the lane kernels, with w
+// transposed once for every call.
+func (m MLP) predictor(w []float64) func(*data.Tuple) float64 {
+	var ws Workspace
+	features := m.features(w)
+	lw := m.transpose(&ws, w, features)
+	hp := scratch(&ws.h, m.Hidden+m.Classes)
+	h, p := hp[:m.Hidden], hp[m.Hidden:]
+	return func(t *data.Tuple) float64 {
+		l, _ := layoutOf(t, features)
+		m.outputs(h, p, w, t, features, lw, l)
+		return argmax(p)
+	}
+}
+
+// argmax returns the index of p's first largest value.
+func argmax(p []float64) float64 {
 	best, bestV := 0, p[0]
 	for k, v := range p[1:] {
 		if v > bestV {

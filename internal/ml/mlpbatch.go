@@ -7,19 +7,20 @@ import "corgipile/internal/data"
 type rowLayout uint8
 
 const (
-	// layoutPrefix is a sparse tuple whose indices are exactly 0…n−1 with
-	// n ≤ features: its row entries are its n stored values, zeros
-	// included, on coordinates [0, n).
+	// layoutPrefix is a sparse tuple whose indices are exactly 0…n−1: its
+	// row entries are its n stored values, zeros included, on coordinates
+	// [0, n), in its row when n ≤ features.
 	layoutPrefix rowLayout = iota
-	// layoutSparse is any other sparse tuple whose every index is below
-	// features.
+	// layoutSparse is any other sparse tuple, in its row when every index
+	// is below features.
 	layoutSparse
-	// layoutDense is a dense tuple of at most features values; its zeros
-	// make no entries.
+	// layoutDense is a dense tuple, in its row when it has at most
+	// features values; its zeros make no entries.
 	layoutDense
 )
 
-// layoutOf classifies t against a W1 row of features coordinates. inRow is
+// layoutOf classifies t against a W1 row of features coordinates, for
+// gradBatch and for the forward pass's choice of loops. inRow is
 // false when an entry of t would land outside its row: an index at or past
 // features, or a dense row longer than features. Every index is checked; no
 // decoder enforces Tuple's increasing order, so the last one proves nothing.
@@ -70,8 +71,9 @@ func (m MLP) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, acc *gradAcc
 	bh := scratch(&ws.bh, len(ts)*H)
 	bdk := scratch(&ws.bdk, len(ts)*C)
 	bdh := scratch(&ws.bdh, len(ts)*H)
+	lw := m.transpose(ws, w, features)
 	for i := range ts {
-		losses[i] = m.deltas(bh[i*H:(i+1)*H], bdk[i*C:(i+1)*C], bdh[i*H:(i+1)*H], w, &ts[i], features)
+		losses[i] = m.deltas(bh[i*H:(i+1)*H], bdk[i*C:(i+1)*C], bdh[i*H:(i+1)*H], w, &ts[i], features, lw, layout[i])
 	}
 	m.markBatch(ws, ts, features, acc)
 	m.addBatch(ws, ts, features, acc.acc)
@@ -296,20 +298,11 @@ func (a *rowAdder) flush() {
 }
 
 // addRows4 adds g[q]·xs[q][c] into row[c] for the four runs, in q order at
-// every coordinate: one pass over the coordinates all four reach, then each
-// run's tail in turn.
+// every coordinate: one pass over the coordinates all four reach
+// (addRuns4), then each run's tail in turn.
 func addRows4(row []float64, g *[4]float64, xs *[4][]float64) {
 	n := min(len(xs[0]), len(xs[1]), len(xs[2]), len(xs[3]))
-	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
-	r, x0, x1, x2, x3 := row[:n], xs[0][:n], xs[1][:n], xs[2][:n], xs[3][:n]
-	for c := range r {
-		s := r[c]
-		s += float64(g0 * x0[c])
-		s += float64(g1 * x1[c])
-		s += float64(g2 * x2[c])
-		s += float64(g3 * x3[c])
-		r[c] = s
-	}
+	addRuns4(row[:n], g, xs[0], xs[1], xs[2], xs[3])
 	for q := range xs {
 		addRow(row[n:], g[q], xs[q][n:])
 	}

@@ -303,69 +303,77 @@ func encodeGradBatchInput(features, hidden, classes, batch int, flags byte, ts [
 	return b
 }
 
-// gradBatchSeeds returns one fuzz seed per layout of core.TestMLPGolden's
-// matrix, at its shape (20 features, 4 classes, batch 64): dense with exact
-// zeros; sparse with 6 random indices; holes (every 7th feature dropped);
-// full rows stored sparse with stored zeros and prefixes. Sparse and holes
+// goldenLayout returns n tuples of one layout of core.TestMLPGolden's
+// matrix, values multiples of 1/8 in [−16, 16): "dense" with exact zeros;
+// "sparse" with 6 random indices; "holes" (every 7th feature dropped);
+// "full" rows stored sparse with stored zeros and prefixes. Sparse and holes
 // carry a tuple with indices at and past features, full one running
-// 0…F+1; one more seed is full with overflowed weights.
+// 0…features+1.
+func goldenLayout(rng *rand.Rand, kind string, n, features, classes int) []data.Tuple {
+	val := func() float64 { return float64(rng.Intn(256)-128) / 8 }
+	ts := make([]data.Tuple, n)
+	for i := range ts {
+		t := data.Tuple{Label: float64(rng.Intn(classes))}
+		row := make([]float64, features)
+		for c := range row {
+			row[c] = val()
+		}
+		switch kind {
+		case "dense":
+			if i%3 == 0 {
+				row[i%features] = 0
+			}
+			t.Dense = row
+		case "sparse":
+			for _, c := range rng.Perm(features)[:6] {
+				t.SparseIdx = append(t.SparseIdx, int32(c))
+			}
+			slices.Sort(t.SparseIdx)
+			for range t.SparseIdx {
+				t.SparseVal = append(t.SparseVal, val())
+			}
+		case "holes", "full":
+			k := features
+			if kind == "full" && i%3 == 0 {
+				row[i%features] = 0
+			} else if kind == "full" && i%5 == 1 {
+				k = 1 + i%(features-1)
+			}
+			for c, v := range row[:k] {
+				if kind == "full" || c%7 != 6 {
+					t.SparseIdx = append(t.SparseIdx, int32(c))
+					t.SparseVal = append(t.SparseVal, v)
+				}
+			}
+		}
+		ts[i] = t
+	}
+	f := int32(features)
+	switch kind {
+	case "sparse", "holes":
+		ts[n/2] = data.Tuple{Label: float64(2 % classes), SparseIdx: []int32{1, f, f + 2}, SparseVal: []float64{0.5, -1.25, 2}}
+	case "full":
+		p := &ts[n/2]
+		p.SparseIdx = append(p.SparseIdx[:features:features], f, f+1)
+		p.SparseVal = append(p.SparseVal[:features:features], 0.75, -0.5)
+	}
+	return ts
+}
+
+// goldenLayouts names goldenLayout's layouts.
+var goldenLayouts = []string{"dense", "sparse", "holes", "full"}
+
+// gradBatchSeeds returns one fuzz seed per layout of core.TestMLPGolden's
+// matrix (goldenLayout), at its shape (20 features, 4 classes, batch 64),
+// and one more full with overflowed weights.
 func gradBatchSeeds() [][]byte {
 	const features, classes, n = 20, 4, 40
 	rng := rand.New(rand.NewSource(71))
-	val := func() float64 { return float64(rng.Intn(256)-128) / 8 }
-	layout := func(kind string) []data.Tuple {
-		ts := make([]data.Tuple, n)
-		for i := range ts {
-			t := data.Tuple{Label: float64(rng.Intn(classes))}
-			row := make([]float64, features)
-			for c := range row {
-				row[c] = val()
-			}
-			switch kind {
-			case "dense":
-				if i%3 == 0 {
-					row[i%features] = 0
-				}
-				t.Dense = row
-			case "sparse":
-				for _, c := range rng.Perm(features)[:6] {
-					t.SparseIdx = append(t.SparseIdx, int32(c))
-				}
-				slices.Sort(t.SparseIdx)
-				for range t.SparseIdx {
-					t.SparseVal = append(t.SparseVal, val())
-				}
-			case "holes", "full":
-				k := features
-				if kind == "full" && i%3 == 0 {
-					row[i%features] = 0
-				} else if kind == "full" && i%5 == 1 {
-					k = 1 + i%(features-1)
-				}
-				for c, v := range row[:k] {
-					if kind == "full" || c%7 != 6 {
-						t.SparseIdx = append(t.SparseIdx, int32(c))
-						t.SparseVal = append(t.SparseVal, v)
-					}
-				}
-			}
-			ts[i] = t
-		}
-		switch kind {
-		case "sparse", "holes":
-			ts[n/2] = data.Tuple{Label: 2, SparseIdx: []int32{1, features, features + 2}, SparseVal: []float64{0.5, -1.25, 2}}
-		case "full":
-			p := &ts[n/2]
-			p.SparseIdx = append(p.SparseIdx[:features:features], features, features+1)
-			p.SparseVal = append(p.SparseVal[:features:features], 0.75, -0.5)
-		}
-		return ts
-	}
 	var seeds [][]byte
-	for _, kind := range []string{"dense", "sparse", "holes", "full"} {
-		seeds = append(seeds, encodeGradBatchInput(features, 32, classes, 64, 0, layout(kind)))
+	for _, kind := range goldenLayouts {
+		seeds = append(seeds, encodeGradBatchInput(features, 32, classes, 64, 0, goldenLayout(rng, kind, n, features, classes)))
 	}
-	return append(seeds, encodeGradBatchInput(features, 30, classes, 7, 1, layout("full")))
+	return append(seeds, encodeGradBatchInput(features, 30, classes, 7, 1, goldenLayout(rng, "full", n, features, classes)))
 }
 
 // FuzzGradBatch holds gradBatch to backward called tuple after tuple, as

@@ -26,6 +26,10 @@ type Workspace struct {
 	markedPrefix []int
 	active       []int32
 	nActive      []int
+
+	// lanes holds the MLP's weights transposed for the lane kernels
+	// (laneWeights), rebuilt once per weight version.
+	lanes []float64
 }
 
 // scratch returns a scratch slice of length n backed by *buf, growing
@@ -59,20 +63,21 @@ func GradWS(m Model, ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv [
 	return m.Grad(w, t, gi, gv)
 }
 
-// workspacePredictor is implemented by models whose Predict needs scratch
-// buffers: predictWS is Predict with that scratch in ws.
-type workspacePredictor interface {
-	predictWS(ws *Workspace, w []float64, t *data.Tuple) float64
+// boundPredictor is implemented by models whose Predict needs scratch
+// buffers or set-up per weight version: predictor is Predict at w, with
+// that scratch allocated and that set-up done once.
+type boundPredictor interface {
+	predictor(w []float64) func(*data.Tuple) float64
 }
 
-// Predictor returns m's Predict, bound to one Workspace when m needs scratch,
-// so a pass over many tuples — an evaluation pass, a PREDICT statement —
-// allocates once rather than per tuple. Like a Workspace, the returned
-// function must not be shared between goroutines.
-func Predictor(m Model) func(w []float64, t *data.Tuple) float64 {
-	if p, ok := m.(workspacePredictor); ok {
-		ws := new(Workspace)
-		return func(w []float64, t *data.Tuple) float64 { return p.predictWS(ws, w, t) }
+// Predictor returns m's Predict at weights w, bound to one Workspace and one
+// set-up when m needs them, so a pass over many tuples — an evaluation
+// pass, a PREDICT statement — allocates once rather than per tuple. w must
+// hold the same values while the returned function is in use; like a
+// Workspace, the function must not be shared between goroutines.
+func Predictor(m Model, w []float64) func(*data.Tuple) float64 {
+	if p, ok := m.(boundPredictor); ok {
+		return p.predictor(w)
 	}
-	return m.Predict
+	return func(t *data.Tuple) float64 { return m.Predict(w, t) }
 }

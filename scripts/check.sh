@@ -15,6 +15,9 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The lane kernels' Go reference loops are the only path off amd64, and no
+# other step builds for another GOARCH.
+GOARCH=arm64 go vet ./internal/ml/ ./internal/core/
 go test ./...
 go test -race ./internal/...
 go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/ ./internal/data/ ./internal/decimal/ ./internal/serve/ ./internal/ml/
