@@ -12,8 +12,7 @@
 //	    [-retain-jobs 64] [-retain-job-age 15m] [-checkpoint-every 30s|64MB] \
 //	    [-replica-listen HOST:PORT] [-replicate-from HOST:PORT] \
 //	    [-events events.jsonl] [-events-max-size 16MB] [-slow-statement 1s] \
-//	    [-ready-max-lag 0] [-sample 1s] [-history-slots 256] \
-//	    [-alert 'serve.predict_p95>0.5 for 30s']
+//	    [-ready-max-lag 0]
 //
 //	corgiserved -connect HOST:PORT [-replay transcript.txt] [-promote] [-exec "SQL"]
 //
@@ -38,19 +37,11 @@
 //
 // Introspection: every server answers `SELECT * FROM corgi_jobs` (and
 // corgi_sessions, corgi_replication, corgi_events, corgi_spans, ...) over
-// the wire; -events additionally appends every structured event as JSONL
+// the wire; with -telemetry, corgi_metrics reads the same registry as
+// /metrics, and a Prometheus scraper of /metrics keeps its series over
+// time; -events additionally appends every structured event as JSONL
 // (rotated to FILE.1 past -events-max-size), and -slow-statement flags
 // statements past the threshold.
-//
-// Metrics history: -sample records every counter, gauge, and histogram
-// quantile into a bounded time-series store at that interval, with
-// downsampling tiers (raw → 10× → 60×). The series answer `SELECT * FROM
-// corgi_metrics_history` over the wire and /metrics/history on the
-// telemetry plane (what corgitop renders); repeatable -alert rules like
-// 'serve.predict_p95>0.5 for 30s' evaluate on every sample, surface in
-// corgi_alerts and /alertz, and record alert.firing/alert.resolved
-// events. Without -sample none of this exists — traces and transcripts
-// are byte-identical to a build without the feature.
 //
 // In client mode (-connect), stdin lines (or -replay file lines) starting
 // with "C: " are sent verbatim and each response is printed as "S: <json>"
@@ -96,22 +87,11 @@ func main() {
 		eventsMax  = flag.String("events-max-size", "", "rotate the -events file to FILE.1 past this size (e.g. 16MB)")
 		slowStmt   = flag.Duration("slow-statement", 0, "emit a statement.slow event for statements slower than this")
 		readyLag   = flag.Uint64("ready-max-lag", 0, "replica /readyz fails while replication lag (LSNs) exceeds this")
-		sample     = flag.Duration("sample", 0, "sample every metric into the history store at this interval (enables corgi_metrics_history, /metrics/history, corgitop)")
-		histSlots  = flag.Int("history-slots", 0, "per-series history ring capacity (default 256)")
 		connect    = flag.String("connect", "", "client mode: connect to a running server instead of serving")
 		replay     = flag.String("replay", "", "-connect: replay this transcript file instead of reading stdin")
 		execSQL    = flag.String("exec", "", "-connect: send this SQL statement, print the response, and exit")
 		promote    = flag.Bool("promote", false, "-connect: send a PROMOTE request and exit")
 	)
-	var alerts []obs.AlertRule
-	flag.Func("alert", "threshold alert rule 'metric>value[ for 30s]' (repeatable; requires -sample)", func(spec string) error {
-		r, err := obs.ParseAlertRule(spec)
-		if err != nil {
-			return err
-		}
-		alerts = append(alerts, r)
-		return nil
-	})
 	flag.Parse()
 
 	if *connect != "" {
@@ -161,10 +141,6 @@ func main() {
 		}
 	}
 
-	if len(alerts) > 0 && *sample <= 0 {
-		fmt.Fprintln(os.Stderr, "corgiserved: -alert requires -sample (alerts evaluate on history samples)")
-		os.Exit(1)
-	}
 	if *eventsMax != "" && *eventsOut == "" {
 		fmt.Fprintln(os.Stderr, "corgiserved: -events-max-size requires -events")
 		os.Exit(1)
@@ -245,9 +221,6 @@ func main() {
 		Events:          events,
 		SlowStatement:   *slowStmt,
 		ReadyMaxLag:     *readyLag,
-		SampleEvery:     *sample,
-		HistorySlots:    *histSlots,
-		Alerts:          alerts,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "corgiserved:", err)

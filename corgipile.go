@@ -125,20 +125,6 @@ type (
 	// bytes read, tuples, blocks, peak buffer occupancy), reported on
 	// status responses with stats=true and in corgi_job_stats.
 	JobStats = serve.JobStats
-	// History is the bounded metrics time-series store: it samples a
-	// Metrics registry on an interval into fixed-size ring series with
-	// downsampling tiers and evaluates threshold alert rules. Create one
-	// with NewHistory; attach via Session.WithHistory or ServeConfig.
-	History = obs.History
-	// HistoryConfig configures a History (interval and ring slots).
-	HistoryConfig = obs.HistoryConfig
-	// HistoryPoint is one sampled value of one series at one resolution.
-	HistoryPoint = obs.HistoryPoint
-	// AlertRule is one threshold alert rule ("metric>value for 30s");
-	// parse the flag syntax with ParseAlertRule.
-	AlertRule = obs.AlertRule
-	// AlertStatus is one alert rule's externally visible state.
-	AlertStatus = obs.AlertStatus
 )
 
 // Tuple orders.
@@ -191,17 +177,6 @@ func NewRunFeed() *RunFeed { return obs.NewRunFeed() }
 // StreamTo; query the ring via Events/Spans or, in a session, with
 // SELECT * FROM corgi_events.
 func NewEventLog(n int) *EventLog { return obs.NewEventLog(n) }
-
-// NewHistory builds a metrics time-series store from cfg (zero fields
-// take the defaults: 1s interval, 256 slots; the tiers are always
-// 1×/10×/60×). Start sampling a registry with Start; query with
-// Query/Alerts, over
-// HTTP via /metrics/history, or in a session via corgi_metrics_history.
-func NewHistory(cfg HistoryConfig) *History { return obs.NewHistory(cfg) }
-
-// ParseAlertRule parses the -alert flag syntax: "metric>value" or
-// "metric<value", optionally followed by " for 30s".
-func ParseAlertRule(spec string) (AlertRule, error) { return obs.ParseAlertRule(spec) }
 
 // ServeTelemetry starts the telemetry HTTP server on addr (host:port;
 // port 0 picks a free one — read the bound address with Addr). It serves

@@ -91,9 +91,6 @@ type Session struct {
 	// reads (corgi_tables, corgi_jobs, ...).
 	events  *obs.EventLog
 	virtual map[string]*VirtualTable
-	// history is the sampled metrics time-series store backing
-	// corgi_metrics_history and corgi_alerts (nil = zero rows).
-	history *obs.History
 	// walOpened is the wall-clock instant OpenWAL finished recovery — the
 	// checkpoint-age baseline until the first CHECKPOINT lands.
 	walOpened time.Time
@@ -162,16 +159,6 @@ func (s *Session) WithEvents(el *obs.EventLog) *Session {
 
 // Events returns the session's event log (nil when none attached).
 func (s *Session) Events() *obs.EventLog { return s.events }
-
-// WithHistory attaches a metrics history store: the corgi_metrics_history
-// and corgi_alerts system tables read sampled series and alert states
-// from it. The session never samples — the owner runs the sampler against
-// whatever registry it exposes. It returns the session. Without a store
-// both tables render zero rows.
-func (s *Session) WithHistory(h *obs.History) *Session {
-	s.history = h
-	return s
-}
 
 // WithFeed attaches a live run feed: every TRAIN statement publishes one
 // RunStatus update per epoch to it (the telemetry server's /run source).

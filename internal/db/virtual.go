@@ -117,47 +117,6 @@ func (s *Session) registerSystemTables() {
 		Rows:    func() [][]string { return metricRows(s.obs) },
 	})
 	s.RegisterVirtual(VirtualTable{
-		Name:    "corgi_metrics_history",
-		Columns: []string{"name", "ts", "value", "resolution"},
-		Rows: func() [][]string {
-			pts := s.history.Query("", 0)
-			rows := make([][]string, 0, len(pts))
-			for _, p := range pts {
-				rows = append(rows, []string{
-					p.Name,
-					strconv.FormatInt(p.TimeMs, 10),
-					trimFloat(p.Value),
-					p.Resolution,
-				})
-			}
-			return rows
-		},
-	})
-	s.RegisterVirtual(VirtualTable{
-		Name: "corgi_alerts",
-		Columns: []string{"name", "metric", "op", "threshold", "for_seconds",
-			"state", "since_ms", "value", "fired"},
-		Rows: func() [][]string {
-			alerts := s.history.Alerts()
-			rows := make([][]string, 0, len(alerts))
-			for _, a := range alerts {
-				since := ""
-				if a.SinceMs != 0 {
-					since = strconv.FormatInt(a.SinceMs, 10)
-				}
-				rows = append(rows, []string{
-					a.Name, a.Metric, a.Op,
-					trimFloat(a.Threshold),
-					trimFloat(a.ForSeconds),
-					a.State, since,
-					trimFloat(a.Value),
-					strconv.FormatInt(a.Fired, 10),
-				})
-			}
-			return rows
-		},
-	})
-	s.RegisterVirtual(VirtualTable{
 		Name:    "corgi_events",
 		Columns: []string{"seq", "time_ms", "type", "trace_id", "detail", "dur_ms", "err"},
 		Rows: func() [][]string {

@@ -48,10 +48,8 @@ func TestSelectSystemTables(t *testing.T) {
 		t.Fatalf("corgi_wal rows = %v, want [[false 0]]", res.Rows)
 	}
 
-	// No metrics registry, no event log, no history store: zero rows, not
-	// an error.
-	for _, table := range []string{"corgi_metrics", "corgi_events", "corgi_spans",
-		"corgi_metrics_history", "corgi_alerts"} {
+	// No metrics registry, no event log: zero rows, not an error.
+	for _, table := range []string{"corgi_metrics", "corgi_events", "corgi_spans"} {
 		res = selectQuery(t, s, "SELECT * FROM "+table)
 		if len(res.Rows) != 0 {
 			t.Fatalf("%s on a bare session = %v, want no rows", table, res.Rows)
@@ -73,72 +71,6 @@ func TestSelectCorgiMetrics(t *testing.T) {
 	res = selectQuery(t, s, `SELECT value FROM corgi_metrics WHERE kind = 'gauge' AND name = 'test.gauge'`)
 	if len(res.Rows) != 1 || res.Rows[0][0] != "1.5" {
 		t.Fatalf("corgi_metrics gauge row = %v", res.Rows)
-	}
-}
-
-func TestSelectMetricsHistory(t *testing.T) {
-	s := NewSession()
-	reg := obs.New()
-	s.WithMetrics(reg)
-	hist := obs.NewHistory(obs.HistoryConfig{Interval: time.Second})
-	s.WithHistory(hist)
-	reg.SetGauge("test.gauge", 1.5)
-	// Ten samples fill ten raw slots and promote one mean into the 10×
-	// tier, so the table shows the same series at two resolutions.
-	for i := 0; i < 10; i++ {
-		hist.Sample(reg)
-	}
-
-	res := selectQuery(t, s, `SELECT name, ts, value, resolution FROM corgi_metrics_history WHERE name = 'test.gauge'`)
-	byRes := map[string]int{}
-	for _, row := range res.Rows {
-		if row[2] != "1.5" {
-			t.Fatalf("corgi_metrics_history value = %q, want 1.5 (row %v)", row[2], row)
-		}
-		if ts, err := strconv.ParseInt(row[1], 10, 64); err != nil || ts <= 0 {
-			t.Fatalf("corgi_metrics_history ts = %q, want a positive unix-ms stamp", row[1])
-		}
-		byRes[row[3]]++
-	}
-	if byRes["1s"] != 10 || byRes["10s"] != 1 {
-		t.Fatalf("rows per resolution = %v, want 10 at 1s and 1 at 10s", byRes)
-	}
-}
-
-func TestSelectCorgiAlerts(t *testing.T) {
-	s := NewSession()
-	reg := obs.New()
-	hist := obs.NewHistory(obs.HistoryConfig{Interval: time.Second})
-	s.WithHistory(hist)
-	rule, err := obs.ParseAlertRule("test.gauge>1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist.AddRule(rule)
-
-	// Gauge above the threshold with no `for` clause: firing on the first
-	// sample.
-	reg.SetGauge("test.gauge", 1.5)
-	hist.Sample(reg)
-	res := selectQuery(t, s, `SELECT name, metric, op, threshold, state, value, fired FROM corgi_alerts`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("corgi_alerts rows = %v, want one rule", res.Rows)
-	}
-	row := res.Rows[0]
-	if row[0] != "test.gauge>1" || row[1] != "test.gauge" || row[2] != ">" || row[3] != "1" {
-		t.Fatalf("corgi_alerts identity columns = %v", row)
-	}
-	if row[4] != "firing" || row[5] != "1.5" || row[6] != "1" {
-		t.Fatalf("corgi_alerts state = %v, want firing value=1.5 fired=1", row)
-	}
-
-	// Back under the threshold: the same row resolves to ok, fired count
-	// sticks.
-	reg.SetGauge("test.gauge", 0.5)
-	hist.Sample(reg)
-	res = selectQuery(t, s, `SELECT state, fired FROM corgi_alerts`)
-	if len(res.Rows) != 1 || res.Rows[0][0] != "ok" || res.Rows[0][1] != "1" {
-		t.Fatalf("corgi_alerts after resolve = %v, want [[ok 1]]", res.Rows)
 	}
 }
 

@@ -21,9 +21,9 @@
 // Telemetry is read, not pushed. Components record events as they happen
 // (counters, histograms, gauges whose value exists only at that moment);
 // a value its owner can compute at any time is a collector instead, which
-// every Snapshot calls. Every reader (/metrics, the history sampler,
-// corgi_metrics, run artifacts) goes through Snapshot, so all of them see
-// the same state and no goroutine exists to refresh a gauge.
+// every Snapshot calls. Every reader (/metrics, corgi_metrics, run
+// artifacts) goes through Snapshot, so all of them see the same state and
+// no goroutine exists to refresh a gauge.
 //
 // The package depends only on the standard library and internal/stats
 // (itself dependency-free), so any layer may import it without cycles.
@@ -126,9 +126,9 @@ const (
 	ServeCheckpoints = "serve.checkpoints" // scheduled auto-checkpoint compactions
 
 	// Serving-plane latency and load (internal/serve). ServePredict is a
-	// duration histogram of wire PREDICT statements, so the history plane
-	// samples serve.predict_p50/_p95/_p99 series; the job gauges come from
-	// the server's collector.
+	// duration histogram of wire PREDICT statements, so corgi_metrics
+	// carries serve.predict_p50/_p95/_p99 and /metrics a summary of the
+	// same quantiles; the job gauges come from the server's collector.
 	ServePredict     = "serve.predict"      // histogram: wire PREDICT latency
 	ServeJobsRunning = "serve.jobs_running" // gauge: jobs currently executing
 	ServeJobsQueued  = "serve.jobs_queued"  // gauge: jobs waiting for a worker
@@ -469,24 +469,18 @@ type Metric struct {
 	Value float64
 }
 
-// Cumulative reports whether the series only grows (a counter or a
-// histogram's _count), so a rate between samples, not the value, is what
-// a threshold compares.
-func (m Metric) Cumulative() bool {
-	return m.Kind == "counter" || (m.Kind == "histogram" && strings.HasSuffix(m.Name, "_count"))
-}
-
-// Text renders the value: cumulative series as integers, everything else
-// in the shortest form of up to nine significant digits.
+// Text renders the value: series that only grow (a counter or a
+// histogram's _count) as integers, everything else in the shortest form
+// of up to nine significant digits.
 func (m Metric) Text() string {
-	if m.Cumulative() {
+	if m.Kind == "counter" || (m.Kind == "histogram" && strings.HasSuffix(m.Name, "_count")) {
 		return strconv.FormatFloat(m.Value, 'f', -1, 64)
 	}
 	return strconv.FormatFloat(m.Value, 'g', 9, 64)
 }
 
-// Flatten lists every series of s, sorted by name: the one flat form the
-// history store samples and corgi_metrics and the totals table render.
+// Flatten lists every series of s, sorted by name: the one flat form
+// corgi_metrics and the totals table render.
 func (s Snapshot) Flatten() []Metric {
 	out := make([]Metric, 0, len(s.Counters)+len(s.Gauges)+(1+len(quantiles))*len(s.Hists))
 	for name, v := range s.Counters {

@@ -6,10 +6,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // This file implements the live telemetry plane: an HTTP server exposing
@@ -38,10 +36,6 @@ type ServeConfig struct {
 	// /run/plan?job=<name>) — the serving plane's per-job telemetry hook.
 	// It must be safe for concurrent use and return nil for unknown names.
 	Feeds func(name string) *RunFeed
-	// History, when non-nil, backs /metrics/history (sampled time series)
-	// and /alertz (threshold alert rules). The server only reads it; the
-	// owner runs the sampler.
-	History *History
 	// Health, when non-nil, backs /healthz: nil error answers 200 "ok",
 	// an error answers 503 with the error text. A nil Health probe makes
 	// /healthz always 200 (the process is serving).
@@ -55,12 +49,11 @@ type ServeConfig struct {
 // leaking goroutines: SSE subscribers are disconnected and in-flight
 // handlers finish.
 type Server struct {
-	ln      net.Listener
-	srv     *http.Server
-	feed    *RunFeed
-	feeds   func(name string) *RunFeed
-	reg     *Registry
-	history *History
+	ln    net.Listener
+	srv   *http.Server
+	feed  *RunFeed
+	feeds func(name string) *RunFeed
+	reg   *Registry
 
 	mu     sync.Mutex
 	closed bool
@@ -76,13 +69,11 @@ func Serve(cfg ServeConfig) (*Server, error) {
 	}
 	cfg.Registry.AddCollector(collectRuntime)
 	s := &Server{ln: ln, feed: cfg.Feed, feeds: cfg.Feeds, reg: cfg.Registry,
-		history: cfg.History, served: make(chan struct{})}
+		served: make(chan struct{})}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/metrics/history", s.handleMetricsHistory)
-	mux.HandleFunc("/alertz", s.handleAlertz)
 	mux.HandleFunc("/run", s.handleRun)
 	mux.HandleFunc("/run/plan", s.handleRunPlan)
 	mux.HandleFunc("/healthz", probeHandler(cfg.Health))
@@ -149,8 +140,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "corgipile telemetry\n\n"+
 		"/metrics       Prometheus text exposition of the metrics registry\n"+
-		"/metrics/history  sampled time series (?name=<metric>&since=<unix-ms|duration>)\n"+
-		"/alertz        threshold alert rules and their firing state\n"+
 		"/run           current run status (JSON); ?stream=1 for SSE; ?job=<id> for one job\n"+
 		"/run/plan      executed-plan profile (annotated tree; ?format=json, ?stream=1 for SSE, ?job=<id>)\n"+
 		"/healthz       liveness probe (200 ok / 503 with reason)\n"+
@@ -180,52 +169,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		// Connection-level failure; nothing useful left to send.
 		return
 	}
-}
-
-// handleMetricsHistory serves the sampled time series as JSON:
-// ?name= selects one series (all when empty), ?since= drops points older
-// than a unix-millisecond timestamp or a duration ago ("5m"). 404 when no
-// history store is attached (-sample off).
-func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		http.Error(w, "no metrics history attached (enable sampling)", http.StatusNotFound)
-		return
-	}
-	var sinceMs int64
-	if raw := r.URL.Query().Get("since"); raw != "" {
-		if d, err := time.ParseDuration(raw); err == nil {
-			sinceMs = time.Now().Add(-d).UnixMilli()
-		} else if ms, err := strconv.ParseInt(raw, 10, 64); err == nil {
-			sinceMs = ms
-		} else {
-			http.Error(w, "since must be a duration (5m) or unix milliseconds", http.StatusBadRequest)
-			return
-		}
-	}
-	pts := s.history.Query(r.URL.Query().Get("name"), sinceMs)
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		IntervalMs  int64          `json:"interval_ms"`
-		Resolutions []string       `json:"resolutions"`
-		Points      []HistoryPoint `json:"points"`
-	}{s.history.Interval().Milliseconds(), s.history.Resolutions(), pts})
-}
-
-// handleAlertz serves every alert rule's current state as JSON. 404 when
-// no history store is attached.
-func (s *Server) handleAlertz(w http.ResponseWriter, _ *http.Request) {
-	if s.history == nil {
-		http.Error(w, "no metrics history attached (enable sampling)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		Alerts []AlertStatus `json:"alerts"`
-	}{s.history.Alerts()})
 }
 
 // resolveFeed picks the feed a /run request addresses: the per-job feed

@@ -94,30 +94,17 @@ type Config struct {
 	// ReadyMaxLag is the replication lag (in LSNs) above which a replica
 	// reports not-ready on /readyz (0 demands a fully caught-up replica).
 	ReadyMaxLag uint64
-	// SampleEvery, when positive, attaches a metrics History: every counter,
-	// gauge, and histogram quantile of the server registry is sampled at
-	// this interval into ring series with downsampling tiers, queryable via
-	// corgi_metrics_history, /metrics/history, and corgitop. Off by default —
-	// a server that never samples produces byte-identical passive traces.
-	SampleEvery time.Duration
-	// HistorySlots overrides the per-series ring capacity (default 256).
-	HistorySlots int
-	// Alerts are threshold rules the History evaluates on every sample;
-	// transitions land in the event log and in corgi_alerts//alertz.
-	// Ignored unless SampleEvery is set.
-	Alerts []obs.AlertRule
 }
 
 // Server is a running corgiserved instance. Create one with New, stop it
 // with Close; both are safe to call from any goroutine.
 type Server struct {
-	cfg     Config
-	ln      net.Listener
-	dbs     *db.Session
-	reg     *obs.Registry
-	tel     *obs.Server
-	events  *obs.EventLog
-	history *obs.History
+	cfg    Config
+	ln     net.Listener
+	dbs    *db.Session
+	reg    *obs.Registry
+	tel    *obs.Server
+	events *obs.EventLog
 
 	// catalog serializes db.Session catalog access: RLock for lookups
 	// (predict, train prepare), Lock for mutations (DDL, model install).
@@ -238,31 +225,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.registerIntrospection()
 	s.reg.AddCollector(s.collectGauges)
-	if cfg.SampleEvery > 0 {
-		h := obs.NewHistory(obs.HistoryConfig{
-			Interval: cfg.SampleEvery,
-			Slots:    cfg.HistorySlots,
-		}).WithEvents(el)
-		for _, r := range cfg.Alerts {
-			h.AddRule(r)
-		}
-		sess.WithHistory(h)
-		s.history = h
-	}
-	if cfg.Telemetry != "" || s.history != nil {
-		// The shared registry aggregates device I/O across all jobs; each
-		// job's own feed serves /run?job=<id>. Sampling needs the same
-		// attachment — a history over an unattached registry is empty.
-		s.dbs.WithMetrics(s.reg)
-	}
 	if cfg.Telemetry != "" {
+		// The shared registry aggregates device I/O across all jobs; each
+		// job's own feed serves /run?job=<id>.
+		s.dbs.WithMetrics(s.reg)
 		tel, err := obs.Serve(obs.ServeConfig{
 			Addr:     cfg.Telemetry,
 			Registry: s.reg,
 			Feeds:    s.feedFor,
 			Health:   func() error { return nil },
 			Ready:    s.readyProbe,
-			History:  s.history,
 		})
 		if err != nil {
 			ln.Close()
@@ -317,16 +289,14 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	s.history.Start(s.reg)
 	return s, nil
 }
 
 // collectGauges is the server registry's collector: job-state counts and,
 // on a durable session, the WAL's size, last LSN and checkpoint age (time
 // since recovery when no checkpoint has committed), read at the instant
-// /metrics, corgi_metrics or a history sample reads the registry. It takes
-// s.mu only (never the catalog lock), so it cannot deadlock with query
-// paths.
+// /metrics or corgi_metrics reads the registry. It takes s.mu only (never
+// the catalog lock), so it cannot deadlock with query paths.
 func (s *Server) collectGauges(set func(string, float64)) {
 	s.mu.Lock()
 	running, queued := 0, 0
@@ -454,7 +424,6 @@ func (s *Server) Close() error {
 	// Stop the background maintainers and replication roles first: the
 	// checkpoint loop and the replica both take the catalog lock, and the
 	// primary hooks the session's WAL — all must be quiet before teardown.
-	s.history.Stop()
 	if s.ckptStop != nil {
 		close(s.ckptStop)
 		<-s.ckptDone

@@ -179,8 +179,8 @@ func (s *Server) execPredictOp(req *Request, trace string) *Response {
 }
 
 // execPredictTraced wraps execPredict with statement events and the
-// serve.predict latency histogram — the series the history plane samples
-// as serve.predict_p50/_p95/_p99.
+// serve.predict latency histogram, which corgi_metrics reads as
+// serve.predict_p50/_p95/_p99 and /metrics as a quantile summary.
 func (s *Server) execPredictTraced(st *sqlparse.Predict, trace string) *Response {
 	kind := "predict " + strings.ToLower(st.Table)
 	began := s.events.StatementStart(trace, kind)

@@ -59,15 +59,10 @@ echo "$err" | grep -q 'lerning_rate'
 # server's resume TRAIN is byte-identical to single-node crash recovery.
 ./scripts/replication_smoke.sh
 
-# Introspection smoke: boot corgiserved with the event log on, start a
-# detached traced TRAIN, and interrogate the live server with SELECT
-# (corgi_jobs / corgi_metrics / corgi_events) over the wire; probe
-# /healthz, /readyz, and the WAL gauges.
+# Introspection smoke: boot corgiserved with a rotating event log, start
+# a detached traced TRAIN, and interrogate the live server with SELECT
+# (corgi_jobs / corgi_job_stats / corgi_metrics / corgi_events) over the
+# wire; probe /healthz, /readyz, and the WAL gauges; train through a
+# fault-injected table and find its transient faults in corgi_metrics and
+# /metrics.
 ./scripts/introspect_smoke.sh
-
-# Metrics-history smoke: boot corgiserved with -sample and an -alert
-# rule, train through injected faults, and assert the time series
-# (corgi_metrics_history / /metrics/history), the firing→resolved alert
-# (corgi_alerts / /alertz / event log), per-job stats (corgi_job_stats),
-# and a corgitop -once frame.
-./scripts/history_smoke.sh
