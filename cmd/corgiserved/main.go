@@ -37,9 +37,9 @@
 //
 // Introspection: every server answers `SELECT * FROM corgi_jobs` (and
 // corgi_sessions, corgi_replication, corgi_events, corgi_spans, ...) over
-// the wire; with -telemetry, corgi_metrics reads the same registry as
-// /metrics, and a Prometheus scraper of /metrics keeps its series over
-// time; -events additionally appends every structured event as JSONL
+// the wire, corgi_metrics among them, which reads the server registry
+// that -telemetry also serves on /metrics, where a Prometheus scraper
+// keeps its series over time; -events additionally appends every structured event as JSONL
 // (rotated to FILE.1 past -events-max-size), and -slow-statement flags
 // statements past the threshold.
 //

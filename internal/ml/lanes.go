@@ -5,10 +5,20 @@ import "corgipile/internal/data"
 // The lane kernels: loops whose every output value is its own sequential
 // sum, so vector lanes can carry several of those sums side by side without
 // reordering a single add (DESIGN.md "Bit-exact kernels"). Each has a Go
-// reference loop, which runs wherever the AVX2 form does not (another CPU or
-// GOARCH) and which the tests hold the AVX2 form to, bit for bit. The
-// wrappers check every length before the kernel runs, so a short slice
-// panics here instead of being read past its end.
+// reference loop and, on amd64, an AVX-512 and an AVX2 form; laneTier
+// names the one that runs. The reference runs wherever neither assembly
+// form does (another CPU or GOARCH), and the tests hold both forms to it,
+// bit for bit. The wrappers check every length before the kernel runs, so
+// a short slice panics here instead of being read past its end.
+
+// kernelTier is a form of the lane kernels.
+type kernelTier uint8
+
+const (
+	tierGo     kernelTier = iota // the Go reference loops
+	tierAVX2                     // lanes_amd64.s on YMM registers
+	tierAVX512                   // lanes_amd64.s on ZMM registers and opmasks
+)
 
 // gemvT sets acc[l] = acc[l] + x[i]·m[i·stride+l] for every lane l of acc,
 // i ascending: each lane's sum in order, the product rounded before the
@@ -60,16 +70,17 @@ func addRuns4Go(r []float64, g *[4]float64, x0, x1, x2, x3 []float64) {
 // pad4 rounds n up to a multiple of 4, a whole number of lane groups.
 func pad4(n int) int { return (n + 3) &^ 3 }
 
-// laneWeights is an MLP's weights transposed for gemvT: W1ᵀ, features+1
-// rows of hs lanes with the hidden biases in the last, then W2ᵀ, Hidden+1
-// rows of cs lanes with the output biases in the last. hs and cs are Hidden
-// and Classes padded to a multiple of 4. The kernel computes on the padding
-// lanes and never stores them; they are zero, not stale scratch, because a
-// subnormal there would cost a microcode assist on every pass. The zero
-// laneWeights stands for the scalar loops.
+// laneWeights is an MLP's weights laid out for gemvT: W1ᵀ, features+1 rows
+// of hs lanes with the hidden biases in the last; W2ᵀ, Hidden+1 rows of cs
+// lanes with the output biases in the last; and W2 itself without its
+// biases, Classes rows of hs lanes, for the hidden deltas. hs and cs are
+// Hidden and Classes padded to a multiple of 4. The AVX2 and reference
+// forms compute on the padding lanes and never store them; they are zero,
+// not stale scratch, because a subnormal there would cost a microcode
+// assist on every pass. The zero laneWeights stands for the scalar loops.
 type laneWeights struct {
-	w1t, w2t []float64
-	hs, cs   int
+	w1t, w2t, w2 []float64
+	hs, cs       int
 }
 
 // transpose builds w's laneWeights in ws's scratch, valid until the next
@@ -78,8 +89,8 @@ func (m MLP) transpose(ws *Workspace, w []float64, features int) laneWeights {
 	H, C := m.Hidden, m.Classes
 	in1, in2 := features+1, H+1
 	hs, cs := pad4(H), pad4(C)
-	buf := scratch(&ws.lanes, in1*hs+in2*cs)
-	w1t, w2t := buf[:in1*hs], buf[in1*hs:]
+	buf := scratch(&ws.lanes, in1*hs+in2*cs+C*hs)
+	w1t, w2t, w2 := buf[:in1*hs], buf[in1*hs:in1*hs+in2*cs], buf[in1*hs+in2*cs:]
 	transposeInto(w1t, w, H, in1, hs)
 	transposeInto(w2t, w[H*in1:], C, in2, cs)
 	for i := 0; i < in1; i++ {
@@ -88,7 +99,12 @@ func (m MLP) transpose(ws *Workspace, w []float64, features int) laneWeights {
 	for j := 0; j < in2; j++ {
 		clear(w2t[j*cs+C : (j+1)*cs])
 	}
-	return laneWeights{w1t: w1t, w2t: w2t, hs: hs, cs: cs}
+	for k := 0; k < C; k++ {
+		row := w2[k*hs : (k+1)*hs]
+		copy(row, w[H*in1+k*in2:][:H])
+		clear(row[H:])
+	}
+	return laneWeights{w1t: w1t, w2t: w2t, w2: w2, hs: hs, cs: cs}
 }
 
 // transposeInto writes the rows × cols matrix src into dst as its
@@ -128,5 +144,24 @@ func (lw laneWeights) hidden(h []float64, t *data.Tuple, l rowLayout, features i
 	gemvT(h, xs, lw.w1t, lw.hs)
 	for j, b := range lw.w1t[features*lw.hs:][:len(h)] {
 		h[j] = relu(h[j] + b)
+	}
+}
+
+// hiddenDeltas sets dh[j] = Σ_k dk[k]·W2[k][j] on gemvT, one call per
+// maximal run of nonzero dk[k]: the k with dk[k] = 0 skipped and the rest
+// added in k order, each sum from 0, as deltas' scalar loop adds them.
+func (lw laneWeights) hiddenDeltas(dh, dk []float64) {
+	clear(dh)
+	for k := 0; k < len(dk); {
+		if dk[k] == 0 {
+			k++
+			continue
+		}
+		end := k + 1
+		for end < len(dk) && dk[end] != 0 {
+			end++
+		}
+		gemvT(dh, dk[k:end], lw.w2[k*lw.hs:], lw.hs)
+		k = end
 	}
 }

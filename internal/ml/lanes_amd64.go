@@ -1,17 +1,42 @@
 package ml
 
-// hasAVX2 reports whether the CPU runs AVX2 and the OS saves the YMM
-// registers: the lane kernels' assembly runs only then.
-var hasAVX2 = detectAVX2()
+// hasAVX2 and hasAVX512 report which assembly forms of the lane kernels the
+// CPU runs with the register state the OS saves; laneTier is the widest,
+// chosen once at init.
+var (
+	hasAVX2   = detectAVX2()
+	hasAVX512 = detectAVX512()
+	laneTier  = widestTier()
+)
 
-// detectAVX2 reads CPUID leaf 7 for AVX2, leaf 1 for AVX and OSXSAVE, and
-// XCR0 for the XMM and YMM state the OS saves on a context switch.
-func detectAVX2() bool {
+// widestTier returns the widest lane kernel form the CPU runs: AVX-512,
+// then AVX2, then the Go reference loops.
+func widestTier() kernelTier {
+	switch {
+	case hasAVX512:
+		return tierAVX512
+	case hasAVX2:
+		return tierAVX2
+	}
+	return tierGo
+}
+
+// osxsave reports whether the CPU has leaf 7 and CPUID leaf 1 reports
+// OSXSAVE and AVX, so XGETBV may run and VEX instructions (VZEROUPPER
+// among them) exist.
+func osxsave() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
 	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&osxsave != 0 && ecx&avx != 0
+}
+
+// detectAVX2 reads CPUID leaf 7 for AVX2 and XCR0 for the XMM and YMM state
+// the OS saves on a context switch.
+func detectAVX2() bool {
+	if !osxsave() {
 		return false
 	}
 	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
@@ -22,21 +47,46 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// detectAVX512 reads CPUID leaf 7 for AVX512F and XCR0 for the XMM, YMM,
+// opmask, upper-ZMM0–15 and ZMM16–31 state (bits 1, 2, 5, 6, 7) the OS
+// saves on a context switch.
+func detectAVX512() bool {
+	if !osxsave() {
+		return false
+	}
+	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
+	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
+}
+
 // cpuid runs CPUID with EAX = leaf and ECX = subleaf.
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv reads XCR0.
 func xgetbv() (eax, edx uint32)
 
-// gemvTKernel runs gemvT's lengths-checked call on AVX2 where the CPU has
-// it, else on the reference loop.
+// gemvTKernel runs gemvT's lengths-checked call in laneTier's form.
 func gemvTKernel(acc, x, m []float64, stride int) {
-	if hasAVX2 {
+	switch laneTier {
+	case tierAVX512:
+		gemvTAVX512(acc, x, m, stride)
+	case tierAVX2:
 		gemvTAVX2(acc, x, m, stride)
-		return
+	default:
+		gemvTGo(acc, x, m, stride)
 	}
-	gemvTGo(acc, x, m, stride)
 }
+
+// gemvTAVX512 is gemvT on AVX-512: thirty-two lanes per pass over x, four
+// groups of eight, every group's loads and stores under its lanes' opmask,
+// so no value outside the lanes is read or written.
+//
+//go:noescape
+func gemvTAVX512(acc, x, m []float64, stride int)
 
 // gemvTAVX2 is gemvT on AVX2: sixteen lanes per pass over x, four groups of
 // four, the last group's lanes masked; a group past the last lane re-reads
@@ -45,17 +95,27 @@ func gemvTKernel(acc, x, m []float64, stride int) {
 //go:noescape
 func gemvTAVX2(acc, x, m []float64, stride int)
 
-// addRuns4Kernel runs addRuns4's lengths-checked call on AVX2 where the
-// CPU has it, the row's last len(r)%4 coordinates on the reference loop.
+// addRuns4Kernel runs addRuns4's lengths-checked call in laneTier's form;
+// on AVX2 the row's last len(r)%4 coordinates go through the reference
+// loop.
 func addRuns4Kernel(r []float64, g *[4]float64, x0, x1, x2, x3 []float64) {
-	if !hasAVX2 {
+	switch laneTier {
+	case tierAVX512:
+		addRuns4AVX512(r, g, x0, x1, x2, x3)
+	case tierAVX2:
+		n := len(r) &^ 3
+		addRuns4AVX2(r[:n], g, x0, x1, x2, x3)
+		addRuns4Go(r[n:], g, x0[n:], x1[n:], x2[n:], x3[n:])
+	default:
 		addRuns4Go(r, g, x0, x1, x2, x3)
-		return
 	}
-	n := len(r) &^ 3
-	addRuns4AVX2(r[:n], g, x0, x1, x2, x3)
-	addRuns4Go(r[n:], g, x0[n:], x1[n:], x2[n:], x3[n:])
 }
+
+// addRuns4AVX512 is addRuns4 on AVX-512: eight coordinates per step, the
+// last len(r)%8 under an opmask.
+//
+//go:noescape
+func addRuns4AVX512(r []float64, coef *[4]float64, x0, x1, x2, x3 []float64)
 
 // addRuns4AVX2 is addRuns4 on AVX2 for a row whose length is a multiple
 // of 4: four coordinates per step.

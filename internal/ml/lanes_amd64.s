@@ -161,3 +161,143 @@ check:
 	JLT  group
 	VZEROUPPER
 	RET
+
+// func gemvTAVX512(acc, x, m []float64, stride int)
+//
+// Each block of up to thirty-two lanes keeps its sums in Z0-Z3 across one
+// pass over x: per x[i], a multiply (VMULPD) then an add (VADDPD) per group,
+// so every lane performs gemvTGo's operations in gemvTGo's order. K1-K4 hold
+// the groups' lanes; every load and store of acc and m goes under them, and
+// EVEX fault suppression keeps a masked-off lane from being read at all.
+TEXT ·gemvTAVX512(SB), NOSPLIT, $0-80
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), R8
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), BX
+	LEAQ (SI)(BX*8), BX    // end of x
+	MOVQ m_base+48(FP), DX
+	MOVQ stride+72(FP), R10
+	SHLQ $3, R10           // row stride in bytes
+	XORQ R11, R11          // first lane of the block
+
+block:
+	MOVQ R8, CX
+	SUBQ R11, CX           // lanes left
+	JLE  done
+
+	// R12: bit l set for each lane l of the block, all 32 for a full one.
+	MOVL $-1, R12
+	CMPQ CX, $32
+	JAE  masks
+	MOVL $1, R12
+	SHLL CX, R12
+	DECL R12
+
+masks:
+	// K1-K4: group q's eight lanes, bits 8q to 8q+7 of R12.
+	KMOVW R12, K1
+	SHRL  $8, R12
+	KMOVW R12, K2
+	SHRL  $8, R12
+	KMOVW R12, K3
+	SHRL  $8, R12
+	KMOVW R12, K4
+
+	LEAQ      (DI)(R11*8), AX // the block's sums
+	VMOVUPD.Z (AX), K1, Z0
+	VMOVUPD.Z 64(AX), K2, Z1
+	VMOVUPD.Z 128(AX), K3, Z2
+	VMOVUPD.Z 192(AX), K4, Z3
+	LEAQ      (DX)(R11*8), CX // row 0 of m at the block's first lane
+	MOVQ      SI, R9
+	CMPQ      R9, BX
+	JAE       store
+
+row:
+	VBROADCASTSD (R9), Z8
+	VMULPD.Z     (CX), Z8, K1, Z4
+	VMULPD.Z     64(CX), Z8, K2, Z5
+	VMULPD.Z     128(CX), Z8, K3, Z6
+	VMULPD.Z     192(CX), Z8, K4, Z7
+	VADDPD       Z4, Z0, Z0
+	VADDPD       Z5, Z1, Z1
+	VADDPD       Z6, Z2, Z2
+	VADDPD       Z7, Z3, Z3
+	ADDQ         $8, R9
+	ADDQ         R10, CX
+	CMPQ         R9, BX
+	JB           row
+
+store:
+	VMOVUPD Z0, K1, (AX)
+	VMOVUPD Z1, K2, 64(AX)
+	VMOVUPD Z2, K3, 128(AX)
+	VMOVUPD Z3, K4, 192(AX)
+	ADDQ    $32, R11
+	JMP     block
+
+done:
+	VZEROUPPER
+	RET
+
+// func addRuns4AVX512(r []float64, coef *[4]float64, x0, x1, x2, x3 []float64)
+//
+// Per group of eight coordinates: r, then each run's product (VMULPD) added
+// (VADDPD) in run order, then r stored. The last len(r)%8 coordinates go
+// the same way under the opmask K1, which keeps every load and store inside
+// the row.
+TEXT ·addRuns4AVX512(SB), NOSPLIT, $0-128
+	MOVQ         r_base+0(FP), DI
+	MOVQ         r_len+8(FP), CX
+	MOVQ         coef+24(FP), AX
+	MOVQ         x0_base+32(FP), R8
+	MOVQ         x1_base+56(FP), R9
+	MOVQ         x2_base+80(FP), R10
+	MOVQ         x3_base+104(FP), R11
+	VBROADCASTSD 0(AX), Z4
+	VBROADCASTSD 8(AX), Z5
+	VBROADCASTSD 16(AX), Z6
+	VBROADCASTSD 24(AX), Z7
+	MOVQ         CX, DX
+	ANDQ         $-8, DX
+	SHLQ         $3, DX           // end of the whole groups in bytes
+	XORQ         BX, BX
+	JMP          check
+
+group:
+	VMOVUPD (DI)(BX*1), Z0
+	VMULPD  (R8)(BX*1), Z4, Z1
+	VADDPD  Z1, Z0, Z0
+	VMULPD  (R9)(BX*1), Z5, Z1
+	VADDPD  Z1, Z0, Z0
+	VMULPD  (R10)(BX*1), Z6, Z1
+	VADDPD  Z1, Z0, Z0
+	VMULPD  (R11)(BX*1), Z7, Z1
+	VADDPD  Z1, Z0, Z0
+	VMOVUPD Z0, (DI)(BX*1)
+	ADDQ    $64, BX
+
+check:
+	CMPQ  BX, DX
+	JLT   group
+	ANDQ  $7, CX              // coordinates left
+	JZ    done
+	MOVL  $1, R12
+	SHLL  CX, R12
+	DECL  R12                 // bit c set for each coordinate c left
+	KMOVW R12, K1
+
+	VMOVUPD.Z (DI)(BX*1), K1, Z0
+	VMULPD.Z  (R8)(BX*1), Z4, K1, Z1
+	VADDPD    Z1, Z0, Z0
+	VMULPD.Z  (R9)(BX*1), Z5, K1, Z1
+	VADDPD    Z1, Z0, Z0
+	VMULPD.Z  (R10)(BX*1), Z6, K1, Z1
+	VADDPD    Z1, Z0, Z0
+	VMULPD.Z  (R11)(BX*1), Z7, K1, Z1
+	VADDPD    Z1, Z0, Z0
+	VMOVUPD   Z0, K1, (DI)(BX*1)
+
+done:
+	VZEROUPPER
+	RET

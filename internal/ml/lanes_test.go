@@ -87,9 +87,36 @@ func panics(f func()) (p bool) {
 	return false
 }
 
-// checkLaneKernels decodes b and holds gemvT and addRuns4 to their Go
-// reference loops, bit for bit, sentinels included; a slice one value short
-// must panic. Layout: lanes b%41, n b%33, stride padding b%3 groups, run
+// laneTiers are the lane kernels' forms, widest first, each with whether
+// this CPU runs it.
+var laneTiers = []struct {
+	name  string
+	tier  kernelTier
+	onCPU bool
+}{
+	{"avx512", tierAVX512, hasAVX512},
+	{"avx2", tierAVX2, hasAVX2},
+	{"go", tierGo, true},
+}
+
+// forEachTier runs f once per lane kernel tier, as a subtest named after
+// it with laneTier set to it; a tier this CPU lacks is skipped, saying so.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	for _, tc := range laneTiers {
+		t.Run(tc.name, func(t *testing.T) {
+			if !tc.onCPU {
+				t.Skipf("this CPU (or its OS) does not run the %s lane kernels", tc.name)
+			}
+			defer func(saved kernelTier) { laneTier = saved }(laneTier)
+			laneTier = tc.tier
+			f(t)
+		})
+	}
+}
+
+// checkLaneKernels decodes b and holds gemvT and addRuns4, in laneTier's
+// form, to their Go reference loops, bit for bit, sentinels included; a
+// slice one value short must panic. Layout: lanes b%41, n b%33, stride padding b%3 groups, run
 // lengths past the row b%3 each, then the values.
 func checkLaneKernels(b []byte) error {
 	in := &laneInput{b: b}
@@ -156,16 +183,19 @@ func laneSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzLaneKernels holds the lane kernels to their Go reference loops
-// (checkLaneKernels). On a CPU without AVX2 both sides run the reference.
+// FuzzLaneKernels holds every lane kernel tier the CPU runs to the Go
+// reference loops (checkLaneKernels), one subtest per tier; the go subtest
+// holds the reference to itself and checks the wrappers' panics.
 func FuzzLaneKernels(f *testing.F) {
 	for _, s := range laneSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if err := checkLaneKernels(b); err != nil {
-			t.Fatal(err)
-		}
+		forEachTier(t, func(t *testing.T) {
+			if err := checkLaneKernels(b); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 }
 
@@ -173,9 +203,13 @@ func FuzzLaneKernels(f *testing.F) {
 // predictor, both on the lane kernels, agree with Model.Predict, on the
 // scalar loops, tuple by tuple, and so do the forward pass's activations and
 // probabilities, bit for bit: on TestMLPGolden's four layouts, at hidden
-// widths and class counts on and off a multiple of four lanes, with finite
-// and overflowed weights.
+// widths and class counts on and off a multiple of four and eight lanes,
+// with finite, overflowed and infinite weights, on every kernel tier.
 func TestAccuracyMatchesPredict(t *testing.T) {
+	forEachTier(t, testAccuracyMatchesPredict)
+}
+
+func testAccuracyMatchesPredict(t *testing.T) {
 	const features, n = 20, 60
 	rng := rand.New(rand.NewSource(53))
 	for _, kind := range goldenLayouts {
@@ -187,7 +221,7 @@ func TestAccuracyMatchesPredict(t *testing.T) {
 				m := MLP{Classes: classes, Hidden: hidden}
 				w := make([]float64, m.Dim(features))
 				m.InitWeights(w, features, rng)
-				for name, w := range map[string][]float64{"finite": w, "overflowed": overflowed(m, w, features)} {
+				for name, w := range weightVariants(m, w, features) {
 					predict := Predictor(m, w)
 					var ws Workspace
 					lw := m.transpose(&ws, w, features)

@@ -64,11 +64,19 @@ func (m MLP) forward(ws *Workspace, w []float64, t *data.Tuple) (h, p []float64,
 }
 
 // outputs writes t's hidden activations into h and its output probabilities
-// into p. With the zero lw it runs the scalar loops and does not read l;
-// otherwise lw holds w transposed and l is t's layout (layoutOf): the output
-// layer runs on gemvT, and so does the hidden layer unless t is sparse with
-// holes. Both forms compute every activation and logit bit-identically.
+// into p (logits, then softmaxProbs).
 func (m MLP) outputs(h, p, w []float64, t *data.Tuple, features int, lw laneWeights, l rowLayout) {
+	m.logits(h, p, w, t, features, lw, l)
+	softmaxProbs(p)
+}
+
+// logits writes t's hidden activations into h and its output logits into
+// z. With the zero lw it runs the scalar loops and does not read l;
+// otherwise lw holds w's laneWeights and l is t's layout (layoutOf): the
+// output layer runs on gemvT, and so does the hidden layer unless t is
+// sparse with holes. Both forms compute every activation and logit
+// bit-identically.
+func (m MLP) logits(h, z, w []float64, t *data.Tuple, features int, lw laneWeights, l rowLayout) {
 	if lw.hs == 0 || l == layoutSparse {
 		hiddenLayer(h, w, t, features)
 	} else {
@@ -79,17 +87,16 @@ func (m MLP) outputs(h, p, w []float64, t *data.Tuple, features int, lw laneWeig
 		in2 := m.Hidden + 1
 		for k := 0; k < m.Classes; k++ {
 			wk := w[off+k*in2 : off+(k+1)*in2]
-			z := wk[m.Hidden] // bias
+			zk := wk[m.Hidden] // bias
 			for j := 0; j < m.Hidden; j++ {
-				z += wk[j] * h[j]
+				zk += wk[j] * h[j]
 			}
-			p[k] = z
+			z[k] = zk
 		}
 	} else {
-		copy(p, lw.w2t[m.Hidden*lw.cs:]) // biases
-		gemvT(p, h, lw.w2t, lw.cs)
+		copy(z, lw.w2t[m.Hidden*lw.cs:]) // biases
+		gemvT(z, h, lw.w2t, lw.cs)
 	}
-	softmaxProbs(p)
 }
 
 // hiddenLayer sets h[j] = ReLU(⟨w_j[:features], x⟩ + w_j[features]) for the
@@ -247,7 +254,7 @@ func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) fl
 // deltas runs t's forward pass into h (outputs, with lw and l) and returns
 // the example loss, with the output deltas dL/dz2_k = p_k − 1{k=y} in dk and
 // the hidden deltas dh[j] = Σ_k dk[k]·W2[k][j] (the k with dk[k] = 0
-// skipped, the rest added in k order) in dh.
+// skipped, the rest added in k order) in dh, on gemvT unless lw is zero.
 func (m MLP) deltas(h, dk, dh, w []float64, t *data.Tuple, features int, lw laneWeights, l rowLayout) float64 {
 	m.outputs(h, dk, w, t, features, lw, l)
 	y := classIndex(t.Label, m.Classes)
@@ -258,6 +265,10 @@ func (m MLP) deltas(h, dk, dh, w []float64, t *data.Tuple, features int, lw lane
 	loss := -math.Log(py)
 	dk[y] -= 1
 
+	if lw.hs != 0 {
+		lw.hiddenDeltas(dh, dk)
+		return loss
+	}
 	off := m.Hidden * (features + 1)
 	in2 := m.Hidden + 1
 	for j := range dh {
@@ -284,18 +295,45 @@ func (m MLP) Predict(w []float64, t *data.Tuple) float64 {
 }
 
 // predictor implements boundPredictor: Predict on the lane kernels, with w
-// transposed once for every call.
+// transposed once for every call, and on the logits wherever they settle
+// the argmax (classOf).
 func (m MLP) predictor(w []float64) func(*data.Tuple) float64 {
 	var ws Workspace
 	features := m.features(w)
 	lw := m.transpose(&ws, w, features)
-	hp := scratch(&ws.h, m.Hidden+m.Classes)
-	h, p := hp[:m.Hidden], hp[m.Hidden:]
+	hz := scratch(&ws.h, m.Hidden+m.Classes)
+	h, z := hz[:m.Hidden], hz[m.Hidden:]
 	return func(t *data.Tuple) float64 {
 		l, _ := layoutOf(t, features)
-		m.outputs(h, p, w, t, features, lw, l)
-		return argmax(p)
+		m.logits(h, z, w, t, features, lw, l)
+		return classOf(z)
 	}
+}
+
+// argmaxGap is how far below the largest logit every other one must lie,
+// as z[k] − max, for classOf to skip the probabilities: math.Exp of a value
+// at most −2⁻²⁰ is below 1 − 2⁻²¹.
+const argmaxGap = -0x1p-20
+
+// classOf returns argmax(softmaxProbs(z)), z's first largest probability,
+// without the exponentials when the logits settle it: no logit is NaN, the
+// largest is finite, and every other one's z[k] − max, the exact argument
+// softmaxProbs passes to math.Exp, is at most argmaxGap. Then the first
+// largest logit has exp 1 and the others below 1 − 2⁻²¹, over the same sum
+// of at least 1, so its probability is the unique largest (DESIGN.md
+// "Bit-exact kernels"). Otherwise it runs softmaxProbs on z and argmax.
+func classOf(z []float64) float64 {
+	best := int(argmax(z))
+	max := z[best] // softmaxProbs' max, bit for bit
+	settled := finite(max)
+	for k := 0; settled && k < len(z); k++ {
+		settled = k == best || z[k]-max <= argmaxGap
+	}
+	if settled {
+		return float64(best)
+	}
+	softmaxProbs(z)
+	return argmax(z)
 }
 
 // argmax returns the index of p's first largest value.

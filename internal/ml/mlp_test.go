@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"corgipile/internal/data"
@@ -57,4 +58,95 @@ func TestHiddenLayerMatchesDot(t *testing.T) {
 			}
 		}
 	}
+}
+
+// classOfSoftmax is what classOf must return: the first largest of z's
+// probabilities, computed on a copy.
+func classOfSoftmax(z []float64) float64 {
+	p := slices.Clone(z)
+	softmaxProbs(p)
+	return argmax(p)
+}
+
+// TestClassOf: classOf, which reads the class off the logits when they
+// settle it, returns argmax(softmaxProbs(z)) where the two could part, and
+// takes the logits' path (leaving z as it was) exactly where its rule says.
+func TestClassOf(t *testing.T) {
+	if math.Exp(0) != 1 {
+		t.Fatalf("math.Exp(0) = %v, the proof needs exactly 1", math.Exp(0))
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		z    []float64
+		fast bool // settled by the logits
+	}{
+		{"ordinary", []float64{0.5, 2, -1, 1.25}, true},
+		{"tie at the max", []float64{1, 3, 3, 2}, false},
+		{"tie at the max, from 0", []float64{3, 3}, false},
+		{"2^-21 below, before the max", []float64{1 - 0x1p-21, 1}, false},
+		{"2^-21 below, after the max", []float64{1, 1 - 0x1p-21}, false},
+		{"2^-20 below", []float64{1 - 0x1p-20, 1}, true},
+		{"2^-19 below, before the max", []float64{1 - 0x1p-19, 1}, true},
+		{"2^-19 below, after the max", []float64{1, 1 - 0x1p-19, 0}, true},
+		{"one ulp below", []float64{1 - 0x1p-53, 1}, false},
+		{"NaN at 0", []float64{nan, 1, 2}, false},
+		{"NaN past 0, max after it", []float64{0, nan, 1}, false},
+		{"NaN last", []float64{2, 1, nan}, false},
+		{"+Inf", []float64{1, inf, 0}, false},
+		{"+Inf twice", []float64{inf, 1, inf}, false},
+		{"-Inf beside finite", []float64{-inf, 0, -inf}, true},
+		{"-Inf only", []float64{-inf, -inf}, false},
+		{"-1e308 beside 1e308", []float64{-1e308, 1e308}, true},
+		{"1e308 beside -1e308", []float64{1e308, -1e308, 0}, true},
+		{"subnormal gap", []float64{0, 5e-324}, false},
+		{"subnormal gap, max first", []float64{1e-323, 5e-324}, false},
+		{"subnormals far apart", []float64{2.5e-310, -2.5e-310}, false},
+		{"±0", []float64{math.Copysign(0, -1), 0}, false},
+	}
+	for _, c := range cases {
+		want := classOfSoftmax(c.z)
+		z := slices.Clone(c.z)
+		if got := classOf(z); got != want {
+			t.Errorf("%s %v: classOf %v, argmax(softmaxProbs) %v", c.name, c.z, got, want)
+		}
+		if fast := sameBits(z, c.z) < 0; fast != c.fast {
+			t.Errorf("%s %v: settled by the logits = %v, want %v", c.name, c.z, fast, c.fast)
+		}
+	}
+}
+
+// argmaxLogit reads a FuzzArgmaxLogits logit from two bytes: s names one of
+// laneSpecials (s ≥ 246) or a base and a scale, and m is int8 steps of that
+// scale from the base, so logits land a few ulps, about 2⁻²⁰, or far apart.
+func argmaxLogit(s, m byte) float64 {
+	if int(s) >= 256-len(laneSpecials) {
+		return laneSpecials[int(s)-(256-len(laneSpecials))]
+	}
+	scales := []float64{5e-324, 0x1p-60, 0x1p-52, 0x1p-21, 0x1p-20, 0x1p-19, 1, 0x1p20}
+	bases := []float64{0, 1, -3, 1e6}
+	return bases[int(s)/len(scales)%len(bases)] + float64(int8(m))*scales[int(s)%len(scales)]
+}
+
+// FuzzArgmaxLogits holds classOf to argmax(softmaxProbs(z)) over 2 to 17
+// logits: the first byte sets the count, then two bytes a logit
+// (argmaxLogit); missing bytes read as 0.
+func FuzzArgmaxLogits(f *testing.F) {
+	rng := rand.New(rand.NewSource(45))
+	for range 24 {
+		b := make([]byte, 1+2*rng.Intn(18))
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		in := &laneInput{b: b}
+		z := make([]float64, 2+int(in.byte())%16)
+		for k := range z {
+			z[k] = argmaxLogit(in.byte(), in.byte())
+		}
+		want := classOfSoftmax(z)
+		if got := classOf(slices.Clone(z)); got != want {
+			t.Fatalf("%v: classOf %v, argmax(softmaxProbs) %v", z, got, want)
+		}
+	})
 }

@@ -138,11 +138,32 @@ func overflowed(m MLP, w []float64, features int) []float64 {
 	return w
 }
 
+// infinite returns w with the W2 weight of hidden unit 0 in class 1 at −Inf:
+// a tuple with h[0] > 0 gets a logit of −Inf, so a probability of exactly 0
+// and, unless its label is 1, an output delta of 0 beside nonzero ones,
+// which the hidden deltas must skip (0·−Inf is NaN); a tuple with h[0] = 0
+// gets a NaN logit.
+func infinite(m MLP, w []float64, features int) []float64 {
+	w = slices.Clone(w)
+	w[m.Hidden*(features+1)+m.Hidden+1] = math.Inf(-1)
+	return w
+}
+
+// weightVariants returns w, overflowed(w) and infinite(w) by name.
+func weightVariants(m MLP, w []float64, features int) map[string][]float64 {
+	return map[string][]float64{"finite": w, "overflowed": overflowed(m, w, features), "infinite": infinite(m, w, features)}
+}
+
 // TestGradBatchMatchesBackward: gradBatch leaves the accumulator exactly as
 // backward called tuple after tuple does, on every layout, at batch sizes
 // from 1 to 64 with a partial tail, through the out-of-row fallback, and
-// with weights whose deltas overflow.
+// with weights whose deltas overflow or skip an infinite weight, on every
+// kernel tier.
 func TestGradBatchMatchesBackward(t *testing.T) {
+	forEachTier(t, testGradBatchMatchesBackward)
+}
+
+func testGradBatchMatchesBackward(t *testing.T) {
 	const features, classes = 8, 4
 	rng := rand.New(rand.NewSource(41))
 	ts := gradBatchTuples(rng, 300, features, classes)
@@ -155,7 +176,7 @@ func TestGradBatchMatchesBackward(t *testing.T) {
 		m := MLP{Classes: classes, Hidden: hidden}
 		w := make([]float64, m.Dim(features))
 		m.InitWeights(w, features, rng)
-		for name, w := range map[string][]float64{"finite": w, "overflowed": overflowed(m, w, features)} {
+		for name, w := range weightVariants(m, w, features) {
 			for _, s := range sizes {
 				if err := checkGradBatch(m, w, ts, s); err != nil {
 					t.Errorf("hidden=%d %s sizes=%v: %v", hidden, name, s, err)
@@ -224,7 +245,7 @@ func TestMiniBatchMatchesBackward(t *testing.T) {
 // gradBatchInput decodes a fuzz input: an MLP shape, a weight seed and
 // flags, batch sizes, and a stream of tuples. Layout, per byte: features
 // 1+b%24, hidden 1+b%32, classes 2+b%4, batch 1+b%64, weight seed, flags
-// (bit 0: overflowed weights); then tuples, each a kind byte (kind%3: 0
+// (bit 0: overflowed weights, else bit 1: infinite ones); then tuples, each a kind byte (kind%3: 0
 // dense, 1 gap-free 0…n−1, 2 sparse with explicit indices), a label byte, a
 // count byte n = b%(features+3), the indices (kind 2 only, each
 // b%(features+3)) and n values (int8/8). Missing bytes read as 0.
@@ -244,8 +265,11 @@ func gradBatchInput(b []byte) (m MLP, features int, w []float64, ts []data.Tuple
 	seed, flags := next(), next()
 	w = make([]float64, m.Dim(features))
 	m.InitWeights(w, features, rand.New(rand.NewSource(int64(seed))))
-	if flags&1 != 0 {
+	switch {
+	case flags&1 != 0:
 		w = overflowed(m, w, features)
+	case flags&2 != 0:
+		w = infinite(m, w, features)
 	}
 	for pos < len(b) && len(ts) < 256 {
 		kind, label, n := next()%3, next(), int(next())%(features+3)
@@ -365,7 +389,7 @@ var goldenLayouts = []string{"dense", "sparse", "holes", "full"}
 
 // gradBatchSeeds returns one fuzz seed per layout of core.TestMLPGolden's
 // matrix (goldenLayout), at its shape (20 features, 4 classes, batch 64),
-// and one more full with overflowed weights.
+// and two more full ones, with overflowed and with infinite weights.
 func gradBatchSeeds() [][]byte {
 	const features, classes, n = 20, 4, 40
 	rng := rand.New(rand.NewSource(71))
@@ -373,7 +397,9 @@ func gradBatchSeeds() [][]byte {
 	for _, kind := range goldenLayouts {
 		seeds = append(seeds, encodeGradBatchInput(features, 32, classes, 64, 0, goldenLayout(rng, kind, n, features, classes)))
 	}
-	return append(seeds, encodeGradBatchInput(features, 30, classes, 7, 1, goldenLayout(rng, "full", n, features, classes)))
+	return append(seeds,
+		encodeGradBatchInput(features, 30, classes, 7, 1, goldenLayout(rng, "full", n, features, classes)),
+		encodeGradBatchInput(features, 30, classes, 9, 2, goldenLayout(rng, "full", n, features, classes)))
 }
 
 // FuzzGradBatch holds gradBatch to backward called tuple after tuple, as

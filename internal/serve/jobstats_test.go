@@ -120,7 +120,8 @@ func TestQueuedJobStatsReportQueueWait(t *testing.T) {
 
 // TestServePredictHistogram pins the serve.predict latency histogram:
 // every predict lands one observation, so /metrics and corgi_metrics have
-// quantiles to report.
+// quantiles to report. The server runs without telemetry, and its p95
+// still reads over the wire through corgi_metrics.
 func TestServePredictHistogram(t *testing.T) {
 	srv := testServer(t, Config{})
 	c, err := Dial(srv.Addr())
@@ -142,6 +143,16 @@ func TestServePredictHistogram(t *testing.T) {
 	}
 	if q := h.Quantile(0.95); q <= 0 {
 		t.Fatalf("serve.predict p95 = %v, want positive", q)
+	}
+	res, err := c.Exec(`SELECT kind, value FROM corgi_metrics WHERE name = 'serve.predict_p95'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "histogram" {
+		t.Fatalf("corgi_metrics serve.predict_p95 rows = %v, want one histogram row", res.Rows)
+	}
+	if v, err := strconv.ParseFloat(res.Rows[0][1], 64); err != nil || v <= 0 {
+		t.Fatalf("corgi_metrics serve.predict_p95 = %q, want a positive number", res.Rows[0][1])
 	}
 }
 

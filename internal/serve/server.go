@@ -225,10 +225,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.registerIntrospection()
 	s.reg.AddCollector(s.collectGauges)
+	// The shared registry aggregates device I/O across all jobs and backs
+	// corgi_metrics whether or not /metrics serves it; each job's own feed
+	// serves /run?job=<id>.
+	s.dbs.WithMetrics(s.reg)
 	if cfg.Telemetry != "" {
-		// The shared registry aggregates device I/O across all jobs; each
-		// job's own feed serves /run?job=<id>.
-		s.dbs.WithMetrics(s.reg)
 		tel, err := obs.Serve(obs.ServeConfig{
 			Addr:     cfg.Telemetry,
 			Registry: s.reg,

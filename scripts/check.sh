@@ -19,6 +19,9 @@ go vet ./...
 # other step builds for another GOARCH.
 GOARCH=arm64 go vet ./internal/ml/ ./internal/core/
 go test ./...
+# At GOAMD64=v3 the compiler may use FMA; the MLP goldens and the lane
+# tests must still hold, proving it fuses no s += a*b the kernels rely on.
+GOAMD64=v3 go test ./internal/ml/ ./internal/core/
 go test -race ./internal/...
 go test -run 'Fuzz' ./internal/storage/ ./internal/sqlparse/ ./internal/data/ ./internal/decimal/ ./internal/serve/ ./internal/ml/
 
