@@ -174,6 +174,9 @@ func holesWorkloadDS() *data.Dataset {
 // over an in-memory dataset, plus the MLP at the shape of the benchmark's
 // train_mlp_batch workload (hidden 32, batch 64), once as loaded and once
 // with every 7th index dropped, so the generic sparse path keeps a number.
+// The MLP runs once per lane kernel tier the CPU has (mlp/avx512, mlp/avx2,
+// mlp/go), so the AVX2-only and Go reference costs are measured, not
+// guessed.
 func BenchmarkEpoch(b *testing.B) {
 	svmDS := data.SyntheticBinary(data.SyntheticConfig{
 		Tuples: 4096, Features: 28, Order: data.OrderShuffled, Seed: 31})
@@ -208,16 +211,18 @@ func BenchmarkEpoch(b *testing.B) {
 	}
 	b.Run("tuple", func(b *testing.B) { run(b, SVM{}, svmDS, 1) })
 	b.Run("batch64", func(b *testing.B) { run(b, SVM{}, svmDS, 64) })
-	b.Run("mlp", func(b *testing.B) { run(b, MLP{Classes: 10, Hidden: 32}, mlpDS, 64) })
-	b.Run("mlp_holes", func(b *testing.B) { run(b, MLP{Classes: 10, Hidden: 32}, holesDS, 64) })
+	mlp := MLP{Classes: 10, Hidden: 32}
+	b.Run("mlp", func(b *testing.B) { forEachTier(b, func(b *testing.B) { run(b, mlp, mlpDS, 64) }) })
+	b.Run("mlp_holes", func(b *testing.B) { forEachTier(b, func(b *testing.B) { run(b, mlp, holesDS, 64) }) })
 }
 
 // accuracySink keeps BenchmarkAccuracy's calls observable.
 var accuracySink float64
 
 // BenchmarkAccuracy times the per-epoch eval pass (TrainEval, and TRAIN's
-// accuracy column) over the train_mlp_batch table, once as loaded and once
-// with every 7th index dropped, so the scalar hidden layer keeps a number.
+// accuracy column) over the train_mlp_batch table, once as loaded (once per
+// lane kernel tier) and once with every 7th index dropped, so the scalar
+// hidden layer keeps a number.
 func BenchmarkAccuracy(b *testing.B) {
 	run := func(b *testing.B, ds *data.Dataset) {
 		m := MLP{Classes: 10, Hidden: 32}
@@ -230,6 +235,6 @@ func BenchmarkAccuracy(b *testing.B) {
 			accuracySink = Accuracy(m, w, ds)
 		}
 	}
-	b.Run("mlp", func(b *testing.B) { run(b, mlpWorkloadDS()) })
+	b.Run("mlp", func(b *testing.B) { forEachTier(b, func(b *testing.B) { run(b, mlpWorkloadDS()) }) })
 	b.Run("mlp_holes", func(b *testing.B) { run(b, holesWorkloadDS()) })
 }

@@ -2,16 +2,18 @@ package ml
 
 import "corgipile/internal/data"
 
-// The lane kernels: loops whose every output value is its own sequential
-// sum, so vector lanes can carry several of those sums side by side without
-// reordering a single add (DESIGN.md "Bit-exact kernels"). Each has a Go
-// reference loop and, on amd64, an AVX-512 and an AVX2 form; laneTier
-// names the one that runs. The reference runs wherever neither assembly
-// form does (another CPU or GOARCH), and the tests hold both forms to it,
-// bit for bit. The wrappers check every length before the kernel runs, so
-// a short slice panics here instead of being read past its end.
+// The lane kernel, gemvT: a loop whose every output value is its own
+// sequential sum, so vector lanes can carry several of those sums side by
+// side without reordering a single add (DESIGN.md "Bit-exact kernels"). It
+// has a Go reference loop and, on amd64, an AVX-512 and an AVX2 form;
+// laneTier names the one that runs. The reference runs wherever neither
+// assembly form does (another CPU or GOARCH), and the tests hold both forms
+// to it, bit for bit. The wrapper checks every length before the kernel
+// runs, so a short slice panics here instead of being read past its end.
+// It runs the MLP's forward layers and hidden deltas, and, through
+// gemvTRounded, the batch gradient's row adds.
 
-// kernelTier is a form of the lane kernels.
+// kernelTier is a form of the lane kernel.
 type kernelTier uint8
 
 const (
@@ -42,28 +44,30 @@ func gemvTGo(acc, x, m []float64, stride int) {
 	}
 }
 
-// addRuns4 sets r[c] = (((r[c] + g0·x0[c]) + g1·x1[c]) + g2·x2[c]) +
-// g3·x3[c] for every c of r, each product rounded before its add: four runs
-// added into one row, in run order at every coordinate.
-func addRuns4(r []float64, g *[4]float64, x0, x1, x2, x3 []float64) {
-	if n := len(r); len(x0) < n || len(x1) < n || len(x2) < n || len(x3) < n {
-		panic("ml: addRuns4: run shorter than its row")
+// gemvTRounded is gemvT for the batch gradient's row adds, where every
+// value is finite, every sum is never −0, and backward rounds each product
+// before its add (float64(g·v)). The assembly tiers run gemvT itself: they
+// multiply, then add. The Go tier is a loop of its own. It rounds each
+// product explicitly, since a compiler off amd64 may fuse gemvTGo's
+// a*b + c (as it fuses the scalar forward loops gemvT stands in for
+// there). It also skips each x[i] of zero: those products are a finite
+// value times zero, signed zeros that change no bit of such a sum.
+func gemvTRounded(acc, x, m []float64, stride int) {
+	if laneTier != tierGo {
+		gemvT(acc, x, m, stride)
+		return
 	}
-	addRuns4Kernel(r, g, x0, x1, x2, x3)
-}
-
-// addRuns4Go is addRuns4's reference loop. The products go through
-// float64(...), so no compiler fuses them into the adds.
-func addRuns4Go(r []float64, g *[4]float64, x0, x1, x2, x3 []float64) {
-	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
-	x0, x1, x2, x3 = x0[:len(r)], x1[:len(r)], x2[:len(r)], x3[:len(r)]
-	for c := range r {
-		s := r[c]
-		s += float64(g0 * x0[c])
-		s += float64(g1 * x1[c])
-		s += float64(g2 * x2[c])
-		s += float64(g3 * x3[c])
-		r[c] = s
+	if stride < pad4(len(acc)) || len(m) < len(x)*stride {
+		panic("ml: gemvTRounded: matrix shorter than its lanes")
+	}
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		row := m[i*stride:][:len(acc)]
+		for l := range row {
+			acc[l] += float64(xi * row[l])
+		}
 	}
 }
 
@@ -135,10 +139,7 @@ func transposeInto(dst, src []float64, rows, cols, stride int) {
 // hiddenLayer's dense loop takes, summed from 0 in the same order, the bias
 // added after.
 func (lw laneWeights) hidden(h []float64, t *data.Tuple, l rowLayout, features int) {
-	xs := t.Dense
-	if l == layoutPrefix {
-		xs = t.SparseVal[:len(t.SparseIdx)]
-	}
+	xs := runValues(t, l)
 	xs = xs[:min(len(xs), features)]
 	clear(h)
 	gemvT(h, xs, lw.w1t, lw.hs)

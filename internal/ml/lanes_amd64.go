@@ -1,6 +1,6 @@
 package ml
 
-// hasAVX2 and hasAVX512 report which assembly forms of the lane kernels the
+// hasAVX2 and hasAVX512 report which assembly forms of the lane kernel the
 // CPU runs with the register state the OS saves; laneTier is the widest,
 // chosen once at init.
 var (
@@ -94,31 +94,3 @@ func gemvTAVX512(acc, x, m []float64, stride int)
 //
 //go:noescape
 func gemvTAVX2(acc, x, m []float64, stride int)
-
-// addRuns4Kernel runs addRuns4's lengths-checked call in laneTier's form;
-// on AVX2 the row's last len(r)%4 coordinates go through the reference
-// loop.
-func addRuns4Kernel(r []float64, g *[4]float64, x0, x1, x2, x3 []float64) {
-	switch laneTier {
-	case tierAVX512:
-		addRuns4AVX512(r, g, x0, x1, x2, x3)
-	case tierAVX2:
-		n := len(r) &^ 3
-		addRuns4AVX2(r[:n], g, x0, x1, x2, x3)
-		addRuns4Go(r[n:], g, x0[n:], x1[n:], x2[n:], x3[n:])
-	default:
-		addRuns4Go(r, g, x0, x1, x2, x3)
-	}
-}
-
-// addRuns4AVX512 is addRuns4 on AVX-512: eight coordinates per step, the
-// last len(r)%8 under an opmask.
-//
-//go:noescape
-func addRuns4AVX512(r []float64, coef *[4]float64, x0, x1, x2, x3 []float64)
-
-// addRuns4AVX2 is addRuns4 on AVX2 for a row whose length is a multiple
-// of 4: four coordinates per step.
-//
-//go:noescape
-func addRuns4AVX2(r []float64, coef *[4]float64, x0, x1, x2, x3 []float64)

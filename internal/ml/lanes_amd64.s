@@ -123,45 +123,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func addRuns4AVX2(r []float64, coef *[4]float64, x0, x1, x2, x3 []float64)
-//
-// len(r) is a multiple of 4. Per group of four coordinates: r, then each
-// run's product (VMULPD) added (VADDPD) in run order, then r stored.
-TEXT ·addRuns4AVX2(SB), NOSPLIT, $0-128
-	MOVQ         r_base+0(FP), DI
-	MOVQ         r_len+8(FP), CX
-	SHLQ         $3, CX           // end offset in bytes
-	MOVQ         coef+24(FP), AX
-	MOVQ         x0_base+32(FP), R8
-	MOVQ         x1_base+56(FP), R9
-	MOVQ         x2_base+80(FP), R10
-	MOVQ         x3_base+104(FP), R11
-	VBROADCASTSD 0(AX), Y4
-	VBROADCASTSD 8(AX), Y5
-	VBROADCASTSD 16(AX), Y6
-	VBROADCASTSD 24(AX), Y7
-	XORQ         BX, BX
-	JMP          check
-
-group:
-	VMOVUPD (DI)(BX*1), Y0
-	VMULPD  (R8)(BX*1), Y4, Y1
-	VADDPD  Y1, Y0, Y0
-	VMULPD  (R9)(BX*1), Y5, Y1
-	VADDPD  Y1, Y0, Y0
-	VMULPD  (R10)(BX*1), Y6, Y1
-	VADDPD  Y1, Y0, Y0
-	VMULPD  (R11)(BX*1), Y7, Y1
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(BX*1)
-	ADDQ    $32, BX
-
-check:
-	CMPQ BX, CX
-	JLT  group
-	VZEROUPPER
-	RET
-
 // func gemvTAVX512(acc, x, m []float64, stride int)
 //
 // Each block of up to thirty-two lanes keeps its sums in Z0-Z3 across one
@@ -235,68 +196,6 @@ store:
 	VMOVUPD Z3, K4, 192(AX)
 	ADDQ    $32, R11
 	JMP     block
-
-done:
-	VZEROUPPER
-	RET
-
-// func addRuns4AVX512(r []float64, coef *[4]float64, x0, x1, x2, x3 []float64)
-//
-// Per group of eight coordinates: r, then each run's product (VMULPD) added
-// (VADDPD) in run order, then r stored. The last len(r)%8 coordinates go
-// the same way under the opmask K1, which keeps every load and store inside
-// the row.
-TEXT ·addRuns4AVX512(SB), NOSPLIT, $0-128
-	MOVQ         r_base+0(FP), DI
-	MOVQ         r_len+8(FP), CX
-	MOVQ         coef+24(FP), AX
-	MOVQ         x0_base+32(FP), R8
-	MOVQ         x1_base+56(FP), R9
-	MOVQ         x2_base+80(FP), R10
-	MOVQ         x3_base+104(FP), R11
-	VBROADCASTSD 0(AX), Z4
-	VBROADCASTSD 8(AX), Z5
-	VBROADCASTSD 16(AX), Z6
-	VBROADCASTSD 24(AX), Z7
-	MOVQ         CX, DX
-	ANDQ         $-8, DX
-	SHLQ         $3, DX           // end of the whole groups in bytes
-	XORQ         BX, BX
-	JMP          check
-
-group:
-	VMOVUPD (DI)(BX*1), Z0
-	VMULPD  (R8)(BX*1), Z4, Z1
-	VADDPD  Z1, Z0, Z0
-	VMULPD  (R9)(BX*1), Z5, Z1
-	VADDPD  Z1, Z0, Z0
-	VMULPD  (R10)(BX*1), Z6, Z1
-	VADDPD  Z1, Z0, Z0
-	VMULPD  (R11)(BX*1), Z7, Z1
-	VADDPD  Z1, Z0, Z0
-	VMOVUPD Z0, (DI)(BX*1)
-	ADDQ    $64, BX
-
-check:
-	CMPQ  BX, DX
-	JLT   group
-	ANDQ  $7, CX              // coordinates left
-	JZ    done
-	MOVL  $1, R12
-	SHLL  CX, R12
-	DECL  R12                 // bit c set for each coordinate c left
-	KMOVW R12, K1
-
-	VMOVUPD.Z (DI)(BX*1), K1, Z0
-	VMULPD.Z  (R8)(BX*1), Z4, K1, Z1
-	VADDPD    Z1, Z0, Z0
-	VMULPD.Z  (R9)(BX*1), Z5, K1, Z1
-	VADDPD    Z1, Z0, Z0
-	VMULPD.Z  (R10)(BX*1), Z6, K1, Z1
-	VADDPD    Z1, Z0, Z0
-	VMULPD.Z  (R11)(BX*1), Z7, K1, Z1
-	VADDPD    Z1, Z0, Z0
-	VMOVUPD   Z0, K1, (DI)(BX*1)
 
 done:
 	VZEROUPPER

@@ -99,11 +99,15 @@ var laneTiers = []struct {
 	{"go", tierGo, true},
 }
 
-// forEachTier runs f once per lane kernel tier, as a subtest named after
-// it with laneTier set to it; a tier this CPU lacks is skipped, saying so.
-func forEachTier(t *testing.T, f func(t *testing.T)) {
+// forEachTier runs f once per lane kernel tier, as a subtest or
+// sub-benchmark named after it with laneTier set to it; a tier this CPU
+// lacks is skipped, saying so.
+func forEachTier[T interface {
+	testing.TB
+	Run(string, func(T)) bool
+}](t T, f func(T)) {
 	for _, tc := range laneTiers {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.name, func(t T) {
 			if !tc.onCPU {
 				t.Skipf("this CPU (or its OS) does not run the %s lane kernels", tc.name)
 			}
@@ -114,13 +118,14 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// checkLaneKernels decodes b and holds gemvT and addRuns4, in laneTier's
-// form, to their Go reference loops, bit for bit, sentinels included; a
-// slice one value short must panic. Layout: lanes b%41, n b%33, stride padding b%3 groups, run
-// lengths past the row b%3 each, then the values.
+// checkLaneKernels decodes b and holds gemvT, in laneTier's form, to its Go
+// reference loop, bit for bit, sentinels included, and gemvTRounded too on
+// the inputs the gradient sends it; a slice one value short must panic. Layout: lanes b%73, n b%81, stride padding b%3 groups, then
+// the values. The ranges cover every shape gradBatch sends: a batch of 64
+// and more as x, and W1 rows past two 32-lane AVX-512 blocks.
 func checkLaneKernels(b []byte) error {
 	in := &laneInput{b: b}
-	lanes, n, extra := int(in.byte())%41, int(in.byte())%33, int(in.byte())%3
+	lanes, n, extra := int(in.byte())%73, int(in.byte())%81, int(in.byte())%3
 	stride := pad4(lanes) + 4*extra
 
 	acc, x, m := in.values(lanes), in.values(n), in.values(n*stride)
@@ -137,40 +142,38 @@ func checkLaneKernels(b []byte) error {
 		return fmt.Errorf("gemvT lanes=%d: a stride under the padded lanes did not panic", lanes)
 	}
 
-	var g [4]float64
-	for q := range g {
-		g[q] = in.value()
-	}
-	var xs [4][]float64
-	for q := range xs {
-		xs[q] = in.values(lanes + int(in.byte())%3)
-	}
-	r := in.values(lanes)
-	got, want = withSentinels(r), slices.Clone(r)
-	addRuns4(got, &g, xs[0], xs[1], xs[2], xs[3])
-	addRuns4Go(want, &g, xs[0], xs[1], xs[2], xs[3])
-	if i := sameBits(got, want); i >= 0 {
-		return fmt.Errorf("addRuns4 n=%d: coordinate %d differs from addRuns4Go", lanes, i)
-	}
-	if lanes > 0 {
-		for q := range xs {
-			short := xs
-			short[q] = short[q][:lanes-1]
-			if !panics(func() { addRuns4(got, &g, short[0], short[1], short[2], short[3]) }) {
-				return fmt.Errorf("addRuns4 n=%d: run %d one value short did not panic", lanes, q)
-			}
+	// gemvTRounded on what the gradient sends it, a finite m and sums that
+	// are never −0, gives gemvTGo's bits.
+	for i, v := range m {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			m[i] = 1
 		}
+	}
+	for i, v := range acc {
+		if v == 0 {
+			acc[i] = 0
+		}
+	}
+	got, want = withSentinels(acc), slices.Clone(acc)
+	gemvTRounded(got, x, m, stride)
+	gemvTGo(want, x, m, stride)
+	if i := sameBits(got, want); i >= 0 {
+		return fmt.Errorf("gemvTRounded lanes=%d n=%d stride=%d: lane %d differs from gemvTGo", lanes, n, stride, i)
+	}
+	if n > 0 && !panics(func() { gemvTRounded(got, x, m[:len(m)-1], stride) }) {
+		return fmt.Errorf("gemvTRounded lanes=%d n=%d: a matrix one value short did not panic", lanes, n)
 	}
 	return nil
 }
 
-// laneSeeds returns one input per lane count from 1 to 40, with n from 0 up
-// and about one value in eight a special one.
+// laneSeeds returns one input per lane count from 1 to 72, with n from 0
+// up, and gradBatch's shapes at its benchmark size (a batch of 64 over 10
+// classes, 32 hidden units and 64 features), with about one value in eight
+// a special one.
 func laneSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(42))
-	var seeds [][]byte
-	for lanes := 1; lanes <= 40; lanes++ {
-		b := []byte{byte(lanes), byte(lanes * 7 % 33), byte(lanes % 3)}
+	seed := func(lanes, n, extra int) []byte {
+		b := []byte{byte(lanes), byte(n), byte(extra)}
 		for range 61 {
 			if rng.Intn(8) == 0 {
 				b = append(b, byte(256-len(laneSpecials)+rng.Intn(len(laneSpecials))))
@@ -178,14 +181,21 @@ func laneSeeds() [][]byte {
 				b = append(b, byte(rng.Intn(256-len(laneSpecials))))
 			}
 		}
-		seeds = append(seeds, b)
+		return b
+	}
+	var seeds [][]byte
+	for lanes := 1; lanes <= 72; lanes++ {
+		seeds = append(seeds, seed(lanes, lanes*7%81, lanes%3))
+	}
+	for _, lanes := range []int{10, 32, 33, 64, 65, 72} {
+		seeds = append(seeds, seed(lanes, 64, 0), seed(lanes, 80, 0))
 	}
 	return seeds
 }
 
 // FuzzLaneKernels holds every lane kernel tier the CPU runs to the Go
-// reference loops (checkLaneKernels), one subtest per tier; the go subtest
-// holds the reference to itself and checks the wrappers' panics.
+// reference loop (checkLaneKernels), one subtest per tier; the go subtest
+// holds the reference to itself and checks the wrapper's panics.
 func FuzzLaneKernels(f *testing.F) {
 	for _, s := range laneSeeds() {
 		f.Add(s)

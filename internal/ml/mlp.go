@@ -336,6 +336,9 @@ func classOf(z []float64) float64 {
 	return argmax(z)
 }
 
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return x-x == 0 }
+
 // argmax returns the index of p's first largest value.
 func argmax(p []float64) float64 {
 	best, bestV := 0, p[0]

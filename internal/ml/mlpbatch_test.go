@@ -67,6 +67,68 @@ func gradBatchTuples(rng *rand.Rand, n, features, classes int) []data.Tuple {
 	return ts
 }
 
+// holesFreeMix returns n tuples of features columns in the layouts that
+// take gradBatch's lane path for W1: dense rows with stored zeros, short
+// dense rows, and full rows and short prefixes stored sparse with indices
+// 0…k−1 (zeros stored). Values are multiples of 1/8 in [−15.25, 15.875], so
+// encodeGradBatchInput takes them.
+func holesFreeMix(rng *rand.Rand, n, features, classes int) []data.Tuple {
+	vals := func(k int) []float64 {
+		v := make([]float64, k)
+		for i := range v {
+			if rng.Intn(5) > 0 {
+				v[i] = float64(rng.Intn(250)-122) / 8
+			}
+		}
+		return v
+	}
+	ts := make([]data.Tuple, n)
+	for i := range ts {
+		t := data.Tuple{ID: int64(i), Label: float64(rng.Intn(classes))}
+		k := features
+		if rng.Intn(2) == 0 {
+			k = rng.Intn(features + 1)
+		}
+		if rng.Intn(2) == 0 {
+			t.Dense = vals(k)
+		} else {
+			t.SparseIdx = make([]int32, k)
+			for c := range t.SparseIdx {
+				t.SparseIdx[c] = int32(c)
+			}
+			t.SparseVal = vals(k)
+		}
+		ts[i] = t
+	}
+	return ts
+}
+
+// nanX86 is the NaN x86 produces itself (0/0, ∞−∞); see laneSpecials.
+var nanX86 = math.Float64frombits(0xFFF8000000000000)
+
+// withNonfinite returns a copy of ts in which the tuples at the given
+// positions carry +Inf, −Inf and NaN in turn, at a coordinate they store.
+func withNonfinite(ts []data.Tuple, at ...int) []data.Tuple {
+	ts = slices.Clone(ts)
+	for q, i := range at {
+		t := &ts[i]
+		vals := slices.Clone(t.Dense)
+		if t.IsSparse() {
+			vals = slices.Clone(t.SparseVal)
+		}
+		if len(vals) == 0 {
+			t.SparseIdx, vals = []int32{0}, []float64{0}
+		}
+		vals[(7*q)%len(vals)] = []float64{math.Inf(1), math.Inf(-1), nanX86}[q%3]
+		if t.IsSparse() {
+			t.SparseVal = vals
+		} else {
+			t.Dense = vals
+		}
+	}
+	return ts
+}
+
 // outOfRowTuples returns tuples with an entry outside their W1 row, none of
 // them as the last index alone would show: an unsorted tuple whose first
 // index is past features, the bias column itself, a gap-free run past
@@ -184,6 +246,51 @@ func testGradBatchMatchesBackward(t *testing.T) {
 			}
 		}
 	}
+
+	// Tuples with holes carrying ±Inf and NaN: their batches scatter the
+	// W1 adds of the tuples the ReLU lets through, and nothing else.
+	m := MLP{Classes: classes, Hidden: 30}
+	w := make([]float64, m.Dim(features))
+	m.InitWeights(w, features, rng)
+	holes := withNonfinite(gradBatchTuples(rng, 200, features, classes), 10, 100, 150)
+	for _, s := range [][]int{{64}, {13}} {
+		if err := checkGradBatch(m, w, holes, s); err != nil {
+			t.Errorf("holes with ±Inf and NaN sizes=%v: %v", s, err)
+		}
+	}
+
+	// A holes-free mix, whose batches add their W1 rows on gemvT, at
+	// widths past one AVX-512 block of lanes and off a multiple of four;
+	// the batches holding a tuple with ±Inf or NaN fall back to backward.
+	const mixFeatures, mixClasses = 37, 10
+	mix := withNonfinite(holesFreeMix(rng, 320, mixFeatures, mixClasses), 70, 150, 290)
+	for _, hidden := range []int{33, 32} {
+		m := MLP{Classes: mixClasses, Hidden: hidden}
+		w := make([]float64, m.Dim(mixFeatures))
+		m.InitWeights(w, mixFeatures, rng)
+		for name, w := range weightVariants(m, w, mixFeatures) {
+			for _, s := range [][]int{{64}, {64, 1, 63, 64}} {
+				if err := checkGradBatch(m, w, mix, s); err != nil {
+					t.Errorf("mix hidden=%d %s sizes=%v: %v", hidden, name, s, err)
+				}
+			}
+		}
+		// The clean batches took the lane path, and the others did not.
+		var ws Workspace
+		for lo := 0; lo < len(mix); lo += 64 {
+			batch := mix[lo : lo+64]
+			ws.layout = ws.layout[:0]
+			for i := range batch {
+				l, _ := layoutOf(&batch[i], mixFeatures)
+				ws.layout = append(ws.layout, l)
+			}
+			ws.loss = make([]float64, len(batch))
+			clean := lo/64 != 1 && lo/64 != 2 && lo/64 != 4
+			if got := m.stage(&ws, w, batch, mixFeatures, false); got != clean {
+				t.Errorf("mix hidden=%d batch at %d: stage reports finite %v, want %v", hidden, lo, got, clean)
+			}
+		}
+	}
 }
 
 // TestMiniBatchMatchesBackward: the trainer's mini-batch loop over an MLP
@@ -245,10 +352,12 @@ func TestMiniBatchMatchesBackward(t *testing.T) {
 // gradBatchInput decodes a fuzz input: an MLP shape, a weight seed and
 // flags, batch sizes, and a stream of tuples. Layout, per byte: features
 // 1+b%24, hidden 1+b%32, classes 2+b%4, batch 1+b%64, weight seed, flags
-// (bit 0: overflowed weights, else bit 1: infinite ones); then tuples, each a kind byte (kind%3: 0
-// dense, 1 gap-free 0…n−1, 2 sparse with explicit indices), a label byte, a
-// count byte n = b%(features+3), the indices (kind 2 only, each
-// b%(features+3)) and n values (int8/8). Missing bytes read as 0.
+// (bit 0: overflowed weights, else bit 1: infinite ones; bit 2: value
+// bytes 0x80, 0x81 and 0x82 read as +Inf, −Inf and NaN); then tuples, each
+// a kind byte (kind%3: 0 dense, 1 gap-free 0…n−1, 2 sparse with explicit
+// indices), a label byte, a count byte n = b%(features+3), the indices
+// (kind 2 only, each b%(features+3)) and n values (int8/8). Missing bytes
+// read as 0.
 func gradBatchInput(b []byte) (m MLP, features int, w []float64, ts []data.Tuple, batch int) {
 	pos := 0
 	next := func() byte {
@@ -294,7 +403,11 @@ func gradBatchInput(b []byte) (m MLP, features int, w []float64, ts []data.Tuple
 			vals = t.SparseVal
 		}
 		for i := range vals {
-			vals[i] = float64(int8(next())) / 8
+			if v := int8(next()); flags&4 != 0 && v <= -126 {
+				vals[i] = [...]float64{math.Inf(1), math.Inf(-1), nanX86}[int(v)+128]
+			} else {
+				vals[i] = float64(v) / 8
+			}
 		}
 		ts = append(ts, t)
 	}
@@ -302,7 +415,8 @@ func gradBatchInput(b []byte) (m MLP, features int, w []float64, ts []data.Tuple
 }
 
 // encodeGradBatchInput is gradBatchInput's inverse for the fuzz seeds: each
-// value must be a multiple of 1/8 in [−16, 16).
+// value must be a multiple of 1/8 in [−16, 16), or with flags bit 2 ±Inf,
+// NaN or one in [−15.625, 16).
 func encodeGradBatchInput(features, hidden, classes, batch int, flags byte, ts []data.Tuple) []byte {
 	b := []byte{byte(features - 1), byte(hidden - 1), byte(classes - 2), byte(batch - 1), 17, flags}
 	for _, t := range ts {
@@ -321,7 +435,16 @@ func encodeGradBatchInput(features, hidden, classes, batch int, flags byte, ts [
 			vals = t.SparseVal
 		}
 		for _, v := range vals[:t.NNZ()] {
-			b = append(b, byte(int8(v*8)))
+			switch {
+			case math.IsInf(v, 1):
+				b = append(b, 0x80)
+			case math.IsInf(v, -1):
+				b = append(b, 0x81)
+			case math.IsNaN(v):
+				b = append(b, 0x82)
+			default:
+				b = append(b, byte(int8(v*8)))
+			}
 		}
 	}
 	return b
@@ -389,7 +512,9 @@ var goldenLayouts = []string{"dense", "sparse", "holes", "full"}
 
 // gradBatchSeeds returns one fuzz seed per layout of core.TestMLPGolden's
 // matrix (goldenLayout), at its shape (20 features, 4 classes, batch 64),
-// and two more full ones, with overflowed and with infinite weights.
+// and two more full ones, with overflowed and with infinite weights; then
+// TestGradBatchMatchesBackward's holes-free mix at batch 64, once clean and
+// once with ±Inf and NaN values in its second batch.
 func gradBatchSeeds() [][]byte {
 	const features, classes, n = 20, 4, 40
 	rng := rand.New(rand.NewSource(71))
@@ -397,9 +522,13 @@ func gradBatchSeeds() [][]byte {
 	for _, kind := range goldenLayouts {
 		seeds = append(seeds, encodeGradBatchInput(features, 32, classes, 64, 0, goldenLayout(rng, kind, n, features, classes)))
 	}
-	return append(seeds,
+	seeds = append(seeds,
 		encodeGradBatchInput(features, 30, classes, 7, 1, goldenLayout(rng, "full", n, features, classes)),
 		encodeGradBatchInput(features, 30, classes, 9, 2, goldenLayout(rng, "full", n, features, classes)))
+	mix := holesFreeMix(rng, 130, features, classes)
+	return append(seeds,
+		encodeGradBatchInput(features, 32, classes, 64, 0, mix),
+		encodeGradBatchInput(features, 32, classes, 64, 4, withNonfinite(mix, 70, 100, 120)))
 }
 
 // FuzzGradBatch holds gradBatch to backward called tuple after tuple, as

@@ -15,17 +15,25 @@ type Workspace struct {
 	h, p, dh []float64
 
 	// The MLP's batch scratch (gradBatch): per tuple of the batch its
-	// loss, layout, hidden activations, output deltas and hidden deltas;
-	// per W2 row the hidden units not yet marked; per W1 row the length of
-	// its marked prefix and the tuples that reach it.
+	// loss and layout; at the lane strides its hidden activations (bh),
+	// output deltas (bdk) and ReLU-gated hidden deltas (bdh), and the
+	// deltas again unit-major (dkT, dhT); the tuples' values zero-padded
+	// to whole lane groups (x); a vector of ones and the biases it adds
+	// to (ones, bias); per W2 row the hidden units not yet marked, per W1
+	// row the length of its marked prefix, and the rows still open to the
+	// marks pass (open2, open1); the tuples a W1 row's scatter adds take
+	// (active).
 	loss         []float64
 	layout       []rowLayout
 	bh, bdk, bdh []float64
+	dkT, dhT     []float64
+	x            []float64
+	ones, bias   []float64
 	unmarked     []int32
 	nUnmarked    []int
 	markedPrefix []int
+	open2, open1 []int32
 	active       []int32
-	nActive      []int
 
 	// lanes holds the MLP's weights transposed for the lane kernels
 	// (laneWeights), rebuilt once per weight version.

@@ -19,6 +19,10 @@ go vet ./...
 # other step builds for another GOARCH.
 GOARCH=arm64 go vet ./internal/ml/ ./internal/core/
 go test ./...
+# The lane kernel tiers this host ran (avx512, avx2, go): a tier the CPU
+# lacks shows as SKIP, so a green log says which kernels it covered.
+tiers=$(go test -count=1 -v -run '^TestAccuracyMatchesPredict$' ./internal/ml/)
+echo "$tiers" | grep -E '^ +--- (PASS|SKIP): TestAccuracyMatchesPredict/'
 # At GOAMD64=v3 the compiler may use FMA; the MLP goldens and the lane
 # tests must still hold, proving it fuses no s += a*b the kernels rely on.
 GOAMD64=v3 go test ./internal/ml/ ./internal/core/
