@@ -48,7 +48,9 @@ type (
 	// Order is the physical tuple order (clustered / shuffled / by
 	// feature).
 	Order = data.Order
-	// Model is a trainable per-example loss.
+	// Model is a trainable per-example loss, one that NewModel builds: its
+	// gradient method is unexported, so only those models, or a type
+	// embedding one, implement it.
 	Model = ml.Model
 	// Optimizer applies gradient updates.
 	Optimizer = ml.Optimizer

@@ -7,6 +7,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -133,6 +134,23 @@ type Result struct {
 	Plan *obs.PlanStats
 }
 
+// diverged returns the error that fails a run whose epoch ended on a
+// non-finite mean loss or weight, naming the epoch (1-based, as the epoch
+// table prints it) and the first non-finite coordinate of w, if any. A
+// diverged model is never installed (DESIGN.md "A diverged TRAIN installs
+// nothing"). The check is O(len(w)) once per epoch.
+func diverged(epoch int, loss float64, w []float64) error {
+	for i, v := range w {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: epoch %d diverged: loss %v, w[%d] = %v", epoch, loss, i, v)
+		}
+	}
+	if math.IsNaN(loss) || math.IsInf(loss, 0) {
+		return fmt.Errorf("core: epoch %d diverged: loss %v, every weight finite", epoch, loss)
+	}
+	return nil
+}
+
 // Final returns the last epoch point (zero value for an empty run).
 func (r *Result) Final() EpochPoint {
 	if len(r.Points) == 0 {
@@ -222,8 +240,9 @@ func (l *Loop) Reset() {
 // Step trains one epoch over next and records it. streamErr is asked, once
 // the stream has ended, whether it ended on an error; such an error is
 // returned wrapped as "core: epoch N stream: ..." with the 0-based epoch, so
-// every tuple source words a storage failure the same way. On that error (or
-// a canceled Ctx) the epoch is not recorded.
+// every tuple source words a storage failure the same way. An epoch that
+// ends on a non-finite mean loss or weight fails the run (diverged). On
+// these errors (or a canceled Ctx) the epoch is not recorded.
 func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (EpochPoint, error) {
 	cfg := &l.cfg
 	w := l.res.W
@@ -264,6 +283,9 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 	}
 	if err := streamErr(); err != nil {
 		return EpochPoint{}, fmt.Errorf("core: epoch %d stream: %w", epoch-1, err)
+	}
+	if err := diverged(epoch, stats.AvgLoss, w); err != nil {
+		return EpochPoint{}, err
 	}
 	p := EpochPoint{Epoch: epoch, AvgLoss: stats.AvgLoss, Tuples: stats.Tuples}
 	if cfg.Clock != nil {

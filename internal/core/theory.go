@@ -27,6 +27,7 @@ func HDFactor(m ml.Model, w []float64, ds *data.Dataset, blockTuples int) float6
 	}
 	dim := len(w)
 	full := make([]float64, dim)
+	var ws ml.Workspace
 	var gi []int32
 	var gv []float64
 
@@ -35,7 +36,7 @@ func HDFactor(m ml.Model, w []float64, ds *data.Dataset, blockTuples int) float6
 	// memory: first pass computes ∇F, second computes both variances.
 	perTuple := func(i int, out []float64) {
 		gi, gv = gi[:0], gv[:0]
-		_, gi, gv = m.Grad(w, &ds.Tuples[i], gi, gv)
+		_, gi, gv = ml.Grad(m, &ws, w, &ds.Tuples[i], gi, gv)
 		for j := range out {
 			out[j] = 0
 		}

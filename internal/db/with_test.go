@@ -2,12 +2,15 @@ package db
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"corgipile/internal/executor"
 	"corgipile/internal/shuffle"
 	"corgipile/internal/sqlparse"
+	"corgipile/internal/storage"
 )
 
 const validTrainKeys = "(valid keys: batch_size, buffer_fraction, decay, double_buffer, learning_rate, " +
@@ -61,6 +64,84 @@ func TestTrainWithMustFail(t *testing.T) {
 	}
 	if _, ok := s.Model("m"); ok {
 		t.Error("a refused TRAIN stored its model")
+	}
+}
+
+// Every TRAIN whose steps overflow must fail at the first epoch that ends on
+// a non-finite loss or weight, naming the epoch and the first bad
+// coordinate, and store nothing: each model at a learning rate of 1e308,
+// whose first step overflows a weight to ±Inf and the next makes it NaN.
+// Without the check each of them stored a NaN model that PREDICT served.
+func TestTrainDivergedMustFail(t *testing.T) {
+	tests := []struct {
+		table, model string
+		want         string
+	}{
+		{table: "t", model: "lr", want: "core: epoch 1 diverged: loss NaN, w[0] = NaN"},
+		{table: "t", model: "svm", want: "core: epoch 1 diverged: loss NaN, w[0] = NaN"},
+		{table: "t", model: "linreg", want: "core: epoch 1 diverged: loss NaN, w[0] = NaN"},
+		{table: "t", model: "fm", want: "core: epoch 1 diverged: loss NaN, w[0] = NaN"},
+		{table: "c", model: "softmax", want: "core: epoch 1 diverged: loss NaN, w[0] = NaN"},
+		{table: "c", model: "mlp", want: "core: epoch 1 diverged: loss NaN, w[0] = NaN"},
+	}
+	s := NewSession()
+	mustExec(t, s, `CREATE TABLE t AS SYNTHETIC(workload='susy', scale=0.02)`)
+	mustExec(t, s, `CREATE TABLE c AS SYNTHETIC(workload='cifar10', scale=0.04)`)
+	for _, tt := range tests {
+		sql := `SELECT * FROM ` + tt.table + ` TRAIN BY ` + tt.model + ` MODEL m WITH learning_rate=1e308, max_epoch_num=3`
+		_, err := s.Exec(sql)
+		if err == nil {
+			t.Errorf("%s: succeeded, want %q", sql, tt.want)
+		} else if err.Error() != tt.want {
+			t.Errorf("%s:\n got %q\nwant %q", sql, err, tt.want)
+		}
+	}
+	if _, ok := s.Model("m"); ok {
+		t.Error("a diverged TRAIN stored its model")
+	}
+}
+
+// A diverged TRAIN on a durable session fails with the divergence error and
+// reaches neither the catalog nor the WAL, so recovery and replicas never
+// see it; a diverged resume leaves the model it resumed as it was. (Before
+// the check such a TRAIN failed here too, on the WAL's JSON encoder, which
+// has no NaN: "db: wal payload: json: unsupported value: NaN".)
+func TestTrainDivergedLogsNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newDurableSession(t, dir)
+	mustExec(t, s, walTestCreate)
+	mustExec(t, s, `SELECT * FROM t TRAIN BY svm MODEL m1 WITH max_epoch_num=1`)
+	m1, _ := s.Model("m1")
+	w1 := slices.Clone(m1.W)
+	mustExec(t, s, insertSQL(t, s, "t", 40)) // blocks for the resume
+	recs := collectRecords(s)
+	for _, sql := range []string{
+		`SELECT * FROM t TRAIN BY linreg MODEL m2 WITH learning_rate=1e308, max_epoch_num=2`,
+		`SELECT * FROM t TRAIN BY svm MODEL m1 WITH resume='m1', learning_rate=1e308, max_epoch_num=2`,
+	} {
+		if _, err := s.Exec(sql); err == nil || !strings.HasPrefix(err.Error(), "core: epoch 1 diverged: ") {
+			t.Fatalf("%s: got %v, want a divergence error", sql, err)
+		}
+	}
+	for _, rec := range *recs {
+		if rec.Type == storage.WALPutModel {
+			t.Fatal("a diverged TRAIN logged a put-model record")
+		}
+	}
+	if _, ok := s.Model("m2"); ok {
+		t.Error("a diverged TRAIN stored its model")
+	}
+	if m, _ := s.Model("m1"); !slices.Equal(m.W, w1) {
+		t.Error("a diverged resume changed the model it resumed")
+	}
+	s.Close()
+
+	re, _ := newDurableSession(t, dir)
+	if _, ok := re.Model("m2"); ok {
+		t.Error("recovery installed a diverged model")
+	}
+	if m, _ := re.Model("m1"); !slices.Equal(m.W, w1) {
+		t.Error("recovery changed the model a diverged resume read")
 	}
 }
 

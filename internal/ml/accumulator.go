@@ -1,9 +1,15 @@
 package ml
 
+import (
+	"slices"
+
+	"corgipile/internal/data"
+)
+
 // gradAccumulator folds sparse per-tuple gradients into a dense accumulator,
 // deduplicating repeated indices via a touched list so the optimizer's
 // per-coordinate state is stepped once per mini-batch. It is the Trainer's
-// mini-batch reducer.
+// mini-batch reducer; gradDest's put methods fill it.
 type gradAccumulator struct {
 	acc     []float64 // dense gradient accumulator
 	mark    []bool    // whether a coordinate is already in touched
@@ -21,9 +27,9 @@ func (a *gradAccumulator) Reset(dim int) {
 	a.Clear()
 }
 
-// Add folds one sparse gradient into the accumulator. Entries are applied in
-// slice order, so the floating-point accumulation order is exactly the order
-// in which (gi, gv) pairs were produced.
+// Add folds one sparse gradient (gi, gv) into the accumulator, entry by
+// entry in slice order. Storing a value in gv rounded it, so no compiler
+// can fuse its product into the add.
 func (a *gradAccumulator) Add(gi []int32, gv []float64) {
 	for i, idx := range gi {
 		a.addEntry(idx, gv[i])
@@ -42,7 +48,7 @@ func (a *gradAccumulator) addEntry(idx int32, v float64) {
 
 // Gather scales the accumulated gradient by inv (1/batchSize for averaging)
 // and returns it in sparse form. The returned slices are valid until the
-// next Add, Gather, or Clear.
+// next entry, Gather, or Clear.
 func (a *gradAccumulator) Gather(inv float64) ([]int32, []float64) {
 	a.gv = a.gv[:0]
 	for _, idx := range a.touched {
@@ -62,22 +68,12 @@ func (a *gradAccumulator) Clear() {
 	a.gv = a.gv[:0]
 }
 
-// Step averages the accumulated gradient over count tuples, applies one
-// optimizer step to w, and clears the accumulator.
-func (a *gradAccumulator) Step(opt Optimizer, w []float64, count int) {
-	if count <= 0 {
-		return
-	}
-	gi, gv := a.Gather(1 / float64(count))
-	opt.Step(w, gi, gv)
-	a.Clear()
-}
-
-// gradDest is where a backward pass puts its gradient entries: appended to
-// gi/gv, or — when acc is set, as on gradBatch's out-of-row path — folded
-// straight into acc by the addEntry step Add applies to a (gi, gv) log (the
-// row writers below inline it). Either way every coordinate receives the same
-// values in the same order.
+// gradDest is where a model's gradBatch puts its gradient entries: appended
+// to gi/gv, or — when acc is set, as in a mini-batch — folded straight into
+// acc by addEntry (the row writers below inline it). Either way every
+// coordinate receives the same values in the same order, so gradBatch into
+// acc leaves it as Grad's (gi, gv) folded through addEntry entry by entry
+// would.
 type gradDest struct {
 	gi  []int32
 	gv  []float64
@@ -113,12 +109,25 @@ func (d *gradDest) putScaled(base int32, g float64, idxs []int32, vals []float64
 		a.touched = touched
 		return
 	}
-	gi, gv := d.gi, d.gv
+	// Grown once, so the loop stores without append's per-entry checks.
+	n := len(d.gi)
+	gi := slices.Grow(d.gi, len(idxs))[:n+len(idxs)]
+	gv := slices.Grow(d.gv, len(idxs))[:n+len(idxs)]
 	for i, idx := range idxs {
-		gi = append(gi, base+idx)
-		gv = append(gv, float64(g*vals[i]))
+		gi[n+i] = base + idx
+		gv[n+i] = float64(g * vals[i])
 	}
 	d.gi, d.gv = gi, gv
+}
+
+// putTuple emits g·x over t's entries at base: putScaled over a sparse
+// tuple's stored entries, putScaledDense over a dense tuple's nonzeros.
+func (d *gradDest) putTuple(base int32, g float64, t *data.Tuple) {
+	if t.IsSparse() {
+		d.putScaled(base, g, t.SparseIdx, t.SparseVal)
+	} else {
+		d.putScaledDense(base, g, t.Dense)
+	}
 }
 
 // putScaledDense is putScaled over a dense row: vals[i] goes to base+i, and
@@ -140,13 +149,16 @@ func (d *gradDest) putScaledDense(base int32, g float64, vals []float64) {
 		a.touched = touched
 		return
 	}
-	gi, gv := d.gi, d.gv
+	n := len(d.gi)
+	gi := slices.Grow(d.gi, len(vals))[:n+len(vals)]
+	gv := slices.Grow(d.gv, len(vals))[:n+len(vals)]
 	for i, v := range vals {
 		if v == 0 {
 			continue
 		}
-		gi = append(gi, base+int32(i))
-		gv = append(gv, float64(g*v))
+		gi[n] = base + int32(i)
+		gv[n] = float64(g * v)
+		n++
 	}
-	d.gi, d.gv = gi, gv
+	d.gi, d.gv = gi[:n], gv[:n]
 }

@@ -59,20 +59,21 @@ func BenchmarkGrad(b *testing.B) {
 			var gi []int32
 			var gv []float64
 			// Warm the scratch buffers so steady state is measured.
-			_, gi, gv = GradWS(bm.model, &ws, w, bm.ds.At(0), gi[:0], gv[:0])
+			_, gi, gv = Grad(bm.model, &ws, w, bm.ds.At(0), gi[:0], gv[:0])
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t := bm.ds.At(i % bm.ds.Len())
-				_, gi, gv = GradWS(bm.model, &ws, w, t, gi[:0], gv[:0])
+				_, gi, gv = Grad(bm.model, &ws, w, t, gi[:0], gv[:0])
 			}
 		})
 	}
 }
 
-// TestGradWSAllocationFree is the hot path's one hard property: in steady
-// state a workspace gradient evaluation allocates nothing, for every model.
-func TestGradWSAllocationFree(t *testing.T) {
+// TestGradAllocationFree is the hot path's one hard property: in steady
+// state a gradient evaluation allocates nothing, for every model, per tuple
+// (Grad) and per mini-batch into the accumulator (gradBatch).
+func TestGradAllocationFree(t *testing.T) {
 	for _, bm := range benchModels() {
 		w := make([]float64, bm.model.Dim(bm.ds.Features))
 		if bm.init != nil {
@@ -83,31 +84,27 @@ func TestGradWSAllocationFree(t *testing.T) {
 		var gv []float64
 		// Warm the scratch buffers over every tuple, the widest included.
 		for i := 0; i < bm.ds.Len(); i++ {
-			_, gi, gv = GradWS(bm.model, &ws, w, bm.ds.At(i), gi[:0], gv[:0])
+			_, gi, gv = Grad(bm.model, &ws, w, bm.ds.At(i), gi[:0], gv[:0])
 		}
 		i := 0
 		if allocs := testing.AllocsPerRun(200, func() {
-			_, gi, gv = GradWS(bm.model, &ws, w, bm.ds.At(i%bm.ds.Len()), gi[:0], gv[:0])
+			_, gi, gv = Grad(bm.model, &ws, w, bm.ds.At(i%bm.ds.Len()), gi[:0], gv[:0])
 			i++
 		}); allocs != 0 {
-			t.Errorf("%s: GradWS allocates %v times per call, want 0", bm.name, allocs)
+			t.Errorf("%s: Grad allocates %v times per call, want 0", bm.name, allocs)
 		}
 
-		// The mini-batch path adds a batch at a time into the accumulator.
-		g, ok := bm.model.(MLP)
-		if !ok {
-			continue
-		}
 		const batch = 64
 		var acc gradAccumulator
 		acc.Reset(len(w))
+		d := &gradDest{acc: &acc}
 		for lo := 0; lo+batch <= bm.ds.Len(); lo += batch {
-			g.gradBatch(&ws, w, bm.ds.Tuples[lo:lo+batch], &acc)
+			bm.model.gradBatch(&ws, w, bm.ds.Tuples[lo:lo+batch], d)
 		}
 		if allocs := testing.AllocsPerRun(50, func() {
 			acc.Clear()
 			lo := i % (bm.ds.Len() - batch)
-			g.gradBatch(&ws, w, bm.ds.Tuples[lo:lo+batch], &acc)
+			bm.model.gradBatch(&ws, w, bm.ds.Tuples[lo:lo+batch], d)
 			i += batch
 		}); allocs != 0 {
 			t.Errorf("%s: gradBatch allocates %v times per batch, want 0", bm.name, allocs)
@@ -170,23 +167,29 @@ func holesWorkloadDS() *data.Dataset {
 	return ds
 }
 
-// BenchmarkEpoch measures a full trainer epoch (per-tuple SGD and batch 64)
-// over an in-memory dataset, plus the MLP at the shape of the benchmark's
-// train_mlp_batch workload (hidden 32, batch 64), once as loaded and once
-// with every 7th index dropped, so the generic sparse path keeps a number.
-// The MLP runs once per lane kernel tier the CPU has (mlp/avx512, mlp/avx2,
-// mlp/go), so the AVX2-only and Go reference costs are measured, not
-// guessed.
+// BenchmarkEpoch measures a full trainer epoch over an in-memory dataset:
+// svm per tuple and at batch 64 (tuple, batch64), lr, softmax and fm the
+// same way (lr/tuple, lr/batch64, …), and the MLP at the shape of the
+// benchmark's train_mlp_batch workload (hidden 32, batch 64), once as loaded
+// and once with every 7th index dropped, so the generic sparse path keeps a
+// number. The MLP runs once per lane kernel tier the CPU has (mlp/avx512,
+// mlp/avx2, mlp/go), so the AVX2-only and Go reference costs are measured,
+// not guessed.
 func BenchmarkEpoch(b *testing.B) {
 	svmDS := data.SyntheticBinary(data.SyntheticConfig{
 		Tuples: 4096, Features: 28, Order: data.OrderShuffled, Seed: 31})
+	multiDS := data.SyntheticMulticlass(data.SyntheticConfig{
+		Tuples: 4096, Features: 28, Classes: 5, Order: data.OrderShuffled, Seed: 33})
 	mlpDS := mlpWorkloadDS()
 	holesDS := holesWorkloadDS()
 	run := func(b *testing.B, m Model, ds *data.Dataset, batchSize int) {
 		tr := NewTrainer(m, NewSGD(0.01), batchSize)
 		w := make([]float64, m.Dim(ds.Features))
-		if mlp, ok := m.(MLP); ok {
-			mlp.InitWeights(w, ds.Features, rand.New(rand.NewSource(1)))
+		switch m := m.(type) {
+		case MLP:
+			m.InitWeights(w, ds.Features, rand.New(rand.NewSource(1)))
+		case FactorizationMachine:
+			m.InitWeights(w, ds.Features, 0.01, rand.New(rand.NewSource(1)))
 		}
 		tr.Opt.Reset(len(w))
 		// One resettable stream, constructed outside the timed loop so the
@@ -211,6 +214,20 @@ func BenchmarkEpoch(b *testing.B) {
 	}
 	b.Run("tuple", func(b *testing.B) { run(b, SVM{}, svmDS, 1) })
 	b.Run("batch64", func(b *testing.B) { run(b, SVM{}, svmDS, 64) })
+	for _, c := range []struct {
+		name string
+		m    Model
+		ds   *data.Dataset
+	}{
+		{"lr", LogisticRegression{}, svmDS},
+		{"softmax", Softmax{Classes: 5}, multiDS},
+		{"fm", FactorizationMachine{Factors: 8}, svmDS},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.Run("tuple", func(b *testing.B) { run(b, c.m, c.ds, 1) })
+			b.Run("batch64", func(b *testing.B) { run(b, c.m, c.ds, 64) })
+		})
+	}
 	mlp := MLP{Classes: 10, Hidden: 32}
 	b.Run("mlp", func(b *testing.B) { forEachTier(b, func(b *testing.B) { run(b, mlp, mlpDS, 64) }) })
 	b.Run("mlp_holes", func(b *testing.B) { forEachTier(b, func(b *testing.B) { run(b, mlp, holesDS, 64) }) })

@@ -97,20 +97,25 @@ func (m FactorizationMachine) score(w []float64, t *data.Tuple) float64 {
 	return y
 }
 
-// Loss implements Model (logistic loss on ±1 labels).
-func (m FactorizationMachine) Loss(w []float64, t *data.Tuple) float64 {
-	return logLoss(t.Label * m.score(w, t))
+// gradBatch implements Model: logistic loss on ±1 labels. Each tuple's
+// entries scatter over V, so they are appended as computed: to d's (gi, gv),
+// or to a log in ws that d's accumulator then adds entry by entry.
+func (m FactorizationMachine) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64 {
+	losses := scratch(&ws.loss, len(ts))
+	for i := range ts {
+		if d.acc == nil {
+			losses[i], d.gi, d.gv = m.grad(ws, w, &ts[i], d.gi, d.gv)
+			continue
+		}
+		losses[i], ws.gi, ws.gv = m.grad(ws, w, &ts[i], ws.gi[:0], ws.gv[:0])
+		d.acc.Add(ws.gi, ws.gv)
+	}
+	return losses
 }
 
-// Grad implements Model.
-func (m FactorizationMachine) Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	var ws Workspace
-	return m.GradWS(&ws, w, t, gi, gv)
-}
-
-// GradWS implements WorkspaceGrader: Grad with the per-factor sum buffer in
-// ws, so steady-state calls are allocation-free.
-func (m FactorizationMachine) GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
+// grad appends t's gradient entries to gi/gv and returns its loss, with the
+// per-factor sums in ws.
+func (m FactorizationMachine) grad(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
 	y, sums := m.scoreSums(ws, w, t)
 	ym := t.Label * y
 	loss := logLoss(ym)

@@ -15,29 +15,14 @@ func margin(w []float64, t *data.Tuple) float64 {
 	return t.Dot(w[:len(w)-1]) + w[len(w)-1]
 }
 
-// appendScaledFeatures appends s·x (plus the bias entry s) to the sparse
-// gradient accumulator.
-func appendScaledFeatures(gi []int32, gv []float64, t *data.Tuple, s float64, biasIdx int32) ([]int32, []float64) {
+// putFeatures puts s·x and then the bias entry s into d; s = 0 puts
+// nothing.
+func putFeatures(d *gradDest, t *data.Tuple, s float64, biasIdx int) {
 	if s == 0 {
-		return gi, gv
+		return
 	}
-	if t.IsSparse() {
-		for i, idx := range t.SparseIdx {
-			gi = append(gi, idx)
-			gv = append(gv, s*t.SparseVal[i])
-		}
-	} else {
-		for i, v := range t.Dense {
-			if v == 0 {
-				continue
-			}
-			gi = append(gi, int32(i))
-			gv = append(gv, s*v)
-		}
-	}
-	gi = append(gi, biasIdx)
-	gv = append(gv, s)
-	return gi, gv
+	d.putTuple(0, s, t)
+	d.put(int32(biasIdx), s)
 }
 
 // LogisticRegression is binary logistic regression on ±1 labels with
@@ -50,25 +35,17 @@ func (LogisticRegression) Name() string { return "lr" }
 // Dim implements Model; one slot per feature plus a bias.
 func (LogisticRegression) Dim(features int) int { return features + 1 }
 
-// Loss implements Model.
-func (LogisticRegression) Loss(w []float64, t *data.Tuple) float64 {
-	return logLoss(t.Label * margin(w, t))
-}
-
-// Grad implements Model.
-func (m LogisticRegression) Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	ym := t.Label * margin(w, t)
-	loss := logLoss(ym)
-	// d/dmargin log(1+exp(-y·m)) = -y·σ(-y·m)
-	s := -t.Label * sigmoid(-ym)
-	gi, gv = appendScaledFeatures(gi, gv, t, s, int32(len(w)-1))
-	return loss, gi, gv
-}
-
-// GradWS implements WorkspaceGrader; GLM gradients need no scratch, so this
-// is Grad.
-func (m LogisticRegression) GradWS(_ *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	return m.Grad(w, t, gi, gv)
+// gradBatch implements Model.
+func (LogisticRegression) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64 {
+	losses := scratch(&ws.loss, len(ts))
+	for i := range ts {
+		t := &ts[i]
+		ym := t.Label * margin(w, t)
+		losses[i] = logLoss(ym)
+		// d/dmargin log(1+exp(-y·m)) = -y·σ(-y·m)
+		putFeatures(d, t, -t.Label*sigmoid(-ym), len(w)-1)
+	}
+	return losses
 }
 
 // Predict implements Model, returning ±1.
@@ -89,29 +66,20 @@ func (SVM) Name() string { return "svm" }
 // Dim implements Model.
 func (SVM) Dim(features int) int { return features + 1 }
 
-// Loss implements Model.
-func (SVM) Loss(w []float64, t *data.Tuple) float64 {
-	l := 1 - t.Label*margin(w, t)
-	if l < 0 {
-		return 0
+// gradBatch implements Model.
+func (SVM) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64 {
+	losses := scratch(&ws.loss, len(ts))
+	for i := range ts {
+		t := &ts[i]
+		l := 1 - t.Label*margin(w, t)
+		if l <= 0 {
+			losses[i] = 0
+			continue
+		}
+		losses[i] = l
+		putFeatures(d, t, -t.Label, len(w)-1)
 	}
-	return l
-}
-
-// Grad implements Model.
-func (m SVM) Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	l := 1 - t.Label*margin(w, t)
-	if l <= 0 {
-		return 0, gi, gv
-	}
-	gi, gv = appendScaledFeatures(gi, gv, t, -t.Label, int32(len(w)-1))
-	return l, gi, gv
-}
-
-// GradWS implements WorkspaceGrader; GLM gradients need no scratch, so this
-// is Grad.
-func (m SVM) GradWS(_ *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	return m.Grad(w, t, gi, gv)
+	return losses
 }
 
 // Predict implements Model, returning ±1.
@@ -131,23 +99,16 @@ func (LinearRegression) Name() string { return "linreg" }
 // Dim implements Model.
 func (LinearRegression) Dim(features int) int { return features + 1 }
 
-// Loss implements Model.
-func (LinearRegression) Loss(w []float64, t *data.Tuple) float64 {
-	r := margin(w, t) - t.Label
-	return 0.5 * r * r
-}
-
-// Grad implements Model.
-func (m LinearRegression) Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	r := margin(w, t) - t.Label
-	gi, gv = appendScaledFeatures(gi, gv, t, r, int32(len(w)-1))
-	return 0.5 * r * r, gi, gv
-}
-
-// GradWS implements WorkspaceGrader; GLM gradients need no scratch, so this
-// is Grad.
-func (m LinearRegression) GradWS(_ *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	return m.Grad(w, t, gi, gv)
+// gradBatch implements Model.
+func (LinearRegression) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64 {
+	losses := scratch(&ws.loss, len(ts))
+	for i := range ts {
+		t := &ts[i]
+		r := margin(w, t) - t.Label
+		losses[i] = 0.5 * r * r
+		putFeatures(d, t, r, len(w)-1)
+	}
+	return losses
 }
 
 // Predict implements Model, returning the regression value.

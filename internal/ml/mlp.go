@@ -183,33 +183,6 @@ func relu(z float64) float64 {
 	return math.Float64frombits(b)
 }
 
-// Loss implements Model.
-func (m MLP) Loss(w []float64, t *data.Tuple) float64 {
-	var ws Workspace
-	_, p, _ := m.forward(&ws, w, t)
-	py := p[classIndex(t.Label, m.Classes)]
-	if py < 1e-300 {
-		py = 1e-300
-	}
-	return -math.Log(py)
-}
-
-// Grad implements Model via backpropagation, allocating fresh scratch per
-// call; the hot path uses GradWS with a reusable Workspace instead.
-func (m MLP) Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	var ws Workspace
-	return m.GradWS(&ws, w, t, gi, gv)
-}
-
-// GradWS implements WorkspaceGrader: backpropagation with all temporaries
-// (hidden activations, probabilities, backprop deltas) in ws, so steady-state
-// calls are allocation-free.
-func (m MLP) GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	d := gradDest{gi: gi, gv: gv}
-	loss := m.backward(ws, w, t, &d)
-	return loss, d.gi, d.gv
-}
-
 // backward is the MLP's one per-tuple backpropagation: it returns the
 // example loss and puts the gradient's (index, value) entries into d. MLP
 // gradients are dense over both layers (sparse inputs still yield sparse
@@ -241,11 +214,7 @@ func (m MLP) backward(ws *Workspace, w []float64, t *data.Tuple, d *gradDest) fl
 			continue
 		}
 		base := int32(j * in1)
-		if t.IsSparse() {
-			d.putScaled(base, g, t.SparseIdx, t.SparseVal)
-		} else {
-			d.putScaledDense(base, g, t.Dense)
-		}
+		d.putTuple(base, g, t)
 		d.put(base+int32(features), g)
 	}
 	return loss

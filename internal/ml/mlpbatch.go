@@ -43,47 +43,50 @@ func layoutOf(t *data.Tuple, features int) (l rowLayout, inRow bool) {
 	return layoutSparse, true
 }
 
-// gradBatch adds the gradients of ts, in order, into acc and returns their
-// losses, valid until the next call with ws. The weights are the same for
-// every tuple of a mini-batch, so it runs batch-major: it stages every
+// gradBatch implements Model. Into a (gi, gv) destination it runs backward
+// tuple after tuple. Into an accumulator it runs batch-major, because the
+// weights are the same for every tuple of a mini-batch: it stages every
 // tuple's forward pass and deltas (stage), marks the coordinates the batch
 // reaches (markBatch), then adds every accumulator row with one gemvT call
 // over the whole batch (addBatch). Every coordinate receives the rounded
 // values backward would put, in the order backward called tuple after tuple
-// would put them, beside signed zeros that change no bits, so acc's values,
-// marks and touched order come out bit-identical (DESIGN.md "Bit-exact
-// kernels"). acc may hold earlier tuples of the same batch.
+// would put them, beside signed zeros that change no bits, so the
+// accumulator's values, marks and touched order come out bit-identical
+// (DESIGN.md "Bit-exact kernels"). The accumulator may hold earlier tuples
+// of the same batch.
 //
-// Two kinds of batch go through backward tuple after tuple instead: one
+// Two kinds of batch go through backward tuple after tuple there too: one
 // holding a tuple with an entry outside its W1 row, which lands on another
 // row's coordinates out of order, and one in which a staged value is not
 // finite, where a zero times it would add a NaN.
-func (m MLP) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, acc *gradAccumulator) []float64 {
+func (m MLP) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64 {
 	features := m.features(w)
 	losses := scratch(&ws.loss, len(ts))
+	if d.acc == nil {
+		return m.backwardEach(ws, w, ts, d)
+	}
 	layout := scratch(&ws.layout, len(ts))
 	holes := false
 	for i := range ts {
 		l, inRow := layoutOf(&ts[i], features)
 		if !inRow {
-			return m.backwardEach(ws, w, ts, acc)
+			return m.backwardEach(ws, w, ts, d)
 		}
 		layout[i] = l
 		holes = holes || l == layoutSparse
 	}
 	if !m.stage(ws, w, ts, features, holes) {
-		return m.backwardEach(ws, w, ts, acc)
+		return m.backwardEach(ws, w, ts, d)
 	}
-	m.markBatch(ws, ts, features, acc)
-	m.addBatch(ws, ts, features, holes, acc.acc)
+	m.markBatch(ws, ts, features, d.acc)
+	m.addBatch(ws, ts, features, holes, d.acc.acc)
 	return losses
 }
 
 // backwardEach is gradBatch on backward, tuple after tuple.
-func (m MLP) backwardEach(ws *Workspace, w []float64, ts []data.Tuple, acc *gradAccumulator) []float64 {
-	d := gradDest{acc: acc}
+func (m MLP) backwardEach(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64 {
 	for i := range ts {
-		ws.loss[i] = m.backward(ws, w, &ts[i], &d)
+		ws.loss[i] = m.backward(ws, w, &ts[i], d)
 	}
 	return ws.loss
 }

@@ -163,7 +163,7 @@ func checkGradBatch(m MLP, w []float64, ts []data.Tuple, sizes []int) error {
 		n := min(sizes[b%len(sizes)], len(ts))
 		batch := ts[:n]
 		ts = ts[n:]
-		losses := m.gradBatch(&ws, w, batch, &acc)
+		losses := m.gradBatch(&ws, w, batch, &gradDest{acc: &acc})
 		for i := range batch {
 			want := m.backward(&seqWS, w, &batch[i], &d)
 			if math.Float64bits(losses[i]) != math.Float64bits(want) {
@@ -336,7 +336,9 @@ func TestMiniBatchMatchesBackward(t *testing.T) {
 			for i := lo; i < hi; i++ {
 				lossSum += m.backward(&ws, want, &ts[i], &d)
 			}
-			acc.Step(opt, want, hi-lo)
+			gi, gv := acc.Gather(1 / float64(hi-lo))
+			opt.Step(want, gi, gv)
+			acc.Clear()
 		}
 		if got, want := stats.AvgLoss, lossSum/float64(len(ts)); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("batch %d: AvgLoss %v, backward gives %v", batch, got, want)

@@ -11,28 +11,42 @@ package ml
 
 import (
 	"fmt"
+	"unsafe"
 
 	"corgipile/internal/data"
 )
 
 // Model is a differentiable per-example loss — one f_i of the paper's
-// finite-sum objective F(x) = (1/m) Σ f_i(x).
+// finite-sum objective F(x) = (1/m) Σ f_i(x). Its one gradient method is
+// unexported, so every Model is one of this package's (DESIGN.md "One
+// gradient method"); Grad is its per-tuple form.
 type Model interface {
 	// Name identifies the model, e.g. "svm".
 	Name() string
 	// Dim returns the weight dimensionality for a dataset with the given
 	// number of features.
 	Dim(features int) int
-	// Grad evaluates the example loss f_i(w) on tuple t and appends the
-	// gradient ∇f_i(w) in sparse (index, value) form to gi/gv, returning
-	// the loss and the extended slices.
-	Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (loss float64, gi2 []int32, gv2 []float64)
-	// Loss evaluates the example loss without computing the gradient.
-	Loss(w []float64, t *data.Tuple) float64
 	// Predict returns the model's prediction for t: ±1 for binary
 	// classifiers, the class index for multi-class models, the value for
 	// regression.
 	Predict(w []float64, t *data.Tuple) float64
+	// gradBatch evaluates the example losses f_i(w) of ts and puts their
+	// gradients' (index, value) entries into d, tuple after tuple, with ws
+	// as scratch. It returns the losses, valid until the next call with
+	// ws. Every entry reaches an accumulator rounded, through d's put
+	// methods or a stored (gi, gv) log, so no compiler fuses a product into
+	// the accumulator's add.
+	gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64
+}
+
+// Grad evaluates m's example loss f_i(w) on t and appends the gradient
+// ∇f_i(w) in sparse (index, value) form to gi/gv, returning the loss and the
+// extended slices: m's gradBatch on a batch of one, with ws as scratch. In
+// steady state it allocates nothing beyond growing ws and gi/gv.
+func Grad(m Model, ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
+	ws.dest = gradDest{gi: gi, gv: gv}
+	loss := m.gradBatch(ws, w, unsafe.Slice(t, 1), &ws.dest)[0] // t as a batch of one
+	return loss, ws.dest.gi, ws.dest.gv
 }
 
 // New constructs a model by name for a dataset with the given class count.

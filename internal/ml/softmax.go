@@ -62,63 +62,35 @@ func softmaxProbs(z []float64) {
 	}
 }
 
-// Loss implements Model: −log p_y.
-func (s Softmax) Loss(w []float64, t *data.Tuple) float64 {
-	var ws Workspace
-	z := s.logits(&ws, w, t)
-	softmaxProbs(z)
-	p := z[classIndex(t.Label, s.Classes)]
-	if p < 1e-300 {
-		p = 1e-300
-	}
-	return -math.Log(p)
-}
-
-// Grad implements Model. The gradient row for class k is (p_k − 1{k=y})·x.
-func (s Softmax) Grad(w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	var ws Workspace
-	return s.GradWS(&ws, w, t, gi, gv)
-}
-
-// GradWS implements WorkspaceGrader: Grad with the logit buffer in ws, so
-// steady-state calls are allocation-free.
-func (s Softmax) GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	z := s.logits(ws, w, t)
-	softmaxProbs(z)
-	y := classIndex(t.Label, s.Classes)
-	p := z[y]
-	if p < 1e-300 {
-		p = 1e-300
-	}
-	loss := -math.Log(p)
+// gradBatch implements Model: −log p_y, and the gradient row for class k is
+// (p_k − 1{k=y})·x, the logits in ws.
+func (s Softmax) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradDest) []float64 {
+	losses := scratch(&ws.loss, len(ts))
 	row := len(w) / s.Classes
-	for k := 0; k < s.Classes; k++ {
-		sk := z[k]
-		if k == y {
-			sk -= 1
+	for i := range ts {
+		t := &ts[i]
+		z := s.logits(ws, w, t)
+		softmaxProbs(z)
+		y := classIndex(t.Label, s.Classes)
+		p := z[y]
+		if p < 1e-300 {
+			p = 1e-300
 		}
-		if sk == 0 {
-			continue
-		}
-		base := int32(k * row)
-		if t.IsSparse() {
-			for i, idx := range t.SparseIdx {
-				gi = append(gi, base+idx)
-				gv = append(gv, sk*t.SparseVal[i])
+		losses[i] = -math.Log(p)
+		for k := 0; k < s.Classes; k++ {
+			sk := z[k]
+			if k == y {
+				sk -= 1
 			}
-		} else {
-			for i, v := range t.Dense {
-				if v == 0 {
-					continue
-				}
-				gi = append(gi, base+int32(i))
-				gv = append(gv, sk*v)
+			if sk == 0 {
+				continue
 			}
+			base := int32(k * row)
+			d.putTuple(base, sk, t)
+			d.put(base+int32(row-1), sk) // bias
 		}
-		gi = append(gi, base+int32(row-1)) // bias
-		gv = append(gv, sk)
 	}
-	return loss, gi, gv
+	return losses
 }
 
 // Predict implements Model, returning the argmax class index.

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"unsafe"
 
 	"corgipile/internal/data"
 	"corgipile/internal/obs"
@@ -77,10 +78,8 @@ type Trainer struct {
 	// and weight trajectory are bit-for-bit identical either way.
 	TrackGradNorm bool
 
-	ws Workspace
-	gi []int32
-	gv []float64
-
+	ws    Workspace
+	dest  gradDest // (gi, gv) at batch 1, acc for a mini-batch
 	acc   gradAccumulator
 	batch []data.Tuple // headers of the tuples waiting for gradBatch
 }
@@ -101,93 +100,58 @@ func (tr *Trainer) Close() {}
 // statistics. With BatchSize > 1 the gradients of each batch are averaged
 // before a single optimizer step, matching mini-batch SGD; a final partial
 // batch is still applied.
+//
+// Every tuple reaches the model's gradBatch; OnTuple sees each as it
+// arrives. At batch 1 the step takes the tuple's raw (gi, gv) entries, one
+// entry at a time: summing them first, as a mini-batch's accumulator does,
+// would change bits where a gradient repeats a coordinate (DESIGN.md "One
+// gradient method"). A mini-batch reaches gradBatch a batch (or
+// maxGradBatch tuples) at a time.
 func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
-	batch := tr.BatchSize
-	if batch < 1 {
-		batch = 1
+	batch := max(tr.BatchSize, 1)
+	d := &tr.dest
+	*d = gradDest{gi: d.gi[:0], gv: d.gv[:0]}
+	if batch > 1 {
+		tr.acc.Reset(len(w))
+		d.acc = &tr.acc
 	}
 
 	var stats EpochStats
 	var lossSum float64
-
-	if batch == 1 {
-		// Per-tuple SGD: allocation-free via the workspace path.
-		for {
-			t, ok := next()
-			if !ok {
-				break
-			}
-			if tr.OnTuple != nil {
-				tr.OnTuple(t)
-			}
-			stats.Tuples++
-			var loss float64
-			loss, tr.gi, tr.gv = GradWS(tr.Model, &tr.ws, w, t, tr.gi[:0], tr.gv[:0])
-			lossSum += loss
-			if tr.TrackGradNorm {
-				stats.GradSqSum += sqNorm(tr.gv)
-			}
-			tr.Opt.Step(w, tr.gi, tr.gv)
-			stats.Steps++
+	count := 0
+	for {
+		t, ok := next()
+		if !ok {
+			break
 		}
-	} else {
-		// Mini-batch SGD: each tuple's gradient is folded into the
-		// accumulator in stream order, and every full batch takes one
-		// optimizer step. The MLP gets its tuples a batch (or maxGradBatch)
-		// at a time, for MLP.gradBatch; OnTuple still sees each as it
-		// arrives.
-		tr.acc.Reset(len(w))
-		mlp, batched := tr.Model.(MLP)
-		count := 0
-		grad := func() {
-			for _, loss := range mlp.gradBatch(&tr.ws, w, tr.batch, &tr.acc) {
-				lossSum += loss
-			}
-			tr.batch = tr.batch[:0]
+		if tr.OnTuple != nil {
+			tr.OnTuple(t)
 		}
-		step := func() {
-			if tr.TrackGradNorm {
-				// Gather is repeatable until Clear, so peeking at the
-				// averaged batch gradient does not disturb the step below.
-				_, gv := tr.acc.Gather(1 / float64(count))
-				stats.GradSqSum += sqNorm(gv)
-			}
-			tr.acc.Step(tr.Opt, w, count)
-			stats.Steps++
+		stats.Tuples++
+		if batch == 1 {
+			// t itself is the batch: gradBatch is done with it before the
+			// stream's next call.
+			lossSum += tr.Model.gradBatch(&tr.ws, w, unsafe.Slice(t, 1), d)[0]
+			tr.step(w, d.gi, d.gv, &stats)
+			d.gi, d.gv = d.gi[:0], d.gv[:0]
+			continue
+		}
+		// The stream may overwrite *t on its next call.
+		tr.batch = append(tr.batch, *t)
+		count++
+		if count == batch || len(tr.batch) == maxGradBatch {
+			lossSum = tr.grad(w, lossSum)
+		}
+		if count == batch {
+			tr.stepBatch(w, count, &stats)
 			count = 0
 		}
-		for {
-			t, ok := next()
-			if !ok {
-				break
-			}
-			if tr.OnTuple != nil {
-				tr.OnTuple(t)
-			}
-			stats.Tuples++
-			count++
-			if batched {
-				// The stream may overwrite *t on its next call.
-				tr.batch = append(tr.batch, *t)
-				if count == batch || len(tr.batch) == maxGradBatch {
-					grad()
-				}
-			} else {
-				var loss float64
-				loss, tr.gi, tr.gv = GradWS(tr.Model, &tr.ws, w, t, tr.gi[:0], tr.gv[:0])
-				lossSum += loss
-				tr.acc.Add(tr.gi, tr.gv)
-			}
-			if count == batch {
-				step()
-			}
+	}
+	if count > 0 {
+		if len(tr.batch) > 0 {
+			lossSum = tr.grad(w, lossSum)
 		}
-		if count > 0 {
-			if len(tr.batch) > 0 {
-				grad()
-			}
-			step()
-		}
+		tr.stepBatch(w, count, &stats)
 	}
 	tr.Opt.EndEpoch()
 
@@ -203,6 +167,34 @@ func (tr *Trainer) RunEpoch(w []float64, next Stream) EpochStats {
 		tr.Obs.SetGauge(obs.SGDLoss, stats.AvgLoss)
 	}
 	return stats
+}
+
+// grad adds the gradients of the waiting tuples, tr.batch, into the
+// accumulator, empties tr.batch and returns lossSum plus their losses,
+// added one at a time in stream order.
+func (tr *Trainer) grad(w []float64, lossSum float64) float64 {
+	for _, loss := range tr.Model.gradBatch(&tr.ws, w, tr.batch, &tr.dest) {
+		lossSum += loss
+	}
+	tr.batch = tr.batch[:0]
+	return lossSum
+}
+
+// stepBatch steps on the average of the count gradients in the accumulator
+// and clears it.
+func (tr *Trainer) stepBatch(w []float64, count int, stats *EpochStats) {
+	gi, gv := tr.acc.Gather(1 / float64(count))
+	tr.step(w, gi, gv, stats)
+	tr.acc.Clear()
+}
+
+// step takes one optimizer step on the gradient (gi, gv).
+func (tr *Trainer) step(w []float64, gi []int32, gv []float64, stats *EpochStats) {
+	if tr.TrackGradNorm {
+		stats.GradSqSum += sqNorm(gv)
+	}
+	tr.Opt.Step(w, gi, gv)
+	stats.Steps++
 }
 
 // sqNorm returns the squared L2 norm of a gradient value slice.

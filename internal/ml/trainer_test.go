@@ -111,8 +111,9 @@ func TestMiniBatchMatchesManualAverage(t *testing.T) {
 
 	w2 := make([]float64, dim)
 	g := make([]float64, dim)
+	var ws Workspace
 	for i := range ds.Tuples {
-		_, gi, gv := m.Grad(w2, &ds.Tuples[i], nil, nil)
+		_, gi, gv := Grad(m, &ws, w2, &ds.Tuples[i], nil, nil)
 		for j, idx := range gi {
 			g[idx] += gv[j]
 		}
@@ -285,9 +286,11 @@ func MeanLoss(m Model, w []float64, ds *data.Dataset) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
+	var ws Workspace
 	var sum float64
 	for i := range ds.Tuples {
-		sum += m.Loss(w, &ds.Tuples[i])
+		loss, _, _ := Grad(m, &ws, w, &ds.Tuples[i], nil, nil)
+		sum += loss
 	}
 	return sum / float64(ds.Len())
 }
@@ -299,11 +302,11 @@ func GradNorm2(m Model, w []float64, ds *data.Dataset) float64 {
 		return 0
 	}
 	g := make([]float64, len(w))
+	var ws Workspace
 	var gi []int32
 	var gv []float64
 	for i := range ds.Tuples {
-		gi, gv = gi[:0], gv[:0]
-		_, gi, gv = m.Grad(w, &ds.Tuples[i], gi, gv)
+		_, gi, gv = Grad(m, &ws, w, &ds.Tuples[i], gi[:0], gv[:0])
 		for j, idx := range gi {
 			g[idx] += gv[j]
 		}

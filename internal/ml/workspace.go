@@ -3,7 +3,8 @@ package ml
 import "corgipile/internal/data"
 
 // Workspace holds scratch buffers for gradient evaluation, so the innermost
-// loop of training — one Grad call per tuple — performs no heap allocation.
+// loop of training — one gradBatch call per batch — performs no heap
+// allocation.
 // The Trainer owns one; a Workspace must not be shared between goroutines.
 //
 // The zero value is ready to use: buffers grow on first use and are reused
@@ -13,6 +14,10 @@ type Workspace struct {
 	// hidden-layer backprop temporaries; p doubles as the Softmax logit
 	// buffer and dh as the FM per-factor sum buffer.
 	h, p, dh []float64
+
+	// gi, gv are the FM's log of one tuple's gradient entries.
+	gi []int32
+	gv []float64
 
 	// The MLP's batch scratch (gradBatch): per tuple of the batch its
 	// loss and layout; at the lane strides its hidden activations (bh),
@@ -38,6 +43,11 @@ type Workspace struct {
 	// lanes holds the MLP's weights transposed for the lane kernels
 	// (laneWeights), rebuilt once per weight version.
 	lanes []float64
+
+	// dest is Grad's destination. It lives here, not on Grad's stack,
+	// because the compiler cannot see into the gradBatch interface call and
+	// would move it to the heap on every call.
+	dest gradDest
 }
 
 // scratch returns a scratch slice of length n backed by *buf, growing
@@ -49,26 +59,6 @@ func scratch[T any](buf *[]T, n int) []T {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// WorkspaceGrader is implemented by models whose gradient can be evaluated
-// allocation-free given Workspace scratch. All models in this package
-// implement it; the GradWS helper falls back to Model.Grad for external
-// models that do not.
-type WorkspaceGrader interface {
-	// GradWS is Model.Grad with caller-owned scratch: it must not allocate
-	// beyond growing ws's buffers and the gi/gv accumulators.
-	GradWS(ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64)
-}
-
-// GradWS evaluates m's example loss and gradient using ws as scratch when m
-// supports it, falling back to Model.Grad otherwise — the compatibility shim
-// that lets the allocation-free trainer run any Model.
-func GradWS(m Model, ws *Workspace, w []float64, t *data.Tuple, gi []int32, gv []float64) (float64, []int32, []float64) {
-	if g, ok := m.(WorkspaceGrader); ok {
-		return g.GradWS(ws, w, t, gi, gv)
-	}
-	return m.Grad(w, t, gi, gv)
 }
 
 // boundPredictor is implemented by models whose Predict needs scratch

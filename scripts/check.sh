@@ -15,6 +15,11 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Non-test Go+asm lines outside benchmark/, per package and in total, over
+# the tracked files: the one line count CHANGES.md and ROADMAP.md cite.
+git ls-files -- '*.go' '*.s' ':!:*_test.go' ':!:benchmark/' | xargs wc -l |
+	awk '$2 != "total" { p = $2; sub("/[^/]*$", "", p); if (p == $2) p = "."; n[p] += $1; t += $1 }
+	END { for (p in n) printf "%6d %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 # The lane kernels' Go reference loops are the only path off amd64, and no
 # other step builds for another GOARCH.
 GOARCH=arm64 go vet ./internal/ml/ ./internal/core/
