@@ -5,12 +5,12 @@
 //
 //	corgisql              # interactive REPL
 //	corgisql -c "SQL..."  # run a script and exit
-//	corgisql -metrics [-trace-out trace.jsonl] [-serve 127.0.0.1:0]
-//	         [-diag] [-run-dir DIR] ...
+//	corgisql -metrics [-serve 127.0.0.1:0] [-diag] [-run-dir DIR] ...
 //
 // With -metrics every TRAIN statement additionally prints a per-epoch
-// cross-layer time breakdown (I/O, shuffle, gradient compute); -trace-out
-// streams the full JSONL event trace to a file. -serve exposes the session's
+// cross-layer time breakdown (I/O, shuffle, gradient compute); over a table
+// created WITH device='hdd' it shows where a run on that device spends its
+// simulated time. -serve exposes the session's
 // live telemetry over HTTP (/metrics, /run, /debug/pprof/) while TRAIN
 // statements execute. -diag tracks convergence diagnostics on every TRAIN
 // and reports the verdict in the result message; -run-dir persists the last
@@ -43,7 +43,6 @@ import (
 func main() {
 	script := flag.String("c", "", "execute the given SQL script and exit")
 	metrics := flag.Bool("metrics", false, "print a per-epoch time breakdown after each TRAIN")
-	traceOut := flag.String("trace-out", "", "write the JSONL event trace to this file")
 	serve := flag.String("serve", "", "serve live telemetry (/metrics, /run, /debug/pprof/) on this address")
 	diag := flag.Bool("diag", false, "enable convergence diagnostics on every TRAIN (verdict in the result message and live feed)")
 	runDir := flag.String("run-dir", "", "write durable run artifacts (manifest.json, epochs.jsonl, metrics.prom, plan.json) for the last TRAIN to this directory")
@@ -60,18 +59,8 @@ func main() {
 		defer f.Close()
 		session.WithEvents(obs.NewEventLog(0).StreamTo(f))
 	}
-	if *metrics || *traceOut != "" || *serve != "" || *runDir != "" {
-		reg := obs.New()
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "corgisql:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			reg.StreamTo(f)
-		}
-		session.WithMetrics(reg)
+	if *metrics || *serve != "" || *runDir != "" {
+		session.WithMetrics(obs.New())
 	}
 	session.WithDiag(*diag)
 	// last tracks the most recent result carrying training artifacts (a

@@ -5,7 +5,7 @@
 //
 //	corgitrain -file data.libsvm [-model svm] [-lr 0.05] [-epochs 10]
 //	           [-strategy corgipile] [-buffer 0.1] [-batch 1]
-//	           [-save model.json] [-metrics] [-trace-out trace.jsonl]
+//	           [-save model.json] [-metrics]
 //	           [-faults 'seed=7,read_err=0.01'] [-retries 3]
 //	           [-serve 127.0.0.1:0] [-diag] [-explain] [-run-dir DIR]
 //	           [-events events.jsonl]
@@ -48,7 +48,6 @@ func main() {
 		batch     = flag.Int("batch", 1, "mini-batch size (1 = per-tuple SGD)")
 		save      = flag.String("save", "", "save the trained model to this JSON file via the SQL layer")
 		metrics   = flag.Bool("metrics", false, "print a per-epoch time breakdown after training")
-		traceOut  = flag.String("trace-out", "", "write the JSONL event trace to this file")
 		faults    = flag.String("faults", "", "fault-injection plan, e.g. 'seed=7,read_err=0.01,corrupt=3;17' (switches to simulated-device training)")
 		retries   = flag.Int("retries", 0, "retry attempts after a transient read error")
 		serve     = flag.String("serve", "", "serve live telemetry (/metrics, /run, /debug/pprof/) on this address during training")
@@ -92,16 +91,8 @@ func main() {
 	fmt.Printf("split: %d train / %d test\n", train.Len(), test.Len())
 
 	var reg *corgipile.Metrics
-	if *metrics || *traceOut != "" || *serve != "" || *runDir != "" {
+	if *metrics || *serve != "" || *runDir != "" {
 		reg = corgipile.NewMetrics()
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			reg.StreamTo(f)
-		}
 	}
 	runName := fmt.Sprintf("corgitrain %s/%s", *model, source)
 	var feed *corgipile.RunFeed
@@ -211,21 +202,13 @@ func main() {
 	}
 
 	if *save != "" {
-		if err := saveModel(*save, *model, train, res.W); err != nil {
+		// The db layer's model-file format, so corgisql's LOAD MODEL can
+		// restore it.
+		if err := db.SaveModelFile(*save, *model, m, train.Features, train.Classes, res.W); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("model saved to %s\n", *save)
 	}
-}
-
-// saveModel persists the weights in the db layer's model-file format, so
-// corgisql's LOAD MODEL can restore it.
-func saveModel(path, kind string, train *corgipile.Dataset, w []float64) error {
-	hidden := 0
-	if kind == "mlp" {
-		hidden = 32
-	}
-	return db.SaveModelFile(path, kind, train.Features, train.Classes, hidden, w)
 }
 
 func fatal(err error) {

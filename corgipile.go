@@ -22,6 +22,12 @@
 //
 // All randomness is seeded and all performance numbers come from a
 // deterministic storage simulation, so results reproduce exactly.
+//
+// A run attached to a Metrics registry records one cross-layer breakdown
+// row per epoch (I/O, shuffle, gradient time, loss) in Result.Breakdown,
+// and nowhere else. WriteEpochBreakdown renders those rows as a table;
+// corgitrain and corgisql print it with -metrics and write it as a run
+// dir's epochs.jsonl with -run-dir.
 package corgipile
 
 import (
@@ -167,7 +173,7 @@ func NewAdam(lr float64) Optimizer { return ml.NewAdam(lr) }
 
 // NewMetrics returns an empty metrics registry. Pass it via
 // TrainConfig.Metrics to collect a per-epoch breakdown of where training
-// time goes; stream its JSONL event trace anywhere with StreamTo.
+// time goes into Result.Breakdown.
 func NewMetrics() *Metrics { return obs.New() }
 
 // NewRunFeed returns an empty live-status feed. Pass it via TrainConfig.Feed

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"corgipile/internal/obs"
-)
+import "math"
 
 // This file implements convergence diagnostics: per-epoch gradient-norm,
 // update-norm, and loss-delta tracking with a plateau/divergence detector.
@@ -118,19 +114,4 @@ func L2Delta(a, b []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// EmitDiag records one epoch's diagnostics into the registry: gauges under
-// the sgd.* names plus a "diag" trace event when a sink is attached.
-func EmitDiag(reg *obs.Registry, d EpochDiag) {
-	reg.SetGauge(obs.SGDGradNorm, d.GradNorm)
-	reg.SetGauge(obs.SGDUpdateNorm, d.UpdateNorm)
-	reg.SetGauge(obs.SGDLossDelta, d.LossDelta)
-	reg.EmitEvent("diag", map[string]any{
-		"epoch":       d.Epoch,
-		"grad_norm":   d.GradNorm,
-		"update_norm": d.UpdateNorm,
-		"loss_delta":  d.LossDelta,
-		"verdict":     string(d.Verdict),
-	})
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -181,41 +184,24 @@ func TestRunPublishesFeed(t *testing.T) {
 	}
 }
 
-// staticClock pins the registry's clock so JSONL traces carry no
+// staticClock pins the registry's clock so breakdown rows carry no
 // wall-time noise and can be compared byte-for-byte.
 type staticClock struct{}
 
 func (staticClock) Now() time.Duration { return 0 }
 
-// passiveTrace runs training with a JSONL sink attached and returns the
-// exact trace bytes. withFeed models a telemetry server being attached; it
-// may not change the passive trace.
-func passiveTrace(t *testing.T, ds *data.Dataset, withFeed bool) []byte {
+// passiveRun trains a small SVM reporting into a static-clock registry;
+// attach, when non-nil, adds one surface to the run's config first.
+func passiveRun(t *testing.T, ds *data.Dataset, attach func(*RunConfig)) *Result {
 	t.Helper()
-	var buf bytes.Buffer
-	reg := obs.New().WithClock(staticClock{}).StreamTo(&buf)
-	var feed *obs.RunFeed
-	if withFeed {
-		feed = obs.NewRunFeed()
-	}
-	diagRun(t, ds, false, feed, reg)
-	return buf.Bytes()
-}
-
-// passiveTraceWithEvents is passiveTrace with the introspection plane's
-// event log attached: epoch spans land in the events ring, never in the
-// registry's JSONL sink.
-func passiveTraceWithEvents(t *testing.T, ds *data.Dataset, el *obs.EventLog) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	reg := obs.New().WithClock(staticClock{}).StreamTo(&buf)
+	reg := obs.New().WithClock(staticClock{})
 	src := shuffle.NewMemSource(ds, 50)
 	st, err := shuffle.New(shuffle.KindCorgiPile, src, shuffle.Options{
 		Seed: 7, BufferFraction: 0.1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(RunConfig{
+	cfg := RunConfig{
 		Strategy:  st,
 		Model:     ml.SVM{},
 		Opt:       ml.NewSGD(0.05),
@@ -225,69 +211,79 @@ func passiveTraceWithEvents(t *testing.T, ds *data.Dataset, el *obs.EventLog) []
 		TrainEval: ds,
 		Obs:       reg,
 		RunName:   "diag-test",
-		Events:    el,
-		Trace:     "purity-t1",
-	})
+	}
+	if attach != nil {
+		attach(&cfg)
+	}
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return res
 }
 
-// TestTracePurity: the JSONL event trace of a passive run must be
-// bit-for-bit identical whether or not live telemetry (a feed, an event
-// log) is attached.
+// epochsJSONL returns the epochs.jsonl bytes obs.WriteRunDir writes for a
+// run's breakdown rows.
+func epochsJSONL(t *testing.T, res *Result) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	if err := obs.WriteRunDir(dir, obs.RunArtifacts{Epochs: res.Breakdown}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "epochs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestTracePurity: a passive run's record (its epochs.jsonl bytes, its
+// loss trace and its weights, bit for bit) must not change when live
+// telemetry (a feed, an event log, armed gauge peaks) is attached.
 func TestTracePurity(t *testing.T) {
 	ds := diagDataset()
-	base := passiveTrace(t, ds, false)
-	if len(base) == 0 {
-		t.Fatal("no trace emitted")
+	base := passiveRun(t, ds, nil)
+	baseRows := epochsJSONL(t, base)
+	if n := bytes.Count(baseRows, []byte("\n")); n != 5 {
+		t.Fatalf("epochs.jsonl has %d rows, want 5", n)
 	}
-	if bytes.Contains(base, []byte(`"name":"diag"`)) {
-		t.Fatal("passive trace contains diag events without Diag config")
+	if base.Diag != nil {
+		t.Fatal("passive run recorded diagnostics without Diag config")
 	}
-	if bytes.Contains(base, []byte(`"plan`)) {
-		t.Fatal("passive trace contains plan-profile events without Profile; " +
-			"see the executor's TestProfiledTraceBytesIdentical for the profiled case")
+	same := func(what string, got *Result) {
+		t.Helper()
+		if rows := epochsJSONL(t, got); !bytes.Equal(baseRows, rows) {
+			t.Fatalf("%s changed epochs.jsonl:\nbase: %s\ngot:  %s", what, baseRows, rows)
+		}
+		// %b prints a float64's exact mantissa and exponent.
+		if b, g := fmt.Sprintf("%b", base.Points), fmt.Sprintf("%b", got.Points); b != g {
+			t.Fatalf("%s changed the loss trace:\nbase: %s\ngot:  %s", what, b, g)
+		}
+		if fmt.Sprintf("%b", base.W) != fmt.Sprintf("%b", got.W) {
+			t.Fatalf("%s changed the final weights", what)
+		}
 	}
-	withFeed := passiveTrace(t, ds, true)
-	if !bytes.Equal(base, withFeed) {
-		t.Fatal("attaching a RunFeed changed the JSONL trace")
-	}
+	same("attaching a RunFeed", passiveRun(t, ds, func(c *RunConfig) { c.Feed = obs.NewRunFeed() }))
 
-	// The introspection plane: attaching an EventLog must not perturb the
-	// passive trace by a byte — its spans live in a separate ring with its
-	// own (here unattached) sink.
+	// The introspection plane: its epoch spans live in the event log's
+	// own ring, never in the registry.
 	el := obs.NewEventLog(64)
-	withEvents := passiveTraceWithEvents(t, ds, el)
-	if !bytes.Equal(base, withEvents) {
-		t.Fatal("attaching an EventLog changed the JSONL trace")
-	}
+	same("attaching an EventLog", passiveRun(t, ds, func(c *RunConfig) {
+		c.Events, c.Trace = el, "purity-t1"
+	}))
 	if spans := el.Spans(); len(spans) != 5 {
 		t.Fatalf("event log recorded %d epoch spans, want 5", len(spans))
 	} else if spans[0].Trace != "purity-t1" || spans[0].Name != obs.EvSpanEpoch {
 		t.Fatalf("span %+v, want trace purity-t1 name epoch", spans[0])
 	}
-	for _, marker := range []string{`"ev":"event"`, `"ev":"tracespan"`} {
-		if bytes.Contains(base, []byte(marker)) {
-			t.Fatalf("passive trace contains introspection marker %s", marker)
-		}
-	}
 	// And a nil event log run matches too (the zero-cost-when-idle path).
-	withNil := passiveTraceWithEvents(t, ds, nil)
-	if !bytes.Equal(base, withNil) {
-		t.Fatal("nil-EventLog run diverged from the base passive trace")
-	}
+	same("a nil EventLog", passiveRun(t, ds, func(c *RunConfig) {
+		c.Events, c.Trace = nil, "purity-t1"
+	}))
 
 	// Armed gauge peaks, as on every serving-plane job's registry, never
-	// reach Snapshot or the sink.
-	var peaked bytes.Buffer
-	reg := obs.New().WithClock(staticClock{}).StreamTo(&peaked)
-	reg.EnablePeaks()
-	diagRun(t, ds, false, nil, reg)
-	if !bytes.Equal(base, peaked.Bytes()) {
-		t.Fatal("arming gauge peaks changed the JSONL trace")
-	}
+	// reach Snapshot or the breakdown.
+	same("arming gauge peaks", passiveRun(t, ds, func(c *RunConfig) { c.Obs.EnablePeaks() }))
 }
 
 // TestBufferGaugesDuringRun: every run that reports into a registry

@@ -86,8 +86,7 @@ type RunConfig struct {
 	// Events, when non-nil, receives one wall-clock "epoch" span record per
 	// epoch, stamped with Trace — the introspection plane's timeline. A nil
 	// Events adds no work and never touches the clock, and attaching one
-	// never changes the Obs registry's JSONL trace (the rings are separate;
-	// TestTracePurity pins this).
+	// never changes Result.Breakdown (TestTracePurity pins this).
 	Events *obs.EventLog
 	// Trace is the request-scoped trace ID stamped on emitted span records.
 	Trace string
@@ -308,7 +307,6 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 		after := cfg.Obs.Snapshot()
 		m := obs.EpochFromDelta(epoch, epochSecs, stats.AvgLoss, after.DeltaFrom(l.before))
 		l.before = after
-		cfg.Obs.EmitEpoch(m)
 		l.res.Breakdown = append(l.res.Breakdown, m)
 	}
 	var d EpochDiag
@@ -323,7 +321,9 @@ func (l *Loop) Step(next func() (*data.Tuple, bool), streamErr func() error) (Ep
 		}
 		l.res.Diag = append(l.res.Diag, d)
 		l.res.Verdict = verdict
-		EmitDiag(cfg.Obs, d)
+		cfg.Obs.SetGauge(obs.SGDGradNorm, d.GradNorm)
+		cfg.Obs.SetGauge(obs.SGDUpdateNorm, d.UpdateNorm)
+		cfg.Obs.SetGauge(obs.SGDLossDelta, d.LossDelta)
 	}
 	l.res.Faults = cfg.Faults.Summary()
 	l.tuples += int64(stats.Tuples)

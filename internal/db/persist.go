@@ -26,15 +26,15 @@ type modelFile struct {
 const modelFileFormat = 1
 
 // SaveModelFile writes a trained model's weights and metadata to the JSON
-// model-file format that LOAD MODEL (and LoadModelFile) reads. hidden is
-// the MLP hidden width and ignored for other kinds.
-func SaveModelFile(path, kind string, features, classes, hidden int, w []float64) error {
+// model-file format that LOAD MODEL (and LoadModelFile) reads; kind is the
+// name m was built from.
+func SaveModelFile(path, kind string, m ml.Model, features, classes int, w []float64) error {
 	mf := modelFile{
 		Format:   modelFileFormat,
 		Kind:     kind,
 		Features: features,
 		Classes:  classes,
-		Hidden:   hidden,
+		Hidden:   hiddenOf(m),
 		W:        w,
 	}
 	buf, err := json.Marshal(mf)
@@ -60,18 +60,38 @@ func LoadModelFile(path string) (ml.Model, *modelFile, error) {
 	if mf.Format != modelFileFormat {
 		return nil, nil, fmt.Errorf("db: unsupported model file format %d", mf.Format)
 	}
-	model, err := ml.New(mf.Kind, maxInt(mf.Classes, 2))
+	model, want, err := rebuildModel(mf.Kind, mf.Classes, mf.Hidden, mf.Features)
 	if err != nil {
 		return nil, nil, fmt.Errorf("db: model file: %w", err)
 	}
-	if mlp, ok := model.(ml.MLP); ok && mf.Hidden > 0 {
-		mlp.Hidden = mf.Hidden
-		model = mlp
-	}
-	if want := model.Dim(mf.Features); want != len(mf.W) {
+	if want != len(mf.W) {
 		return nil, nil, fmt.Errorf("db: model file weights have %d values, want %d", len(mf.W), want)
 	}
 	return model, &mf, nil
+}
+
+// rebuildModel builds a persisted model (a model file or a WAL put-model
+// record) from its kind, classes and MLP hidden width (0 keeps ml.New's),
+// and returns it with the number of weights it takes over features.
+func rebuildModel(kind string, classes, hidden, features int) (ml.Model, int, error) {
+	model, err := ml.New(kind, maxInt(classes, 2))
+	if err != nil {
+		return nil, 0, err
+	}
+	if mlp, ok := model.(ml.MLP); ok && hidden > 0 {
+		mlp.Hidden = hidden
+		model = mlp
+	}
+	return model, model.Dim(features), nil
+}
+
+// hiddenOf is the hidden width a model file or WAL record stores for m:
+// the MLP's, 0 for every other model.
+func hiddenOf(m ml.Model) int {
+	if mlp, ok := m.(ml.MLP); ok {
+		return mlp.Hidden
+	}
+	return 0
 }
 
 // execSave serializes a catalog model to a JSON file.
@@ -80,11 +100,7 @@ func (s *Session) execSave(st *sqlparse.SaveModel) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("db: unknown model %q", st.Name)
 	}
-	hidden := 0
-	if mlp, ok := m.Model.(ml.MLP); ok {
-		hidden = mlp.Hidden
-	}
-	if err := SaveModelFile(st.Path, m.Kind, m.Features, m.Classes, hidden, m.W); err != nil {
+	if err := SaveModelFile(st.Path, m.Kind, m.Model, m.Features, m.Classes, m.W); err != nil {
 		return nil, err
 	}
 	return &Result{Message: fmt.Sprintf("SAVE MODEL: %q → %s", m.Name, st.Path)}, nil

@@ -10,7 +10,6 @@ import (
 
 	"corgipile/internal/data"
 	"corgipile/internal/executor"
-	"corgipile/internal/ml"
 	"corgipile/internal/obs"
 	"corgipile/internal/sqlparse"
 	"corgipile/internal/storage"
@@ -243,15 +242,11 @@ func (s *Session) applyWALRecord(rec storage.WALRecord) error {
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return fmt.Errorf("model payload: %w", err)
 		}
-		model, err := ml.New(p.Kind, maxInt(p.Classes, 2))
+		model, want, err := rebuildModel(p.Kind, p.Classes, p.Hidden, p.Features)
 		if err != nil {
 			return fmt.Errorf("model %q: %w", p.Name, err)
 		}
-		if mlp, ok := model.(ml.MLP); ok && p.Hidden > 0 {
-			mlp.Hidden = p.Hidden
-			model = mlp
-		}
-		if want := model.Dim(p.Features); want != len(p.W) {
+		if want != len(p.W) {
 			return fmt.Errorf("model %q has %d weights, want %d", p.Name, len(p.W), want)
 		}
 		name := strings.ToLower(p.Name)
@@ -344,13 +339,9 @@ func (s *Session) logModel(m *ModelEntry) error {
 	if s.wal == nil {
 		return nil
 	}
-	hidden := 0
-	if mlp, ok := m.Model.(ml.MLP); ok {
-		hidden = mlp.Hidden
-	}
 	if err := s.logRecord(storage.WALPutModel, walModelPayload{
 		Name: m.Name, Kind: m.Kind, Features: m.Features, Classes: m.Classes,
-		Hidden: hidden, W: m.W, Table: m.Table, TrainedBlocks: m.TrainedBlocks,
+		Hidden: hiddenOf(m.Model), W: m.W, Table: m.Table, TrainedBlocks: m.TrainedBlocks,
 	}); err != nil {
 		return err
 	}
@@ -409,13 +400,9 @@ func (s *Session) snapshotRecords() (buf []byte, frontier uint64, n int, err err
 	}
 	for _, name := range sortedKeys(s.models) {
 		m := s.models[name]
-		hidden := 0
-		if mlp, ok := m.Model.(ml.MLP); ok {
-			hidden = mlp.Hidden
-		}
 		if err := emitJSON(storage.WALPutModel, walModelPayload{
 			Name: name, Kind: m.Kind, Features: m.Features, Classes: m.Classes,
-			Hidden: hidden, W: m.W, Table: m.Table, TrainedBlocks: m.TrainedBlocks,
+			Hidden: hiddenOf(m.Model), W: m.W, Table: m.Table, TrainedBlocks: m.TrainedBlocks,
 		}); err != nil {
 			return nil, 0, 0, err
 		}

@@ -2,12 +2,16 @@ package executor
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"corgipile/internal/core"
 	"corgipile/internal/data"
 	"corgipile/internal/iosim"
 	"corgipile/internal/ml"
@@ -120,18 +124,19 @@ func TestProfiledTrainingMatchesUnprofiled(t *testing.T) {
 	}
 }
 
-// obsStaticClock pins the obs registry's timestamps so JSONL traces can be
-// compared byte-for-byte.
+// obsStaticClock pins the obs registry's timestamps so breakdown rows can
+// be compared byte-for-byte.
 type obsStaticClock struct{}
 
 func (obsStaticClock) Now() time.Duration { return 0 }
 
-// The JSONL event trace must be bit-identical with profiling on and off:
-// the profiler reads clocks but never emits obs events of its own.
+// A run's record must be bit-identical with profiling on and off: the
+// profiler reads clocks but reports nothing into the registry, so the
+// epochs.jsonl bytes WriteRunDir writes for Result.Breakdown, the loss
+// trace and the final weights all stay put.
 func TestProfiledTraceBytesIdentical(t *testing.T) {
-	trace := func(profile bool) []byte {
-		var buf bytes.Buffer
-		reg := obs.New().WithClock(obsStaticClock{}).StreamTo(&buf)
+	run := func(profile bool) (*core.Result, []byte) {
+		reg := obs.New().WithClock(obsStaticClock{})
 		clock := iosim.NewClock()
 		ds := data.SyntheticBinary(data.SyntheticConfig{
 			Tuples: 300, Features: 6, Separation: 1.5, Noise: 1.0,
@@ -150,17 +155,34 @@ func TestProfiledTraceBytesIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := op.Run(); err != nil {
+		res, err := op.RunResult()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		dir := t.TempDir()
+		if err := obs.WriteRunDir(dir, obs.RunArtifacts{Epochs: res.Breakdown}); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := os.ReadFile(filepath.Join(dir, "epochs.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rows
 	}
-	plain, profiled := trace(false), trace(true)
-	if len(plain) == 0 {
-		t.Fatal("no trace emitted")
+	plain, plainRows := run(false)
+	profiled, profiledRows := run(true)
+	if n := bytes.Count(plainRows, []byte("\n")); n != 3 {
+		t.Fatalf("epochs.jsonl has %d rows, want 3", n)
 	}
-	if !bytes.Equal(plain, profiled) {
-		t.Fatalf("profiling changed the JSONL trace:\nplain:    %s\nprofiled: %s", plain, profiled)
+	if !bytes.Equal(plainRows, profiledRows) {
+		t.Fatalf("profiling changed epochs.jsonl:\nplain:    %s\nprofiled: %s", plainRows, profiledRows)
+	}
+	// %b prints a float64's exact mantissa and exponent.
+	if p, q := fmt.Sprintf("%b", plain.Points), fmt.Sprintf("%b", profiled.Points); p != q {
+		t.Fatalf("profiling changed the loss trace:\nplain:    %s\nprofiled: %s", p, q)
+	}
+	if fmt.Sprintf("%b", plain.W) != fmt.Sprintf("%b", profiled.W) {
+		t.Fatal("profiling changed the final weights")
 	}
 }
 

@@ -89,8 +89,8 @@ type TrainConfig struct {
 	// in-flight job (CANCEL, dropped connection); a nil Ctx never cancels.
 	Ctx context.Context
 	// Events, when non-nil, records one span per epoch in the structured
-	// event log, stamped with Trace. A nil Events adds no work and never
-	// touches the Metrics registry's JSONL trace.
+	// event log, stamped with Trace. A nil Events adds no work, and no
+	// Events ever changes the run's breakdown rows.
 	Events *obs.EventLog
 	// Trace labels this run's event-log spans (free-form request id).
 	Trace string

@@ -113,13 +113,9 @@ func TestGradAllocationFree(t *testing.T) {
 }
 
 // TestAccuracyAllocations: the per-epoch eval pass allocates its scratch once
-// per call, not once per tuple, for the models whose Predict
-// needs scratch.
+// per call, not once per tuple, for every model; so does an FM's AUC pass.
 func TestAccuracyAllocations(t *testing.T) {
 	for _, bm := range benchModels() {
-		if _, ok := bm.model.(boundPredictor); !ok {
-			continue
-		}
 		w := make([]float64, bm.model.Dim(bm.ds.Features))
 		if bm.init != nil {
 			bm.init(w)
@@ -136,6 +132,15 @@ func TestAccuracyAllocations(t *testing.T) {
 		a1000 := testing.AllocsPerRun(5, func() { Accuracy(bm.model, w, large) })
 		if a100 > 4 || a1000 != a100 {
 			t.Errorf("%s: Accuracy allocates %v times at 100 tuples and %v at 1000, want a small constant",
+				bm.name, a100, a1000)
+		}
+		if _, ok := bm.model.(FactorizationMachine); !ok {
+			continue
+		}
+		a100 = testing.AllocsPerRun(5, func() { ModelAUC(bm.model, w, small) })
+		a1000 = testing.AllocsPerRun(5, func() { ModelAUC(bm.model, w, large) })
+		if a100 > 10 || a1000 != a100 {
+			t.Errorf("%s: ModelAUC allocates %v times at 100 tuples and %v at 1000, want a small constant",
 				bm.name, a100, a1000)
 		}
 	}

@@ -90,13 +90,6 @@ func (m FactorizationMachine) scoreSums(ws *Workspace, w []float64, t *data.Tupl
 	return y, sums
 }
 
-// score returns the decision value only.
-func (m FactorizationMachine) score(w []float64, t *data.Tuple) float64 {
-	var ws Workspace
-	y, _ := m.scoreSums(&ws, w, t)
-	return y
-}
-
 // gradBatch implements Model: logistic loss on ±1 labels. Each tuple's
 // entries scatter over V, so they are appended as computed: to d's (gi, gv),
 // or to a log in ws that d's accumulator then adds entry by entry.

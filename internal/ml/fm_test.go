@@ -39,7 +39,7 @@ func TestFMScoreIdentity(t *testing.T) {
 	w := fmWeights(m, 5, 3)
 	x := []float64{1, 2, 0, -1, 0.5}
 	tp := &data.Tuple{Dense: x}
-	got := m.score(w, tp)
+	got, _ := m.scoreSums(new(Workspace), w, tp)
 
 	d, k := 5, 2
 	want := w[d] // bias

@@ -111,9 +111,10 @@ func AUC(scores []float64, labels []float64) float64 {
 func ModelAUC(m Model, w []float64, ds *data.Dataset) float64 {
 	scores := make([]float64, ds.Len())
 	labels := make([]float64, ds.Len())
+	score := DecisionValue(m, w)
 	for i := range ds.Tuples {
 		t := &ds.Tuples[i]
-		scores[i] = DecisionValue(m, w, t)
+		scores[i] = score(t)
 		labels[i] = t.Label
 	}
 	return AUC(scores, labels)

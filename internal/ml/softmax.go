@@ -93,15 +93,16 @@ func (s Softmax) gradBatch(ws *Workspace, w []float64, ts []data.Tuple, d *gradD
 	return losses
 }
 
-// Predict implements Model, returning the argmax class index.
+// Predict implements Model, returning the argmax class index (the first
+// of equal largest logits).
 func (s Softmax) Predict(w []float64, t *data.Tuple) float64 {
 	var ws Workspace
-	z := s.logits(&ws, w, t)
-	best, bestV := 0, z[0]
-	for k, v := range z[1:] {
-		if v > bestV {
-			best, bestV = k+1, v
-		}
-	}
-	return float64(best)
+	return argmax(s.logits(&ws, w, t))
+}
+
+// predictor implements boundPredictor: Predict with one logits buffer for
+// every call.
+func (s Softmax) predictor(w []float64) func(*data.Tuple) float64 {
+	ws := new(Workspace)
+	return func(t *data.Tuple) float64 { return argmax(s.logits(ws, w, t)) }
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -79,8 +80,8 @@ type SpanRecord struct {
 //
 // An EventLog is optional everywhere it is threaded: every method is a
 // no-op on a nil receiver, so idle cost is a nil check. It is entirely
-// separate from Registry's JSONL trace sink — attaching an EventLog
-// never changes passive trace bytes (TestTracePurity pins this).
+// separate from the Registry — attaching an EventLog never changes a
+// run's breakdown rows (TestTracePurity pins this).
 type EventLog struct {
 	ring  []atomic.Pointer[Event]
 	spans []atomic.Pointer[SpanRecord]
@@ -263,14 +264,27 @@ func (el *EventLog) StatementFinish(trace, kind string, start time.Time, errText
 
 // StreamTo attaches a JSONL sink: every subsequent event and span is
 // additionally written to w as one JSON object per line (`"ev":"event"`
-// / `"ev":"tracespan"`). This sink is the event log's own — it is never
-// the Registry trace sink, so passive traces are unaffected.
+// / `"ev":"tracespan"`).
 func (el *EventLog) StreamTo(w io.Writer) *EventLog {
 	if el == nil || w == nil {
 		return el
 	}
 	el.sink.Store(&jsonlSink{enc: json.NewEncoder(w)})
 	return el
+}
+
+// jsonlSink serializes lines to one writer, one JSON object per line.
+type jsonlSink struct {
+	mu  sync.Mutex
+	enc *json.Encoder
+}
+
+func (s *jsonlSink) emit(v any) {
+	s.mu.Lock()
+	// Encode appends the newline; errors are deliberately dropped — losing
+	// an event line must never fail a statement or a training run.
+	_ = s.enc.Encode(v)
+	s.mu.Unlock()
 }
 
 type eventLine struct {

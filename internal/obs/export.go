@@ -1,108 +1,16 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
 	"corgipile/internal/stats"
 )
 
-// jsonlSink serializes events to one writer, one JSON object per line.
-type jsonlSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-}
-
-func (s *jsonlSink) emit(v any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	// Encode appends the newline; errors are deliberately dropped — losing
-	// a trace line must never fail a training run.
-	_ = s.enc.Encode(v)
-	s.mu.Unlock()
-}
-
-// StreamTo attaches a JSONL event sink: every epoch breakdown, point event
-// and explicit snapshot is written to w as one JSON object per line. It
-// returns the registry.
-func (r *Registry) StreamTo(w io.Writer) *Registry {
-	if r == nil || w == nil {
-		return r
-	}
-	sink := &jsonlSink{enc: json.NewEncoder(w)}
-	r.mu.Lock()
-	r.sink = sink
-	r.mu.Unlock()
-	return r
-}
-
-func (r *Registry) getSink() *jsonlSink {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sink
-}
-
-// EmitEpoch streams one epoch's breakdown as a JSONL event — the
-// machine-readable twin of the WriteEpochTable rendering.
-func (r *Registry) EmitEpoch(m EpochMetrics) {
-	sink := r.getSink()
-	if sink == nil {
-		return
-	}
-	sink.emit(struct {
-		Ev string `json:"ev"`
-		EpochMetrics
-	}{"epoch", m})
-}
-
-// EmitEvent streams a named point event with arbitrary fields (e.g. a
-// convergence-diagnostics verdict). Field keys are merged into the event object; "ev" and "name"
-// are reserved. No-op without a sink, like every emitter.
-func (r *Registry) EmitEvent(name string, fields map[string]any) {
-	sink := r.getSink()
-	if sink == nil {
-		return
-	}
-	ev := make(map[string]any, len(fields)+2)
-	for k, v := range fields {
-		ev[k] = v
-	}
-	ev["ev"] = "event"
-	ev["name"] = name
-	sink.emit(ev)
-}
-
-// EmitSnapshot streams the registry's full current state under a label
-// (e.g. "final"), for offline analysis of totals.
-func (r *Registry) EmitSnapshot(label string) {
-	sink := r.getSink()
-	if sink == nil {
-		return
-	}
-	s := r.Snapshot()
-	hists := make(map[string]map[string]any, len(s.Hists))
-	for k, h := range s.Hists {
-		hists[k] = map[string]any{
-			"count": h.Count, "sum_s": h.Sum.Seconds(),
-			"min_s": h.Min.Seconds(), "max_s": h.Max.Seconds(),
-		}
-	}
-	sink.emit(map[string]any{
-		"ev": "snapshot", "label": label,
-		"counters": s.Counters, "gauges": s.Gauges, "hists": hists,
-	})
-}
-
 // EpochMetrics is one epoch's cross-layer breakdown — where the epoch's
-// time went, assembled from the well-known metric names. It is the row type
-// of both exporters.
+// time went, assembled from the well-known metric names. core.Loop.Step
+// builds it once per epoch into Result.Breakdown; WriteEpochTable and a
+// run dir's epochs.jsonl render it.
 type EpochMetrics struct {
 	// Epoch is 1-based.
 	Epoch int `json:"epoch"`
@@ -135,8 +43,8 @@ type EpochMetrics struct {
 	// RefillP50S, RefillP95S and RefillP99S are quantiles (seconds) of the
 	// epoch's shuffle-buffer refill durations, estimated from the refill
 	// histogram's per-epoch bucket delta. They are excluded from the
-	// JSON encoding so existing JSONL traces stay byte-identical; the
-	// epoch-table exporter and the live telemetry plane render them.
+	// JSON encoding so epochs.jsonl rows stay byte-identical; the epoch
+	// table and the live telemetry plane render them.
 	RefillP50S float64 `json:"-"`
 	RefillP95S float64 `json:"-"`
 	RefillP99S float64 `json:"-"`
@@ -173,8 +81,8 @@ func EpochFromDelta(epoch int, seconds, avgLoss float64, d Snapshot) EpochMetric
 	return m
 }
 
-// WriteEpochTable renders epoch breakdown rows as an aligned text table —
-// the human-readable exporter, built on internal/stats. Alongside the
+// WriteEpochTable renders epoch breakdown rows as an aligned text table,
+// built on internal/stats. Alongside the
 // per-epoch totals it prints the refill-duration histogram quantiles
 // (p50/p95/p99), so tail latencies are visible next to the sums.
 func WriteEpochTable(w io.Writer, title string, rows []EpochMetrics) error {
@@ -197,16 +105,6 @@ func WriteEpochTable(w io.Writer, title string, rows []EpochMetrics) error {
 			fmt.Sprintf("%.5f", m.AvgLoss),
 			m.Tuples,
 		)
-	}
-	return t.Write(w)
-}
-
-// WriteCounterTable renders every series of the registry's flattened
-// snapshot, sorted by name — the "totals" companion to the per-epoch table.
-func (r *Registry) WriteCounterTable(w io.Writer, title string) error {
-	t := stats.NewTable(title, "metric", "value")
-	for _, m := range r.Snapshot().Flatten() {
-		t.AddRow(m.Name, m.Text())
 	}
 	return t.Write(w)
 }

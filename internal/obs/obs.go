@@ -1,7 +1,7 @@
 // Package obs is the cross-layer observability subsystem: a registry of
 // named counters, gauges, and duration histograms, an event log of
-// statement and epoch spans, and two exporters (a JSONL event stream and a
-// human-readable epoch breakdown table).
+// statement and epoch spans, and the per-epoch breakdown row (EpochMetrics)
+// with its two renderings: the epoch table and a run dir's epochs.jsonl.
 //
 // Every layer of the stack reports into one Registry — the simulated device
 // (internal/iosim) its bytes, seeks, and cache hits; the shuffling
@@ -185,7 +185,7 @@ func (h *hist) observe(d time.Duration) {
 }
 
 // Registry is a lock-protected collection of named counters, gauges, and
-// duration histograms, plus an optional JSONL sink. The zero value is not
+// duration histograms. The zero value is not
 // usable; construct with New. All methods are no-ops on a nil receiver.
 type Registry struct {
 	mu       sync.Mutex
@@ -197,12 +197,10 @@ type Registry struct {
 	collectors []Collector
 	// peaks, when EnablePeaks armed it, records the high-water mark of
 	// every gauge set since. Peaks are read through Peak only and never
-	// appear in Snapshot or the exporters, so arming them cannot perturb
-	// traces or scrapes. The serving plane arms them on each job's private
+	// appear in Snapshot or the breakdown rows, so arming them cannot
+	// perturb a run's record or a scrape. The serving plane arms them on each job's private
 	// registry for JobStats' peak buffer occupancy.
 	peaks map[string]float64
-
-	sink *jsonlSink
 }
 
 // New returns an empty registry measuring on a fresh wall clock.

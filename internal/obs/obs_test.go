@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -85,10 +87,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.AddDuration("a", time.Second)
 	r.SetGauge("g", 1)
 	r.Observe("h", time.Second)
-	r.EmitEpoch(EpochMetrics{})
-	r.EmitSnapshot("x")
 	r.WithClock(&fakeClock{})
-	r.StreamTo(&bytes.Buffer{})
 	if got := r.Now(); got != 0 {
 		t.Errorf("nil Now = %v", got)
 	}
@@ -218,52 +217,21 @@ func TestWriteEpochTableAndJSONLParity(t *testing.T) {
 		t.Errorf("table missing loss value:\n%s", out)
 	}
 
-	// The JSONL exporter round-trips the same row.
-	var stream bytes.Buffer
-	r := New().StreamTo(&stream)
-	r.EmitEpoch(rows[0])
-	var got struct {
-		Ev string `json:"ev"`
-		EpochMetrics
-	}
-	if err := json.Unmarshal(stream.Bytes(), &got); err != nil {
+	// A run dir's epochs.jsonl round-trips the same row.
+	dir := t.TempDir()
+	if err := WriteRunDir(dir, RunArtifacts{Epochs: rows}); err != nil {
 		t.Fatal(err)
 	}
-	if got.Ev != "epoch" || got.EpochMetrics != rows[0] {
-		t.Errorf("JSONL epoch = %+v", got)
-	}
-}
-
-func TestEmitSnapshot(t *testing.T) {
-	var buf bytes.Buffer
-	r := New().StreamTo(&buf)
-	r.Add(IOReadBytes, 42)
-	r.Observe("h", time.Second)
-	r.EmitSnapshot("final")
-	var got map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+	raw, err := os.ReadFile(filepath.Join(dir, "epochs.jsonl"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got["ev"] != "snapshot" || got["label"] != "final" {
-		t.Errorf("snapshot event = %v", got)
-	}
-}
-
-func TestWriteCounterTable(t *testing.T) {
-	r := New()
-	r.Add("b.counter", 2)
-	r.Add("a.counter", 1)
-	r.SetGauge("z.gauge", 0.5)
-	var buf bytes.Buffer
-	if err := r.WriteCounterTable(&buf, "Totals"); err != nil {
+	var got EpochMetrics
+	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "a.counter") || !strings.Contains(out, "z.gauge") {
-		t.Errorf("counter table:\n%s", out)
-	}
-	if strings.Index(out, "a.counter") > strings.Index(out, "b.counter") {
-		t.Errorf("counters not sorted:\n%s", out)
+	if got != rows[0] {
+		t.Errorf("epochs.jsonl row = %+v", got)
 	}
 }
 
@@ -271,8 +239,7 @@ func TestWriteCounterTable(t *testing.T) {
 // real assertion is `go test -race`.
 func TestConcurrentUse(t *testing.T) {
 	clock := &fakeClock{}
-	var buf bytes.Buffer
-	r := New().WithClock(clock).StreamTo(&buf)
+	r := New().WithClock(clock)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

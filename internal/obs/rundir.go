@@ -70,8 +70,8 @@ type RunArtifacts struct {
 	// Manifest is written as manifest.json, with GitSHA and GoVersion
 	// filled from the build when left empty.
 	Manifest Manifest
-	// Epochs is written as epochs.jsonl, one row per line — the same row
-	// schema the JSONL trace emits. No rows leave an empty file.
+	// Epochs is written as epochs.jsonl, one row per line. No rows leave
+	// an empty file.
 	Epochs []EpochMetrics
 	// Plan, when non-nil, is written as plan.json.
 	Plan *PlanStats

@@ -537,3 +537,73 @@ func TestReplicaPredictFollowsApply(t *testing.T) {
 		t.Fatalf("replica served %d tuples after an INSERT on the installed snapshot, want 320", got)
 	}
 }
+
+// TestDivergedTrainOverWire: a TRAIN whose steps overflow, sent over the
+// wire to a durable primary with a streaming replica, ends failed with the
+// divergence error in its JobStatus and its corgi_jobs row, and installs
+// nothing: neither catalog gains the model, and the replica's applied LSN
+// stays at the primary's last LSN because nothing was logged.
+func TestDivergedTrainOverWire(t *testing.T) {
+	primSess := db.NewSession()
+	if _, err := primSess.OpenWAL(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{replCreate, replBaseTrain} {
+		if _, err := primSess.Exec(sql); err != nil {
+			t.Fatalf("boot: %v", err)
+		}
+	}
+	prim, err := New(Config{Addr: "127.0.0.1:0", Session: primSess, ReplicaListen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("primary New: %v", err)
+	}
+	defer prim.Close()
+	repSess := db.NewSession()
+	if _, err := repSess.OpenWAL(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := New(Config{Addr: "127.0.0.1:0", Session: repSess, ReplicateFrom: prim.ReplicaAddr()})
+	if err != nil {
+		t.Fatalf("replica New: %v", err)
+	}
+	defer rep.Close()
+	last := primSess.LastLSN()
+	waitApplied(t, rep, last)
+
+	pc, err := Dial(prim.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	const want = "core: epoch 1 diverged: loss NaN, w[0] = NaN"
+	job, err := pc.Train(`SELECT * FROM t TRAIN BY svm MODEL blown WITH learning_rate=1e308, max_epoch_num=3, seed=7`, true, false)
+	if err != nil {
+		t.Fatalf("diverged TRAIN: %v", err)
+	}
+	if job.State != JobFailed || !strings.Contains(job.Error, want) {
+		t.Fatalf("diverged TRAIN job = %+v, want failed with %q", job, want)
+	}
+	res, err := pc.Exec(`SELECT state, error FROM corgi_jobs WHERE id = '` + job.ID + `'`)
+	if err != nil {
+		t.Fatalf("SELECT corgi_jobs: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != string(JobFailed) || !strings.Contains(res.Rows[0][1], want) {
+		t.Fatalf("corgi_jobs row %v, want failed with %q", res.Rows, want)
+	}
+
+	if got := primSess.LastLSN(); got != last {
+		t.Fatalf("primary LSN %d after a diverged TRAIN, want %d: it logged something", got, last)
+	}
+	waitApplied(t, rep, last)
+	if got, want := rep.dbs.LastLSN(), primSess.LastLSN(); got != want {
+		t.Fatalf("replica applied LSN %d, primary's last %d", got, want)
+	}
+	for name, s := range map[string]*db.Session{"primary": primSess, "replica": repSess} {
+		if _, ok := s.Model("blown"); ok {
+			t.Errorf("the %s's catalog gained the diverged model", name)
+		}
+		if _, ok := s.Model("base"); !ok {
+			t.Errorf("the %s's catalog lost model base", name)
+		}
+	}
+}

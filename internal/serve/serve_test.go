@@ -447,6 +447,54 @@ func TestErrorCodes(t *testing.T) {
 	}
 }
 
+// TestWrongStatementError pins the exact wire text of op train and op
+// predict sent a statement of another kind, for all 14 statement kinds.
+func TestWrongStatementError(t *testing.T) {
+	srv := testServer(t, Config{})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cases := []struct{ sql, verb string }{
+		{"CREATE TABLE u AS SYNTHETIC(workload='susy', scale=0.05)", "CREATE TABLE"},
+		{"SELECT * FROM t TRAIN BY svm MODEL m2", "TRAIN"},
+		{"SELECT * FROM t PREDICT BY warm", "PREDICT"},
+		{"SELECT * FROM corgi_tables", "SELECT"},
+		{"SHOW TABLES", "SHOW"},
+		{"EXPLAIN SELECT * FROM t TRAIN BY svm", "EXPLAIN"},
+		{"ANALYZE TABLE t", "ANALYZE"},
+		{"SAVE MODEL warm TO 'warm.json'", "SAVE MODEL"},
+		{"LOAD MODEL m3 FROM 'warm.json'", "LOAD MODEL"},
+		{"DROP TABLE t", "DROP"},
+		{"INSERT INTO t VALUES (1, 0.5)", "INSERT"},
+		{"LOAD INTO t FROM 'more.libsvm'", "LOAD INTO"},
+		{"CHECKPOINT", "CHECKPOINT"},
+		{"PROMOTE", "PROMOTE"},
+	}
+	kinds := map[string]bool{}
+	for _, tc := range cases {
+		st, err := sqlparse.Parse(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		kinds[fmt.Sprintf("%T", st)] = true
+		for _, op := range []struct{ name, verb string }{{"train", "TRAIN"}, {"predict", "PREDICT"}} {
+			if op.verb == tc.verb {
+				continue
+			}
+			_, err := c.Do(Request{Op: op.name, SQL: tc.sql})
+			want := fmt.Sprintf("op %s requires a %s statement, got %s", op.name, op.verb, tc.verb)
+			if we, ok := err.(*WireError); !ok || we.Code != ErrBadRequest || we.Message != want {
+				t.Errorf("op %s %q: err = %v, want %s %q", op.name, tc.sql, err, ErrBadRequest, want)
+			}
+		}
+	}
+	if len(kinds) != 14 {
+		t.Fatalf("cases cover %d statement kinds, want 14: %v", len(kinds), kinds)
+	}
+}
+
 // TestQuit checks the graceful-close handshake.
 func TestQuit(t *testing.T) {
 	srv := testServer(t, Config{})

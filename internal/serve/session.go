@@ -159,7 +159,7 @@ func (s *Server) execTrainOp(sessID string, sessCtx context.Context, req *Reques
 	}
 	tr, ok := st.(*sqlparse.Train)
 	if !ok {
-		return errResponse(ErrBadRequest, "op train requires a TRAIN statement, got %s", stmtKind(st))
+		return errResponse(ErrBadRequest, "op train requires a TRAIN statement, got %s", stmtVerb(st))
 	}
 	return s.submitAndReply(sessID, sessCtx, tr, req, trace, traceGiven)
 }
@@ -173,7 +173,7 @@ func (s *Server) execPredictOp(req *Request, trace string) *Response {
 	}
 	pr, ok := st.(*sqlparse.Predict)
 	if !ok {
-		return errResponse(ErrBadRequest, "op predict requires a PREDICT statement, got %s", stmtKind(st))
+		return errResponse(ErrBadRequest, "op predict requires a PREDICT statement, got %s", stmtVerb(st))
 	}
 	return s.execPredictTraced(pr, trace)
 }
@@ -380,40 +380,11 @@ func (s *Server) waitJob(j *job, sessCtx context.Context) *Response {
 	}
 }
 
-// stmtKind names a statement type for error messages.
-func stmtKind(st sqlparse.Statement) string {
-	switch st.(type) {
-	case *sqlparse.CreateTable:
-		return "CREATE TABLE"
-	case *sqlparse.Train:
-		return "TRAIN"
-	case *sqlparse.Predict:
-		return "PREDICT"
-	case *sqlparse.Select:
-		return "SELECT"
-	case *sqlparse.Show:
-		return "SHOW"
-	case *sqlparse.Explain:
-		return "EXPLAIN"
-	case *sqlparse.Analyze:
-		return "ANALYZE"
-	case *sqlparse.SaveModel:
-		return "SAVE MODEL"
-	case *sqlparse.LoadModel:
-		return "LOAD MODEL"
-	case *sqlparse.Drop:
-		return "DROP"
-	case *sqlparse.Insert:
-		return "INSERT"
-	case *sqlparse.LoadTable:
-		return "LOAD INTO"
-	case *sqlparse.Checkpoint:
-		return "CHECKPOINT"
-	case *sqlparse.Promote:
-		return "PROMOTE"
-	default:
-		return "unknown statement"
-	}
+// stmtVerb names a statement for error messages: db.StatementKind's verb,
+// upper-cased ("create_table t" → "CREATE TABLE").
+func stmtVerb(st sqlparse.Statement) string {
+	verb, _, _ := strings.Cut(db.StatementKind(st), " ")
+	return strings.ToUpper(strings.ReplaceAll(verb, "_", " "))
 }
 
 // ptr lifts a JobStatus into the pointer the wire struct wants.
