@@ -3,7 +3,10 @@
 // datasets, and a LIBSVM text codec for loading real files.
 package data
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Tuple is one training example — a row of the paper's
 // ⟨id, features_k[], features_v[], label⟩ schema.
@@ -37,11 +40,53 @@ func (t *Tuple) NNZ() int {
 	return len(t.Dense)
 }
 
+// PrefixCap is the longest run of indices 0…n−1 that PrefixIdx shares.
+const PrefixCap = 4096
+
+// prefix holds 0, 1, …, PrefixCap−1: the indices of every sparse tuple of a
+// decoded table image that stores all of its first n features (a dense row
+// stored sparse, as LIBSVM loads one). It is never written after init.
+var prefix [PrefixCap]int32
+
+func init() {
+	for i := range prefix {
+		prefix[i] = int32(i)
+	}
+}
+
+// PrefixIdx returns the shared indices 0…n−1, 0 ≤ n ≤ PrefixCap, with
+// capacity clamped to n so an append reallocates. The slice is read-only:
+// a tuple carrying it must never have its indices edited in place. Only a
+// decoded table image hands it out (ARCHITECTURE.md "Block decode and who
+// owns the result").
+func PrefixIdx(n int) []int32 { return prefix[:n:n] }
+
+// Row returns the tuple's features as a dense row x[0:n] when it has one: a
+// dense tuple's Dense, or the SparseVal of a sparse tuple whose indices are
+// PrefixIdx's, recognised by one pointer comparison. ok is false for any
+// other sparse tuple, including one whose private indices happen to be
+// 0…n−1.
+func (t *Tuple) Row() (xs []float64, ok bool) {
+	if !t.IsSparse() {
+		return t.Dense, true
+	}
+	if unsafe.SliceData(t.SparseIdx) == &prefix[0] {
+		return t.SparseVal[:len(t.SparseIdx)], true
+	}
+	return nil, false
+}
+
 // Dot returns the inner product ⟨w, x⟩ of the weight vector w with the
 // tuple's feature vector. Indices outside len(w) are ignored.
+//
+// A tuple with a Row takes the dense loop. For a sparse tuple carrying
+// PrefixIdx, idx < len(w) holds exactly when i < len(w), so both loops
+// perform the same products in the same order (DESIGN.md "Bit-exact
+// kernels").
 func (t *Tuple) Dot(w []float64) float64 {
 	var s float64
-	if t.IsSparse() {
+	xs, ok := t.Row()
+	if !ok {
 		for i, idx := range t.SparseIdx {
 			if int(idx) < len(w) {
 				s += w[idx] * t.SparseVal[i]
@@ -49,12 +94,12 @@ func (t *Tuple) Dot(w []float64) float64 {
 		}
 		return s
 	}
-	n := len(t.Dense)
-	if len(w) < n {
-		n = len(w)
+	if len(xs) > len(w) {
+		xs = xs[:len(w)]
 	}
-	for i := 0; i < n; i++ {
-		s += w[i] * t.Dense[i]
+	w = w[:len(xs)]
+	for i, x := range xs {
+		s += w[i] * x
 	}
 	return s
 }

@@ -1,6 +1,10 @@
 package data
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func denseTuple(vals ...float64) Tuple {
 	return Tuple{Dense: vals}
@@ -90,5 +94,50 @@ func TestTupleString(t *testing.T) {
 	tp := Tuple{ID: 3, Label: -1, Dense: []float64{1}}
 	if got := tp.String(); got != "tuple{id=3 label=-1 dense nnz=1}" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// A tuple carrying PrefixIdx takes Dot's dense loop; its value must be the
+// sparse loop's over a private copy of the same indices, bit for bit, with
+// fewer, as many and more stored values than w has coordinates.
+func TestDotPrefixMatchesPrivateIndices(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 7, 17, 18, 19, 40, PrefixCap} {
+		for _, dim := range []int{1, 18, 33} {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+			}
+			w := make([]float64, dim)
+			for i := range w {
+				w[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+			}
+			shared := Tuple{SparseIdx: PrefixIdx(n), SparseVal: vals}
+			private := Tuple{SparseIdx: append(make([]int32, 0, n), PrefixIdx(n)...), SparseVal: vals}
+			if _, ok := shared.Row(); !ok {
+				t.Fatalf("n=%d: a tuple carrying PrefixIdx has no Row", n)
+			}
+			if _, ok := private.Row(); ok && n > 0 {
+				t.Fatalf("n=%d: a tuple with private indices 0…n−1 has a Row", n)
+			}
+			got, want := shared.Dot(w), private.Dot(w)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d, len(w)=%d: prefix Dot %v (%#x), private Dot %v (%#x)",
+					n, dim, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// PrefixIdx is capacity-clamped: an append to it reallocates and leaves
+// the shared indices as they were.
+func TestPrefixIdxIsCapacityClamped(t *testing.T) {
+	p := PrefixIdx(3)
+	if cap(p) != 3 {
+		t.Fatalf("cap(PrefixIdx(3)) = %d, want 3", cap(p))
+	}
+	_ = append(p, -1)
+	if got := PrefixIdx(4)[3]; got != 3 {
+		t.Fatalf("an append to PrefixIdx(3) wrote %d into index 3", got)
 	}
 }

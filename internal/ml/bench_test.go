@@ -242,9 +242,11 @@ func BenchmarkEpoch(b *testing.B) {
 var accuracySink float64
 
 // BenchmarkAccuracy times the per-epoch eval pass (TrainEval, and TRAIN's
-// accuracy column) over the train_mlp_batch table, once as loaded (once per
-// lane kernel tier) and once with every 7th index dropped, so the scalar
-// hidden layer keeps a number.
+// accuracy column) over the train_mlp_batch table: once as loaded (once per
+// lane kernel tier), private indices 0…63 that layoutOf scans; once as a
+// decoded table image holds it, every tuple carrying data.PrefixIdx
+// (mlp_prefix); and once with every 7th index dropped, so the scalar hidden
+// layer keeps a number.
 func BenchmarkAccuracy(b *testing.B) {
 	run := func(b *testing.B, ds *data.Dataset) {
 		m := MLP{Classes: 10, Hidden: 32}
@@ -258,5 +260,10 @@ func BenchmarkAccuracy(b *testing.B) {
 		}
 	}
 	b.Run("mlp", func(b *testing.B) { forEachTier(b, func(b *testing.B) { run(b, mlpWorkloadDS()) }) })
+	b.Run("mlp_prefix", func(b *testing.B) {
+		ds := mlpWorkloadDS()
+		sharePrefixes(ds.Tuples)
+		run(b, ds)
+	})
 	b.Run("mlp_holes", func(b *testing.B) { run(b, holesWorkloadDS()) })
 }

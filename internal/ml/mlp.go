@@ -115,7 +115,7 @@ func (m MLP) logits(h, z, w []float64, t *data.Tuple, features int, lw laneWeigh
 func hiddenLayer(h, w []float64, t *data.Tuple, features int) {
 	in1 := features + 1
 	sparse, xs := t.IsSparse(), t.Dense
-	if sparse && gapFree(t.SparseIdx) {
+	if sparse && prefixRow(t) {
 		sparse, xs = false, t.SparseVal[:len(t.SparseIdx)]
 	}
 	if len(xs) > features {
@@ -157,6 +157,14 @@ func hiddenLayer(h, w []float64, t *data.Tuple, features int) {
 		wj := w[j*in1 : (j+1)*in1]
 		h[j] = relu(t.Dot(wj[:features]) + wj[features])
 	}
+}
+
+// prefixRow reports whether the sparse tuple t's indices are exactly 0, 1,
+// …, n−1: by one pointer comparison when t carries data.PrefixIdx, as every
+// such row of a decoded table does, else by gapFree's scan.
+func prefixRow(t *data.Tuple) bool {
+	_, ok := t.Row()
+	return ok || gapFree(t.SparseIdx)
 }
 
 // gapFree reports whether idxs is exactly 0, 1, …, len(idxs)−1. It checks

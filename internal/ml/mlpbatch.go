@@ -28,11 +28,13 @@ const (
 // false when an entry of t would land outside its row: an index at or past
 // features, or a dense row longer than features. Every index is checked; no
 // decoder enforces Tuple's increasing order, so the last one proves nothing.
+// A row of a decoded table that carries data.PrefixIdx is known to be a
+// prefix without the scan (prefixRow).
 func layoutOf(t *data.Tuple, features int) (l rowLayout, inRow bool) {
 	if !t.IsSparse() {
 		return layoutDense, len(t.Dense) <= features
 	}
-	if gapFree(t.SparseIdx) {
+	if prefixRow(t) {
 		return layoutPrefix, len(t.SparseIdx) <= features
 	}
 	for _, idx := range t.SparseIdx {

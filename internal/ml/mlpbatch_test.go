@@ -70,7 +70,8 @@ func gradBatchTuples(rng *rand.Rand, n, features, classes int) []data.Tuple {
 // holesFreeMix returns n tuples of features columns in the layouts that
 // take gradBatch's lane path for W1: dense rows with stored zeros, short
 // dense rows, and full rows and short prefixes stored sparse with indices
-// 0…k−1 (zeros stored). Values are multiples of 1/8 in [−15.25, 15.875], so
+// 0…k−1 (zeros stored), every other one of them carrying data.PrefixIdx as
+// a decoded table's rows do. Values are multiples of 1/8 in [−15.25, 15.875], so
 // encodeGradBatchInput takes them.
 func holesFreeMix(rng *rand.Rand, n, features, classes int) []data.Tuple {
 	vals := func(k int) []float64 {
@@ -95,6 +96,9 @@ func holesFreeMix(rng *rand.Rand, n, features, classes int) []data.Tuple {
 			t.SparseIdx = make([]int32, k)
 			for c := range t.SparseIdx {
 				t.SparseIdx[c] = int32(c)
+			}
+			if i%2 == 0 { // as a decoded table stores it
+				t.SparseIdx = data.PrefixIdx(k)
 			}
 			t.SparseVal = vals(k)
 		}
@@ -481,15 +485,16 @@ func goldenLayout(rng *rand.Rand, kind string, n, features, classes int) []data.
 			for range t.SparseIdx {
 				t.SparseVal = append(t.SparseVal, val())
 			}
-		case "holes", "full":
+		case "holes", "full", "shared":
+			full := kind != "holes"
 			k := features
-			if kind == "full" && i%3 == 0 {
+			if full && i%3 == 0 {
 				row[i%features] = 0
-			} else if kind == "full" && i%5 == 1 {
+			} else if full && i%5 == 1 {
 				k = 1 + i%(features-1)
 			}
 			for c, v := range row[:k] {
-				if kind == "full" || c%7 != 6 {
+				if full || c%7 != 6 {
 					t.SparseIdx = append(t.SparseIdx, int32(c))
 					t.SparseVal = append(t.SparseVal, v)
 				}
@@ -501,16 +506,30 @@ func goldenLayout(rng *rand.Rand, kind string, n, features, classes int) []data.
 	switch kind {
 	case "sparse", "holes":
 		ts[n/2] = data.Tuple{Label: float64(2 % classes), SparseIdx: []int32{1, f, f + 2}, SparseVal: []float64{0.5, -1.25, 2}}
-	case "full":
+	case "full", "shared":
 		p := &ts[n/2]
 		p.SparseIdx = append(p.SparseIdx[:features:features], f, f+1)
 		p.SparseVal = append(p.SparseVal[:features:features], 0.75, -0.5)
 	}
+	if kind == "shared" {
+		sharePrefixes(ts)
+	}
 	return ts
 }
 
-// goldenLayouts names goldenLayout's layouts.
-var goldenLayouts = []string{"dense", "sparse", "holes", "full"}
+// sharePrefixes gives every sparse tuple of ts whose indices are 0…n−1 the
+// shared data.PrefixIdx(n), as a decoded table image does.
+func sharePrefixes(ts []data.Tuple) {
+	for i := range ts {
+		if t := &ts[i]; t.IsSparse() && gapFree(t.SparseIdx) {
+			t.SparseIdx = data.PrefixIdx(len(t.SparseIdx))
+		}
+	}
+}
+
+// goldenLayouts names goldenLayout's layouts; "shared" is "full" with every
+// gap-free tuple carrying data.PrefixIdx.
+var goldenLayouts = []string{"dense", "sparse", "holes", "full", "shared"}
 
 // gradBatchSeeds returns one fuzz seed per layout of core.TestMLPGolden's
 // matrix (goldenLayout), at its shape (20 features, 4 classes, batch 64),

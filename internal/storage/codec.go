@@ -83,34 +83,57 @@ func tupleShape(buf []byte) (sparse bool, count, size int, err error) {
 }
 
 // fillTuple decodes the tuple at the front of buf, whose shape tupleShape
-// has validated, over *t, and reports that shape again. Feature values go to
-// the front of vals and, for a sparse tuple, indices to the front of idx;
-// t's slices are those prefixes with their capacity clamped to count, so an
-// append to one reallocates instead of writing into whatever follows in the
-// caller's backing array.
-func fillTuple(t *data.Tuple, buf []byte, vals []float64, idx []int32) (sparse bool, count, size int) {
+// has validated, over *t, and reports its stored feature count, its encoded
+// size and how many slots of idx it used. Feature values go to the front of vals. A sparse tuple whose
+// indices are exactly 0…n−1, n ≤ data.PrefixCap, gets data.PrefixIdx(n) and
+// uses no slot of idx; any other sparse tuple's indices go to the front of
+// idx. t's slices are those prefixes with their capacity clamped to count,
+// so an append to one reallocates instead of writing into whatever follows
+// in the caller's backing array.
+func fillTuple(t *data.Tuple, buf []byte, vals []float64, idx []int32) (count, size, ints int) {
 	*t = data.Tuple{
 		ID:    int64(binary.LittleEndian.Uint64(buf)),
 		Label: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
 	}
-	sparse = buf[16] == flagSparse
 	count = int(binary.LittleEndian.Uint32(buf[17:]))
 	vals = vals[:count:count]
 	body := buf[tupleHeaderSize:]
-	if !sparse {
+	if buf[16] != flagSparse {
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
 		}
 		t.Dense = vals
-		return false, count, tupleHeaderSize + count*8
+		return count, tupleHeaderSize + count*8, 0
 	}
-	idx = idx[:count:count]
 	for i := range vals {
-		idx[i] = int32(binary.LittleEndian.Uint32(body[i*12:]))
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*12+4:]))
 	}
-	t.SparseIdx, t.SparseVal = idx, vals
-	return true, count, tupleHeaderSize + count*12
+	t.SparseVal = vals
+	if prefixRun(body, count) {
+		t.SparseIdx = data.PrefixIdx(count)
+		return count, tupleHeaderSize + count*12, 0
+	}
+	idx = idx[:count:count]
+	for i := range idx {
+		idx[i] = int32(binary.LittleEndian.Uint32(body[i*12:]))
+	}
+	t.SparseIdx = idx
+	return count, tupleHeaderSize + count*12, count
+}
+
+// prefixRun reports whether the count sparse entries at the front of body
+// have the indices 0, 1, …, count−1 and count ≤ data.PrefixCap, so that the
+// decoder gives their tuple the shared data.PrefixIdx.
+func prefixRun(body []byte, count int) bool {
+	if count > data.PrefixCap {
+		return false
+	}
+	for i := 0; i < count; i++ {
+		if binary.LittleEndian.Uint32(body[i*12:]) != uint32(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // ValidateRawTuples checks that raw is exactly count well-formed tuple
@@ -124,7 +147,8 @@ func ValidateRawTuples(raw []byte, count int) error {
 
 // scanRawTuples is pass one of the block decoder: it validates every tuple
 // of a raw payload and totals the float64 and int32 slots the block's
-// features need.
+// features need. A sparse tuple fillTuple gives data.PrefixIdx needs no
+// int32 slot.
 func scanRawTuples(raw []byte, count int) (floats, ints int, err error) {
 	if count < 0 || count > len(raw)/tupleHeaderSize {
 		return 0, 0, fmt.Errorf("%w: tuple count %d exceeds %d-byte payload", ErrCorrupt, count, len(raw))
@@ -136,7 +160,7 @@ func scanRawTuples(raw []byte, count int) (floats, ints int, err error) {
 			return 0, 0, err
 		}
 		floats += c
-		if sparse {
+		if sparse && !prefixRun(raw[off+tupleHeaderSize:], c) {
 			ints += c
 		}
 		off += size
@@ -151,11 +175,12 @@ func scanRawTuples(raw []byte, count int) (floats, ints int, err error) {
 // dst, validating all of raw before allocating or writing anything.
 //
 // Whatever the tuple count, it allocates twice at most: one float64 arena for
-// every feature value and one int32 arena for every sparse index. Each
-// tuple's slices are sub-slices of the arenas with capacity clamped to their
-// length. Tuples of one block therefore share backing arrays — retaining one
-// tuple keeps its whole block's features reachable — but none can grow into a
-// neighbour.
+// every feature value and one int32 arena for the indices of every sparse
+// tuple that does not carry the shared data.PrefixIdx. Each tuple's slices
+// are sub-slices of the arenas (or of the shared prefix) with capacity
+// clamped to their length. Tuples of one block therefore share backing
+// arrays — retaining one tuple keeps its whole block's features reachable —
+// but none can grow into a neighbour.
 func decodeRawTuples(dst []data.Tuple, raw []byte) error {
 	floats, ints, err := scanRawTuples(raw, len(dst))
 	if err != nil {
@@ -165,11 +190,8 @@ func decodeRawTuples(dst []data.Tuple, raw []byte) error {
 	idx := make([]int32, ints)
 	off := 0
 	for i := range dst {
-		sparse, c, size := fillTuple(&dst[i], raw[off:], vals, idx)
-		vals = vals[c:]
-		if sparse {
-			idx = idx[c:]
-		}
+		c, size, used := fillTuple(&dst[i], raw[off:], vals, idx)
+		vals, idx = vals[c:], idx[used:]
 		off += size
 	}
 	return nil

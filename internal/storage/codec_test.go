@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -164,11 +166,14 @@ func DecodeTuple(buf []byte) (data.Tuple, int, error) {
 		return data.Tuple{}, 0, err
 	}
 	var t data.Tuple
-	var idx []int32
-	if sparse {
-		idx = make([]int32, count)
-	}
+	idx := make([]int32, count)
 	fillTuple(&t, buf, make([]float64, count), idx)
+	if sparse { // private indices, even where the decoder shares data.PrefixIdx
+		for i := range idx {
+			idx[i] = int32(binary.LittleEndian.Uint32(buf[tupleHeaderSize+i*12:]))
+		}
+		t.SparseIdx = idx
+	}
 	return t, size, nil
 }
 
@@ -208,7 +213,9 @@ func decodeTupleLoop(raw []byte, count int) ([]data.Tuple, error) {
 }
 
 // randomBlock draws a block of the given kind: dense, sparse, mixed, zero
-// (tuples without features, dense and sparse) or empty (no tuples).
+// (tuples without features, dense and sparse), empty (no tuples) or prefix
+// (sparse rows whose indices are 0…n−1, short, at data.PrefixCap and just
+// past it, beside near misses, empty sparse rows and dense rows).
 func randomBlock(rng *rand.Rand, kind string) (raw []byte, count int) {
 	if kind != "empty" {
 		count = 1 + rng.Intn(40)
@@ -219,30 +226,61 @@ func randomBlock(rng *rand.Rand, kind string) (raw []byte, count int) {
 		if kind == "zero" {
 			n = 0
 		}
-		if kind == "sparse" || (kind != "dense" && rng.Intn(2) == 0) {
+		switch {
+		case kind == "prefix" && rng.Intn(3) == 0:
+			tp.Dense = make([]float64, n)
+		case kind == "prefix":
+			if rng.Intn(8) == 0 {
+				n = data.PrefixCap - 1 + rng.Intn(3)
+			}
+			tp.SparseIdx, tp.SparseVal = make([]int32, n), make([]float64, n)
+			for j := range tp.SparseIdx {
+				tp.SparseIdx[j], tp.SparseVal[j] = int32(j), rng.NormFloat64()
+			}
+			if n > 0 && rng.Intn(4) == 0 { // a near miss: one index off
+				tp.SparseIdx[rng.Intn(n)]++
+			}
+		case kind == "sparse" || (kind != "dense" && rng.Intn(2) == 0):
 			tp.SparseIdx, tp.SparseVal = make([]int32, n), make([]float64, n)
 			for j := range tp.SparseIdx {
 				tp.SparseIdx[j], tp.SparseVal[j] = rng.Int31(), rng.NormFloat64()
 			}
-		} else {
+		default:
 			tp.Dense = make([]float64, n)
-			for j := range tp.Dense {
-				tp.Dense[j] = rng.NormFloat64()
-			}
+		}
+		for j := range tp.Dense {
+			tp.Dense[j] = rng.NormFloat64()
 		}
 		raw = AppendTuple(raw, &tp)
 	}
 	return raw, count
 }
 
+// isPrefixRow reports whether t is a sparse tuple whose indices are exactly
+// 0…n−1 with n ≤ data.PrefixCap: a row the decoder must give
+// data.PrefixIdx.
+func isPrefixRow(t *data.Tuple) bool {
+	if !t.IsSparse() || len(t.SparseIdx) > data.PrefixCap {
+		return false
+	}
+	for i, idx := range t.SparseIdx {
+		if int(idx) != i {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: the one-pass arena decoder returns exactly what the per-tuple
 // loop returns — deep-equal tuples (nil-ness of every slice included) on
 // well-formed blocks, and the same error text on damaged ones — and the
-// allocation-free validator agrees with both.
+// allocation-free validator agrees with both. Exactly the sparse rows with
+// indices 0…n−1, n ≤ data.PrefixCap, carry the shared data.PrefixIdx
+// (Tuple.Row recognises them); every other row keeps private indices.
 func TestDecodeRawTuplesMatchesTupleLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, kind := range []string{"dense", "sparse", "mixed", "zero", "empty"} {
-		decoded, rejected := 0, 0
+	for _, kind := range []string{"dense", "sparse", "mixed", "zero", "empty", "prefix"} {
+		decoded, rejected, shared := 0, 0, 0
 		for iter := 0; iter < 200; iter++ {
 			raw, count := randomBlock(rng, kind)
 			switch rng.Intn(4) { // three in four blocks are damaged
@@ -264,14 +302,27 @@ func TestDecodeRawTuplesMatchesTupleLoop(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s #%d: arena decode differs from the tuple loop\n got: %+v\nwant: %+v", kind, iter, got, want)
 			}
+			for i := range got {
+				_, row := got[i].Row()
+				if prefix := got[i].IsSparse() && row; prefix != isPrefixRow(&want[i]) {
+					t.Fatalf("%s #%d: tuple %d (%d indices) carries the shared prefix: %v, want %v",
+						kind, iter, i, len(want[i].SparseIdx), prefix, !prefix)
+				} else if prefix {
+					shared++
+				}
+				if _, row := want[i].Row(); want[i].IsSparse() && row {
+					t.Fatalf("%s #%d: the reference loop's tuple %d carries the shared prefix", kind, iter, i)
+				}
+			}
 			if wantErr == nil {
 				decoded++
 			} else {
 				rejected++
 			}
 		}
-		if decoded == 0 || rejected == 0 {
-			t.Fatalf("%s: %d decoded, %d rejected: the generator no longer covers both", kind, decoded, rejected)
+		if decoded == 0 || rejected == 0 || (kind == "prefix" && shared == 0) {
+			t.Fatalf("%s: %d decoded, %d rejected, %d shared prefixes: the generator no longer covers its cases",
+				kind, decoded, rejected, shared)
 		}
 	}
 }
@@ -286,6 +337,8 @@ func TestDecodedTuplesDoNotAliasOnAppend(t *testing.T) {
 		{ID: 1, Dense: []float64{3, 4}},
 		{ID: 2, SparseIdx: []int32{5}, SparseVal: []float64{6}},
 		{ID: 3, SparseIdx: []int32{7}, SparseVal: []float64{8}},
+		{ID: 4, SparseIdx: []int32{0, 1}, SparseVal: []float64{9, 10}},
+		{ID: 5, SparseIdx: []int32{0, 1, 2}, SparseVal: []float64{11, 12, 13}},
 	}
 	for i := range src {
 		raw = AppendTuple(raw, &src[i])
@@ -304,8 +357,10 @@ func TestDecodedTuplesDoNotAliasOnAppend(t *testing.T) {
 	_ = append(got[0].Dense, -1)
 	_ = append(got[2].SparseIdx, -1)
 	_ = append(got[2].SparseVal, -1)
+	_ = append(got[4].SparseIdx, -1) // the shared prefix: must not write index 2
 	if !reflect.DeepEqual(got[1].Dense, src[1].Dense) ||
-		!reflect.DeepEqual(got[3].SparseIdx, src[3].SparseIdx) || !reflect.DeepEqual(got[3].SparseVal, src[3].SparseVal) {
+		!reflect.DeepEqual(got[3].SparseIdx, src[3].SparseIdx) || !reflect.DeepEqual(got[3].SparseVal, src[3].SparseVal) ||
+		!reflect.DeepEqual(got[5].SparseIdx, src[5].SparseIdx) {
 		t.Fatalf("append on one tuple wrote into its neighbour: %+v", got)
 	}
 }
@@ -321,4 +376,19 @@ func TestValidateRawTuplesDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("ValidateRawTuples allocates %v times per block, want 0", n)
 	}
+}
+
+// TestMain runs the package's tests, then checks that none of them wrote
+// into the shared data.PrefixIdx, which every decoded gap-free row of every
+// table image reads.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for i, idx := range data.PrefixIdx(data.PrefixCap) {
+		if int(idx) != i {
+			fmt.Fprintf(os.Stderr, "FAIL: data.PrefixIdx[%d] = %d after the tests, want %d\n", i, idx, i)
+			code = 1
+			break
+		}
+	}
+	os.Exit(code)
 }

@@ -22,7 +22,11 @@ func fuzzTable(compress bool) *Table {
 // validBlockBytes builds a real one-block table and returns the raw bytes of
 // block 0, the honest seed the fuzzer mutates.
 func validBlockBytes(tb testing.TB, compress bool) []byte {
-	ds := testDataset(50, 4)
+	return blockBytesOf(tb, testDataset(50, 4), compress)
+}
+
+// blockBytesOf returns the raw bytes of block 0 of a table built from ds.
+func blockBytesOf(tb testing.TB, ds *data.Dataset, compress bool) []byte {
 	clock := iosim.NewClock()
 	tab, err := Build(iosim.NewDevice(iosim.RAM, clock), ds, Options{Compress: compress})
 	if err != nil {
@@ -53,6 +57,10 @@ func FuzzDecodeBlock(f *testing.F) {
 	comp := validBlockBytes(f, true)
 	f.Add(plain, false)
 	f.Add(comp, true)
+	// Every row sparse with indices 0…5: the decoder's shared-prefix rows.
+	gapFree := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: 50, Features: 6, Sparse: true, NNZ: 6, Seed: 12})
+	f.Add(blockBytesOf(f, gapFree, false), false)
 	f.Add([]byte{}, false)
 	f.Add(make([]byte, 23), false)
 
